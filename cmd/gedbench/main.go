@@ -24,7 +24,9 @@
 // and chase series to one iteration on a small instance, which is what
 // the CI smoke job runs.
 //
-// See EXPERIMENTS.md for how each experiment maps to the paper.
+// These experiments and their BENCH_*.json files are frozen legacy; the
+// maintained workloads, and what each measures of the paper's claims,
+// are in benchmark/README.md.
 package main
 
 import (

@@ -89,6 +89,14 @@
 // baseline (gedbench -experiment match) and the differential-test
 // oracle.
 //
+// Validation over a snapshot judges each match on the matcher's dense
+// binding vector: a rule's X and Y are compiled once per prepared
+// validator to vector positions and interned attribute ids, carried
+// across Rebase like the plans' label ids, and a Match map is built
+// only for the matches that are violations. Resolving variables and
+// attributes by name per match is left to mutable-graph hosts and to
+// the oracle the differential tests compare against.
+//
 // # Sharding
 //
 // WithShards(P) partitions every graph the engine touches into P

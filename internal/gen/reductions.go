@@ -203,5 +203,5 @@ func ValidGKeyFamily(h *UGraph) (*graph.Graph, ged.Set) {
 // than ship an unverified gadget, GEDx/GKey satisfiability is exercised
 // here through the entity-resolution workloads (workloads.go), and the
 // coNP-hardness family is reproduced explicitly for GFDs (SatGFDFamily),
-// matching part (a) of the paper's Theorem 3 proof sketch. See
-// EXPERIMENTS.md.
+// matching part (a) of the paper's Theorem 3 proof sketch. What the
+// measured workloads cover is listed in benchmark/README.md.

@@ -25,6 +25,16 @@ func (m Match) Clone() Match {
 	return c
 }
 
+// MatchOf lifts a dense binding vector — indexed like Vars(), as the
+// ForEachDense* entry points deliver it — to a fresh Match.
+func (p *Pattern) MatchOf(bind []graph.NodeID) Match {
+	m := make(Match, len(p.vars))
+	for i, x := range p.vars {
+		m[x] = bind[i]
+	}
+	return m
+}
+
 // unbound marks an unassigned slot of the dense binding vector. Real
 // node ids are non-negative.
 const unbound = graph.NodeID(-1)
@@ -527,25 +537,38 @@ func (pl *Plan) ForEachDenseFiltered(stop func() bool, filter func(graph.NodeID)
 }
 
 // ForEachPivot enumerates matches with the pivot variable successively
-// bound to each candidate, reusing one matcher across the whole block —
-// the low-overhead primitive behind parallel validation. Candidates that
-// violate the pivot's label or incident edges are skipped.
+// bound to each candidate, reusing one matcher across the whole block.
+// Candidates that violate the pivot's label or incident edges are
+// skipped. It is the Match-map form of ForEachDensePivotCancel, kept
+// for the differential tests.
 func (pl *Plan) ForEachPivot(pivot Var, cands []graph.NodeID, yield func(Match) bool) {
-	pl.ForEachPivotCancel(pivot, cands, nil, yield)
+	pl.forEachPivot(pivot, cands, nil, yield, nil)
 }
 
-// ForEachPivotCancel is ForEachPivot with the cooperative abort hook of
-// ForEachBoundCancel. Pivot candidates are intersected with the pivot's
-// pushed-down literal postings up front when the candidate list is
-// sorted (it usually is: label postings and attribute-value postings
-// both arrive ascending); unsorted candidate lists fall back to the
-// per-candidate literal check in consistent.
-func (pl *Plan) ForEachPivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, yield func(Match) bool) {
+// ForEachDensePivotCancel enumerates matches with the pivot variable
+// successively bound to each candidate, reusing one matcher across the
+// whole block and delivering each match as the dense binding vector of
+// ForEachDenseCancel (the pivot's slot included) — the low-overhead
+// primitive behind parallel and touched-neighborhood validation, which
+// judge every match but keep only the violating few. stop is the
+// cooperative abort hook of ForEachBoundCancel.
+//
+// Pivot candidates are intersected with the pivot's pushed-down literal
+// postings up front when the candidate list is sorted (it usually is:
+// label postings and attribute-value postings both arrive ascending);
+// unsorted candidate lists fall back to the per-candidate literal check
+// in consistent.
+func (pl *Plan) ForEachDensePivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, yield func([]graph.NodeID) bool) {
+	pl.forEachPivot(pivot, cands, stop, nil, yield)
+}
+
+func (pl *Plan) forEachPivot(pivot Var, cands []graph.NodeID, stop func() bool, yield func(Match) bool, dense func([]graph.NodeID) bool) {
 	pi, ok := pl.varIdx[pivot]
 	if !ok {
 		return
 	}
 	m := pl.newMatcher(stop, yield)
+	m.dense = dense
 	defer pl.putMatcher(m)
 	cands = m.pivotCands(pi, cands)
 	order := m.orderBuf[:0]

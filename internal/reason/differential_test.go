@@ -97,7 +97,7 @@ func TestValidateSnapshotDifferential(t *testing.T) {
 		}
 		// And both must be the canonical ordering of the sequential set.
 		seq := append([]Violation(nil), onSnap...)
-		sortViolations(seq, sigma)
+		SortViolations(seq, sigma)
 		return equalStrings(orderedCanon(parSnap, sigma), orderedCanon(seq, sigma))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

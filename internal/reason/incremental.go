@@ -45,65 +45,41 @@ func ValidateTouchingCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, nod
 // the Engine uses), or the mutable graph itself. Plans are compiled per
 // call; a Validator's TouchingCtx reuses its prepared plans instead.
 func ValidateTouchingOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, nodes []graph.NodeID, limit int) ([]Violation, error) {
-	if len(nodes) == 0 {
-		// The empty delta touches nothing: no plan compilation, no
-		// per-GED sort/dedup bookkeeping.
-		return nil, ctx.Err()
-	}
-	return validateTouching(ctx, h, sigma, nodes, limit, func(i int) *pattern.Plan {
-		return pattern.CompileFiltered(sigma[i].Pattern, h, PushdownFilters(sigma[i]))
-	})
+	return newValidator(h, sigma).TouchingCtx(ctx, nodes, limit)
 }
 
-// validateTouching is the shared touched-neighborhood core: plans come
-// from planOf, so one-shot callers compile on the fly while prepared
-// validators hand out cached plans.
-func validateTouching(ctx context.Context, h pattern.Host, sigma ged.Set, nodes []graph.NodeID, limit int, planOf func(int) *pattern.Plan) ([]Violation, error) {
-	var out []Violation
-	var ctxErr error
-	stop := func() bool { return ctx.Err() != nil }
+// touching is the touched-neighborhood search: every rule, pivoted on
+// every pattern variable over nodes. Hits come back in no particular
+// order; cancellation returns the ones found so far.
+func (v *Validator) touching(ctx context.Context, nodes []graph.NodeID) ([]hit, error) {
+	if len(nodes) == 0 {
+		return nil, ctx.Err()
+	}
+	var hs hits
 	var seen seenSet
-	for gi, d := range sigma {
-		pl := planOf(gi)
-		vars := d.Pattern.Vars()
-		for _, pivot := range vars {
-			pl.ForEachPivotCancel(pivot, nodes, stop, func(m pattern.Match) bool {
-				if ctxErr = ctx.Err(); ctxErr != nil {
-					return false
+	stop := func() bool { return ctx.Err() != nil }
+	for gi, d := range v.sigma {
+		// A match with several affected bindings surfaces once per
+		// (pivot, binding); judge it the first time only.
+		visit := func(bind []graph.NodeID) bool {
+			if ctx.Err() != nil {
+				return false
+			}
+			if seen.add(gi, bind) {
+				if l := v.checkMatch(gi, bind); l != nil {
+					hs.add(gi, bind, l)
 				}
-				// Dedup: a match with several affected bindings is found
-				// once per (pivot, binding); canonicalize.
-				if !seen.add(gi, vars, m) {
-					return true
-				}
-				for _, l := range d.X {
-					if !HoldsInGraph(h, l, m) {
-						return true
-					}
-				}
-				for _, l := range d.Y {
-					if !HoldsInGraph(h, l, m) {
-						out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-						break
-					}
-				}
-				return true
-			})
-			ctxErr = ctx.Err()
-			if ctxErr != nil {
-				break
+			}
+			return true
+		}
+		for _, pivot := range d.Pattern.Vars() {
+			v.plans[gi].ForEachDensePivotCancel(pivot, nodes, stop, visit)
+			if err := ctx.Err(); err != nil {
+				return hs.list, err
 			}
 		}
-		if ctxErr != nil {
-			break
-		}
 	}
-	// Partial results keep the contract: canonical order, limit applied.
-	sortViolations(out, sigma)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, ctxErr
+	return hs.list, nil
 }
 
 // StillViolating re-checks a previously-found violation against the
@@ -136,17 +112,28 @@ func FailingLiteral(h pattern.Host, v Violation) (ged.Literal, bool) {
 			return ged.Literal{}, false
 		}
 	}
-	for _, l := range v.GED.X {
-		if !HoldsInGraph(h, l, v.Match) {
-			return ged.Literal{}, false
-		}
-	}
-	for _, l := range v.GED.Y {
-		if !HoldsInGraph(h, l, v.Match) {
-			return l, true
-		}
+	if l := failing(h, v.GED, v.Match); l != nil {
+		return *l, true
 	}
 	return ged.Literal{}, false
+}
+
+// failing is the Host-generic verdict on one match of d's pattern,
+// literal by literal through HoldsInGraph: the first consequent literal
+// m fails when m ⊨ X, nil when m does not violate d. CompiledRule's
+// CheckMatch is the dense equivalent snapshot validation runs on.
+func failing(h pattern.Host, d *ged.GED, m pattern.Match) *ged.Literal {
+	for _, l := range d.X {
+		if !HoldsInGraph(h, l, m) {
+			return nil
+		}
+	}
+	for i := range d.Y {
+		if !HoldsInGraph(h, d.Y[i], m) {
+			return &d.Y[i]
+		}
+	}
+	return nil
 }
 
 // denseKeyVars is how many bindings the allocation-free match key holds
@@ -173,30 +160,29 @@ type seenSet struct {
 	wide  map[string]bool
 }
 
-func makeKey(gi int, vars []pattern.Var, m pattern.Match) (denseKey, bool) {
-	if len(vars) > denseKeyVars {
+func makeKey(gi int, bind []graph.NodeID) (denseKey, bool) {
+	if len(bind) > denseKeyVars {
 		return denseKey{}, false
 	}
-	k := denseKey{gi: int32(gi), n: int32(len(vars))}
-	for i, v := range vars {
-		k.ids[i] = m[v]
-	}
+	k := denseKey{gi: int32(gi), n: int32(len(bind))}
+	copy(k.ids[:], bind)
 	return k, true
 }
 
-func wideKey(gi int, vars []pattern.Var, m pattern.Match) string {
-	buf := make([]byte, 0, 16+8*len(vars))
+func wideKey(gi int, bind []graph.NodeID) string {
+	buf := make([]byte, 0, 16+8*len(bind))
 	buf = strconv.AppendInt(buf, int64(gi), 10)
-	for _, v := range vars {
+	for _, n := range bind {
 		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, int64(m[v]), 10)
+		buf = strconv.AppendInt(buf, int64(n), 10)
 	}
 	return string(buf)
 }
 
-// add inserts the key of (gi, m) and reports whether it was absent.
-func (s *seenSet) add(gi int, vars []pattern.Var, m pattern.Match) bool {
-	if k, ok := makeKey(gi, vars, m); ok {
+// add inserts the key of (gi, bind) — a match's dense binding vector,
+// read during the call only — and reports whether it was absent.
+func (s *seenSet) add(gi int, bind []graph.NodeID) bool {
+	if k, ok := makeKey(gi, bind); ok {
 		if s.dense == nil {
 			s.dense = make(map[denseKey]bool)
 		}
@@ -206,7 +192,7 @@ func (s *seenSet) add(gi int, vars []pattern.Var, m pattern.Match) bool {
 		s.dense[k] = true
 		return true
 	}
-	k := wideKey(gi, vars, m)
+	k := wideKey(gi, bind)
 	if s.wide == nil {
 		s.wide = make(map[string]bool)
 	}
@@ -217,11 +203,11 @@ func (s *seenSet) add(gi int, vars []pattern.Var, m pattern.Match) bool {
 	return true
 }
 
-// remove deletes the key of (gi, m).
-func (s *seenSet) remove(gi int, vars []pattern.Var, m pattern.Match) {
-	if k, ok := makeKey(gi, vars, m); ok {
+// remove deletes the key of (gi, bind).
+func (s *seenSet) remove(gi int, bind []graph.NodeID) {
+	if k, ok := makeKey(gi, bind); ok {
 		delete(s.dense, k)
 		return
 	}
-	delete(s.wide, wideKey(gi, vars, m))
+	delete(s.wide, wideKey(gi, bind))
 }

@@ -49,42 +49,31 @@ func ValidateParallelCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, lim
 // normally a pre-built *graph.Snapshot shared across calls; a mutable
 // *graph.Graph also works and returns identical results.
 func ValidateParallelOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, limit, workers int) ([]Violation, error) {
+	return newValidator(h, sigma).RunParallelCtx(ctx, limit, workers)
+}
+
+// scanParallel is the data-parallel search: one plan per GED shared by
+// all workers, tasks are candidate blocks of the GED's pivot variable.
+// Hits come back in no particular order — except from a single worker,
+// which is the plain sequential scan.
+func (v *Validator) scanParallel(ctx context.Context, workers int) ([]hit, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		return ValidateOnCtx(ctx, h, sigma, limit)
+		return v.scan(ctx, 0, false)
 	}
-	return validateParallel(ctx, h, sigma, limit, workers,
-		func(i int) *pattern.Plan {
-			return pattern.CompileFiltered(sigma[i].Pattern, h, PushdownFilters(sigma[i]))
-		},
-		func(i int) (pattern.Var, []graph.NodeID) { return pivotFor(sigma[i], h) })
-}
-
-// validateParallel is the shared data-parallel core: plans and pivots
-// come from the callbacks, so one-shot callers compile on the fly while
-// prepared validators hand out cached state.
-func validateParallel(ctx context.Context, h pattern.Host, sigma ged.Set, limit, workers int,
-	planOf func(int) *pattern.Plan, pivotOf func(int) (pattern.Var, []graph.NodeID)) ([]Violation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// One compiled plan per GED, shared by all workers; tasks are
-	// candidate blocks of the GED's pivot variable.
+	v.ensurePivots()
 	type task struct {
-		gedIdx int
-		pivot  pattern.Var
-		cands  []graph.NodeID // nil means "run unpartitioned"
+		gi    int
+		pivot pattern.Var
+		cands []graph.NodeID // nil means "run unpartitioned"
 	}
-	plans := make([]*pattern.Plan, len(sigma))
 	var tasks []task
-	for gi := range sigma {
-		plans[gi] = planOf(gi)
-		v, cands := pivotOf(gi)
-		if v == "" {
-			tasks = append(tasks, task{gedIdx: gi})
+	for gi := range v.sigma {
+		pv, cands := v.pivot(gi)
+		if pv == "" {
+			tasks = append(tasks, task{gi: gi})
 			continue
 		}
 		blocks := workers * 4
@@ -97,7 +86,7 @@ func validateParallel(ctx context.Context, h pattern.Host, sigma ged.Set, limit,
 			if hi > len(cands) {
 				hi = len(cands)
 			}
-			tasks = append(tasks, task{gedIdx: gi, pivot: v, cands: cands[lo:hi]})
+			tasks = append(tasks, task{gi: gi, pivot: pv, cands: cands[lo:hi]})
 		}
 	}
 
@@ -108,72 +97,55 @@ func validateParallel(ctx context.Context, h pattern.Host, sigma ged.Set, limit,
 	close(ch)
 
 	var mu sync.Mutex
-	var out []Violation
+	var out []hit
 	var wg sync.WaitGroup
 	stop := func() bool { return ctx.Err() != nil }
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local []Violation
+			var local hits
 			for t := range ch {
 				if ctx.Err() != nil {
 					break
 				}
-				d := sigma[t.gedIdx]
-				pl := plans[t.gedIdx]
-				collect := func(m pattern.Match) bool {
+				visit := func(bind []graph.NodeID) bool {
 					if ctx.Err() != nil {
 						return false
 					}
-					for _, l := range d.X {
-						if !HoldsInGraph(h, l, m) {
-							return true
-						}
-					}
-					for _, l := range d.Y {
-						if !HoldsInGraph(h, l, m) {
-							local = append(local, Violation{GED: d, Match: m.Clone(), Literal: l})
-							break
-						}
+					if l := v.checkMatch(t.gi, bind); l != nil {
+						local.add(t.gi, bind, l)
 					}
 					return true
 				}
 				if t.cands == nil {
-					pl.ForEachBoundCancel(nil, stop, collect)
+					v.plans[t.gi].ForEachDenseCancel(stop, visit)
 					continue
 				}
-				pl.ForEachPivotCancel(t.pivot, t.cands, stop, collect)
+				v.plans[t.gi].ForEachDensePivotCancel(t.pivot, t.cands, stop, visit)
 			}
-			if len(local) > 0 {
+			if len(local.list) > 0 {
 				mu.Lock()
-				out = append(out, local...)
+				out = append(out, local.list...)
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-
-	sortViolations(out, sigma)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
 	return out, ctx.Err()
 }
 
-// pivotFor selects the partitioning variable of d's match space. On a
+// pivot selects the partitioning variable of Σ[gi]'s match space. On a
 // snapshot host the most selective constant literal of the antecedent
 // is pushed down into the folded-in attribute index first — matches
 // outside its postings cannot satisfy the antecedent, so restricting
 // the pivot to them loses no violations; when no constant literal beats
 // the label postings the label-based pivotVar is used.
-func pivotFor(d *ged.GED, h pattern.Host) (pattern.Var, []graph.NodeID) {
-	if snap, ok := h.(*graph.Snapshot); ok {
-		if p := choosePivot(d, snap); p != nil {
-			return p.variable, p.cands
-		}
+func (v *Validator) pivot(gi int) (pattern.Var, []graph.NodeID) {
+	if p := v.pivots[gi]; p != nil {
+		return p.variable, p.cands
 	}
-	return pivotVar(d.Pattern, h)
+	return pivotVar(v.sigma[gi].Pattern, v.h)
 }
 
 // pivotVar picks the variable with the smallest candidate set, breaking
@@ -222,15 +194,10 @@ func appendViolationKey(buf []byte, v Violation) []byte {
 // validation API reports: by GED index in sigma, then by the match
 // bindings in variable order. Exported for callers that assemble
 // violation lists from several independent searches (the sharded
-// validator merges per-shard result sets with it) and need them in the
-// same order the single-snapshot paths produce.
-func SortViolations(vs []Violation, sigma ged.Set) { sortViolations(vs, sigma) }
-
-// sortViolations puts violations into a canonical order: by GED index,
-// then by the match bindings in variable order. The per-violation keys
-// are computed once up front — not inside the comparator, which would
-// redo the strconv/concat work O(n log n) times.
-func sortViolations(vs []Violation, sigma ged.Set) {
+// validator merges per-shard result sets with it). The per-violation
+// keys are computed once up front — not inside the comparator, which
+// would redo the strconv/concat work O(n log n) times.
+func SortViolations(vs []Violation, sigma ged.Set) {
 	if len(vs) < 2 {
 		return
 	}

@@ -39,7 +39,7 @@ func probeOracleValidate(h pattern.Host, sigma ged.Set) []Violation {
 			return true
 		})
 	}
-	sortViolations(out, sigma)
+	SortViolations(out, sigma)
 	return out
 }
 
@@ -109,7 +109,7 @@ func TestPushdownViolationsByteIdentical(t *testing.T) {
 			"prepared": NewValidatorOn(snap, sigma).Run(0),
 		} {
 			canon := append([]Violation(nil), got...)
-			sortViolations(canon, sigma)
+			SortViolations(canon, sigma)
 			if gotBytes := violationBytes(canon, sigma); gotBytes != want {
 				t.Logf("seed %d: %s diverges from probe oracle:\n got %q\nwant %q", seed, name, gotBytes, want)
 				return false

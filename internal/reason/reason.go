@@ -158,42 +158,10 @@ func ValidateCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, limit int) 
 // positive limit truncates in enumeration order, which may differ
 // between hosts (snapshots enumerate neighbors in (label, id) order,
 // graphs in insertion order), so the reported prefix can differ even
-// though the full sets agree.
+// though the full sets agree. Plans and literals are compiled per call;
+// a Validator keeps them.
 func ValidateOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, limit int) ([]Violation, error) {
-	var out []Violation
-	stop := func() bool { return ctx.Err() != nil }
-	for _, d := range sigma {
-		d := d
-		// Constant antecedent literals are pushed down into the plan, so
-		// the enumeration below only ever surfaces matches that already
-		// satisfy them; the in-callback X check covers the rest (variable
-		// and id literals).
-		pl := pattern.CompileFiltered(d.Pattern, h, PushdownFilters(d))
-		pl.ForEachBoundCancel(nil, stop, func(m pattern.Match) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			for _, l := range d.X {
-				if !HoldsInGraph(h, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(h, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
-			}
-			return limit <= 0 || len(out) < limit
-		})
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out, nil
+	return newValidator(h, sigma).RunCtx(ctx, limit)
 }
 
 // Satisfies reports G ⊨ Σ.
@@ -203,7 +171,11 @@ func Satisfies(g *graph.Graph, sigma ged.Set) bool {
 
 // HoldsInGraph evaluates h(x̄) ⊨ l directly against the stored attribute
 // values of the host (a graph or a snapshot), with the paper's existence
-// semantics: a literal over a missing attribute is false.
+// semantics: a literal over a missing attribute is false. It resolves
+// variables and attributes by name on every call: validation over a
+// snapshot runs on CompiledRule instead and keeps this for mutable
+// hosts, for re-checking a recorded Violation, and as the oracle the
+// differential tests compare the compiled path against.
 func HoldsInGraph(h pattern.Host, l ged.Literal, m pattern.Match) bool {
 	k, ok := l.Kind()
 	if !ok {

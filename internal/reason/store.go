@@ -7,7 +7,6 @@ import (
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/obs"
-	"gedlib/internal/pattern"
 )
 
 // ViolationStore is a maintained violation set: the answer to "which
@@ -35,20 +34,19 @@ import (
 // updated node (matches are monotone, and attribute writes land on a
 // match's own bindings), and an *existing* violation can only change
 // status if its match touches an updated node. Touched entries are
-// re-checked with FailingLiteral — which also refreshes the recorded
-// evidence, since an update can fix the recorded literal while
+// re-judged on their stored binding vector — which also refreshes the
+// recorded evidence, since an update can fix the recorded literal while
 // breaking another — and the touched neighborhoods are searched for
 // new violations, deduplicated against what is already stored.
 //
 // Entries carry their canonical sort key and dense binding vector,
 // computed once at admission: a delta re-sorts nothing — survivors stay
-// in order and the (few, already-sorted) newcomers merge in.
+// in order and the (few, sorted among themselves) newcomers merge in.
 //
 // The store is single-writer: Apply must not run concurrently with
 // itself or Violations. Engine.Apply provides the locking.
 type ViolationStore struct {
 	val    *Validator
-	sigma  ged.Set
 	gedIdx map[*ged.GED]int
 	vs     []*storedViolation
 	seen   seenSet
@@ -86,13 +84,9 @@ func (e *storedViolation) less(o *storedViolation) bool {
 	return e.key < o.key
 }
 
-func (st *ViolationStore) admit(v Violation) *storedViolation {
-	gi := st.gedIdx[v.GED]
-	vars := v.GED.Pattern.Vars()
-	bind := make([]graph.NodeID, len(vars))
-	for i, x := range vars {
-		bind[i] = v.Match[x]
-	}
+// admit stores the violating match (gi, bind), materialized as v. The
+// entry takes bind over; the caller has claimed its key in st.seen.
+func (st *ViolationStore) admit(gi int, bind []graph.NodeID, v Violation) *storedViolation {
 	e := &storedViolation{
 		v:    v,
 		gi:   gi,
@@ -103,6 +97,30 @@ func (st *ViolationStore) admit(v Violation) *storedViolation {
 		st.byNode[n] = append(st.byNode[n], e)
 	}
 	return e
+}
+
+// admitHits stores what one of the validator's own searches found, in
+// any order; each new entry's binding vector is copied straight from
+// the matcher's. Matches already stored are skipped.
+func (st *ViolationStore) admitHits(hs []hit) {
+	var add []*storedViolation
+	for _, h := range hs {
+		if st.seen.add(h.gi, h.bind) {
+			add = append(add, st.admit(h.gi, append([]graph.NodeID(nil), h.bind...), st.val.violation(h)))
+		}
+	}
+	st.merge(add)
+}
+
+// merge folds new entries into the canonically ordered set.
+func (st *ViolationStore) merge(add []*storedViolation) {
+	if len(add) == 0 {
+		return
+	}
+	sort.Slice(add, func(i, j int) bool { return add[i].less(add[j]) })
+	st.ctrFresh.Add(uint64(len(add)))
+	st.vs = mergeStored(st.vs, add)
+	st.view = nil
 }
 
 // distinctBind returns bind's distinct nodes (in place of a set; match
@@ -157,26 +175,12 @@ func NewViolationStoreCtx(ctx context.Context, val *Validator) (*ViolationStore,
 // O(|G|) step of the store's life, so it deserves the same parallelism
 // a full Validate gets.
 func NewViolationStoreParallelCtx(ctx context.Context, val *Validator, workers int) (*ViolationStore, error) {
-	sigma := val.sigma
-	vs, err := val.RunParallelCtx(ctx, 0, workers)
+	hs, err := val.scanParallel(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
-	st := &ViolationStore{
-		val:    val,
-		sigma:  sigma,
-		gedIdx: make(map[*ged.GED]int, len(sigma)),
-		byNode: make(map[graph.NodeID][]*storedViolation),
-	}
-	for i, d := range sigma {
-		st.gedIdx[d] = i
-	}
-	st.vs = make([]*storedViolation, len(vs))
-	for i, v := range vs {
-		st.vs[i] = st.admit(v)
-		st.seen.add(st.vs[i].gi, v.GED.Pattern.Vars(), v.Match)
-	}
-	sort.Slice(st.vs, func(i, j int) bool { return st.vs[i].less(st.vs[j]) })
+	st := newStore(val)
+	st.admitHits(hs)
 	return st, nil
 }
 
@@ -187,23 +191,20 @@ func NewViolationStoreParallelCtx(ctx context.Context, val *Validator, workers i
 // instead of val's own run). The slice is not retained; entries are
 // admitted and put into canonical order.
 func NewViolationStoreSeeded(val *Validator, vs []Violation) *ViolationStore {
-	sigma := val.sigma
+	st := newStore(val)
+	st.AdmitFresh(vs)
+	return st
+}
+
+func newStore(val *Validator) *ViolationStore {
 	st := &ViolationStore{
 		val:    val,
-		sigma:  sigma,
-		gedIdx: make(map[*ged.GED]int, len(sigma)),
+		gedIdx: make(map[*ged.GED]int, len(val.sigma)),
 		byNode: make(map[graph.NodeID][]*storedViolation),
 	}
-	for i, d := range sigma {
+	for i, d := range val.sigma {
 		st.gedIdx[d] = i
 	}
-	st.vs = make([]*storedViolation, 0, len(vs))
-	for _, v := range vs {
-		if st.seen.add(st.gedIdx[v.GED], v.GED.Pattern.Vars(), v.Match) {
-			st.vs = append(st.vs, st.admit(v))
-		}
-	}
-	sort.Slice(st.vs, func(i, j int) bool { return st.vs[i].less(st.vs[j]) })
 	return st
 }
 
@@ -211,7 +212,7 @@ func NewViolationStoreSeeded(val *Validator, vs []Violation) *ViolationStore {
 func (st *ViolationStore) Snapshot() *graph.Snapshot { return st.val.Snapshot() }
 
 // Sigma returns the rule set the store maintains violations of.
-func (st *ViolationStore) Sigma() ged.Set { return st.sigma }
+func (st *ViolationStore) Sigma() ged.Set { return st.val.sigma }
 
 // Violations returns the maintained set in canonical order. The slice
 // (cached across no-change deltas, its backing array never rewritten)
@@ -236,20 +237,18 @@ func (st *ViolationStore) Len() int { return len(st.vs) }
 // only part of the delta; callers should discard and re-seed it.
 //
 // Apply is Recheck (drop/refresh the stored entries the delta touches)
-// followed by the validator's own touched-neighborhood search feeding
-// AdmitFresh. Callers that find the fresh violations elsewhere — the
-// sharded engine searches across shard queues — run the two halves
-// directly.
+// followed by the validator's own touched-neighborhood search, whose
+// hits are admitted. Callers that find the fresh violations elsewhere —
+// the sharded engine searches across shard queues — run Recheck and
+// AdmitFresh directly.
 func (st *ViolationStore) Apply(ctx context.Context, snap *graph.Snapshot, touched []graph.NodeID) error {
 	if err := st.Recheck(ctx, snap, touched); err != nil || len(touched) == 0 {
 		return err
 	}
 	// Find the new violations around the touched nodes; matches already
-	// stored re-surface here and are dropped by the key set. The fresh
-	// list arrives canonically sorted, so it merges rather than
-	// re-sorting the store.
-	fresh, err := st.val.TouchingCtx(ctx, touched, 0)
-	st.AdmitFresh(fresh)
+	// stored re-surface here and are dropped by the key set.
+	hs, err := st.val.touching(ctx, touched)
+	st.admitHits(hs)
 	return err
 }
 
@@ -285,21 +284,23 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 			}
 			e.stamp = st.stamp
 			st.ctrRecheck.Inc()
-			l, still := FailingLiteral(snap, e.v)
+			// Snapshots only grow, so the stored match still exists
+			// and its status turns on the literals alone.
+			l := st.val.checkMatch(e.gi, e.bind)
 			switch {
-			case !still:
+			case l == nil:
 				st.ctrDrop.Inc()
-				st.seen.remove(e.gi, e.v.GED.Pattern.Vars(), e.v.Match)
+				st.seen.remove(e.gi, e.bind)
 				e.dropped = true
 				// The entry appears in one index list per distinct
 				// bound node; one reference is pruned right here.
 				st.dross += distinctBindCount(e.bind) - 1
 				live = live[:len(live)-1]
 				droppedAny = true
-			case l != e.v.Literal:
+			case *l != e.v.Literal:
 				// The update fixed the recorded literal but broke
 				// another; keep the evidence current.
-				e.v.Literal = l
+				e.v.Literal = *l
 				refreshed = true
 			}
 		}
@@ -327,23 +328,27 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 	return ctx.Err()
 }
 
-// AdmitFresh is the second half of Apply: it merges externally found
-// fresh violations into the store. The input must be verified against
-// the store's current snapshot and canonically sorted (SortViolations);
-// duplicates — of stored entries or within vs — are dropped by the key
-// set, so re-discovering a maintained violation is harmless.
+// AdmitFresh is the second half of Apply for callers that find the
+// fresh violations elsewhere: it merges them into the store. The input
+// must be verified against the store's current snapshot; any order
+// will do, and duplicates — of stored entries or within vs — are
+// dropped by the key set, so re-discovering a maintained violation is
+// harmless.
 func (st *ViolationStore) AdmitFresh(vs []Violation) {
 	var add []*storedViolation
+	var bind []graph.NodeID
 	for _, v := range vs {
-		if st.seen.add(st.gedIdx[v.GED], v.GED.Pattern.Vars(), v.Match) {
-			add = append(add, st.admit(v))
+		// Only the materialized match crosses the package boundary;
+		// recover its binding vector.
+		bind = bind[:0]
+		for _, x := range v.GED.Pattern.Vars() {
+			bind = append(bind, v.Match[x])
+		}
+		if gi := st.gedIdx[v.GED]; st.seen.add(gi, bind) {
+			add = append(add, st.admit(gi, append([]graph.NodeID(nil), bind...), v))
 		}
 	}
-	if len(add) > 0 {
-		st.ctrFresh.Add(uint64(len(add)))
-		st.vs = mergeStored(st.vs, add)
-		st.view = nil
-	}
+	st.merge(add)
 }
 
 // rebuildIndex re-derives byNode from the live entries, shedding the
@@ -375,5 +380,3 @@ func mergeStored(a, b []*storedViolation) []*storedViolation {
 	}
 	return out
 }
-
-var _ pattern.Host = (*graph.Snapshot)(nil)

@@ -19,14 +19,23 @@ import (
 // like φ₁ (y.type = "video game" → ...) starts from the indexed
 // video-game nodes instead of scanning every product.
 //
+// Every search enumerates matches as dense binding vectors and judges
+// each with the rule's CompiledRule, lowered once, here. A Match map is
+// built only for the matches that turn out to be violations.
+//
 // The Validator reflects the snapshot it was built on; when the graph
 // moves, Rebase follows a delta-maintained snapshot at the cost of the
 // rule set, not the graph. It is immutable (the pushed-down pivots are
 // materialized lazily under a sync.Once) and safe for concurrent use.
 type Validator struct {
+	// h is the host the plans enumerate on, snap the same host as a
+	// snapshot. Only the one-shot Validate*OnCtx entries put a mutable
+	// graph here: nil snap, no rules, matches judged by HoldsInGraph.
+	h     pattern.Host
 	snap  *graph.Snapshot
 	sigma ged.Set
 	plans []*pattern.Plan
+	rules []*CompiledRule
 	// pivots[i] is the pushed-down access path for Σ[i], if any; built
 	// on first full Run so that incremental-only validators never pay
 	// for the value postings.
@@ -52,13 +61,24 @@ func NewValidator(g *graph.Graph, sigma ged.Set) *Validator {
 // bindings inside the search, and the post-match antecedent check only
 // ever sees matches that already satisfy the pushable literals.
 func NewValidatorOn(snap *graph.Snapshot, sigma ged.Set) *Validator {
+	return newValidator(snap, sigma)
+}
+
+func newValidator(h pattern.Host, sigma ged.Set) *Validator {
 	v := &Validator{
-		snap:  snap,
+		h:     h,
 		sigma: sigma,
 		plans: make([]*pattern.Plan, len(sigma)),
 	}
+	if snap, ok := h.(*graph.Snapshot); ok {
+		v.snap = snap
+		v.rules = make([]*CompiledRule, len(sigma))
+	}
 	for i, d := range sigma {
-		v.plans[i] = pattern.CompileFiltered(d.Pattern, snap, PushdownFilters(d))
+		v.plans[i] = pattern.CompileFiltered(d.Pattern, h, PushdownFilters(d))
+		if v.snap != nil {
+			v.rules[i] = CompileRule(d, v.snap)
+		}
 	}
 	return v
 }
@@ -82,24 +102,28 @@ func PushdownFilters(d *ged.GED) []pattern.ConstFilter {
 }
 
 // Rebase returns a validator over snap, reusing the receiver's compiled
-// plans when snap shares the receiver's snapshot lineage (it was
-// produced by graph.Snapshot.Apply) — the per-delta cost is then
-// proportional to the rule set. An unrelated snapshot falls back to a
-// full recompile.
+// plans and literals when snap shares the receiver's snapshot lineage
+// (it was produced by graph.Snapshot.Apply) — symbol ids are append-only
+// within a lineage, so only what was absent at compile time is resolved
+// again and the per-delta cost is proportional to the rule set. An
+// unrelated snapshot falls back to a full recompile.
 func (v *Validator) Rebase(snap *graph.Snapshot) *Validator {
 	if snap == v.snap {
 		return v
 	}
-	if snap.Lineage() != v.snap.Lineage() {
+	if v.snap == nil || snap.Lineage() != v.snap.Lineage() {
 		return NewValidatorOn(snap, v.sigma)
 	}
 	nv := &Validator{
+		h:     snap,
 		snap:  snap,
 		sigma: v.sigma,
 		plans: make([]*pattern.Plan, len(v.plans)),
+		rules: make([]*CompiledRule, len(v.rules)),
 	}
-	for i, pl := range v.plans {
-		nv.plans[i] = pl.Rebind(snap)
+	for i := range v.plans {
+		nv.plans[i] = v.plans[i].Rebind(snap)
+		nv.rules[i] = v.rules[i].Rebind(snap)
 	}
 	return nv
 }
@@ -112,8 +136,10 @@ func (v *Validator) Snapshot() *graph.Snapshot { return v.snap }
 func (v *Validator) ensurePivots() {
 	v.pivotOnce.Do(func() {
 		pv := make([]*pivotPlan, len(v.sigma))
-		for i, d := range v.sigma {
-			pv[i] = choosePivot(d, v.snap)
+		if v.snap != nil {
+			for i, d := range v.sigma {
+				pv[i] = choosePivot(d, v.snap)
+			}
 		}
 		v.pivots = pv
 	})
@@ -151,74 +177,22 @@ func choosePivot(d *ged.GED, snap *graph.Snapshot) *pivotPlan {
 // Run finds violations, up to limit (≤ 0 means all). Results match
 // Validate's exactly.
 func (v *Validator) Run(limit int) []Violation {
-	v.ensurePivots()
-	var out []Violation
-	for i, d := range v.sigma {
-		d := d
-		collect := func(m pattern.Match) bool {
-			for _, l := range d.X {
-				if !HoldsInGraph(v.snap, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(v.snap, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
-			}
-			return limit <= 0 || len(out) < limit
-		}
-		if p := v.pivots[i]; p != nil {
-			v.plans[i].ForEachPivot(p.variable, p.cands, collect)
-		} else {
-			v.plans[i].ForEachBound(nil, collect)
-		}
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
+	hs, _ := v.scan(context.Background(), limit, true)
+	return v.violations(hs)
 }
 
 // RunCtx is sequential full validation through the prepared plans, with
-// cooperative cancellation. It mirrors ValidateOnCtx exactly — same
-// enumeration, same result order — but skips the per-call plan
-// compilation, which is what the Engine's plan cache buys.
+// cooperative cancellation: ctx is checked between candidate matches
+// and, via the matcher's abort hook, inside the backtracking search
+// itself. The violations found so far are returned alongside ctx's
+// error.
 func (v *Validator) RunCtx(ctx context.Context, limit int) ([]Violation, error) {
-	var out []Violation
-	stop := func() bool { return ctx.Err() != nil }
-	for i, d := range v.sigma {
-		d := d
-		v.plans[i].ForEachBoundCancel(nil, stop, func(m pattern.Match) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			for _, l := range d.X {
-				if !HoldsInGraph(v.snap, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(v.snap, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
-			}
-			return limit <= 0 || len(out) < limit
-		})
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out, nil
+	hs, err := v.scan(ctx, limit, false)
+	return v.violations(hs), err
 }
 
 // RunParallelCtx is data-parallel full validation through the prepared
-// plans; semantics and determinism match ValidateParallelOnCtx.
+// plans; see ValidateParallel for its semantics and determinism.
 func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]Violation, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -226,26 +200,114 @@ func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]V
 	if workers == 1 {
 		return v.RunCtx(ctx, limit)
 	}
-	v.ensurePivots()
-	return validateParallel(ctx, v.snap, v.sigma, limit, workers,
-		func(i int) *pattern.Plan { return v.plans[i] },
-		func(i int) (pattern.Var, []graph.NodeID) {
-			if p := v.pivots[i]; p != nil {
-				return p.variable, p.cands
-			}
-			return pivotVar(v.sigma[i].Pattern, v.snap)
-		})
+	hs, err := v.scanParallel(ctx, workers)
+	return v.canonical(hs, limit), err
 }
 
 // TouchingCtx finds the violations whose match involves at least one of
-// the given nodes — ValidateTouchingOnCtx through the prepared plans.
+// the given nodes; see ValidateTouching.
 func (v *Validator) TouchingCtx(ctx context.Context, nodes []graph.NodeID, limit int) ([]Violation, error) {
-	if len(nodes) == 0 {
-		return nil, ctx.Err()
-	}
-	return validateTouching(ctx, v.snap, v.sigma, nodes, limit,
-		func(i int) *pattern.Plan { return v.plans[i] })
+	hs, err := v.touching(ctx, nodes)
+	return v.canonical(hs, limit), err
 }
 
 // Satisfies reports G ⊨ Σ through the prepared context.
 func (v *Validator) Satisfies() bool { return len(v.Run(1)) == 0 }
+
+// hit is one violating match as the searches record it: the rule, the
+// match's dense binding vector and the consequent literal it fails.
+type hit struct {
+	gi   int
+	bind []graph.NodeID
+	lit  *ged.Literal
+}
+
+// hits collects one search's violating matches. Each keeps a copy of
+// the matcher's scratch binding vector, carved from a shared slab: a
+// handful of allocations per search, not one per violation.
+type hits struct {
+	list []hit
+	slab []graph.NodeID
+}
+
+func (hs *hits) add(gi int, bind []graph.NodeID, l *ged.Literal) {
+	if len(hs.slab)+len(bind) > cap(hs.slab) {
+		hs.slab = make([]graph.NodeID, 0, max(2*cap(hs.slab), 16*len(bind)))
+	}
+	n := len(hs.slab)
+	hs.slab = append(hs.slab, bind...)
+	hs.list = append(hs.list, hit{gi: gi, bind: hs.slab[n:len(hs.slab):len(hs.slab)], lit: l})
+}
+
+// checkMatch judges one complete binding of Σ[gi]'s pattern: the first
+// consequent literal it fails when it violates the rule, nil otherwise.
+func (v *Validator) checkMatch(gi int, bind []graph.NodeID) *ged.Literal {
+	if v.snap != nil {
+		return v.rules[gi].CheckMatch(v.snap, bind)
+	}
+	d := v.sigma[gi]
+	return failing(v.h, d, d.Pattern.MatchOf(bind))
+}
+
+// violation materializes a hit — the one place validation builds a
+// Match map.
+func (v *Validator) violation(h hit) Violation {
+	d := v.sigma[h.gi]
+	return Violation{GED: d, Match: d.Pattern.MatchOf(h.bind), Literal: *h.lit}
+}
+
+func (v *Validator) violations(hs []hit) []Violation {
+	if len(hs) == 0 {
+		return nil
+	}
+	out := make([]Violation, len(hs))
+	for i, h := range hs {
+		out[i] = v.violation(h)
+	}
+	return out
+}
+
+// canonical materializes hits found in no particular order: canonical
+// order first, then the limit, so the reported prefix is deterministic.
+func (v *Validator) canonical(hs []hit, limit int) []Violation {
+	out := v.violations(hs)
+	SortViolations(out, v.sigma)
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+// scan enumerates rule after rule on the calling goroutine. pivoted
+// starts each rule from its constant-literal access path, when it has
+// one, instead of the plan's own order.
+func (v *Validator) scan(ctx context.Context, limit int, pivoted bool) ([]hit, error) {
+	if pivoted {
+		v.ensurePivots()
+	}
+	var hs hits
+	stop := func() bool { return ctx.Err() != nil }
+	for gi := range v.sigma {
+		visit := func(bind []graph.NodeID) bool {
+			if ctx.Err() != nil {
+				return false
+			}
+			if l := v.checkMatch(gi, bind); l != nil {
+				hs.add(gi, bind, l)
+			}
+			return limit <= 0 || len(hs.list) < limit
+		}
+		if pivoted && v.pivots[gi] != nil {
+			v.plans[gi].ForEachDensePivotCancel(v.pivots[gi].variable, v.pivots[gi].cands, stop, visit)
+		} else {
+			v.plans[gi].ForEachDenseCancel(stop, visit)
+		}
+		if err := ctx.Err(); err != nil {
+			return hs.list, err
+		}
+		if limit > 0 && len(hs.list) >= limit {
+			break
+		}
+	}
+	return hs.list, nil
+}

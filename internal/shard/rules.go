@@ -22,63 +22,22 @@ type compiledRule struct {
 	// filters[v] are the antecedent constant literals on variable v; a
 	// shard checks them only when it knows the candidate's attributes
 	// (the global finalization re-checks everything regardless).
-	filters [][]cfilter
+	filters [][]pattern.ConstFilter
 	orders  [][]int
 	steps   [][]step
 	// pedges are the pattern's edges over variable indices — the
 	// deferred tri-state edge checks finalization re-verifies globally.
 	pedges []pedge
-	// ante and cons are X and Y compiled to binding-vector indices, so
-	// finalization evaluates them without building a match map.
-	ante, cons []clit
+	// lits is X → Y compiled to binding-vector positions and the global
+	// lineage's attribute ids, so finalization judges a binding without
+	// building a match map.
+	lits *reason.CompiledRule
 }
 
 // pedge is one pattern edge over variable indices.
 type pedge struct {
 	src, dst int
 	label    graph.Label
-}
-
-// clit is one literal of X or Y compiled to variable indices; attribute
-// names stay symbolic here and resolve to dense snapshot ids per runner
-// (a delta can introduce an attribute after rule compilation).
-type clit struct {
-	kind   ged.LiteralKind
-	li, ri int
-	la, ra graph.Attr
-	c      graph.Value
-	orig   ged.Literal
-}
-
-// compileLits lowers literals onto variable indices.
-func compileLits(ls []ged.Literal, varIdx map[pattern.Var]int) []clit {
-	out := make([]clit, len(ls))
-	for i, l := range ls {
-		k, ok := l.Kind()
-		if !ok {
-			panic("shard: non-GED literal in validation")
-		}
-		cl := clit{kind: k, orig: l, li: varIdx[l.Left.Var]}
-		switch k {
-		case ged.ConstLiteral:
-			cl.la = l.Left.Attr
-			cl.c = l.Right.Const
-		case ged.VarLiteral:
-			cl.la = l.Left.Attr
-			cl.ri = varIdx[l.Right.Var]
-			cl.ra = l.Right.Attr
-		default: // IDLiteral
-			cl.ri = varIdx[l.Right.Var]
-		}
-		out[i] = cl
-	}
-	return out
-}
-
-// cfilter is a pushed-down constant literal v.Attr = Value.
-type cfilter struct {
-	attr  graph.Attr
-	value graph.Value
 }
 
 // step is one extension step of one order: bind variable v, generating
@@ -125,14 +84,14 @@ func compileRules(sigma ged.Set, global *graph.Snapshot) []*compiledRule {
 			d:       d,
 			vars:    vars,
 			labels:  make([]graph.Label, len(vars)),
-			filters: make([][]cfilter, len(vars)),
+			filters: make([][]pattern.ConstFilter, len(vars)),
 		}
 		for i, x := range vars {
 			cr.labels[i] = d.Pattern.Label(x)
 		}
 		for _, f := range reason.PushdownFilters(d) {
 			if vi, ok := varIdx[f.Var]; ok {
-				cr.filters[vi] = append(cr.filters[vi], cfilter{attr: f.Attr, value: f.Value})
+				cr.filters[vi] = append(cr.filters[vi], f)
 			}
 		}
 		var edges []pattern.Edge
@@ -146,8 +105,7 @@ func compileRules(sigma ged.Set, global *graph.Snapshot) []*compiledRule {
 				adj[di] = append(adj[di], si)
 			}
 		}
-		cr.ante = compileLits(d.X, varIdx)
-		cr.cons = compileLits(d.Y, varIdx)
+		cr.lits = reason.CompileRule(d, global)
 		base := make([]int, 0, len(vars))
 		pl := pattern.CompileFiltered(d.Pattern, global, reason.PushdownFilters(d))
 		for _, x := range pl.OrderedVars() {

@@ -6,10 +6,8 @@ import (
 	"strconv"
 	"sync"
 
-	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/obs"
-	"gedlib/internal/pattern"
 	"gedlib/internal/reason"
 )
 
@@ -37,11 +35,10 @@ type runner struct {
 	sh     *sharding
 	global *graph.Snapshot
 	rules  []*compiledRule
-	// ante and cons mirror each rule's compiled literals with attribute
-	// names resolved to this global snapshot's dense symbols, so
-	// finalization runs map-free (resolved per runner, not per rule:
-	// deltas can introduce attributes after rule compilation).
-	ante, cons [][]rlit
+	// lits are the rules' compiled literals rebound to this global
+	// snapshot (per runner, not per rule: a delta can introduce an
+	// attribute after rule compilation).
+	lits []*reason.CompiledRule
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -62,72 +59,17 @@ type runner struct {
 	reg *obs.Registry
 }
 
-// rlit is a clit with its attribute symbols resolved against one global
-// snapshot; -1 means no node of the snapshot carries the attribute (the
-// literal cannot hold under existence semantics).
-type rlit struct {
-	kind   ged.LiteralKind
-	li, ri int
-	la, ra int32
-	c      graph.Value
-	orig   ged.Literal
-}
-
-func resolveLits(ls []clit, global *graph.Snapshot) []rlit {
-	out := make([]rlit, len(ls))
-	for i, l := range ls {
-		rl := rlit{kind: l.kind, li: l.li, ri: l.ri, la: -1, ra: -1, c: l.c, orig: l.orig}
-		if l.kind != ged.IDLiteral {
-			if id, ok := global.AttrID(l.la); ok {
-				rl.la = id
-			}
-		}
-		if l.kind == ged.VarLiteral {
-			if id, ok := global.AttrID(l.ra); ok {
-				rl.ra = id
-			}
-		}
-		out[i] = rl
-	}
-	return out
-}
-
-// holds evaluates one resolved literal on a complete binding, with the
-// paper's existence semantics (missing attribute → false) — the same
-// answers as reason.HoldsInGraph, without the match map.
-func holds(g *graph.Snapshot, l rlit, bind []graph.NodeID) bool {
-	switch l.kind {
-	case ged.ConstLiteral:
-		if l.la < 0 {
-			return false
-		}
-		v, ok := g.AttrValueID(bind[l.li], l.la)
-		return ok && v.Equal(l.c)
-	case ged.VarLiteral:
-		if l.la < 0 || l.ra < 0 {
-			return false
-		}
-		v1, ok1 := g.AttrValueID(bind[l.li], l.la)
-		v2, ok2 := g.AttrValueID(bind[l.ri], l.ra)
-		return ok1 && ok2 && v1.Equal(v2)
-	default: // IDLiteral
-		return bind[l.li] == bind[l.ri]
-	}
-}
-
 func newRunner(sh *sharding, global *graph.Snapshot, rules []*compiledRule) *runner {
 	r := &runner{
 		sh:      sh,
 		global:  global,
 		rules:   rules,
-		ante:    make([][]rlit, len(rules)),
-		cons:    make([][]rlit, len(rules)),
+		lits:    make([]*reason.CompiledRule, len(rules)),
 		queues:  make([][]frame, sh.p),
 		buckets: make([][]reason.Violation, sh.p),
 	}
 	for i, cr := range rules {
-		r.ante[i] = resolveLits(cr.ante, global)
-		r.cons[i] = resolveLits(cr.cons, global)
+		r.lits[i] = cr.lits.Rebind(global)
 	}
 	r.cond = sync.NewCond(&r.mu)
 	return r
@@ -184,8 +126,8 @@ func (r *runner) seedTouched(touched []graph.NodeID) {
 					continue
 				}
 				for _, fl := range cr.filters[k] {
-					v, ok := r.global.Attr(t, fl.attr)
-					if !ok || !v.Equal(fl.value) {
+					v, ok := r.global.Attr(t, fl.Attr)
+					if !ok || !v.Equal(fl.Value) {
 						continue next
 					}
 				}
@@ -489,8 +431,8 @@ func (ws *wstate) tryCandidate(sh int, cr *compiledRule, oi, si int, st *step, b
 	}
 	if len(cr.filters[st.v]) > 0 && ws.r.sh.known[sh][c] {
 		for _, fl := range cr.filters[st.v] {
-			v, ok := snap.Attr(c, fl.attr)
-			if !ok || !v.Equal(fl.value) {
+			v, ok := snap.Attr(c, fl.Attr)
+			if !ok || !v.Equal(fl.Value) {
 				return // attribute state is locally complete: definitive
 			}
 		}
@@ -516,8 +458,9 @@ func (ws *wstate) tryCandidate(sh int, cr *compiledRule, oi, si int, st *step, b
 // snapshot: every pattern edge (resolving the deferred tri-state
 // checks; labels were definitive during enumeration), the antecedent,
 // and the first failing consequent literal — the same answers
-// reason.FailingLiteral gives, evaluated on the binding vector so no
-// match map is built for the non-violating majority. Confirmed
+// reason.FailingLiteral gives, from the compiled rule the monolithic
+// validator judges bindings with, so no match map is built for the
+// non-violating majority. Confirmed
 // violations bucket by the first variable binding's owner: every
 // duplicate find of a match (the pivoted orders can reach one match
 // from several pivots) lands in the same destination store, whose key
@@ -530,34 +473,17 @@ func (ws *wstate) finalize(cr *compiledRule, bind []graph.NodeID) {
 			return
 		}
 	}
-	for _, l := range ws.r.ante[cr.idx] {
-		if !holds(g, l, bind) {
-			ws.nRejects++
-			return
-		}
-	}
-	var fail ged.Literal
-	found := false
-	for _, l := range ws.r.cons[cr.idx] {
-		if !holds(g, l, bind) {
-			fail, found = l.orig, true
-			break
-		}
-	}
-	if !found {
+	fail := ws.r.lits[cr.idx].CheckMatch(g, bind)
+	if fail == nil {
 		ws.nRejects++
 		return
-	}
-	m := make(pattern.Match, len(cr.vars))
-	for i, x := range cr.vars {
-		m[x] = bind[i]
 	}
 	dst := 0
 	if len(bind) > 0 {
 		dst = int(ws.r.sh.owner[bind[0]])
 	}
 	ws.buckets[dst] = append(ws.buckets[dst],
-		reason.Violation{GED: cr.d, Match: m, Literal: fail})
+		reason.Violation{GED: cr.d, Match: cr.d.Pattern.MatchOf(bind), Literal: *fail})
 }
 
 func edgeHas(snap *graph.Snapshot, src graph.NodeID, l graph.Label, dst graph.NodeID) bool {

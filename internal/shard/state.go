@@ -134,7 +134,6 @@ func (st *State) ApplyDelta(ctx context.Context, d *graph.Delta) error {
 				errs[i] = err
 				return
 			}
-			reason.SortViolations(r.buckets[i], st.storeSigma)
 			st.stores[i].AdmitFresh(r.buckets[i])
 		}(i)
 	}
