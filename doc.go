@@ -66,7 +66,13 @@
 // catch-up also serves Validate and ValidateIncremental after
 // mutations, so no graph-bound method re-freezes an already-seen
 // graph; the chase similarly maintains one live coercion snapshot
-// across its fixpoint rounds instead of re-freezing per round.
+// across its fixpoint rounds instead of re-freezing per round. A
+// disconnected pattern — every GKey is Q ∪ f(Q) — is never enumerated
+// as a cross product there: the chase matches each connected component
+// on its own and hash-joins the components on the antecedent's
+// equality literals between them, evaluated under the equivalence
+// relation built so far, so only pairs that can fire a step are looked
+// at.
 //
 // # Match enumeration
 //
@@ -150,7 +156,8 @@
 // traces. Instrumentation spans every layer — Validate/Apply/Chase
 // timings and the snapshot cache, per-rule matcher profiles (candidate,
 // intersection, probe and binding counts with the active plan
-// fingerprint), shard frame traffic, WAL/checkpoint/recovery durability
+// fingerprint), chase rounds, considered matches and applied steps,
+// shard frame traffic, WAL/checkpoint/recovery durability
 // counters, and the serving flush pipeline broken into queue-wait,
 // WAL-append, fsync, apply and publish stages. The serve subpackage
 // wires an Observer through automatically and exposes the registry as

@@ -52,10 +52,12 @@ func Coerce(eq *Eq) *Coercion {
 	for _, e := range g.Edges() {
 		co.AddEdge(c.NodeOf[e.Src], e.Label, c.NodeOf[e.Dst])
 	}
+	var cas []classAttr // one sorted scratch for every class
 	for cn, r := range c.RepOf {
-		for _, a := range eq.ClassAttrs(r) {
-			if v, ok := eq.AttrConst(r, a); ok {
-				co.SetAttr(graph.NodeID(cn), a, v)
+		cas = eq.classAttrs(cas, r)
+		for _, ca := range cas {
+			if v, ok := eq.ClassConst(ca.term); ok {
+				co.SetAttr(graph.NodeID(cn), ca.name, v)
 			}
 		}
 	}
@@ -170,7 +172,11 @@ func RunCtxOpts(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed
 	res := &Result{Eq: eq, Sigma: sigma}
 	c := &chaser{ctx: ctx, eq: eq, res: res, sigma: sigma, maxRounds: maxRounds}
 	if o := obs.FromContext(ctx); o != nil {
-		c.roundCtr = o.Registry().Counter("ged_chase_rounds_total", "chase fixpoint rounds executed")
+		reg := o.Registry()
+		c.roundCtr = reg.Counter("ged_chase_rounds_total", "chase fixpoint rounds executed")
+		c.matchCtr = reg.Counter("ged_chase_matches_total", "pattern matches the chase checked a dependency's antecedent on")
+		c.stepCtr = reg.Counter("ged_chase_steps_total", "chase steps applied")
+		defer c.report()
 	}
 	c.vars = make([][]pattern.Var, len(sigma))
 	c.clits = make([]clitSet, len(sigma))
@@ -201,7 +207,11 @@ type chaser struct {
 	baseBuf   []graph.NodeID  // reused base-node translation scratch
 	maxRounds int
 	rounds    int
-	roundCtr  *obs.Counter // ctx-injected observer's round tally, often nil
+	// The ctx-injected observer's tallies, often nil. Rounds are counted
+	// as they start; matches and steps accumulate in matches and
+	// res.Steps and are added by report, once per sweep.
+	roundCtr, matchCtr, stepCtr *obs.Counter
+	matches, reportedSteps      int
 	// per-round accumulators
 	changed bool
 	// merges collects the node identifications of the current round, to
@@ -296,6 +306,14 @@ func (c *chaser) checkRound() (*Result, error, bool) {
 	return nil, nil, false
 }
 
+// report adds the matches and steps since the last report to the
+// observer's counters.
+func (c *chaser) report() {
+	c.matchCtr.Add(uint64(c.matches))
+	c.stepCtr.Add(uint64(len(c.res.Steps) - c.reportedSteps))
+	c.matches, c.reportedSteps = 0, len(c.res.Steps)
+}
+
 // enforce processes one coercion match of Σ[gi], given as the dense
 // binding vector bind over the pattern's variable order: translate to
 // base-graph class representatives, check the antecedent, and enforce
@@ -309,6 +327,7 @@ func (c *chaser) checkRound() (*Result, error, bool) {
 // a variable map materializes only on the rare slow path that actually
 // applies a step (and is then owned by the recorded trace entry).
 func (c *chaser) enforce(gi int, repOf []graph.NodeID, bind []graph.NodeID) (settled bool) {
+	c.matches++
 	base := c.baseBuf[:0]
 	for _, cn := range bind {
 		base = append(base, repOf[cn])
@@ -388,6 +407,40 @@ func (c *chaser) runRefreeze() (*Result, error) {
 // yet, kept on the worklist as its dense coercion-node binding vector.
 type pendingMatch []graph.NodeID
 
+// deltaRun is the state of one runDelta: the live coercion, the join
+// plans of Σ and the parked worklists.
+type deltaRun struct {
+	*chaser
+	lc      *liveCoercion
+	joins   []joinPlan   // per GED, its pattern's components and join keys
+	scratch *joinScratch // pooled build-side arenas, see fullSweep
+	stop    func() bool  // the matcher's abort hook: ctx cancelled
+	wl      [][]pendingMatch
+	// parked[gi] reports that wl[gi] holds gi's complete pending set for
+	// the current graph. Parking gives up past a cap — a pending set far
+	// larger than the graph (unlinked components cross-multiply) costs
+	// more to park and re-check than to re-enumerate, and would hold
+	// O(matches) memory.
+	parked  []bool
+	parkCap int
+	arena   []graph.NodeID // chunked backing for parked binding vectors
+	ctxErr  error          // cancellation seen inside a sweep
+}
+
+func (r *deltaRun) park(gi int, bind []graph.NodeID) {
+	if len(r.wl[gi]) >= r.parkCap {
+		r.parked[gi] = false
+		r.wl[gi] = r.wl[gi][:0]
+		return
+	}
+	if len(r.arena)+len(bind) > cap(r.arena) {
+		r.arena = make([]graph.NodeID, 0, 16*1024)
+	}
+	lo := len(r.arena)
+	r.arena = append(r.arena, bind...)
+	r.wl[gi] = append(r.wl[gi], pendingMatch(r.arena[lo:len(r.arena):len(r.arena)]))
+}
+
 // runDelta is the production fixpoint loop. It builds the coercion and
 // its frozen snapshot once (liveCoercion) and exploits two monotonicity
 // facts:
@@ -408,89 +461,54 @@ type pendingMatch []graph.NodeID
 // is of the same order as the full match set.
 func (c *chaser) runDelta() (*Result, error) {
 	eq, sigma := c.eq, c.sigma
-	stop := func() bool { return c.ctx.Err() != nil }
-	lc := newLiveCoercion(eq, sigma)
-
-	wl := make([][]pendingMatch, len(sigma))
-	// parked[gi] reports that wl[gi] holds gi's complete pending set for
-	// the current graph. Parking gives up past a cap — a pending set far
-	// larger than the graph (disconnected patterns cross-multiply) costs
-	// more to park and re-check than to re-enumerate, and would hold
-	// O(matches) memory.
-	parked := make([]bool, len(sigma))
-	parkCap := 64 + 8*lc.co.Graph.NumNodes()
-	var arena []graph.NodeID // chunked backing for parked binding vectors
-	park := func(gi int, bind []graph.NodeID) {
-		if len(wl[gi]) >= parkCap {
-			parked[gi] = false
-			wl[gi] = wl[gi][:0]
-			return
-		}
-		if len(arena)+len(bind) > cap(arena) {
-			arena = make([]graph.NodeID, 0, 16*1024)
-		}
-		lo := len(arena)
-		arena = append(arena, bind...)
-		wl[gi] = append(wl[gi], pendingMatch(arena[lo:len(arena):len(arena)]))
+	r := &deltaRun{
+		chaser:  c,
+		joins:   make([]joinPlan, len(sigma)),
+		scratch: joinPool.Get().(*joinScratch),
+		stop:    func() bool { return c.ctx.Err() != nil },
+		wl:      make([][]pendingMatch, len(sigma)),
+		parked:  make([]bool, len(sigma)),
 	}
-	var ctxErr error
-	// fullSweep re-enumerates Σ[gi] over the live snapshot. With park
-	// set, antecedent-pending matches land on a rebuilt worklist so
-	// later bind-only rounds skip enumeration entirely; without it the
-	// sweep is as lean as the legacy loop (parking a merge-heavy chase's
-	// pending set every round would never pay for itself). Retired
-	// carriers are filtered out at binding time: their labels and edges
-	// are subsumed by their class carriers, so the carrier-only matches
-	// are the quotient's matches.
-	fullSweep := func(gi int, doPark bool) {
-		wl[gi] = wl[gi][:0]
-		parked[gi] = doPark
-		var filter func(graph.NodeID) bool
-		if lc.stale > 0 {
-			filter = lc.isCarrier
-		}
-		lc.plan(gi).ForEachDenseFiltered(stop, filter, func(bind []graph.NodeID) bool {
-			if ctxErr = c.ctx.Err(); ctxErr != nil {
-				return false
-			}
-			if !c.enforce(gi, lc.co.RepOf, bind) && parked[gi] {
-				park(gi, bind)
-			}
-			return eq.Consistent()
-		})
+	defer joinPool.Put(r.scratch)
+	slots := 0
+	for gi, d := range sigma {
+		r.joins[gi] = splitPattern(d.Pattern, c.clits[gi].x, slots)
+		slots += len(r.joins[gi].comps)
 	}
+	r.lc = newLiveCoercion(eq, slots)
+	r.parkCap = 64 + 8*r.lc.co.Graph.NumNodes()
 
 	structural := true // graph-shape change since the last sweep
 	for {
-		if r, err, done := c.checkRound(); done {
-			return r, err
+		if res, err, done := c.checkRound(); done {
+			return res, err
 		}
 		if len(c.merges) > 0 {
-			lc.advance(c.merges)
+			r.lc.advance(c.merges)
 			c.merges = c.merges[:0]
 			structural = true
 		}
 		c.changed = false
 
 		for gi := range sigma {
-			if structural || !parked[gi] {
+			if structural || !r.parked[gi] {
 				// Park on the opening round and on the forced re-sweep
 				// at a merge→bind transition — the rounds a worklist
 				// will serve. Structural (merge) rounds rebuild the
 				// matching space anyway, so parking there would never
 				// pay for itself.
-				fullSweep(gi, c.rounds == 1 || !structural)
+				r.fullSweep(gi, c.rounds == 1 || !structural)
 			} else {
 				// The graph is unchanged since gi's worklist was built:
 				// every match is either settled forever or parked.
 				// Re-check the parked ones against the grown Eq — pure
 				// literal evaluation, no matcher.
-				kept := wl[gi][:0]
-				for _, pm := range wl[gi] {
+				kept := r.wl[gi][:0]
+				for _, pm := range r.wl[gi] {
 					if err := c.ctx.Err(); err != nil {
 						return c.abort(err)
 					}
-					if c.enforce(gi, lc.co.RepOf, pm) {
+					if c.enforce(gi, r.lc.co.RepOf, pm) {
 						if !eq.Consistent() {
 							return c.res, nil
 						}
@@ -498,10 +516,11 @@ func (c *chaser) runDelta() (*Result, error) {
 					}
 					kept = append(kept, pm)
 				}
-				wl[gi] = kept
+				r.wl[gi] = kept
 			}
-			if ctxErr != nil {
-				return c.abort(ctxErr)
+			c.report()
+			if r.ctxErr != nil {
+				return c.abort(r.ctxErr)
 			}
 			if !eq.Consistent() {
 				return c.res, nil
@@ -512,7 +531,7 @@ func (c *chaser) runDelta() (*Result, error) {
 			break
 		}
 	}
-	c.res.Coercion = Coerce(eq)
+	c.res.Coercion = r.lc.current()
 	return c.res, nil
 }
 

@@ -411,17 +411,33 @@ func naiveViolation(g *graph.Graph, d *ged.GED) string {
 	return bad
 }
 
+// instanceVars are the pattern variables randomInstance draws from, in
+// order: a pattern of k variables uses the first k.
+var instanceVars = []pattern.Var{"x", "y", "z", "w"}
+
 // randomInstance generates a small random graph and GED set. Shapes are
-// chosen to exercise id merges, constant bindings and variable literals.
+// chosen to exercise id merges, constant bindings and variable literals
+// over patterns of 2–4 variables in 1–3 connected components, with
+// antecedent literals both inside a component and across components
+// (the chase's join keys), wildcard labels on either side, and
+// attributes that only some nodes carry.
 func randomInstance(rng *rand.Rand) (*graph.Graph, ged.Set) {
 	labels := []graph.Label{"a", "b", "c"}
 	attrs := []graph.Attr{"p", "q"}
+	label := func() graph.Label {
+		if rng.Intn(8) == 0 {
+			return graph.Wildcard
+		}
+		return labels[rng.Intn(len(labels))]
+	}
 	g := graph.New()
-	n := 3 + rng.Intn(4)
+	n := 3 + rng.Intn(6)
 	for i := 0; i < n; i++ {
-		id := g.AddNode(labels[rng.Intn(len(labels))])
-		if rng.Intn(2) == 0 {
-			g.SetAttr(id, attrs[rng.Intn(len(attrs))], graph.Int(rng.Intn(3)))
+		id := g.AddNode(label())
+		for _, a := range attrs {
+			if rng.Intn(2) == 0 {
+				g.SetAttr(id, a, graph.Int(rng.Intn(2)))
+			}
 		}
 	}
 	edges := rng.Intn(2 * n)
@@ -431,28 +447,71 @@ func randomInstance(rng *rand.Rand) (*graph.Graph, ged.Set) {
 	var sigma ged.Set
 	deps := 1 + rng.Intn(3)
 	for i := 0; i < deps; i++ {
+		vars := instanceVars[:2+rng.Intn(3)]
 		q := pattern.New()
-		q.AddVar("x", labels[rng.Intn(len(labels))])
-		q.AddVar("y", labels[rng.Intn(len(labels))])
-		if rng.Intn(2) == 0 {
+		// Half the patterns use one label throughout, as a key's Q ∪ f(Q)
+		// does: the same node then matches in several components, which
+		// is what lets cross-component id literals hold at all.
+		same, uniform := label(), rng.Intn(2) == 0
+		for _, v := range vars {
+			if uniform {
+				q.AddVar(v, same)
+			} else {
+				q.AddVar(v, label())
+			}
+		}
+		// The first comps variables seed one component each; every later
+		// one hangs off an earlier variable.
+		comps := 1 + rng.Intn(min(3, len(vars)))
+		compOf := []int{0, 1, 2, 3}
+		for j := comps; j < len(vars); j++ {
+			i := rng.Intn(j)
+			compOf[j] = compOf[i]
+			u, v := vars[i], vars[j]
+			if rng.Intn(2) == 0 {
+				u, v = v, u
+			}
+			q.AddEdge(u, "e", v)
+		}
+		if comps == 1 && len(vars) == 2 && rng.Intn(2) == 0 {
 			q.AddEdge("x", "e", "y")
 		}
-		var xs, ys []ged.Literal
-		switch rng.Intn(3) {
-		case 0:
-			xs = []ged.Literal{ged.VarLit("x", attrs[0], "y", attrs[0])}
-		case 1:
-			xs = []ged.Literal{ged.ConstLit("x", attrs[rng.Intn(2)], graph.Int(rng.Intn(3)))}
+		v := func() pattern.Var { return vars[rng.Intn(len(vars))] }
+		a := func() graph.Attr { return attrs[rng.Intn(len(attrs))] }
+		lit := func(kind int) ged.Literal {
+			switch kind {
+			case 0:
+				return ged.IDLit(v(), v())
+			case 1:
+				return ged.ConstLit(v(), a(), graph.Int(rng.Intn(2)))
+			default:
+				l := ged.VarLit(v(), a(), v(), a())
+				if rng.Intn(2) == 0 {
+					l.Right.Attr = l.Left.Attr
+				}
+				return l
+			}
 		}
-		switch rng.Intn(4) {
-		case 0:
-			ys = []ged.Literal{ged.IDLit("x", "y")}
-		case 1:
-			ys = []ged.Literal{ged.ConstLit("y", attrs[rng.Intn(2)], graph.Int(rng.Intn(3)))}
-		case 2:
-			ys = []ged.Literal{ged.VarLit("x", attrs[1], "y", attrs[1])}
-		case 3:
-			ys = []ged.Literal{ged.VarLit("x", attrs[0], "x", attrs[1])}
+		var xs, ys []ged.Literal
+		for k := rng.Intn(3); k > 0; k-- {
+			xs = append(xs, lit(rng.Intn(4))) // var literals twice as likely
+		}
+		if comps > 1 && rng.Intn(3) > 0 {
+			// Relate two components, as a key's X relates x to f(x).
+			u := rng.Intn(len(vars))
+			w := rng.Intn(len(vars))
+			for compOf[w] == compOf[u] {
+				w = rng.Intn(len(vars))
+			}
+			l := ged.IDLit(vars[u], vars[w])
+			if rng.Intn(3) > 0 {
+				at := a()
+				l = ged.VarLit(vars[u], at, vars[w], at)
+			}
+			xs = append(xs, l)
+		}
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			ys = append(ys, lit(rng.Intn(3)))
 		}
 		sigma = append(sigma, ged.New(fmt.Sprintf("r%d", i), q, xs, ys))
 	}

@@ -65,13 +65,11 @@ func TestDeltaChaseSeeded(t *testing.T) {
 		if len(sigma) == 0 || g.NumNodes() < 2 {
 			continue
 		}
-		seeds := []Seed{{
-			Literal: sigma[0].Y[0],
-			Nodes: map[pattern.Var]graph.NodeID{
-				"x": graph.NodeID(rng.Intn(g.NumNodes())),
-				"y": graph.NodeID(rng.Intn(g.NumNodes())),
-			},
-		}}
+		nodes := make(map[pattern.Var]graph.NodeID)
+		for _, v := range instanceVars {
+			nodes[v] = graph.NodeID(rng.Intn(g.NumNodes()))
+		}
+		seeds := []Seed{{Literal: sigma[0].Y[0], Nodes: nodes}}
 		delta, _ := RunCtxOpts(ctx, g, sigma, seeds, 0, Options{})
 		refreeze, _ := RunCtxOpts(ctx, g, sigma, seeds, 0, Options{RefreezeEachRound: true})
 		if delta.Consistent() != refreeze.Consistent() {

@@ -19,7 +19,9 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"gedlib/internal/graph"
 )
@@ -115,11 +117,13 @@ type attrEntry struct {
 type Eq struct {
 	g *graph.Graph
 
-	// Node union–find with per-root label and attribute map.
+	// Node union–find with per-root label and attribute map. All four
+	// tables are indexed by NodeID (node ids are dense); the label and
+	// attribute entries are meaningful at class roots only.
 	nodeParent []graph.NodeID
-	nodeLabel  map[graph.NodeID]graph.Label
-	nodeAttrs  map[graph.NodeID]map[graph.Attr]attrEntry
-	nodeForest map[graph.NodeID][]forestEdge
+	nodeLabel  []graph.Label
+	nodeAttrs  []map[graph.Attr]attrEntry
+	nodeForest [][]forestEdge
 
 	// Value union–find. Terms are slots (u.A) or constants.
 	valParent []Term
@@ -147,9 +151,9 @@ func NewEq(g *graph.Graph) *Eq {
 	eq := &Eq{
 		g:          g,
 		nodeParent: make([]graph.NodeID, g.NumNodes()),
-		nodeLabel:  make(map[graph.NodeID]graph.Label, g.NumNodes()),
-		nodeAttrs:  make(map[graph.NodeID]map[graph.Attr]attrEntry),
-		nodeForest: make(map[graph.NodeID][]forestEdge),
+		nodeLabel:  make([]graph.Label, g.NumNodes()),
+		nodeAttrs:  make([]map[graph.Attr]attrEntry, g.NumNodes()),
+		nodeForest: make([][]forestEdge, g.NumNodes()),
 		slotOf:     make(map[slotKey]Term),
 		constOf:    make(map[graph.Value]Term),
 		rootConst:  make(map[Term]Term),
@@ -159,9 +163,10 @@ func NewEq(g *graph.Graph) *Eq {
 		eq.nodeParent[id] = id
 		eq.nodeLabel[id] = g.Label(id)
 	}
+	var names []string
 	for _, id := range g.Nodes() {
 		attrs := g.Attrs(id)
-		names := make([]string, 0, len(attrs))
+		names = names[:0]
 		for a := range attrs {
 			names = append(names, string(a))
 		}
@@ -367,7 +372,6 @@ func (eq *Eq) IdentifyNodes(x, y graph.NodeID, why Reason) {
 	}
 	eq.nodeParent[r2] = r1
 	eq.nodeLabel[r1] = graph.ResolveLabels(l1, l2)
-	delete(eq.nodeLabel, r2)
 	eq.nodeForest[x] = append(eq.nodeForest[x], forestEdge{other: int(y), reason: why})
 	eq.nodeForest[y] = append(eq.nodeForest[y], forestEdge{other: int(x), reason: why})
 	eq.size++
@@ -375,7 +379,7 @@ func (eq *Eq) IdentifyNodes(x, y graph.NodeID, why Reason) {
 	// Closure rule (d): merge attribute maps.
 	a1 := eq.nodeAttrs[r1]
 	a2 := eq.nodeAttrs[r2]
-	delete(eq.nodeAttrs, r2)
+	eq.nodeAttrs[r2] = nil
 	if a2 == nil {
 		return
 	}
@@ -420,18 +424,29 @@ func (eq *Eq) NodeClasses() map[graph.NodeID][]graph.NodeID {
 	return out
 }
 
+// classAttr is one attribute carried by a node class, with its binding.
+type classAttr struct {
+	name graph.Attr
+	attrEntry
+}
+
+// classAttrs returns the attributes carried by root r's class sorted by
+// name, reusing buf's backing array.
+func (eq *Eq) classAttrs(buf []classAttr, r graph.NodeID) []classAttr {
+	buf = buf[:0]
+	for a, e := range eq.nodeAttrs[r] {
+		buf = append(buf, classAttr{a, e})
+	}
+	slices.SortFunc(buf, func(x, y classAttr) int { return strings.Compare(string(x.name), string(y.name)) })
+	return buf
+}
+
 // ClassAttrs returns the attribute names carried by x's class, sorted.
 func (eq *Eq) ClassAttrs(x graph.NodeID) []graph.Attr {
-	r := eq.NodeRoot(x)
-	m := eq.nodeAttrs[r]
-	names := make([]string, 0, len(m))
-	for a := range m {
-		names = append(names, string(a))
-	}
-	sort.Strings(names)
-	out := make([]graph.Attr, len(names))
-	for i, n := range names {
-		out[i] = graph.Attr(n)
+	cas := eq.classAttrs(nil, eq.NodeRoot(x))
+	out := make([]graph.Attr, len(cas))
+	for i, ca := range cas {
+		out[i] = ca.name
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package chase
 
 import (
-	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
 )
@@ -29,14 +28,16 @@ import (
 // via isCarrier. When too many nodes have retired, rebuild() re-coerces
 // from scratch — the same valve a log-structured store compacts with.
 type liveCoercion struct {
-	eq    *Eq
-	sigma ged.Set
-	co    *Coercion
-	snap  *graph.Snapshot
+	eq   *Eq
+	co   *Coercion
+	snap *graph.Snapshot
+	// size is eq.Size() when co was built: every extension of Eq ticks
+	// it, so an unchanged size means co still is Coerce(eq).
+	size int
 	// parent is a union-find over coercion nodes; a root is a carrier.
 	parent []graph.NodeID
 	stale  int
-	plans  []*pattern.Plan
+	plans  []*pattern.Plan // by component.slot
 }
 
 // deltaChaseMinNodes is the coercion-graph size below which a full
@@ -46,8 +47,10 @@ type liveCoercion struct {
 // filter on the matcher's innermost loop.
 const deltaChaseMinNodes = 4096
 
-func newLiveCoercion(eq *Eq, sigma ged.Set) *liveCoercion {
-	lc := &liveCoercion{eq: eq, sigma: sigma}
+// newLiveCoercion coerces eq for a chase matching nPlans pattern
+// components.
+func newLiveCoercion(eq *Eq, nPlans int) *liveCoercion {
+	lc := &liveCoercion{eq: eq, plans: make([]*pattern.Plan, nPlans)}
 	lc.rebuild()
 	return lc
 }
@@ -56,13 +59,24 @@ func newLiveCoercion(eq *Eq, sigma ged.Set) *liveCoercion {
 // and the compaction valve when retirements pile up.
 func (lc *liveCoercion) rebuild() {
 	lc.co = Coerce(lc.eq)
+	lc.size = lc.eq.Size()
 	lc.snap = lc.co.Graph.Freeze()
 	lc.parent = make([]graph.NodeID, lc.co.Graph.NumNodes())
 	for i := range lc.parent {
 		lc.parent[i] = graph.NodeID(i)
 	}
 	lc.stale = 0
-	lc.plans = make([]*pattern.Plan, len(lc.sigma))
+	clear(lc.plans)
+}
+
+// current returns the coercion of eq as it stands: the live one while
+// it is exact — no retired carriers, no extension of Eq since it was
+// built — and a fresh one otherwise.
+func (lc *liveCoercion) current() *Coercion {
+	if lc.stale == 0 && lc.eq.Size() == lc.size {
+		return lc.co
+	}
+	return Coerce(lc.eq)
 }
 
 // find returns the carrier of coercion node c, with path halving.
@@ -77,7 +91,8 @@ func (lc *liveCoercion) find(c graph.NodeID) graph.NodeID {
 // isCarrier reports whether coercion node c still carries its class.
 func (lc *liveCoercion) isCarrier(c graph.NodeID) bool { return lc.parent[c] == c }
 
-// plan returns the compiled (and delta-rebound) match plan for Σ[gi].
+// plan returns the compiled (and delta-rebound) match plan of one
+// connected component of a GED's pattern.
 //
 // Chase plans pick up the matcher's intersection-based extension step
 // (multi-way sorted-run intersection over the coercion snapshot's CSR
@@ -87,12 +102,15 @@ func (lc *liveCoercion) isCarrier(c graph.NodeID) bool { return lc.parent[c] == 
 // coercion graph, whose nodes start attribute-free — so the snapshot's
 // value postings do not describe what X-literal satisfaction means
 // here. Enforce's compiled-literal check is the single source of truth
-// for that.
-func (lc *liveCoercion) plan(gi int) *pattern.Plan {
-	if lc.plans[gi] == nil {
-		lc.plans[gi] = pattern.Compile(lc.sigma[gi].Pattern, lc.snap)
+// for that. The same reasoning keeps the sweep's join keys out of the
+// matcher: X's equality literals between two components are joined on
+// Eq's node and value classes (fullSweep), which merge as the chase
+// steps, not on the snapshot's stored values, which never do.
+func (lc *liveCoercion) plan(comp *component) *pattern.Plan {
+	if lc.plans[comp.slot] == nil {
+		lc.plans[comp.slot] = pattern.Compile(comp.pat, lc.snap)
 	}
-	return lc.plans[gi]
+	return lc.plans[comp.slot]
 }
 
 // advance folds one round's node identifications into the coercion

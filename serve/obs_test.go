@@ -50,10 +50,12 @@ func loadAndChurn(t *testing.T, ts string) {
 
 // TestMetricszContract asserts the exposition covers every layer the
 // observer is wired through: flush pipeline stages, WAL durability,
-// engine timings, matcher profiles, admission, and per-graph health.
+// engine timings, matcher profiles, the chase, admission, and per-graph
+// health.
 func TestMetricszContract(t *testing.T) {
 	_, ts := startServer(t, Config{MaxDelay: time.Millisecond, DataDir: t.TempDir()})
 	loadAndChurn(t, ts.URL)
+	doJSON(t, "POST", ts.URL+"/graphs/g/chase", nil, http.StatusOK)
 
 	body := fetchText(t, ts.URL+"/metricsz")
 	for _, stage := range []string{stageQueueWait, stageWALAppend, stageFsync, stageApply, stagePublish} {
@@ -76,6 +78,9 @@ func TestMetricszContract(t *testing.T) {
 		"ged_engine_snapshot_cache_total",
 		"ged_match_candidates_total",
 		"ged_match_plan_info",
+		"ged_chase_rounds_total",
+		"ged_chase_matches_total",
+		"ged_chase_steps_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metricsz missing %q", name)
