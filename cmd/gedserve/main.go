@@ -89,7 +89,7 @@ import (
 	"syscall"
 	"time"
 
-	"gedlib/bench"
+	"gedlib/persist/fault"
 	"gedlib/serve"
 )
 
@@ -128,7 +128,6 @@ func main() {
 	faultSpec := flag.String("fault", "", "inject disk faults (testing): e.g. 'enospc:path=wal-:after=65536; eio:op=sync:k=2'")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the -fault schedule's torn-write sizes")
 	slowOp := flag.Duration("slow-op", 0, "log traced operations at least this slow, with per-stage timings (0 = off)")
-	noObs := flag.Bool("no-obs", false, "disable pipeline instrumentation (engine/persist metrics, traces); /statsz counters stay on")
 	version := flag.Bool("version", false, "print build identity and exit")
 	flag.Var(&loads, "load", "preload a graph: name=graph.json (repeatable)")
 	flag.Var(&rules, "rules", "preregister rules: name=rules.ged (repeatable)")
@@ -165,7 +164,6 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 		RescanInterval:  *rescan,
 		SlowOp:          *slowOp,
-		DisableObserver: *noObs,
 	}
 	if *epoch >= 0 {
 		if *dataDir == "" {
@@ -187,14 +185,12 @@ func main() {
 		if cfg.DataDir == "" {
 			fatal(fmt.Errorf("-fault needs -data (faults act on the persist layer)"))
 		}
-		rules, err := bench.ParseFaultSpec(*faultSpec)
+		rules, err := fault.Parse(*faultSpec)
 		if err != nil {
 			fatal(fmt.Errorf("-fault: %w", err))
 		}
-		ffs := bench.NewFaultFS(*faultSeed, nil)
-		for _, r := range rules {
-			ffs.Inject(r)
-		}
+		ffs := fault.New(*faultSeed, nil)
+		ffs.Inject(rules...)
 		cfg.FS = ffs
 		fmt.Printf("gedserve: fault injection armed: %s\n", *faultSpec)
 	}

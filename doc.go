@@ -16,11 +16,11 @@
 // Rules are parsed from a text DSL (ParseRules) or built
 // programmatically (NewPattern, NewRule, NewKey, the literal
 // constructors); graphs load from JSON (LoadGraph) or are built with
-// NewGraph. The workload, gdc, gedor and bench subpackages expose the
-// paper's generators, the two dependency extensions, and the evaluation
-// harness. The machinery lives under internal/; see README.md for the
-// package map, the quickstart and the DSL grammar. The benchmarks in
-// bench_test.go regenerate Table 1; run them with
+// NewGraph. The workload, gdc and gedor subpackages expose the paper's
+// generators and the two dependency extensions. The machinery lives
+// under internal/; see README.md for the package map, the quickstart
+// and the DSL grammar. The benchmarks in bench_test.go regenerate
+// Table 1's shapes; run them with
 //
 //	go test -bench=. -benchmem
 //
@@ -91,9 +91,8 @@
 // consequent literals are not pushable and remain post-match checks.
 // Plan costing counts literal postings toward a variable's candidate
 // estimate and orders the search toward intersection-tight variables.
-// The pre-intersection scan-and-probe path survives as the measured
-// baseline (gedbench -experiment match) and the differential-test
-// oracle.
+// The pre-intersection scan-and-probe path survives as the
+// differential-test oracle.
 //
 // Validation over a snapshot judges each match on the matcher's dense
 // binding vector: a rule's X and Y are compiled once per prepared
@@ -118,8 +117,7 @@
 // violation stores merge into exactly the canonical order of the
 // monolithic path, which remains the P=1 fallback and the differential
 // oracle. ShardStats exposes the live topology (owned nodes, cut
-// edges, per-shard violation counts); gedbench -experiment shard
-// measures 1→P scaling on a power-law social workload.
+// edges, per-shard violation counts).
 //
 // # Serving
 //
@@ -162,8 +160,8 @@
 // WAL-append, fsync, apply and publish stages. The serve subpackage
 // wires an Observer through automatically and exposes the registry as
 // Prometheus text at /metricsz, the trace ring at /tracez, and a
-// slow-operation log via Config.SlowOp; gedbench -experiment obs gates
-// the whole apparatus at <= 5% serving-throughput overhead.
+// slow-operation log via Config.SlowOp; benchmark/ reports what tracing
+// costs the serving workloads as bench.trace_overhead_frac.
 //
 // Persistence I/O is pluggable (persist.FS), and the serving layer has
 // an explicit failure policy built on it: transient write errors are
@@ -171,8 +169,8 @@
 // degrades immediately — reads keep serving the last published view,
 // writes 503 — until a heal checkpoint re-opens it, via background
 // probe or the operator enable endpoint). The fault-injecting FS in
-// internal/fault plus the chaos soak (gedbench -experiment chaos)
-// rehearse exactly these paths: seeded disk-fault schedules under
+// persist/fault plus the chaos soak (serve.TestChaosSoak) rehearse
+// exactly these paths: seeded disk-fault schedules under
 // concurrent load, with acked-write durability and violation-set
 // equivalence checked against a fresh-engine oracle after a simulated
 // crash.

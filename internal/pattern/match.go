@@ -141,8 +141,8 @@ type Plan struct {
 	// probe selects the legacy scan-and-probe extension step (first
 	// bound neighbor's adjacency list, every other constraint probed per
 	// candidate) instead of the default multi-way sorted intersection.
-	// It exists as the measured baseline of BENCH_match and as the
-	// differential-test oracle for the intersection path.
+	// It exists as the differential-test oracle for the intersection
+	// path.
 	probe bool
 
 	// pool recycles matcher scratch across enumerations; see matcher.

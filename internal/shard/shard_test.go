@@ -219,9 +219,8 @@ func TestPartitioners(t *testing.T) {
 }
 
 // BenchmarkShardValidate measures the steady-state sharded full
-// validation on the power-law social workload (the gedbench shard
-// experiment's host graph), for overhead comparison against
-// BenchmarkMonoValidate.
+// validation on the power-law social workload, for overhead comparison
+// against BenchmarkMonoValidate.
 func BenchmarkShardValidate(b *testing.B) {
 	ctx := context.Background()
 	g, _ := gen.PowerLawSocial(17, 8, 250, 6, 0.2)

@@ -1,7 +1,7 @@
 // Package fault is a fault-injecting persist.FS: a deterministic,
 // seedable schedule of filesystem failures layered over any base FS.
 // It exists so the durability and degraded-serving paths can be
-// exercised continuously — the chaos soak (bench.ChaosSoak), the
+// exercised continuously — the chaos soak (serve.TestChaosSoak), the
 // degraded-mode serve tests, and `gedserve -fault` all drive it —
 // while production code never touches it.
 //

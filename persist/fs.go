@@ -11,7 +11,7 @@ import (
 // whole durability stack — WAL appends, checkpoint temp+rename,
 // recovery reads, follower tailing — can run against an injected
 // implementation. Production uses the OS-backed default (OSFS);
-// internal/fault layers deterministic fault schedules (ENOSPC budgets,
+// persist/fault layers deterministic fault schedules (ENOSPC budgets,
 // EIO on the Kth sync, torn writes, latency) over any base FS for
 // chaos testing. The seam is a handful of interface calls on paths the
 // disk itself dominates, so it costs nothing measurable when the

@@ -22,9 +22,8 @@ type Catalog struct {
 	cfg Config
 	eng *gedlib.Engine
 
-	// reg is the catalog-lifetime metrics registry (always non-nil);
-	// obs is the pipeline observer sharing it, nil when
-	// Config.DisableObserver was set. See obs.go.
+	// reg is the catalog-lifetime metrics registry; obs is the pipeline
+	// observer sharing it. See obs.go.
 	reg *obs.Registry
 	obs *gedlib.Observer
 
@@ -60,11 +59,8 @@ type Catalog struct {
 func NewCatalog(cfg Config) (*Catalog, error) {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
-	var observer *gedlib.Observer
-	if !cfg.DisableObserver {
-		observer = obs.NewWithRegistry(reg, cfg.OnSlowOp)
-		observer.SetSlowOp(cfg.SlowOp)
-	}
+	observer := obs.NewWithRegistry(reg, cfg.OnSlowOp)
+	observer.SetSlowOp(cfg.SlowOp)
 	c := &Catalog{
 		cfg:      cfg,
 		eng:      cfg.engine(observer),
@@ -226,8 +222,7 @@ type GraphEntry struct {
 	mFenced        *obs.Counter
 	mFencedAppends *obs.Counter
 
-	// Per-stage flush pipeline histograms (pipeline instrumentation:
-	// nil no-ops when the observer is disabled).
+	// Per-stage flush pipeline histograms.
 	stQueue, stWAL, stFsync, stApply, stPublish *obs.Histogram
 }
 
@@ -534,7 +529,7 @@ func (ent *GraphEntry) publishLocked(snap *gedlib.Snapshot, vs []gedlib.Violatio
 		// A recompile gets fresh match plans; route their per-rule
 		// profiling (read-path re-validation work) into the shared
 		// registry. Rebased validators inherit their plans' sinks.
-		val.Observe(ent.cat.pipelineReg())
+		val.Observe(ent.cat.reg)
 	}
 	v := &View{
 		Epoch:      ent.epoch.Add(1),

@@ -1,45 +1,15 @@
 // End-to-end degraded-mode serving over real HTTP, driven by the
-// fault-injection FS. Lives in package serve_test so it exercises the
-// same import path an operator's tooling would (gedlib/serve +
-// gedlib/bench); the internal fault package stays behind the bench
-// re-exports.
-package serve_test
+// fault-injection FS.
+package serve
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"syscall"
 	"testing"
 	"time"
 
-	"gedlib/bench"
-	"gedlib/serve"
+	"gedlib/persist/fault"
 )
-
-func postOps(t *testing.T, url string, ops string) *http.Response {
-	t.Helper()
-	resp, err := http.Post(url+"/mutate", "application/json", bytes.NewReader([]byte(ops)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
-func decodeBody(t *testing.T, resp *http.Response) map[string]any {
-	t.Helper()
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	out := map[string]any{}
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatalf("bad JSON %q: %v", data, err)
-		}
-	}
-	return out
-}
 
 // TestDegradedServingHTTP walks the documented failure lifecycle over
 // the HTTP API: a healthy durable graph hits a sticky fsync fault, the
@@ -48,54 +18,31 @@ func decodeBody(t *testing.T, resp *http.Response) map[string]any {
 // is still broken, and once the disk heals /enable brings the graph
 // back in one round trip.
 func TestDegradedServingHTTP(t *testing.T) {
-	ffs := bench.NewFaultFS(1, nil)
-	s, err := serve.NewServer(serve.Config{
+	ffs := fault.New(1, nil)
+	_, ts := startServer(t, Config{
 		DataDir:       t.TempDir(),
 		FS:            ffs,
 		MaxDelay:      time.Millisecond,
 		ProbeInterval: time.Hour, // keep the auto-probe out of the assertions
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
 	g := ts.URL + "/graphs/g"
+	addNode := func(id string) []byte {
+		return []byte(`{"ops":[{"op":"add_node","id":"` + id + `","label":"person"}]}`)
+	}
 
-	if resp, err := http.Post(ts.URL+"/graphs?name=g", "application/json", nil); err != nil || resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %v status=%v", err, resp.Status)
-	}
-	if resp := postOps(t, g, `{"ops":[{"op":"add_node","id":"a","label":"person"}]}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy mutate: status %d", resp.StatusCode)
-	} else {
-		resp.Body.Close()
-	}
+	doJSON(t, "POST", ts.URL+"/graphs?name=g", nil, http.StatusCreated)
+	doJSON(t, "POST", g+"/mutate", addNode("a"), http.StatusOK)
 
 	// The disk starts eating fsyncs — every sync (WAL group commits and
 	// checkpoint temp files alike) now fails. Fsyncgate rule: a failed
 	// fsync is never retried, so the very next group commit degrades.
-	ffs.Inject(bench.FaultRule{Kind: "eio", Op: bench.OpSync, Err: syscall.EIO})
+	ffs.Inject(fault.Rule{Kind: "eio", Op: fault.OpSync, Err: syscall.EIO})
 
-	if resp := postOps(t, g, `{"ops":[{"op":"add_node","id":"b","label":"person"}]}`); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("mutate into sync fault: status %d, want 500", resp.StatusCode)
-	} else {
-		resp.Body.Close()
-	}
-	resp := postOps(t, g, `{"ops":[{"op":"add_node","id":"c","label":"person"}]}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("mutate while degraded: status %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	resp.Body.Close()
+	doJSON(t, "POST", g+"/mutate", addNode("b"), http.StatusInternalServerError)
+	checkRejection(t, g+"/mutate", addNode("c"), http.StatusServiceUnavailable, "5")
 
 	// Health surfaces the degradation with its cause.
-	hz, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := decodeBody(t, hz)
+	body := doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK)
 	if body["status"] != "degraded" {
 		t.Fatalf("healthz status %v, want degraded", body["status"])
 	}
@@ -105,48 +52,24 @@ func TestDegradedServingHTTP(t *testing.T) {
 	}
 
 	// Reads keep serving the last published view.
-	vr, err := http.Get(g + "/violations")
-	if err != nil || vr.StatusCode != http.StatusOK {
-		t.Fatalf("read while degraded: %v status=%v", err, vr.Status)
-	}
-	vr.Body.Close()
+	doJSON(t, "GET", g+"/violations", nil, http.StatusOK)
 
 	// Operator enable on a still-broken disk: the probe's heal
 	// checkpoint can't fsync either, so the graph stays degraded.
-	er, err := http.Post(g+"/enable", "application/json", nil)
-	if err != nil || er.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("enable on broken disk: %v status=%v, want 503", err, er.Status)
-	}
-	er.Body.Close()
+	doJSON(t, "POST", g+"/enable", nil, http.StatusServiceUnavailable)
 
 	// The disk heals; /enable probes recovery and re-opens writes.
 	ffs.Heal()
-	er, err = http.Post(g+"/enable", "application/json", nil)
-	if err != nil || er.StatusCode != http.StatusOK {
-		t.Fatalf("enable after heal: %v status=%v", err, er.Status)
-	}
-	if body := decodeBody(t, er); body["health"] != "ok" {
+	if body := doJSON(t, "POST", g+"/enable", nil, http.StatusOK); body["health"] != "ok" {
 		t.Fatalf("enable reported health %v, want ok", body["health"])
 	}
-	hz, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := decodeBody(t, hz); body["status"] != "ok" {
+	if body := doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK); body["status"] != "ok" {
 		t.Fatalf("healthz after heal: %v, want ok", body["status"])
 	}
-	if resp := postOps(t, g, `{"ops":[{"op":"add_node","id":"d","label":"person"}]}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("mutate after heal: status %d, want 200", resp.StatusCode)
-	} else {
-		resp.Body.Close()
-	}
+	doJSON(t, "POST", g+"/mutate", addNode("d"), http.StatusOK)
 
 	// The degraded episode is visible in stats.
-	sr, err := http.Get(g + "/stats")
-	if err != nil || sr.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %v status=%v", err, sr.Status)
-	}
-	stats := decodeBody(t, sr)
+	stats := doJSON(t, "GET", g+"/stats", nil, http.StatusOK)
 	if stats["health"] != "ok" {
 		t.Fatalf("stats health %v, want ok", stats["health"])
 	}

@@ -499,8 +499,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 // handleTracez serves the observer's recent-span ring as JSON, newest
 // first. Query parameters filter: ?graph= and ?op= match exactly,
 // ?min= (a Go duration, e.g. 5ms) keeps only spans at least that slow,
-// ?limit= bounds the count (default 64). With the observer disabled it
-// serves an empty list.
+// ?limit= bounds the count (default 64).
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	graph, op := q.Get("graph"), q.Get("op")

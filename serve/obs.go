@@ -6,27 +6,17 @@ import (
 )
 
 // Observability wiring. The catalog owns one metrics registry for its
-// whole lifetime; the serving layer's own counters (the numbers behind
-// /statsz: flushes, reads, admission, health) always live there. The
-// *added* pipeline instrumentation — engine/persist/matcher metrics,
-// trace spans, per-stage flush histograms — reports through an
-// Observer sharing that registry, and Config.DisableObserver removes
-// exactly that layer: the observer (and its registry view) goes nil,
-// every added handle becomes a no-op, and the baseline counters keep
-// working. /metricsz renders the registry; /tracez serves the
-// observer's recent-span ring.
+// whole lifetime and one Observer sharing it: the serving layer's own
+// counters (the numbers behind /statsz: flushes, reads, admission,
+// health) and the pipeline instrumentation — engine/persist/matcher
+// metrics, trace spans, per-stage flush histograms — all report into
+// that registry. /metricsz renders it; /tracez serves the observer's
+// recent-span ring.
 
-// Observer exposes the catalog's observer; nil when
-// Config.DisableObserver was set.
+// Observer exposes the catalog's observer.
 func (c *Catalog) Observer() *gedlib.Observer { return c.obs }
 
-// pipelineReg is the registry the added instrumentation reports into:
-// the shared registry normally, nil (no-op handles) when the observer
-// is disabled.
-func (c *Catalog) pipelineReg() *obs.Registry { return c.obs.Registry() }
-
-// tracer is the span sink; nil (no-op spans) when the observer is
-// disabled.
+// tracer is the span sink.
 func (c *Catalog) tracer() *obs.Tracer { return c.obs.Tracer() }
 
 // Flush pipeline stage names, in execution order. Each flush records
@@ -40,10 +30,9 @@ const (
 	stagePublish   = "publish"
 )
 
-// initMetrics resolves the entry's always-on serving counters from the
-// catalog registry and its per-stage flush histograms from the
-// pipeline registry (no-ops when the observer is disabled). Called
-// once, before the entry is published to the catalog map.
+// initMetrics resolves the entry's serving counters and per-stage flush
+// histograms from the catalog registry. Called once, before the entry
+// is published to the catalog map.
 func (ent *GraphEntry) initMetrics() {
 	reg := ent.cat.reg
 	n := ent.name
@@ -89,13 +78,12 @@ func (ent *GraphEntry) initMetrics() {
 		"leadership epoch the graph's WAL handle writes under",
 		func() float64 { return float64(ent.leaderEpoch.Load()) }, "graph", n)
 
-	preg := ent.cat.pipelineReg()
 	const name, help = "ged_serve_flush_stage_seconds", "per-stage duration of the write flush pipeline"
-	ent.stQueue = preg.Histogram(name, help, "graph", n, "stage", stageQueueWait)
-	ent.stWAL = preg.Histogram(name, help, "graph", n, "stage", stageWALAppend)
-	ent.stFsync = preg.Histogram(name, help, "graph", n, "stage", stageFsync)
-	ent.stApply = preg.Histogram(name, help, "graph", n, "stage", stageApply)
-	ent.stPublish = preg.Histogram(name, help, "graph", n, "stage", stagePublish)
+	ent.stQueue = reg.Histogram(name, help, "graph", n, "stage", stageQueueWait)
+	ent.stWAL = reg.Histogram(name, help, "graph", n, "stage", stageWALAppend)
+	ent.stFsync = reg.Histogram(name, help, "graph", n, "stage", stageFsync)
+	ent.stApply = reg.Histogram(name, help, "graph", n, "stage", stageApply)
+	ent.stPublish = reg.Histogram(name, help, "graph", n, "stage", stagePublish)
 }
 
 // initFollowerMetrics adds the replication series a follower entry

@@ -144,49 +144,6 @@ func TestTracezFlushSpans(t *testing.T) {
 	}
 }
 
-// TestDisableObserver asserts the bench baseline switch removes exactly
-// the added pipeline instrumentation: serving counters stay, stage
-// histograms and engine/persist metrics disappear, the span ring is
-// empty — and /statsz still works.
-func TestDisableObserver(t *testing.T) {
-	_, ts := startServer(t, Config{MaxDelay: time.Millisecond, DataDir: t.TempDir(), DisableObserver: true})
-	loadAndChurn(t, ts.URL)
-
-	body := fetchText(t, ts.URL+"/metricsz")
-	for _, want := range []string{
-		"ged_serve_flushes_total{graph=\"g\"}",
-		"ged_serve_reads_total{graph=\"g\"}",
-		"ged_serve_graph_health{graph=\"g\"}",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("baseline counter %q missing with observer disabled", want)
-		}
-	}
-	for _, gone := range []string{
-		"ged_serve_flush_stage_seconds",
-		"ged_engine_",
-		"ged_wal_records_total",
-		"ged_match_",
-	} {
-		if strings.Contains(body, gone) {
-			t.Errorf("pipeline metric %q present with observer disabled", gone)
-		}
-	}
-	var out struct {
-		Count int `json:"count"`
-	}
-	if err := json.Unmarshal([]byte(fetchText(t, ts.URL+"/tracez")), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Count != 0 {
-		t.Fatalf("tracez holds %d spans with observer disabled", out.Count)
-	}
-	stats := doJSON(t, "GET", ts.URL+"/statsz", nil, http.StatusOK)
-	if n, _ := stats["graphs"].(float64); n != 1 {
-		t.Fatalf("/statsz graphs = %v, want 1", stats["graphs"])
-	}
-}
-
 // TestSlowOpLog asserts the slow-op hook fires for flushes beyond the
 // threshold and carries the span.
 func TestSlowOpLog(t *testing.T) {

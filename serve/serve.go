@@ -62,9 +62,10 @@
 // fence is applied at startup instead of first write. See the README's
 // "Failover & roles" section.
 //
-// Command gedserve is a thin daemon over this package; `gedbench
-// -experiment serve` drives it with a Zipfian multi-tenant load and
-// `gedbench -experiment chaos` soaks it under injected disk faults.
+// Command gedserve is a thin daemon over this package; benchmark/'s
+// serve_read_mostly and serve_ingest workloads drive it over HTTP, and
+// TestChaosSoak / TestFailoverSoak soak it under injected disk faults
+// and leader successions.
 package serve
 
 import (
@@ -191,7 +192,7 @@ type Config struct {
 	// 16x) while the disk stays broken. Default 250ms.
 	ProbeInterval time.Duration
 	// FS overrides the filesystem the persist layer goes through —
-	// fault injection (bench.ChaosSoak, gedserve -fault) and tests.
+	// fault injection (gedserve -fault) and tests.
 	// nil selects the OS.
 	FS persist.FS
 
@@ -201,14 +202,8 @@ type Config struct {
 	// slow-op log.
 	SlowOp time.Duration
 	// OnSlowOp receives the spans meeting SlowOp (gedserve logs them).
-	// Ignored when SlowOp is 0 or the observer is disabled.
+	// Ignored when SlowOp is 0.
 	OnSlowOp func(*gedlib.SpanData)
-	// DisableObserver turns off the added pipeline instrumentation: no
-	// engine/persist/matcher metrics, no trace spans, no per-stage flush
-	// histograms. The serving counters behind /statsz (flushes, reads,
-	// health, admission) are unconditional and stay on — gedbench's obs
-	// experiment uses this switch to measure exactly the added cost.
-	DisableObserver bool
 }
 
 // withDefaults fills in the documented defaults.
@@ -243,13 +238,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// engine builds the configured engine, reporting into o (nil leaves
-// the engine unobserved).
+// engine builds the configured engine, reporting into o.
 func (c Config) engine(o *gedlib.Observer) *gedlib.Engine {
-	opts := []gedlib.Option{}
-	if o != nil {
-		opts = append(opts, gedlib.WithObserver(o))
-	}
+	opts := []gedlib.Option{gedlib.WithObserver(o)}
 	if c.Workers != 0 {
 		opts = append(opts, gedlib.WithWorkers(c.Workers))
 	}
