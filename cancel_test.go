@@ -18,7 +18,8 @@ import (
 // explosiveInstance builds a validation workload with a combinatorially
 // huge match space: a complete digraph on n nodes and a 4-cycle
 // pattern, giving ~n^4 candidate tuples. The rule's consequent holds
-// everywhere, so an uncancelled run would enumerate all of them.
+// everywhere but closes only with the last variable bound, so nothing
+// settles early and an uncancelled run would enumerate all of them.
 func explosiveInstance(n int) (*gedlib.Graph, gedlib.RuleSet) {
 	g := gedlib.NewGraph()
 	ids := make([]gedlib.NodeID, n)
@@ -38,7 +39,8 @@ func explosiveInstance(n int) (*gedlib.Graph, gedlib.RuleSet) {
 	q.AddEdge("x", "e", "y")
 	q.AddEdge("y", "e", "z")
 	q.AddEdge("z", "e", "w")
-	rule := gedlib.NewRule("slow", q, nil, []gedlib.Literal{gedlib.ConstLit("w", "p", gedlib.Int(1))})
+	rule := gedlib.NewRule("slow", q, nil, []gedlib.Literal{
+		gedlib.VarLit("w", "p", "y", "p"), gedlib.VarLit("x", "p", "z", "p")})
 	return g, gedlib.RuleSet{rule}
 }
 

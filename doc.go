@@ -88,9 +88,15 @@
 // (attr, value) posting lists, join the candidate intersection, and
 // their postings stay valid across Snapshot.Apply, maintained lazily
 // per posting actually read. Variable literals, id literals and
-// consequent literals are not pushable and remain post-match checks.
-// Plan costing counts literal postings toward a variable's candidate
-// estimate and orders the search toward intersection-tight variables.
+// consequent literals are not pushable; full scans prune on them
+// instead: each is evaluated once, at the search depth where its last
+// variable is bound, and the partial binding is abandoned if an
+// antecedent literal is false or the whole consequent holds — only
+// violations reach the leaf. The touched-neighbourhood search of Apply
+// runs unpruned (measured: judging its label-scan candidates costs more
+// than it saves). Plan costing counts literal postings toward a
+// variable's candidate estimate and orders the search toward
+// intersection-tight variables, then toward ones that close a literal.
 // The pre-intersection scan-and-probe path survives as the
 // differential-test oracle.
 //

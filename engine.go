@@ -412,7 +412,12 @@ func (e *Engine) shardStateFor(ctx context.Context, g *Graph, ent *engEntry) (*s
 // rule's pattern that satisfy its antecedent but fail a consequent
 // literal. g ⊨ Σ iff the result is empty. Validation runs sequentially
 // or data-parallel according to WithWorkers, and reports at most
-// WithViolationLimit violations.
+// WithViolationLimit violations. With one worker the order — and so the
+// prefix a limit keeps — is each rule's plan enumeration order, which
+// follows the planner (it prefers variables that close a literal, so a
+// release may move it); Apply and parallel results are in canonical
+// order. The scan is violation-directed: a partial binding is abandoned
+// once an antecedent literal over it fails or the consequent holds.
 //
 // On cancellation the violations found so far are returned together
 // with ctx's error.

@@ -381,7 +381,7 @@ func (c *chaser) runRefreeze() (*Result, error) {
 		c.merges = c.merges[:0]
 		var ctxErr error
 		for gi, d := range sigma {
-			pattern.Compile(d.Pattern, host).ForEachDenseCancel(stop, func(bind []graph.NodeID) bool {
+			pattern.Compile(d.Pattern, host).ForEachDenseCancel(stop, nil, func(bind []graph.NodeID) bool {
 				if ctxErr = c.ctx.Err(); ctxErr != nil {
 					return false
 				}

@@ -240,7 +240,7 @@ func (r *deltaRun) fullSweep(gi int, doPark bool) {
 	for k := 1; k < len(jp.comps); k++ {
 		side := &js.sides[k]
 		side.tuples = side.tuples[:0]
-		r.lc.plan(&jp.comps[k]).ForEachDenseFiltered(r.stop, filter, func(t []graph.NodeID) bool {
+		r.lc.plan(&jp.comps[k]).ForEachDenseFiltered(r.stop, filter, nil, func(t []graph.NodeID) bool {
 			side.tuples = append(side.tuples, t...)
 			return true
 		})
@@ -253,7 +253,7 @@ func (r *deltaRun) fullSweep(gi int, doPark bool) {
 		for k := 1; k < len(jp.comps); k++ {
 			js.sides[k].index(&jp.comps[k], r.eq, r.lc.co.RepOf)
 		}
-		r.lc.plan(&jp.comps[0]).ForEachDenseFiltered(r.stop, filter, func(t []graph.NodeID) bool {
+		r.lc.plan(&jp.comps[0]).ForEachDenseFiltered(r.stop, filter, nil, func(t []graph.NodeID) bool {
 			for i, v := range jp.comps[0].vars {
 				js.bind[v] = t[i]
 			}

@@ -54,8 +54,9 @@ func (o *Observer) SetSlowOp(d time.Duration) {
 // MatchStats is the per-plan profiler sink the matcher flushes its
 // enumeration tallies into: how many candidate nodes the plan
 // examined, how many worst-case-optimal intersection steps vs
-// per-candidate probe steps it took, and how many complete bindings it
-// materialized. Counters are shared obs handles (typically labeled by
+// per-candidate probe steps it took, how many complete bindings it
+// materialized and how many partial ones a full scan's pruner made it
+// abandon. Counters are shared obs handles (typically labeled by
 // rule), so the stats accumulate across enumerations and snapshot
 // rebinds; any field may be nil.
 type MatchStats struct {
@@ -63,4 +64,5 @@ type MatchStats struct {
 	IntersectSteps *Counter
 	ProbeSteps     *Counter
 	Bindings       *Counter
+	Pruned         *Counter
 }

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -83,12 +84,18 @@ type matcher struct {
 	tick     uint32                    // amortizes stop polling
 	done     bool
 
+	// prune is a full scan's Pruner, else nil; closeAt[i] has bit k set
+	// when its condition k closes with i variables of order bound.
+	prune   Pruner
+	closeAt []uint64
+
 	// Per-enumeration profiler tallies, plain ints on the hot path;
 	// flushed into Plan.prof (when attached) by putMatcher.
 	nCand  uint64 // candidates examined by search
 	nIsect uint64 // sorted runs walked by leapfrog intersections
 	nProbe uint64 // per-candidate consistency probes
 	nBind  uint64 // complete bindings materialized
+	nPrune uint64 // partial bindings abandoned by prune
 }
 
 // stopEvery is how many search steps pass between stop polls: frequent
@@ -120,6 +127,19 @@ type cfilter struct {
 	post []graph.NodeID // snapshot posting, ascending; nil on mutable hosts
 }
 
+// Pruner lets a full scan abandon partial bindings that cannot extend
+// to a match its caller keeps. Its conditions are the closes the plan
+// was compiled with (see CompileFiltered): the matcher works out once
+// per enumeration, for the order it actually runs — pivot included —
+// the depth at which each closes (its last variable is bound) and asks
+// about it exactly once there. Only snapshot-hosted enumerations prune,
+// on the first 64 conditions; the yield callback judges the rest.
+type Pruner interface {
+	// Prune reports whether bind can be abandoned now that the
+	// conditions in mask (bit k for closes[k]) have closed.
+	Prune(snap *graph.Snapshot, bind []graph.NodeID, mask uint64) bool
+}
+
 // Plan is a compiled matching plan for one (pattern, host) pair: the
 // variable order, index-resolved adjacency, pushed-down literal
 // postings and binding layout are computed once and shared across any
@@ -138,6 +158,7 @@ type Plan struct {
 
 	filters []ConstFilter // pushed-down constant literals, as given
 	varFilt [][]cfilter   // variable index -> compiled filters
+	closes  [][]int       // variable indexes each Pruner condition reads
 	// probe selects the legacy scan-and-probe extension step (first
 	// bound neighbor's adjacency list, every other constraint probed per
 	// candidate) instead of the default multi-way sorted intersection.
@@ -161,7 +182,7 @@ type Plan struct {
 // Compile prepares a matching plan for p over h — a mutable graph or a
 // frozen snapshot.
 func Compile(p *Pattern, h Host) *Plan {
-	return compile(p, h, nil, false)
+	return compile(p, h, nil, nil, false)
 }
 
 // CompileFiltered is Compile with constant literals pushed down into
@@ -171,8 +192,14 @@ func Compile(p *Pattern, h Host) *Plan {
 // snapshot hosts each filter resolves to the attribute-value index's
 // posting list and candidate generation intersects it alongside the
 // adjacency runs.
-func CompileFiltered(p *Pattern, h Host, filters []ConstFilter) *Plan {
-	return compile(p, h, filters, false)
+//
+// closes lists the positions in Vars() that each condition of the
+// caller's Pruner reads: closes[0] the one whose truth settles a binding
+// (a GED's consequent, Y in Fingerprint), the rest those whose falsity
+// refutes it (antecedent literals X1, X2, …). The planner breaks ties
+// toward variables that close one, Pruner or no Pruner.
+func CompileFiltered(p *Pattern, h Host, filters []ConstFilter, closes [][]int) *Plan {
+	return compile(p, h, filters, closes, false)
 }
 
 // CompileProbe compiles the legacy scan-and-probe plan: candidates come
@@ -181,10 +208,10 @@ func CompileFiltered(p *Pattern, h Host, filters []ConstFilter) *Plan {
 // variable ordering. It is the measured baseline of the worst-case-
 // optimal extension step and the oracle of its differential tests.
 func CompileProbe(p *Pattern, h Host) *Plan {
-	return compile(p, h, nil, true)
+	return compile(p, h, nil, nil, true)
 }
 
-func compile(p *Pattern, h Host, filters []ConstFilter, probe bool) *Plan {
+func compile(p *Pattern, h Host, filters []ConstFilter, closes [][]int, probe bool) *Plan {
 	n := len(p.vars)
 	pl := &Plan{
 		p:       p,
@@ -194,6 +221,7 @@ func compile(p *Pattern, h Host, filters []ConstFilter, probe bool) *Plan {
 		labels:  make([]graph.Label, n),
 		adj:     make([][]cedge, n),
 		varFilt: make([][]cfilter, n),
+		closes:  closes,
 		probe:   probe,
 		pool:    new(sync.Pool),
 	}
@@ -289,6 +317,7 @@ func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 		order:   pl.order,
 		filters: pl.filters,
 		varFilt: pl.varFilt,
+		closes:  pl.closes,
 		probe:   pl.probe,
 		pool:    pl.pool, // same pattern, same scratch shape: stay warm
 		prof:    pl.prof, // profile accumulates across the lineage
@@ -411,6 +440,7 @@ func (pl *Plan) putMatcher(m *matcher) {
 	m.dense = nil
 	m.filter = nil
 	m.stop = nil
+	m.prune = nil
 	m.pl = nil
 	m.h = nil
 	m.snap = nil
@@ -514,26 +544,30 @@ func (pl *Plan) ForEachBoundCancel(pre Match, stop func() bool, yield func(Match
 // vector, indexed by the position of each variable in the pattern's
 // Vars() order — no Match map is materialized. The vector is the
 // matcher's own scratch: read it during the callback, copy it to
-// retain it. stop is the cooperative abort hook of ForEachBoundCancel.
+// retain it. stop is the cooperative abort hook of ForEachBoundCancel;
+// prune, when non-nil, abandons partial bindings (see Pruner).
 //
 // This is the entry point for high-volume consumers (the chase's
 // fixpoint loop) where the per-match map handling of the Match boundary
 // dominates.
-func (pl *Plan) ForEachDenseCancel(stop func() bool, yield func([]graph.NodeID) bool) {
-	pl.ForEachDenseFiltered(stop, nil, yield)
+func (pl *Plan) ForEachDenseCancel(stop func() bool, prune Pruner, yield func([]graph.NodeID) bool) {
+	pl.ForEachDenseFiltered(stop, nil, prune, yield)
 }
 
 // ForEachDenseFiltered is ForEachDenseCancel restricted to host nodes
 // the filter admits: rejected nodes are pruned at binding time, so a
 // search never descends below an inadmissible assignment. The chase
 // uses it to make retired coercion carriers invisible to matching.
-func (pl *Plan) ForEachDenseFiltered(stop func() bool, filter func(graph.NodeID) bool, yield func([]graph.NodeID) bool) {
+func (pl *Plan) ForEachDenseFiltered(stop func() bool, filter func(graph.NodeID) bool, prune Pruner, yield func([]graph.NodeID) bool) {
 	m := pl.newMatcher(stop, nil)
 	m.dense = yield
 	m.filter = filter
 	defer pl.putMatcher(m)
 	m.order = pl.order
-	m.search(0)
+	m.setPruner(prune)
+	if m.prune == nil || !m.abandon(0) {
+		m.search(0)
+	}
 }
 
 // ForEachPivot enumerates matches with the pivot variable successively
@@ -542,7 +576,7 @@ func (pl *Plan) ForEachDenseFiltered(stop func() bool, filter func(graph.NodeID)
 // skipped. It is the Match-map form of ForEachDensePivotCancel, kept
 // for the differential tests.
 func (pl *Plan) ForEachPivot(pivot Var, cands []graph.NodeID, yield func(Match) bool) {
-	pl.forEachPivot(pivot, cands, nil, yield, nil)
+	pl.forEachPivot(pivot, cands, nil, nil, yield, nil)
 }
 
 // ForEachDensePivotCancel enumerates matches with the pivot variable
@@ -551,18 +585,19 @@ func (pl *Plan) ForEachPivot(pivot Var, cands []graph.NodeID, yield func(Match) 
 // ForEachDenseCancel (the pivot's slot included) — the low-overhead
 // primitive behind parallel and touched-neighborhood validation, which
 // judge every match but keep only the violating few. stop is the
-// cooperative abort hook of ForEachBoundCancel.
+// cooperative abort hook of ForEachBoundCancel; prune is the full
+// scans' Pruner, nil for the touched-neighborhood search.
 //
 // Pivot candidates are intersected with the pivot's pushed-down literal
 // postings up front when the candidate list is sorted (it usually is:
 // label postings and attribute-value postings both arrive ascending);
 // unsorted candidate lists fall back to the per-candidate literal check
 // in consistent.
-func (pl *Plan) ForEachDensePivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, yield func([]graph.NodeID) bool) {
-	pl.forEachPivot(pivot, cands, stop, nil, yield)
+func (pl *Plan) ForEachDensePivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, prune Pruner, yield func([]graph.NodeID) bool) {
+	pl.forEachPivot(pivot, cands, stop, prune, nil, yield)
 }
 
-func (pl *Plan) forEachPivot(pivot Var, cands []graph.NodeID, stop func() bool, yield func(Match) bool, dense func([]graph.NodeID) bool) {
+func (pl *Plan) forEachPivot(pivot Var, cands []graph.NodeID, stop func() bool, prune Pruner, yield func(Match) bool, dense func([]graph.NodeID) bool) {
 	pi, ok := pl.varIdx[pivot]
 	if !ok {
 		return
@@ -579,18 +614,51 @@ func (pl *Plan) forEachPivot(pivot Var, cands []graph.NodeID, stop func() bool, 
 	}
 	m.orderBuf = order
 	m.order = order
+	m.setPruner(prune)
 	m.nCand += uint64(len(cands))
 	for _, c := range cands {
 		if !m.consistent(pi, c) {
 			continue
 		}
 		m.bind[pi] = c
-		m.search(0)
+		if m.prune == nil || !m.abandon(0) {
+			m.search(0)
+		}
 		m.bind[pi] = unbound
 		if m.done {
 			return
 		}
 	}
+}
+
+// setPruner arms pr, if any, for the enumeration about to run over
+// m.order: a condition closes at the depth of the last variable of
+// m.order it reads — 0 when the pivot, or nothing, is all it reads.
+func (m *matcher) setPruner(pr Pruner) {
+	if pr == nil || m.snap == nil {
+		return
+	}
+	m.prune = pr
+	m.closeAt = append(m.closeAt[:0], make([]uint64, len(m.order)+1)...)
+	for k, reads := range m.pl.closes[:min(len(m.pl.closes), 64)] {
+		depth := 0
+		for i, x := range m.order {
+			if slices.Contains(reads, x) {
+				depth = i + 1
+			}
+		}
+		m.closeAt[depth] |= 1 << k
+	}
+}
+
+// abandon reports whether the pruner (there is one), asked about the
+// conditions that close at depth i, drops the partial binding.
+func (m *matcher) abandon(i int) bool {
+	if m.closeAt[i] == 0 || !m.prune.Prune(m.snap, m.bind, m.closeAt[i]) {
+		return false
+	}
+	m.nPrune++
+	return true
 }
 
 // pivotCands narrows a pivot block to the candidates satisfying the
@@ -683,7 +751,9 @@ func CountMatches(p *Pattern, h Host) int {
 // variable to the front — then greedily the frontier variable with the
 // most edges into already-ordered variables (the intersection-tight
 // choice: every such edge contributes one more sorted run to the
-// extension step's intersection), breaking ties toward small candidate
+// extension step's intersection), breaking ties first toward a variable
+// that closes a Pruner condition (the sooner one closes, the shallower
+// a full scan abandons what it decides), then toward small candidate
 // sets. Disconnected components are started at their most selective
 // variable. Hosts exposing degree statistics (snapshots) break
 // remaining ties toward the label with the higher average degree — a
@@ -778,16 +848,26 @@ func planOrder(pl *Plan, h Host) []int {
 		return t
 	}
 
+	// closes reports whether x is the last unplaced variable some
+	// Pruner condition reads.
+	closes := func(x int) bool {
+		return slices.ContainsFunc(pl.closes, func(reads []int) bool {
+			return slices.Contains(reads, x) &&
+				!slices.ContainsFunc(reads, func(r int) bool { return r != x && !placed[r] })
+		})
+	}
+
 	for len(ordered) < n {
-		next, nextTight := -1, -1
+		next, nextTight, nextCloses := -1, -1, false
 		if len(frontier) > 0 {
 			for x := range frontier {
 				t := 0
 				if !pl.probe {
 					t = tightness(x)
 				}
-				if next < 0 || t > nextTight || (t == nextTight && better(x, next)) {
-					next, nextTight = x, t
+				c := closes(x)
+				if next < 0 || t > nextTight || (t == nextTight && (c && !nextCloses || c == nextCloses && better(x, next))) {
+					next, nextTight, nextCloses = x, t, c
 				}
 			}
 		} else {
@@ -822,12 +902,38 @@ func (m *matcher) search(i int) {
 	x := m.order[i]
 	cands := m.candidates(x)
 	m.nCand += uint64(len(cands))
+	if m.prune != nil && m.closeAt[i+1] != 0 {
+		m.extendPruned(i, x, cands)
+		return
+	}
 	for _, v := range cands {
 		if !m.consistent(x, v) {
 			continue
 		}
 		m.bind[x] = v
 		m.search(i + 1)
+		m.bind[x] = unbound
+		if m.done {
+			return
+		}
+	}
+}
+
+// extendPruned is search's candidate loop for a level at which a Pruner
+// condition closes: a second loop selected once per level, not a test
+// inside the first, because one extra `mask != 0 &&` in search's loop
+// body cost the unpruned touched search (apply_stream) 8–12 % ops_per_s
+// at zero prune calls and identical candidate counts — code layout, not
+// work (benchmark/README.md, "Sandbox caveat").
+func (m *matcher) extendPruned(i, x int, cands []graph.NodeID) {
+	for _, v := range cands {
+		if !m.consistent(x, v) {
+			continue
+		}
+		m.bind[x] = v
+		if !m.abandon(i + 1) {
+			m.search(i + 1)
+		}
 		m.bind[x] = unbound
 		if m.done {
 			return

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"fmt"
 	"testing"
 
 	"gedlib/internal/graph"
@@ -420,5 +421,93 @@ func TestLargeCycleMatch(t *testing.T) {
 	}
 	if got := CountMatches(q, g); got != n {
 		t.Errorf("cycle homs = %d, want %d", got, n)
+	}
+}
+
+// askedAt is a Pruner that abandons nothing and records, per mask it is
+// asked about, how many variables were bound at the time.
+type askedAt map[uint64]int
+
+func (a askedAt) Prune(_ *graph.Snapshot, bind []graph.NodeID, mask uint64) bool {
+	n := 0
+	for _, v := range bind {
+		if v != unbound {
+			n++
+		}
+	}
+	a[mask] = n
+	return false
+}
+
+// TestPlanOrderClosesLiteralsEarly pins the planner's tie-break and the
+// close depths derived from it: among equally intersection-tight
+// frontier variables the one that closes a condition goes first, a plan
+// with no conditions keeps the order it always had, and a pivoted
+// enumeration closes conditions by the order it runs, not the plan's.
+func TestPlanOrderClosesLiteralsEarly(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 6; i++ {
+		g.AddNode("person")
+	}
+	for i := 0; i < 6; i++ {
+		g.AddEdge(graph.NodeID(i), "knows", graph.NodeID((i+1)%6))
+		g.AddEdge(graph.NodeID(i), "knows", graph.NodeID((i+2)%6))
+	}
+	snap := g.Freeze()
+	diamond := New() // positions: a 0, b 1, c 2, d 3
+	for _, x := range []Var{"a", "b", "c", "d"} {
+		diamond.AddVar(x, "person")
+	}
+	diamond.AddEdge("a", "knows", "b")
+	diamond.AddEdge("a", "knows", "c")
+	diamond.AddEdge("b", "knows", "d")
+	diamond.AddEdge("c", "knows", "d")
+	triangle := New()
+	for _, x := range []Var{"a", "b", "c"} {
+		triangle.AddVar(x, "person")
+	}
+	triangle.AddEdge("a", "knows", "b")
+	triangle.AddEdge("b", "knows", "c")
+	triangle.AddEdge("c", "knows", "a")
+
+	for _, tc := range []struct {
+		name   string
+		p      *Pattern
+		closes [][]int
+		want   string
+	}{
+		{"diamond, Y over a and d", diamond, [][]int{{0, 3}}, "a,b,d,c;isect;close=Y@2"},
+		{"diamond, Y over a and d, X1 over d", diamond, [][]int{{0, 3}, {3}}, "a,b,d,c;isect;close=Y@2,X1@2"},
+		{"diamond, Y over nothing", diamond, [][]int{nil}, "a,b,c,d;isect;close=Y@-"},
+		{"triangle, Y over a and b", triangle, [][]int{{0, 1}}, "a,b,c;isect;close=Y@1"},
+	} {
+		if got := CompileFiltered(tc.p, snap, nil, tc.closes).Fingerprint(); got != tc.want {
+			t.Errorf("%s: plan %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	if got, want := CompileFiltered(diamond, snap, nil, nil).Fingerprint(), Compile(diamond, snap).Fingerprint(); got != want || got != "a,b,c,d;isect" {
+		t.Errorf("no conditions: plan %s, Compile's %s, want a,b,c,d;isect", got, want)
+	}
+
+	pl := CompileFiltered(diamond, snap, nil, [][]int{{0, 3}, {3}})
+	all := snap.CandidateNodes("person")
+	visit := func([]graph.NodeID) bool { return true }
+	for _, tc := range []struct {
+		pivot Var
+		want  askedAt
+	}{
+		{"", askedAt{3: 3}},        // a,b,d,c: both close on d
+		{"d", askedAt{2: 1, 1: 2}}, // d | a,b,c: X1 on the pivot alone, Y on a
+		{"c", askedAt{3: 4}},       // c | a,b,d: both on d, the last level
+	} {
+		got := askedAt{}
+		if tc.pivot == "" {
+			pl.ForEachDenseCancel(nil, got, visit)
+		} else {
+			pl.ForEachDensePivotCancel(tc.pivot, all, nil, got, visit)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("pivot %q: conditions asked at %v, want %v (mask: bound variables)", tc.pivot, got, tc.want)
+		}
 	}
 }

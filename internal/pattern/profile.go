@@ -2,6 +2,8 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"gedlib/internal/obs"
@@ -20,10 +22,12 @@ func (pl *Plan) SetProfile(ms *obs.MatchStats) { pl.prof = ms }
 func (pl *Plan) Profile() *obs.MatchStats { return pl.prof }
 
 // Fingerprint renders the compiled plan's identity compactly: the
-// variable binding order, the extension strategy, and how many
-// constant literals were pushed down — enough to tell from metrics
-// alone which plan shape a rule is running, and to notice when a
-// recompile changed it.
+// variable binding order, the extension strategy, how many constant
+// literals were pushed down, and where in that order each Pruner
+// condition closes (Y the settling one, Xk the refuting ones, "-" for
+// one that reads no variable) — enough to tell from metrics alone which
+// plan shape a rule is running, why a full scan of it is cheap, and to
+// notice when a recompile changed it.
 func (pl *Plan) Fingerprint() string {
 	var b strings.Builder
 	for i, vi := range pl.order {
@@ -44,6 +48,19 @@ func (pl *Plan) Fingerprint() string {
 	if nf > 0 {
 		fmt.Fprintf(&b, ";push=%d", nf)
 	}
+	for k, reads := range pl.closes {
+		at := "-"
+		for i, x := range pl.order {
+			if slices.Contains(reads, x) {
+				at = strconv.Itoa(i)
+			}
+		}
+		if k == 0 {
+			b.WriteString(";close=Y@" + at)
+		} else {
+			fmt.Fprintf(&b, ",X%d@%s", k, at)
+		}
+	}
 	return b.String()
 }
 
@@ -55,6 +72,7 @@ func (pl *Plan) flushProfile(m *matcher) {
 		ms.IntersectSteps.Add(m.nIsect)
 		ms.ProbeSteps.Add(m.nProbe)
 		ms.Bindings.Add(m.nBind)
+		ms.Pruned.Add(m.nPrune)
 	}
-	m.nCand, m.nIsect, m.nProbe, m.nBind = 0, 0, 0, 0
+	m.nCand, m.nIsect, m.nProbe, m.nBind, m.nPrune = 0, 0, 0, 0, 0
 }

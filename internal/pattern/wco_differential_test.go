@@ -169,7 +169,7 @@ func TestFilteredMatchesPostFilter(t *testing.T) {
 					}
 					return true
 				})
-				pattern.CompileFiltered(p, host, filters).ForEachBound(nil, func(m pattern.Match) bool {
+				pattern.CompileFiltered(p, host, filters, nil).ForEachBound(nil, func(m pattern.Match) bool {
 					got = append(got, m.Clone())
 					return true
 				})
@@ -228,7 +228,7 @@ func TestPivotRoutesThroughIntersection(t *testing.T) {
 					}
 					return true
 				})
-				pattern.CompileFiltered(p, snap, filters).ForEachPivot(pivot, cands, func(m pattern.Match) bool {
+				pattern.CompileFiltered(p, snap, filters, nil).ForEachPivot(pivot, cands, func(m pattern.Match) bool {
 					got = append(got, m.Clone())
 					return true
 				})

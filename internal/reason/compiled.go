@@ -1,6 +1,8 @@
 package reason
 
 import (
+	"slices"
+
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
@@ -12,10 +14,16 @@ import (
 // interned ids of its attributes in one snapshot lineage, so judging a
 // match hashes neither a variable nor an attribute name. The Validator,
 // the ViolationStore and the sharded finalization all judge matches
-// with it; HoldsInGraph is its Host-generic oracle. Immutable.
+// with it; HoldsInGraph is its Host-generic oracle. It is also the
+// pattern.Pruner of the rule's full scans, over the conditions of
+// CloseHints. Immutable.
 type CompiledRule struct {
 	d    *ged.GED
 	x, y []clit
+	// px[k] indexes the x literal that pruning condition 1+k judges;
+	// never marks a trivial Y, which no match fails.
+	px    []int
+	never bool
 	// open lists the attributes no node carried at compile time (their
 	// literals hold id -1); Rebind watches for them to appear.
 	open []graph.Attr
@@ -37,11 +45,8 @@ const notGED = ged.LiteralKind(255)
 
 // CompileRule lowers d's literals against snap.
 func CompileRule(d *ged.GED, snap *graph.Snapshot) *CompiledRule {
-	idx := make(map[pattern.Var]int, len(d.Pattern.Vars()))
-	for i, x := range d.Pattern.Vars() {
-		idx[x] = i
-	}
-	r := &CompiledRule{d: d}
+	idx := varIndex(d.Pattern)
+	r := &CompiledRule{d: d, never: !slices.ContainsFunc(d.Y, nontrivial)}
 	lower := func(ls []ged.Literal) []clit {
 		out := make([]clit, len(ls))
 		for i := range ls {
@@ -61,7 +66,71 @@ func CompileRule(d *ged.GED, snap *graph.Snapshot) *CompiledRule {
 		return out
 	}
 	r.x, r.y = lower(d.X), lower(d.Y)
+	for i, l := range d.X {
+		if !pushable(l) {
+			r.px = append(r.px, i)
+		}
+	}
 	return r
+}
+
+func varIndex(p *pattern.Pattern) map[pattern.Var]int {
+	idx := make(map[pattern.Var]int, len(p.Vars()))
+	for i, x := range p.Vars() {
+		idx[x] = i
+	}
+	return idx
+}
+
+// nontrivial reports that l is not x.id = x.id, which every match
+// satisfies (x.A = x.A is nontrivial: it fails where x lacks A).
+func nontrivial(l ged.Literal) bool {
+	k, ok := l.Kind()
+	return !ok || k != ged.IDLiteral || l.Left.Var != l.Right.Var
+}
+
+// CloseHints names what a full scan of d prunes on, as the positions in
+// d.Pattern.Vars() each condition reads: first Y as a whole (its trivial
+// literals aside) — a binding on which Y holds extends to no violation —
+// then each variable or id literal of X — nor does one on which such a
+// literal fails. X's constant literals are PushdownFilters' business: no
+// enumerated binding fails them. Plans are compiled with the hints so
+// that literals close early.
+func CloseHints(d *ged.GED) [][]int {
+	idx := varIndex(d.Pattern)
+	reads := func(into []int, l ged.Literal) []int {
+		for _, x := range l.Vars() {
+			into = append(into, idx[x])
+		}
+		return into
+	}
+	hints := [][]int{nil}
+	for _, l := range d.Y {
+		if nontrivial(l) {
+			hints[0] = reads(hints[0], l)
+		}
+	}
+	for _, l := range d.X {
+		if !pushable(l) {
+			hints = append(hints, reads(nil, l))
+		}
+	}
+	return hints
+}
+
+// Prune implements pattern.Pruner over CloseHints' conditions: bind is
+// abandoned when Y has closed (bit 0) and holds, or a closed X literal
+// fails.
+func (r *CompiledRule) Prune(snap *graph.Snapshot, bind []graph.NodeID, mask uint64) bool {
+	if mask&1 != 0 && r.failingY(snap, bind) == nil {
+		return true
+	}
+	for k, xi := range r.px {
+		if mask&(2<<k) != 0 && !r.x[xi].holds(snap, bind) {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *CompiledRule) attrID(snap *graph.Snapshot, a graph.Attr) int32 {
@@ -96,6 +165,11 @@ func (r *CompiledRule) CheckMatch(snap *graph.Snapshot, bind []graph.NodeID) *ge
 			return nil
 		}
 	}
+	return r.failingY(snap, bind)
+}
+
+// failingY returns the first consequent literal bind fails, if any.
+func (r *CompiledRule) failingY(snap *graph.Snapshot, bind []graph.NodeID) *ged.Literal {
 	for i := range r.y {
 		if !r.y[i].holds(snap, bind) {
 			return r.y[i].src

@@ -96,20 +96,17 @@ func denseSigma(rng *rand.Rand) ged.Set {
 }
 
 // oracleScan is sequential validation the way it ran on Match maps:
-// ForEachBoundCancel (or the Match-map pivot walk where val has an
-// index pivot and pivoted is set), HoldsInGraph per literal, ctx polled
-// at exactly the points the dense scan polls it.
-func oracleScan(ctx context.Context, val *Validator, limit int, pivoted bool) ([]Violation, error) {
+// ForEachBound (or the Match-map pivot walk where val has an index
+// pivot and pivoted is set) over a plan compiled with the validator's
+// ordering hints but enumerated with no pruner, every match judged by
+// HoldsInGraph per literal.
+func oracleScan(val *Validator, limit int, pivoted bool) []Violation {
 	var out []Violation
-	stop := func() bool { return ctx.Err() != nil }
 	if pivoted {
 		val.ensurePivots()
 	}
 	for i, d := range val.sigma {
 		collect := func(m pattern.Match) bool {
-			if ctx.Err() != nil {
-				return false
-			}
 			for _, l := range d.X {
 				if !HoldsInGraph(val.snap, l, m) {
 					return true
@@ -123,28 +120,24 @@ func oracleScan(ctx context.Context, val *Validator, limit int, pivoted bool) ([
 			}
 			return limit <= 0 || len(out) < limit
 		}
-		pl := pattern.CompileFiltered(d.Pattern, val.snap, PushdownFilters(d))
+		pl := pattern.CompileFiltered(d.Pattern, val.snap, PushdownFilters(d), CloseHints(d))
 		if pivoted && val.pivots[i] != nil {
 			pl.ForEachPivot(val.pivots[i].variable, val.pivots[i].cands, collect)
 		} else {
-			pl.ForEachBoundCancel(nil, stop, collect)
-		}
-		if err := ctx.Err(); err != nil {
-			return out, err
+			pl.ForEachBound(nil, collect)
 		}
 		if limit > 0 && len(out) >= limit {
 			break
 		}
 	}
-	return out, nil
+	return out
 }
 
 // oracleCanonical is what the canonical-order entry points must return:
 // the oracle's violations that keep admits, sorted, then truncated.
 func oracleCanonical(val *Validator, limit int, keep func(Violation) bool) []Violation {
-	all, _ := oracleScan(context.Background(), val, 0, false)
 	var out []Violation
-	for _, v := range all {
+	for _, v := range oracleScan(val, 0, false) {
 		if keep == nil || keep(v) {
 			out = append(out, v)
 		}
@@ -169,8 +162,7 @@ func touches(nodes []graph.NodeID) func(Violation) bool {
 	}
 }
 
-// countdownCtx reports cancellation from its k-th Err call on, which
-// cuts two searches that poll it at the same points at the same match.
+// countdownCtx reports cancellation from its k-th Err call on.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
@@ -189,6 +181,8 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
+func (c *countdownCtx) expired() bool { return c.left.Load() < 0 }
+
 func quickCfg(seed int64, n int) *quick.Config {
 	return &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(seed))}
 }
@@ -203,42 +197,47 @@ func sameViolations(t *testing.T, what string, got, want []Violation, sigma ged.
 	return g == w
 }
 
-// TestDenseValidatorMatchesOracle covers Run, RunCtx, RunParallelCtx
-// and TouchingCtx, with and without a limit.
-func TestDenseValidatorMatchesOracle(t *testing.T) {
-	ctx := context.Background()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, sigma := denseGraph(rng), denseSigma(rng)
-		val := NewValidatorOn(g.Freeze(), sigma)
-		for _, limit := range []int{0, 1, 3} {
-			at := fmt.Sprintf("seed %d limit %d: ", seed, limit)
-			seq, _ := oracleScan(ctx, val, limit, false)
-			got, err := val.RunCtx(ctx, limit)
-			if err != nil || !sameViolations(t, at+"RunCtx", got, seq, sigma) {
-				return false
+// entryPointsMatchOracle holds Run, RunCtx, RunParallelCtx(1..4) and
+// TouchingCtx on a fresh validator against the oracle, with and without
+// a limit: same violations, same order, same recorded literal.
+func entryPointsMatchOracle(t *testing.T, seed int64, rng *rand.Rand, g *graph.Graph, val *Validator) bool {
+	ctx, sigma := context.Background(), val.sigma
+	for _, limit := range []int{0, 1, 3} {
+		at := fmt.Sprintf("seed %d limit %d: ", seed, limit)
+		seq := oracleScan(val, limit, false)
+		got, err := val.RunCtx(ctx, limit)
+		if err != nil || !sameViolations(t, at+"RunCtx", got, seq, sigma) {
+			return false
+		}
+		if !sameViolations(t, at+"Run", val.Run(limit), oracleScan(val, limit, true), sigma) {
+			return false
+		}
+		for workers := 1; workers <= 4; workers++ {
+			want := oracleCanonical(val, limit, nil)
+			if workers == 1 { // one worker is the sequential scan, in enumeration order
+				want = seq
 			}
-			want, _ := oracleScan(ctx, val, limit, true)
-			if !sameViolations(t, at+"Run", val.Run(limit), want, sigma) {
-				return false
-			}
-			for workers := 1; workers <= 4; workers++ {
-				want := oracleCanonical(val, limit, nil)
-				if workers == 1 { // one worker is the sequential scan, in enumeration order
-					want = seq
-				}
-				got, err := val.RunParallelCtx(ctx, limit, workers)
-				if err != nil || !sameViolations(t, fmt.Sprintf("%sRunParallelCtx(%d)", at, workers), got, want, sigma) {
-					return false
-				}
-			}
-			nodes := []graph.NodeID{graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))}
-			got, err = val.TouchingCtx(ctx, nodes, limit)
-			if err != nil || !sameViolations(t, fmt.Sprintf("%sTouchingCtx(%v)", at, nodes), got, oracleCanonical(val, limit, touches(nodes)), sigma) {
+			got, err := val.RunParallelCtx(ctx, limit, workers)
+			if err != nil || !sameViolations(t, fmt.Sprintf("%sRunParallelCtx(%d)", at, workers), got, want, sigma) {
 				return false
 			}
 		}
-		return true
+		nodes := []graph.NodeID{graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))}
+		got, err = val.TouchingCtx(ctx, nodes, limit)
+		if err != nil || !sameViolations(t, fmt.Sprintf("%sTouchingCtx(%v)", at, nodes), got, oracleCanonical(val, limit, touches(nodes)), sigma) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDenseValidatorMatchesOracle covers Run, RunCtx, RunParallelCtx
+// and TouchingCtx, with and without a limit.
+func TestDenseValidatorMatchesOracle(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, sigma := denseGraph(rng), denseSigma(rng)
+		return entryPointsMatchOracle(t, seed, rng, g, NewValidatorOn(g.Freeze(), sigma))
 	}
 	if err := quick.Check(f, quickCfg(1201, 300)); err != nil {
 		t.Error(err)
@@ -246,14 +245,18 @@ func TestDenseValidatorMatchesOracle(t *testing.T) {
 }
 
 // TestDenseValidatorCancellation: a context cancelled mid-enumeration
-// leaves the sequential scan with exactly the oracle's partial result
-// and ctx's error; the parallel and touched searches, whose cut point
-// is not deterministic, return a canonical subset of the full answer.
+// leaves the sequential scan with a prefix of the oracle's sequence and
+// ctx's error — not the oracle's own cut at the same countdown: a scan
+// that abandons partial bindings polls ctx less often than one that
+// completes every match. The parallel and touched searches, whose cut
+// point is not deterministic, return a canonical subset of the full
+// answer.
 func TestDenseValidatorCancellation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g, sigma := denseGraph(rng), denseSigma(rng)
 		val := NewValidatorOn(g.Freeze(), sigma)
+		seq := oracleScan(val, 0, false)
 		full := oracleCanonical(val, 0, nil)
 		inFull := make(map[string]bool, len(full))
 		for _, v := range full {
@@ -272,10 +275,11 @@ func TestDenseValidatorCancellation(t *testing.T) {
 			}
 			return true
 		}
-		for _, k := range []int{0, 1, 2, 5, 11} {
-			want, wantErr := oracleScan(countdown(k), val, 0, false)
-			got, err := val.RunCtx(countdown(k), 0)
-			if err != wantErr || !sameViolations(t, fmt.Sprintf("seed %d cut %d (err %v, want %v): RunCtx", seed, k, err, wantErr), got, want, sigma) {
+		for _, k := range []int{0, 1, 2, 5, 11, 1 << 30} {
+			ctx := countdown(k)
+			got, err := val.RunCtx(ctx, 0)
+			if (err != nil) != ctx.expired() || (err == nil && len(got) != len(seq)) || len(got) > len(seq) ||
+				!sameViolations(t, fmt.Sprintf("seed %d cut %d (err %v): RunCtx", seed, k, err), got, seq[:len(got)], sigma) {
 				return false
 			}
 			all := g.Nodes()

@@ -50,7 +50,10 @@ func ValidateTouchingOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, n
 
 // touching is the touched-neighborhood search: every rule, pivoted on
 // every pattern variable over nodes. Hits come back in no particular
-// order; cancellation returns the ones found so far.
+// order; cancellation returns the ones found so far. It runs unpruned
+// by measurement: its candidates are label scans below a pivot far from
+// the plan's seed, and judging each cost more than the few intersections
+// it saved (apply_stream 303 → 257 ops/s, candidates per op unchanged).
 func (v *Validator) touching(ctx context.Context, nodes []graph.NodeID) ([]hit, error) {
 	if len(nodes) == 0 {
 		return nil, ctx.Err()
@@ -73,7 +76,7 @@ func (v *Validator) touching(ctx context.Context, nodes []graph.NodeID) ([]hit, 
 			return true
 		}
 		for _, pivot := range d.Pattern.Vars() {
-			v.plans[gi].ForEachDensePivotCancel(pivot, nodes, stop, visit)
+			v.plans[gi].ForEachDensePivotCancel(pivot, nodes, stop, nil, visit)
 			if err := ctx.Err(); err != nil {
 				return hs.list, err
 			}

@@ -8,7 +8,8 @@ import (
 
 // Observe attaches per-rule observability to the validator's compiled
 // plans: a match profile (candidates, intersection vs probe steps,
-// bindings — flushed by the matcher once per enumeration) accumulating
+// bindings, partial bindings a full scan abandoned — flushed by the
+// matcher once per enumeration) accumulating
 // into rule-labeled counters, and an info-style gauge naming each
 // rule's current plan fingerprint. Profiles survive Rebase, which
 // rebinds plans and carries their sinks; the engine re-attaches only
@@ -24,6 +25,7 @@ func (v *Validator) Observe(reg *obs.Registry) {
 			IntersectSteps: reg.Counter("ged_match_intersect_steps_total", "posting-list runs fed to leapfrog intersection", "rule", name),
 			ProbeSteps:     reg.Counter("ged_match_probe_steps_total", "per-candidate consistency probes", "rule", name),
 			Bindings:       reg.Counter("ged_match_bindings_total", "complete bindings materialized", "rule", name),
+			Pruned:         reg.Counter("ged_match_pruned_total", "partial bindings a full scan abandoned: X refuted or Y settled", "rule", name),
 		})
 		// A recompile may change the plan shape; retire the old
 		// fingerprint series so exactly one is live per rule.

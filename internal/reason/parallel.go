@@ -71,6 +71,9 @@ func (v *Validator) scanParallel(ctx context.Context, workers int) ([]hit, error
 	}
 	var tasks []task
 	for gi := range v.sigma {
+		if _, skip := v.pruner(gi); skip {
+			continue
+		}
 		pv, cands := v.pivot(gi)
 		if pv == "" {
 			tasks = append(tasks, task{gi: gi})
@@ -109,6 +112,7 @@ func (v *Validator) scanParallel(ctx context.Context, workers int) ([]hit, error
 				if ctx.Err() != nil {
 					break
 				}
+				prune, _ := v.pruner(t.gi)
 				visit := func(bind []graph.NodeID) bool {
 					if ctx.Err() != nil {
 						return false
@@ -119,10 +123,10 @@ func (v *Validator) scanParallel(ctx context.Context, workers int) ([]hit, error
 					return true
 				}
 				if t.cands == nil {
-					v.plans[t.gi].ForEachDenseCancel(stop, visit)
+					v.plans[t.gi].ForEachDenseCancel(stop, prune, visit)
 					continue
 				}
-				v.plans[t.gi].ForEachDensePivotCancel(t.pivot, t.cands, stop, visit)
+				v.plans[t.gi].ForEachDensePivotCancel(t.pivot, t.cands, stop, prune, visit)
 			}
 			if len(local.list) > 0 {
 				mu.Lock()

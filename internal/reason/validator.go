@@ -56,10 +56,10 @@ func NewValidator(g *graph.Graph, sigma ged.Set) *Validator {
 
 // NewValidatorOn prepares a validation context over an existing
 // snapshot, sharing it instead of re-freezing. Plans are compiled with
-// every constant literal of the antecedent pushed down (see
-// PushdownFilters): violating-match enumeration skips literal-failing
-// bindings inside the search, and the post-match antecedent check only
-// ever sees matches that already satisfy the pushable literals.
+// every constant literal of the antecedent pushed down (PushdownFilters)
+// and ordered so that the other literals close early (CloseHints): the
+// full scans skip bindings failing the former inside candidate
+// generation and abandon partial bindings the latter refute or settle.
 func NewValidatorOn(snap *graph.Snapshot, sigma ged.Set) *Validator {
 	return newValidator(snap, sigma)
 }
@@ -75,7 +75,7 @@ func newValidator(h pattern.Host, sigma ged.Set) *Validator {
 		v.rules = make([]*CompiledRule, len(sigma))
 	}
 	for i, d := range sigma {
-		v.plans[i] = pattern.CompileFiltered(d.Pattern, h, PushdownFilters(d))
+		v.plans[i] = pattern.CompileFiltered(d.Pattern, h, PushdownFilters(d), CloseHints(d))
 		if v.snap != nil {
 			v.rules[i] = CompileRule(d, v.snap)
 		}
@@ -86,19 +86,23 @@ func newValidator(h pattern.Host, sigma ged.Set) *Validator {
 // PushdownFilters extracts the pushable antecedent literals of d: the
 // constant literals x.A = c, which the matcher turns into posting-list
 // intersections on snapshot hosts and bind-time attribute checks on
-// mutable ones. Variable and id literals relate two bindings and stay
-// post-match checks; so does every consequent literal (a violation is
-// a match that *fails* one).
+// mutable ones. Variable and id literals relate two bindings and cannot
+// narrow a candidate set; full scans prune on them, and on the
+// consequent, once their variables are bound (CloseHints).
 func PushdownFilters(d *ged.GED) []pattern.ConstFilter {
 	var fs []pattern.ConstFilter
 	for _, l := range d.X {
-		k, ok := l.Kind()
-		if !ok || k != ged.ConstLiteral {
-			continue
+		if pushable(l) {
+			fs = append(fs, pattern.ConstFilter{Var: l.Left.Var, Attr: l.Left.Attr, Value: l.Right.Const})
 		}
-		fs = append(fs, pattern.ConstFilter{Var: l.Left.Var, Attr: l.Left.Attr, Value: l.Right.Const})
 	}
 	return fs
+}
+
+// pushable reports that l is a constant literal x.A = c.
+func pushable(l ged.Literal) bool {
+	k, ok := l.Kind()
+	return ok && k == ged.ConstLiteral
 }
 
 // Rebase returns a validator over snap, reusing the receiver's compiled
@@ -249,6 +253,16 @@ func (v *Validator) checkMatch(gi int, bind []graph.NodeID) *ged.Literal {
 	return failing(v.h, d, d.Pattern.MatchOf(bind))
 }
 
+// pruner returns the Pruner of Σ[gi]'s full scans — its compiled rule,
+// none on a mutable host — and whether they can be skipped outright
+// because no match violates the rule.
+func (v *Validator) pruner(gi int) (prune pattern.Pruner, skip bool) {
+	if v.snap == nil {
+		return nil, false
+	}
+	return v.rules[gi], v.rules[gi].never
+}
+
 // violation materializes a hit — the one place validation builds a
 // Match map.
 func (v *Validator) violation(h hit) Violation {
@@ -288,6 +302,10 @@ func (v *Validator) scan(ctx context.Context, limit int, pivoted bool) ([]hit, e
 	var hs hits
 	stop := func() bool { return ctx.Err() != nil }
 	for gi := range v.sigma {
+		prune, skip := v.pruner(gi)
+		if skip {
+			continue
+		}
 		visit := func(bind []graph.NodeID) bool {
 			if ctx.Err() != nil {
 				return false
@@ -298,9 +316,9 @@ func (v *Validator) scan(ctx context.Context, limit int, pivoted bool) ([]hit, e
 			return limit <= 0 || len(hs.list) < limit
 		}
 		if pivoted && v.pivots[gi] != nil {
-			v.plans[gi].ForEachDensePivotCancel(v.pivots[gi].variable, v.pivots[gi].cands, stop, visit)
+			v.plans[gi].ForEachDensePivotCancel(v.pivots[gi].variable, v.pivots[gi].cands, stop, prune, visit)
 		} else {
-			v.plans[gi].ForEachDenseCancel(stop, visit)
+			v.plans[gi].ForEachDenseCancel(stop, prune, visit)
 		}
 		if err := ctx.Err(); err != nil {
 			return hs.list, err

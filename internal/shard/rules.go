@@ -107,7 +107,7 @@ func compileRules(sigma ged.Set, global *graph.Snapshot) []*compiledRule {
 		}
 		cr.lits = reason.CompileRule(d, global)
 		base := make([]int, 0, len(vars))
-		pl := pattern.CompileFiltered(d.Pattern, global, reason.PushdownFilters(d))
+		pl := pattern.CompileFiltered(d.Pattern, global, reason.PushdownFilters(d), reason.CloseHints(d))
 		for _, x := range pl.OrderedVars() {
 			base = append(base, varIdx[x])
 		}

@@ -77,6 +77,7 @@ func TestMetricszContract(t *testing.T) {
 		"ged_engine_apply_seconds_count",
 		"ged_engine_snapshot_cache_total",
 		"ged_match_candidates_total",
+		"ged_match_pruned_total",
 		"ged_match_plan_info",
 		"ged_chase_rounds_total",
 		"ged_chase_matches_total",
