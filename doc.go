@@ -65,8 +65,9 @@
 // canonical violation set at O(|Δ|) cost per update. The stale-cache
 // catch-up also serves Validate and ValidateIncremental after
 // mutations, so no graph-bound method re-freezes an already-seen
-// graph; the chase similarly maintains one live coercion snapshot
-// across its fixpoint rounds instead of re-freezing per round. A
+// graph; the chase freezes its input once, matches its first round on
+// that snapshot and every round after a node merge on the snapshot's
+// attribute-free quotient, and builds the coercion graph once. A
 // disconnected pattern — every GKey is Q ∪ f(Q) — is never enumerated
 // as a cross product there: the chase matches each connected component
 // on its own and hash-joins the components on the antecedent's

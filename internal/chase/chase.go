@@ -36,28 +36,22 @@ func Coerce(eq *Eq) *Coercion {
 		panic("chase: coercion of inconsistent Eq")
 	}
 	g := eq.Graph()
+	classOf, repOf := eq.classes()
 	co := graph.New()
-	c := &Coercion{Graph: co, NodeOf: make(map[graph.NodeID]graph.NodeID, g.NumNodes())}
+	c := &Coercion{Graph: co, NodeOf: make(map[graph.NodeID]graph.NodeID, len(classOf)), RepOf: repOf}
+	for _, r := range repOf {
+		co.AddNode(eq.nodeLabel[r])
+	}
 	for _, id := range g.Nodes() {
-		r := eq.NodeRoot(id)
-		if cn, ok := c.NodeOf[r]; ok {
-			c.NodeOf[id] = cn
-			continue
+		c.NodeOf[id] = classOf[id]
+		for _, e := range g.Out(id) {
+			co.AddEdge(classOf[e.Src], e.Label, classOf[e.Dst])
 		}
-		cn := co.AddNode(eq.ClassLabel(r))
-		c.NodeOf[r] = cn
-		c.NodeOf[id] = cn
-		c.RepOf = append(c.RepOf, r)
 	}
-	for _, e := range g.Edges() {
-		co.AddEdge(c.NodeOf[e.Src], e.Label, c.NodeOf[e.Dst])
-	}
-	var cas []classAttr // one sorted scratch for every class
-	for cn, r := range c.RepOf {
-		cas = eq.classAttrs(cas, r)
-		for _, ca := range cas {
-			if v, ok := eq.ClassConst(ca.term); ok {
-				co.SetAttr(graph.NodeID(cn), ca.name, v)
+	for cn, r := range repOf {
+		for _, e := range eq.classAttrs[r] {
+			if v, ok := eq.ClassConst(e.term); ok {
+				co.SetAttr(graph.NodeID(cn), eq.attrs[e.attr], v)
 			}
 		}
 	}
@@ -130,19 +124,6 @@ func RunSeeded(g *graph.Graph, sigma ged.Set, seeds []Seed) *Result {
 	return res
 }
 
-// Options tunes RunCtxOpts. The zero value selects the production
-// configuration.
-type Options struct {
-	// RefreezeEachRound forces the legacy behavior of re-coercing and
-	// re-freezing the coercion graph at the start of every fixpoint
-	// round, instead of maintaining one live coercion and advancing its
-	// snapshot by deltas. Both modes compute the same chase (the
-	// differential tests assert it); the flag exists so the benchmark
-	// harness can measure the delta path against the full-freeze
-	// baseline.
-	RefreezeEachRound bool
-}
-
 // RunCtx is RunSeeded with cooperative cancellation and an optional
 // round bound. The chase checks ctx between rounds, between matches and
 // inside the matcher's backtracking search; on cancellation the partial
@@ -154,91 +135,117 @@ type Options struct {
 // means unbounded — the chase always terminates by Theorem 1, so the
 // bound is a resource valve, not a semantics knob.
 //
-// The coercion graph is immutable within a round (chase steps mutate
-// eq, not G_Eq), and between rounds it changes only by the node merges
-// the round performed. RunCtx therefore builds the coercion and its
-// frozen snapshot once, and each subsequent round only transports the
-// merged classes' adjacency onto their surviving carriers and advances
-// the snapshot by the resulting delta (graph.Snapshot.Apply) — no
-// per-round O(|G|) freeze. Compiled match plans are rebound across the
-// deltas for the same reason.
+// g is frozen once. Eq0 is read off that snapshot, and since every node
+// class of Eq0 is a singleton (G_Eq0 ≅ G) the same snapshot is the match
+// host until a round identifies nodes; the round after matches on the
+// attribute-free quotient of the snapshot by Eq's node classes (see
+// host). The coercion proper — a mutable graph carrying every known
+// constant — is built once, for the Result.
 func RunCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed, maxRounds int) (*Result, error) {
-	return RunCtxOpts(ctx, g, sigma, seeds, maxRounds, Options{})
+	c := newChaser(ctx, g, sigma, seeds, maxRounds)
+	defer c.report()
+	if !c.eq.Consistent() {
+		return c.res, nil // an inconsistent Eq_X
+	}
+	return c.run()
 }
 
-// RunCtxOpts is RunCtx with explicit Options.
-func RunCtxOpts(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed, maxRounds int, opts Options) (*Result, error) {
+// chaser carries the state of one chase run.
+type chaser struct {
+	ctx       context.Context
+	eq        *Eq
+	res       *Result
+	rules     []rule         // Σ, compiled
+	host      host           // what the current round matches on
+	baseBuf   []graph.NodeID // reused base-node translation scratch
+	maxRounds int
+	rounds    int
+	// The ctx-injected observer's tallies, often nil. Rounds, quotients
+	// and coercions are counted as they happen; matches and steps
+	// accumulate in matches and res.Steps and are added by report, once
+	// per sweep.
+	roundCtr, matchCtr, stepCtr, quotientCtr, coercionCtr *obs.Counter
+	matches, reportedSteps                                int
+	changed                                               bool // a step was applied this round
+
+	// The sweeps' state: pooled build-side arenas, the matcher's abort
+	// hook, and the parked worklists.
+	scratch *joinScratch
+	stop    func() bool
+	wl      [][]pendingMatch
+	// parked[gi] reports that wl[gi] holds gi's complete pending set for
+	// the current host. Parking gives up past a cap — a pending set far
+	// larger than the graph (unlinked components cross-multiply) costs
+	// more to park and re-check than to re-enumerate, and would hold
+	// O(matches) memory.
+	parked  []bool
+	parkCap int
+	arena   []graph.NodeID // chunked backing for parked binding vectors
+	ctxErr  error          // cancellation seen inside a sweep
+}
+
+// newChaser reads Eq0 off g, compiles sigma against it and applies the
+// seeds, stopping at the first one that makes the relation inconsistent.
+func newChaser(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed, maxRounds int) *chaser {
 	eq := NewEq(g)
-	res := &Result{Eq: eq, Sigma: sigma}
-	c := &chaser{ctx: ctx, eq: eq, res: res, sigma: sigma, maxRounds: maxRounds}
+	c := &chaser{ctx: ctx, eq: eq, res: &Result{Eq: eq, Sigma: sigma}, maxRounds: maxRounds}
 	if o := obs.FromContext(ctx); o != nil {
 		reg := o.Registry()
 		c.roundCtr = reg.Counter("ged_chase_rounds_total", "chase fixpoint rounds executed")
 		c.matchCtr = reg.Counter("ged_chase_matches_total", "pattern matches the chase checked a dependency's antecedent on")
 		c.stepCtr = reg.Counter("ged_chase_steps_total", "chase steps applied")
-		defer c.report()
+		c.quotientCtr = reg.Counter("ged_chase_quotients_total", "attribute-free quotient hosts built for a chase round after node merges")
+		c.coercionCtr = reg.Counter("ged_chase_coercions_total", "full attribute-bearing coercions G_Eq built for a chase result")
 	}
-	c.vars = make([][]pattern.Var, len(sigma))
-	c.clits = make([]clitSet, len(sigma))
+	c.rules = make([]rule, len(sigma))
+	slots := 0
 	for gi, d := range sigma {
-		c.vars[gi] = d.Pattern.Vars()
-		c.clits[gi] = compileLits(d, c.vars[gi])
+		c.rules[gi] = compileRule(eq, d, slots)
+		slots += len(c.rules[gi].comps)
 	}
+	c.host = host{snap: eq.base, repOf: eq.base.Nodes(), plans: make([]*pattern.Plan, slots)}
 	for i, s := range seeds {
 		applyLiteral(eq, s.Literal, s.Nodes, Reason{Kind: ReasonGiven, Seed: i})
 		if !eq.Consistent() {
-			return res, nil
+			break
 		}
 	}
-	if opts.RefreezeEachRound {
-		return c.runRefreeze()
-	}
-	return c.runDelta()
-}
-
-// chaser carries the shared state of one chase run.
-type chaser struct {
-	ctx       context.Context
-	eq        *Eq
-	res       *Result
-	sigma     ged.Set
-	vars      [][]pattern.Var // per GED, the pattern's variable order
-	clits     []clitSet       // per GED, literals with variables index-resolved
-	baseBuf   []graph.NodeID  // reused base-node translation scratch
-	maxRounds int
-	rounds    int
-	// The ctx-injected observer's tallies, often nil. Rounds are counted
-	// as they start; matches and steps accumulate in matches and
-	// res.Steps and are added by report, once per sweep.
-	roundCtr, matchCtr, stepCtr *obs.Counter
-	matches, reportedSteps      int
-	// per-round accumulators
-	changed bool
-	// merges collects the node identifications of the current round, to
-	// be folded into the live coercion before the next one.
-	merges [][2]graph.NodeID
+	return c
 }
 
 // clit is one GED literal with its variables resolved to indexes of the
-// pattern's variable order, so the fixpoint loop evaluates it straight
-// off a dense binding vector — no per-match map. Kind mirrors
-// Literal.Kind.
+// pattern's variable order and its attributes to Eq's attribute ids, so
+// the fixpoint loop evaluates it straight off a dense binding vector —
+// no per-match map, no string hashing. Kind mirrors Literal.Kind.
 type clit struct {
 	kind   ged.LiteralKind
-	li, ri int // variable indexes (ri unused for const literals)
-	la, ra graph.Attr
+	li, ri int   // variable indexes (ri unused for const literals)
+	la, ra int32 // attribute ids
 	c      graph.Value
 	src    ged.Literal // the original literal, for step application
 }
 
-// clitSet is one GED's compiled antecedent and consequent.
-type clitSet struct {
+// rule is one GED of Σ compiled for the chase: the pattern's variable
+// order, both literal sets over it, and the join plan of its sweep.
+type rule struct {
+	vars []pattern.Var
 	x, y []clit
+	// comps are the pattern's connected components in order of their
+	// first variable. comps[0] is streamed from the matcher (the probe
+	// side); every later one is materialized and indexed on the
+	// literals of x linking it to the components before it.
+	comps []component
+	// keyed reports that some component joins on a literal, i.e. that
+	// the sweep sees only part of the cross product.
+	keyed bool
 }
 
-func compileLits(d *ged.GED, vars []pattern.Var) clitSet {
-	idx := make(map[pattern.Var]int, len(vars))
-	for i, v := range vars {
+// compileRule compiles d over eq's attribute ids, numbering the plans
+// of its components from slot.
+func compileRule(eq *Eq, d *ged.GED, slot int) rule {
+	r := rule{vars: d.Pattern.Vars()}
+	idx := make(map[pattern.Var]int, len(r.vars))
+	for i, v := range r.vars {
 		idx[v] = i
 	}
 	one := func(l ged.Literal) clit {
@@ -246,24 +253,25 @@ func compileLits(d *ged.GED, vars []pattern.Var) clitSet {
 		if !ok {
 			panic(fmt.Sprintf("chase: non-GED literal %s", l))
 		}
-		cl := clit{kind: k, li: idx[l.Left.Var], la: l.Left.Attr, src: l}
+		cl := clit{kind: k, li: idx[l.Left.Var], src: l}
 		switch k {
 		case ConstKind:
-			cl.c = l.Right.Const
+			cl.la, cl.c = eq.internAttr(l.Left.Attr), l.Right.Const
+		case VarKind:
+			cl.la, cl.ri, cl.ra = eq.internAttr(l.Left.Attr), idx[l.Right.Var], eq.internAttr(l.Right.Attr)
 		default:
 			cl.ri = idx[l.Right.Var]
-			cl.ra = l.Right.Attr
 		}
 		return cl
 	}
-	var cs clitSet
 	for _, l := range d.X {
-		cs.x = append(cs.x, one(l))
+		r.x = append(r.x, one(l))
 	}
 	for _, l := range d.Y {
-		cs.y = append(cs.y, one(l))
+		r.y = append(r.y, one(l))
 	}
-	return cs
+	r.split(d.Pattern, idx, slot)
+	return r
 }
 
 // clitHolds evaluates one compiled literal against eq under the base
@@ -271,13 +279,19 @@ func compileLits(d *ged.GED, vars []pattern.Var) clitSet {
 func (c *chaser) clitHolds(cl *clit, base []graph.NodeID) bool {
 	switch cl.kind {
 	case ConstKind:
-		v, ok := c.eq.AttrConst(base[cl.li], cl.la)
+		v, ok := c.eq.attrConst(base[cl.li], cl.la)
 		return ok && v.Equal(cl.c)
 	case VarKind:
-		return c.eq.SameValue(base[cl.li], cl.la, base[cl.ri], cl.ra)
+		return c.eq.sameValue(base[cl.li], cl.la, base[cl.ri], cl.ra)
 	default:
 		return c.eq.SameNode(base[cl.li], base[cl.ri])
 	}
+}
+
+// coerce hands the result the coercion of eq as it stands.
+func (c *chaser) coerce() {
+	c.res.Coercion = Coerce(c.eq)
+	c.coercionCtr.Inc()
 }
 
 // abort finalizes an interrupted chase: the partial result still
@@ -285,7 +299,7 @@ func (c *chaser) clitHolds(cl *clit, base []graph.NodeID) bool {
 // nil Coercion in Materialize.
 func (c *chaser) abort(err error) (*Result, error) {
 	if c.eq.Consistent() {
-		c.res.Coercion = Coerce(c.eq)
+		c.coerce()
 	}
 	return c.res, err
 }
@@ -314,7 +328,7 @@ func (c *chaser) report() {
 	c.matches, c.reportedSteps = 0, len(c.res.Steps)
 }
 
-// enforce processes one coercion match of Σ[gi], given as the dense
+// enforce processes one host match of Σ[gi], given as the dense
 // binding vector bind over the pattern's variable order: translate to
 // base-graph class representatives, check the antecedent, and enforce
 // every failing consequent literal as chase steps. It reports whether
@@ -333,27 +347,23 @@ func (c *chaser) enforce(gi int, repOf []graph.NodeID, bind []graph.NodeID) (set
 		base = append(base, repOf[cn])
 	}
 	c.baseBuf = base
-	cs := &c.clits[gi]
-	for i := range cs.x {
-		if !c.clitHolds(&cs.x[i], base) {
+	r := &c.rules[gi]
+	for i := range r.x {
+		if !c.clitHolds(&r.x[i], base) {
 			return false
 		}
 	}
-	for li := range cs.y {
-		cl := &cs.y[li]
+	for li := range r.y {
+		cl := &r.y[li]
 		if c.clitHolds(cl, base) {
 			continue
 		}
-		vars := c.vars[gi]
-		m := make(map[pattern.Var]graph.NodeID, len(vars))
-		for i, x := range vars {
+		m := make(map[pattern.Var]graph.NodeID, len(r.vars))
+		for i, x := range r.vars {
 			m[x] = base[i]
 		}
 		step := len(c.res.Steps)
 		c.res.Steps = append(c.res.Steps, Step{GED: gi, Match: m, Literal: li})
-		if cl.kind == IDKind {
-			c.merges = append(c.merges, [2]graph.NodeID{base[cl.li], base[cl.ri]})
-		}
 		applyLiteral(c.eq, cl.src, m, Reason{Kind: ReasonStep, Step: step})
 		c.changed = true
 		if !c.eq.Consistent() {
@@ -363,152 +373,77 @@ func (c *chaser) enforce(gi int, repOf []graph.NodeID, bind []graph.NodeID) (set
 	return true
 }
 
-// runRefreeze is the legacy fixpoint loop: every round re-coerces,
-// re-freezes and re-enumerates every match of every GED. It is the
-// benchmark baseline and the differential-test oracle for runDelta.
-func (c *chaser) runRefreeze() (*Result, error) {
-	eq, sigma := c.eq, c.sigma
-	stop := func() bool { return c.ctx.Err() != nil }
-	for {
-		if r, err, done := c.checkRound(); done {
-			return r, err
-		}
-		co := Coerce(eq)
-		host := co.Graph.Freeze()
-		c.changed = false
-		// The per-round coercion rebuild makes enforce's merge list
-		// useless here; keep it from accumulating across the run.
-		c.merges = c.merges[:0]
-		var ctxErr error
-		for gi, d := range sigma {
-			pattern.Compile(d.Pattern, host).ForEachDenseCancel(stop, nil, func(bind []graph.NodeID) bool {
-				if ctxErr = c.ctx.Err(); ctxErr != nil {
-					return false
-				}
-				c.enforce(gi, co.RepOf, bind)
-				return eq.Consistent()
-			})
-			if ctxErr = c.ctx.Err(); ctxErr != nil {
-				return c.abort(ctxErr)
-			}
-			if !eq.Consistent() {
-				return c.res, nil
-			}
-		}
-		if !c.changed {
-			break
-		}
-	}
-	c.res.Coercion = Coerce(eq)
-	return c.res, nil
-}
-
 // pendingMatch is one enumerated match whose antecedent did not hold
-// yet, kept on the worklist as its dense coercion-node binding vector.
+// yet, kept on the worklist as its dense host-node binding vector.
 type pendingMatch []graph.NodeID
 
-// deltaRun is the state of one runDelta: the live coercion, the join
-// plans of Σ and the parked worklists.
-type deltaRun struct {
-	*chaser
-	lc      *liveCoercion
-	joins   []joinPlan   // per GED, its pattern's components and join keys
-	scratch *joinScratch // pooled build-side arenas, see fullSweep
-	stop    func() bool  // the matcher's abort hook: ctx cancelled
-	wl      [][]pendingMatch
-	// parked[gi] reports that wl[gi] holds gi's complete pending set for
-	// the current graph. Parking gives up past a cap — a pending set far
-	// larger than the graph (unlinked components cross-multiply) costs
-	// more to park and re-check than to re-enumerate, and would hold
-	// O(matches) memory.
-	parked  []bool
-	parkCap int
-	arena   []graph.NodeID // chunked backing for parked binding vectors
-	ctxErr  error          // cancellation seen inside a sweep
-}
-
-func (r *deltaRun) park(gi int, bind []graph.NodeID) {
-	if len(r.wl[gi]) >= r.parkCap {
-		r.parked[gi] = false
-		r.wl[gi] = r.wl[gi][:0]
+func (c *chaser) park(gi int, bind []graph.NodeID) {
+	if len(c.wl[gi]) >= c.parkCap {
+		c.parked[gi] = false
+		c.wl[gi] = c.wl[gi][:0]
 		return
 	}
-	if len(r.arena)+len(bind) > cap(r.arena) {
-		r.arena = make([]graph.NodeID, 0, 16*1024)
+	if len(c.arena)+len(bind) > cap(c.arena) {
+		c.arena = make([]graph.NodeID, 0, 16*1024)
 	}
-	lo := len(r.arena)
-	r.arena = append(r.arena, bind...)
-	r.wl[gi] = append(r.wl[gi], pendingMatch(r.arena[lo:len(r.arena):len(r.arena)]))
+	lo := len(c.arena)
+	c.arena = append(c.arena, bind...)
+	c.wl[gi] = append(c.wl[gi], pendingMatch(c.arena[lo:len(c.arena):len(c.arena)]))
 }
 
-// runDelta is the production fixpoint loop. It builds the coercion and
-// its frozen snapshot once (liveCoercion) and exploits two monotonicity
-// facts:
+// run is the fixpoint loop. It exploits two monotonicity facts:
 //
-//   - the coercion graph changes between rounds only when the previous
-//     round merged node classes; a round after pure attribute-bind
-//     steps re-checks its parked worklist by literal evaluation alone —
-//     no coercion rebuild, no freeze, and no match enumeration at all;
+//   - the host changes between rounds only when the previous round
+//     merged node classes; a round after pure attribute-bind steps
+//     re-checks its parked worklist by literal evaluation alone — no
+//     quotient, no match enumeration at all;
 //   - Eq only grows, so a match that was enforced (or already
 //     satisfied) is settled forever; only matches whose antecedent did
 //     not hold yet are parked.
 //
-// After a merge round the live coercion absorbs the merges and advances
-// its snapshot by the working graph's own delta (Snapshot.Apply), and
-// the round re-sweeps the matches over the patched snapshot with
-// rebound plans — the legacy cost minus the per-round Coerce+Freeze,
-// which is the honest floor for merge-heavy rounds, whose new-match set
-// is of the same order as the full match set.
-func (c *chaser) runDelta() (*Result, error) {
-	eq, sigma := c.eq, c.sigma
-	r := &deltaRun{
-		chaser:  c,
-		joins:   make([]joinPlan, len(sigma)),
-		scratch: joinPool.Get().(*joinScratch),
-		stop:    func() bool { return c.ctx.Err() != nil },
-		wl:      make([][]pendingMatch, len(sigma)),
-		parked:  make([]bool, len(sigma)),
-	}
-	defer joinPool.Put(r.scratch)
-	slots := 0
-	for gi, d := range sigma {
-		r.joins[gi] = splitPattern(d.Pattern, c.clits[gi].x, slots)
-		slots += len(r.joins[gi].comps)
-	}
-	r.lc = newLiveCoercion(eq, slots)
-	r.parkCap = 64 + 8*r.lc.co.Graph.NumNodes()
+// After a round that merged node classes (or seeds that did), the next
+// one re-quotients the base snapshot and re-sweeps the matches over it:
+// a merge round's new-match set is of the same order as the full match
+// set, so the O(|G|) quotient is the honest floor, at every graph size.
+func (c *chaser) run() (*Result, error) {
+	eq := c.eq
+	c.scratch = joinPool.Get().(*joinScratch)
+	defer joinPool.Put(c.scratch)
+	c.stop = func() bool { return c.ctx.Err() != nil }
+	c.wl = make([][]pendingMatch, len(c.rules))
+	c.parked = make([]bool, len(c.rules))
+	c.parkCap = 64 + 8*c.host.snap.NumNodes()
 
-	structural := true // graph-shape change since the last sweep
+	structural := true // the host changed since the last sweep
 	for {
 		if res, err, done := c.checkRound(); done {
 			return res, err
 		}
-		if len(c.merges) > 0 {
-			r.lc.advance(c.merges)
-			c.merges = c.merges[:0]
+		if c.host.unions != eq.nodeUnions {
+			c.requotient()
 			structural = true
 		}
 		c.changed = false
 
-		for gi := range sigma {
-			if structural || !r.parked[gi] {
+		for gi := range c.rules {
+			if structural || !c.parked[gi] {
 				// Park on the opening round and on the forced re-sweep
 				// at a merge→bind transition — the rounds a worklist
 				// will serve. Structural (merge) rounds rebuild the
 				// matching space anyway, so parking there would never
 				// pay for itself.
-				r.fullSweep(gi, c.rounds == 1 || !structural)
+				c.fullSweep(gi, c.rounds == 1 || !structural)
 			} else {
-				// The graph is unchanged since gi's worklist was built:
+				// The host is unchanged since gi's worklist was built:
 				// every match is either settled forever or parked.
 				// Re-check the parked ones against the grown Eq — pure
 				// literal evaluation, no matcher.
-				kept := r.wl[gi][:0]
-				for _, pm := range r.wl[gi] {
+				kept := c.wl[gi][:0]
+				for _, pm := range c.wl[gi] {
 					if err := c.ctx.Err(); err != nil {
 						return c.abort(err)
 					}
-					if c.enforce(gi, r.lc.co.RepOf, pm) {
+					if c.enforce(gi, c.host.repOf, pm) {
 						if !eq.Consistent() {
 							return c.res, nil
 						}
@@ -516,11 +451,11 @@ func (c *chaser) runDelta() (*Result, error) {
 					}
 					kept = append(kept, pm)
 				}
-				r.wl[gi] = kept
+				c.wl[gi] = kept
 			}
 			c.report()
-			if r.ctxErr != nil {
-				return c.abort(r.ctxErr)
+			if c.ctxErr != nil {
+				return c.abort(c.ctxErr)
 			}
 			if !eq.Consistent() {
 				return c.res, nil
@@ -531,7 +466,7 @@ func (c *chaser) runDelta() (*Result, error) {
 			break
 		}
 	}
-	c.res.Coercion = r.lc.current()
+	c.coerce()
 	return c.res, nil
 }
 

@@ -18,10 +18,9 @@
 package chase
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"gedlib/internal/graph"
 )
@@ -91,18 +90,21 @@ func (c *Conflict) Error() string {
 	return fmt.Sprintf("attribute conflict: %s vs %s", c.ConstA, c.ConstB)
 }
 
-// forestEdge is one reasoned edge of a proof forest.
-type forestEdge struct {
-	other  int // Term or NodeID of the other endpoint
-	reason Reason
-}
-
-// attrEntry is a node class's binding of one attribute: the value term
-// and an owner node whose slot witnesses membership (used to anchor
-// ReasonIDProp explanations).
+// attrEntry is one attribute of a node or of a node class: the value
+// term of the slot owner.attr, with attr as Eq's attribute id.
 type attrEntry struct {
+	attr  int32
 	term  Term
 	owner graph.NodeID
+}
+
+func byAttr(x, y attrEntry) int { return cmp.Compare(x.attr, y.attr) }
+
+// termInfo says what a value term stands for: the slot node.attr, or —
+// when attr is negative — the constant eq.consts[node].
+type termInfo struct {
+	node graph.NodeID
+	attr int32
 }
 
 // Eq is the equivalence relation of Section 4.1 over the nodes and
@@ -114,25 +116,43 @@ type attrEntry struct {
 //	      themselves terms, so sharing a constant is sharing a member;
 //	(d)   identified nodes share attribute classes — node-class merges
 //	      union the per-attribute value terms of both classes.
+//
+// Everything is a flat table indexed by node id, term or attribute id;
+// the only maps are the two symbol tables (attribute names, constants).
 type Eq struct {
 	g *graph.Graph
+	// base is g frozen when Eq0 was read off it: the source of the
+	// initial labels and attribute columns, and the chase's match host
+	// for as long as no two nodes are identified.
+	base *graph.Snapshot
 
-	// Node union–find with per-root label and attribute map. All four
-	// tables are indexed by NodeID (node ids are dense); the label and
-	// attribute entries are meaningful at class roots only.
+	// Attribute names by id: g's own in name order (so that closure rule
+	// (d) visits a class's attributes in an order that does not depend on
+	// how g was built), then the generated ones in order of first mention.
+	attrs   []graph.Attr
+	attrIDs map[graph.Attr]int32
+
+	// Node union–find, indexed by NodeID (node ids are dense). Labels and
+	// classAttrs are meaningful at class roots only; classAttrs[r] is
+	// ascending by attribute id. slots[u] lists the slots u.A of u itself
+	// that the input graph stores or a literal mentioned. Lists cut from
+	// NewEq's arena are capacity-clamped and entries are never written in
+	// place, so the two tables may share storage.
 	nodeParent []graph.NodeID
 	nodeLabel  []graph.Label
-	nodeAttrs  []map[graph.Attr]attrEntry
-	nodeForest [][]forestEdge
+	classAttrs [][]attrEntry
+	slots      [][]attrEntry
+	nodeUnions int // node classes merged so far; stamps the chase's hosts
+	nodeForest forest
 
-	// Value union–find. Terms are slots (u.A) or constants.
+	// Value union–find. Terms are slots (u.A) or constants; the tables
+	// below are parallel, indexed by Term.
 	valParent []Term
-	slotOf    map[slotKey]Term
-	slotKeys  []slotKey // per term; zero value for constants
+	rootConst []Term // per value root: the constant term of its class, or noTerm
+	terms     []termInfo
+	consts    []graph.Value
 	constOf   map[graph.Value]Term
-	constVals []*graph.Value // per term; nil for slots
-	rootConst map[Term]Term  // per value root: the constant term in the class
-	valForest map[Term][]forestEdge
+	valForest forest
 
 	conflict *Conflict
 	// size counts union operations and term creations, to check the
@@ -140,40 +160,58 @@ type Eq struct {
 	size int
 }
 
-type slotKey struct {
-	node graph.NodeID
-	attr graph.Attr
-}
-
 // NewEq returns Eq0 for g: singleton node classes, and for each stored
 // attribute x.A = c the class {x.A, c} (Section 4.1's initial relation).
+// g is frozen once and read by interned symbol.
 func NewEq(g *graph.Graph) *Eq {
+	base := g.Freeze()
+	n := base.NumNodes()
+	syms := base.AttrSymbols()
+	stored := 0
+	for _, id := range base.Nodes() {
+		keys, _ := base.AttrTuple(id)
+		stored += len(keys)
+	}
 	eq := &Eq{
 		g:          g,
-		nodeParent: make([]graph.NodeID, g.NumNodes()),
-		nodeLabel:  make([]graph.Label, g.NumNodes()),
-		nodeAttrs:  make([]map[graph.Attr]attrEntry, g.NumNodes()),
-		nodeForest: make([][]forestEdge, g.NumNodes()),
-		slotOf:     make(map[slotKey]Term),
-		constOf:    make(map[graph.Value]Term),
-		rootConst:  make(map[Term]Term),
-		valForest:  make(map[Term][]forestEdge),
+		base:       base,
+		attrs:      slices.Sorted(slices.Values(syms)),
+		attrIDs:    make(map[graph.Attr]int32, len(syms)),
+		nodeParent: make([]graph.NodeID, n),
+		nodeLabel:  make([]graph.Label, n),
+		classAttrs: make([][]attrEntry, n),
+		slots:      make([][]attrEntry, n),
+		valParent:  make([]Term, 0, 2*stored),
+		rootConst:  make([]Term, 0, 2*stored),
+		terms:      make([]termInfo, 0, 2*stored),
+		constOf:    make(map[graph.Value]Term, stored),
 	}
-	for _, id := range g.Nodes() {
+	eq.valForest.links = make([]forestLink, 0, stored)
+	for i, a := range eq.attrs {
+		eq.attrIDs[a] = int32(i)
+	}
+	idOf := make([]int32, len(syms)) // snapshot symbol -> attribute id
+	for k, a := range syms {
+		idOf[k] = eq.attrIDs[a]
+	}
+	arena := make([]attrEntry, 0, stored) // exact, so cutting lists from it is safe
+	for _, id := range base.Nodes() {
 		eq.nodeParent[id] = id
-		eq.nodeLabel[id] = g.Label(id)
-	}
-	var names []string
-	for _, id := range g.Nodes() {
-		attrs := g.Attrs(id)
-		names = names[:0]
-		for a := range attrs {
-			names = append(names, string(a))
+		eq.nodeLabel[id] = base.Label(id)
+		keys, vals := base.AttrTuple(id)
+		lo := len(arena)
+		for i, k := range keys {
+			// term holds the column position until the slot has its term.
+			arena = append(arena, attrEntry{attr: idOf[k], term: Term(i), owner: id})
 		}
-		sort.Strings(names)
-		for _, a := range names {
-			eq.bindConst(id, graph.Attr(a), attrs[graph.Attr(a)], Reason{Kind: ReasonInitial})
+		own := arena[lo:len(arena):len(arena)]
+		slices.SortFunc(own, byAttr)
+		for j := range own {
+			c := vals[own[j].term]
+			own[j].term = eq.newTerm(termInfo{node: id, attr: own[j].attr})
+			eq.unionValues(own[j].term, eq.constTerm(c), Reason{Kind: ReasonInitial})
 		}
+		eq.classAttrs[id], eq.slots[id] = own, own
 	}
 	return eq
 }
@@ -216,11 +254,11 @@ func (eq *Eq) valRoot(t Term) Term {
 }
 
 // newTerm allocates a fresh value term.
-func (eq *Eq) newTerm(sk slotKey, cv *graph.Value) Term {
+func (eq *Eq) newTerm(ti termInfo) Term {
 	t := Term(len(eq.valParent))
 	eq.valParent = append(eq.valParent, t)
-	eq.slotKeys = append(eq.slotKeys, sk)
-	eq.constVals = append(eq.constVals, cv)
+	eq.rootConst = append(eq.rootConst, noTerm)
+	eq.terms = append(eq.terms, ti)
 	eq.size++
 	return t
 }
@@ -230,71 +268,113 @@ func (eq *Eq) constTerm(c graph.Value) Term {
 	if t, ok := eq.constOf[c]; ok {
 		return t
 	}
-	cv := c
-	t := eq.newTerm(slotKey{}, &cv)
+	t := eq.newTerm(termInfo{node: graph.NodeID(len(eq.consts)), attr: -1})
+	eq.consts = append(eq.consts, c)
 	eq.constOf[c] = t
 	eq.rootConst[t] = t
 	return t
 }
 
-// SlotTerm returns the value term of x.A if node x's class carries
-// attribute A, and reports whether it does.
-func (eq *Eq) SlotTerm(x graph.NodeID, a graph.Attr) (Term, bool) {
-	r := eq.NodeRoot(x)
-	e, ok := eq.nodeAttrs[r][a]
+// internAttr returns the id of an attribute about to be mentioned; one
+// the chase generates gets the next free id.
+func (eq *Eq) internAttr(a graph.Attr) int32 {
+	id, ok := eq.attrIDs[a]
+	if !ok {
+		id = int32(len(eq.attrs))
+		eq.attrs = append(eq.attrs, a)
+		eq.attrIDs[a] = id
+	}
+	return id
+}
+
+// findAttr returns the entry of attribute a in a node's or class's
+// (short) entry list.
+func findAttr(es []attrEntry, a int32) (attrEntry, bool) {
+	for _, e := range es {
+		if e.attr == a {
+			return e, true
+		}
+	}
+	return attrEntry{term: noTerm}, false
+}
+
+// slotRoot is SlotTerm by attribute id.
+func (eq *Eq) slotRoot(x graph.NodeID, a int32) (Term, bool) {
+	e, ok := findAttr(eq.classAttrs[eq.NodeRoot(x)], a)
 	if !ok {
 		return noTerm, false
 	}
 	return eq.valRoot(e.term), true
 }
 
-// ensureSlot returns the value term of x.A, generating the attribute on
-// x's class if absent — the "attribute generation" of chase-step cases
-// (1) and (2). A distinct term is kept for every textually-mentioned
-// (node, attribute) pair: when x's class already carries A through
-// another node's slot, the new slot is unioned with it under an IDProp
-// reason (closure rule (d)), so proof-forest explanations only ever name
-// slots that some literal mentioned — which is what the GED2 side
-// condition of the axiom system needs.
-func (eq *Eq) ensureSlot(x graph.NodeID, a graph.Attr) Term {
-	sk := slotKey{node: x, attr: a}
-	if t, ok := eq.slotOf[sk]; ok {
-		return eq.valRoot(t)
+// SlotTerm returns the value term of x.A if node x's class carries
+// attribute A, and reports whether it does.
+func (eq *Eq) SlotTerm(x graph.NodeID, a graph.Attr) (Term, bool) {
+	id, ok := eq.attrIDs[a]
+	if !ok {
+		return noTerm, false
 	}
+	return eq.slotRoot(x, id)
+}
+
+// ensureSlot returns the term of the slot x.A itself, generating the
+// attribute on x's class if absent — the "attribute generation" of
+// chase-step cases (1) and (2). A distinct term is kept for every
+// textually-mentioned (node, attribute) pair: when x's class already
+// carries A through another node's slot, the new slot is unioned with it
+// under an IDProp reason (closure rule (d)), so proof-forest
+// explanations only ever name slots that some literal mentioned — which
+// is what the GED2 side condition of the axiom system needs.
+func (eq *Eq) ensureSlot(x graph.NodeID, a int32) Term {
+	if e, ok := findAttr(eq.slots[x], a); ok {
+		return e.term
+	}
+	e := attrEntry{attr: a, term: eq.newTerm(termInfo{node: x, attr: a}), owner: x}
+	eq.slots[x] = append(eq.slots[x], e)
 	r := eq.NodeRoot(x)
-	if entry, ok := eq.nodeAttrs[r][a]; ok {
-		t := eq.newTerm(sk, nil)
-		eq.slotOf[sk] = t
-		eq.unionValues(eq.valRoot(entry.term), t, entry.term, t,
-			Reason{Kind: ReasonIDProp, U: entry.owner, V: x, A: a})
-		return eq.valRoot(t)
+	if have, ok := findAttr(eq.classAttrs[r], a); ok {
+		eq.unionValues(have.term, e.term, Reason{Kind: ReasonIDProp, U: have.owner, V: x, A: eq.attrs[a]})
+		return e.term
 	}
-	t := eq.newTerm(sk, nil)
-	eq.slotOf[sk] = t
-	if eq.nodeAttrs[r] == nil {
-		eq.nodeAttrs[r] = make(map[graph.Attr]attrEntry)
-	}
-	eq.nodeAttrs[r][a] = attrEntry{term: t, owner: x}
-	return eq.valRoot(t)
+	ca := eq.classAttrs[r]
+	at, _ := slices.BinarySearchFunc(ca, e, byAttr)
+	eq.classAttrs[r] = slices.Insert(ca, at, e)
+	return e.term
 }
 
 // ClassConst returns the constant bound to value class of term t, if any.
 func (eq *Eq) ClassConst(t Term) (graph.Value, bool) {
-	ct, ok := eq.rootConst[eq.valRoot(t)]
+	ct := eq.rootConst[eq.valRoot(t)]
+	if ct == noTerm {
+		return graph.Value{}, false
+	}
+	return eq.consts[eq.terms[ct].node], true
+}
+
+// attrConst is AttrConst by attribute id.
+func (eq *Eq) attrConst(x graph.NodeID, a int32) (graph.Value, bool) {
+	t, ok := eq.slotRoot(x, a)
 	if !ok {
 		return graph.Value{}, false
 	}
-	return *eq.constVals[ct], true
+	return eq.ClassConst(t)
 }
 
 // AttrConst returns the constant bound to x.A, if x's class carries A
 // with a constant-bearing class.
 func (eq *Eq) AttrConst(x graph.NodeID, a graph.Attr) (graph.Value, bool) {
-	t, ok := eq.SlotTerm(x, a)
+	id, ok := eq.attrIDs[a]
 	if !ok {
 		return graph.Value{}, false
 	}
-	return eq.ClassConst(t)
+	return eq.attrConst(x, id)
+}
+
+// sameValue is SameValue by attribute id.
+func (eq *Eq) sameValue(x graph.NodeID, a int32, y graph.NodeID, b int32) bool {
+	t1, ok1 := eq.slotRoot(x, a)
+	t2, ok2 := eq.slotRoot(y, b)
+	return ok1 && ok2 && t1 == t2
 }
 
 // SameValue reports whether x.A and y.B exist and lie in one value class.
@@ -306,54 +386,38 @@ func (eq *Eq) SameValue(x graph.NodeID, a graph.Attr, y graph.NodeID, b graph.At
 
 // bindConst unions x.A with constant c, generating the slot if needed.
 func (eq *Eq) bindConst(x graph.NodeID, a graph.Attr, c graph.Value, why Reason) {
-	t := eq.ensureSlot(x, a)
-	// Anchor the forest edge at the concrete slot term, not the class root.
-	slot := eq.slotTermForForest(x, a)
-	eq.unionValues(t, eq.constTerm(c), slot, eq.constOf[c], why)
+	eq.unionValues(eq.ensureSlot(x, eq.internAttr(a)), eq.constTerm(c), why)
 }
 
 // bindEqual unions x.A with y.B, generating slots if needed.
 func (eq *Eq) bindEqual(x graph.NodeID, a graph.Attr, y graph.NodeID, b graph.Attr, why Reason) {
-	t1 := eq.ensureSlot(x, a)
-	s1 := eq.slotTermForForest(x, a)
-	t2 := eq.ensureSlot(y, b)
-	s2 := eq.slotTermForForest(y, b)
-	eq.unionValues(t1, t2, s1, s2, why)
+	s1 := eq.ensureSlot(x, eq.internAttr(a))
+	s2 := eq.ensureSlot(y, eq.internAttr(b))
+	eq.unionValues(s1, s2, why)
 }
 
-// slotTermForForest returns the exact term of the mentioned slot (x, a),
-// for use as a forest-edge endpoint. ensureSlot must have run first.
-func (eq *Eq) slotTermForForest(x graph.NodeID, a graph.Attr) Term {
-	return eq.slotOf[slotKey{node: x, attr: a}]
-}
-
-// unionValues merges the classes of value roots t1, t2, recording a
-// forest edge between witness terms w1, w2. A class may carry at most
-// one constant; two distinct constants are an attribute conflict.
-func (eq *Eq) unionValues(t1, t2, w1, w2 Term, why Reason) {
-	r1, r2 := eq.valRoot(t1), eq.valRoot(t2)
+// unionValues merges the value classes of terms w1 and w2, recording the
+// forest edge between exactly these two terms (the mentioned slots or
+// constants, not their class roots). A class may carry at most one
+// constant; two distinct constants are an attribute conflict.
+func (eq *Eq) unionValues(w1, w2 Term, why Reason) {
+	r1, r2 := eq.valRoot(w1), eq.valRoot(w2)
 	if r1 == r2 {
 		return
 	}
-	c1, has1 := eq.rootConst[r1]
-	c2, has2 := eq.rootConst[r2]
-	if has1 && has2 {
-		v1, v2 := *eq.constVals[c1], *eq.constVals[c2]
+	c1, c2 := eq.rootConst[r1], eq.rootConst[r2]
+	if c1 != noTerm && c2 != noTerm {
+		v1, v2 := eq.consts[eq.terms[c1].node], eq.consts[eq.terms[c2].node]
 		if !v1.Equal(v2) {
 			eq.fail(&Conflict{Kind: AttrConflict, ConstA: v1, ConstB: v2})
 			return
 		}
 	}
 	eq.valParent[r2] = r1
-	if has2 && !has1 {
+	if c1 == noTerm {
 		eq.rootConst[r1] = c2
 	}
-	delete(eq.rootConst, r2)
-	if has1 {
-		eq.rootConst[r1] = c1
-	}
-	eq.valForest[w1] = append(eq.valForest[w1], forestEdge{other: int(w2), reason: why})
-	eq.valForest[w2] = append(eq.valForest[w2], forestEdge{other: int(w1), reason: why})
+	eq.valForest.add(int(w1), int(w2), why)
 	eq.size++
 }
 
@@ -372,38 +436,36 @@ func (eq *Eq) IdentifyNodes(x, y graph.NodeID, why Reason) {
 	}
 	eq.nodeParent[r2] = r1
 	eq.nodeLabel[r1] = graph.ResolveLabels(l1, l2)
-	eq.nodeForest[x] = append(eq.nodeForest[x], forestEdge{other: int(y), reason: why})
-	eq.nodeForest[y] = append(eq.nodeForest[y], forestEdge{other: int(x), reason: why})
+	eq.nodeForest.add(int(x), int(y), why)
+	eq.nodeUnions++
 	eq.size++
 
-	// Closure rule (d): merge attribute maps.
-	a1 := eq.nodeAttrs[r1]
-	a2 := eq.nodeAttrs[r2]
-	eq.nodeAttrs[r2] = nil
-	if a2 == nil {
+	// Closure rule (d): merge the two ascending attribute lists.
+	a1, a2 := eq.classAttrs[r1], eq.classAttrs[r2]
+	eq.classAttrs[r2] = nil
+	if len(a1) == 0 {
+		eq.classAttrs[r1] = a2
 		return
 	}
-	if a1 == nil {
-		eq.nodeAttrs[r1] = a2
-		return
-	}
-	names := make([]string, 0, len(a2))
-	for a := range a2 {
-		names = append(names, string(a))
-	}
-	sort.Strings(names)
-	for _, an := range names {
-		a := graph.Attr(an)
-		e2 := a2[a]
-		if e1, ok := a1[a]; ok {
-			eq.unionValues(eq.valRoot(e1.term), eq.valRoot(e2.term), e1.term, e2.term,
-				Reason{Kind: ReasonIDProp, U: e1.owner, V: e2.owner, A: a})
-			if !eq.Consistent() {
-				return
-			}
-		} else {
-			a1[a] = e2
+	var fresh []attrEntry // r2's attributes that r1's class lacked
+	i := 0
+	for _, e2 := range a2 {
+		for i < len(a1) && a1[i].attr < e2.attr {
+			i++
 		}
+		if i == len(a1) || a1[i].attr != e2.attr {
+			fresh = append(fresh, e2)
+			continue
+		}
+		eq.unionValues(a1[i].term, e2.term, Reason{Kind: ReasonIDProp, U: a1[i].owner, V: e2.owner, A: eq.attrs[e2.attr]})
+		if !eq.Consistent() {
+			return
+		}
+	}
+	if len(fresh) > 0 {
+		merged := append(slices.Clip(a1), fresh...)
+		slices.SortFunc(merged, byAttr)
+		eq.classAttrs[r1] = merged
 	}
 }
 
@@ -413,40 +475,44 @@ func (eq *Eq) fail(c *Conflict) {
 	}
 }
 
+// classes numbers the node classes in order of their first member:
+// classOf maps each node to its class, repOf each class to its
+// representative — the node numbering of the coercion G_Eq.
+func (eq *Eq) classes() (classOf, repOf []graph.NodeID) {
+	classOf = make([]graph.NodeID, len(eq.nodeParent))
+	for i := range classOf {
+		classOf[i] = -1
+	}
+	repOf = make([]graph.NodeID, 0, len(classOf)-eq.nodeUnions)
+	for id := range classOf {
+		r := eq.NodeRoot(graph.NodeID(id))
+		if classOf[r] < 0 {
+			classOf[r] = graph.NodeID(len(repOf))
+			repOf = append(repOf, r)
+		}
+		classOf[id] = classOf[r]
+	}
+	return classOf, repOf
+}
+
 // NodeClasses returns the node classes as a map from representative to
 // sorted members.
 func (eq *Eq) NodeClasses() map[graph.NodeID][]graph.NodeID {
 	out := make(map[graph.NodeID][]graph.NodeID)
-	for _, id := range eq.g.Nodes() {
-		r := eq.NodeRoot(id)
-		out[r] = append(out[r], id)
+	for id := range eq.nodeParent {
+		r := eq.NodeRoot(graph.NodeID(id))
+		out[r] = append(out[r], graph.NodeID(id))
 	}
 	return out
 }
 
-// classAttr is one attribute carried by a node class, with its binding.
-type classAttr struct {
-	name graph.Attr
-	attrEntry
-}
-
-// classAttrs returns the attributes carried by root r's class sorted by
-// name, reusing buf's backing array.
-func (eq *Eq) classAttrs(buf []classAttr, r graph.NodeID) []classAttr {
-	buf = buf[:0]
-	for a, e := range eq.nodeAttrs[r] {
-		buf = append(buf, classAttr{a, e})
-	}
-	slices.SortFunc(buf, func(x, y classAttr) int { return strings.Compare(string(x.name), string(y.name)) })
-	return buf
-}
-
 // ClassAttrs returns the attribute names carried by x's class, sorted.
 func (eq *Eq) ClassAttrs(x graph.NodeID) []graph.Attr {
-	cas := eq.classAttrs(nil, eq.NodeRoot(x))
-	out := make([]graph.Attr, len(cas))
-	for i, ca := range cas {
-		out[i] = ca.name
+	ca := eq.classAttrs[eq.NodeRoot(x)]
+	out := make([]graph.Attr, len(ca))
+	for i, e := range ca {
+		out[i] = eq.attrs[e.attr]
 	}
+	slices.Sort(out)
 	return out
 }

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 
 	"gedlib/internal/graph"
 )
@@ -11,6 +12,67 @@ import (
 // of reasoned unions connecting them. The axiom package replays these
 // chains into A_GED proofs (Section 6), turning the completeness
 // argument of Theorem 7 into an executable proof generator.
+
+// forestLink is one reasoned union: endpoints a and b (NodeIDs or
+// Terms) were joined directly, for the given reason.
+type forestLink struct {
+	a, b   int
+	reason Reason
+}
+
+// forest is a proof forest kept as the append-only log of its unions —
+// every chase pays for unions, few ever ask for an explanation — with
+// the adjacency index built by the first path query that needs it.
+type forest struct {
+	links []forestLink
+	adj   map[int][]int32 // endpoint -> positions in links[:indexed], ascending
+	// indexed is how much of links adj covers; a longer log re-indexes.
+	indexed int
+}
+
+func (f *forest) add(a, b int, why Reason) {
+	f.links = append(f.links, forestLink{a: a, b: b, reason: why})
+}
+
+// path returns the links leading from one endpoint to another, each
+// oriented along the way (a is the nearer end), or nil if the forest
+// does not connect them. Neighbours are visited in union order.
+func (f *forest) path(from, to int) []forestLink {
+	if f.indexed != len(f.links) {
+		f.adj = make(map[int][]int32)
+		for i, l := range f.links {
+			f.adj[l.a] = append(f.adj[l.a], int32(i))
+			f.adj[l.b] = append(f.adj[l.b], int32(i))
+		}
+		f.indexed = len(f.links)
+	}
+	// prev maps each reached endpoint to the link that reached it; from
+	// reaches itself.
+	prev := map[int]forestLink{from: {}}
+	for queue := []int{from}; len(queue) > 0; queue = queue[1:] {
+		if _, reached := prev[to]; reached {
+			break
+		}
+		cur := queue[0]
+		for _, i := range f.adj[cur] {
+			l := f.links[i]
+			o := l.a + l.b - cur
+			if _, seen := prev[o]; !seen {
+				prev[o] = forestLink{a: cur, b: o, reason: l.reason}
+				queue = append(queue, o)
+			}
+		}
+	}
+	if _, reached := prev[to]; !reached {
+		return nil
+	}
+	var chain []forestLink
+	for cur := to; cur != from; cur = prev[cur].a {
+		chain = append(chain, prev[cur])
+	}
+	slices.Reverse(chain)
+	return chain
+}
 
 // NodeLink is one edge of a node-forest explanation: nodes A and B were
 // identified directly, for the given reason.
@@ -44,11 +106,11 @@ type ValueLink struct {
 
 // Endpoint describes term t.
 func (eq *Eq) Endpoint(t Term) ValueEndpoint {
-	if cv := eq.constVals[t]; cv != nil {
-		return ValueEndpoint{IsConst: true, Const: *cv}
+	ti := eq.terms[t]
+	if ti.attr < 0 {
+		return ValueEndpoint{IsConst: true, Const: eq.consts[ti.node]}
 	}
-	sk := eq.slotKeys[t]
-	return ValueEndpoint{Node: sk.node, Attr: sk.attr}
+	return ValueEndpoint{Node: ti.node, Attr: eq.attrs[ti.attr]}
 }
 
 // ExplainNodes returns a chain of directly-reasoned identifications
@@ -57,38 +119,9 @@ func (eq *Eq) ExplainNodes(x, y graph.NodeID) []NodeLink {
 	if x == y || !eq.SameNode(x, y) {
 		return nil
 	}
-	// BFS over the node forest.
-	prev := map[graph.NodeID]forestEdge{}
-	seen := map[graph.NodeID]bool{x: true}
-	queue := []graph.NodeID{x}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == y {
-			break
-		}
-		for _, e := range eq.nodeForest[cur] {
-			o := graph.NodeID(e.other)
-			if seen[o] {
-				continue
-			}
-			seen[o] = true
-			prev[o] = forestEdge{other: int(cur), reason: e.reason}
-			queue = append(queue, o)
-		}
-	}
-	if !seen[y] {
-		return nil
-	}
 	var chain []NodeLink
-	for cur := y; cur != x; {
-		e := prev[cur]
-		chain = append(chain, NodeLink{A: graph.NodeID(e.other), B: cur, Reason: e.reason})
-		cur = graph.NodeID(e.other)
-	}
-	// Reverse into x→y order.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
+	for _, l := range eq.nodeForest.path(int(x), int(y)) {
+		chain = append(chain, NodeLink{A: graph.NodeID(l.a), B: graph.NodeID(l.b), Reason: l.reason})
 	}
 	return chain
 }
@@ -100,36 +133,9 @@ func (eq *Eq) ExplainTerms(s, t Term) []ValueLink {
 	if s == t || eq.valRoot(s) != eq.valRoot(t) {
 		return nil
 	}
-	prev := map[Term]forestEdge{}
-	seen := map[Term]bool{s: true}
-	queue := []Term{s}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == t {
-			break
-		}
-		for _, e := range eq.valForest[cur] {
-			o := Term(e.other)
-			if seen[o] {
-				continue
-			}
-			seen[o] = true
-			prev[o] = forestEdge{other: int(cur), reason: e.reason}
-			queue = append(queue, o)
-		}
-	}
-	if !seen[t] {
-		return nil
-	}
 	var chain []ValueLink
-	for cur := t; cur != s; {
-		e := prev[cur]
-		chain = append(chain, ValueLink{A: eq.Endpoint(Term(e.other)), B: eq.Endpoint(cur), Reason: e.reason})
-		cur = Term(e.other)
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
+	for _, l := range eq.valForest.path(int(s), int(t)) {
+		chain = append(chain, ValueLink{A: eq.Endpoint(Term(l.a)), B: eq.Endpoint(Term(l.b)), Reason: l.reason})
 	}
 	return chain
 }
@@ -137,8 +143,12 @@ func (eq *Eq) ExplainTerms(s, t Term) []ValueLink {
 // SlotTermExact returns the term of the slot (x, a) if that exact slot
 // was ever created (as opposed to the class-level SlotTerm lookup).
 func (eq *Eq) SlotTermExact(x graph.NodeID, a graph.Attr) (Term, bool) {
-	t, ok := eq.slotOf[slotKey{node: x, attr: a}]
-	return t, ok
+	id, ok := eq.attrIDs[a]
+	if !ok {
+		return noTerm, false
+	}
+	e, ok := findAttr(eq.slots[x], id)
+	return e.term, ok
 }
 
 // ConstTermExact returns the term of constant c if it was ever created.
@@ -150,10 +160,10 @@ func (eq *Eq) ConstTermExact(c graph.Value) (Term, bool) {
 // ClassSlotTerm returns a term witnessing that class of x carries
 // attribute a (the class entry term), and its owner node.
 func (eq *Eq) ClassSlotTerm(x graph.NodeID, a graph.Attr) (Term, graph.NodeID, bool) {
-	r := eq.NodeRoot(x)
-	e, ok := eq.nodeAttrs[r][a]
+	id, ok := eq.attrIDs[a]
 	if !ok {
 		return noTerm, 0, false
 	}
-	return e.term, e.owner, true
+	e, ok := findAttr(eq.classAttrs[eq.NodeRoot(x)], id)
+	return e.term, e.owner, ok
 }

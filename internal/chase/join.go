@@ -7,7 +7,7 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// This file is the chase's sweep of one GED over the live coercion.
+// This file is the chase's sweep of one GED over the current host.
 //
 // A chase step fires only for matches h with h ⊨ X under Eq, but a
 // disconnected pattern — every GKey is Q ∪ f(Q) by construction — has
@@ -32,44 +32,34 @@ import (
 // the chase needs no more rounds than it did, and its last round,
 // which changes nothing, joins on exact keys.
 
-// joinPlan is one GED's pattern split into connected components, in
-// order of their first variable. comps[0] is streamed from the matcher
-// (the probe side); every later component is materialized and indexed
-// on the literals linking it to the components before it.
-type joinPlan struct {
-	comps []component
-	// keyed reports that some component joins on a literal, i.e. that
-	// the sweep sees only part of the cross product.
-	keyed bool
-}
-
 // component is one connected component of a GED's pattern.
 type component struct {
 	pat  *pattern.Pattern
 	vars []int     // position in pat.Vars() → index in the GED's variable order
 	keys []joinKey // X literals linking this component to earlier ones
-	slot int       // index of the component's plan in liveCoercion.plans
+	slot int       // index of the component's plan in host.plans
 }
 
 // joinKey is one cross-component literal of X, oriented along the join
 // order: probe is the side an earlier component binds, build the side
 // in the component the key indexes.
 type joinKey struct {
-	id        bool // x.id = y.id; otherwise x.A = y.B
-	probe     int  // variable index in the GED's order
-	probeAttr graph.Attr
-	build     int // variable position within the component
-	buildAttr graph.Attr
+	id        bool  // x.id = y.id; otherwise x.A = y.B
+	probe     int   // variable index in the GED's order
+	probeAttr int32 // Eq's attribute id
+	build     int   // variable position within the component
+	buildAttr int32
 }
 
-// splitPattern computes the join plan of a GED with pattern p and
-// compiled antecedent x, numbering its components' plans from slot.
-func splitPattern(p *pattern.Pattern, x []clit, slot int) joinPlan {
-	vars := p.Vars()
-	idx := make(map[pattern.Var]int, len(vars))
+// split computes r's join plan: the connected components of its
+// pattern p (idx maps p's variables to their position in r.vars) and
+// the literals of r.x that link them, numbering the components' plans
+// from slot.
+func (r *rule) split(p *pattern.Pattern, idx map[pattern.Var]int, slot int) {
+	vars := r.vars
 	root := make([]int, len(vars)) // union–find over variable indexes
-	for i, v := range vars {
-		idx[v], root[i] = i, i
+	for i := range root {
+		root[i] = i
 	}
 	find := func(i int) int {
 		for root[i] != i {
@@ -85,41 +75,39 @@ func splitPattern(p *pattern.Pattern, x []clit, slot int) joinPlan {
 		root[max(a, b)] = min(a, b)
 	}
 
-	jp := joinPlan{}
 	compOf := make([]int, len(vars)) // variable index → component
 	posOf := make([]int, len(vars))  // variable index → position in its component
 	for i := range vars {
-		r := find(i)
-		if r == i {
-			compOf[i] = len(jp.comps)
-			jp.comps = append(jp.comps, component{slot: slot + len(jp.comps)})
+		if rt := find(i); rt == i {
+			compOf[i] = len(r.comps)
+			r.comps = append(r.comps, component{slot: slot + len(r.comps)})
 		} else {
-			compOf[i] = compOf[r]
+			compOf[i] = compOf[rt]
 		}
-		c := &jp.comps[compOf[i]]
+		c := &r.comps[compOf[i]]
 		posOf[i] = len(c.vars)
 		c.vars = append(c.vars, i)
 	}
-	if len(jp.comps) == 0 {
+	if len(r.comps) == 0 {
 		// The empty pattern has one (empty) match: one empty component.
-		jp.comps = []component{{slot: slot}}
+		r.comps = []component{{slot: slot}}
 	}
-	if len(jp.comps) == 1 {
-		jp.comps[0].pat = p // connected: the pattern is its own component
-		return jp
+	if len(r.comps) == 1 {
+		r.comps[0].pat = p // connected: the pattern is its own component
+		return
 	}
-	for ci := range jp.comps {
-		c := &jp.comps[ci]
+	for ci := range r.comps {
+		c := &r.comps[ci]
 		c.pat = pattern.New()
 		for _, i := range c.vars {
 			c.pat.AddVar(vars[i], p.Label(vars[i]))
 		}
 	}
 	for _, e := range p.Edges() {
-		jp.comps[compOf[idx[e.Src]]].pat.AddEdge(e.Src, e.Label, e.Dst)
+		r.comps[compOf[idx[e.Src]]].pat.AddEdge(e.Src, e.Label, e.Dst)
 	}
-	for i := range x {
-		cl := &x[i]
+	for i := range r.x {
+		cl := &r.x[i]
 		if cl.kind == ConstKind || compOf[cl.li] == compOf[cl.ri] {
 			continue // decided within one component: enforce's business
 		}
@@ -127,12 +115,11 @@ func splitPattern(p *pattern.Pattern, x []clit, slot int) joinPlan {
 		if compOf[cl.li] > compOf[cl.ri] {
 			k.probe, k.probeAttr, k.build, k.buildAttr = cl.ri, cl.ra, cl.li, cl.la
 		}
-		c := &jp.comps[compOf[k.build]]
+		c := &r.comps[compOf[k.build]]
 		k.build = posOf[k.build]
 		c.keys = append(c.keys, k)
-		jp.keyed = true
+		r.keyed = true
 	}
-	return jp
 }
 
 // buildSide is one materialized component of a sweep: its matches as a
@@ -166,11 +153,11 @@ func keyHash(h, part uint64) uint64 {
 // class for an id literal, the value class of u.A for an attribute
 // literal — ok is false when u's class carries no A, in which case no
 // binding through u satisfies the literal yet.
-func (eq *Eq) keyPart(id bool, u graph.NodeID, a graph.Attr) (part uint64, ok bool) {
+func (eq *Eq) keyPart(id bool, u graph.NodeID, a int32) (part uint64, ok bool) {
 	if id {
 		return uint64(eq.NodeRoot(u)), true
 	}
-	t, ok := eq.SlotTerm(u, a)
+	t, ok := eq.slotRoot(u, a)
 	return uint64(t), ok
 }
 
@@ -214,54 +201,47 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// fullSweep enumerates Σ[gi] over the live snapshot, component by
+// fullSweep enumerates Σ[gi] over the current host, component by
 // component, and enforces every binding the join proposes. With doPark
 // set and the whole cross product in view (no join key), antecedent-
 // pending matches land on a rebuilt worklist so later bind-only rounds
 // skip enumeration entirely; otherwise nothing is parked — parking a
 // merge-heavy chase's pending set every round would never pay for
 // itself, and a keyed join does not see its pending set at all.
-// Retired carriers are filtered out at binding time: their labels and
-// edges are subsumed by their class carriers, so the carrier-only
-// matches are the quotient's matches.
-func (r *deltaRun) fullSweep(gi int, doPark bool) {
-	jp := &r.joins[gi]
-	r.wl[gi] = r.wl[gi][:0]
-	r.parked[gi] = doPark && !jp.keyed
-	var filter func(graph.NodeID) bool
-	if r.lc.stale > 0 {
-		filter = r.lc.isCarrier
+func (c *chaser) fullSweep(gi int, doPark bool) {
+	r := &c.rules[gi]
+	c.wl[gi] = c.wl[gi][:0]
+	c.parked[gi] = doPark && !r.keyed
+	js := c.scratch
+	if len(js.sides) < len(r.comps) {
+		js.sides = append(js.sides, make([]buildSide, len(r.comps)-len(js.sides))...)
 	}
-	js := r.scratch
-	if len(js.sides) < len(jp.comps) {
-		js.sides = append(js.sides, make([]buildSide, len(jp.comps)-len(js.sides))...)
-	}
-	js.bind = resize(js.bind, len(r.vars[gi]))
-	for k := 1; k < len(jp.comps); k++ {
+	js.bind = resize(js.bind, len(r.vars))
+	for k := 1; k < len(r.comps); k++ {
 		side := &js.sides[k]
 		side.tuples = side.tuples[:0]
-		r.lc.plan(&jp.comps[k]).ForEachDenseFiltered(r.stop, filter, nil, func(t []graph.NodeID) bool {
+		c.host.plan(&r.comps[k]).ForEachDenseCancel(c.stop, nil, func(t []graph.NodeID) bool {
 			side.tuples = append(side.tuples, t...)
 			return true
 		})
 	}
 	for {
-		if r.ctxErr = r.ctx.Err(); r.ctxErr != nil {
+		if c.ctxErr = c.ctx.Err(); c.ctxErr != nil {
 			return // a cut-short build side must not be joined
 		}
-		steps := len(r.res.Steps)
-		for k := 1; k < len(jp.comps); k++ {
-			js.sides[k].index(&jp.comps[k], r.eq, r.lc.co.RepOf)
+		steps := len(c.res.Steps)
+		for k := 1; k < len(r.comps); k++ {
+			js.sides[k].index(&r.comps[k], c.eq, c.host.repOf)
 		}
-		r.lc.plan(&jp.comps[0]).ForEachDenseFiltered(r.stop, filter, nil, func(t []graph.NodeID) bool {
-			for i, v := range jp.comps[0].vars {
+		c.host.plan(&r.comps[0]).ForEachDenseCancel(c.stop, nil, func(t []graph.NodeID) bool {
+			for i, v := range r.comps[0].vars {
 				js.bind[v] = t[i]
 			}
-			return r.extend(gi, 1)
+			return c.extend(gi, 1)
 		})
 		// Keys go stale only by a step of this very pass; without one
 		// (or without keys) nothing was withheld.
-		if !jp.keyed || len(r.res.Steps) == steps || r.ctxErr != nil || !r.eq.Consistent() {
+		if !r.keyed || len(c.res.Steps) == steps || c.ctxErr != nil || !c.eq.Consistent() {
 			return
 		}
 	}
@@ -270,21 +250,21 @@ func (r *deltaRun) fullSweep(gi int, doPark bool) {
 // extend completes the partial binding of Σ[gi]'s components [0, k)
 // through the remaining ones and hands every full binding to enforce.
 // It reports whether the sweep should go on.
-func (r *deltaRun) extend(gi, k int) bool {
-	if r.ctxErr = r.ctx.Err(); r.ctxErr != nil {
+func (c *chaser) extend(gi, k int) bool {
+	if c.ctxErr = c.ctx.Err(); c.ctxErr != nil {
 		return false
 	}
-	comps, bind, repOf := r.joins[gi].comps, r.scratch.bind, r.lc.co.RepOf
+	comps, bind, repOf := c.rules[gi].comps, c.scratch.bind, c.host.repOf
 	if k == len(comps) {
-		if !r.enforce(gi, repOf, bind) && r.parked[gi] {
-			r.park(gi, bind)
+		if !c.enforce(gi, repOf, bind) && c.parked[gi] {
+			c.park(gi, bind)
 		}
-		return r.eq.Consistent()
+		return c.eq.Consistent()
 	}
-	comp, side := &comps[k], &r.scratch.sides[k]
+	comp, side := &comps[k], &c.scratch.sides[k]
 	var h uint64
 	for _, key := range comp.keys {
-		part, ok := r.eq.keyPart(key.id, repOf[bind[key.probe]], key.probeAttr)
+		part, ok := c.eq.keyPart(key.id, repOf[bind[key.probe]], key.probeAttr)
 		if !ok {
 			return true
 		}
@@ -298,7 +278,7 @@ func (r *deltaRun) extend(gi, k int) bool {
 		for j, v := range comp.vars {
 			bind[v] = side.tuples[i*stride+j]
 		}
-		if !r.extend(gi, k+1) {
+		if !c.extend(gi, k+1) {
 			return false
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"gedlib/internal/chase"
 	"gedlib/internal/ged"
 	"gedlib/internal/gen"
+	"gedlib/internal/obs"
 )
 
 // TestJoinChaseMusicDBAllOrders: on the catalog the benchmark chases,
@@ -23,7 +24,7 @@ func TestJoinChaseMusicDBAllOrders(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
 		g, stats := gen.MusicDB(seed, 100, 0.2)
 		keys := gen.PaperKeys()
-		oracle, err := chase.RunCtxOpts(ctx, g, keys, nil, 0, chase.Options{RefreezeEachRound: true})
+		oracle, err := chase.RunRefreeze(ctx, g, keys, nil, 0)
 		if err != nil || !oracle.Consistent() {
 			t.Fatalf("seed %d: oracle: err %v, consistent %v", seed, err, oracle.Consistent())
 		}
@@ -34,7 +35,7 @@ func TestJoinChaseMusicDBAllOrders(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				sigma := ged.Set{keys[order[0]], keys[order[1]], keys[order[2]]}
-				res, err := chase.RunCtxOpts(ctx, g, sigma, nil, 0, chase.Options{})
+				res, err := chase.RunCtx(ctx, g, sigma, nil, 0)
 				if err != nil || !res.Consistent() {
 					t.Errorf("seed %d order %v: err %v, consistent %v", seed, order, err, res.Consistent())
 					return
@@ -49,5 +50,28 @@ func TestJoinChaseMusicDBAllOrders(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestJoinChaseMusicDBCounters: the benchmark's chase takes two rounds —
+// one that merges every duplicate, one that confirms — and pays for one
+// quotient host (round 2's; round 1 matches on the frozen catalog
+// itself) and one attribute-bearing coercion (the result's).
+func TestJoinChaseMusicDBCounters(t *testing.T) {
+	g, _ := gen.MusicDB(3, 100, 0.2)
+	o := obs.New(nil)
+	res, err := chase.RunCtx(obs.ContextWithObserver(context.Background(), o), g, gen.PaperKeys(), nil, 0)
+	if err != nil || !res.Consistent() {
+		t.Fatalf("err %v, consistent %v", err, res.Consistent())
+	}
+	for name, want := range map[string]uint64{
+		"ged_chase_rounds_total":    2,
+		"ged_chase_quotients_total": 1,
+		"ged_chase_coercions_total": 1,
+		"ged_chase_steps_total":     uint64(len(res.Steps)),
+	} {
+		if got := o.Registry().Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

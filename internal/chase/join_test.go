@@ -15,32 +15,44 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// chaseTally runs one chase under a private observer and returns what
-// it counted next to the result.
+// chaseTally is one chase run under a private observer: what it counted
+// next to the result.
 type chaseTally struct {
-	res                    *Result
-	err                    error
-	rounds, matches, steps int
+	res                                          *Result
+	err                                          error
+	rounds, matches, steps, quotients, coercions int
 }
 
-func tallyChase(ctx context.Context, g *graph.Graph, sigma ged.Set, maxRounds int, opts Options) chaseTally {
+// tallyChase runs the chase, or with refreeze set its oracle.
+func tallyChase(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed, maxRounds int, refreeze bool) chaseTally {
 	o := obs.New(nil)
-	res, err := RunCtxOpts(obs.ContextWithObserver(ctx, o), g, sigma, nil, maxRounds, opts)
+	run := RunCtx
+	if refreeze {
+		run = RunRefreeze
+	}
+	res, err := run(obs.ContextWithObserver(ctx, o), g, sigma, seeds, maxRounds)
 	count := func(name string) int { return int(o.Registry().Counter(name, "").Value()) }
 	return chaseTally{res, err,
-		count("ged_chase_rounds_total"), count("ged_chase_matches_total"), count("ged_chase_steps_total")}
+		count("ged_chase_rounds_total"), count("ged_chase_matches_total"), count("ged_chase_steps_total"),
+		count("ged_chase_quotients_total"), count("ged_chase_coercions_total")}
 }
 
 // sameChase fails unless got and want are the same chase result: same
 // node partition, same constants, same materialized witness.
 func sameChase(t *testing.T, at string, g *graph.Graph, got, want *Result) {
 	t.Helper()
+	// Two partitions are equal iff their class representatives correspond
+	// one to one.
+	gotOf, wantOf := map[graph.NodeID]graph.NodeID{}, map[graph.NodeID]graph.NodeID{}
 	for _, a := range g.Nodes() {
-		for _, b := range g.Nodes() {
-			if got.Eq.SameNode(a, b) != want.Eq.SameNode(a, b) {
-				t.Fatalf("%s: partition differs at (%d,%d)", at, a, b)
-			}
+		gr, wr := got.Eq.NodeRoot(a), want.Eq.NodeRoot(a)
+		if w, ok := wantOf[gr]; ok && w != wr {
+			t.Fatalf("%s: node %d is identified with %d, which the oracle keeps apart", at, a, gr)
 		}
+		if o, ok := gotOf[wr]; ok && o != gr {
+			t.Fatalf("%s: node %d is kept apart from %d, which the oracle identifies", at, a, o)
+		}
+		wantOf[gr], gotOf[wr] = wr, gr
 		for _, attr := range []graph.Attr{"p", "q"} {
 			gv, gok := got.Eq.AttrConst(a, attr)
 			wv, wok := want.Eq.AttrConst(a, attr)
@@ -68,8 +80,8 @@ func TestJoinChaseEquivalentToRefreeze(t *testing.T) {
 		for trial := 0; trial < 400; trial++ {
 			at := fmt.Sprintf("seed %d trial %d", seed, trial)
 			g, sigma := randomInstance(rng)
-			join := tallyChase(ctx, g, sigma, 0, Options{})
-			oracle := tallyChase(ctx, g, sigma, 0, Options{RefreezeEachRound: true})
+			join := tallyChase(ctx, g, sigma, nil, 0, false)
+			oracle := tallyChase(ctx, g, sigma, nil, 0, true)
 			if join.err != nil || oracle.err != nil {
 				t.Fatalf("%s: errors %v / %v", at, join.err, oracle.err)
 			}
@@ -81,8 +93,7 @@ func TestJoinChaseEquivalentToRefreeze(t *testing.T) {
 					at, join.steps, join.matches, len(join.res.Steps))
 			}
 			for _, st := range join.res.Steps {
-				d := sigma[st.GED]
-				if splitPattern(d.Pattern, compileLits(d, d.Pattern.Vars()).x, 0).keyed {
+				if compileRule(join.res.Eq, sigma[st.GED], 0).keyed {
 					joined++ // a keyed join proposed a binding that fired
 					break
 				}
@@ -167,11 +178,11 @@ func TestJoinChaseReprobesWithinSweep(t *testing.T) {
 		}
 		sigma := ged.Set{parentKey(t)}
 		ctx := context.Background()
-		oracle := tallyChase(ctx, g, sigma, 0, Options{RefreezeEachRound: true})
+		oracle := tallyChase(ctx, g, sigma, nil, 0, true)
 		if oracle.err != nil || !oracle.res.Consistent() {
 			t.Fatalf("rootDown=%v: oracle: err %v, consistent %v", rootDown, oracle.err, oracle.res.Consistent())
 		}
-		join := tallyChase(ctx, g, sigma, oracle.rounds, Options{})
+		join := tallyChase(ctx, g, sigma, nil, oracle.rounds, false)
 		if join.err != nil {
 			t.Fatalf("rootDown=%v: join chase under the oracle's %d rounds: %v", rootDown, oracle.rounds, join.err)
 		}
@@ -255,14 +266,14 @@ func TestJoinChaseRecursiveKeyChain(t *testing.T) {
 	sigma := catalogKeys(t)
 
 	ctx := context.Background()
-	oracle := tallyChase(ctx, g, sigma, 0, Options{RefreezeEachRound: true})
+	oracle := tallyChase(ctx, g, sigma, nil, 0, true)
 	if oracle.err != nil || !oracle.res.Consistent() {
 		t.Fatalf("oracle: err %v, consistent %v", oracle.err, oracle.res.Consistent())
 	}
 	if oracle.rounds < 3 {
 		t.Fatalf("oracle converged in %d rounds: the catalog is no chain", oracle.rounds)
 	}
-	join := tallyChase(ctx, g, sigma, oracle.rounds, Options{})
+	join := tallyChase(ctx, g, sigma, nil, oracle.rounds, false)
 	if join.err != nil {
 		t.Fatalf("join chase under the oracle's %d rounds: %v", oracle.rounds, join.err)
 	}
@@ -305,7 +316,7 @@ func TestJoinChaseCancelMidJoin(t *testing.T) {
 		}
 	}
 	sigma := catalogKeys(t)
-	full, err := RunCtxOpts(context.Background(), g, sigma, nil, 0, Options{})
+	full, err := RunCtx(context.Background(), g, sigma, nil, 0)
 	if err != nil || !full.Consistent() || len(full.Steps) == 0 {
 		t.Fatalf("full chase: err %v, consistent %v, %d steps", err, full.Consistent(), len(full.Steps))
 	}
@@ -313,7 +324,7 @@ func TestJoinChaseCancelMidJoin(t *testing.T) {
 	for k := 0; ; k++ {
 		ctx := &countdownCtx{Context: context.Background()}
 		ctx.left.Store(int64(k))
-		res, err := RunCtxOpts(ctx, g, sigma, nil, 0, Options{})
+		res, err := RunCtx(ctx, g, sigma, nil, 0)
 		if err == nil {
 			if len(res.Steps) != len(full.Steps) {
 				t.Fatalf("countdown %d: uncut chase applied %d steps, want %d", k, len(res.Steps), len(full.Steps))
@@ -343,5 +354,44 @@ func TestJoinChaseCancelMidJoin(t *testing.T) {
 	}
 	if cut < 10 || partial == 0 {
 		t.Fatalf("%d cut runs, %d of them mid-chase: the countdown never landed inside a join", cut, partial)
+	}
+}
+
+// TestJoinChaseAbortKeepsCoercion: a chase stopped between rounds — by
+// its round bound after a round that merged nodes, or by a context that
+// was cancelled before it began — still hands out the one coercion of
+// the relation it reached, although no round ever built one.
+func TestJoinChaseAbortKeepsCoercion(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 6; i++ {
+		a := g.AddNodeAttrs("artist", map[graph.Attr]graph.Value{"name": graph.String(fmt.Sprintf("artist%d", i/2))})
+		al := g.AddNodeAttrs("album", map[graph.Attr]graph.Value{"title": graph.String(fmt.Sprintf("album%d", i/2)), "release": graph.Int(1980)})
+		g.AddEdge(al, "by", a)
+	}
+	sigma := catalogKeys(t)
+	check := func(at string, got chaseTally, wantErr error, merged int) {
+		t.Helper()
+		if !errors.Is(got.err, wantErr) {
+			t.Fatalf("%s: error %v, want %v", at, got.err, wantErr)
+		}
+		co, fresh := got.res.Coercion, Coerce(got.res.Eq)
+		if co == nil || got.coercions != 1 || got.quotients != 0 {
+			t.Fatalf("%s: coercion %v after %d coercions and %d quotients, want the one built on the way out", at, co, got.coercions, got.quotients)
+		}
+		if co.Graph.String() != fresh.Graph.String() || !reflect.DeepEqual(co.NodeOf, fresh.NodeOf) || !reflect.DeepEqual(co.RepOf, fresh.RepOf) {
+			t.Fatalf("%s: Result.Coercion is not the coercion of Result.Eq", at)
+		}
+		if n := g.NumNodes() - got.res.Materialize().NumNodes(); n != merged {
+			t.Fatalf("%s: %d nodes merged, want %d", at, n, merged)
+		}
+	}
+	// Round 1 merges every duplicate; the bound stops the confirming round.
+	check("round bound", tallyChase(context.Background(), g, sigma, nil, 1, false), ErrDepthExceeded, 6)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got := tallyChase(ctx, g, sigma, nil, 0, false)
+	check("cancelled", got, context.Canceled, 0)
+	if got.res.Coercion.Graph.String() != g.String() {
+		t.Fatal("cancelled: the coercion of Eq0 is not the graph itself")
 	}
 }

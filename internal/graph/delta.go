@@ -12,8 +12,8 @@ import "sort"
 //     version v to the present: the automatic capture between two
 //     Version() ticks, always exact.
 //   - Explicit construction, for producers that know their changes
-//     (the chase builds its per-round coercion delta this way via the
-//     journal of its working graph).
+//     (persist decodes each WAL record back into the delta it logged,
+//     for recovery replay and for followers tailing the log).
 //
 // Snapshot.Apply consumes a Delta to advance a frozen snapshot in time
 // proportional to the delta, not the graph.

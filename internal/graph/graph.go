@@ -100,9 +100,9 @@ type Graph struct {
 // noteOp journals one mutation and ticks the version. When the journal
 // outgrows the graph by a comfortable margin it is trimmed to its
 // recent half: every delta consumer this library ships (the Engine's
-// caches, the chase's live coercion) falls back to a full freeze well
-// before lagging that far, so the trim only sheds history nobody can
-// use, and memory stays O(|G|) even under endless attribute overwrites.
+// caches) falls back to a full freeze well before lagging that far, so
+// the trim only sheds history nobody can use, and memory stays O(|G|)
+// even under endless attribute overwrites.
 func (g *Graph) noteOp(o op) {
 	g.journal = append(g.journal, o)
 	g.version++

@@ -292,15 +292,7 @@ func (g *Graph) Freeze() *Snapshot {
 	// per direction — rather than 2n per-node sorts.
 	s.buildAdjacency(g, n)
 
-	// Per-label total degree, for plan seeding.
-	s.labelDegTotal = make([]int64, len(s.labelNodes))
-	for lid, nodes := range s.labelNodes {
-		total := int64(0)
-		for _, id := range nodes {
-			total += int64(s.OutDegree(id) + s.InDegree(id))
-		}
-		s.labelDegTotal[lid] = total
-	}
+	s.sumLabelDegrees()
 
 	// Attribute tuples in one arena, paged into per-node segments.
 	total := 0
@@ -358,13 +350,22 @@ func (s *Snapshot) buildAdjacency(g *Graph, n int) {
 			edst = append(edst, e.Dst)
 		}
 	}
+	s.layoutAdjacency(n, esrc, elbl, edst)
+}
+
+// layoutAdjacency is buildAdjacency's second half: it lays the distinct
+// edges (esrc[i], elbl[i], edst[i]) over n nodes out as both directions'
+// sorted segments.
+func (s *Snapshot) layoutAdjacency(n int, esrc []NodeID, elbl []int32, edst []NodeID) {
+	m := len(esrc)
 	perm := make([]int32, m)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 
-	layout := func(major, minor []NodeID, dir func(a, b int32) bool) [][]adjSeg {
-		sort.Slice(perm, func(x, y int) bool { return dir(perm[x], perm[y]) })
+	layout := func(major, minor []NodeID) [][]adjSeg {
+		less := edgeOrder(major, elbl, minor)
+		sort.Slice(perm, func(x, y int) bool { return less(perm[x], perm[y]) })
 		off := make([]int32, n+1)
 		lblArena := make([]int32, m)
 		idArena := make([]NodeID, m)
@@ -383,25 +384,105 @@ func (s *Snapshot) buildAdjacency(g *Graph, n int) {
 		}
 		return pagesOf(segs)
 	}
+	s.out = layout(esrc, edst)
+	s.in = layout(edst, esrc)
+}
 
-	s.out = layout(esrc, edst, func(a, b int32) bool {
-		if esrc[a] != esrc[b] {
-			return esrc[a] < esrc[b]
+// edgeOrder orders edge indexes by (major endpoint, label, minor
+// endpoint) — the order of a node's adjacency segment.
+func edgeOrder(major []NodeID, lbl []int32, minor []NodeID) func(a, b int32) bool {
+	return func(a, b int32) bool {
+		if major[a] != major[b] {
+			return major[a] < major[b]
 		}
-		if elbl[a] != elbl[b] {
-			return elbl[a] < elbl[b]
+		if lbl[a] != lbl[b] {
+			return lbl[a] < lbl[b]
 		}
-		return edst[a] < edst[b]
-	})
-	s.in = layout(edst, esrc, func(a, b int32) bool {
-		if edst[a] != edst[b] {
-			return edst[a] < edst[b]
+		return minor[a] < minor[b]
+	}
+}
+
+// sumLabelDegrees fills labelDegTotal, the per-label total degree that
+// seeds match plans, from the label postings and the adjacency.
+func (s *Snapshot) sumLabelDegrees() {
+	s.labelDegTotal = make([]int64, len(s.labelNodes))
+	for lid, nodes := range s.labelNodes {
+		total := int64(0)
+		for _, id := range nodes {
+			total += int64(s.OutDegree(id) + s.InDegree(id))
 		}
-		if elbl[a] != elbl[b] {
-			return elbl[a] < elbl[b]
+		s.labelDegTotal[lid] = total
+	}
+}
+
+// Quotient returns the snapshot of s's quotient by a node partition:
+// node u of s becomes node classOf[u] (classes are numbered densely,
+// 0..len(labels)-1), class c is labeled labels[c] — which must be the
+// label of some node of s — and every edge is transported onto the
+// classes of its endpoints, parallel copies folding into one.
+// Attributes are not carried over: the quotient is the match host of a
+// chase round (the coercion G_Eq of Section 4.1 minus F_A), and the
+// chase reads attribute values off its equivalence relation, never off
+// the host. The result shares s's symbol tables and starts a lineage of
+// its own.
+func (s *Snapshot) Quotient(classOf []NodeID, labels []Label) *Snapshot {
+	n := len(labels)
+	q := &Snapshot{
+		labels: s.labels, labelIDs: s.labelIDs,
+		attrs: s.attrs, attrIDs: s.attrIDs,
+		numNodes: n,
+		ids:      identityIDs(n),
+		version:  s.version,
+		lineage:  lineageCounter.Add(1),
+	}
+	nodeLabel := make([]int32, n)
+	q.labelNodes = make([][]NodeID, len(s.labels))
+	for c, l := range labels {
+		lid, ok := s.labelIDs[l]
+		if !ok {
+			panic("graph: quotient class labeled outside the snapshot's labels")
 		}
-		return esrc[a] < esrc[b]
-	})
+		nodeLabel[c] = lid
+		q.labelNodes[lid] = append(q.labelNodes[lid], NodeID(c))
+	}
+	q.nodeLabel = pagesOf(nodeLabel)
+
+	// Transport every edge, then sort the triples to drop the copies
+	// that merged endpoints made parallel.
+	m := s.numEdges
+	esrc := make([]NodeID, 0, m)
+	elbl := make([]int32, 0, m)
+	edst := make([]NodeID, 0, m)
+	for u := 0; u < s.numNodes; u++ {
+		seg := s.outSeg(NodeID(u))
+		for i, d := range seg.ids {
+			esrc = append(esrc, classOf[u])
+			elbl = append(elbl, seg.lbl[i])
+			edst = append(edst, classOf[d])
+		}
+	}
+	perm := make([]int32, m)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	less := edgeOrder(esrc, elbl, edst)
+	sort.Slice(perm, func(x, y int) bool { return less(perm[x], perm[y]) })
+	usrc := make([]NodeID, 0, m)
+	ulbl := make([]int32, 0, m)
+	udst := make([]NodeID, 0, m)
+	for _, p := range perm {
+		if k := len(usrc) - 1; k >= 0 && usrc[k] == esrc[p] && ulbl[k] == elbl[p] && udst[k] == edst[p] {
+			continue
+		}
+		usrc = append(usrc, esrc[p])
+		ulbl = append(ulbl, elbl[p])
+		udst = append(udst, edst[p])
+	}
+	q.numEdges = len(usrc)
+	q.layoutAdjacency(n, usrc, ulbl, udst)
+	q.sumLabelDegrees()
+	q.attr = pagesOf(make([]attrSeg, n))
+	return q
 }
 
 // ---- paged accessors ----
@@ -449,6 +530,19 @@ func (s *Snapshot) Attr(id NodeID, a Attr) (Value, bool) {
 		return Value{}, false
 	}
 	return s.AttrValueID(id, aid)
+}
+
+// AttrSymbols returns the attribute names by symbol: AttrSymbols()[k]
+// is the name AttrTuple's keys call k.
+func (s *Snapshot) AttrSymbols() []Attr { return s.attrs }
+
+// AttrTuple returns node id's attribute tuple as parallel columns of
+// attribute symbols and values, ascending by symbol — the whole-tuple
+// counterpart of AttrValueID for readers that visit every stored
+// attribute once (the chase's initial relation Eq0).
+func (s *Snapshot) AttrTuple(id NodeID) ([]int32, []Value) {
+	seg := s.attrSeg(id)
+	return seg.key, seg.val
 }
 
 // ---- label postings ----

@@ -253,3 +253,95 @@ func TestSnapshotRandomEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotQuotientEquivalence: the quotient built straight from a
+// snapshot reads exactly like the frozen graph one gets by merging the
+// classes by hand — same labels, postings, adjacency runs, edge count
+// and degree statistics — carries no attributes, reads its members'
+// AttrTuple as Freeze stored them, and leaves the base snapshot alone.
+func TestSnapshotQuotientEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	labels := []Label{"a", "b", Wildcard}
+	elabels := []Label{"e", "f", Wildcard}
+	for trial := 0; trial < 60; trial++ {
+		g := New()
+		n := rng.Intn(14)
+		for i := 0; i < n; i++ {
+			id := g.AddNode(labels[rng.Intn(len(labels))])
+			if rng.Intn(2) == 0 {
+				g.SetAttr(id, "p", Int(rng.Intn(3)))
+			}
+			if rng.Intn(3) == 0 {
+				g.SetAttr(id, "q", Int(i))
+			}
+		}
+		for i := 0; i < 3*n; i++ {
+			g.AddEdge(NodeID(rng.Intn(n)), elabels[rng.Intn(len(elabels))], NodeID(rng.Intn(n)))
+		}
+		s := g.Freeze()
+		for i := 0; i < n; i++ {
+			keys, vals := s.AttrTuple(NodeID(i))
+			if len(keys) != len(g.Attrs(NodeID(i))) {
+				t.Fatalf("trial %d: n%d has %d stored attributes, its tuple %d", trial, i, len(g.Attrs(NodeID(i))), len(keys))
+			}
+			for j, k := range keys {
+				if v, ok := g.Attr(NodeID(i), s.AttrSymbols()[k]); !ok || !v.Equal(vals[j]) || (j > 0 && keys[j-1] >= k) {
+					t.Fatalf("trial %d: tuple of n%d reads %s=%s at %d", trial, i, s.AttrSymbols()[k], vals[j], j)
+				}
+			}
+		}
+		// A random partition, classes numbered by first member; a class
+		// takes its first member's label.
+		classes := 1 + rng.Intn(n+1)
+		classOf := make([]NodeID, n)
+		var classLabels []Label
+		seen := map[int]NodeID{}
+		for i := range classOf {
+			c := rng.Intn(classes)
+			if _, ok := seen[c]; !ok {
+				seen[c] = NodeID(len(classLabels))
+				classLabels = append(classLabels, g.Label(NodeID(i)))
+			}
+			classOf[i] = seen[c]
+		}
+		byHand := New()
+		for _, l := range classLabels {
+			byHand.AddNode(l)
+		}
+		for _, e := range g.Edges() {
+			byHand.AddEdge(classOf[e.Src], e.Label, classOf[e.Dst])
+		}
+		want, got := byHand.Freeze(), s.Quotient(classOf, classLabels)
+		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("trial %d: quotient has %d nodes and %d edges, want %d and %d",
+				trial, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+		}
+		for c := range classLabels {
+			id := NodeID(c)
+			if got.Label(id) != want.Label(id) || got.OutDegree(id) != want.OutDegree(id) || got.InDegree(id) != want.InDegree(id) {
+				t.Fatalf("trial %d: class %d differs in label or degree", trial, c)
+			}
+			if _, ok := got.Attr(id, "p"); ok {
+				t.Fatalf("trial %d: class %d carries an attribute", trial, c)
+			}
+			for _, l := range elabels {
+				if !sameIDSet(got.OutNeighbors(id, l), want.OutNeighbors(id, l)) || !sameIDSet(got.InNeighbors(id, l), want.InNeighbors(id, l)) {
+					t.Fatalf("trial %d: neighbors of class %d via %s differ", trial, c, l)
+				}
+				for d := range classLabels {
+					if got.HasEdge(id, l, NodeID(d)) != want.HasEdge(id, l, NodeID(d)) {
+						t.Fatalf("trial %d: HasEdge(%d,%s,%d) differs", trial, c, l, d)
+					}
+				}
+			}
+		}
+		for _, l := range labels {
+			if !sameIDSet(got.CandidateNodes(l), want.CandidateNodes(l)) || got.LabelAvgDegree(l) != want.LabelAvgDegree(l) {
+				t.Fatalf("trial %d: postings or degree statistics of %s differ", trial, l)
+			}
+		}
+		if got.Lineage() == s.Lineage() || s.NumNodes() != n || s.NumEdges() != g.NumEdges() {
+			t.Fatalf("trial %d: the quotient disturbed its base", trial)
+		}
+	}
+}

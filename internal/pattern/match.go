@@ -79,7 +79,6 @@ type matcher struct {
 	covered  []bool                    // candidates(x) already enforced x's bound edges+filters
 	yield    func(Match) bool          // returns false to stop enumeration
 	dense    func([]graph.NodeID) bool // dense-vector alternative to yield
-	filter   func(graph.NodeID) bool   // optional host-node admission filter
 	stop     func() bool               // polled inside the search; true aborts
 	tick     uint32                    // amortizes stop polling
 	done     bool
@@ -438,7 +437,6 @@ func (pl *Plan) putMatcher(m *matcher) {
 	pl.flushProfile(m)
 	m.yield = nil
 	m.dense = nil
-	m.filter = nil
 	m.stop = nil
 	m.prune = nil
 	m.pl = nil
@@ -551,17 +549,8 @@ func (pl *Plan) ForEachBoundCancel(pre Match, stop func() bool, yield func(Match
 // fixpoint loop) where the per-match map handling of the Match boundary
 // dominates.
 func (pl *Plan) ForEachDenseCancel(stop func() bool, prune Pruner, yield func([]graph.NodeID) bool) {
-	pl.ForEachDenseFiltered(stop, nil, prune, yield)
-}
-
-// ForEachDenseFiltered is ForEachDenseCancel restricted to host nodes
-// the filter admits: rejected nodes are pruned at binding time, so a
-// search never descends below an inadmissible assignment. The chase
-// uses it to make retired coercion carriers invisible to matching.
-func (pl *Plan) ForEachDenseFiltered(stop func() bool, filter func(graph.NodeID) bool, prune Pruner, yield func([]graph.NodeID) bool) {
 	m := pl.newMatcher(stop, nil)
 	m.dense = yield
-	m.filter = filter
 	defer pl.putMatcher(m)
 	m.order = pl.order
 	m.setPruner(prune)
@@ -1220,9 +1209,6 @@ func (m *matcher) candidatesSnapProbe(x int) []graph.NodeID {
 // variables (including self-loops).
 func (m *matcher) consistent(x int, v graph.NodeID) bool {
 	m.nProbe++
-	if m.filter != nil && !m.filter(v) {
-		return false
-	}
 	if m.snap != nil {
 		return m.consistentSnap(x, v)
 	}
