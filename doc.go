@@ -26,11 +26,12 @@
 //
 // # Storage model
 //
-// Graph is the mutable build-time representation. The hot analyses run
-// on Snapshot, a frozen read-only copy built by Graph.Freeze: labels,
-// attribute names and values interned into dense ints, CSR in/out
-// adjacency grouped and sorted by edge label, per-label node postings
-// and degree statistics, and the attribute-value index folded in.
+// Graph is the mutable build-time representation. Every analysis
+// matches patterns on Snapshot, a frozen read-only copy built by
+// Graph.Freeze: labels, attribute names and values interned into dense
+// ints, CSR in/out adjacency grouped and sorted by edge label, per-label
+// node postings and degree statistics, and the attribute-value index
+// folded in.
 // Snapshots are immutable and safe for unsynchronized concurrent
 // readers; they reflect the graph at freeze time (compare
 // Snapshot.SourceVersion against Graph.Version to detect staleness).
@@ -38,11 +39,11 @@
 // Callers normally never freeze explicitly: the Engine caches one
 // snapshot keyed on the graph's mutation counter, so repeated Validate,
 // Satisfies and Discover calls on an unchanged graph pay the freeze
-// cost once. Matching over a Snapshot and over its source Graph yields
-// exactly the same result sets — only the cost (and, under a positive
-// violation limit, the enumeration-order prefix) differs; the
-// canonical-order APIs sort before truncating and are host-independent
-// even with a limit.
+// cost once; the context-free shortcuts (Satisfies, IsModel, Answers)
+// freeze once per call. Under a positive violation limit the sequential
+// scan truncates in enumeration order — snapshots enumerate neighbours
+// in (label, id) order — while the canonical-order APIs sort before
+// truncating.
 //
 // # Deltas and incremental maintenance
 //
@@ -77,14 +78,14 @@
 //
 // # Match enumeration
 //
-// On snapshot hosts the matcher's extension step is worst-case-optimal:
-// binding a variable with several already-bound pattern-neighbors
+// Patterns match on snapshots only; a caller holding a Graph freezes it
+// first. The matcher's extension step is worst-case-optimal: binding a
+// variable with several already-bound pattern-neighbors
 // leapfrog-intersects their sorted CSR adjacency runs (with galloping
 // seeks), so only candidates satisfying every incident concrete-labeled
 // edge are ever enumerated — the decisive case on cyclic patterns; with
-// one bound neighbor the smallest eligible run drives and residual
-// constraints are probed per candidate (the mutable-graph host mirrors
-// the min-length selection). Constant antecedent literals (x.A = c) are
+// one bound neighbor its run drives and the residual constraints are
+// probed per candidate. Constant antecedent literals (x.A = c) are
 // pushed down into compiled plans: they resolve to the snapshot's
 // (attr, value) posting lists, join the candidate intersection, and
 // their postings stay valid across Snapshot.Apply, maintained lazily
@@ -98,16 +99,17 @@
 // than it saves). Plan costing counts literal postings toward a
 // variable's candidate estimate and orders the search toward
 // intersection-tight variables, then toward ones that close a literal.
-// The pre-intersection scan-and-probe path survives as the
-// differential-test oracle.
+// The differential tests compare the matcher with a brute-force
+// homomorphism enumerator that shares none of its code.
 //
 // Validation over a snapshot judges each match on the matcher's dense
 // binding vector: a rule's X and Y are compiled once per prepared
 // validator to vector positions and interned attribute ids, carried
 // across Rebase like the plans' label ids, and a Match map is built
 // only for the matches that are violations. Resolving variables and
-// attributes by name per match is left to mutable-graph hosts and to
-// the oracle the differential tests compare against.
+// attributes by name per match (ged.Holds) is left to the GDC and GED∨
+// validators, the small solvers and the oracle the differential tests
+// compare against.
 //
 // # Sharding
 //

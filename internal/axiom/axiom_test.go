@@ -1,6 +1,7 @@
 package axiom
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -11,6 +12,13 @@ import (
 	"gedlib/internal/pattern"
 	"gedlib/internal/reason"
 )
+
+// chaseImplies is the chase-based decision of Theorem 4, the reference
+// every proof verdict is checked against.
+func chaseImplies(sigma ged.Set, phi *ged.GED) bool {
+	r, err := reason.ImpliesCtx(context.Background(), sigma, phi, 0)
+	return err == nil && r.Implied
+}
 
 func singleNodeQ(label graph.Label) *pattern.Pattern {
 	q := pattern.New()
@@ -120,7 +128,7 @@ func TestProveChaseConflict(t *testing.T) {
 	qf.AddVar("x", "a").AddVar("y", "b")
 	sigma := ged.Set{ged.New("merge", qf, nil, []ged.Literal{ged.IDLit("x", "y")})}
 	phi := ged.New("phi", qf, nil, []ged.Literal{ged.ConstLit("x", "whatever", graph.Int(5))})
-	if !reason.Implies(sigma, phi).Implied {
+	if !chaseImplies(sigma, phi) {
 		t.Fatal("precondition: Σ must imply φ by inconsistency")
 	}
 	p, err := Prove(sigma, phi)
@@ -143,7 +151,7 @@ func TestProveUsesGED2(t *testing.T) {
 	phi := ged.New("phi", q,
 		[]ged.Literal{ged.ConstLit("y", "k", graph.Int(7))},
 		[]ged.Literal{ged.VarLit("y", "k", "z", "k")})
-	if !reason.Implies(sigma, phi).Implied {
+	if !chaseImplies(sigma, phi) {
 		t.Fatal("precondition: Σ must imply φ")
 	}
 	p, err := Prove(sigma, phi)
@@ -318,7 +326,7 @@ func TestSoundnessAndCompletenessRandom(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		sigma := randomSigma(rng)
 		phi := randomSigma(rng)[0]
-		implied := reason.Implies(sigma, phi).Implied
+		implied := chaseImplies(sigma, phi)
 		p, err := Prove(sigma, phi)
 		if implied && err != nil {
 			t.Fatalf("trial %d: implied but Prove failed: %v\nΣ=%v\nφ=%v", trial, err, sigma, phi)
@@ -445,7 +453,7 @@ func TestProveRecursiveKeyCascade(t *testing.T) {
 		},
 		[]ged.Literal{ged.IDLit("b1", "b2"), ged.IDLit("r1", "r2")})
 
-	if !reason.Implies(sigma, phi).Implied {
+	if !chaseImplies(sigma, phi) {
 		t.Fatal("precondition: the cascade must be implied")
 	}
 	p, err := Prove(sigma, phi)

@@ -379,29 +379,16 @@ func TestChaseResultSatisfiesSigma(t *testing.T) {
 // naiveViolation checks G ⊨ φ directly on stored attribute values,
 // returning a description of the first violating match.
 func naiveViolation(g *graph.Graph, d *ged.GED) string {
-	holds := func(l ged.Literal, m pattern.Match) bool {
-		k, _ := l.Kind()
-		switch k {
-		case ged.ConstLiteral:
-			v, ok := g.Attr(m[l.Left.Var], l.Left.Attr)
-			return ok && v.Equal(l.Right.Const)
-		case ged.VarLiteral:
-			v1, ok1 := g.Attr(m[l.Left.Var], l.Left.Attr)
-			v2, ok2 := g.Attr(m[l.Right.Var], l.Right.Attr)
-			return ok1 && ok2 && v1.Equal(v2)
-		default:
-			return m[l.Left.Var] == m[l.Right.Var]
-		}
-	}
+	snap := g.Freeze()
 	bad := ""
-	pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+	pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 		for _, l := range d.X {
-			if !holds(l, m) {
+			if !ged.Holds(snap, l, m) {
 				return true
 			}
 		}
 		for _, l := range d.Y {
-			if !holds(l, m) {
+			if !ged.Holds(snap, l, m) {
 				bad = fmt.Sprintf("match %v fails %s", m, l)
 				return false
 			}

@@ -101,8 +101,9 @@ func TestCoercionPreservesMatches(t *testing.T) {
 		if !res.Consistent() {
 			continue
 		}
+		snap := g.Freeze()
 		for _, d := range sigma {
-			pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+			pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 				// The composed assignment must be a match in the coercion.
 				composed := make(pattern.Match, len(m))
 				for v, n := range m {

@@ -85,12 +85,12 @@ func GFDsCtx(ctx context.Context, g *graph.Graph, opt Options, maxRounds int) ([
 	return GFDsOnCtx(ctx, g, g.Freeze(), opt, maxRounds)
 }
 
-// GFDsOnCtx is GFDsCtx with the matching host supplied by the caller:
-// h is a snapshot of g (the Engine facade passes its cached one), built
+// GFDsOnCtx is GFDsCtx with the snapshot supplied by the caller: snap
+// is a snapshot of g (the Engine facade passes its cached one), built
 // once and shared across every shape enumeration and every exact
 // verification, while attribute statistics are still gathered from g's
 // native tuples.
-func GFDsOnCtx(ctx context.Context, g *graph.Graph, h pattern.Host, opt Options, maxRounds int) ([]Discovered, error) {
+func GFDsOnCtx(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, opt Options, maxRounds int) ([]Discovered, error) {
 	var out []Discovered
 	var ctxErr error
 	keep := func(d Discovered) {
@@ -119,11 +119,11 @@ func GFDsOnCtx(ctx context.Context, g *graph.Graph, h pattern.Host, opt Options,
 		out = append(out, d)
 	}
 
-	for _, sh := range shapes(ctx, g, h) {
+	for _, sh := range shapes(ctx, g, snap) {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		mineShape(ctx, g, h, sh, opt, keep)
+		mineShape(ctx, g, snap, sh, opt, keep)
 		if ctxErr != nil {
 			return out, ctxErr
 		}
@@ -139,14 +139,14 @@ type shape struct {
 }
 
 // shapes enumerates single-node and single-edge shapes present in g,
-// collecting their matches over the shared host h and aborting match
+// collecting their matches over the shared snapshot and aborting match
 // collection when ctx is cancelled.
-func shapes(ctx context.Context, g *graph.Graph, h pattern.Host) []shape {
+func shapes(ctx context.Context, g *graph.Graph, snap *graph.Snapshot) []shape {
 	var out []shape
 	stop := func() bool { return ctx.Err() != nil }
 	collect := func(p *pattern.Pattern) []pattern.Match {
 		var ms []pattern.Match
-		pattern.ForEachMatchCancel(p, h, stop, func(m pattern.Match) bool {
+		pattern.ForEachMatchCancel(p, snap, stop, func(m pattern.Match) bool {
 			ms = append(ms, m.Clone())
 			return ctx.Err() == nil
 		})
@@ -208,8 +208,8 @@ func shapes(ctx context.Context, g *graph.Graph, h pattern.Host) []shape {
 
 // mineShape emits the rules of one shape through keep, abandoning the
 // shape as soon as ctx is cancelled. Attribute statistics come from g's
-// native tuples; exact verification matches over the shared host h.
-func mineShape(ctx context.Context, g *graph.Graph, h pattern.Host, sh shape, opt Options, keep func(Discovered)) {
+// native tuples; exact verification matches over the shared snapshot.
+func mineShape(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, sh shape, opt Options, keep func(Discovered)) {
 	if len(sh.matches) < opt.minSupport() {
 		return
 	}
@@ -264,7 +264,7 @@ func mineShape(ctx context.Context, g *graph.Graph, h pattern.Host, sh shape, op
 			}
 			rule := ged.New(fmt.Sprintf("const:%s.%s@%s", v, a, sh.name),
 				sh.pattern, nil, []ged.Literal{ged.ConstLit(v, a, c)})
-			emitVerified(ctx, h, rule, n, keep)
+			emitVerified(ctx, snap, rule, n, keep)
 		}
 	}
 
@@ -289,7 +289,7 @@ func mineShape(ctx context.Context, g *graph.Graph, h pattern.Host, sh shape, op
 				}
 				rule := ged.New(fmt.Sprintf("var:%s.%s=%s.%s@%s", x, a, y, b, sh.name),
 					sh.pattern, nil, []ged.Literal{ged.VarLit(x, a, y, b)})
-				emitVerified(ctx, h, rule, n, keep)
+				emitVerified(ctx, snap, rule, n, keep)
 			}
 		}
 	}
@@ -353,7 +353,7 @@ func mineShape(ctx context.Context, g *graph.Graph, h pattern.Host, sh shape, op
 							sh.pattern,
 							[]ged.Literal{ged.ConstLit(v, a, c)},
 							[]ged.Literal{ged.ConstLit(w, b, *d)})
-						emitVerified(ctx, h, rule, len(sel), keep)
+						emitVerified(ctx, snap, rule, len(sel), keep)
 					}
 				}
 			}
@@ -362,11 +362,11 @@ func mineShape(ctx context.Context, g *graph.Graph, h pattern.Host, sh shape, op
 }
 
 // emitVerified double-checks the rule exactly before keeping it,
-// reusing the shared matching host instead of re-freezing per
-// candidate; the verification itself honors ctx, so cancellation cannot
-// strand a full-graph validation.
-func emitVerified(ctx context.Context, h pattern.Host, rule *ged.GED, support int, keep func(Discovered)) {
-	vs, err := reason.ValidateOnCtx(ctx, h, ged.Set{rule}, 1)
+// reusing the shared snapshot instead of re-freezing per candidate; the
+// verification itself honors ctx, so cancellation cannot strand a
+// full-graph validation.
+func emitVerified(ctx context.Context, snap *graph.Snapshot, rule *ged.GED, support int, keep func(Discovered)) {
+	vs, err := reason.NewValidatorOn(snap, ged.Set{rule}).RunCtx(ctx, 1)
 	if err != nil || len(vs) != 0 {
 		return // should not happen; mining is exact, but stay safe
 	}

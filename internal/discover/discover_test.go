@@ -1,6 +1,7 @@
 package discover
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestDiscoverPrunesImplied(t *testing.T) {
 		kept = append(kept, d.GED)
 	}
 	for _, d := range unpruned {
-		if !reason.Implies(kept, d.GED).Implied {
+		if r, _ := reason.ImpliesCtx(context.Background(), kept, d.GED, 0); !r.Implied {
 			t.Errorf("pruned set lost information: %s", d.GED)
 		}
 	}

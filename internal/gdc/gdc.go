@@ -120,35 +120,25 @@ type Violation struct {
 	Literal ged.Literal
 }
 
-// HoldsInGraph evaluates h(x̄) ⊨ l directly against stored attributes;
-// missing attributes falsify attribute literals, as for GEDs.
-func HoldsInGraph(g *graph.Graph, l ged.Literal, m pattern.Match) bool {
-	switch {
-	case l.Left.Kind == ged.OperandID:
-		return m[l.Left.Var] == m[l.Right.Var]
-	case l.Right.Kind == ged.OperandConst:
-		v, ok := g.Attr(m[l.Left.Var], l.Left.Attr)
-		return ok && l.Op.Eval(v, l.Right.Const)
-	default:
-		v1, ok1 := g.Attr(m[l.Left.Var], l.Left.Attr)
-		v2, ok2 := g.Attr(m[l.Right.Var], l.Right.Attr)
-		return ok1 && ok2 && l.Op.Eval(v1, v2)
-	}
-}
-
 // Validate finds violations of Σ in G, up to limit (≤ 0 means all).
 func Validate(g *graph.Graph, sigma Set, limit int) []Violation {
+	return validate(g.Freeze(), sigma, limit)
+}
+
+// validate is Validate over a frozen graph: every match of each
+// pattern, every literal judged by ged.Holds — missing attributes
+// falsify attribute literals, as for GEDs.
+func validate(snap *graph.Snapshot, sigma Set, limit int) []Violation {
 	var out []Violation
 	for _, d := range sigma {
-		d := d
-		pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			for _, l := range d.X {
-				if !HoldsInGraph(g, l, m) {
+				if !ged.Holds(snap, l, m) {
 					return true
 				}
 			}
 			for _, l := range d.Y {
-				if !HoldsInGraph(g, l, m) {
+				if !ged.Holds(snap, l, m) {
 					out = append(out, Violation{GDC: d, Match: m.Clone(), Literal: l})
 					break
 				}

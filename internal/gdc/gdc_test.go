@@ -1,6 +1,7 @@
 package gdc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -218,7 +219,8 @@ func TestGDCImpliesAgreesWithGEDImplication(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		sigma := randomGEDSigma(rng)
 		phi := randomGEDSigma(rng)[0]
-		want := reason.Implies(sigma, phi).Implied
+		exact, _ := reason.ImpliesCtx(context.Background(), sigma, phi, 0)
+		want := exact.Implied
 		var gs Set
 		for _, d := range sigma {
 			gs = append(gs, FromGED(d))
@@ -246,7 +248,8 @@ func TestGDCSatAgreesWithGEDSat(t *testing.T) {
 	agree, unknown := 0, 0
 	for trial := 0; trial < 120; trial++ {
 		sigma := randomGEDSigma(rng)
-		want := reason.CheckSat(sigma).Satisfiable
+		exact, _ := reason.CheckSatCtx(context.Background(), sigma, 0)
+		want := exact.Satisfiable
 		var gs Set
 		for _, d := range sigma {
 			gs = append(gs, FromGED(d))

@@ -272,11 +272,11 @@ func (s *state) propagate(sigma Set, budget *int) (ok, complete bool) {
 		}
 		*budget--
 		q, _, repOf := s.quotient()
+		snap := q.Freeze()
 		changed := false
 		conflict := false
 		for _, d := range sigma {
-			d := d
-			pattern.ForEachMatch(d.Pattern, q, func(m pattern.Match) bool {
+			pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 				base := make(map[pattern.Var]graph.NodeID, len(m))
 				for v, qn := range m {
 					base[v] = repOf[qn]
@@ -374,9 +374,10 @@ func CheckSat(sigma Set) *SatResult {
 }
 
 // solve is the recursive propagate-and-branch core. certify, when
-// non-nil, adds an extra acceptance predicate on candidate models (used
-// by the implication counterexample search).
-func solve(s *state, sigma Set, budget *int, certify func(*graph.Graph, *state) bool, depth int) (Verdict, *graph.Graph) {
+// non-nil, adds an extra acceptance predicate on candidate models, read
+// through the frozen model (used by the implication counterexample
+// search).
+func solve(s *state, sigma Set, budget *int, certify func(*graph.Snapshot, *state) bool, depth int) (Verdict, *graph.Graph) {
 	if *budget <= 0 || depth > 40 {
 		return Unknown, nil
 	}
@@ -392,8 +393,9 @@ func solve(s *state, sigma Set, budget *int, certify func(*graph.Graph, *state) 
 	if err != nil {
 		return Unknown, nil
 	}
-	extraOK := certify == nil || certify(model, s)
-	vs := Validate(model, sigma, 1)
+	frozen := model.Freeze()
+	extraOK := certify == nil || certify(frozen, s)
+	vs := validate(frozen, sigma, 1)
 	if len(vs) == 0 && extraOK {
 		return True, model
 	}
@@ -499,21 +501,21 @@ func Implies(sigma Set, phi *GDC) *ImplResult {
 		return &ImplResult{Implied: True}
 	}
 
-	certifyFor := func(lit *ged.Literal) func(*graph.Graph, *state) bool {
-		return func(model *graph.Graph, st *state) bool {
+	certifyFor := func(lit *ged.Literal) func(*graph.Snapshot, *state) bool {
+		return func(model *graph.Snapshot, st *state) bool {
 			// The identity embedding must satisfy X and falsify Y (the
 			// specific literal when given, any literal otherwise).
-			m := identityMatch(st, vm, model)
+			m := identityMatch(st, vm)
 			for _, l := range phi.X {
-				if !HoldsInGraph(model, l, m) {
+				if !ged.Holds(model, l, m) {
 					return false
 				}
 			}
 			if lit != nil {
-				return !HoldsInGraph(model, *lit, m)
+				return !ged.Holds(model, *lit, m)
 			}
 			for _, l := range phi.Y {
-				if !HoldsInGraph(model, l, m) {
+				if !ged.Holds(model, l, m) {
 					return true
 				}
 			}
@@ -568,12 +570,11 @@ func resolveVars(l ged.Literal, vm map[pattern.Var]graph.NodeID, s *state) map[p
 
 // identityMatch maps φ's pattern variables to the candidate model's
 // nodes through the quotient.
-func identityMatch(s *state, vm map[pattern.Var]graph.NodeID, model *graph.Graph) pattern.Match {
+func identityMatch(s *state, vm map[pattern.Var]graph.NodeID) pattern.Match {
 	_, nodeOf, _ := s.quotient()
 	m := make(pattern.Match, len(vm))
 	for v, n := range vm {
 		m[v] = nodeOf[n]
 	}
-	_ = model
 	return m
 }

@@ -285,3 +285,26 @@ func IsFalse(lits []Literal) bool {
 	}
 	return false
 }
+
+// Holds evaluates h(x̄) ⊨ l for the match m against the snapshot's
+// stored attribute values, with the paper's existence semantics: a
+// literal over a missing attribute is false. Attribute literals compare
+// with l.Op.Eval — Value.Equal for OpEq, so on GED literals this is
+// exactly Section 3's semantics — and id literals are node identity.
+// It resolves variables and attributes by name on every call: it is the
+// Match-map evaluator of the solvers and the test oracles, while
+// validation judges dense binding vectors through reason.CompiledRule.
+// Callers that admit only GED literals check Kind first.
+func Holds(snap *graph.Snapshot, l Literal, m pattern.Match) bool {
+	switch {
+	case l.Left.Kind == OperandID:
+		return m[l.Left.Var] == m[l.Right.Var]
+	case l.Right.Kind == OperandConst:
+		v, ok := snap.Attr(m[l.Left.Var], l.Left.Attr)
+		return ok && l.Op.Eval(v, l.Right.Const)
+	default:
+		v1, ok1 := snap.Attr(m[l.Left.Var], l.Left.Attr)
+		v2, ok2 := snap.Attr(m[l.Right.Var], l.Right.Attr)
+		return ok1 && ok2 && l.Op.Eval(v1, v2)
+	}
+}

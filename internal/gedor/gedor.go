@@ -16,7 +16,6 @@
 package gedor
 
 import (
-	"gedlib/internal/chase"
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
@@ -123,17 +122,17 @@ type Violation struct {
 
 // Validate finds violations of Σ in G, up to limit (≤ 0 means all).
 func Validate(g *graph.Graph, sigma Set, limit int) []Violation {
+	snap := g.Freeze()
 	var out []Violation
 	for _, d := range sigma {
-		d := d
-		pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			for _, l := range d.X {
-				if !holdsInGraph(g, l, m) {
+				if !holds(snap, l, m) {
 					return true
 				}
 			}
 			for _, l := range d.Y {
-				if holdsInGraph(g, l, m) {
+				if holds(snap, l, m) {
 					return true
 				}
 			}
@@ -152,22 +151,12 @@ func Satisfies(g *graph.Graph, sigma Set) bool {
 	return len(Validate(g, sigma, 1)) == 0
 }
 
-func holdsInGraph(g *graph.Graph, l ged.Literal, m pattern.Match) bool {
-	k, ok := l.Kind()
-	if !ok {
+// holds is ged.Holds restricted to the GED literal forms GED∨s admit.
+func holds(snap *graph.Snapshot, l ged.Literal, m pattern.Match) bool {
+	if _, ok := l.Kind(); !ok {
 		panic("gedor: non-GED literal")
 	}
-	switch k {
-	case ged.ConstLiteral:
-		v, ok := g.Attr(m[l.Left.Var], l.Left.Attr)
-		return ok && v.Equal(l.Right.Const)
-	case ged.VarLiteral:
-		v1, ok1 := g.Attr(m[l.Left.Var], l.Left.Attr)
-		v2, ok2 := g.Attr(m[l.Right.Var], l.Right.Attr)
-		return ok1 && ok2 && v1.Equal(v2)
-	default:
-		return m[l.Left.Var] == m[l.Right.Var]
-	}
+	return ged.Holds(snap, l, m)
 }
 
 // DomainConstraint returns the GED∨ of Example 10: every node labeled
@@ -180,9 +169,4 @@ func DomainConstraint(tau graph.Label, a graph.Attr, domain ...graph.Value) *GED
 		ys = append(ys, ged.ConstLit("x", a, v))
 	}
 	return New("domain", q, nil, ys)
-}
-
-// evalSeeds evaluates a literal under a seed-built equivalence relation.
-func evalLit(eq *chase.Eq, l ged.Literal, m map[pattern.Var]graph.NodeID) bool {
-	return chase.Holds(eq, l, m)
 }

@@ -1,6 +1,7 @@
 package gedor
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -165,7 +166,8 @@ func TestGEDorSatAgreesWithGEDSat(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 100; trial++ {
 		sigma := randomGEDSigma(rng)
-		want := reason.CheckSat(sigma).Satisfiable
+		exact, _ := reason.CheckSatCtx(context.Background(), sigma, 0)
+		want := exact.Satisfiable
 		var ds Set
 		for _, d := range sigma {
 			ds = append(ds, FromGED(d)...)
@@ -190,7 +192,8 @@ func TestGEDorImplAgreesWithGEDImpl(t *testing.T) {
 		if len(phiGED.Y) != 1 {
 			continue // the split-GED equivalence needs a single literal
 		}
-		want := reason.Implies(sigma, phiGED).Implied
+		exact, _ := reason.ImpliesCtx(context.Background(), sigma, phiGED, 0)
+		want := exact.Implied
 		var ds Set
 		for _, d := range sigma {
 			ds = append(ds, FromGED(d)...)

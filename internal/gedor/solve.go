@@ -74,21 +74,21 @@ func findPending(b branchState, sigma Set) (*chase.Result, *pending) {
 		return res, nil
 	}
 	co := res.Coercion
+	snap := co.Graph.Freeze()
 	var found *pending
 	for _, d := range sigma {
-		d := d
-		pattern.ForEachMatch(d.Pattern, co.Graph, func(m pattern.Match) bool {
+		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			base := make(map[pattern.Var]graph.NodeID, len(m))
 			for v, cn := range m {
 				base[v] = co.RepOf[cn]
 			}
 			for _, l := range d.X {
-				if !evalLit(res.Eq, l, base) {
+				if !chase.Holds(res.Eq, l, base) {
 					return true
 				}
 			}
 			for _, l := range d.Y {
-				if evalLit(res.Eq, l, base) {
+				if chase.Holds(res.Eq, l, base) {
 					return true
 				}
 			}
@@ -191,7 +191,7 @@ func refute(b branchState, sigma Set, phi *GEDor, vm map[pattern.Var]graph.NodeI
 	if p == nil {
 		// Terminal: does the identity embedding falsify φ?
 		for _, l := range phi.Y {
-			if evalLit(res.Eq, l, vm) {
+			if chase.Holds(res.Eq, l, vm) {
 				return False, nil // φ holds on this branch
 			}
 		}

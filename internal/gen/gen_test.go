@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,6 +13,32 @@ import (
 	"gedlib/internal/pattern"
 	"gedlib/internal/reason"
 )
+
+// checkSat, implies and validate are the ctx-free shorthands of the
+// chase-based decisions (Theorems 2 and 4) and of snapshot validation.
+func checkSat(sigma ged.Set) *reason.SatResult {
+	r, err := reason.CheckSatCtx(context.Background(), sigma, 0)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func implies(sigma ged.Set, phi *ged.GED) *reason.ImplResult {
+	r, err := reason.ImpliesCtx(context.Background(), sigma, phi, 0)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func validate(g *graph.Graph, sigma ged.Set, limit int) []reason.Violation {
+	vs, err := reason.NewValidatorOn(g.Freeze(), sigma).RunCtx(context.Background(), limit)
+	if err != nil {
+		panic(err)
+	}
+	return vs
+}
 
 func TestGraphFamiliesChromatic(t *testing.T) {
 	cases := []struct {
@@ -115,7 +142,7 @@ func TestSatGFDFamily(t *testing.T) {
 		if sigma.Classify() != ged.ClassGFD {
 			t.Errorf("%s: family must be GFDs, got %v", name, sigma.Classify())
 		}
-		r := reason.CheckSat(sigma)
+		r := checkSat(sigma)
 		if r.Satisfiable != want {
 			t.Errorf("%s: satisfiable = %v, want %v", name, r.Satisfiable, want)
 		}
@@ -133,7 +160,7 @@ func TestImplGFDxFamily(t *testing.T) {
 		if sigma.Classify() != ged.ClassGFDx || phi.Classify() != ged.ClassGFDx {
 			t.Errorf("%s: family must be GFDx", name)
 		}
-		if got := reason.Implies(sigma, phi).Implied; got != want {
+		if got := implies(sigma, phi).Implied; got != want {
 			t.Errorf("%s: implied = %v, want %v", name, got, want)
 		}
 	}
@@ -147,7 +174,7 @@ func TestImplGKeyFamily(t *testing.T) {
 		if !ged.IsGKey(sigma[0]) || !ged.IsGKey(phi) {
 			t.Errorf("%s: family must be GKeys", name)
 		}
-		if got := reason.Implies(sigma, phi).Implied; got != want {
+		if got := implies(sigma, phi).Implied; got != want {
 			t.Errorf("%s: implied = %v, want %v", name, got, want)
 		}
 	}
@@ -203,11 +230,11 @@ func TestReductionsOnRandomInputs(t *testing.T) {
 			continue
 		}
 		chi3 := h.Colorable(3)
-		if got := reason.CheckSat(SatGFDFamily(h)).Satisfiable; got != !chi3 {
+		if got := checkSat(SatGFDFamily(h)).Satisfiable; got != !chi3 {
 			t.Errorf("sat family wrong on %s (chi3=%v)", h, chi3)
 		}
 		sigma, phi := ImplGFDxFamily(h)
-		if got := reason.Implies(sigma, phi).Implied; got != chi3 {
+		if got := implies(sigma, phi).Implied; got != chi3 {
 			t.Errorf("impl family wrong on %s (chi3=%v)", h, chi3)
 		}
 		g, s := ValidGFDxFamily(h)
@@ -223,7 +250,7 @@ func TestKnowledgeBase(t *testing.T) {
 		t.Fatal("expected planted inconsistencies at rate 0.3")
 	}
 	sigma := ged.Set{PaperPhi1(), PaperPhi2(), PaperPhi3(), PaperPhi4()}
-	vs := reason.Validate(g, sigma, 0)
+	vs := validate(g, sigma, 0)
 	if len(vs) < stats.Total() {
 		t.Errorf("validation found %d violations, planted %d", len(vs), stats.Total())
 	}
@@ -233,7 +260,7 @@ func TestKnowledgeBase(t *testing.T) {
 		t.Fatal("rate 0 must plant nothing")
 	}
 	if !reason.Satisfies(clean, sigma) {
-		vs := reason.Validate(clean, sigma, 3)
+		vs := validate(clean, sigma, 3)
 		t.Errorf("clean KB must satisfy Σ; first violations: %v", vs)
 	}
 }
@@ -244,7 +271,7 @@ func TestSocialNetwork(t *testing.T) {
 		t.Fatal("expected seed fakes")
 	}
 	phi5 := PaperPhi5(2)
-	vs := reason.Validate(g, ged.Set{phi5}, 0)
+	vs := validate(g, ged.Set{phi5}, 0)
 	if len(vs) == 0 {
 		t.Error("spam rule must fire on the social workload")
 	}
@@ -256,7 +283,7 @@ func TestMusicDB(t *testing.T) {
 		t.Fatal("expected planted duplicates")
 	}
 	keys := PaperKeys()
-	vs := reason.Validate(g, keys, 0)
+	vs := validate(g, keys, 0)
 	if len(vs) == 0 {
 		t.Error("planted duplicates must violate the keys")
 	}
@@ -329,7 +356,7 @@ func TestTable1(t *testing.T) {
 	for i, in := range hard {
 		h, chi3 := in.h, in.h.Colorable(3)
 		add("GFD", "satisfiability", "3col/"+in.name, !chi3, func() bool {
-			return reason.CheckSat(SatGFDFamily(h)).Satisfiable
+			return checkSat(SatGFDFamily(h)).Satisfiable
 		})
 		if i < 3 {
 			// The GFD family plus a harmless GKey: id literals in the
@@ -343,16 +370,16 @@ func TestTable1(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return reason.CheckSat(append(SatGFDFamily(h), key)).Satisfiable
+				return checkSat(append(SatGFDFamily(h), key)).Satisfiable
 			})
 		}
 		add("GFDx", "implication", "3col/"+in.name, chi3, func() bool {
 			sigma, phi := ImplGFDxFamily(h)
-			return reason.Implies(sigma, phi).Implied
+			return implies(sigma, phi).Implied
 		})
 		add("GKey", "implication", "3col/"+in.name, chi3, func() bool {
 			sigma, phi := ImplGKeyFamily(h)
-			return reason.Implies(sigma, phi).Implied
+			return implies(sigma, phi).Implied
 		})
 		add("GFDx", "validation", "3col/"+in.name, !chi3, func() bool {
 			return reason.Satisfies(ValidGFDxFamily(h))
@@ -364,11 +391,11 @@ func TestTable1(t *testing.T) {
 	// Recursive keys carry no constants to conflict; GFDx sets are
 	// always satisfiable (Theorem 3's O(1) row).
 	add("GKey", "satisfiability", "psi1-3", true, func() bool {
-		return reason.CheckSat(PaperKeys()).Satisfiable
+		return checkSat(PaperKeys()).Satisfiable
 	})
 	add("GFDx", "satisfiability", "any", true, func() bool {
 		sigma, _ := ImplGFDxFamily(Wheel(5))
-		return reason.CheckSat(sigma).Satisfiable
+		return checkSat(sigma).Satisfiable
 	})
 	// Planted workloads: a knowledge base or music catalog satisfies its
 	// rules exactly when nothing was planted.
@@ -453,5 +480,208 @@ func TestTable1(t *testing.T) {
 		if !problems[p] {
 			t.Errorf("problem %s not covered", p)
 		}
+	}
+}
+
+// tuple is one row of a relation instance, keyed by column.
+type tuple map[graph.Attr]graph.Value
+
+// encodeRelation represents a relation instance as a graph the way
+// Section 3 (special case 5) does: one node per tuple, labeled with the
+// relation name, carrying the tuple as attributes, and no edges.
+func encodeRelation(rel graph.Label, ts []tuple) *graph.Graph {
+	g := graph.New()
+	for _, t := range ts {
+		g.AddNodeAttrs(rel, t)
+	}
+	return g
+}
+
+// allPairs reports whether ok holds on every ordered pair of tuples,
+// including a tuple paired with itself — the quantifier of FDs, CFDs,
+// EGDs and denial constraints alike.
+func allPairs(ts []tuple, ok func(s, t tuple) bool) bool {
+	for _, s := range ts {
+		for _, t := range ts {
+			if !ok(s, t) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// equalOn reports that s and t carry equal values for every attribute.
+func equalOn(s, t tuple, attrs ...graph.Attr) bool {
+	for _, a := range attrs {
+		v, ok1 := s[a]
+		w, ok2 := t[a]
+		if !ok1 || !ok2 || !v.Equal(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRelationalDependencies checks the Section 3 claim that GEDs
+// subsume relational dependencies: an FD, a CFD (constant and variable
+// right-hand side) and an EGD become GEDs over edgeless two-node
+// patterns, and denial constraints become GDCs with a false consequent
+// (Section 7.1). On every instance, validating the encoded graph must
+// agree with the direct relational check — and with the instance's
+// known status.
+func TestRelationalDependencies(t *testing.T) {
+	emp := func(name, dept, city string, salary int) tuple {
+		return tuple{"name": graph.String(name), "dept": graph.String(dept), "city": graph.String(city), "salary": graph.Int(salary)}
+	}
+	pair := func(rel graph.Label) *pattern.Pattern {
+		q := pattern.New()
+		q.AddVar("s", rel).AddVar("t", rel)
+		return q
+	}
+	cs, ny := graph.String("cs"), graph.String("ny")
+	type instance struct {
+		tuples []tuple
+		holds  bool // the instance's known status
+	}
+	cases := []struct {
+		name  string
+		rel   graph.Label
+		class ged.Class // of the GED encoding, when there is one
+		geds  ged.Set
+		gdcs  gdc.Set
+		// direct is the dependency checked on the relation itself.
+		direct    func(ts []tuple) bool
+		instances []instance
+	}{
+		{
+			name: "FDViolationRoundTrip", rel: "emp", class: ged.ClassGFDx,
+			// emp(dept → city)
+			geds: ged.Set{ged.New("fd", pair("emp"),
+				[]ged.Literal{ged.VarLit("s", "dept", "t", "dept")},
+				[]ged.Literal{ged.VarLit("s", "city", "t", "city")})},
+			direct: func(ts []tuple) bool {
+				return allPairs(ts, func(s, t tuple) bool { return !equalOn(s, t, "dept") || equalOn(s, t, "city") })
+			},
+			instances: []instance{
+				{[]tuple{emp("ann", "cs", "ny", 90), emp("bob", "cs", "la", 80)}, false},
+				{[]tuple{emp("ann", "cs", "ny", 90), emp("bob", "cs", "ny", 80), emp("cat", "ee", "la", 85)}, true},
+			},
+		},
+		{
+			name: "CFDRoundTrip", rel: "emp", class: ged.ClassGFD,
+			// (emp: dept → city, (cs ‖ ny)): cs employees are in ny; the ee
+			// employee is outside the CFD's scope.
+			geds: ged.Set{ged.New("cfd", pair("emp"),
+				[]ged.Literal{ged.ConstLit("s", "dept", cs), ged.ConstLit("t", "dept", cs)},
+				[]ged.Literal{ged.ConstLit("s", "city", ny)})},
+			direct: func(ts []tuple) bool {
+				return allPairs(ts, func(s, _ tuple) bool {
+					return !equalOn(s, tuple{"dept": cs}, "dept") || equalOn(s, tuple{"city": ny}, "city")
+				})
+			},
+			instances: []instance{
+				{[]tuple{emp("ann", "cs", "la", 90)}, false},
+				{[]tuple{emp("ann", "cs", "ny", 90), emp("bob", "ee", "la", 80)}, true},
+			},
+		},
+		{
+			name: "CFDWithVariableRHS", rel: "emp", class: ged.ClassGFD,
+			// (emp: dept → city, (cs ‖ _)): cs employees agree on city.
+			geds: ged.Set{ged.New("cfd", pair("emp"),
+				[]ged.Literal{ged.ConstLit("s", "dept", cs), ged.ConstLit("t", "dept", cs)},
+				[]ged.Literal{ged.VarLit("s", "city", "t", "city")})},
+			direct: func(ts []tuple) bool {
+				return allPairs(ts, func(s, t tuple) bool {
+					return !equalOn(s, tuple{"dept": cs}, "dept") || !equalOn(t, tuple{"dept": cs}, "dept") || equalOn(s, t, "city")
+				})
+			},
+			instances: []instance{
+				{[]tuple{emp("ann", "cs", "ny", 90), emp("bob", "cs", "la", 80)}, false},
+			},
+		},
+		{
+			name: "EGDEncoding", rel: "r", class: ged.ClassGFDx,
+			// ∀x,y,z (r(x, y) ∧ r(x, z) → y = z), as the paper's pair
+			// (φ_R, φ_E): φ_R makes the body's attributes exist, φ_E
+			// enforces the equality under the join.
+			geds: ged.Set{
+				ged.New("egd:attrs", pair("r"), nil, []ged.Literal{
+					ged.VarLit("s", "a", "s", "a"), ged.VarLit("s", "b", "s", "b"),
+					ged.VarLit("t", "a", "t", "a"), ged.VarLit("t", "b", "t", "b")}),
+				ged.New("egd:eq", pair("r"),
+					[]ged.Literal{ged.VarLit("s", "a", "t", "a")},
+					[]ged.Literal{ged.VarLit("s", "b", "t", "b")}),
+			},
+			direct: func(ts []tuple) bool {
+				return allPairs(ts, func(s, t tuple) bool {
+					return equalOn(s, s, "a", "b") && (!equalOn(s, t, "a") || equalOn(s, t, "b"))
+				})
+			},
+			instances: []instance{
+				{[]tuple{{"a": graph.Int(1), "b": graph.Int(2)}, {"a": graph.Int(1), "b": graph.Int(3)}}, false},
+				{[]tuple{{"a": graph.Int(1), "b": graph.Int(2)}, {"a": graph.Int(2), "b": graph.Int(3)}}, true},
+			},
+		},
+		{
+			name: "DenialConstraintEncoding", rel: "emp",
+			// ¬∃ s, t: s.salary > t.salary ∧ s.dept = t.dept ∧ s.rank < t.rank
+			gdcs: gdc.Set{gdc.New("dc", pair("emp"), []ged.Literal{
+				ged.CmpVars("s", "salary", ged.OpGt, "t", "salary"),
+				ged.CmpVars("s", "dept", ged.OpEq, "t", "dept"),
+				ged.CmpVars("s", "rank", ged.OpLt, "t", "rank"),
+			}, ged.False("s"))},
+			direct: func(ts []tuple) bool {
+				return allPairs(ts, func(s, t tuple) bool {
+					return !(t["salary"].Less(s["salary"]) && equalOn(s, t, "dept") && s["rank"].Less(t["rank"]))
+				})
+			},
+			instances: []instance{
+				{[]tuple{
+					{"salary": graph.Int(100), "dept": cs, "rank": graph.Int(1)},
+					{"salary": graph.Int(90), "dept": cs, "rank": graph.Int(2)},
+				}, false},
+				{[]tuple{
+					{"salary": graph.Int(100), "dept": cs, "rank": graph.Int(3)},
+					{"salary": graph.Int(90), "dept": cs, "rank": graph.Int(2)},
+				}, true},
+			},
+		},
+		{
+			name: "ConstantDCAtom", rel: "emp",
+			// ¬∃ t: t.salary < 0
+			gdcs: gdc.Set{gdc.New("dc", pair("emp"),
+				[]ged.Literal{ged.Cmp("s", "salary", ged.OpLt, graph.Int(0))}, ged.False("s"))},
+			direct: func(ts []tuple) bool {
+				return allPairs(ts, func(s, _ tuple) bool { return !s["salary"].Less(graph.Int(0)) })
+			},
+			instances: []instance{
+				{[]tuple{{"salary": graph.Int(-5)}}, false},
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.geds.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.gdcs.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if len(c.geds) > 0 && c.geds.Classify() != c.class {
+				t.Errorf("encoding class %v, want %v", c.geds.Classify(), c.class)
+			}
+			for i, in := range c.instances {
+				g := encodeRelation(c.rel, in.tuples)
+				if g.NumNodes() != len(in.tuples) || g.NumEdges() != 0 {
+					t.Fatalf("instance %d: encoded shape %d nodes %d edges", i, g.NumNodes(), g.NumEdges())
+				}
+				direct := c.direct(in.tuples)
+				validated := reason.Satisfies(g, c.geds) && gdc.Satisfies(g, c.gdcs)
+				if direct != in.holds || validated != direct {
+					t.Errorf("instance %d: relational check %v, graph validation %v, known status %v", i, direct, validated, in.holds)
+				}
+			}
+		})
 	}
 }

@@ -182,12 +182,16 @@ func substituteVars(l ged.Literal, m map[pattern.Var]pattern.Var) ged.Literal {
 }
 
 // Answers evaluates a query on a graph: the matches of its pattern that
-// satisfy its selection.
+// satisfy its selection. The selection must consist of GED literals.
 func Answers(q *Query, g *graph.Graph) []pattern.Match {
+	snap := g.Freeze()
 	var out []pattern.Match
-	pattern.ForEachMatch(q.Pattern, g, func(m pattern.Match) bool {
+	pattern.ForEachMatch(q.Pattern, snap, func(m pattern.Match) bool {
 		for _, l := range q.X {
-			if !holdsInGraph(g, l, m) {
+			if _, ok := l.Kind(); !ok {
+				panic("optimize: non-GED literal in a query selection")
+			}
+			if !ged.Holds(snap, l, m) {
 				return true
 			}
 		}
@@ -195,24 +199,6 @@ func Answers(q *Query, g *graph.Graph) []pattern.Match {
 		return true
 	})
 	return out
-}
-
-func holdsInGraph(g *graph.Graph, l ged.Literal, m pattern.Match) bool {
-	k, ok := l.Kind()
-	if !ok {
-		panic("optimize: non-GED literal in a query selection")
-	}
-	switch k {
-	case ged.ConstLiteral:
-		v, ok := g.Attr(m[l.Left.Var], l.Left.Attr)
-		return ok && v.Equal(l.Right.Const)
-	case ged.VarLiteral:
-		v1, ok1 := g.Attr(m[l.Left.Var], l.Left.Attr)
-		v2, ok2 := g.Attr(m[l.Right.Var], l.Right.Attr)
-		return ok1 && ok2 && v1.Equal(v2)
-	default:
-		return m[l.Left.Var] == m[l.Right.Var]
-	}
 }
 
 // PullBack translates a match of the rewritten query into a match of the

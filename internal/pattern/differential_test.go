@@ -1,15 +1,13 @@
 package pattern_test
 
-// Differential tests for the two matcher hosts: matching over a frozen
-// graph.Snapshot must return exactly the same match sets as matching
-// over the mutable graph.Graph, across generated workloads
-// (testing/quick drives the seeds). An external test package is used so
-// the workload generators of internal/gen can be imported without a
-// cycle.
+// Differential tests for the matcher against the brute-force oracle
+// (oracle_test.go): matching over a frozen graph.Snapshot must return
+// exactly the homomorphisms the oracle enumerates on the graph it was
+// frozen from, across generated workloads (testing/quick drives the
+// seeds). An external test package is used so the workload generators
+// of internal/gen can be imported without a cycle.
 
 import (
-	"fmt"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -17,32 +15,6 @@ import (
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
 )
-
-// canonMatches renders a match list canonically for set comparison.
-func canonMatches(p *pattern.Pattern, ms []pattern.Match) []string {
-	out := make([]string, 0, len(ms))
-	for _, m := range ms {
-		s := ""
-		for _, x := range p.Vars() {
-			s += fmt.Sprintf("%s=%d;", x, m[x])
-		}
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sameCanon(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 var (
 	diffLabels = []graph.Label{"a", "b", "c"}
@@ -58,34 +30,42 @@ func workloadFor(seed int64) (*graph.Graph, []*pattern.Pattern) {
 	for _, d := range sigma {
 		ps = append(ps, d.Pattern)
 	}
-	// A wildcard-heavy pattern and the empty pattern ride along: both
-	// exercise host paths the GED generator rarely produces.
+	// A wildcard-heavy pattern, a path closed by a wildcard edge (a
+	// residual check on an intersected candidate) and the empty pattern
+	// ride along: all exercise matcher paths the GED generator rarely
+	// produces.
 	wild := pattern.New()
 	wild.AddVar("x", graph.Wildcard)
 	wild.AddEdge("x", graph.Wildcard, "y")
-	ps = append(ps, wild, pattern.New())
+	closed := pattern.New()
+	closed.AddEdge("x", "e", "y").AddEdge("y", "e", "z").AddEdge("x", graph.Wildcard, "z")
+	ps = append(ps, wild, closed, pattern.New())
 	return g, ps
 }
 
 // TestSnapshotMatchingDifferential: for quick-generated seeds, every
-// pattern finds exactly the same match set on both hosts.
+// pattern finds exactly the oracle's match set on the snapshot, through
+// both the Match-map and the dense enumeration.
 func TestSnapshotMatchingDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		g, ps := workloadFor(seed % 1_000_000)
 		snap := g.Freeze()
 		for _, p := range ps {
-			onGraph := canonMatches(p, pattern.FindMatches(p, g, 0))
-			onSnap := canonMatches(p, pattern.FindMatches(p, snap, 0))
-			if !sameCanon(onGraph, onSnap) {
-				t.Logf("seed %d: pattern %s: %d matches on graph, %d on snapshot",
-					seed, p, len(onGraph), len(onSnap))
-				return false
-			}
-			if pattern.HasMatch(p, g) != pattern.HasMatch(p, snap) {
-				return false
-			}
-			if pattern.CountMatches(p, g) != pattern.CountMatches(p, snap) {
-				return false
+			want := canonMatches(p, bruteForce(p, g, nil))
+			var onMap []pattern.Match
+			pattern.ForEachMatch(p, snap, func(m pattern.Match) bool {
+				onMap = append(onMap, m.Clone())
+				return true
+			})
+			onDense := denseMatches(p, func(yield func([]graph.NodeID) bool) {
+				pattern.Compile(p, snap).ForEachDenseCancel(nil, nil, yield)
+			})
+			for _, got := range [][]pattern.Match{onMap, onDense} {
+				if got := canonMatches(p, got); !sameCanon(want, got) {
+					t.Logf("seed %d: pattern %s: oracle %d matches, snapshot %d",
+						seed, p, len(want), len(got))
+					return false
+				}
 			}
 		}
 		return true
@@ -95,8 +75,9 @@ func TestSnapshotMatchingDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotPivotDifferential: the pivot-block primitive partitions
-// identically over both hosts.
+// TestSnapshotPivotDifferential: the pivot-block primitive enumerates,
+// candidate by candidate, exactly the oracle's matches binding the
+// pivot to that candidate.
 func TestSnapshotPivotDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		g, ps := workloadFor(seed % 1_000_000)
@@ -107,16 +88,13 @@ func TestSnapshotPivotDifferential(t *testing.T) {
 			}
 			pivot := p.Vars()[0]
 			cands := g.CandidateNodes(p.Label(pivot))
-			var onGraph, onSnap []pattern.Match
-			pattern.Compile(p, g).ForEachPivot(pivot, cands, func(m pattern.Match) bool {
-				onGraph = append(onGraph, m.Clone())
-				return true
+			want := bruteForcePivot(p, g, nil, pivot, cands)
+			got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
+				pattern.Compile(p, snap).ForEachDensePivotCancel(pivot, cands, nil, nil, yield)
 			})
-			pattern.Compile(p, snap).ForEachPivot(pivot, cands, func(m pattern.Match) bool {
-				onSnap = append(onSnap, m.Clone())
-				return true
-			})
-			if !sameCanon(canonMatches(p, onGraph), canonMatches(p, onSnap)) {
+			if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
+				t.Logf("seed %d: pattern %s pivot %s: oracle %d matches, snapshot %d",
+					seed, p, pivot, len(want), len(got))
 				return false
 			}
 		}
@@ -129,50 +107,25 @@ func TestSnapshotPivotDifferential(t *testing.T) {
 
 // TestEmptyPatternYieldContract: the empty pattern delivers its single
 // empty match through the regular search, so the "return false to stop"
-// contract holds and pre-bindings (which necessarily name unknown
-// variables) yield nothing.
+// contract holds, and a pivot (which necessarily names an unknown
+// variable) yields nothing.
 func TestEmptyPatternYieldContract(t *testing.T) {
 	g := graph.New()
 	g.AddNode("a")
-	for _, host := range []pattern.Host{g, g.Freeze()} {
-		pl := pattern.Compile(pattern.New(), host)
-		calls := 0
-		pl.ForEachBound(nil, func(m pattern.Match) bool {
-			calls++
-			if len(m) != 0 {
-				t.Errorf("empty pattern yielded non-empty match %v", m)
-			}
-			return false // must be honored: no further yields
-		})
-		if calls != 1 {
-			t.Errorf("empty pattern yielded %d times, want 1", calls)
-		}
-		// A pre-binding on the empty pattern names an unknown variable
-		// and must match nothing.
-		pl.ForEachBound(pattern.Match{"zzz": 0}, func(pattern.Match) bool {
-			t.Error("pre-bound unknown variable yielded a match on the empty pattern")
-			return true
-		})
-	}
-}
-
-// BenchmarkMatcherHosts compares the two hosts on a mid-size random
-// graph with a 3-variable path pattern — the matcher's inner loop in
-// isolation.
-func BenchmarkMatcherHosts(b *testing.B) {
-	g := gen.RandomPropertyGraph(5, 2000, 4, diffLabels, diffAttrs, 4)
-	p := pattern.New()
-	p.AddVar("x", "a").AddVar("y", "b").AddVar("z", "c")
-	p.AddEdge("x", "e", "y").AddEdge("y", "e", "z")
-	b.Run("graph", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pattern.CountMatches(p, g)
-		}
-	})
 	snap := g.Freeze()
-	b.Run("snapshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pattern.CountMatches(p, snap)
+	calls := 0
+	pattern.ForEachMatch(pattern.New(), snap, func(m pattern.Match) bool {
+		calls++
+		if len(m) != 0 {
+			t.Errorf("empty pattern yielded non-empty match %v", m)
 		}
+		return false // must be honored: no further yields
+	})
+	if calls != 1 {
+		t.Errorf("empty pattern yielded %d times, want 1", calls)
+	}
+	pattern.Compile(pattern.New(), snap).ForEachDensePivotCancel("zzz", snap.Nodes(), nil, nil, func([]graph.NodeID) bool {
+		t.Error("pivot on an unknown variable yielded a match on the empty pattern")
+		return true
 	})
 }

@@ -14,12 +14,12 @@ import "gedlib/internal/graph"
 // benchmarks use ForEachMatchInjective to demonstrate exactly that
 // divergence; all analyses in this repository use homomorphism.
 
-// ForEachMatchInjective enumerates the injective matches of p in h:
+// ForEachMatchInjective enumerates the injective matches of p in snap:
 // label-compatible homomorphisms whose variable assignments are pairwise
 // distinct.
-func ForEachMatchInjective(p *Pattern, h Host, yield func(Match) bool) {
+func ForEachMatchInjective(p *Pattern, snap *graph.Snapshot, yield func(Match) bool) {
 	used := make(map[graph.NodeID]Var, p.NumVars())
-	ForEachMatch(p, h, func(m Match) bool {
+	ForEachMatch(p, snap, func(m Match) bool {
 		clear(used)
 		for v, n := range m {
 			if w, ok := used[n]; ok && w != v {
@@ -32,9 +32,9 @@ func ForEachMatchInjective(p *Pattern, h Host, yield func(Match) bool) {
 }
 
 // CountMatchesInjective returns the number of injective matches.
-func CountMatchesInjective(p *Pattern, h Host) int {
+func CountMatchesInjective(p *Pattern, snap *graph.Snapshot) int {
 	n := 0
-	ForEachMatchInjective(p, h, func(Match) bool {
+	ForEachMatchInjective(p, snap, func(Match) bool {
 		n++
 		return true
 	})

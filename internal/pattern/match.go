@@ -41,7 +41,7 @@ func (p *Pattern) MatchOf(bind []graph.NodeID) Match {
 const unbound = graph.NodeID(-1)
 
 // labelAbsent and labelWild are the sentinel resolved-label symbols of
-// snapshot-compiled plans: absent means the label occurs nowhere in the
+// compiled plans: absent means the label occurs nowhere in the
 // snapshot (the edge or variable can never match), wild is the
 // wildcard.
 const (
@@ -50,9 +50,8 @@ const (
 )
 
 // cedge is a compiled pattern edge: endpoints resolved to variable
-// indexes so the search never hashes a Var, and — on snapshot hosts —
-// the edge label resolved to its interned symbol so the search never
-// hashes a label either.
+// indexes so the search never hashes a Var, and the edge label resolved
+// to its interned symbol so the search never hashes a label either.
 type cedge struct {
 	src, dst int
 	label    graph.Label
@@ -66,8 +65,7 @@ type cedge struct {
 // enumeration dominates their cost.
 type matcher struct {
 	pl       *Plan
-	h        Host
-	snap     *graph.Snapshot           // non-nil fast path, mirrors pl.snap
+	snap     *graph.Snapshot           // mirrors pl.snap
 	bind     []graph.NodeID            // dense partial assignment, unbound = -1
 	last     []graph.NodeID            // binding each out entry currently holds
 	out      Match                     // reused map handed to yield
@@ -106,10 +104,9 @@ const stopEvery = 1024
 // the enumeration then emits only matches whose binding of Var carries
 // attribute Attr with exactly Value, skipping literal-failing partial
 // bindings inside the search instead of post-filtering whole matches.
-// On snapshot hosts the filter resolves to the snapshot's (attr,
-// value) posting list and joins the candidate intersection; on mutable
-// hosts it is enforced per candidate at binding time. Filters naming
-// variables the pattern does not have are ignored.
+// The filter resolves to the snapshot's (attr, value) posting list and
+// joins the candidate intersection. Filters naming variables the
+// pattern does not have are ignored.
 type ConstFilter struct {
 	Var   Var
 	Attr  graph.Attr
@@ -117,13 +114,13 @@ type ConstFilter struct {
 }
 
 // cfilter is a compiled pushed-down filter: the attribute resolved to
-// its interned symbol and, on snapshot hosts, the posting list of
-// nodes carrying (attr, value).
+// its interned symbol and the posting list of nodes carrying (attr,
+// value).
 type cfilter struct {
 	attr graph.Attr
 	val  graph.Value
 	aid  int32          // resolved attr symbol; -1 = unresolved/absent
-	post []graph.NodeID // snapshot posting, ascending; nil on mutable hosts
+	post []graph.NodeID // snapshot posting, ascending
 }
 
 // Pruner lets a full scan abandon partial bindings that cannot extend
@@ -131,39 +128,32 @@ type cfilter struct {
 // was compiled with (see CompileFiltered): the matcher works out once
 // per enumeration, for the order it actually runs — pivot included —
 // the depth at which each closes (its last variable is bound) and asks
-// about it exactly once there. Only snapshot-hosted enumerations prune,
-// on the first 64 conditions; the yield callback judges the rest.
+// about it exactly once there. Only the first 64 conditions prune; the
+// yield callback judges the rest.
 type Pruner interface {
 	// Prune reports whether bind can be abandoned now that the
 	// conditions in mask (bit k for closes[k]) have closed.
 	Prune(snap *graph.Snapshot, bind []graph.NodeID, mask uint64) bool
 }
 
-// Plan is a compiled matching plan for one (pattern, host) pair: the
-// variable order, index-resolved adjacency, pushed-down literal
+// Plan is a compiled matching plan for one (pattern, snapshot) pair:
+// the variable order, symbol-resolved adjacency, pushed-down literal
 // postings and binding layout are computed once and shared across any
 // number of (concurrent) enumerations. Plans are immutable after
 // Compile and safe for concurrent use.
 type Plan struct {
 	p      *Pattern
-	h      Host
-	snap   *graph.Snapshot // non-nil when h is a snapshot: interned fast path
-	vars   []Var           // variable index -> variable
+	snap   *graph.Snapshot
+	vars   []Var // variable index -> variable
 	varIdx map[Var]int
 	labels []graph.Label // variable index -> label
-	varLid []int32       // variable index -> resolved label symbol (snapshot hosts)
+	varLid []int32       // variable index -> resolved label symbol
 	adj    [][]cedge     // variable index -> incident pattern edges
 	order  []int         // variable binding order, as indexes
 
 	filters []ConstFilter // pushed-down constant literals, as given
 	varFilt [][]cfilter   // variable index -> compiled filters
 	closes  [][]int       // variable indexes each Pruner condition reads
-	// probe selects the legacy scan-and-probe extension step (first
-	// bound neighbor's adjacency list, every other constraint probed per
-	// candidate) instead of the default multi-way sorted intersection.
-	// It exists as the differential-test oracle for the intersection
-	// path.
-	probe bool
 
 	// pool recycles matcher scratch across enumerations; see matcher.
 	// It is a pointer so Rebind-derived plans share one pool: the
@@ -178,58 +168,41 @@ type Plan struct {
 	prof *obs.MatchStats
 }
 
-// Compile prepares a matching plan for p over h — a mutable graph or a
-// frozen snapshot.
-func Compile(p *Pattern, h Host) *Plan {
-	return compile(p, h, nil, nil, false)
+// Compile prepares a matching plan for p over snap.
+func Compile(p *Pattern, snap *graph.Snapshot) *Plan {
+	return CompileFiltered(p, snap, nil, nil)
 }
 
 // CompileFiltered is Compile with constant literals pushed down into
 // the plan: enumeration skips bindings that fail them, so callers that
 // would post-filter matches on x.A = c literals (validators checking a
-// GED's antecedent) never enumerate the failing matches at all. On
-// snapshot hosts each filter resolves to the attribute-value index's
-// posting list and candidate generation intersects it alongside the
-// adjacency runs.
+// GED's antecedent) never enumerate the failing matches at all. Each
+// filter resolves to the attribute-value index's posting list and
+// candidate generation intersects it alongside the adjacency runs.
 //
 // closes lists the positions in Vars() that each condition of the
 // caller's Pruner reads: closes[0] the one whose truth settles a binding
 // (a GED's consequent, Y in Fingerprint), the rest those whose falsity
 // refutes it (antecedent literals X1, X2, …). The planner breaks ties
 // toward variables that close one, Pruner or no Pruner.
-func CompileFiltered(p *Pattern, h Host, filters []ConstFilter, closes [][]int) *Plan {
-	return compile(p, h, filters, closes, false)
-}
-
-// CompileProbe compiles the legacy scan-and-probe plan: candidates come
-// from the first bound pattern-neighbor's adjacency list and every
-// remaining constraint is probed per candidate, with the pre-intersection
-// variable ordering. It is the measured baseline of the worst-case-
-// optimal extension step and the oracle of its differential tests.
-func CompileProbe(p *Pattern, h Host) *Plan {
-	return compile(p, h, nil, nil, true)
-}
-
-func compile(p *Pattern, h Host, filters []ConstFilter, closes [][]int, probe bool) *Plan {
+func CompileFiltered(p *Pattern, snap *graph.Snapshot, filters []ConstFilter, closes [][]int) *Plan {
 	n := len(p.vars)
 	pl := &Plan{
 		p:       p,
-		h:       h,
+		snap:    snap,
 		vars:    p.vars,
 		varIdx:  make(map[Var]int, n),
 		labels:  make([]graph.Label, n),
 		adj:     make([][]cedge, n),
 		varFilt: make([][]cfilter, n),
 		closes:  closes,
-		probe:   probe,
 		pool:    new(sync.Pool),
 	}
-	pl.snap, _ = h.(*graph.Snapshot)
 	resolve := func(l graph.Label) int32 {
 		if l == graph.Wildcard {
 			return labelWild
 		}
-		if lid, ok := pl.snap.LabelID(l); ok {
+		if lid, ok := snap.LabelID(l); ok {
 			return lid
 		}
 		return labelAbsent
@@ -238,15 +211,10 @@ func compile(p *Pattern, h Host, filters []ConstFilter, closes [][]int, probe bo
 	for i, x := range p.vars {
 		pl.varIdx[x] = i
 		pl.labels[i] = p.labels[x]
-		if pl.snap != nil {
-			pl.varLid[i] = resolve(p.labels[x])
-		}
+		pl.varLid[i] = resolve(p.labels[x])
 	}
 	for _, e := range p.edges {
-		ce := cedge{src: pl.varIdx[e.Src], dst: pl.varIdx[e.Dst], label: e.Label}
-		if pl.snap != nil {
-			ce.lid = resolve(e.Label)
-		}
+		ce := cedge{src: pl.varIdx[e.Src], dst: pl.varIdx[e.Dst], label: e.Label, lid: resolve(e.Label)}
 		pl.adj[ce.src] = append(pl.adj[ce.src], ce)
 		if ce.dst != ce.src {
 			pl.adj[ce.dst] = append(pl.adj[ce.dst], ce)
@@ -260,38 +228,23 @@ func compile(p *Pattern, h Host, filters []ConstFilter, closes [][]int, probe bo
 				continue
 			}
 			cf := cfilter{attr: f.Attr, val: f.Value, aid: -1}
-			if pl.snap != nil {
-				if aid, ok := pl.snap.AttrID(f.Attr); ok {
-					cf.aid = aid
-					cf.post = pl.snap.LookupAttrID(aid, f.Value)
-				}
+			if aid, ok := snap.AttrID(f.Attr); ok {
+				cf.aid = aid
+				cf.post = snap.LookupAttrID(aid, f.Value)
 			}
 			pl.varFilt[i] = append(pl.varFilt[i], cf)
 		}
 	}
-	pl.order = planOrder(pl, h)
+	pl.order = planOrder(pl)
 	return pl
 }
 
-// Rebind returns a plan equivalent to pl but bound to snap, an
-// immutable snapshot of the same lineage as the plan's host (i.e. one
-// produced from it by graph.Snapshot.Apply, in any number of steps).
-// Within a lineage symbol ids are append-only, so the compiled variable
-// order and adjacency carry over unchanged; only label symbols that
-// were absent at Compile time are re-resolved — a delta may have
-// interned them since. The cost is proportional to the pattern, never
-// the host, which is what lets validators follow a delta-maintained
-// snapshot without recompiling.
-//
-// Rebinding onto an unrelated snapshot corrupts label resolution
-// silently; callers are expected to check Lineage, as the Engine's plan
-// cache does.
 // OrderedVars returns the plan's variable binding order — the sequence
 // the worst-case-optimal search extends partial bindings in, chosen
-// from the host's statistics at compile time. Callers that drive their
-// own extension loop (the sharded validator resumes partial bindings
-// across shard queues) reuse it so their enumeration visits variables
-// in the same cost-aware order. The returned slice is fresh.
+// from the snapshot's statistics at compile time. Callers that drive
+// their own extension loop (the sharded validator resumes partial
+// bindings across shard queues) reuse it so their enumeration visits
+// variables in the same cost-aware order. The returned slice is fresh.
 func (pl *Plan) OrderedVars() []Var {
 	out := make([]Var, len(pl.order))
 	for i, vi := range pl.order {
@@ -300,13 +253,25 @@ func (pl *Plan) OrderedVars() []Var {
 	return out
 }
 
+// Rebind returns a plan equivalent to pl but bound to snap, an
+// immutable snapshot of the same lineage as the plan's own (i.e. one
+// produced from it by graph.Snapshot.Apply, in any number of steps).
+// Within a lineage symbol ids are append-only, so the compiled variable
+// order and adjacency carry over unchanged; only label symbols that
+// were absent at Compile time are re-resolved — a delta may have
+// interned them since. The cost is proportional to the pattern, never
+// the graph, which is what lets validators follow a delta-maintained
+// snapshot without recompiling.
+//
+// Rebinding onto an unrelated snapshot corrupts label resolution
+// silently; callers are expected to check Lineage, as the Engine's plan
+// cache does.
 func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 	if snap == pl.snap {
 		return pl
 	}
 	np := &Plan{
 		p:       pl.p,
-		h:       snap,
 		snap:    snap,
 		vars:    pl.vars,
 		varIdx:  pl.varIdx,
@@ -317,7 +282,6 @@ func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 		filters: pl.filters,
 		varFilt: pl.varFilt,
 		closes:  pl.closes,
-		probe:   pl.probe,
 		pool:    pl.pool, // same pattern, same scratch shape: stay warm
 		prof:    pl.prof, // profile accumulates across the lineage
 	}
@@ -412,7 +376,7 @@ func (pl *Plan) newMatcher(stop func() bool, yield func(Match) bool) *matcher {
 	}
 	// The pool is shared across same-lineage rebinds, so a recycled
 	// matcher may carry a predecessor plan; re-point it every time.
-	m.pl, m.h, m.snap = pl, pl.h, pl.snap
+	m.pl, m.snap = pl, pl.snap
 	m.yield = yield
 	m.stop = stop
 	m.tick = 0
@@ -430,9 +394,9 @@ func (pl *Plan) newMatcher(stop func() bool, yield func(Match) bool) *matcher {
 }
 
 // putMatcher returns scratch to the plan's pool, dropping the caller's
-// closures — and the plan/host/snapshot references, which would
-// otherwise pin a superseded snapshot's COW pages across rebinds — so
-// the pool never pins them. newMatcher re-points them on every Get.
+// closures — and the plan/snapshot references, which would otherwise
+// pin a superseded snapshot's COW pages across rebinds — so the pool
+// never pins them. newMatcher re-points them on every Get.
 func (pl *Plan) putMatcher(m *matcher) {
 	pl.flushProfile(m)
 	m.yield = nil
@@ -440,7 +404,6 @@ func (pl *Plan) putMatcher(m *matcher) {
 	m.stop = nil
 	m.prune = nil
 	m.pl = nil
-	m.h = nil
 	m.snap = nil
 	// The run-collection buffers hold views into snapshot CSR storage;
 	// nil them so a pooled matcher never pins a superseded snapshot's
@@ -484,7 +447,7 @@ func (m *matcher) isectBuf(x int) []graph.NodeID {
 	return m.isect[x][:0]
 }
 
-// candFail is the empty-candidate-set exit of candidatesSnap: it hands
+// candFail is the empty-candidate-set exit of candidates: it hands
 // a non-nil run collection buffer back to its per-variable slot (so
 // its capacity is recycled) and yields no candidates.
 func (m *matcher) candFail(x int, runs [][]graph.NodeID) []graph.NodeID {
@@ -494,56 +457,18 @@ func (m *matcher) candFail(x int, runs [][]graph.NodeID) []graph.NodeID {
 	return nil
 }
 
-// ForEachBound enumerates matches extending the partial assignment pre
-// (which may be nil). Pre-bindings violating labels or edges — or
-// naming variables the pattern does not have — yield no matches. The
-// Match passed to yield is reused; clone it to retain it.
-func (pl *Plan) ForEachBound(pre Match, yield func(Match) bool) {
-	pl.ForEachBoundCancel(pre, nil, yield)
-}
-
-// ForEachBoundCancel is ForEachBound with a cooperative abort hook:
-// stop (when non-nil) is polled periodically *inside* the backtracking
-// search, so even an exponential exploration that never completes a
-// match can be cut short. Enumeration ends when stop returns true.
-//
-// The empty pattern has exactly one (empty) match, delivered through
-// the same search path as every other pattern, so yield's "return false
-// to stop" verdict and pre-binding rejection apply uniformly.
-func (pl *Plan) ForEachBoundCancel(pre Match, stop func() bool, yield func(Match) bool) {
-	m := pl.newMatcher(stop, yield)
-	defer pl.putMatcher(m)
-	for v, n := range pre {
-		i, ok := pl.varIdx[v]
-		if !ok {
-			return
-		}
-		if !m.consistent(i, n) {
-			return
-		}
-		m.bind[i] = n
-	}
-	if len(pre) == 0 {
-		m.order = pl.order
-	} else {
-		order := m.orderBuf[:0]
-		for _, i := range pl.order {
-			if m.bind[i] == unbound {
-				order = append(order, i)
-			}
-		}
-		m.orderBuf = order
-		m.order = order
-	}
-	m.search(0)
-}
-
 // ForEachDenseCancel enumerates every match as its dense binding
 // vector, indexed by the position of each variable in the pattern's
 // Vars() order — no Match map is materialized. The vector is the
 // matcher's own scratch: read it during the callback, copy it to
-// retain it. stop is the cooperative abort hook of ForEachBoundCancel;
-// prune, when non-nil, abandons partial bindings (see Pruner).
+// retain it. stop (when non-nil) is polled periodically *inside* the
+// backtracking search, so even an exponential exploration that never
+// completes a match can be cut short; enumeration ends when it returns
+// true. prune, when non-nil, abandons partial bindings (see Pruner).
+//
+// The empty pattern has exactly one (empty) match, delivered through
+// the same search path as every other pattern, so the callback's
+// "return false to stop" verdict applies uniformly.
 //
 // This is the entry point for high-volume consumers (the chase's
 // fixpoint loop) where the per-match map handling of the Match boundary
@@ -559,23 +484,16 @@ func (pl *Plan) ForEachDenseCancel(stop func() bool, prune Pruner, yield func([]
 	}
 }
 
-// ForEachPivot enumerates matches with the pivot variable successively
-// bound to each candidate, reusing one matcher across the whole block.
-// Candidates that violate the pivot's label or incident edges are
-// skipped. It is the Match-map form of ForEachDensePivotCancel, kept
-// for the differential tests.
-func (pl *Plan) ForEachPivot(pivot Var, cands []graph.NodeID, yield func(Match) bool) {
-	pl.forEachPivot(pivot, cands, nil, nil, yield, nil)
-}
-
 // ForEachDensePivotCancel enumerates matches with the pivot variable
 // successively bound to each candidate, reusing one matcher across the
 // whole block and delivering each match as the dense binding vector of
 // ForEachDenseCancel (the pivot's slot included) — the low-overhead
 // primitive behind parallel and touched-neighborhood validation, which
-// judge every match but keep only the violating few. stop is the
-// cooperative abort hook of ForEachBoundCancel; prune is the full
-// scans' Pruner, nil for the touched-neighborhood search.
+// judge every match but keep only the violating few. Candidates that
+// violate the pivot's label or incident edges are skipped; a pivot the
+// pattern does not have yields nothing. stop is the cooperative abort
+// hook of ForEachDenseCancel; prune is the full scans' Pruner, nil for
+// the touched-neighborhood search.
 //
 // Pivot candidates are intersected with the pivot's pushed-down literal
 // postings up front when the candidate list is sorted (it usually is:
@@ -583,16 +501,12 @@ func (pl *Plan) ForEachPivot(pivot Var, cands []graph.NodeID, yield func(Match) 
 // unsorted candidate lists fall back to the per-candidate literal check
 // in consistent.
 func (pl *Plan) ForEachDensePivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, prune Pruner, yield func([]graph.NodeID) bool) {
-	pl.forEachPivot(pivot, cands, stop, prune, nil, yield)
-}
-
-func (pl *Plan) forEachPivot(pivot Var, cands []graph.NodeID, stop func() bool, prune Pruner, yield func(Match) bool, dense func([]graph.NodeID) bool) {
 	pi, ok := pl.varIdx[pivot]
 	if !ok {
 		return
 	}
-	m := pl.newMatcher(stop, yield)
-	m.dense = dense
+	m := pl.newMatcher(stop, nil)
+	m.dense = yield
 	defer pl.putMatcher(m)
 	cands = m.pivotCands(pi, cands)
 	order := m.orderBuf[:0]
@@ -624,7 +538,7 @@ func (pl *Plan) forEachPivot(pivot Var, cands []graph.NodeID, stop func() bool, 
 // m.order: a condition closes at the depth of the last variable of
 // m.order it reads — 0 when the pivot, or nothing, is all it reads.
 func (m *matcher) setPruner(pr Pruner) {
-	if pr == nil || m.snap == nil {
+	if pr == nil {
 		return
 	}
 	m.prune = pr
@@ -657,7 +571,7 @@ func (m *matcher) abandon(i int) bool {
 // the intersection skips them wholesale, which is what makes pivoted
 // re-checks over selective literals cheap.
 func (m *matcher) pivotCands(pi int, cands []graph.NodeID) []graph.NodeID {
-	if m.snap == nil || m.pl.probe || len(m.pl.varFilt[pi]) == 0 || len(cands) == 0 {
+	if len(m.pl.varFilt[pi]) == 0 || len(cands) == 0 {
 		return cands
 	}
 	for fi := range m.pl.varFilt[pi] {
@@ -684,54 +598,21 @@ func (m *matcher) pivotCands(pi int, cands []graph.NodeID) []graph.NodeID {
 	return out
 }
 
-// ForEachMatch enumerates the matches of p in h, invoking yield for each.
-// Enumeration stops early when yield returns false. The Match passed to
-// yield is reused between invocations; clone it to retain it.
-func ForEachMatch(p *Pattern, h Host, yield func(Match) bool) {
-	Compile(p, h).ForEachBound(nil, yield)
+// ForEachMatch enumerates the matches of p in snap, invoking yield for
+// each. Enumeration stops early when yield returns false. The Match
+// passed to yield is reused between invocations; clone it to retain it.
+func ForEachMatch(p *Pattern, snap *graph.Snapshot, yield func(Match) bool) {
+	ForEachMatchCancel(p, snap, nil, yield)
 }
 
 // ForEachMatchCancel is ForEachMatch with the cooperative abort hook of
-// ForEachBoundCancel.
-func ForEachMatchCancel(p *Pattern, h Host, stop func() bool, yield func(Match) bool) {
-	Compile(p, h).ForEachBoundCancel(nil, stop, yield)
-}
-
-// ForEachMatchBound enumerates the matches of p in h extending the
-// partial assignment pre. For repeated enumeration over one host,
-// Compile once and use Plan.ForEachBound.
-func ForEachMatchBound(p *Pattern, h Host, pre Match, yield func(Match) bool) {
-	Compile(p, h).ForEachBound(pre, yield)
-}
-
-// FindMatches returns up to limit matches of p in h; limit <= 0 means all.
-func FindMatches(p *Pattern, h Host, limit int) []Match {
-	var out []Match
-	ForEachMatch(p, h, func(m Match) bool {
-		out = append(out, m.Clone())
-		return limit <= 0 || len(out) < limit
-	})
-	return out
-}
-
-// HasMatch reports whether p has at least one match in h.
-func HasMatch(p *Pattern, h Host) bool {
-	found := false
-	ForEachMatch(p, h, func(Match) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
-// CountMatches returns the number of matches of p in h.
-func CountMatches(p *Pattern, h Host) int {
-	n := 0
-	ForEachMatch(p, h, func(Match) bool {
-		n++
-		return true
-	})
-	return n
+// ForEachDenseCancel.
+func ForEachMatchCancel(p *Pattern, snap *graph.Snapshot, stop func() bool, yield func(Match) bool) {
+	pl := Compile(p, snap)
+	m := pl.newMatcher(stop, yield)
+	defer pl.putMatcher(m)
+	m.order = pl.order
+	m.search(0)
 }
 
 // planOrder chooses a variable binding order: the variable with the
@@ -744,39 +625,31 @@ func CountMatches(p *Pattern, h Host) int {
 // that closes a Pruner condition (the sooner one closes, the shallower
 // a full scan abandons what it decides), then toward small candidate
 // sets. Disconnected components are started at their most selective
-// variable. Hosts exposing degree statistics (snapshots) break
-// remaining ties toward the label with the higher average degree — a
-// better-connected seed prunes its neighborhood harder. Probe-mode
-// plans keep the legacy frontier rule (selectivity only), as the
-// faithful baseline of the pre-intersection matcher.
-func planOrder(pl *Plan, h Host) []int {
+// variable. Remaining ties go toward the label with the higher average
+// degree — a better-connected seed prunes its neighborhood harder.
+func planOrder(pl *Plan) []int {
 	n := len(pl.vars)
-	stats, hasStats := h.(degreeStats)
+	snap := pl.snap
 	candCount := func(i int) int {
 		c := 0
 		if pl.labels[i] == graph.Wildcard {
-			c = h.NumNodes()
+			c = snap.NumNodes()
 		} else {
-			c = len(h.CandidateNodes(pl.labels[i]))
+			c = len(snap.CandidateNodes(pl.labels[i]))
 		}
-		if pl.snap != nil {
-			for fi := range pl.varFilt[i] {
-				f := &pl.varFilt[i][fi]
-				if f.aid < 0 {
-					return 0
-				}
-				if len(f.post) < c {
-					c = len(f.post)
-				}
+		for fi := range pl.varFilt[i] {
+			f := &pl.varFilt[i][fi]
+			if f.aid < 0 {
+				return 0
+			}
+			if len(f.post) < c {
+				c = len(f.post)
 			}
 		}
 		return c
 	}
 	avgDeg := func(i int) float64 {
-		if !hasStats {
-			return 0
-		}
-		return stats.LabelAvgDegree(pl.labels[i])
+		return snap.LabelAvgDegree(pl.labels[i])
 	}
 	// better reports whether variable a is the more attractive next
 	// binding than b: fewer candidates, then higher average degree, then
@@ -850,10 +723,7 @@ func planOrder(pl *Plan, h Host) []int {
 		next, nextTight, nextCloses := -1, -1, false
 		if len(frontier) > 0 {
 			for x := range frontier {
-				t := 0
-				if !pl.probe {
-					t = tightness(x)
-				}
+				t := tightness(x)
 				c := closes(x)
 				if next < 0 || t > nextTight || (t == nextTight && (c && !nextCloses || c == nextCloses && better(x, next))) {
 					next, nextTight, nextCloses = x, t, c
@@ -956,83 +826,19 @@ func (m *matcher) emit() {
 	}
 }
 
-// candidates returns the nodes that variable index x may be bound to.
-// On snapshot hosts the default path intersects the sorted CSR
-// adjacency runs of every already-bound pattern-neighbor, together
-// with x's pushed-down literal postings — candidates then satisfy
-// every incident concrete-labeled edge and every pushed-down literal
-// by construction (worst-case-optimal extension). On mutable hosts the
-// smallest bound-neighbor list is scanned and the residual constraints
-// are probed by consistent. Node-label compatibility is checked by
-// consistent.
-func (m *matcher) candidates(x int) []graph.NodeID {
-	if m.snap != nil {
-		if m.pl.probe {
-			return m.candidatesSnapProbe(x)
-		}
-		return m.candidatesSnap(x)
-	}
-	if m.pl.probe {
-		for _, e := range m.pl.adj[x] {
-			if e.src == x && e.dst != x {
-				if v := m.bind[e.dst]; v != unbound {
-					return m.h.InNeighbors(v, e.label)
-				}
-			}
-			if e.dst == x && e.src != x {
-				if v := m.bind[e.src]; v != unbound {
-					return m.h.OutNeighbors(v, e.label)
-				}
-			}
-		}
-		return m.h.CandidateNodes(m.pl.labels[x])
-	}
-	// Mutable-host parity with the snapshot path's min-run selection:
-	// scan every bound pattern-neighbor and extend from the *smallest*
-	// neighbor list, not the first one hit; the other edges are probed
-	// per candidate by consistent.
-	var best []graph.NodeID
-	found := false
-	for _, e := range m.pl.adj[x] {
-		var c []graph.NodeID
-		if e.src == x && e.dst != x {
-			v := m.bind[e.dst]
-			if v == unbound {
-				continue
-			}
-			c = m.h.InNeighbors(v, e.label)
-		} else if e.dst == x && e.src != x {
-			v := m.bind[e.src]
-			if v == unbound {
-				continue
-			}
-			c = m.h.OutNeighbors(v, e.label)
-		} else {
-			continue
-		}
-		if !found || len(c) < len(best) {
-			best, found = c, true
-			if len(best) == 0 {
-				return best
-			}
-		}
-	}
-	if found {
-		return best
-	}
-	return m.h.CandidateNodes(m.pl.labels[x])
-}
-
-// candidatesSnap is the snapshot extension step: collect the sorted
+// candidates returns the nodes that variable index x may be bound to —
+// the worst-case-optimal extension step: collect the sorted CSR
 // adjacency run of every bound concrete-labeled incident edge plus the
-// pushed-down literal postings, and leapfrog-intersect them. With one
-// eligible run the run itself is returned (zero copy) — the smallest,
-// since it is the only one. Wildcard-labeled incident edges cannot
-// feed the intersection (their neighbor sets are merged across label
-// runs, not sorted) and stay residual checks in consistent, unless
-// they are the only bound edges, in which case the legacy deduped
-// neighbor buffer is used, picked from the smallest bound neighborhood.
-func (m *matcher) candidatesSnap(x int) []graph.NodeID {
+// pushed-down literal postings, and leapfrog-intersect them, so the
+// candidates satisfy every such edge and literal by construction. With
+// one eligible run the run itself is returned (zero copy) — the
+// smallest, since it is the only one. Wildcard-labeled incident edges
+// cannot feed the intersection (their neighbor sets are merged across
+// label runs, not sorted) and stay residual checks in consistent,
+// unless they are the only bound edges, in which case the deduped
+// neighbor buffer of the smallest bound neighborhood is used.
+// Node-label compatibility is checked by consistent.
+func (m *matcher) candidates(x int) []graph.NodeID {
 	m.covered[x] = false
 	pl := m.pl
 	// run0 carries the first sorted run; the collection buffer is only
@@ -1160,100 +966,15 @@ func (m *matcher) candidatesSnap(x int) []graph.NodeID {
 	return out
 }
 
-// candidatesSnapProbe is the legacy scan-and-probe extension step over
-// the interned snapshot symbols: the first bound pattern-neighbor's
-// run is scanned and every other constraint is probed per candidate.
-func (m *matcher) candidatesSnapProbe(x int) []graph.NodeID {
-	for _, e := range m.pl.adj[x] {
-		if e.src == x && e.dst != x {
-			if v := m.bind[e.dst]; v != unbound {
-				switch e.lid {
-				case labelAbsent:
-					return nil
-				case labelWild:
-					buf := m.snap.AppendInNeighbors(m.wildBuf(x), v)
-					m.wild[x] = buf
-					return buf
-				default:
-					return m.snap.InNeighborsID(v, e.lid)
-				}
-			}
-		}
-		if e.dst == x && e.src != x {
-			if v := m.bind[e.src]; v != unbound {
-				switch e.lid {
-				case labelAbsent:
-					return nil
-				case labelWild:
-					buf := m.snap.AppendOutNeighbors(m.wildBuf(x), v)
-					m.wild[x] = buf
-					return buf
-				default:
-					return m.snap.OutNeighborsID(v, e.lid)
-				}
-			}
-		}
-	}
-	switch lid := m.pl.varLid[x]; lid {
-	case labelAbsent:
-		return nil
-	case labelWild:
-		return m.snap.Nodes()
-	default:
-		return m.snap.CandidateNodesID(lid)
-	}
-}
-
 // consistent checks label compatibility of binding x↦v, x's pushed-down
 // constant literals, and every pattern edge between x and already-bound
-// variables (including self-loops).
+// variables (including self-loops). When the candidate came out of
+// candidates' intersection (covered), the concrete bound-edge and
+// pushed-down literal constraints were satisfied by construction and
+// only the residual constraints — node label, self-loops,
+// wildcard-labeled edges — are checked.
 func (m *matcher) consistent(x int, v graph.NodeID) bool {
 	m.nProbe++
-	if m.snap != nil {
-		return m.consistentSnap(x, v)
-	}
-	if !graph.LabelMatches(m.pl.labels[x], m.h.Label(v)) {
-		return false
-	}
-	for fi := range m.pl.varFilt[x] {
-		f := &m.pl.varFilt[x][fi]
-		val, ok := m.h.Attr(v, f.attr)
-		if !ok || !val.Equal(f.val) {
-			return false
-		}
-	}
-	for _, e := range m.pl.adj[x] {
-		var src, dst graph.NodeID
-		switch {
-		case e.src == x && e.dst == x:
-			src, dst = v, v
-		case e.src == x:
-			dst = m.bind[e.dst]
-			if dst == unbound {
-				continue
-			}
-			src = v
-		default: // e.dst == x
-			src = m.bind[e.src]
-			if src == unbound {
-				continue
-			}
-			dst = v
-		}
-		if !HostHasCompatibleEdge(m.h, src, e.label, dst) {
-			return false
-		}
-	}
-	return true
-}
-
-// consistentSnap is consistent over the interned snapshot symbols.
-// When the candidate came out of candidatesSnap's intersection
-// (covered), the concrete bound-edge and pushed-down literal
-// constraints were satisfied by construction and only the residual
-// constraints — node label, self-loops, wildcard-labeled edges — are
-// checked.
-func (m *matcher) consistentSnap(x int, v graph.NodeID) bool {
 	switch lid := m.pl.varLid[x]; lid {
 	case labelWild:
 	case labelAbsent:
@@ -1314,17 +1035,4 @@ func (m *matcher) consistentSnap(x int, v graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// HostHasCompatibleEdge reports whether h has an edge (src, ι′, dst)
-// with ι ⪯ ι′: the exact edge for a concrete pattern label (a
-// wildcard-labeled host edge is NOT matched by a concrete pattern label
-// under ⪯), any edge for the wildcard. It is the single home of that
-// asymmetric rule — the validator's re-check path shares it with the
-// matcher.
-func HostHasCompatibleEdge(h Host, src graph.NodeID, label graph.Label, dst graph.NodeID) bool {
-	if label != graph.Wildcard {
-		return h.HasEdge(src, label, dst)
-	}
-	return h.HasAnyEdge(src, dst)
 }

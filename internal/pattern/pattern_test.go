@@ -110,6 +110,21 @@ func TestToGraph(t *testing.T) {
 	}
 }
 
+// findMatches freezes g and collects up to limit matches of p in the
+// snapshot (limit <= 0 means all), stopping the enumeration at limit.
+func findMatches(p *Pattern, g *graph.Graph, limit int) []Match {
+	var out []Match
+	ForEachMatch(p, g.Freeze(), func(m Match) bool {
+		out = append(out, m.Clone())
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
+func countMatches(p *Pattern, g *graph.Graph) int { return len(findMatches(p, g, 0)) }
+
+func hasMatch(p *Pattern, g *graph.Graph) bool { return len(findMatches(p, g, 1)) > 0 }
+
 // triangleGraph returns K3^sym: three c-nodes with all six directed edges.
 func triangleGraph() *graph.Graph {
 	g := graph.New()
@@ -139,7 +154,7 @@ func TestMatchSimpleEdge(t *testing.T) {
 	q.AddVar("x", "person").AddVar("y", "product")
 	q.AddEdge("x", "create", "y")
 
-	ms := FindMatches(q, g, 0)
+	ms := findMatches(q, g, 0)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
@@ -155,7 +170,7 @@ func TestMatchHomomorphismNotInjective(t *testing.T) {
 	u := g.AddNode("UoE")
 	q := New()
 	q.AddVar("x", "UoE").AddVar("y", "UoE")
-	ms := FindMatches(q, g, 0)
+	ms := findMatches(q, g, 0)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
@@ -172,7 +187,7 @@ func TestMatchWildcardNodeLabel(t *testing.T) {
 	q := New()
 	q.AddVar("x", graph.Wildcard).AddVar("y", graph.Wildcard)
 	q.AddEdge("y", "is_a", "x")
-	ms := FindMatches(q, g, 0)
+	ms := findMatches(q, g, 0)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
@@ -188,12 +203,12 @@ func TestConcreteLabelDoesNotMatchWildcardNode(t *testing.T) {
 	g.AddNode(graph.Wildcard)
 	q := New()
 	q.AddVar("x", "person")
-	if HasMatch(q, g) {
+	if hasMatch(q, g) {
 		t.Error("concrete label must not match wildcard node")
 	}
 	q2 := New()
 	q2.AddVar("x", graph.Wildcard)
-	if !HasMatch(q2, g) {
+	if !hasMatch(q2, g) {
 		t.Error("wildcard label must match wildcard node")
 	}
 }
@@ -206,13 +221,13 @@ func TestMatchWildcardEdgeLabel(t *testing.T) {
 	q := New()
 	q.AddVar("u", "x").AddVar("v", "y")
 	q.AddEdge("u", graph.Wildcard, "v")
-	if !HasMatch(q, g) {
+	if !hasMatch(q, g) {
 		t.Error("wildcard edge label must match any edge")
 	}
 	q2 := New()
 	q2.AddVar("u", "x").AddVar("v", "y")
 	q2.AddEdge("u", "other", "v")
-	if HasMatch(q2, g) {
+	if hasMatch(q2, g) {
 		t.Error("concrete edge label must not match different label")
 	}
 }
@@ -225,7 +240,7 @@ func TestConcreteEdgeLabelDoesNotMatchWildcardEdge(t *testing.T) {
 	q := New()
 	q.AddVar("u", "x").AddVar("v", "y")
 	q.AddEdge("u", "e", "v")
-	if HasMatch(q, g) {
+	if hasMatch(q, g) {
 		t.Error("concrete edge label must not match wildcard host edge")
 	}
 }
@@ -238,7 +253,7 @@ func TestTriangleColorings(t *testing.T) {
 	q.AddVar("u", "c").AddVar("v", "c")
 	q.AddEdge("u", "e", "v")
 	q.AddEdge("v", "e", "u")
-	if n := CountMatches(q, g); n != 6 {
+	if n := countMatches(q, g); n != 6 {
 		t.Errorf("edge into K3: %d matches, want 6", n)
 	}
 	// A path of two edges: 3*2*2 = 12 homomorphisms.
@@ -246,7 +261,7 @@ func TestTriangleColorings(t *testing.T) {
 	q2.AddVar("a", "c").AddVar("b", "c").AddVar("c", "c")
 	q2.AddEdge("a", "e", "b")
 	q2.AddEdge("b", "e", "c")
-	if n := CountMatches(q2, g); n != 12 {
+	if n := countMatches(q2, g); n != 12 {
 		t.Errorf("path into K3: %d matches, want 12", n)
 	}
 	// Triangle into K3^sym: 3! = 6 proper colorings.
@@ -256,7 +271,7 @@ func TestTriangleColorings(t *testing.T) {
 		q3.AddEdge(e[0], "e", e[1])
 		q3.AddEdge(e[1], "e", e[0])
 	}
-	if n := CountMatches(q3, g); n != 6 {
+	if n := countMatches(q3, g); n != 6 {
 		t.Errorf("triangle into K3: %d matches, want 6", n)
 	}
 }
@@ -270,7 +285,7 @@ func TestSelfLoopPattern(t *testing.T) {
 	q := New()
 	q.AddVar("u", "x")
 	q.AddEdge("u", "e", "u")
-	ms := FindMatches(q, g, 0)
+	ms := findMatches(q, g, 0)
 	if len(ms) != 1 || ms[0]["u"] != a {
 		t.Errorf("self-loop matches: %v", ms)
 	}
@@ -279,7 +294,7 @@ func TestSelfLoopPattern(t *testing.T) {
 func TestEmptyPattern(t *testing.T) {
 	g := graph.New()
 	g.AddNode("x")
-	ms := FindMatches(New(), g, 0)
+	ms := findMatches(New(), g, 0)
 	if len(ms) != 1 {
 		t.Errorf("empty pattern must have exactly one match, got %d", len(ms))
 	}
@@ -292,7 +307,7 @@ func TestIsolatedVariables(t *testing.T) {
 	g.AddNode("b")
 	q := New()
 	q.AddVar("x", "a").AddVar("y", "b")
-	if n := CountMatches(q, g); n != 2 {
+	if n := countMatches(q, g); n != 2 {
 		t.Errorf("isolated vars: %d matches, want 2", n)
 	}
 }
@@ -305,7 +320,7 @@ func TestNoMatchMissingEdge(t *testing.T) {
 	q := New()
 	q.AddVar("u", "x").AddVar("v", "y")
 	q.AddEdge("v", "e", "u") // reversed direction
-	if HasMatch(q, g) {
+	if hasMatch(q, g) {
 		t.Error("direction must be respected")
 	}
 }
@@ -317,10 +332,10 @@ func TestFindMatchesLimit(t *testing.T) {
 	}
 	q := New()
 	q.AddVar("x", "a")
-	if n := len(FindMatches(q, g, 3)); n != 3 {
+	if n := len(findMatches(q, g, 3)); n != 3 {
 		t.Errorf("limit: got %d, want 3", n)
 	}
-	if n := len(FindMatches(q, g, 0)); n != 10 {
+	if n := len(findMatches(q, g, 0)); n != 10 {
 		t.Errorf("no limit: got %d, want 10", n)
 	}
 }
@@ -333,7 +348,7 @@ func TestForEachMatchEarlyStop(t *testing.T) {
 	q := New()
 	q.AddVar("x", "a")
 	calls := 0
-	ForEachMatch(q, g, func(Match) bool {
+	ForEachMatch(q, g.Freeze(), func(Match) bool {
 		calls++
 		return calls < 5
 	})
@@ -349,7 +364,7 @@ func TestMatchReuseRequiresClone(t *testing.T) {
 	q := New()
 	q.AddVar("x", "a")
 	var kept []Match
-	ForEachMatch(q, g, func(m Match) bool {
+	ForEachMatch(q, g.Freeze(), func(m Match) bool {
 		kept = append(kept, m.Clone())
 		return true
 	})
@@ -370,7 +385,7 @@ func TestDisconnectedPatternComponents(t *testing.T) {
 	q.AddVar("u", "x").AddVar("v", "y").AddVar("s", "p").AddVar("t", "q")
 	q.AddEdge("u", "e", "v")
 	q.AddEdge("s", "f", "t")
-	ms := FindMatches(q, g, 0)
+	ms := findMatches(q, g, 0)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
@@ -419,7 +434,7 @@ func TestLargeCycleMatch(t *testing.T) {
 	for i := range vars {
 		q.AddEdge(vars[i], "e", vars[(i+1)%n])
 	}
-	if got := CountMatches(q, g); got != n {
+	if got := countMatches(q, g); got != n {
 		t.Errorf("cycle homs = %d, want %d", got, n)
 	}
 }

@@ -10,24 +10,25 @@ import (
 )
 
 // SetProfile attaches a profiler sink to the plan: every enumeration
-// flushes its tallies — candidates examined, intersection vs probe
-// steps, bindings materialized — into ms when the matcher returns to
-// the pool (one batch of atomic adds per enumeration, so the per-step
-// accounting stays plain integer arithmetic). The sink is carried
-// across Rebind, so a validator that rebases per delta keeps one
-// accumulating profile per rule. nil detaches.
+// flushes its tallies — candidates examined, intersection steps,
+// consistency probes, bindings materialized — into ms when the matcher
+// returns to the pool (one batch of atomic adds per enumeration, so the
+// per-step accounting stays plain integer arithmetic). The sink is
+// carried across Rebind, so a validator that rebases per delta keeps
+// one accumulating profile per rule. nil detaches.
 func (pl *Plan) SetProfile(ms *obs.MatchStats) { pl.prof = ms }
 
 // Profile returns the plan's attached profiler sink, or nil.
 func (pl *Plan) Profile() *obs.MatchStats { return pl.prof }
 
 // Fingerprint renders the compiled plan's identity compactly: the
-// variable binding order, the extension strategy, how many constant
-// literals were pushed down, and where in that order each Pruner
-// condition closes (Y the settling one, Xk the refuting ones, "-" for
-// one that reads no variable) — enough to tell from metrics alone which
-// plan shape a rule is running, why a full scan of it is cheap, and to
-// notice when a recompile changed it.
+// variable binding order, the extension strategy (always ";isect", the
+// worst-case-optimal intersection; kept so fingerprints stay comparable
+// across releases), how many constant literals were pushed down, and
+// where in that order each Pruner condition closes (Y the settling one,
+// Xk the refuting ones, "-" for one that reads no variable) — enough to
+// tell from metrics alone which plan shape a rule is running, why a
+// full scan of it is cheap, and to notice when a recompile changed it.
 func (pl *Plan) Fingerprint() string {
 	var b strings.Builder
 	for i, vi := range pl.order {
@@ -36,11 +37,7 @@ func (pl *Plan) Fingerprint() string {
 		}
 		b.WriteString(string(pl.vars[vi]))
 	}
-	if pl.probe {
-		b.WriteString(";probe")
-	} else {
-		b.WriteString(";isect")
-	}
+	b.WriteString(";isect")
 	nf := 0
 	for _, fs := range pl.varFilt {
 		nf += len(fs)

@@ -2,12 +2,12 @@ package pattern_test
 
 // Differential tests for the worst-case-optimal extension step: the
 // intersection path (multi-way sorted-run intersection with pushed-down
-// literal postings) must enumerate exactly the same match sets as the
-// legacy scan-and-probe path, on both hosts, across generated cyclic
-// workloads — triangles, diamonds, 4-cliques, wildcard edges and
-// self-loops, the shapes where the two extension strategies diverge
-// most. testing/quick drives the seeds; CI runs the package under
-// -race, which also guards the pooled intersection scratch.
+// literal postings) must enumerate exactly the matches of the
+// brute-force oracle (oracle_test.go) across generated cyclic workloads
+// — triangles, diamonds, 4-cliques, wildcard edges and self-loops, the
+// shapes where candidate intersection and residual checks interact the
+// most. testing/quick drives the seeds; CI runs them under -race twice
+// over, which also guards the pooled intersection scratch.
 
 import (
 	"math/rand"
@@ -95,30 +95,24 @@ func wcoHost(seed int64) *graph.Graph {
 	return g
 }
 
-// TestIntersectionMatchesProbe: on both hosts, for dense cyclic
-// patterns, the intersection path and the probe path enumerate the
-// same match sets.
+// TestIntersectionMatchesProbe: for dense cyclic patterns, the
+// intersection path enumerates exactly the oracle's match set. (The
+// name predates the oracle, which replaced the legacy scan-and-probe
+// extension step.)
 func TestIntersectionMatchesProbe(t *testing.T) {
 	f := func(seed int64) bool {
 		seed %= 1_000_000
 		g := wcoHost(seed)
 		snap := g.Freeze()
 		for _, p := range cyclicPatterns(seed) {
-			for _, host := range []pattern.Host{g, snap} {
-				var probe, isect []pattern.Match
-				pattern.CompileProbe(p, host).ForEachBound(nil, func(m pattern.Match) bool {
-					probe = append(probe, m.Clone())
-					return true
-				})
-				pattern.Compile(p, host).ForEachBound(nil, func(m pattern.Match) bool {
-					isect = append(isect, m.Clone())
-					return true
-				})
-				if !sameCanon(canonMatches(p, probe), canonMatches(p, isect)) {
-					t.Logf("seed %d host %T pattern %s: probe %d matches, intersection %d",
-						seed, host, p, len(probe), len(isect))
-					return false
-				}
+			want := bruteForce(p, g, nil)
+			got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
+				pattern.Compile(p, snap).ForEachDenseCancel(nil, nil, yield)
+			})
+			if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
+				t.Logf("seed %d pattern %s: oracle %d matches, intersection %d",
+					seed, p, len(want), len(got))
+				return false
 			}
 		}
 		return true
@@ -128,10 +122,27 @@ func TestIntersectionMatchesProbe(t *testing.T) {
 	}
 }
 
+// randomFilters draws pushed-down constant filters over p's variables,
+// including filters over absent attributes and values.
+func randomFilters(rng *rand.Rand, p *pattern.Pattern) []pattern.ConstFilter {
+	var filters []pattern.ConstFilter
+	for _, v := range p.Vars() {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		a := wcoAttrs[rng.Intn(len(wcoAttrs))]
+		val := graph.Value(graph.Int(rng.Intn(4))) // domain is 3: value 3 is absent
+		if rng.Intn(8) == 0 {
+			a = "ghost" // attribute no node carries
+		}
+		filters = append(filters, pattern.ConstFilter{Var: v, Attr: a, Value: val})
+	}
+	return filters
+}
+
 // TestFilteredMatchesPostFilter: a plan with pushed-down constant
-// literals enumerates exactly the probe-path matches that survive
-// checking those literals post-match — on both hosts, including
-// filters over absent attributes and values.
+// literals enumerates exactly the oracle's matches that satisfy those
+// literals, including filters over absent attributes and values.
 func TestFilteredMatchesPostFilter(t *testing.T) {
 	f := func(seed int64) bool {
 		seed %= 1_000_000
@@ -139,45 +150,15 @@ func TestFilteredMatchesPostFilter(t *testing.T) {
 		snap := g.Freeze()
 		rng := rand.New(rand.NewSource(seed + 7))
 		for _, p := range cyclicPatterns(seed) {
-			vars := p.Vars()
-			var filters []pattern.ConstFilter
-			for _, v := range vars {
-				if rng.Intn(2) == 0 {
-					continue
-				}
-				a := wcoAttrs[rng.Intn(len(wcoAttrs))]
-				val := graph.Value(graph.Int(rng.Intn(4))) // domain is 3: value 3 is absent
-				if rng.Intn(8) == 0 {
-					a = "ghost" // attribute no node carries
-				}
-				filters = append(filters, pattern.ConstFilter{Var: v, Attr: a, Value: val})
-			}
-			holds := func(h pattern.Host, m pattern.Match) bool {
-				for _, f := range filters {
-					got, ok := h.Attr(m[f.Var], f.Attr)
-					if !ok || !got.Equal(f.Value) {
-						return false
-					}
-				}
-				return true
-			}
-			for _, host := range []pattern.Host{g, snap} {
-				var want, got []pattern.Match
-				pattern.CompileProbe(p, host).ForEachBound(nil, func(m pattern.Match) bool {
-					if holds(host, m) {
-						want = append(want, m.Clone())
-					}
-					return true
-				})
-				pattern.CompileFiltered(p, host, filters, nil).ForEachBound(nil, func(m pattern.Match) bool {
-					got = append(got, m.Clone())
-					return true
-				})
-				if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
-					t.Logf("seed %d host %T pattern %s filters %v: want %d matches, got %d",
-						seed, host, p, filters, len(want), len(got))
-					return false
-				}
+			filters := randomFilters(rng, p)
+			want := bruteForce(p, g, filters)
+			got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
+				pattern.CompileFiltered(p, snap, filters, nil).ForEachDenseCancel(nil, nil, yield)
+			})
+			if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
+				t.Logf("seed %d pattern %s filters %v: oracle %d matches, got %d",
+					seed, p, filters, len(want), len(got))
+				return false
 			}
 		}
 		return true
@@ -188,11 +169,11 @@ func TestFilteredMatchesPostFilter(t *testing.T) {
 }
 
 // TestPivotRoutesThroughIntersection is the pivoted re-check
-// regression: ForEachPivot over a filtered plan must enumerate exactly
-// the probe-path pivot matches surviving the literal post-filter, for
-// both sorted candidate blocks (pre-intersected with the pivot's
-// postings) and unsorted ones (per-candidate filtering) — the shapes
-// ValidateTouching and the parallel validator feed it.
+// regression: a pivot block over a filtered plan must enumerate exactly
+// the oracle's pivot matches satisfying the literals, for both sorted
+// candidate blocks (pre-intersected with the pivot's postings) and
+// unsorted ones (per-candidate filtering) — the shapes the touched
+// search and the parallel validator feed it.
 func TestPivotRoutesThroughIntersection(t *testing.T) {
 	f := func(seed int64) bool {
 		seed %= 1_000_000
@@ -213,27 +194,12 @@ func TestPivotRoutesThroughIntersection(t *testing.T) {
 				unsorted = append(unsorted, graph.NodeID(rng.Intn(g.NumNodes())))
 			}
 			for _, cands := range [][]graph.NodeID{sorted, unsorted} {
-				var want, got []pattern.Match
-				pattern.CompileProbe(p, snap).ForEachPivot(pivot, cands, func(m pattern.Match) bool {
-					ok := true
-					for _, f := range filters {
-						v, has := snap.Attr(m[f.Var], f.Attr)
-						if !has || !v.Equal(f.Value) {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						want = append(want, m.Clone())
-					}
-					return true
-				})
-				pattern.CompileFiltered(p, snap, filters, nil).ForEachPivot(pivot, cands, func(m pattern.Match) bool {
-					got = append(got, m.Clone())
-					return true
+				want := bruteForcePivot(p, g, filters, pivot, cands)
+				got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
+					pattern.CompileFiltered(p, snap, filters, nil).ForEachDensePivotCancel(pivot, cands, nil, nil, yield)
 				})
 				if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
-					t.Logf("seed %d pattern %s pivot %s: want %d matches, got %d",
+					t.Logf("seed %d pattern %s pivot %s: oracle %d matches, got %d",
 						seed, p, pivot, len(want), len(got))
 					return false
 				}
@@ -302,26 +268,32 @@ func TestIntersectInto(t *testing.T) {
 	}
 }
 
-// BenchmarkExtensionStep compares probe vs intersection on a dense
-// triangle workload — the matcher's extension step in isolation.
+// BenchmarkExtensionStep runs the intersection extension step on a
+// dense triangle workload — the matcher's inner loop in isolation.
 func BenchmarkExtensionStep(b *testing.B) {
 	g := gen.RandomPropertyGraph(5, 2000, 16, wcoLabels, wcoAttrs, 4)
 	tri := pattern.New()
 	tri.AddVar("x", "a").AddVar("y", "b").AddVar("z", "c")
 	tri.AddEdge("x", "e", "y").AddEdge("y", "e", "z").AddEdge("x", "e", "z")
-	snap := g.Freeze()
-	b.Run("probe", func(b *testing.B) {
-		pl := pattern.CompileProbe(tri, snap)
-		for i := 0; i < b.N; i++ {
-			n := 0
-			pl.ForEachBound(nil, func(pattern.Match) bool { n++; return true })
-		}
-	})
-	b.Run("intersect", func(b *testing.B) {
-		pl := pattern.Compile(tri, snap)
-		for i := 0; i < b.N; i++ {
-			n := 0
-			pl.ForEachBound(nil, func(pattern.Match) bool { n++; return true })
-		}
-	})
+	pl := pattern.Compile(tri, g.Freeze())
+	for i := 0; i < b.N; i++ {
+		n := 0
+		pl.ForEachDenseCancel(nil, nil, func([]graph.NodeID) bool { n++; return true })
+	}
+}
+
+// BenchmarkMatcherTriangleIntoK3 enumerates a directed triangle over a
+// 1,000-node random graph's snapshot through the Match-map entry point.
+func BenchmarkMatcherTriangleIntoK3(b *testing.B) {
+	snap := gen.RandomPropertyGraph(3, 1000, 4, wcoLabels, []graph.Attr{"p"}, 4).Freeze()
+	q := pattern.New()
+	q.AddVar("x", "a").AddVar("y", "b").AddVar("z", "c")
+	q.AddEdge("x", "e", "y")
+	q.AddEdge("y", "e", "z")
+	q.AddEdge("z", "e", "x")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		pattern.ForEachMatch(q, snap, func(pattern.Match) bool { n++; return true })
+	}
 }

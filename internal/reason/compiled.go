@@ -14,7 +14,7 @@ import (
 // interned ids of its attributes in one snapshot lineage, so judging a
 // match hashes neither a variable nor an attribute name. The Validator,
 // the ViolationStore and the sharded finalization all judge matches
-// with it; HoldsInGraph is its Host-generic oracle. It is also the
+// with it; ged.Holds is its Match-map oracle. It is also the
 // pattern.Pruner of the rule's full scans, over the conditions of
 // CloseHints. Immutable.
 type CompiledRule struct {
@@ -40,7 +40,7 @@ type clit struct {
 }
 
 // notGED marks a literal outside the three GED forms; it panics when
-// evaluated, as HoldsInGraph does, not when compiled.
+// evaluated, not when compiled.
 const notGED = ged.LiteralKind(255)
 
 // CompileRule lowers d's literals against snap.

@@ -1,10 +1,10 @@
 package reason
 
 // Differential tests for the compiled, dense validation path: every
-// snapshot-bound entry point must report what the name-resolving oracle
-// reports — HoldsInGraph over the Match-map enumeration, which is how
-// every one of them ran before literals were compiled — with the same
-// violations, the same order and the same recorded failing literal.
+// entry point must report what the name-resolving oracle reports —
+// ged.Holds over the Match-map enumeration, which is how every one of
+// them ran before literals were compiled — with the same violations,
+// the same order and the same recorded failing literal.
 
 import (
 	"context"
@@ -95,37 +95,21 @@ func denseSigma(rng *rand.Rand) ged.Set {
 	return sigma
 }
 
-// oracleScan is sequential validation the way it ran on Match maps:
-// ForEachBound (or the Match-map pivot walk where val has an index
-// pivot and pivoted is set) over a plan compiled with the validator's
-// ordering hints but enumerated with no pruner, every match judged by
-// HoldsInGraph per literal.
-func oracleScan(val *Validator, limit int, pivoted bool) []Violation {
+// oracleScan is sequential validation the way it ran on Match maps: a
+// plan compiled with the validator's ordering hints but enumerated with
+// no pruner, every match lifted to a Match map and judged by ged.Holds
+// per literal (failingOn).
+func oracleScan(val *Validator, limit int) []Violation {
 	var out []Violation
-	if pivoted {
-		val.ensurePivots()
-	}
-	for i, d := range val.sigma {
-		collect := func(m pattern.Match) bool {
-			for _, l := range d.X {
-				if !HoldsInGraph(val.snap, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(val.snap, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
+	for _, d := range val.sigma {
+		pl := pattern.CompileFiltered(d.Pattern, val.snap, PushdownFilters(d), CloseHints(d))
+		pl.ForEachDenseCancel(nil, nil, func(bind []graph.NodeID) bool {
+			m := d.Pattern.MatchOf(bind)
+			if l := failingOn(val.snap, d, m); l != nil {
+				out = append(out, Violation{GED: d, Match: m, Literal: *l})
 			}
 			return limit <= 0 || len(out) < limit
-		}
-		pl := pattern.CompileFiltered(d.Pattern, val.snap, PushdownFilters(d), CloseHints(d))
-		if pivoted && val.pivots[i] != nil {
-			pl.ForEachPivot(val.pivots[i].variable, val.pivots[i].cands, collect)
-		} else {
-			pl.ForEachBound(nil, collect)
-		}
+		})
 		if limit > 0 && len(out) >= limit {
 			break
 		}
@@ -137,7 +121,7 @@ func oracleScan(val *Validator, limit int, pivoted bool) []Violation {
 // the oracle's violations that keep admits, sorted, then truncated.
 func oracleCanonical(val *Validator, limit int, keep func(Violation) bool) []Violation {
 	var out []Violation
-	for _, v := range oracleScan(val, 0, false) {
+	for _, v := range oracleScan(val, 0) {
 		if keep == nil || keep(v) {
 			out = append(out, v)
 		}
@@ -197,19 +181,16 @@ func sameViolations(t *testing.T, what string, got, want []Violation, sigma ged.
 	return g == w
 }
 
-// entryPointsMatchOracle holds Run, RunCtx, RunParallelCtx(1..4) and
+// entryPointsMatchOracle holds RunCtx, RunParallelCtx(1..4) and
 // TouchingCtx on a fresh validator against the oracle, with and without
 // a limit: same violations, same order, same recorded literal.
 func entryPointsMatchOracle(t *testing.T, seed int64, rng *rand.Rand, g *graph.Graph, val *Validator) bool {
 	ctx, sigma := context.Background(), val.sigma
 	for _, limit := range []int{0, 1, 3} {
 		at := fmt.Sprintf("seed %d limit %d: ", seed, limit)
-		seq := oracleScan(val, limit, false)
+		seq := oracleScan(val, limit)
 		got, err := val.RunCtx(ctx, limit)
 		if err != nil || !sameViolations(t, at+"RunCtx", got, seq, sigma) {
-			return false
-		}
-		if !sameViolations(t, at+"Run", val.Run(limit), oracleScan(val, limit, true), sigma) {
 			return false
 		}
 		for workers := 1; workers <= 4; workers++ {
@@ -231,7 +212,7 @@ func entryPointsMatchOracle(t *testing.T, seed int64, rng *rand.Rand, g *graph.G
 	return true
 }
 
-// TestDenseValidatorMatchesOracle covers Run, RunCtx, RunParallelCtx
+// TestDenseValidatorMatchesOracle covers RunCtx, RunParallelCtx
 // and TouchingCtx, with and without a limit.
 func TestDenseValidatorMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
@@ -256,7 +237,7 @@ func TestDenseValidatorCancellation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g, sigma := denseGraph(rng), denseSigma(rng)
 		val := NewValidatorOn(g.Freeze(), sigma)
-		seq := oracleScan(val, 0, false)
+		seq := oracleScan(val, 0)
 		full := oracleCanonical(val, 0, nil)
 		inFull := make(map[string]bool, len(full))
 		for _, v := range full {
@@ -321,7 +302,7 @@ func denseMutate(g *graph.Graph, rng *rand.Rand, nOps int) {
 // TestDenseStoreMatchesOracle: a store maintained through Apply holds,
 // after every delta, the oracle's full answer on the advanced snapshot —
 // recorded literals included, which exercises Recheck's evidence
-// refresh on the stored binding vectors — and agrees with FailingLiteral
+// refresh on the stored binding vectors — and agrees with failingLiteral
 // entry by entry.
 func TestDenseStoreMatchesOracle(t *testing.T) {
 	ctx := context.Background()
@@ -348,8 +329,8 @@ func TestDenseStoreMatchesOracle(t *testing.T) {
 				return false
 			}
 			for _, v := range st.Violations() {
-				if l, ok := FailingLiteral(st.Snapshot(), v); !ok || l != v.Literal {
-					t.Logf("seed %d step %d: FailingLiteral disagrees on %s", seed, step, violationBytes([]Violation{v}, sigma))
+				if l, ok := failingLiteral(st.Snapshot(), v); !ok || l != v.Literal {
+					t.Logf("seed %d step %d: failingLiteral disagrees on %s", seed, step, violationBytes([]Violation{v}, sigma))
 					return false
 				}
 			}

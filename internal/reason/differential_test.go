@@ -1,11 +1,10 @@
 package reason
 
-// Differential and property tests for snapshot-backed validation: the
-// frozen-snapshot path must report exactly the same violation sets —
-// and, for the canonical-order APIs, the same violation order — as
-// matching directly over the mutable graph, across generated workloads.
-// The benchmarks compare the two paths head to head on the workload
-// generators' larger graphs.
+// Differential and property tests for validation: the sequential,
+// parallel and touched searches must report exactly the violation sets
+// of matchOracle — and, for the canonical-order APIs, its violation
+// order — across generated workloads. The benchmarks time validation on
+// the workload generators' larger graphs, with and without the freeze.
 
 import (
 	"context"
@@ -71,8 +70,8 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestValidateSnapshotDifferential: quick-generated workloads validate
-// to identical violation sets over both hosts, and the canonical-order
-// parallel path returns the identical ordered list on both.
+// to the oracle's violation set, and the canonical-order parallel path
+// returns the oracle's ordered list.
 func TestValidateSnapshotDifferential(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
@@ -80,25 +79,20 @@ func TestValidateSnapshotDifferential(t *testing.T) {
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
 		snap := g.Freeze()
+		want := matchOracle(snap, sigma)
+		val := NewValidatorOn(snap, sigma)
 
-		onGraph, _ := ValidateOnCtx(ctx, g, sigma, 0)
-		onSnap, _ := ValidateOnCtx(ctx, snap, sigma, 0)
-		if !equalStrings(canonViolations(onGraph, sigma), canonViolations(onSnap, sigma)) {
-			t.Logf("seed %d: violation sets differ (%d vs %d)", seed, len(onGraph), len(onSnap))
+		seq, _ := val.RunCtx(ctx, 0)
+		if !equalStrings(canonViolations(seq, sigma), canonViolations(want, sigma)) {
+			t.Logf("seed %d: violation sets differ (%d vs %d)", seed, len(seq), len(want))
 			return false
 		}
-
-		// The canonical-order APIs must agree as ordered lists.
-		parGraph, _ := ValidateParallelOnCtx(ctx, g, sigma, 0, 4)
-		parSnap, _ := ValidateParallelOnCtx(ctx, snap, sigma, 0, 4)
-		if !equalStrings(orderedCanon(parGraph, sigma), orderedCanon(parSnap, sigma)) {
+		par, _ := val.RunParallelCtx(ctx, 0, 4)
+		if !equalStrings(orderedCanon(par, sigma), orderedCanon(want, sigma)) {
 			t.Logf("seed %d: canonical violation order differs", seed)
 			return false
 		}
-		// And both must be the canonical ordering of the sequential set.
-		seq := append([]Violation(nil), onSnap...)
-		SortViolations(seq, sigma)
-		return equalStrings(orderedCanon(parSnap, sigma), orderedCanon(seq, sigma))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -106,7 +100,8 @@ func TestValidateSnapshotDifferential(t *testing.T) {
 }
 
 // TestValidateTouchingSnapshotDifferential: the incremental path agrees
-// across hosts, order included (its contract is canonical order).
+// with the oracle restricted to matches binding a touched node, order
+// included (its contract is canonical order).
 func TestValidateTouchingSnapshotDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(401))
@@ -117,52 +112,53 @@ func TestValidateTouchingSnapshotDifferential(t *testing.T) {
 		for i := 0; i < 5 && i < g.NumNodes(); i++ {
 			touched = append(touched, graph.NodeID(rng.Intn(g.NumNodes())))
 		}
-		onGraph, _ := ValidateTouchingOnCtx(ctx, g, sigma, touched, 0)
-		onSnap, _ := ValidateTouchingOnCtx(ctx, g.Freeze(), sigma, touched, 0)
-		if !equalStrings(orderedCanon(onGraph, sigma), orderedCanon(onSnap, sigma)) {
-			t.Fatalf("trial %d: incremental violations differ across hosts", trial)
+		snap := g.Freeze()
+		var want []Violation
+		for _, v := range matchOracle(snap, sigma) {
+			if touches(touched)(v) {
+				want = append(want, v)
+			}
+		}
+		got, _ := NewValidatorOn(snap, sigma).TouchingCtx(ctx, touched, 0)
+		if !equalStrings(orderedCanon(got, sigma), orderedCanon(want, sigma)) {
+			t.Fatalf("trial %d: incremental violations differ from the oracle", trial)
 		}
 	}
 }
 
-// TestValidatorSnapshotSharing: a validator built on a shared snapshot
-// equals one that froze privately, and both equal plain validation.
+// TestValidatorSnapshotSharing: validators sharing one snapshot agree
+// with each other and with the oracle.
 func TestValidatorSnapshotSharing(t *testing.T) {
 	g, _ := gen.KnowledgeBase(23, 60, 0.25)
 	sigma := ged.Set{gen.PaperPhi1(), gen.PaperPhi2(), gen.PaperPhi3(), gen.PaperPhi4()}
 	snap := g.Freeze()
-	a := canonViolations(NewValidatorOn(snap, sigma).Run(0), sigma)
-	b := canonViolations(NewValidator(g, sigma).Run(0), sigma)
-	c := canonViolations(Validate(g, sigma, 0), sigma)
-	if !equalStrings(a, b) || !equalStrings(b, c) {
+	ctx := context.Background()
+	a, _ := NewValidatorOn(snap, sigma).RunCtx(ctx, 0)
+	b, _ := NewValidatorOn(snap, sigma).RunParallelCtx(ctx, 0, 2)
+	c := matchOracle(snap, sigma)
+	if ca, cb, cc := canonViolations(a, sigma), canonViolations(b, sigma), canonViolations(c, sigma); !equalStrings(ca, cb) || !equalStrings(cb, cc) {
 		t.Fatalf("validator paths disagree: %d / %d / %d violations", len(a), len(b), len(c))
 	}
 }
 
-// ---- benchmarks: snapshot path vs mutable-graph path ----
+// ---- benchmarks ----
 
 func benchValidate(b *testing.B, scale int) {
 	g, _ := gen.KnowledgeBase(31, scale, 0.1)
 	sigma := ged.Set{gen.PaperPhi1(), gen.PaperPhi2(), gen.PaperPhi3(), gen.PaperPhi4()}
 	ctx := context.Background()
-	b.Run("graph", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, g, sigma, 0)
-		}
-	})
 	b.Run("snapshot", func(b *testing.B) {
-		// Freeze cost is included: this is the end-to-end Validate path.
+		// Freeze cost is included: this is the end-to-end validation path.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, g.Freeze(), sigma, 0)
+			NewValidatorOn(g.Freeze(), sigma).RunCtx(ctx, 0)
 		}
 	})
 	b.Run("snapshot-cached", func(b *testing.B) {
 		snap := g.Freeze()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, snap, sigma, 0)
+			NewValidatorOn(snap, sigma).RunCtx(ctx, 0)
 		}
 	})
 }
@@ -175,14 +171,9 @@ func BenchmarkValidateSpamHosts(b *testing.B) {
 	g, _ := gen.SocialNetwork(7, 12, 14)
 	sigma := ged.Set{gen.PaperPhi5(2)}
 	ctx := context.Background()
-	b.Run("graph", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, g, sigma, 0)
-		}
-	})
 	b.Run("snapshot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, g.Freeze(), sigma, 0)
+			NewValidatorOn(g.Freeze(), sigma).RunCtx(ctx, 0)
 		}
 	})
 }

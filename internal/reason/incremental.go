@@ -4,49 +4,8 @@ import (
 	"context"
 	"strconv"
 
-	"gedlib/internal/ged"
 	"gedlib/internal/graph"
-	"gedlib/internal/pattern"
 )
-
-// ValidateTouching finds the violations of Σ whose match involves at
-// least one of the given nodes. After a localized update (attribute
-// writes or edge insertions around a handful of nodes), the *new*
-// violations all touch an updated node, so re-checking only those
-// matches — rather than re-enumerating every match of every pattern —
-// gives incremental validation:
-//
-//	dirty := g mutated at nodes N
-//	newViolations := ValidateTouching(dirty, sigma, N, 0)
-//
-// Deletions are different: removing an edge or attribute can only
-// *remove* violations (matches and antecedent satisfactions are
-// monotone in the graph), so the stale entries of a maintained violation
-// list are re-checked with StillViolating instead. ViolationStore
-// packages both halves into one maintained set, and Engine.Apply drives
-// it from the graph's own change journal.
-//
-// Matches touching several affected nodes are reported once. The result
-// order is canonical, as in ValidateParallel.
-func ValidateTouching(g *graph.Graph, sigma ged.Set, nodes []graph.NodeID, limit int) []Violation {
-	out, _ := ValidateTouchingCtx(context.Background(), g, sigma, nodes, limit)
-	return out
-}
-
-// ValidateTouchingCtx is ValidateTouching with cooperative cancellation,
-// checked between candidate matches; the violations found before the
-// abort are returned alongside ctx's error.
-func ValidateTouchingCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, nodes []graph.NodeID, limit int) ([]Violation, error) {
-	return ValidateTouchingOnCtx(ctx, g, sigma, nodes, limit)
-}
-
-// ValidateTouchingOnCtx is ValidateTouchingCtx over any matcher host:
-// a delta-maintained snapshot of the post-update graph (the fast path
-// the Engine uses), or the mutable graph itself. Plans are compiled per
-// call; a Validator's TouchingCtx reuses its prepared plans instead.
-func ValidateTouchingOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, nodes []graph.NodeID, limit int) ([]Violation, error) {
-	return newValidator(h, sigma).TouchingCtx(ctx, nodes, limit)
-}
 
 // touching is the touched-neighborhood search: every rule, pivoted on
 // every pattern variable over nodes. Hits come back in no particular
@@ -83,60 +42,6 @@ func (v *Validator) touching(ctx context.Context, nodes []graph.NodeID) ([]hit, 
 		}
 	}
 	return hs.list, nil
-}
-
-// StillViolating re-checks a previously-found violation against the
-// current state of a host (graph or snapshot): the match must still
-// exist (labels and edges), the antecedent must still hold, and some
-// consequent literal must still fail.
-func StillViolating(h pattern.Host, v Violation) bool {
-	_, ok := FailingLiteral(h, v)
-	return ok
-}
-
-// FailingLiteral is StillViolating exposing the evidence: the first
-// consequent literal that currently fails. It may differ from the
-// recorded v.Literal — an update can fix the recorded literal while
-// breaking another — which is why maintained stores must refresh their
-// entries from it rather than keep the stale one.
-func FailingLiteral(h pattern.Host, v Violation) (ged.Literal, bool) {
-	// Nodes must still exist.
-	for _, x := range v.GED.Pattern.Vars() {
-		n, ok := v.Match[x]
-		if !ok || int(n) >= h.NumNodes() {
-			return ged.Literal{}, false
-		}
-		if !graph.LabelMatches(v.GED.Pattern.Label(x), h.Label(n)) {
-			return ged.Literal{}, false
-		}
-	}
-	for _, e := range v.GED.Pattern.Edges() {
-		if !pattern.HostHasCompatibleEdge(h, v.Match[e.Src], e.Label, v.Match[e.Dst]) {
-			return ged.Literal{}, false
-		}
-	}
-	if l := failing(h, v.GED, v.Match); l != nil {
-		return *l, true
-	}
-	return ged.Literal{}, false
-}
-
-// failing is the Host-generic verdict on one match of d's pattern,
-// literal by literal through HoldsInGraph: the first consequent literal
-// m fails when m ⊨ X, nil when m does not violate d. CompiledRule's
-// CheckMatch is the dense equivalent snapshot validation runs on.
-func failing(h pattern.Host, d *ged.GED, m pattern.Match) *ged.Literal {
-	for _, l := range d.X {
-		if !HoldsInGraph(h, l, m) {
-			return nil
-		}
-	}
-	for i := range d.Y {
-		if !HoldsInGraph(h, d.Y[i], m) {
-			return &d.Y[i]
-		}
-	}
-	return nil
 }
 
 // denseKeyVars is how many bindings the allocation-free match key holds

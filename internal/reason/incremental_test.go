@@ -31,8 +31,8 @@ func TestValidateTouchingFindsNewViolation(t *testing.T) {
 	}
 	g.SetAttr(dev, "type", graph.String("psychologist"))
 
-	inc := ValidateTouching(g, sigma, []graph.NodeID{dev}, 0)
-	full := Validate(g, sigma, 0)
+	inc := validateTouching(g, sigma, []graph.NodeID{dev}, 0)
+	full := validate(g, sigma, 0)
 	if len(inc) != len(full) {
 		t.Fatalf("incremental found %d, full %d", len(inc), len(full))
 	}
@@ -50,7 +50,7 @@ func TestValidateTouchingEqualsFullOnRandomUpdates(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
-		before := canonViolations(Validate(g, sigma, 0), sigma)
+		before := canonViolations(validate(g, sigma, 0), sigma)
 
 		// Mutate 1-2 nodes.
 		var touched []graph.NodeID
@@ -59,8 +59,8 @@ func TestValidateTouchingEqualsFullOnRandomUpdates(t *testing.T) {
 			g.SetAttr(n, "p", graph.Int(rng.Intn(2)))
 			touched = append(touched, n)
 		}
-		full := Validate(g, sigma, 0)
-		inc := ValidateTouching(g, sigma, touched, 0)
+		full := validate(g, sigma, 0)
+		inc := validateTouching(g, sigma, touched, 0)
 
 		// Every violation in full that touches a mutated node must be in
 		// inc, and vice versa.
@@ -91,28 +91,61 @@ func TestValidateTouchingEqualsFullOnRandomUpdates(t *testing.T) {
 	}
 }
 
+// failingLiteral re-checks a recorded violation against a later
+// snapshot and returns the evidence: the match must still exist (labels
+// and edges), the antecedent must still hold, and the first consequent
+// literal that fails is returned. It may differ from the recorded
+// v.Literal — an update can fix the recorded literal while breaking
+// another — which is why maintained stores refresh their entries.
+func failingLiteral(snap *graph.Snapshot, v Violation) (ged.Literal, bool) {
+	p := v.GED.Pattern
+	for _, x := range p.Vars() {
+		n, ok := v.Match[x]
+		if !ok || int(n) >= snap.NumNodes() || !graph.LabelMatches(p.Label(x), snap.Label(n)) {
+			return ged.Literal{}, false
+		}
+	}
+	for _, e := range p.Edges() {
+		src, dst := v.Match[e.Src], v.Match[e.Dst]
+		if e.Label == graph.Wildcard && !snap.HasAnyEdge(src, dst) ||
+			e.Label != graph.Wildcard && !snap.HasEdge(src, e.Label, dst) {
+			return ged.Literal{}, false
+		}
+	}
+	if l := failingOn(snap, v.GED, v.Match); l != nil {
+		return *l, true
+	}
+	return ged.Literal{}, false
+}
+
+// stillViolating is failingLiteral's verdict alone.
+func stillViolating(snap *graph.Snapshot, v Violation) bool {
+	_, ok := failingLiteral(snap, v)
+	return ok
+}
+
 func TestStillViolating(t *testing.T) {
 	g := graph.New()
 	dev := g.AddNodeAttrs("person", map[graph.Attr]graph.Value{"type": graph.String("psychologist")})
 	game := g.AddNodeAttrs("product", map[graph.Attr]graph.Value{"type": graph.String("video game")})
 	g.AddEdge(dev, "create", game)
 	sigma := ged.Set{gen.PaperPhi1()}
-	vs := Validate(g, sigma, 0)
+	vs := validate(g, sigma, 0)
 	if len(vs) != 1 {
 		t.Fatal("expected one violation")
 	}
-	if !StillViolating(g, vs[0]) {
+	if !stillViolating(g.Freeze(), vs[0]) {
 		t.Error("fresh violation must still be violating")
 	}
 	// Repairing the attribute clears it.
 	g.SetAttr(dev, "type", graph.String("programmer"))
-	if StillViolating(g, vs[0]) {
+	if stillViolating(g.Freeze(), vs[0]) {
 		t.Error("repaired violation must clear")
 	}
 	// Breaking the antecedent also clears it.
 	g.SetAttr(dev, "type", graph.String("psychologist"))
 	g.SetAttr(game, "type", graph.String("board game"))
-	if StillViolating(g, vs[0]) {
+	if stillViolating(g.Freeze(), vs[0]) {
 		t.Error("antecedent no longer holds; violation must clear")
 	}
 }
@@ -126,8 +159,8 @@ func TestValidateTouchingDedup(t *testing.T) {
 	g.AddEdge(c, "capital", y)
 	g.AddEdge(c, "capital", z)
 	sigma := ged.Set{gen.PaperPhi2()}
-	inc := ValidateTouching(g, sigma, []graph.NodeID{y, z, c}, 0)
-	full := Validate(g, sigma, 0)
+	inc := validateTouching(g, sigma, []graph.NodeID{y, z, c}, 0)
+	full := validate(g, sigma, 0)
 	if len(inc) != len(full) {
 		t.Errorf("dedup broken: inc=%d full=%d", len(inc), len(full))
 	}

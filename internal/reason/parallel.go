@@ -12,46 +12,6 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// ValidateParallel is the data-parallel validator, a first step toward
-// the "parallel scalable algorithms for reasoning about GEDs" the paper
-// leaves as future work (Section 9). The graph is frozen once into a
-// read-only snapshot shared by every worker; the match space of each
-// GED is partitioned by pre-binding a pivot variable — the most
-// selective constant-literal access path of the antecedent when the
-// snapshot's attribute index beats the label postings, the smallest
-// label candidate set otherwise — to disjoint candidate blocks; workers
-// search the partitions independently and merge their violation lists.
-//
-// The result is deterministic: violations are returned in the same
-// canonical order (by GED index, then by match bindings in variable
-// order) regardless of worker count. With a positive limit the workers
-// may transiently find more than limit violations; the merged list is
-// put into canonical order first and then truncated, so the reported
-// prefix is the canonically-least limit violations and is likewise
-// deterministic across runs and worker counts.
-//
-// workers ≤ 0 selects GOMAXPROCS. limit ≤ 0 returns all violations.
-func ValidateParallel(g *graph.Graph, sigma ged.Set, limit, workers int) []Violation {
-	out, _ := ValidateParallelCtx(context.Background(), g, sigma, limit, workers)
-	return out
-}
-
-// ValidateParallelCtx is ValidateParallel with cooperative cancellation:
-// every worker checks ctx between candidate matches and between tasks,
-// so a cancelled context drains the whole pool promptly. The (canonical,
-// possibly partial) violations found before the abort are returned
-// alongside ctx's error.
-func ValidateParallelCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, limit, workers int) ([]Violation, error) {
-	return ValidateParallelOnCtx(ctx, g.Freeze(), sigma, limit, workers)
-}
-
-// ValidateParallelOnCtx is ValidateParallelCtx over any matcher host —
-// normally a pre-built *graph.Snapshot shared across calls; a mutable
-// *graph.Graph also works and returns identical results.
-func ValidateParallelOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, limit, workers int) ([]Violation, error) {
-	return newValidator(h, sigma).RunParallelCtx(ctx, limit, workers)
-}
-
 // scanParallel is the data-parallel search: one plan per GED shared by
 // all workers, tasks are candidate blocks of the GED's pivot variable.
 // Hits come back in no particular order — except from a single worker,
@@ -61,7 +21,7 @@ func (v *Validator) scanParallel(ctx context.Context, workers int) ([]hit, error
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		return v.scan(ctx, 0, false)
+		return v.scan(ctx, 0)
 	}
 	v.ensurePivots()
 	type task struct {
@@ -139,41 +99,31 @@ func (v *Validator) scanParallel(ctx context.Context, workers int) ([]hit, error
 	return out, ctx.Err()
 }
 
-// pivot selects the partitioning variable of Σ[gi]'s match space. On a
-// snapshot host the most selective constant literal of the antecedent
-// is pushed down into the folded-in attribute index first — matches
-// outside its postings cannot satisfy the antecedent, so restricting
-// the pivot to them loses no violations; when no constant literal beats
-// the label postings the label-based pivotVar is used.
+// pivot selects the partitioning variable of Σ[gi]'s match space. The
+// most selective constant literal of the antecedent is pushed down into
+// the folded-in attribute index first — matches outside its postings
+// cannot satisfy the antecedent, so restricting the pivot to them loses
+// no violations; when no constant literal beats the label postings the
+// label-based pivotVar is used.
 func (v *Validator) pivot(gi int) (pattern.Var, []graph.NodeID) {
 	if p := v.pivots[gi]; p != nil {
 		return p.variable, p.cands
 	}
-	return pivotVar(v.sigma[gi].Pattern, v.h)
+	return pivotVar(v.sigma[gi].Pattern, v.snap)
 }
 
 // pivotVar picks the variable with the smallest candidate set, breaking
-// ties toward the label with the higher average degree when the host
-// exposes degree statistics, and returns its candidates. An empty
-// pattern returns "".
-func pivotVar(p *pattern.Pattern, h pattern.Host) (pattern.Var, []graph.NodeID) {
-	stats, hasStats := h.(interface {
-		LabelAvgDegree(graph.Label) float64
-	})
-	avgDeg := func(l graph.Label) float64 {
-		if !hasStats {
-			return 0
-		}
-		return stats.LabelAvgDegree(l)
-	}
+// ties toward the label with the higher average degree, and returns its
+// candidates. An empty pattern returns "".
+func pivotVar(p *pattern.Pattern, snap *graph.Snapshot) (pattern.Var, []graph.NodeID) {
 	var best pattern.Var
 	var bestCands []graph.NodeID
 	for _, v := range p.Vars() {
-		c := h.CandidateNodes(p.Label(v))
+		c := snap.CandidateNodes(p.Label(v))
 		switch {
 		case best == "" || len(c) < len(bestCands):
 			best, bestCands = v, c
-		case len(c) == len(bestCands) && avgDeg(p.Label(v)) > avgDeg(p.Label(best)):
+		case len(c) == len(bestCands) && snap.LabelAvgDegree(p.Label(v)) > snap.LabelAvgDegree(p.Label(best)):
 			best, bestCands = v, c
 		}
 	}

@@ -37,9 +37,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
-		want := canonViolations(Validate(g, sigma, 0), sigma)
+		want := canonViolations(validate(g, sigma, 0), sigma)
 		for _, workers := range []int{1, 2, 4, 8} {
-			got := canonViolations(ValidateParallel(g, sigma, 0, workers), sigma)
+			got := canonViolations(validateParallel(g, sigma, 0, workers), sigma)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d workers %d: %d violations vs %d sequential",
 					trial, workers, len(got), len(want))
@@ -59,9 +59,9 @@ func TestParallelDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	sigma := randomSigma(rng)
 	g := randomGraph(rng)
-	first := ValidateParallel(g, sigma, 0, 4)
+	first := validateParallel(g, sigma, 0, 4)
 	for i := 0; i < 5; i++ {
-		again := ValidateParallel(g, sigma, 0, 4)
+		again := validateParallel(g, sigma, 0, 4)
 		if len(again) != len(first) {
 			t.Fatal("violation count changed between runs")
 		}
@@ -81,7 +81,7 @@ func TestParallelLimit(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		g.AddNode("p")
 	}
-	vs := ValidateParallel(g, ged.Set{phi}, 5, 4)
+	vs := validateParallel(g, ged.Set{phi}, 5, 4)
 	if len(vs) != 5 {
 		t.Errorf("limit 5: got %d", len(vs))
 	}
@@ -90,45 +90,48 @@ func TestParallelLimit(t *testing.T) {
 func TestParallelEmptyPattern(t *testing.T) {
 	phi := ged.New("e", pattern.New(), nil, nil)
 	g := randomGraph(rand.New(rand.NewSource(2)))
-	if n := len(ValidateParallel(g, ged.Set{phi}, 0, 4)); n != 0 {
+	if n := len(validateParallel(g, ged.Set{phi}, 0, 4)); n != 0 {
 		t.Errorf("empty consequent can never be violated, got %d", n)
 	}
 }
 
-// TestForEachMatchBound covers the pre-binding primitive directly.
-func TestForEachMatchBound(t *testing.T) {
+// TestPivotBlocksPartitionMatches covers the pivot primitive the
+// parallel and touched searches partition by: single-candidate blocks
+// over the pivot's candidates together enumerate every match exactly
+// once, label-violating candidates yield nothing, and so does a pivot
+// the pattern does not have.
+func TestPivotBlocksPartitionMatches(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(3)))
+	g.AddNode("a")
+	g.AddNode("b")
+	snap := g.Freeze()
 	q := pattern.New()
 	q.AddVar("x", "a").AddVar("y", "b")
-	total := pattern.CountMatches(q, g)
-	sum := 0
-	for _, c := range g.CandidateNodes("a") {
-		pattern.ForEachMatchBound(q, g, pattern.Match{"x": c}, func(pattern.Match) bool {
-			sum++
+	pl := pattern.Compile(q, snap)
+	count := func(pivot pattern.Var, cands []graph.NodeID) int {
+		n := 0
+		pl.ForEachDensePivotCancel(pivot, cands, nil, nil, func([]graph.NodeID) bool {
+			n++
 			return true
 		})
+		return n
 	}
-	if sum != total {
-		t.Errorf("partitioned count %d != total %d", sum, total)
-	}
-	// A label-violating pre-binding yields nothing.
-	for _, c := range g.CandidateNodes("b") {
-		found := false
-		pattern.ForEachMatchBound(q, g, pattern.Match{"x": c}, func(pattern.Match) bool {
-			found = true
-			return false
-		})
-		if found && g.Label(c) != "a" {
-			t.Error("label-violating pre-binding produced a match")
-		}
-	}
-	// An unknown variable yields nothing.
-	count := 0
-	pattern.ForEachMatchBound(q, g, pattern.Match{"zzz": 0}, func(pattern.Match) bool {
-		count++
+	total := 0
+	pattern.ForEachMatch(q, snap, func(pattern.Match) bool {
+		total++
 		return true
 	})
-	if count != 0 {
-		t.Error("unknown pre-bound variable must yield no matches")
+	sum := 0
+	for _, c := range snap.CandidateNodes("a") {
+		sum += count("x", []graph.NodeID{c})
+	}
+	if sum != total || total == 0 {
+		t.Errorf("partitioned count %d != total %d", sum, total)
+	}
+	if n := count("x", snap.CandidateNodes("b")); n != 0 {
+		t.Errorf("label-violating pivot candidates produced %d matches", n)
+	}
+	if n := count("zzz", snap.Nodes()); n != 0 {
+		t.Error("unknown pivot variable must yield no matches")
 	}
 }

@@ -111,9 +111,9 @@ func TestPrunedScanEqualsUnpruned(t *testing.T) {
 				return false
 			}
 		}
-		got := val.Run(0)
+		got, err := val.RunCtx(ctx, 0)
 		SortViolations(got, sigma)
-		if !sameViolations(t, at+"Run", got, want, sigma) {
+		if err != nil || !sameViolations(t, at+"RunCtx", got, want, sigma) {
 			return false
 		}
 		got, err = val.TouchingCtx(ctx, d.TouchedNodes(), 0)
@@ -164,7 +164,9 @@ func TestUnviolableRulesAreSkipped(t *testing.T) {
 	if len(want) != 4 {
 		t.Fatalf("oracle finds %d violations of selfattr, want the 4 edges leaving a node without p", len(want))
 	}
-	val.Run(0)
+	if _, err := val.RunCtx(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
 	for workers := 1; workers <= 3; workers++ {
 		got, err := val.RunParallelCtx(ctx, 0, workers)
 		if err != nil || !sameViolations(t, fmt.Sprintf("RunParallelCtx(%d)", workers), got, want, sigma) {

@@ -1,10 +1,10 @@
 package reason
 
 // Differential tests for constant-literal pushdown: every validation
-// API that now compiles plans with pushed-down antecedent literals must
+// API that compiles plans with pushed-down antecedent literals must
 // report violations byte-identical (canonical order, same evidence
-// literal) to a probe-path oracle that enumerates with the legacy
-// scan-and-probe plans and checks every literal post-match.
+// literal) to matchOracle, which enumerates unfiltered Match maps and
+// checks every literal post-match.
 
 import (
 	"context"
@@ -17,31 +17,6 @@ import (
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
 )
-
-// probeOracleValidate is the legacy enumeration: probe plans, no
-// pushdown, all literals checked after a full match materializes.
-func probeOracleValidate(h pattern.Host, sigma ged.Set) []Violation {
-	var out []Violation
-	for _, d := range sigma {
-		d := d
-		pattern.CompileProbe(d.Pattern, h).ForEachBound(nil, func(m pattern.Match) bool {
-			for _, l := range d.X {
-				if !HoldsInGraph(h, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(h, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
-			}
-			return true
-		})
-	}
-	SortViolations(out, sigma)
-	return out
-}
 
 // violationBytes renders a violation list canonically, evidence literal
 // included, for byte-for-byte comparison.
@@ -86,15 +61,16 @@ func pushdownWorkload(seed int64) (*graph.Graph, ged.Set) {
 }
 
 // TestPushdownViolationsByteIdentical: sequential, parallel and
-// prepared-validator validation over both hosts agree byte-for-byte
-// with the probe-path oracle.
+// repeated runs of one prepared validator agree byte-for-byte with the
+// Match-map oracle.
 func TestPushdownViolationsByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
 		seed %= 1_000_000
 		g, sigma := pushdownWorkload(seed)
 		snap := g.Freeze()
-		want := violationBytes(probeOracleValidate(snap, sigma), sigma)
+		want := violationBytes(matchOracle(snap, sigma), sigma)
+		val := NewValidatorOn(snap, sigma)
 
 		must := func(vs []Violation, err error) []Violation {
 			if err != nil {
@@ -103,15 +79,14 @@ func TestPushdownViolationsByteIdentical(t *testing.T) {
 			return vs
 		}
 		for name, got := range map[string][]Violation{
-			"graph":    must(ValidateOnCtx(ctx, g, sigma, 0)),
-			"snapshot": must(ValidateOnCtx(ctx, snap, sigma, 0)),
-			"parallel": must(ValidateParallelOnCtx(ctx, snap, sigma, 0, 4)),
-			"prepared": NewValidatorOn(snap, sigma).Run(0),
+			"sequential": must(val.RunCtx(ctx, 0)),
+			"parallel":   must(val.RunParallelCtx(ctx, 0, 4)),
+			"repeated":   must(val.RunCtx(ctx, 0)),
 		} {
 			canon := append([]Violation(nil), got...)
 			SortViolations(canon, sigma)
 			if gotBytes := violationBytes(canon, sigma); gotBytes != want {
-				t.Logf("seed %d: %s diverges from probe oracle:\n got %q\nwant %q", seed, name, gotBytes, want)
+				t.Logf("seed %d: %s diverges from the oracle:\n got %q\nwant %q", seed, name, gotBytes, want)
 				return false
 			}
 		}
@@ -123,7 +98,7 @@ func TestPushdownViolationsByteIdentical(t *testing.T) {
 }
 
 // TestPushdownTouchingByteIdentical: the touched-neighborhood API with
-// pushed-down plans agrees with a probe oracle restricted to matches
+// pushed-down plans agrees with the oracle restricted to matches
 // binding a touched node.
 func TestPushdownTouchingByteIdentical(t *testing.T) {
 	ctx := context.Background()
@@ -147,20 +122,18 @@ func TestPushdownTouchingByteIdentical(t *testing.T) {
 			return false
 		}
 		var want []Violation
-		for _, v := range probeOracleValidate(snap, sigma) {
+		for _, v := range matchOracle(snap, sigma) {
 			if inTouched(v.Match) {
 				want = append(want, v)
 			}
 		}
-		for _, host := range []pattern.Host{g, snap} {
-			got, err := ValidateTouchingOnCtx(ctx, host, sigma, touched, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if violationBytes(got, sigma) != violationBytes(want, sigma) {
-				t.Logf("seed %d host %T: touching diverges", seed, host)
-				return false
-			}
+		got, err := NewValidatorOn(snap, sigma).TouchingCtx(ctx, touched, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if violationBytes(got, sigma) != violationBytes(want, sigma) {
+			t.Logf("seed %d: touching diverges", seed)
+			return false
 		}
 		return true
 	}

@@ -36,16 +36,10 @@ type SatResult struct {
 	Model *graph.Graph
 }
 
-// CheckSat decides whether Σ is satisfiable in the strong sense of
+// CheckSatCtx decides whether Σ is satisfiable in the strong sense of
 // Section 5.1, by chasing the canonical graph G_Σ (Theorem 2: Σ is
-// satisfiable iff chase(G_Σ, Σ) is consistent).
-func CheckSat(sigma ged.Set) *SatResult {
-	out, _ := CheckSatCtx(context.Background(), sigma, 0)
-	return out
-}
-
-// CheckSatCtx is CheckSat with cooperative cancellation and an optional
-// chase round bound (see chase.RunCtx). On cancellation or an exceeded
+// satisfiable iff chase(G_Σ, Σ) is consistent). It takes an optional
+// chase round bound (see chase.RunCtx); on cancellation or an exceeded
 // bound the error is non-nil and the result is not meaningful.
 func CheckSatCtx(ctx context.Context, sigma ged.Set, maxRounds int) (*SatResult, error) {
 	gs, _ := sigma.CanonicalGraph()
@@ -87,17 +81,12 @@ type ImplResult struct {
 	Missing *ged.Literal
 }
 
-// Implies decides Σ ⊨ φ by Theorem 4: chase the canonical graph G_Q of
-// φ's pattern starting from Eq_X; φ is implied iff the chase is
+// ImpliesCtx decides Σ ⊨ φ by Theorem 4: chase the canonical graph G_Q
+// of φ's pattern starting from Eq_X; φ is implied iff the chase is
 // inconsistent, or it is consistent and every literal of Y can be
-// deduced from its result.
-func Implies(sigma ged.Set, phi *ged.GED) *ImplResult {
-	out, _ := ImpliesCtx(context.Background(), sigma, phi, 0)
-	return out
-}
-
-// ImpliesCtx is Implies with cooperative cancellation and an optional
-// chase round bound (see chase.RunCtx).
+// deduced from its result. It takes an optional chase round bound (see
+// chase.RunCtx); on cancellation or an exceeded bound the error is
+// non-nil and the result is not meaningful.
 func ImpliesCtx(ctx context.Context, sigma ged.Set, phi *ged.GED, maxRounds int) (*ImplResult, error) {
 	gq, vm := phi.Pattern.ToGraph()
 	seeds := make([]chase.Seed, 0, len(phi.X))
@@ -132,75 +121,27 @@ type Violation struct {
 	Literal ged.Literal
 }
 
-// Validate finds violations of Σ in G, up to limit (limit <= 0 means
-// all). G ⊨ Σ iff the result is empty (Section 5.3).
-func Validate(g *graph.Graph, sigma ged.Set, limit int) []Violation {
-	out, _ := ValidateCtx(context.Background(), g, sigma, limit)
-	return out
-}
-
-// ValidateCtx is Validate with cooperative cancellation: ctx is checked
-// between candidate matches and, via the matcher's abort hook, inside
-// the backtracking search itself — so a cancelled context aborts even a
-// match-free exponential exploration. The violations found so far are
-// returned alongside ctx's error.
-//
-// The graph is frozen once into a read-only snapshot shared across all
-// of Σ's match enumerations; to validate against a pre-built snapshot
-// (or directly against the mutable graph) use ValidateOnCtx.
-func ValidateCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, limit int) ([]Violation, error) {
-	return ValidateOnCtx(ctx, g.Freeze(), sigma, limit)
-}
-
-// ValidateOnCtx is ValidateCtx over any matcher host: a frozen
-// *graph.Snapshot (the fast path) or a mutable *graph.Graph. With
-// limit <= 0 both hosts return exactly the same violation sets; a
-// positive limit truncates in enumeration order, which may differ
-// between hosts (snapshots enumerate neighbors in (label, id) order,
-// graphs in insertion order), so the reported prefix can differ even
-// though the full sets agree. Plans and literals are compiled per call;
-// a Validator keeps them.
-func ValidateOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, limit int) ([]Violation, error) {
-	return newValidator(h, sigma).RunCtx(ctx, limit)
-}
-
-// Satisfies reports G ⊨ Σ.
+// Satisfies reports G ⊨ Σ (Section 5.3), freezing g once.
 func Satisfies(g *graph.Graph, sigma ged.Set) bool {
-	return len(Validate(g, sigma, 1)) == 0
+	return satisfies(g.Freeze(), sigma)
 }
 
-// HoldsInGraph evaluates h(x̄) ⊨ l directly against the stored attribute
-// values of the host (a graph or a snapshot), with the paper's existence
-// semantics: a literal over a missing attribute is false. It resolves
-// variables and attributes by name on every call: validation over a
-// snapshot runs on CompiledRule instead and keeps this for mutable
-// hosts, for re-checking a recorded Violation, and as the oracle the
-// differential tests compare the compiled path against.
-func HoldsInGraph(h pattern.Host, l ged.Literal, m pattern.Match) bool {
-	k, ok := l.Kind()
-	if !ok {
-		panic("reason: non-GED literal in validation")
-	}
-	switch k {
-	case ged.ConstLiteral:
-		v, ok := h.Attr(m[l.Left.Var], l.Left.Attr)
-		return ok && v.Equal(l.Right.Const)
-	case ged.VarLiteral:
-		v1, ok1 := h.Attr(m[l.Left.Var], l.Left.Attr)
-		v2, ok2 := h.Attr(m[l.Right.Var], l.Right.Attr)
-		return ok1 && ok2 && v1.Equal(v2)
-	default:
-		return m[l.Left.Var] == m[l.Right.Var]
-	}
+func satisfies(snap *graph.Snapshot, sigma ged.Set) bool {
+	vs, _ := NewValidatorOn(snap, sigma).RunCtx(context.Background(), 1)
+	return len(vs) == 0
 }
 
-// ModelHasAllPatterns verifies the "strong" part of Section 5.1's model
-// definition: every pattern of Σ has a match in g. CheckSat's models
-// have this by construction; the check is exposed for tests and tools.
-func ModelHasAllPatterns(g *graph.Graph, sigma ged.Set) bool {
-	h := g.Freeze()
+// hasAllPatterns verifies the "strong" part of Section 5.1's model
+// definition: every pattern of Σ has a match in snap. CheckSatCtx's
+// models have this by construction.
+func hasAllPatterns(snap *graph.Snapshot, sigma ged.Set) bool {
 	for _, d := range sigma {
-		if !pattern.HasMatch(d.Pattern, h) {
+		found := false
+		pattern.ForEachMatch(d.Pattern, snap, func(pattern.Match) bool {
+			found = true
+			return false
+		})
+		if !found {
 			return false
 		}
 	}
@@ -210,5 +151,6 @@ func ModelHasAllPatterns(g *graph.Graph, sigma ged.Set) bool {
 // IsModel reports whether g is a model of Σ: g ⊨ Σ and every pattern of
 // Σ has a match in g.
 func IsModel(g *graph.Graph, sigma ged.Set) bool {
-	return Satisfies(g, sigma) && ModelHasAllPatterns(g, sigma)
+	snap := g.Freeze()
+	return satisfies(snap, sigma) && hasAllPatterns(snap, sigma)
 }

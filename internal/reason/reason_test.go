@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,6 +10,85 @@ import (
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
 )
+
+// ---- shorthands over the one validator and the ctx-first analyses ----
+
+// validate freezes g and runs the sequential scan: NewValidatorOn +
+// RunCtx, as every caller that starts from a mutable graph does.
+func validate(g *graph.Graph, sigma ged.Set, limit int) []Violation {
+	vs, err := NewValidatorOn(g.Freeze(), sigma).RunCtx(context.Background(), limit)
+	if err != nil {
+		panic(err)
+	}
+	return vs
+}
+
+func validateParallel(g *graph.Graph, sigma ged.Set, limit, workers int) []Violation {
+	vs, err := NewValidatorOn(g.Freeze(), sigma).RunParallelCtx(context.Background(), limit, workers)
+	if err != nil {
+		panic(err)
+	}
+	return vs
+}
+
+func validateTouching(g *graph.Graph, sigma ged.Set, nodes []graph.NodeID, limit int) []Violation {
+	vs, err := NewValidatorOn(g.Freeze(), sigma).TouchingCtx(context.Background(), nodes, limit)
+	if err != nil {
+		panic(err)
+	}
+	return vs
+}
+
+func checkSat(sigma ged.Set) *SatResult {
+	r, err := CheckSatCtx(context.Background(), sigma, 0)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func implies(sigma ged.Set, phi *ged.GED) *ImplResult {
+	r, err := ImpliesCtx(context.Background(), sigma, phi, 0)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// matchOracle is validation the way the paper states it (Section 5.3),
+// sharing nothing with the validator but the matcher: enumerate every
+// match of each pattern as a Match map, judge every literal by name
+// through ged.Holds. Violations come back in canonical order.
+func matchOracle(snap *graph.Snapshot, sigma ged.Set) []Violation {
+	var out []Violation
+	for _, d := range sigma {
+		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
+			if l := failingOn(snap, d, m); l != nil {
+				out = append(out, Violation{GED: d, Match: m.Clone(), Literal: *l})
+			}
+			return true
+		})
+	}
+	SortViolations(out, sigma)
+	return out
+}
+
+// failingOn is the Match-map verdict on one match of d's pattern: the
+// first consequent literal m fails when m ⊨ X, nil when m does not
+// violate d.
+func failingOn(snap *graph.Snapshot, d *ged.GED, m pattern.Match) *ged.Literal {
+	for _, l := range d.X {
+		if !ged.Holds(snap, l, m) {
+			return nil
+		}
+	}
+	for i := range d.Y {
+		if !ged.Holds(snap, d.Y[i], m) {
+			return &d.Y[i]
+		}
+	}
+	return nil
+}
 
 // ---- Example 5 / Figure 3: satisfiability interaction ----
 
@@ -50,7 +130,7 @@ func fig3Phi2Prime() *ged.GED {
 
 func TestExample5IndividuallySatisfiable(t *testing.T) {
 	for _, phi := range []*ged.GED{fig3Phi1(), fig3Phi2(), fig3Phi2Prime()} {
-		r := CheckSat(ged.Set{phi})
+		r := checkSat(ged.Set{phi})
 		if !r.Satisfiable {
 			t.Errorf("%s alone must be satisfiable", phi.Name)
 			continue
@@ -62,7 +142,7 @@ func TestExample5IndividuallySatisfiable(t *testing.T) {
 }
 
 func TestExample5Sigma1Unsatisfiable(t *testing.T) {
-	r := CheckSat(ged.Set{fig3Phi1(), fig3Phi2()})
+	r := checkSat(ged.Set{fig3Phi1(), fig3Phi2()})
 	if r.Satisfiable {
 		t.Fatal("Σ1 of Example 5 must be unsatisfiable")
 	}
@@ -74,7 +154,7 @@ func TestExample5Sigma1Unsatisfiable(t *testing.T) {
 func TestExample5Sigma2Unsatisfiable(t *testing.T) {
 	// Even though Q1 and Q'2 are not homomorphic to each other, the GEDs
 	// interact and Σ2 has no model (Example 5(2)).
-	r := CheckSat(ged.Set{fig3Phi1(), fig3Phi2Prime()})
+	r := checkSat(ged.Set{fig3Phi1(), fig3Phi2Prime()})
 	if r.Satisfiable {
 		t.Fatal("Σ2 of Example 5 must be unsatisfiable")
 	}
@@ -102,7 +182,7 @@ func TestExample7Implication(t *testing.T) {
 		[]ged.Literal{ged.VarLit("x1", "A", "x3", "A"), ged.VarLit("x2", "B", "x4", "B")},
 		[]ged.Literal{ged.IDLit("x1", "x3"), ged.IDLit("x2", "x4")})
 
-	r := Implies(ged.Set{phi1, phi2}, phi)
+	r := implies(ged.Set{phi1, phi2}, phi)
 	if !r.Implied {
 		t.Fatalf("Σ must imply φ (Example 7); missing literal: %v", r.Missing)
 	}
@@ -116,7 +196,7 @@ func TestExample7Implication(t *testing.T) {
 	}
 
 	// Dropping phi2 loses the implication.
-	r2 := Implies(ged.Set{phi1}, phi)
+	r2 := implies(ged.Set{phi1}, phi)
 	if r2.Implied {
 		t.Error("φ must not follow from φ1 alone")
 	}
@@ -127,7 +207,7 @@ func TestExample7Implication(t *testing.T) {
 
 func TestImplicationReflexive(t *testing.T) {
 	phi := fig3Phi1()
-	if !Implies(ged.Set{phi}, phi).Implied {
+	if !implies(ged.Set{phi}, phi).Implied {
 		t.Error("Σ must imply its own members")
 	}
 }
@@ -137,13 +217,13 @@ func TestImplicationTrivial(t *testing.T) {
 	q := pattern.New()
 	q.AddVar("x", "a")
 	empty := ged.New("e", q, []ged.Literal{ged.ConstLit("x", "k", graph.Int(1))}, nil)
-	if !Implies(nil, empty).Implied {
+	if !implies(nil, empty).Implied {
 		t.Error("empty consequent must be implied by anything")
 	}
 	xx := ged.New("xx", q,
 		[]ged.Literal{ged.ConstLit("x", "k", graph.Int(1))},
 		[]ged.Literal{ged.ConstLit("x", "k", graph.Int(1))})
-	if !Implies(nil, xx).Implied {
+	if !implies(nil, xx).Implied {
 		t.Error("X → X must be implied by the empty set")
 	}
 }
@@ -156,7 +236,7 @@ func TestImplicationByInconsistency(t *testing.T) {
 	phi := ged.New("inc", q,
 		[]ged.Literal{ged.ConstLit("x", "k", graph.Int(1)), ged.ConstLit("x", "k", graph.Int(2))},
 		[]ged.Literal{ged.ConstLit("x", "m", graph.Int(9))})
-	r := Implies(nil, phi)
+	r := implies(nil, phi)
 	if !r.Implied || !r.ByInconsistency {
 		t.Error("inconsistent Eq_X must imply φ vacuously")
 	}
@@ -175,10 +255,10 @@ func TestImplicationTransitivityChain(t *testing.T) {
 	ac := ged.New("ac", q,
 		[]ged.Literal{ged.ConstLit("x", "a", graph.Int(1))},
 		[]ged.Literal{ged.ConstLit("x", "c", graph.Int(3))})
-	if !Implies(ged.Set{ab, bc}, ac).Implied {
+	if !implies(ged.Set{ab, bc}, ac).Implied {
 		t.Error("transitivity chain must be implied")
 	}
-	if Implies(ged.Set{ab}, ac).Implied {
+	if implies(ged.Set{ab}, ac).Implied {
 		t.Error("dropping the middle link must lose the implication")
 	}
 }
@@ -204,10 +284,10 @@ func TestGKeyImplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Implies(ged.Set{k1}, k2).Implied {
+	if !implies(ged.Set{k1}, k2).Implied {
 		t.Error("weaker key must imply stronger-antecedent key")
 	}
-	if Implies(ged.Set{k2}, k1).Implied {
+	if implies(ged.Set{k2}, k1).Implied {
 		t.Error("stronger-antecedent key must not imply the weaker key")
 	}
 }
@@ -231,7 +311,7 @@ func TestValidationVideoGame(t *testing.T) {
 		"name": graph.String("Ghetto Blaster"), "type": graph.String("video game")})
 	g.AddEdge(gibson, "create", blaster)
 
-	vs := Validate(g, ged.Set{phi1}, 0)
+	vs := validate(g, ged.Set{phi1}, 0)
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1", len(vs))
 	}
@@ -280,7 +360,7 @@ func TestValidationInheritance(t *testing.T) {
 	moa := g.AddNodeAttrs("species", map[graph.Attr]graph.Value{"can_fly": graph.String("no")})
 	g.AddEdge(moa, "is_a", bird)
 
-	vs := Validate(g, ged.Set{phi3}, 0)
+	vs := validate(g, ged.Set{phi3}, 0)
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1 (moa is a flightless bird)", len(vs))
 	}
@@ -289,7 +369,7 @@ func TestValidationInheritance(t *testing.T) {
 	kiwi := g.AddNode("species")
 	g.AddEdge(kiwi, "is_a", bird)
 	g.SetAttr(moa, "can_fly", graph.String("yes"))
-	vs = Validate(g, ged.Set{phi3}, 0)
+	vs = validate(g, ged.Set{phi3}, 0)
 	if len(vs) != 1 || vs[0].Match["y"] != kiwi {
 		t.Errorf("missing attribute must violate the consequent: %v", vs)
 	}
@@ -310,7 +390,7 @@ func TestValidationForbidding(t *testing.T) {
 	g.AddEdge(philip, "child", william)
 	g.AddEdge(philip, "parent", william)
 
-	vs := Validate(g, ged.Set{phi4}, 0)
+	vs := validate(g, ged.Set{phi4}, 0)
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1", len(vs))
 	}
@@ -360,7 +440,7 @@ func TestValidationSpamRule(t *testing.T) {
 			g.AddEdge(a, "like", b)
 		}
 	}
-	vs := Validate(g, ged.Set{phi5}, 0)
+	vs := validate(g, ged.Set{phi5}, 0)
 	found := false
 	for _, v := range vs {
 		if v.Match["x"] == acc1 {
@@ -388,7 +468,7 @@ func TestValidationGKeyDuplicates(t *testing.T) {
 		"title": graph.String("Bleach"), "release": graph.Int(1989)})
 	a2 := g.AddNodeAttrs("album", map[graph.Attr]graph.Value{
 		"title": graph.String("Bleach"), "release": graph.Int(1989)})
-	vs := Validate(g, ged.Set{psi2}, 0)
+	vs := validate(g, ged.Set{psi2}, 0)
 	if len(vs) == 0 {
 		t.Fatal("duplicate albums must violate the key")
 	}
@@ -413,10 +493,10 @@ func TestValidateLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.AddNode("p")
 	}
-	if n := len(Validate(g, ged.Set{phi}, 3)); n != 3 {
+	if n := len(validate(g, ged.Set{phi}, 3)); n != 3 {
 		t.Errorf("limit 3: got %d", n)
 	}
-	if n := len(Validate(g, ged.Set{phi}, 0)); n != 10 {
+	if n := len(validate(g, ged.Set{phi}, 0)); n != 10 {
 		t.Errorf("no limit: got %d", n)
 	}
 }
@@ -430,7 +510,7 @@ func TestSatModelsAreModels(t *testing.T) {
 	sat, unsat := 0, 0
 	for trial := 0; trial < 120; trial++ {
 		sigma := randomSigma(rng)
-		r := CheckSat(sigma)
+		r := checkSat(sigma)
 		if !r.Satisfiable {
 			unsat++
 			continue
@@ -439,7 +519,7 @@ func TestSatModelsAreModels(t *testing.T) {
 		if !Satisfies(r.Model, sigma) {
 			t.Fatalf("trial %d: witness violates Σ\nΣ: %v\nmodel:\n%s", trial, sigma, r.Model)
 		}
-		if !ModelHasAllPatterns(r.Model, sigma) {
+		if !hasAllPatterns(r.Model.Freeze(), sigma) {
 			t.Fatalf("trial %d: witness misses a pattern match", trial)
 		}
 	}
@@ -471,7 +551,7 @@ func TestGFDxAlwaysSatisfiable(t *testing.T) {
 		if gfdx.Classify() != ged.ClassGFDx {
 			t.Fatal("stripping failed")
 		}
-		if !CheckSat(gfdx).Satisfiable {
+		if !checkSat(gfdx).Satisfiable {
 			t.Fatalf("trial %d: GFDx set reported unsatisfiable: %v", trial, gfdx)
 		}
 	}
@@ -485,7 +565,7 @@ func TestImplicationSoundOnRandomGraphs(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		sigma := randomSigma(rng)
 		phi := randomSigma(rng)[0]
-		r := Implies(sigma, phi)
+		r := implies(sigma, phi)
 		if !r.Implied {
 			continue
 		}

@@ -9,23 +9,15 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// validateInjective is Validate under subgraph-isomorphism semantics —
-// the ablation baseline of [19, 23] the paper argues against.
+// validateInjective is validation under subgraph-isomorphism semantics
+// — the ablation baseline of [19, 23] the paper argues against.
 func validateInjective(g *graph.Graph, sigma ged.Set, limit int) []Violation {
 	var out []Violation
+	snap := g.Freeze()
 	for _, d := range sigma {
-		d := d
-		pattern.ForEachMatchInjective(d.Pattern, g, func(m pattern.Match) bool {
-			for _, l := range d.X {
-				if !HoldsInGraph(g, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(g, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
+		pattern.ForEachMatchInjective(d.Pattern, snap, func(m pattern.Match) bool {
+			if l := failingOn(snap, d, m); l != nil {
+				out = append(out, Violation{GED: d, Match: m.Clone(), Literal: *l})
 			}
 			return limit <= 0 || len(out) < limit
 		})
@@ -50,7 +42,7 @@ func TestIsomorphismMakesRecursiveKeysVacuous(t *testing.T) {
 
 	psi3 := gen.PaperPsi3()
 
-	hom := Validate(g, ged.Set{psi3}, 0)
+	hom := validate(g, ged.Set{psi3}, 0)
 	if len(hom) == 0 {
 		t.Fatal("homomorphism semantics must catch the duplicate artist")
 	}
@@ -79,7 +71,7 @@ func TestIsomorphismUoEKeyHasNoSensibleMatches(t *testing.T) {
 		t.Fatal("single-node graph must be a model under homomorphism")
 	}
 	// Isomorphism: no injective match exists on one node.
-	if n := pattern.CountMatchesInjective(q, single); n != 0 {
+	if n := pattern.CountMatchesInjective(q, single.Freeze()); n != 0 {
 		t.Fatalf("injective matches on a single node: %d", n)
 	}
 	// And with two nodes, every injective match violates the key.
@@ -111,8 +103,13 @@ func TestInjectiveCountsSubsetOfHomomorphism(t *testing.T) {
 	q.AddVar("a", "c").AddVar("b", "c").AddVar("d", "c")
 	q.AddEdge("a", "e", "b")
 	q.AddEdge("b", "e", "d")
-	hom := pattern.CountMatches(q, g)
-	inj := pattern.CountMatchesInjective(q, g)
+	snap := g.Freeze()
+	hom := 0
+	pattern.ForEachMatch(q, snap, func(pattern.Match) bool {
+		hom++
+		return true
+	})
+	inj := pattern.CountMatchesInjective(q, snap)
 	if hom != 12 || inj != 6 {
 		t.Fatalf("path counts: hom=%d inj=%d, want 12/6", hom, inj)
 	}

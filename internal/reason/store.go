@@ -30,9 +30,9 @@ import (
 //	}
 //
 // Apply exploits the two monotonicity facts of add-only graphs that
-// ValidateTouching documents: every *new* violation's match touches an
-// updated node (matches are monotone, and attribute writes land on a
-// match's own bindings), and an *existing* violation can only change
+// Validator.TouchingCtx documents: every *new* violation's match
+// touches an updated node (matches are monotone, and attribute writes
+// land on a match's own bindings), and an *existing* violation can only change
 // status if its match touches an updated node. Touched entries are
 // re-judged on their stored binding vector — which also refreshes the
 // recorded evidence, since an update can fix the recorded literal while

@@ -48,7 +48,7 @@ func TestViolationStoreEqualsFullValidate(t *testing.T) {
 			if err := st.Apply(ctx, st.Snapshot().Apply(d), d.TouchedNodes()); err != nil {
 				t.Fatal(err)
 			}
-			want := canonViolations(Validate(g, sigma, 0), sigma)
+			want := canonViolations(validate(g, sigma, 0), sigma)
 			got := canonViolations(st.Violations(), sigma)
 			if len(want) != len(got) {
 				t.Fatalf("trial %d step %d: store has %d violations, full validate %d",
@@ -100,7 +100,7 @@ func TestViolationStoreRefreshesLiteral(t *testing.T) {
 	if got[0].Literal != d.Y[0] {
 		t.Fatalf("stale literal: store reports %s, but %s is what fails now", got[0].Literal, d.Y[0])
 	}
-	want := Validate(g, sigma, 0)
+	want := validate(g, sigma, 0)
 	if len(want) != 1 || want[0].Literal != got[0].Literal {
 		t.Fatalf("store disagrees with fresh validation: %+v vs %+v", got, want)
 	}
@@ -145,7 +145,7 @@ func TestViolationStoreOnWorkload(t *testing.T) {
 		if err := st.Apply(ctx, st.Snapshot().Apply(d), d.TouchedNodes()); err != nil {
 			t.Fatal(err)
 		}
-		want := canonViolations(Validate(g, sigma, 0), sigma)
+		want := canonViolations(validate(g, sigma, 0), sigma)
 		got := canonViolations(st.Violations(), sigma)
 		if len(want) != len(got) {
 			t.Fatalf("step %d: store %d vs full %d", step, len(got), len(want))

@@ -11,13 +11,13 @@ import (
 )
 
 // Validator is a prepared validation context for repeated checking of
-// one graph against one rule set: the graph is frozen once into a
-// read-only snapshot (interned symbols, label-grouped adjacency, and
-// the attribute-value index folded in), pattern matching plans are
-// compiled once against it, and constant literals of each antecedent
-// are pushed down into the index — the match enumeration for a rule
-// like φ₁ (y.type = "video game" → ...) starts from the indexed
-// video-game nodes instead of scanning every product.
+// one frozen graph against one rule set: over a read-only snapshot
+// (interned symbols, label-grouped adjacency, and the attribute-value
+// index folded in), pattern matching plans are compiled once, and
+// constant literals of each antecedent are pushed down into the index —
+// the match enumeration for a rule like φ₁ (y.type = "video game" →
+// ...) starts from the indexed video-game nodes instead of scanning
+// every product.
 //
 // Every search enumerates matches as dense binding vectors and judges
 // each with the rule's CompiledRule, lowered once, here. A Match map is
@@ -28,17 +28,13 @@ import (
 // rule set, not the graph. It is immutable (the pushed-down pivots are
 // materialized lazily under a sync.Once) and safe for concurrent use.
 type Validator struct {
-	// h is the host the plans enumerate on, snap the same host as a
-	// snapshot. Only the one-shot Validate*OnCtx entries put a mutable
-	// graph here: nil snap, no rules, matches judged by HoldsInGraph.
-	h     pattern.Host
 	snap  *graph.Snapshot
 	sigma ged.Set
 	plans []*pattern.Plan
 	rules []*CompiledRule
 	// pivots[i] is the pushed-down access path for Σ[i], if any; built
-	// on first full Run so that incremental-only validators never pay
-	// for the value postings.
+	// on the first parallel scan so that sequential and incremental-only
+	// validators never pay for the value postings.
 	pivotOnce sync.Once
 	pivots    []*pivotPlan
 }
@@ -49,44 +45,30 @@ type pivotPlan struct {
 	cands    []graph.NodeID
 }
 
-// NewValidator prepares g for repeated validation against sigma.
-func NewValidator(g *graph.Graph, sigma ged.Set) *Validator {
-	return NewValidatorOn(g.Freeze(), sigma)
-}
-
-// NewValidatorOn prepares a validation context over an existing
-// snapshot, sharing it instead of re-freezing. Plans are compiled with
-// every constant literal of the antecedent pushed down (PushdownFilters)
-// and ordered so that the other literals close early (CloseHints): the
-// full scans skip bindings failing the former inside candidate
-// generation and abandon partial bindings the latter refute or settle.
+// NewValidatorOn prepares a validation context over a snapshot — freeze
+// a *graph.Graph first — sharing it instead of copying. Plans are
+// compiled with every constant literal of the antecedent pushed down
+// (PushdownFilters) and ordered so that the other literals close early
+// (CloseHints): the full scans skip bindings failing the former inside
+// candidate generation and abandon partial bindings the latter refute
+// or settle.
 func NewValidatorOn(snap *graph.Snapshot, sigma ged.Set) *Validator {
-	return newValidator(snap, sigma)
-}
-
-func newValidator(h pattern.Host, sigma ged.Set) *Validator {
 	v := &Validator{
-		h:     h,
+		snap:  snap,
 		sigma: sigma,
 		plans: make([]*pattern.Plan, len(sigma)),
-	}
-	if snap, ok := h.(*graph.Snapshot); ok {
-		v.snap = snap
-		v.rules = make([]*CompiledRule, len(sigma))
+		rules: make([]*CompiledRule, len(sigma)),
 	}
 	for i, d := range sigma {
-		v.plans[i] = pattern.CompileFiltered(d.Pattern, h, PushdownFilters(d), CloseHints(d))
-		if v.snap != nil {
-			v.rules[i] = CompileRule(d, v.snap)
-		}
+		v.plans[i] = pattern.CompileFiltered(d.Pattern, snap, PushdownFilters(d), CloseHints(d))
+		v.rules[i] = CompileRule(d, snap)
 	}
 	return v
 }
 
 // PushdownFilters extracts the pushable antecedent literals of d: the
 // constant literals x.A = c, which the matcher turns into posting-list
-// intersections on snapshot hosts and bind-time attribute checks on
-// mutable ones. Variable and id literals relate two bindings and cannot
+// intersections. Variable and id literals relate two bindings and cannot
 // narrow a candidate set; full scans prune on them, and on the
 // consequent, once their variables are bound (CloseHints).
 func PushdownFilters(d *ged.GED) []pattern.ConstFilter {
@@ -115,11 +97,10 @@ func (v *Validator) Rebase(snap *graph.Snapshot) *Validator {
 	if snap == v.snap {
 		return v
 	}
-	if v.snap == nil || snap.Lineage() != v.snap.Lineage() {
+	if snap.Lineage() != v.snap.Lineage() {
 		return NewValidatorOn(snap, v.sigma)
 	}
 	nv := &Validator{
-		h:     snap,
 		snap:  snap,
 		sigma: v.sigma,
 		plans: make([]*pattern.Plan, len(v.plans)),
@@ -140,10 +121,8 @@ func (v *Validator) Snapshot() *graph.Snapshot { return v.snap }
 func (v *Validator) ensurePivots() {
 	v.pivotOnce.Do(func() {
 		pv := make([]*pivotPlan, len(v.sigma))
-		if v.snap != nil {
-			for i, d := range v.sigma {
-				pv[i] = choosePivot(d, v.snap)
-			}
+		for i, d := range v.sigma {
+			pv[i] = choosePivot(d, v.snap)
 		}
 		v.pivots = pv
 	})
@@ -178,25 +157,41 @@ func choosePivot(d *ged.GED, snap *graph.Snapshot) *pivotPlan {
 	return best
 }
 
-// Run finds violations, up to limit (≤ 0 means all). Results match
-// Validate's exactly.
-func (v *Validator) Run(limit int) []Violation {
-	hs, _ := v.scan(context.Background(), limit, true)
-	return v.violations(hs)
-}
-
-// RunCtx is sequential full validation through the prepared plans, with
+// RunCtx finds the violations of Σ in the snapshot, up to limit
+// (limit <= 0 means all): G ⊨ Σ iff the result is empty (Section 5.3).
+// It is sequential full validation through the prepared plans, with
 // cooperative cancellation: ctx is checked between candidate matches
 // and, via the matcher's abort hook, inside the backtracking search
-// itself. The violations found so far are returned alongside ctx's
-// error.
+// itself — so a cancelled context aborts even a match-free exponential
+// exploration. The violations found so far are returned alongside
+// ctx's error.
 func (v *Validator) RunCtx(ctx context.Context, limit int) ([]Violation, error) {
-	hs, err := v.scan(ctx, limit, false)
+	hs, err := v.scan(ctx, limit)
 	return v.violations(hs), err
 }
 
-// RunParallelCtx is data-parallel full validation through the prepared
-// plans; see ValidateParallel for its semantics and determinism.
+// RunParallelCtx is the data-parallel validator, a first step toward
+// the "parallel scalable algorithms for reasoning about GEDs" the paper
+// leaves as future work (Section 9). The snapshot is shared by every
+// worker; the match space of each GED is partitioned by pre-binding a
+// pivot variable — the most selective constant-literal access path of
+// the antecedent when the snapshot's attribute index beats the label
+// postings, the smallest label candidate set otherwise — to disjoint
+// candidate blocks; workers search the partitions independently and
+// merge their violation lists. Every worker checks ctx between
+// candidate matches and between tasks, so a cancelled context drains
+// the whole pool promptly; the (canonical, possibly partial) violations
+// found before the abort are returned alongside ctx's error.
+//
+// The result is deterministic: violations are returned in the same
+// canonical order (by GED index, then by match bindings in variable
+// order) regardless of worker count. With a positive limit the workers
+// may transiently find more than limit violations; the merged list is
+// put into canonical order first and then truncated, so the reported
+// prefix is the canonically-least limit violations and is likewise
+// deterministic across runs and worker counts.
+//
+// workers <= 0 selects GOMAXPROCS; workers == 1 is RunCtx.
 func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]Violation, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -208,15 +203,31 @@ func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]V
 	return v.canonical(hs, limit), err
 }
 
-// TouchingCtx finds the violations whose match involves at least one of
-// the given nodes; see ValidateTouching.
+// TouchingCtx finds the violations of Σ whose match involves at least
+// one of the given nodes. After a localized update (attribute writes or
+// edge insertions around a handful of nodes), the *new* violations all
+// touch an updated node, so re-checking only those matches — rather
+// than re-enumerating every match of every pattern — gives incremental
+// validation:
+//
+//	snap := old.Apply(delta) // the post-update snapshot
+//	newViolations, err := val.Rebase(snap).TouchingCtx(ctx, delta.TouchedNodes(), 0)
+//
+// Deletions are different: removing an edge or attribute can only
+// *remove* violations (matches and antecedent satisfactions are
+// monotone in the graph), so the stale entries of a maintained
+// violation list are re-checked instead. ViolationStore packages both
+// halves into one maintained set, and Engine.Apply drives it from the
+// graph's own change journal.
+//
+// Matches touching several affected nodes are reported once. The result
+// order is canonical, as in RunParallelCtx. ctx is checked between
+// candidate matches; the violations found before an abort are returned
+// alongside ctx's error.
 func (v *Validator) TouchingCtx(ctx context.Context, nodes []graph.NodeID, limit int) ([]Violation, error) {
 	hs, err := v.touching(ctx, nodes)
 	return v.canonical(hs, limit), err
 }
-
-// Satisfies reports G ⊨ Σ through the prepared context.
-func (v *Validator) Satisfies() bool { return len(v.Run(1)) == 0 }
 
 // hit is one violating match as the searches record it: the rule, the
 // match's dense binding vector and the consequent literal it fails.
@@ -246,20 +257,13 @@ func (hs *hits) add(gi int, bind []graph.NodeID, l *ged.Literal) {
 // checkMatch judges one complete binding of Σ[gi]'s pattern: the first
 // consequent literal it fails when it violates the rule, nil otherwise.
 func (v *Validator) checkMatch(gi int, bind []graph.NodeID) *ged.Literal {
-	if v.snap != nil {
-		return v.rules[gi].CheckMatch(v.snap, bind)
-	}
-	d := v.sigma[gi]
-	return failing(v.h, d, d.Pattern.MatchOf(bind))
+	return v.rules[gi].CheckMatch(v.snap, bind)
 }
 
-// pruner returns the Pruner of Σ[gi]'s full scans — its compiled rule,
-// none on a mutable host — and whether they can be skipped outright
-// because no match violates the rule.
+// pruner returns the Pruner of Σ[gi]'s full scans — its compiled rule —
+// and whether they can be skipped outright because no match violates
+// the rule.
 func (v *Validator) pruner(gi int) (prune pattern.Pruner, skip bool) {
-	if v.snap == nil {
-		return nil, false
-	}
 	return v.rules[gi], v.rules[gi].never
 }
 
@@ -292,13 +296,10 @@ func (v *Validator) canonical(hs []hit, limit int) []Violation {
 	return out
 }
 
-// scan enumerates rule after rule on the calling goroutine. pivoted
-// starts each rule from its constant-literal access path, when it has
-// one, instead of the plan's own order.
-func (v *Validator) scan(ctx context.Context, limit int, pivoted bool) ([]hit, error) {
-	if pivoted {
-		v.ensurePivots()
-	}
+// scan enumerates rule after rule on the calling goroutine, each in its
+// plan's own order — which already seeds at the smallest of each
+// variable's label and pushed-literal postings.
+func (v *Validator) scan(ctx context.Context, limit int) ([]hit, error) {
 	var hs hits
 	stop := func() bool { return ctx.Err() != nil }
 	for gi := range v.sigma {
@@ -315,11 +316,7 @@ func (v *Validator) scan(ctx context.Context, limit int, pivoted bool) ([]hit, e
 			}
 			return limit <= 0 || len(hs.list) < limit
 		}
-		if pivoted && v.pivots[gi] != nil {
-			v.plans[gi].ForEachDensePivotCancel(v.pivots[gi].variable, v.pivots[gi].cands, stop, prune, visit)
-		} else {
-			v.plans[gi].ForEachDenseCancel(stop, prune, visit)
-		}
+		v.plans[gi].ForEachDenseCancel(stop, prune, visit)
 		if err := ctx.Err(); err != nil {
 			return hs.list, err
 		}

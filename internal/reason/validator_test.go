@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,15 +11,15 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// TestValidatorMatchesValidate: the indexed validator and the plain one
-// agree on random instances.
+// TestValidatorMatchesValidate: the prepared validator and the
+// Match-map oracle agree on random instances.
 func TestValidatorMatchesValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	for trial := 0; trial < 40; trial++ {
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
-		want := canonViolations(Validate(g, sigma, 0), sigma)
-		got := canonViolations(NewValidator(g, sigma).Run(0), sigma)
+		want := canonViolations(matchOracle(g.Freeze(), sigma), sigma)
+		got := canonViolations(validate(g, sigma, 0), sigma)
 		if len(want) != len(got) {
 			t.Fatalf("trial %d: %d vs %d violations", trial, len(got), len(want))
 		}
@@ -35,8 +36,8 @@ func TestValidatorUsesIndexPivot(t *testing.T) {
 	// many products, so the pivot must come from the attribute index.
 	g, _ := gen.KnowledgeBase(17, 100, 0.1)
 	sigma := ged.Set{gen.PaperPhi1()}
-	v := NewValidator(g, sigma)
-	v.ensurePivots() // built lazily on first Run
+	v := NewValidatorOn(g.Freeze(), sigma)
+	v.ensurePivots() // built lazily on the first parallel run
 	if v.pivots[0] == nil {
 		t.Skip("index pivot not selected; label index already tighter")
 	}
@@ -44,7 +45,8 @@ func TestValidatorUsesIndexPivot(t *testing.T) {
 		t.Errorf("pivot variable = %s, want y", v.pivots[0].variable)
 	}
 	// Correctness regardless.
-	if len(v.Run(0)) != len(Validate(g, sigma, 0)) {
+	par, err := v.RunParallelCtx(context.Background(), 0, 2)
+	if err != nil || len(par) != len(validate(g, sigma, 0)) {
 		t.Error("indexed validation disagrees")
 	}
 }
@@ -52,14 +54,15 @@ func TestValidatorUsesIndexPivot(t *testing.T) {
 func TestValidatorRepeatedRuns(t *testing.T) {
 	g, _ := gen.KnowledgeBase(19, 40, 0.2)
 	sigma := ged.Set{gen.PaperPhi1(), gen.PaperPhi2()}
-	v := NewValidator(g, sigma)
-	a := v.Run(0)
-	b := v.Run(0)
+	v := NewValidatorOn(g.Freeze(), sigma)
+	ctx := context.Background()
+	a, _ := v.RunCtx(ctx, 0)
+	b, _ := v.RunCtx(ctx, 0)
 	if len(a) != len(b) {
 		t.Error("repeated runs must agree")
 	}
-	if v.Satisfies() != (len(a) == 0) {
-		t.Error("Satisfies disagrees with Run")
+	if Satisfies(g, sigma) != (len(a) == 0) {
+		t.Error("Satisfies disagrees with RunCtx")
 	}
 }
 
@@ -73,8 +76,7 @@ func TestValidatorLimit(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.AddNodeAttrs("p", map[graph.Attr]graph.Value{"k": graph.Int(1)})
 	}
-	v := NewValidator(g, ged.Set{phi})
-	if n := len(v.Run(7)); n != 7 {
+	if n := len(validate(g, ged.Set{phi}, 7)); n != 7 {
 		t.Errorf("limit 7: got %d", n)
 	}
 }

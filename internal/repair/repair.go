@@ -157,17 +157,17 @@ func editScript(orig *graph.Graph, res *chase.Result, sigma ged.Set) []Edit {
 // performing it: the matches of Σ's patterns whose antecedents hold but
 // whose consequents fail on g.
 func Check(g *graph.Graph, sigma ged.Set) []string {
+	snap := g.Freeze()
 	var out []string
 	for _, d := range sigma {
-		d := d
-		pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			for _, l := range d.X {
-				if !holdsInGraph(g, l, m) {
+				if !ged.Holds(snap, l, m) {
 					return true
 				}
 			}
 			for _, l := range d.Y {
-				if !holdsInGraph(g, l, m) {
+				if !ged.Holds(snap, l, m) {
 					out = append(out, fmt.Sprintf("%s: %v fails %s", d.Name, m, l))
 					return true
 				}
@@ -176,19 +176,4 @@ func Check(g *graph.Graph, sigma ged.Set) []string {
 		})
 	}
 	return out
-}
-
-func holdsInGraph(g *graph.Graph, l ged.Literal, m pattern.Match) bool {
-	k, _ := l.Kind()
-	switch k {
-	case ged.ConstLiteral:
-		v, ok := g.Attr(m[l.Left.Var], l.Left.Attr)
-		return ok && v.Equal(l.Right.Const)
-	case ged.VarLiteral:
-		v1, ok1 := g.Attr(m[l.Left.Var], l.Left.Attr)
-		v2, ok2 := g.Attr(m[l.Right.Var], l.Right.Attr)
-		return ok1 && ok2 && v1.Equal(v2)
-	default:
-		return m[l.Left.Var] == m[l.Right.Var]
-	}
 }

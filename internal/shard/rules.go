@@ -13,7 +13,7 @@ import (
 // cost-aware order of the monolithic compiled plan (full enumeration);
 // orders[1+k] starts at pattern variable k (the pivoted orders the
 // incremental touched-node search seeds from, one per variable, exactly
-// the pivots the monolithic ValidateTouching tries).
+// the pivots the monolithic Validator.TouchingCtx tries).
 type compiledRule struct {
 	idx    int
 	d      *ged.GED

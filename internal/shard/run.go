@@ -457,10 +457,9 @@ func (ws *wstate) tryCandidate(sh int, cr *compiledRule, oi, si int, st *step, b
 // finalize verifies a complete binding against the shared global
 // snapshot: every pattern edge (resolving the deferred tri-state
 // checks; labels were definitive during enumeration), the antecedent,
-// and the first failing consequent literal — the same answers
-// reason.FailingLiteral gives, from the compiled rule the monolithic
-// validator judges bindings with, so no match map is built for the
-// non-violating majority. Confirmed
+// and the first failing consequent literal — the same answers the
+// monolithic validator gives, from the compiled rule it judges bindings
+// with, so no match map is built for the non-violating majority. Confirmed
 // violations bucket by the first variable binding's owner: every
 // duplicate find of a match (the pivoted orders can reach one match
 // from several pivots) lands in the same destination store, whose key

@@ -38,7 +38,7 @@ func renderViolations(vs []reason.Violation, sigma ged.Set) string {
 
 func oracle(t *testing.T, snap *graph.Snapshot, sigma ged.Set) string {
 	t.Helper()
-	vs, err := reason.ValidateOnCtx(context.Background(), snap, sigma, 0)
+	vs, err := reason.NewValidatorOn(snap, sigma).RunCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -243,7 +243,7 @@ func BenchmarkMonoValidate(b *testing.B) {
 	snap := g.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reason.ValidateOnCtx(ctx, snap, sigma, 0); err != nil {
+		if _, err := reason.NewValidatorOn(snap, sigma).RunCtx(ctx, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -131,16 +131,6 @@ type Match = pattern.Match
 // build it.
 func NewPattern() *Pattern { return pattern.New() }
 
-// CountMatches counts the matches of p in g.
-func CountMatches(p *Pattern, g *Graph) int { return pattern.CountMatches(p, g) }
-
-// FindMatches collects up to limit matches of p in g (limit <= 0 means
-// all).
-func FindMatches(p *Pattern, g *Graph, limit int) []Match { return pattern.FindMatches(p, g, limit) }
-
-// HasMatch reports whether p has at least one match in g.
-func HasMatch(p *Pattern, g *Graph) bool { return pattern.HasMatch(p, g) }
-
 // ---- rules (GEDs) and literals ----
 
 // Rule is a graph entity dependency φ = Q[x̄](X → Y): whenever the
@@ -269,23 +259,20 @@ type RewriteResult = optimize.Result
 // validation of one graph under one rule set.
 type Validator = reason.Validator
 
-// NewValidator prepares g for repeated validation under sigma, building
-// attribute indexes so selective antecedent literals pivot the search.
-func NewValidator(g *Graph, sigma RuleSet) *Validator { return reason.NewValidator(g, sigma) }
-
-// NewSnapshotValidator prepares a validator over an existing immutable
-// snapshot, sharing it instead of re-freezing. This is the read-path
-// building block of a serving layer: the validator is safe for
-// concurrent use, never touches the mutable graph, and Rebase follows a
-// delta-advanced snapshot at the cost of the rule set.
+// NewSnapshotValidator prepares a validator over an immutable snapshot
+// (g.Freeze(), or the Engine's SnapshotOf), sharing it instead of
+// copying. This is the read-path building block of a serving layer: the
+// validator is safe for concurrent use, never touches the mutable
+// graph, and Rebase follows a delta-advanced snapshot at the cost of
+// the rule set.
 func NewSnapshotValidator(snap *Snapshot, sigma RuleSet) *Validator {
 	return reason.NewValidatorOn(snap, sigma)
 }
 
 // ---- convenience decision shortcuts (context-free) ----
 
-// Satisfies reports g ⊨ Σ. For cancellation and parallelism use
-// Engine.Validate.
+// Satisfies reports g ⊨ Σ, freezing g once. For cancellation and
+// parallelism use Engine.Validate.
 func Satisfies(g *Graph, sigma RuleSet) bool { return reason.Satisfies(g, sigma) }
 
 // DecideSat answers only the yes/no satisfiability question, using the
