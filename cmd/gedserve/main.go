@@ -111,7 +111,6 @@ func main() {
 	workers := flag.Int("workers", 0, "validation workers per request (0 = sequential)")
 	shards := flag.Int("shards", 0, "graph shards for partitioned validation (0 or 1 = monolithic)")
 	partitioner := flag.String("partitioner", "", "shard placement strategy: hash or greedy (default hash); needs -shards")
-	cacheBound := flag.Int("cache", 0, "engine graph-cache bound (0 = default)")
 	chaseDepth := flag.Int("chase-depth", 0, "chase round bound (0 = unbounded)")
 	flushOps := flag.Int("flush-ops", 0, "flush a write queue at this many pending ops (0 = default)")
 	maxDelay := flag.Duration("flush-delay", 0, "flush a non-empty write queue after this delay (0 = default)")
@@ -152,7 +151,6 @@ func main() {
 		Workers:         *workers,
 		Shards:          *shards,
 		Partitioner:     *partitioner,
-		GraphCacheBound: *cacheBound,
 		ChaseDepth:      *chaseDepth,
 		FlushOps:        *flushOps,
 		MaxDelay:        *maxDelay,

@@ -36,11 +36,11 @@
 // readers; they reflect the graph at freeze time (compare
 // Snapshot.SourceVersion against Graph.Version to detect staleness).
 //
-// Callers normally never freeze explicitly: the Engine caches one
-// snapshot keyed on the graph's mutation counter, so repeated Validate,
-// Satisfies and Discover calls on an unchanged graph pay the freeze
-// cost once; the context-free shortcuts (Satisfies, IsModel, Answers)
-// freeze once per call. Under a positive violation limit the sequential
+// Callers normally never freeze explicitly: Engine.Open freezes a graph
+// once into a Session, and the Engine's graph-keyed methods keep one
+// session per graph, so repeated Validate, Satisfies and Discover calls
+// on an unchanged graph pay the freeze cost once; the context-free
+// shortcuts (Satisfies, IsModel, Answers) freeze once per call. Under a positive violation limit the sequential
 // scan truncates in enumeration order — snapshots enumerate neighbours
 // in (label, id) order — while the canonical-order APIs sort before
 // truncating.
@@ -58,13 +58,16 @@
 // within a snapshot lineage, which lets compiled matcher plans rebind
 // to an advanced snapshot instead of recompiling.
 //
-// Engine.Apply drives the whole incremental-validation pipeline from
-// the journal: it keeps the cached snapshot perpetually fresh via
-// Apply, maintains the violation set of a rule set across deltas
-// (re-checking only violations the delta touches and searching only
-// the touched neighborhoods for new ones), and returns the complete
-// canonical violation set at O(|Δ|) cost per update. The stale-cache
-// catch-up also serves Validate and ValidateIncremental after
+// Session.Apply(ctx, delta) drives the whole incremental-validation
+// pipeline: it advances the session's snapshot by the delta, maintains
+// the violation set of its rules (re-checking only violations the
+// delta touches and searching only the touched neighborhoods for new
+// ones), and returns the complete canonical violation set at O(|Δ|)
+// cost per update. Session.CatchUp(ctx, g, delta) is the same for a
+// caller holding the graph, reading the delta off its journal when not
+// handed one and re-freezing instead when the backlog rivals the graph.
+// Engine.Apply(ctx, g, Σ) is that catch-up for a caller holding only the
+// graph, and it also serves Validate and ValidateIncremental after
 // mutations, so no graph-bound method re-freezes an already-seen
 // graph; the chase freezes its input once, matches its first round on
 // that snapshot and every round after a node merge on the snapshot's
@@ -125,8 +128,8 @@
 // against the global snapshot before a violation is emitted. Per-shard
 // violation stores merge into exactly the canonical order of the
 // monolithic path, which remains the P=1 fallback and the differential
-// oracle. ShardStats exposes the live topology (owned nodes, cut
-// edges, per-shard violation counts).
+// oracle. Session.ShardStats exposes the live topology (owned nodes,
+// cut edges, per-shard violation counts).
 //
 // # Serving
 //
@@ -137,12 +140,11 @@
 // violation set, id mapping) through an atomic pointer, so concurrent
 // readers never block writers — and its write path coalesces: mutations
 // enqueue onto a per-graph bounded batcher flushed by size or deadline,
-// one Engine.Apply per merged batch. One Engine serves the whole
-// catalog; its per-graph caches are LRU-bounded (WithGraphCacheBound)
-// and released eagerly with Forget, so a daemon hosting many tenants
-// holds snapshots and validators for only the hot ones. SnapshotOf and
-// NewSnapshotValidator are the handoff points a custom serving layer
-// needs to build the same shape.
+// one Session.CatchUp by the batch's delta per merged batch. One Engine
+// serves the whole catalog and each graph entry owns one Session, whose
+// Snapshot and Validator are exactly what a view publishes; a deleted
+// graph's session goes with its entry. A custom serving layer builds the
+// same shape from Engine.Open and those two accessors.
 //
 // The persist subpackage makes the catalog durable and replicable:
 // each coalesced flush is written ahead as one CRC-framed delta record

@@ -3,8 +3,11 @@ package gedlib
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
+	"weak"
 
 	"gedlib/internal/axiom"
 	"gedlib/internal/chase"
@@ -28,36 +31,25 @@ var ErrChaseDepthExceeded = chase.ErrDepthExceeded
 // context.WithTimeout.
 //
 // An Engine is cheap, configured once at New, and safe for concurrent
-// use. Its mutable state is maintained validation machinery, kept in a
-// per-graph cache entry (bounded across graphs — see below) and guarded
-// by a mutex:
+// use. Per-graph state lives in a Session, which Open creates and the
+// caller owns (a serving catalog keeps one per graph):
 //
-//   - a snapshot cache: the graph-bound methods (Validate,
-//     ValidateIncremental, Apply, Satisfies, Discover) need a read-only
-//     gedlib.Snapshot of the graph. A cached snapshot whose version
-//     matches is reused as is; one that is merely stale is advanced by
-//     the graph's own change journal (Graph.DeltaSince +
-//     Snapshot.Apply) in time proportional to the changes — the engine
-//     pays a full O(|G|) freeze only on first contact with a graph (or
-//     when the backlog approaches the graph's size, where a fresh
-//     freeze is cheaper).
-//   - a plan cache: compiled match plans and pushed-down access paths
-//     (a prepared validator) keyed on (rule set, snapshot); when only
-//     the snapshot moved, plans are rebound rather than recompiled.
-//   - a violation store for Apply: the maintained violation set that
-//     makes repeated incremental validation O(|Δ|) end to end.
+//	s, err := eng.Open(ctx, g, sigma) // one freeze (and partition)
+//	... mutate g ...
+//	vs, err := s.Apply(ctx, g.DeltaSince(s.Snapshot().SourceVersion()))
 //
-// One Engine may host many long-lived graphs — the shape a serving
-// catalog needs. The cache holds at most WithGraphCacheBound entries
-// (default DefaultGraphCacheBound); touching a graph beyond the bound
-// evicts the least-recently-used other graph's entry, whose state is
-// simply rebuilt on next contact. Forget releases a graph's entry
-// eagerly when the caller knows the graph is gone for good.
+// The graph-keyed methods (Validate, ValidateIncremental, Apply,
+// Satisfies, Discover) are a thin shim for callers holding only a
+// *Graph: one session per graph, keyed weakly so that a collected graph
+// takes its session with it, and caught up before each call by the
+// graph's change journal (Session.CatchUp). Only Apply switches the
+// session to the call's rules (Session.SetRules); the read-only methods
+// validate the call's own rules and leave the maintained set alone, so
+// concurrent calls with different rule sets never see each other's.
 type Engine struct {
 	workers        int
 	violationLimit int
 	chaseDepth     int
-	cacheBound     int
 	shards         int
 	partitioner    Partitioner
 
@@ -66,207 +58,10 @@ type Engine struct {
 	obs *Observer
 	em  *engineMetrics
 
-	mu    sync.Mutex
-	clock uint64
-	cache map[*Graph]*engEntry
-}
-
-// engEntry is the engine's maintained state for one graph. Entries are
-// created on first contact and evicted in LRU order past the cache
-// bound. Apply pins its entry for the duration of the call — eviction
-// skips pinned entries (the bound is soft while calls are in flight),
-// which is what keeps "Apply serializes with itself per graph" true
-// even when the cache is churning. Forget removes an entry regardless;
-// an in-flight Apply then finishes on the orphan with correct results
-// and the state is rebuilt on next contact.
-type engEntry struct {
-	lastUse uint64 // engine clock at last touch, under Engine.mu
-	pinned  int    // in-flight Applies holding this entry, under Engine.mu
-
-	snapVer  uint64
-	snapshot *Snapshot
-
-	valSnap   *Snapshot
-	valSigma  RuleSet
-	validator *reason.Validator
-
-	// applyMu serializes Apply per graph: each violation store is
-	// single-writer. Applies on different graphs run concurrently.
-	applyMu    sync.Mutex
-	storeSigma RuleSet
-	store      *reason.ViolationStore
-
-	// shardState is the partitioned topology and per-shard stores when
-	// WithShards is active; single-writer under applyMu like the store.
-	shardState *shard.State
-}
-
-// DefaultGraphCacheBound is how many graphs an Engine retains cached
-// state for unless WithGraphCacheBound overrides it.
-const DefaultGraphCacheBound = 16
-
-// entryLocked returns g's cache entry, creating it (and evicting the
-// LRU entry past the bound) if needed. Engine.mu must be held.
-func (e *Engine) entryLocked(g *Graph) *engEntry {
-	ent := e.cache[g]
-	if ent == nil {
-		ent = &engEntry{}
-		e.cache[g] = ent
-		e.evictLocked(g)
-	}
-	e.clock++
-	ent.lastUse = e.clock
-	return ent
-}
-
-// evictLocked drops least-recently-used entries until the cache is
-// back under its bound, never touching keep or pinned entries. Called
-// on entry creation and again when an Apply unpins — while every
-// over-bound entry is pinned the bound is soft, and the unpin is what
-// brings the cache back down afterwards. Engine.mu must be held.
-func (e *Engine) evictLocked(keep *Graph) {
-	for e.cacheBound > 0 && len(e.cache) > e.cacheBound {
-		var victim *Graph
-		oldest := uint64(0)
-		for vg, vent := range e.cache {
-			if vg == keep || vent.pinned > 0 {
-				continue
-			}
-			if victim == nil || vent.lastUse < oldest {
-				victim, oldest = vg, vent.lastUse
-			}
-		}
-		if victim == nil {
-			return
-		}
-		delete(e.cache, victim)
-	}
-}
-
-// Forget releases every cached artifact for g (snapshot, prepared
-// validator, maintained violation store). A serving catalog calls this
-// when it drops a graph, so the entry does not linger until LRU
-// eviction; calling it for an unknown graph is a no-op.
-func (e *Engine) Forget(g *Graph) {
-	e.mu.Lock()
-	delete(e.cache, g)
-	e.mu.Unlock()
-}
-
-// CachedGraphs reports how many graphs the engine currently retains
-// cached state for. It is bounded by WithGraphCacheBound.
-func (e *Engine) CachedGraphs() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
-}
-
-// fresh returns a snapshot of g's current state: the cached one when it
-// is current, the cached one advanced by the graph's change journal
-// when it is stale but close, a full freeze otherwise. The heavy work
-// runs outside the mutex, so one call catching up a cold graph never
-// blocks concurrent calls that hit the cache (two concurrent cold calls
-// may both build; the results are equivalent and one wins the slot).
-func (e *Engine) fresh(g *Graph) *Snapshot {
-	v := g.Version()
-	e.mu.Lock()
-	ent := e.entryLocked(g)
-	base, baseVer := ent.snapshot, ent.snapVer
-	e.mu.Unlock()
-	if base != nil && baseVer == v {
-		e.em.snapHit.Inc()
-		return base
-	}
-	var s *Snapshot
-	if base != nil && baseVer < v {
-		// A backlog comparable to the graph is no cheaper to apply than
-		// a fresh freeze, and the freeze re-compacts the page storage;
-		// a nil delta means the journal no longer reaches back this far.
-		if d := g.DeltaSince(baseVer); d != nil && d.Size() <= g.Size()/4 {
-			s = base.Apply(d)
-			e.em.snapAdvance.Inc()
-		}
-	}
-	if s == nil {
-		s = g.Freeze()
-		e.em.snapFreeze.Inc()
-	}
-	e.mu.Lock()
-	// Write back lookup-only: re-creating the entry here would
-	// resurrect a graph Forget dropped mid-call (an LRU-evicted entry
-	// merely misses this one caching opportunity).
-	if cur := e.cache[g]; cur != nil {
-		e.clock++
-		cur.lastUse = e.clock
-		cur.snapVer, cur.snapshot = s.SourceVersion(), s
-	}
-	e.mu.Unlock()
-	return s
-}
-
-// SnapshotOf returns an up-to-date immutable snapshot of g, reusing and
-// advancing the engine's cached one exactly like the graph-bound
-// methods do. This is the read-path handoff a serving layer publishes
-// to concurrent readers: the snapshot is safe for unsynchronized
-// concurrent use, while the call itself reads g and must be
-// synchronized with g's mutators like any other graph-bound method.
-func (e *Engine) SnapshotOf(g *Graph) *Snapshot {
-	return e.fresh(g)
-}
-
-// SameRules reports whether two rule sets are the same rules in the
-// same order, by identity — rules are built once and shared. This is
-// exactly the keying Apply uses for its maintained state, exported so
-// a serving layer can make the same "did the rules actually change"
-// decision the engine will.
-func SameRules(a, b RuleSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// plansFor returns a prepared validator (compiled plans + pushed-down
-// pivots) for sigma over snap, reusing g's cached one outright when
-// nothing moved and rebinding its plans when only the snapshot advanced
-// within its lineage. Recompiling from scratch happens only on a new
-// rule set or an unrelated snapshot.
-func (e *Engine) plansFor(g *Graph, snap *Snapshot, sigma RuleSet) *reason.Validator {
-	e.mu.Lock()
-	ent := e.entryLocked(g)
-	val, valSnap, valSigma := ent.validator, ent.valSnap, ent.valSigma
-	e.mu.Unlock()
-	if val != nil && SameRules(valSigma, sigma) {
-		if valSnap == snap {
-			return val
-		}
-		if valSnap.Lineage() == snap.Lineage() {
-			val = val.Rebase(snap)
-			e.storePlans(g, snap, sigma, val)
-			return val
-		}
-	}
-	val = reason.NewValidatorOn(snap, sigma)
-	val.Observe(e.obs.Registry())
-	e.storePlans(g, snap, sigma, val)
-	return val
-}
-
-// storePlans records a prepared validator in g's cache entry —
-// lookup-only, so it cannot resurrect an entry Forget removed.
-func (e *Engine) storePlans(g *Graph, snap *Snapshot, sigma RuleSet, val *reason.Validator) {
-	e.mu.Lock()
-	if ent := e.cache[g]; ent != nil {
-		e.clock++
-		ent.lastUse = e.clock
-		ent.validator, ent.valSnap, ent.valSigma = val, snap, sigma
-	}
-	e.mu.Unlock()
+	// mu guards the shim's sessions; a runtime cleanup deletes an entry
+	// once its graph is collected.
+	mu       sync.Mutex
+	sessions map[weak.Pointer[Graph]]*Session
 }
 
 // Option configures an Engine.
@@ -308,10 +103,6 @@ func WithChaseDepth(d int) Option {
 // and per-shard violation sets merge into the same canonical order the
 // monolithic path produces — p ≤ 1 (the default) keeps that monolithic
 // path, which remains the differential oracle for the sharded one.
-//
-// In sharded mode Validate serializes with Apply per graph (both
-// advance the single-writer shard state) and returns no partial results
-// on cancellation.
 func WithShards(p int) Option {
 	return func(e *Engine) { e.shards = p }
 }
@@ -327,25 +118,14 @@ func WithPartitioner(part Partitioner) Option {
 	}
 }
 
-// WithGraphCacheBound bounds how many graphs the engine retains cached
-// state for (snapshot, prepared validator, maintained violation store).
-// Past the bound the least-recently-used graph's entry is evicted and
-// rebuilt on next contact. The default is DefaultGraphCacheBound; n <= 0
-// removes the bound (the pre-catalog behavior — only safe when the set
-// of graphs an engine ever sees is itself bounded).
-func WithGraphCacheBound(n int) Option {
-	return func(e *Engine) { e.cacheBound = n }
-}
-
 // New returns an Engine with the given options applied over the
 // defaults: sequential validation, no violation limit, no chase bound,
-// cached state for up to DefaultGraphCacheBound graphs.
+// unsharded sessions.
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		workers:     1,
-		cacheBound:  DefaultGraphCacheBound,
 		partitioner: shard.NewHash(),
-		cache:       make(map[*Graph]*engEntry),
+		sessions:    make(map[weak.Pointer[Graph]]*Session),
 	}
 	for _, o := range opts {
 		o(e)
@@ -354,58 +134,33 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// pin returns g's entry held against LRU eviction, with the matching
-// release. Pinning is what keeps "Apply serializes with itself per
-// graph" true while the cache churns: a concurrent call for the same
-// graph finds this same entry and blocks on its applyMu.
-func (e *Engine) pin(g *Graph) (*engEntry, func()) {
+// lockSession returns the shim's session for g, locked and caught up to
+// g's version (Session.CatchUp's rule; first contact freezes g); the
+// caller unlocks it. Resolving the call's rules and reading the state
+// under this one hold keeps concurrent calls with different rule sets
+// on one graph apart.
+func (e *Engine) lockSession(ctx context.Context, g *Graph) (*Session, error) {
+	key := weak.Make(g)
 	e.mu.Lock()
-	ent := e.entryLocked(g)
-	ent.pinned++
-	e.mu.Unlock()
-	return ent, func() {
-		e.mu.Lock()
-		ent.pinned--
-		e.evictLocked(nil)
-		e.mu.Unlock()
+	s := e.sessions[key]
+	if s == nil {
+		s = &Session{eng: e}
+		e.sessions[key] = s
+		runtime.AddCleanup(g, e.dropSession, key)
 	}
+	e.mu.Unlock()
+	s.mu.Lock()
+	if err := s.syncLocked(ctx, g, nil); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	return s, nil
 }
 
-// shardStateFor returns g's sharded state caught up to g's current
-// version — advancing it by the graph's journal when the backlog is
-// small, repartitioning from scratch otherwise. The caller must hold
-// ent.applyMu (the state is single-writer) and keep g quiescent, like
-// every graph-bound method.
-func (e *Engine) shardStateFor(ctx context.Context, g *Graph, ent *engEntry) (*shard.State, error) {
-	st := ent.shardState
-	if st != nil && st.P() == e.shards {
-		d := g.DeltaSince(st.Version())
-		switch {
-		case d != nil && d.Size() <= g.Size()/4:
-			if err := st.ApplyDelta(ctx, d); err != nil {
-				ent.shardState = nil
-				return nil, err
-			}
-		case g.Version() != st.Version():
-			// Journal trimmed or backlog rivals the graph: repartition.
-			st = nil
-		}
-	} else {
-		st = nil
-	}
-	if st == nil {
-		st = shard.New(g, e.fresh(g), e.shards, e.partitioner)
-		st.Observe(e.obs.Registry())
-		ent.shardState = st
-	}
-	// Publish the sharded global snapshot into the plain snapshot cache
-	// so the other graph-bound methods reuse it instead of re-advancing.
+func (e *Engine) dropSession(key weak.Pointer[Graph]) {
 	e.mu.Lock()
-	if cur := e.cache[g]; cur != nil {
-		cur.snapVer, cur.snapshot = st.Global().SourceVersion(), st.Global()
-	}
+	delete(e.sessions, key)
 	e.mu.Unlock()
-	return st, nil
 }
 
 // Validate finds the violations of Σ in g (Section 5.3): matches of a
@@ -423,127 +178,51 @@ func (e *Engine) shardStateFor(ctx context.Context, g *Graph, ent *engEntry) (*s
 // with ctx's error.
 func (e *Engine) Validate(ctx context.Context, g *Graph, sigma RuleSet) ([]Violation, error) {
 	defer e.em.observe(e.em.validate, time.Now())
-	if e.shards > 1 {
-		return e.validateSharded(ctx, g, sigma)
-	}
-	val := e.plansFor(g, e.fresh(g), sigma)
-	if e.workers == 1 {
-		return val.RunCtx(ctx, e.violationLimit)
-	}
-	return val.RunParallelCtx(ctx, e.violationLimit, e.workers)
-}
-
-// validateSharded is Validate through the partitioned path: catch the
-// shard topology up to the graph, run the frame-protocol search across
-// all shards, and report the canonical merge.
-func (e *Engine) validateSharded(ctx context.Context, g *Graph, sigma RuleSet) ([]Violation, error) {
-	ent, unpin := e.pin(g)
-	defer unpin()
-	ent.applyMu.Lock()
-	defer ent.applyMu.Unlock()
-	st, err := e.shardStateFor(ctx, g, ent)
+	s, err := e.lockSession(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	vs, err := st.Validate(ctx, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return e.limited(vs), nil
+	return s.validateUnlock(ctx, sigma)
 }
 
 // ValidateIncremental finds the violations of Σ whose match involves at
 // least one of the touched nodes. After a localized update, every *new*
 // violation touches an updated node, so re-checking only those matches
-// replaces a full re-validation.
-//
-// The engine brings its cached snapshot up to date by applying the
-// graph's change journal (O(|Δ|), no freeze) and runs the
-// touched-neighborhood search over it with cached plans, so the
-// steady-state call is proportional to the update, not the graph. The
-// exceptions are the same as every graph-bound method's: first contact
-// with a graph (or contact after LRU eviction, or after a backlog
-// rivaling the graph) pays one full freeze before the cheap regime
-// resumes. For a maintained answer to "what are all current
-// violations", use Apply instead.
+// replaces a full re-validation. The search runs over g's caught-up
+// session snapshot with its prepared plans, so the steady-state call is
+// proportional to the update, not the graph. For a maintained answer to
+// "what are all current violations", use Apply instead.
 func (e *Engine) ValidateIncremental(ctx context.Context, g *Graph, sigma RuleSet, touched []NodeID) ([]Violation, error) {
 	defer e.em.observe(e.em.validateInc, time.Now())
-	val := e.plansFor(g, e.fresh(g), sigma)
+	s, err := e.lockSession(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	val := s.validatorForLocked(sigma)
+	s.mu.Unlock()
 	return val.TouchingCtx(ctx, touched, e.violationLimit)
 }
 
-// Apply incorporates the graph's mutations since the previous Apply (or
-// any other graph-bound call) into the engine's maintained validation
-// state, and returns the complete current violation set of Σ in
-// canonical order, truncated to WithViolationLimit.
-//
-// The first Apply for a (graph, rules) pair seeds a maintained
-// violation store with one full validation. Every later Apply costs
-// O(|Δ| + touched neighborhoods) matcher work plus a cheap filter scan
-// of the stored set: the cached snapshot advances by the graph's
-// change journal (Snapshot.Apply — no freeze), stored violations whose
-// match the delta touches are re-checked, and the touched
-// neighborhoods are searched for new ones. Apply serializes with
-// itself; other Engine methods may run concurrently.
-//
-// The maintained state is keyed on the graph and the rule set *by
-// identity* (same rules, same order, same pointers — rules are built
-// once and shared). Passing a freshly rebuilt RuleSet on every call
-// silently re-seeds every time, making Apply no cheaper than Validate;
-// build Σ once and reuse it.
-//
-// On error (cancellation mid-seed or mid-update) the store is
-// discarded and the next Apply re-seeds; no partial state is returned.
+// Apply is Session.CatchUp for a caller holding only the graph: it feeds
+// g's mutations since the previous graph-bound call to g's session and
+// returns the complete current violation set of Σ. Rules are compared
+// *by identity* (same rules, same order, same pointers): a call with
+// other rules than the previous Apply's re-seeds the set under them, so
+// passing a freshly rebuilt RuleSet on every call makes Apply no
+// cheaper than Validate; build Σ once and reuse it.
 func (e *Engine) Apply(ctx context.Context, g *Graph, sigma RuleSet) ([]Violation, error) {
 	defer e.em.observe(e.em.apply, time.Now())
-	// Pin the entry so LRU churn cannot evict it mid-call: a concurrent
-	// Apply for the same graph must find this same entry (and block on
-	// its applyMu) rather than seed a duplicate store on a fresh one.
-	ent, unpin := e.pin(g)
-	defer unpin()
-	ent.applyMu.Lock()
-	defer ent.applyMu.Unlock()
-	if e.shards > 1 {
-		st, err := e.shardStateFor(ctx, g, ent)
-		if err != nil {
-			return nil, err
-		}
-		if !st.Seeded(sigma) {
-			if err := st.SeedStores(ctx, sigma); err != nil {
-				ent.shardState = nil
-				return nil, err
-			}
-		}
-		return e.limited(st.Violations()), nil
-	}
-	if st := ent.store; st != nil && SameRules(ent.storeSigma, sigma) {
-		d := g.DeltaSince(st.Snapshot().SourceVersion())
-		if d != nil && d.Size() <= g.Size()/4 {
-			snap := st.Snapshot().Apply(d)
-			if err := st.Apply(ctx, snap, d.TouchedNodes()); err != nil {
-				ent.store = nil
-				return nil, err
-			}
-			e.mu.Lock()
-			// ent is pinned against LRU eviction, but Forget may have
-			// removed it; lookup-only so a dropped graph stays dropped.
-			if cur := e.cache[g]; cur != nil {
-				cur.snapVer, cur.snapshot = snap.SourceVersion(), snap
-			}
-			e.mu.Unlock()
-			return e.limited(st.Violations()), nil
-		}
-		// The backlog rivals the graph; fall through and re-seed from a
-		// fresh freeze.
-	}
-	st, err := reason.NewViolationStoreParallelCtx(ctx, e.plansFor(g, e.fresh(g), sigma), e.workers)
+	s, err := e.lockSession(ctx, g)
 	if err != nil {
-		ent.store = nil
 		return nil, err
 	}
-	st.Observe(e.em.storeRecheck, e.em.storeDrop, e.em.storeFresh)
-	ent.store, ent.storeSigma = st, sigma
-	return e.limited(st.Violations()), nil
+	defer s.mu.Unlock()
+	if !slices.Equal(s.sigma, sigma) {
+		if err := s.setRulesLocked(ctx, sigma); err != nil {
+			return nil, err
+		}
+	}
+	return s.violationsLocked(ctx)
 }
 
 // limited applies the engine's violation limit and copies the result:
@@ -558,68 +237,16 @@ func (e *Engine) limited(vs []Violation) []Violation {
 	return out
 }
 
-// ShardStats describes the shard topology the engine maintains for one
-// graph under WithShards.
-type ShardStats struct {
-	// Shards is the shard count P.
-	Shards int
-	// Partitioner names the placement strategy.
-	Partitioner string
-	// CutEdges counts distinct edges whose endpoints live on different
-	// shards — the boundary index's headline number.
-	CutEdges int
-	// OwnedNodes are the per-shard owned-node counts.
-	OwnedNodes []int
-	// ShardViolations are the per-shard maintained violation counts
-	// (violations live with the owner of their first variable binding);
-	// nil until an Apply has seeded the sharded stores.
-	ShardViolations []int
-}
-
-// ShardStats reports g's current shard topology, when WithShards is
-// active and a prior Validate or Apply built the state (it never builds
-// one itself — stats stay O(P)). It serializes with Apply on the same
-// graph, like every sharded-state reader.
-func (e *Engine) ShardStats(g *Graph) (ShardStats, bool) {
-	if e.shards <= 1 {
-		return ShardStats{}, false
-	}
-	e.mu.Lock()
-	ent := e.cache[g]
-	if ent == nil {
-		e.mu.Unlock()
-		return ShardStats{}, false
-	}
-	ent.pinned++
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		ent.pinned--
-		e.evictLocked(nil)
-		e.mu.Unlock()
-	}()
-	ent.applyMu.Lock()
-	defer ent.applyMu.Unlock()
-	st := ent.shardState
-	if st == nil {
-		return ShardStats{}, false
-	}
-	return ShardStats{
-		Shards:          st.P(),
-		Partitioner:     st.PartitionerName(),
-		CutEdges:        st.CutEdges(),
-		OwnedNodes:      st.OwnedNodes(),
-		ShardViolations: st.StoreCounts(),
-	}, true
-}
-
 // Satisfies reports g ⊨ Σ, stopping at the first violation.
 func (e *Engine) Satisfies(ctx context.Context, g *Graph, sigma RuleSet) (bool, error) {
-	vs, err := e.plansFor(g, e.fresh(g), sigma).RunCtx(ctx, 1)
+	s, err := e.lockSession(ctx, g)
 	if err != nil {
 		return false, err
 	}
-	return len(vs) == 0, nil
+	val := s.validatorForLocked(sigma)
+	s.mu.Unlock()
+	vs, err := val.RunCtx(ctx, 1)
+	return err == nil && len(vs) == 0, err
 }
 
 // Chase runs the revised chase of g by Σ (Theorem 1): the canonical,
@@ -681,7 +308,13 @@ func (e *Engine) CheckProof(ctx context.Context, sigma RuleSet, p *Proof) error 
 // whose implication check exceeds the bound is kept rather than
 // guessed about.
 func (e *Engine) Discover(ctx context.Context, g *Graph, opt DiscoverOptions) ([]Discovered, error) {
-	return discover.GFDsOnCtx(ctx, g, e.fresh(g), opt, e.chaseDepth)
+	s, err := e.lockSession(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	snap := s.snap
+	s.mu.Unlock()
+	return discover.GFDsOnCtx(ctx, g, snap, opt, e.chaseDepth)
 }
 
 // OptimizeQuery rewrites a pattern query under rules known to hold on

@@ -29,12 +29,12 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	return &engineMetrics{
 		validate:    reg.Histogram("ged_engine_validate_seconds", "full Validate duration"),
 		validateInc: reg.Histogram("ged_engine_validate_incremental_seconds", "ValidateIncremental duration"),
-		apply:       reg.Histogram("ged_engine_apply_seconds", "Engine.Apply duration"),
+		apply:       reg.Histogram("ged_engine_apply_seconds", "Apply and CatchUp duration, catch-up and seeding included"),
 		chase:       reg.Histogram("ged_engine_chase_seconds", "Engine.Chase duration"),
 
-		snapHit:     reg.Counter("ged_engine_snapshot_cache_total", "snapshot cache outcomes", "outcome", "hit"),
-		snapAdvance: reg.Counter("ged_engine_snapshot_cache_total", "snapshot cache outcomes", "outcome", "advance"),
-		snapFreeze:  reg.Counter("ged_engine_snapshot_cache_total", "snapshot cache outcomes", "outcome", "freeze"),
+		snapHit:     reg.Counter("ged_engine_snapshot_cache_total", "session snapshot outcomes", "outcome", "hit"),
+		snapAdvance: reg.Counter("ged_engine_snapshot_cache_total", "session snapshot outcomes", "outcome", "advance"),
+		snapFreeze:  reg.Counter("ged_engine_snapshot_cache_total", "session snapshot outcomes", "outcome", "freeze"),
 
 		storeRecheck: reg.Counter("ged_engine_store_rechecks_total", "maintained violations re-checked after a delta"),
 		storeDrop:    reg.Counter("ged_engine_store_drops_total", "maintained violations dropped as repaired"),

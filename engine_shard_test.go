@@ -189,29 +189,31 @@ func TestEngineShardedConcurrentApplies(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineShardStats pins the stats surface: absent before first
-// contact, populated after Apply, absent on monolithic engines.
+// TestEngineShardStats pins the stats surface: a sharded session
+// reports its topology from Open on and per-shard violation counts once
+// Apply has seeded them; a monolithic session reports nothing.
 func TestEngineShardStats(t *testing.T) {
 	ctx := context.Background()
 	g, _ := workload.KnowledgeBase(31, 30, 0.2)
 	sigma := gedlib.RuleSet{workload.PaperPhi1()}
 
-	if _, ok := gedlib.New().ShardStats(g); ok {
-		t.Fatal("monolithic engine reported shard stats")
-	}
-	eng := gedlib.New(gedlib.WithShards(2))
-	if _, ok := eng.ShardStats(g); ok {
-		t.Fatal("stats existed before any sharded call")
-	}
-	if _, err := eng.Apply(ctx, g, sigma); err != nil {
+	mono, err := gedlib.New().Open(ctx, g, sigma)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := eng.ShardStats(g)
-	if !ok {
-		t.Fatal("no stats after Apply")
+	if _, ok := mono.ShardStats(); ok {
+		t.Fatal("monolithic session reported shard stats")
 	}
-	if st.Shards != 2 || st.Partitioner != "hash" {
-		t.Fatalf("stats = %+v", st)
+	s, err := gedlib.New(gedlib.WithShards(2)).Open(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := s.ShardStats()
+	if !ok {
+		t.Fatal("no stats after Open")
+	}
+	if st.Shards != 2 || st.Partitioner != "hash" || st.ShardViolations != nil {
+		t.Fatalf("stats before Apply = %+v", st)
 	}
 	owned := 0
 	for _, n := range st.OwnedNodes {
@@ -220,12 +222,12 @@ func TestEngineShardStats(t *testing.T) {
 	if owned != g.NumNodes() {
 		t.Fatalf("owned nodes %d != %d", owned, g.NumNodes())
 	}
-	if st.ShardViolations == nil || len(st.ShardViolations) != 2 {
-		t.Fatalf("per-shard violation counts = %v", st.ShardViolations)
-	}
-	vs, err := eng.Apply(ctx, g, sigma)
+	vs, err := s.Apply(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st, _ = s.ShardStats(); len(st.ShardViolations) != 2 {
+		t.Fatalf("per-shard violation counts = %v", st.ShardViolations)
 	}
 	total := 0
 	for _, n := range st.ShardViolations {

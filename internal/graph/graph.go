@@ -83,8 +83,8 @@ type Graph struct {
 	out     map[NodeID][]Edge
 	in      map[NodeID][]Edge
 	byLabel map[Label][]NodeID
-	// version counts mutations; it keys snapshot caches (see Freeze and
-	// the Engine facade) so an unchanged graph is frozen only once.
+	// version counts mutations; a snapshot records the version it was
+	// frozen or advanced to, so an unchanged graph is frozen only once.
 	version uint64
 	// journal records recent version ticks as one op each, so DeltaSince
 	// can replay a suffix of the mutation history. Node and edge ops are
@@ -100,9 +100,9 @@ type Graph struct {
 // noteOp journals one mutation and ticks the version. When the journal
 // outgrows the graph by a comfortable margin it is trimmed to its
 // recent half: every delta consumer this library ships (the Engine's
-// caches) falls back to a full freeze well before lagging that far, so
-// the trim only sheds history nobody can use, and memory stays O(|G|)
-// even under endless attribute overwrites.
+// session catch-up) falls back to a full freeze well before lagging that
+// far, so the trim only sheds history nobody can use, and memory stays
+// O(|G|) even under endless attribute overwrites.
 func (g *Graph) noteOp(o op) {
 	g.journal = append(g.journal, o)
 	g.version++

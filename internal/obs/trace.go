@@ -7,7 +7,7 @@ import (
 )
 
 // Stage is one timed phase of a span — a flush's WAL append, its
-// fsync, its Engine.Apply, and so on.
+// fsync, its Session.CatchUp, and so on.
 type Stage struct {
 	Name string        `json:"name"`
 	Dur  time.Duration `json:"duration_ns"`

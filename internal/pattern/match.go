@@ -264,8 +264,8 @@ func (pl *Plan) OrderedVars() []Var {
 // snapshot without recompiling.
 //
 // Rebinding onto an unrelated snapshot corrupts label resolution
-// silently; callers are expected to check Lineage, as the Engine's plan
-// cache does.
+// silently; callers are expected to check Lineage, as
+// reason.Validator.Rebase does.
 func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 	if snap == pl.snap {
 		return pl

@@ -25,8 +25,8 @@ import (
 //		st.Apply(ctx, st.Snapshot().Apply(delta), delta.TouchedNodes())
 //	} else {
 //		// the journal no longer reaches back to from: re-seed from a
-//		// fresh freeze (Engine.Apply does exactly this, and also
-//		// re-seeds when the backlog rivals the graph)
+//		// fresh freeze (the Engine's graph-keyed shim does exactly
+//		// this, and also when the backlog rivals the graph)
 //	}
 //
 // Apply exploits the two monotonicity facts of add-only graphs that
@@ -44,7 +44,7 @@ import (
 // in order and the (few, sorted among themselves) newcomers merge in.
 //
 // The store is single-writer: Apply must not run concurrently with
-// itself or Violations. Engine.Apply provides the locking.
+// itself or Violations. gedlib.Session provides the locking.
 type ViolationStore struct {
 	val    *Validator
 	gedIdx map[*ged.GED]int
@@ -211,8 +211,9 @@ func newStore(val *Validator) *ViolationStore {
 // Snapshot returns the snapshot the store currently reflects.
 func (st *ViolationStore) Snapshot() *graph.Snapshot { return st.val.Snapshot() }
 
-// Sigma returns the rule set the store maintains violations of.
-func (st *ViolationStore) Sigma() ged.Set { return st.val.sigma }
+// Validator returns the store's validator, rebased onto Snapshot() by
+// the latest Apply or Recheck.
+func (st *ViolationStore) Validator() *Validator { return st.val }
 
 // Violations returns the maintained set in canonical order. The slice
 // (cached across no-change deltas, its backing array never rewritten)

@@ -217,8 +217,8 @@ func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]V
 // *remove* violations (matches and antecedent satisfactions are
 // monotone in the graph), so the stale entries of a maintained
 // violation list are re-checked instead. ViolationStore packages both
-// halves into one maintained set, and Engine.Apply drives it from the
-// graph's own change journal.
+// halves into one maintained set, and gedlib.Session.Apply drives it
+// from the deltas it is handed.
 //
 // Matches touching several affected nodes are reported once. The result
 // order is canonical, as in RunParallelCtx. ctx is checked between

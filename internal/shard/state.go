@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"gedlib/internal/ged"
@@ -16,8 +17,8 @@ import (
 // — the per-shard maintained violation stores.
 //
 // State is single-writer: ApplyDelta, Validate and SeedStores must not
-// run concurrently with each other or with the read accessors. The
-// Engine serializes them under its per-graph apply lock.
+// run concurrently with each other or with the read accessors. A
+// gedlib.Session serializes them under its lock.
 type State struct {
 	sh     *sharding
 	global *graph.Snapshot
@@ -39,8 +40,8 @@ type State struct {
 }
 
 // New partitions g into p shards with part and freezes the per-shard
-// snapshots. global must be g's snapshot at its current version (the
-// Engine's cached one); g must be quiescent for the duration.
+// snapshots. global must be g's snapshot at its current version; g must
+// be quiescent for the duration.
 func New(g *graph.Graph, global *graph.Snapshot, p int, part Partitioner) *State {
 	return &State{sh: newSharding(g, p, part), global: global}
 }
@@ -89,17 +90,17 @@ func (st *State) StoreCounts() []int {
 
 // Seeded reports whether maintained stores exist for exactly sigma.
 func (st *State) Seeded(sigma ged.Set) bool {
-	return st.stores != nil && sameSet(st.storeSigma, sigma)
+	return st.stores != nil && slices.Equal(st.storeSigma, sigma)
 }
 
 // ApplyDelta advances everything the state maintains — shard graphs and
 // snapshots, the boundary index, the global snapshot, and the seeded
 // stores — by d, the global journal slice from Version(). Cost is
 // O(|Δ| per touched shard) plus the incremental search around the
-// touched nodes. On error the state is inconsistent and must be
-// discarded (the Engine rebuilds it on the next call).
+// touched nodes. On error the topology and global snapshot have still
+// advanced; only the stores are dropped, for SeedStores to rebuild.
 func (st *State) ApplyDelta(ctx context.Context, d *graph.Delta) error {
-	if d.Empty() {
+	if d.Empty() && d.ToVersion == st.sh.version {
 		return ctx.Err()
 	}
 	post := st.global.Apply(d)
@@ -164,9 +165,8 @@ func (st *State) Validate(ctx context.Context, sigma ged.Set) ([]reason.Violatio
 }
 
 // SeedStores (re)builds the per-shard maintained stores for sigma from
-// one full sharded validation.
+// one full sharded validation. On error the previous stores stay.
 func (st *State) SeedStores(ctx context.Context, sigma ged.Set) error {
-	st.stores, st.merged = nil, nil
 	r := newRunner(st.sh, st.global, st.compiled(sigma))
 	r.reg = st.reg
 	r.seedFull()
@@ -183,7 +183,7 @@ func (st *State) SeedStores(ctx context.Context, sigma ged.Set) error {
 			st.reg.Counter("ged_engine_store_drops_total", "maintained violations dropped as repaired"),
 			st.reg.Counter("ged_engine_store_fresh_total", "fresh violations admitted into maintained stores"))
 	}
-	st.storeSigma, st.stores = sigma, stores
+	st.storeSigma, st.stores, st.merged = sigma, stores, nil
 	return nil
 }
 
@@ -205,7 +205,7 @@ func (st *State) Violations() []reason.Violation {
 }
 
 func (st *State) compiled(sigma ged.Set) []*compiledRule {
-	if st.rules == nil || !sameSet(st.ruleSigma, sigma) {
+	if st.rules == nil || !slices.Equal(st.ruleSigma, sigma) {
 		st.ruleSigma, st.rules = sigma, compileRules(sigma, st.global)
 	}
 	return st.rules
@@ -217,18 +217,4 @@ func mergeBuckets(buckets [][]reason.Violation) []reason.Violation {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// sameSet reports rule-set identity: same rules, same order (the
-// facade's SameRules, restated here for the internal layer).
-func sameSet(a, b ged.Set) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -28,7 +28,7 @@ func NewObserver(onSlow func(*SpanData)) *Observer {
 }
 
 // WithObserver attaches an observer to the engine: Validate/Apply
-// latency histograms, snapshot-cache hit/advance/freeze counters,
+// latency histograms, session snapshot freeze/advance/hit counters,
 // violation-store maintenance counters, per-rule match-plan profiles,
 // shard frame traffic and chase round counts all land in its registry.
 // A nil observer (the default) keeps the engine unobserved.

@@ -48,7 +48,7 @@ type Catalog struct {
 	entries map[string]*GraphEntry
 	// creating reserves names while their entry is still being loaded
 	// and seeded, so a racing duplicate Create fails fast instead of
-	// burning a full validation (and an engine cache slot) first.
+	// burning a full validation first.
 	creating map[string]struct{}
 }
 
@@ -112,10 +112,6 @@ func (c *Catalog) Role() string {
 	return "leader"
 }
 
-// Engine exposes the catalog's shared engine (chase requests and tests
-// use it directly).
-func (c *Catalog) Engine() *gedlib.Engine { return c.eng }
-
 // View is one published read-path state of a graph: everything a
 // reader needs, immutable, handed over atomically. Readers load the
 // current view once and work against it for the whole request; a flush
@@ -144,13 +140,14 @@ type GraphEntry struct {
 	name string
 	cat  *Catalog
 
-	// mu guards the mutable graph, the name working-copy, the rule set
-	// and the closed flag. The flusher holds it exclusively for the
-	// whole mutate+Apply+publish sequence; chase requests hold it
-	// shared just long enough to clone the graph. The read path never
+	// mu guards the mutable graph, its session, the name working-copy,
+	// the rule set and the closed flag. The flusher holds it exclusively
+	// for the whole mutate+Apply+publish sequence; chase requests hold
+	// it shared just long enough to clone the graph. The read path never
 	// takes it.
 	mu     sync.RWMutex
 	graph  *gedlib.Graph
+	sess   *gedlib.Session
 	names  *nameTable
 	sigma  gedlib.RuleSet
 	closed bool
@@ -238,8 +235,7 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 		return nil, fmt.Errorf("serve: invalid graph name %q (want [A-Za-z0-9_.-]{1,128})", name)
 	}
 	// Reserve the name before the load/seed work: a racing duplicate
-	// fails here instead of seeding a throwaway graph through the
-	// shared engine (which could LRU-evict a live tenant's store).
+	// fails here instead of seeding a throwaway graph.
 	c.mu.Lock()
 	_, dup := c.entries[name]
 	if _, mid := c.creating[name]; dup || mid {
@@ -267,14 +263,12 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 	ent := &GraphEntry{name: name, cat: c, graph: g, names: names, sigma: gedlib.RuleSet{},
 		probeStop: make(chan struct{})}
 	ent.initMetrics()
-	if err := ent.refreshLocked(context.Background()); err != nil {
-		c.eng.Forget(g) // release whatever the failed seed cached
+	if err := ent.openLocked(context.Background()); err != nil {
 		return nil, err
 	}
 	if c.store != nil {
 		gs, err := c.store.Create(name, ent.persistState())
 		if err != nil {
-			c.eng.Forget(g)
 			if errors.Is(err, persist.ErrExists) {
 				// On-disk leftovers under a name the catalog does not
 				// hold (e.g. a crashed boot that skipped Restore) are a
@@ -320,8 +314,7 @@ func (c *Catalog) Names() []string {
 }
 
 // Delete removes a graph: pending writes are flushed, the batcher
-// stops, the engine's cached state for the graph is released, and its
-// durable directory (if any) is removed.
+// stops, and its durable directory (if any) is removed.
 func (c *Catalog) Delete(name string) error {
 	if c.follower.Load() {
 		return ErrReadOnly
@@ -380,10 +373,8 @@ func (ent *GraphEntry) close(drop bool) {
 	if ent.probeStop != nil {
 		ent.stopProbe.Do(func() { close(ent.probeStop) })
 	}
-	// Then mark the entry closed and forget the engine state under the
-	// entry lock: an in-flight RegisterRules either finished before the
-	// Forget or will observe closed and leave no trace — it cannot
-	// re-seed a cache entry for a graph the catalog dropped.
+	// Then mark the entry closed under the entry lock: an in-flight
+	// RegisterRules either finished before or observes closed.
 	ent.mu.Lock()
 	if ps := ent.ps.Load(); ps != nil {
 		if !drop {
@@ -396,7 +387,6 @@ func (ent *GraphEntry) close(drop bool) {
 		_ = ps.Close()
 	}
 	ent.closed = true
-	ent.cat.eng.Forget(ent.graph)
 	ent.mu.Unlock()
 }
 
@@ -440,12 +430,7 @@ func (ent *GraphEntry) RegisterRules(ctx context.Context, src string) (*View, er
 		return nil, ErrDegraded
 	}
 	old, oldSrc := ent.sigma, ent.rulesSrc
-	ent.sigma, ent.rulesSrc = sigma, src
-	if err := ent.refreshLocked(ctx); err != nil {
-		// A failed seed (cancellation mid-validation) must not leave the
-		// rejected rules installed: later flushes would maintain a set
-		// the caller was told did not take effect.
-		ent.sigma, ent.rulesSrc = old, oldSrc
+	if err := ent.setRulesLocked(ctx, sigma, src); err != nil {
 		return nil, err
 	}
 	if ps := ent.ps.Load(); ps != nil {
@@ -456,8 +441,7 @@ func (ent *GraphEntry) RegisterRules(ctx context.Context, src string) (*View, er
 				// and roll the in-memory rules back.
 				ent.mFencedAppends.Inc()
 				ent.fence(err)
-				ent.sigma, ent.rulesSrc = old, oldSrc
-				_ = ent.refreshLocked(ctx)
+				_ = ent.setRulesLocked(context.Background(), old, oldSrc)
 				return nil, fmt.Errorf("%w: %v", ErrFenced, err)
 			}
 			// The rules ARE active in memory; only their durability
@@ -502,35 +486,63 @@ func (ent *GraphEntry) Chase(ctx context.Context) (*gedlib.ChaseResult, error) {
 	return ent.cat.eng.Chase(ctx, clone, sigma)
 }
 
-// refreshLocked re-runs Engine.Apply under the entry's current rules
-// and publishes a fresh view. Callers hold ent.mu exclusively (or have
-// sole access during Create).
-func (ent *GraphEntry) refreshLocked(ctx context.Context) error {
-	vs, err := ent.cat.eng.Apply(ctx, ent.graph, ent.sigma)
+// openLocked opens a session on the entry's graph under its rules — one
+// freeze, one seeding validation — and publishes its first view.
+// Callers hold ent.mu exclusively (or have sole access while creating
+// the entry).
+func (ent *GraphEntry) openLocked(ctx context.Context) error {
+	sess, err := ent.cat.eng.Open(ctx, ent.graph, ent.sigma)
 	if err != nil {
 		return err
 	}
-	snap := ent.cat.eng.SnapshotOf(ent.graph)
-	ent.publishLocked(snap, vs)
+	vs, err := sess.Apply(ctx, nil)
+	if err != nil {
+		return err
+	}
+	ent.sess = sess
+	ent.publishLocked(vs)
 	return nil
 }
 
-// publishLocked hands a new view to the read path: epoch bump, atomic
-// pointer swap, bounded retention of the predecessors. The prepared
-// validator is rebased from the previous view when the rules did not
-// change, so steady-state publication costs O(|Σ|), not a recompile.
-func (ent *GraphEntry) publishLocked(snap *gedlib.Snapshot, vs []gedlib.Violation) {
-	prev := ent.view.Load()
-	var val *gedlib.Validator
-	if prev != nil && prev.Val != nil && gedlib.SameRules(prev.Rules, ent.sigma) {
-		val = prev.Val.Rebase(snap)
-	} else {
-		val = gedlib.NewSnapshotValidator(snap, ent.sigma)
-		// A recompile gets fresh match plans; route their per-rule
-		// profiling (read-path re-validation work) into the shared
-		// registry. Rebased validators inherit their plans' sinks.
-		val.Observe(ent.cat.reg)
+// advanceLocked catches the session up to the graph (Session.CatchUp: by
+// d, the graph's delta since the session snapshot when the caller has
+// it, or by a re-freeze) and publishes the result, reporting the time of
+// each stage.
+func (ent *GraphEntry) advanceLocked(ctx context.Context, d *gedlib.Delta) (apply, publish time.Duration, err error) {
+	start := time.Now()
+	vs, err := ent.sess.CatchUp(ctx, ent.graph, d)
+	if err != nil {
+		return 0, 0, err
 	}
+	apply = time.Since(start)
+	ent.publishLocked(vs)
+	return apply, time.Since(start) - apply, nil
+}
+
+// setRulesLocked installs sigma (parsed from src) in the session,
+// re-seeding the maintained set, and publishes it. On error the old
+// rules and view stay: later flushes must not maintain a set the caller
+// was told did not take effect.
+func (ent *GraphEntry) setRulesLocked(ctx context.Context, sigma gedlib.RuleSet, src string) error {
+	if err := ent.sess.SetRules(ctx, sigma); err != nil {
+		return err
+	}
+	vs, err := ent.sess.Apply(ctx, nil)
+	if err != nil { // nothing was seeded, so the rollback only recompiles
+		_ = ent.sess.SetRules(context.Background(), ent.sigma)
+		return err
+	}
+	ent.sigma, ent.rulesSrc = sigma, src
+	ent.publishLocked(vs)
+	return nil
+}
+
+// publishLocked hands a new view of the session — its snapshot and the
+// validator its store maintains, so publication compiles nothing — to
+// the read path: epoch bump, atomic pointer swap, bounded retention of
+// the predecessors.
+func (ent *GraphEntry) publishLocked(vs []gedlib.Violation) {
+	snap, val := ent.sess.Snapshot(), ent.sess.Validator()
 	v := &View{
 		Epoch:      ent.epoch.Add(1),
 		Version:    snap.SourceVersion(),
@@ -590,10 +602,11 @@ func (ent *GraphEntry) flushBatch(reqs []*writeReq) {
 }
 
 // applyBatch applies one merged batch: every op of every request is
-// applied to the mutable graph, then a single Engine.Apply advances the
-// snapshot and the maintained violation set in O(|Δ|), and one view is
-// published covering the whole batch. It returns the view the requests
-// complete against (the latest, whether or not this batch advanced it).
+// applied to the mutable graph, then a single Session.CatchUp by the
+// batch's delta advances the snapshot and the maintained violation set
+// in O(|Δ|), and one view is published covering the whole batch. It
+// returns the view the requests complete against (the latest, whether
+// or not this batch advanced it).
 //
 // The batch is panic-contained: a panicking op application or rule plan
 // fails the batch instead of killing the flusher goroutine and hanging
@@ -642,7 +655,9 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 	if hook := flushTestHook; hook != nil {
 		hook(ent)
 	}
-	from := ent.graph.Version()
+	// The session's version, not the graph's: the delta then also carries
+	// any ops a flush that panicked mid-way left unseen by the session.
+	from := ent.sess.Snapshot().SourceVersion()
 	nb := &nameBuilder{cur: ent.names}
 	for _, req := range reqs {
 		req.res.Applied = 0
@@ -656,11 +671,12 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 	}
 	ent.names = nb.table()
 	sp.Stage("mutate")
+	d := ent.graph.DeltaSince(from)
 	// Write-ahead: the batch's delta reaches the WAL (and, in batch
 	// mode, one group-commit fsync covering every write it coalesced)
 	// before the view is published and the requests complete — a
 	// returned write is durable, not just visible.
-	if lerr := ent.logBatchLocked(from, sp); lerr != nil {
+	if lerr := ent.logBatchLocked(d, sp); lerr != nil {
 		if errors.Is(lerr, persist.ErrFenced) {
 			// Not a server fault: a newer epoch owns the log. The batch
 			// was applied in memory but never acked durable; the fenced
@@ -669,17 +685,12 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 		}
 		return nil, fmt.Errorf("%w: %v", ErrFlush, lerr)
 	}
-	applyStart := time.Now()
-	vs, aerr := ent.cat.eng.Apply(context.Background(), ent.graph, ent.sigma)
+	applyDur, pubDur, aerr := ent.advanceLocked(context.Background(), d)
 	if aerr != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFlush, aerr)
 	}
-	applyDur := time.Since(applyStart)
 	ent.stApply.Observe(applyDur)
 	sp.StageDur(stageApply, applyDur)
-	pubStart := time.Now()
-	ent.publishLocked(ent.cat.eng.SnapshotOf(ent.graph), vs)
-	pubDur := time.Since(pubStart)
 	ent.stPublish.Observe(pubDur)
 	sp.StageDur(stagePublish, pubDur)
 	return nil, nil
@@ -706,10 +717,12 @@ const (
 	flushRetryMaxDelay = 10 * time.Millisecond
 )
 
-// logBatchLocked persists the ops a flush just applied: one delta
-// record, one group-commit sync, and — when enough ops accumulated — a
-// checkpoint that rotates the WAL. Holding ent.mu keeps the graph
-// quiesced for the checkpoint image. No-op for non-durable entries.
+// logBatchLocked persists the ops a flush just applied, as their delta d
+// (nil when the journal no longer reaches back to the batch's start):
+// one delta record, one group-commit sync, and — when enough ops
+// accumulated — a checkpoint that rotates the WAL. Holding ent.mu keeps
+// the graph quiesced for the checkpoint image. No-op for non-durable
+// entries.
 //
 // Error policy: transient append errors (EIO, EINTR, ...) retry in
 // place with capped backoff — the WAL repairs its own torn tail before
@@ -719,17 +732,16 @@ const (
 // have dropped the dirty pages, so a passing retry would ack a write
 // that is not on disk. Recovery from degraded is always a full
 // checkpoint rewrite (see Probe).
-func (ent *GraphEntry) logBatchLocked(from uint64, sp *obs.Span) error {
+func (ent *GraphEntry) logBatchLocked(d *gedlib.Delta, sp *obs.Span) error {
 	ps := ent.ps.Load()
 	if ps == nil {
 		return nil
 	}
-	d := ent.graph.DeltaSince(from)
 	switch {
 	case d == nil:
-		// The journal no longer reaches back to `from` (possible only
-		// after an exceptionally large batch trimmed it). A checkpoint
-		// of the current state re-anchors the log losslessly.
+		// Possible only after an exceptionally large batch trimmed the
+		// journal. A checkpoint of the current state re-anchors the log
+		// losslessly.
 		if err := ps.Checkpoint(ent.persistState()); err != nil {
 			ent.faultLocked(err)
 			return err
@@ -890,30 +902,32 @@ func (c *Catalog) followGraph(name string) error {
 	return nil
 }
 
-// adoptState builds a catalog entry around recovered durable state:
-// rules re-parsed from their source, name table from the dense column,
+// adoptState builds a catalog entry around recovered durable state,
 // first view published. The entry is not yet in the map and has no
 // batcher or durability handle — the caller attaches those.
 func (c *Catalog) adoptState(ctx context.Context, name string, st persist.State) (*GraphEntry, error) {
+	ent := &GraphEntry{name: name, cat: c, probeStop: make(chan struct{})}
+	ent.initMetrics()
+	if err := ent.loadLocked(ctx, st); err != nil {
+		return nil, err
+	}
+	return ent, nil
+}
+
+// loadLocked puts the entry on recovered durable state — rules
+// re-parsed from their source, name table from the dense column — and
+// opens its session there.
+func (ent *GraphEntry) loadLocked(ctx context.Context, st persist.State) error {
 	sigma := gedlib.RuleSet{}
 	if st.Rules != "" {
 		var err error
 		if sigma, err = gedlib.ParseRules(st.Rules); err != nil {
-			return nil, fmt.Errorf("persisted rules: %w", err)
+			return fmt.Errorf("persisted rules: %w", err)
 		}
 	}
-	ent := &GraphEntry{
-		name: name, cat: c,
-		graph: st.Graph, names: nameTableFromDense(st.Names),
-		sigma: sigma, rulesSrc: st.Rules,
-		probeStop: make(chan struct{}),
-	}
-	ent.initMetrics()
-	if err := ent.refreshLocked(ctx); err != nil {
-		c.eng.Forget(st.Graph)
-		return nil, err
-	}
-	return ent, nil
+	ent.graph, ent.names = st.Graph, nameTableFromDense(st.Names)
+	ent.sigma, ent.rulesSrc = sigma, st.Rules
+	return ent.openLocked(ctx)
 }
 
 // followerDegradeAfter is how many consecutive tail/recover failures a
@@ -1036,6 +1050,17 @@ func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 	if ent.closed {
 		return ErrClosed
 	}
+	ctx := context.Background()
+	if tr.Rules != nil {
+		sigma, err := gedlib.ParseRules(*tr.Rules)
+		if err != nil {
+			return err
+		}
+		if err := ent.sess.SetRules(ctx, sigma); err != nil {
+			return err
+		}
+		ent.sigma, ent.rulesSrc = sigma, *tr.Rules
+	}
 	if tr.Delta != nil {
 		if err := ent.graph.ApplyDelta(tr.Delta); err != nil {
 			return err
@@ -1048,16 +1073,11 @@ func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 		}
 		ent.names = nb.table()
 	}
-	if tr.Rules != nil {
-		sigma, err := gedlib.ParseRules(*tr.Rules)
-		if err != nil {
-			return err
-		}
-		ent.sigma, ent.rulesSrc = sigma, *tr.Rules
-	}
-	if err := ent.refreshLocked(context.Background()); err != nil {
+	vs, err := ent.sess.Apply(ctx, tr.Delta)
+	if err != nil {
 		return err
 	}
+	ent.publishLocked(vs)
 	ent.mFolRecords.Inc()
 	ent.folLag.Store(time.Since(tr.AppendedAt).Nanoseconds())
 	ent.tailAdvanced()
@@ -1072,19 +1092,7 @@ func (ent *GraphEntry) resetTo(st persist.State) error {
 	if ent.closed {
 		return ErrClosed
 	}
-	sigma := gedlib.RuleSet{}
-	if st.Rules != "" {
-		var err error
-		if sigma, err = gedlib.ParseRules(st.Rules); err != nil {
-			return err
-		}
-	}
-	old := ent.graph
-	ent.graph, ent.names = st.Graph, nameTableFromDense(st.Names)
-	ent.sigma, ent.rulesSrc = sigma, st.Rules
-	err := ent.refreshLocked(context.Background())
-	ent.cat.eng.Forget(old)
-	return err
+	return ent.loadLocked(context.Background(), st)
 }
 
 // Stats reports the entry's serving statistics.
@@ -1098,12 +1106,12 @@ func (ent *GraphEntry) Stats() EntryStats {
 		s = b.stats()
 	}
 	s.Name = ent.name
-	// The graph pointer is read under ent.mu (resetTo can swap it) but
-	// ShardStats is called outside it — it takes the engine's own locks.
+	// The session pointer is read under ent.mu (resetTo swaps it) but
+	// ShardStats is called outside it — it takes the session's own lock.
 	ent.mu.RLock()
-	g := ent.graph
+	sess := ent.sess
 	ent.mu.RUnlock()
-	if ss, ok := ent.cat.eng.ShardStats(g); ok {
+	if ss, ok := sess.ShardStats(); ok {
 		s.Shards = ss.Shards
 		s.Partitioner = ss.Partitioner
 		s.CutEdges = ss.CutEdges

@@ -283,15 +283,14 @@ func (s *Server) handleEnable(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	entries := s.cat.Stats()
 	writeJSON(w, http.StatusOK, ServerStats{
-		Graphs:             len(entries),
-		EngineCachedGraphs: s.cat.Engine().CachedGraphs(),
-		InFlight:           s.adm.inFlight(),
-		Admitted:           s.adm.admitted.Value(),
-		RejectedRequests:   s.adm.rejected.Value(),
-		DataDir:            s.cat.DataDir(),
-		Follower:           s.cat.IsFollower(),
-		Role:               s.cat.Role(),
-		Entries:            entries,
+		Graphs:           len(entries),
+		InFlight:         s.adm.inFlight(),
+		Admitted:         s.adm.admitted.Value(),
+		RejectedRequests: s.adm.rejected.Value(),
+		DataDir:          s.cat.DataDir(),
+		Follower:         s.cat.IsFollower(),
+		Role:             s.cat.Role(),
+		Entries:          entries,
 	})
 }
 

@@ -156,8 +156,9 @@ func (ent *GraphEntry) Probe(ctx context.Context) error {
 		}
 	}
 	// The checkpoint (or, in-memory, nothing) now agrees with the graph;
-	// publish so reads catch up with any never-published applied suffix.
-	if err := ent.refreshLocked(ctx); err != nil {
+	// catch the session up and publish, so reads see any never-published
+	// applied suffix.
+	if _, _, err := ent.advanceLocked(ctx, nil); err != nil {
 		return err
 	}
 	ent.setHealthy()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -183,11 +184,12 @@ func TestConcurrentReadWriteOracle(t *testing.T) {
 	}
 }
 
-// TestConcurrentMultiTenant: parallel traffic across several catalog
-// entries sharing one engine (the LRU-bounded cache) stays correct per
-// tenant.
+// TestConcurrentMultiTenant: parallel traffic across more tenants than
+// any per-engine bound used to hold (20 > the old cache default of 16)
+// stays correct per tenant, and — each entry owning its session — no
+// flush ever re-freezes a graph.
 func TestConcurrentMultiTenant(t *testing.T) {
-	cat, err := NewCatalog(Config{MaxDelay: time.Millisecond, GraphCacheBound: 2})
+	cat, err := NewCatalog(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,7 @@ func TestConcurrentMultiTenant(t *testing.T) {
 	sigma := gedlib.RuleSet{workload.PaperPhi1()}
 	src := gedlib.FormatRules(sigma)
 
-	const tenants = 5
+	const tenants = 20
 	ents := make([]*GraphEntry, tenants)
 	sizes := make([]int, tenants)
 	for i := range ents {
@@ -214,6 +216,8 @@ func TestConcurrentMultiTenant(t *testing.T) {
 		ents[i] = ent
 		sizes[i] = ent.CurrentView().Snap.NumNodes()
 	}
+	freezes := cat.reg.Counter("ged_engine_snapshot_cache_total", "", "outcome", "freeze")
+	before := freezes.Value()
 
 	var wg sync.WaitGroup
 	ctx := context.Background()
@@ -245,7 +249,92 @@ func TestConcurrentMultiTenant(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := cat.Engine().CachedGraphs(); n > 2 {
-		t.Fatalf("engine cache holds %d graphs, bound 2", n)
+	if n := freezes.Value() - before; n != 0 {
+		t.Fatalf("%d graph freezes during the write phase, want 0", n)
+	}
+}
+
+// cancelAfter is a context whose Err turns context.Canceled after n
+// calls: a cancellation that lands deterministically past an up-front
+// check, inside the work that follows it.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRegisterRulesCancelKeepsRules: a rule registration cancelled
+// while it seeds under the new rules changes nothing — neither the
+// published view nor the rules later flushes maintain. It covers both
+// ways the seed can fail: inside Session.SetRules (the session already
+// maintains a set) and in the Apply after it, whose rollback restores
+// the old rules (the session does not yet).
+func TestRegisterRulesCancelKeepsRules(t *testing.T) {
+	ctx := context.Background()
+	a := gedlib.FormatRules(gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi4()})
+	b := gedlib.FormatRules(gedlib.RuleSet{workload.PaperPhi2(), workload.PaperPhi3()})
+	for _, shards := range []int{1, 2} {
+		for _, seeded := range []bool{true, false} {
+			t.Run(fmt.Sprintf("shards=%d/seeded=%v", shards, seeded), func(t *testing.T) {
+				cat, err := NewCatalog(Config{MaxDelay: time.Millisecond, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cat.Close()
+				g, _ := workload.KnowledgeBase(29, 30, 0.3)
+				data, err := gedlib.MarshalGraph(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ent, err := cat.Create("kb", data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before, err := ent.RegisterRules(ctx, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !seeded {
+					ent.mu.Lock()
+					ent.sess, err = cat.eng.Open(ctx, ent.graph, ent.sigma)
+					ent.mu.Unlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				cctx := &cancelAfter{Context: ctx}
+				cctx.n.Store(1) // SetRules' up-front check passes
+				if _, err := ent.RegisterRules(cctx, b); !errors.Is(err, context.Canceled) {
+					t.Fatalf("RegisterRules cancelled mid-seed returned %v", err)
+				}
+				if cctx.n.Load() >= 0 {
+					t.Fatal("the cancellation never reached the seed")
+				}
+				if ent.CurrentView() != before {
+					t.Fatal("a failed registration published a view")
+				}
+
+				if _, err := ent.Mutate(ctx, []Op{{Op: "set_attr", ID: "n0", Attr: "type", Value: "programmer"}}); err != nil {
+					t.Fatal(err)
+				}
+				view := ent.CurrentView()
+				if gedlib.FormatRules(view.Rules) != a {
+					t.Fatalf("rules after a failed registration:\n%s\nwant:\n%s", gedlib.FormatRules(view.Rules), a)
+				}
+				direct, err := gedlib.NewSnapshotValidator(view.Snap, view.Rules).RunCtx(ctx, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := canonViolations(view.Violations), canonViolations(direct); strings.Join(got, " ") != strings.Join(want, " ") {
+					t.Fatalf("maintained %d violations after a failed registration, direct %d", len(got), len(want))
+				}
+			})
+		}
 	}
 }

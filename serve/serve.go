@@ -20,16 +20,17 @@
 //   - Writes enqueue onto a per-graph coalescing batcher: a bounded
 //     queue flushed when it reaches FlushOps operations or when
 //     MaxDelay elapses, whichever is first. One flush applies the
-//     merged batch to the mutable graph and runs a single Engine.Apply,
-//     so the snapshot and the maintained violation set advance in
-//     O(|Δ|) once per batch rather than once per request. A full queue
+//     merged batch to the mutable graph and hands its delta to the
+//     graph's Session in a single CatchUp, so the snapshot and the
+//     maintained violation set advance in O(|Δ|) once per batch rather
+//     than once per request. A full queue
 //     pushes back (ErrQueueFull → HTTP 429) instead of buffering
 //     unboundedly.
 //
 // Consistency model: a write is durable and visible to every subsequent
 // read once its request returns — the mutation call waits for the flush
 // that contains it. Reads see the state as of the last flushed batch;
-// they are never dirty (a view is only published after Engine.Apply
+// they are never dirty (a view is only published after Session.CatchUp
 // committed the whole batch) and never torn (views are immutable).
 //
 // Failure model: when a graph's persistence starts failing, the graph
@@ -126,9 +127,6 @@ type Config struct {
 	// (streaming edge-cut) or "hash"; empty selects the engine default
 	// (hash). Ignored unless Shards > 1.
 	Partitioner string
-	// GraphCacheBound bounds the engine's per-graph cached state
-	// (WithGraphCacheBound); 0 selects the engine default.
-	GraphCacheBound int
 	// ChaseDepth bounds chase requests (WithChaseDepth); 0 = unbounded.
 	ChaseDepth int
 
@@ -243,9 +241,6 @@ func (c Config) engine(o *gedlib.Observer) *gedlib.Engine {
 	opts := []gedlib.Option{gedlib.WithObserver(o)}
 	if c.Workers != 0 {
 		opts = append(opts, gedlib.WithWorkers(c.Workers))
-	}
-	if c.GraphCacheBound != 0 {
-		opts = append(opts, gedlib.WithGraphCacheBound(c.GraphCacheBound))
 	}
 	if c.ChaseDepth != 0 {
 		opts = append(opts, gedlib.WithChaseDepth(c.ChaseDepth))

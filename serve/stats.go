@@ -28,8 +28,7 @@ type EntryStats struct {
 	AvgBatchOps    float64 `json:"avg_batch_ops"`
 	AvgBatchReqs   float64 `json:"avg_batch_reqs"`
 
-	// Sharding (set when the catalog's engine runs WithShards and a
-	// sharded Validate/Apply has touched this graph). ShardViolations
+	// Sharding (set when the catalog's engine runs WithShards). ShardViolations
 	// are the per-shard maintained violation counts, indexed by shard;
 	// violations live with the owner of their first variable binding.
 	Shards          int    `json:"shards,omitempty"`
@@ -85,9 +84,6 @@ type EntryStats struct {
 // ServerStats is the /statsz payload.
 type ServerStats struct {
 	Graphs int `json:"graphs"`
-	// EngineCachedGraphs is how many graphs the shared engine currently
-	// retains cached state for (bounded by its LRU).
-	EngineCachedGraphs int `json:"engine_cached_graphs"`
 
 	// Admission control.
 	InFlight         int    `json:"in_flight"`

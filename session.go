@@ -1,0 +1,341 @@
+package gedlib
+
+import (
+	"context"
+	"slices"
+	"sync"
+	"time"
+
+	"gedlib/internal/reason"
+	"gedlib/internal/shard"
+)
+
+// Session is one graph's maintained validation state under one rule
+// set: a snapshot lineage, the prepared validator over its newest
+// snapshot, the violation store Apply maintains and — under WithShards —
+// the partitioned shard state. Engine.Open creates it; the caller owns it
+// and hands it the graph's changes as deltas. A Session owns no
+// goroutine or file, so dropping the last reference frees it.
+//
+// Sessions are safe for concurrent use; Apply, CatchUp and SetRules
+// serialize.
+type Session struct {
+	eng *Engine
+
+	mu    sync.Mutex
+	sigma RuleSet
+	snap  *Snapshot
+	// val is the prepared validator for sigma, rebased onto snap on
+	// demand (validatorLocked); once Apply maintains a store it is the
+	// store's own.
+	val *reason.Validator
+	// store is the maintained violation set: nil until the first Apply,
+	// and unused under WithShards, whose per-shard stores replace it.
+	store  *reason.ViolationStore
+	shards *shard.State
+	// aside is the validator for asideSigma, the rules of the shim's
+	// read-only calls when they are not sigma; rebased like val.
+	aside      *reason.Validator
+	asideSigma RuleSet
+}
+
+// Open freezes g once — and partitions it once under WithShards — into
+// a Session holding g's validation state under Σ. Later changes of g
+// reach the session only through Apply or CatchUp.
+func (e *Engine) Open(ctx context.Context, g *Graph, sigma RuleSet) (*Session, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s := &Session{eng: e, sigma: sigma}
+	s.freezeLocked(g)
+	return s, nil
+}
+
+// freezeLocked puts the session on a fresh freeze (and partition) of g,
+// dropping whatever set it maintained.
+func (s *Session) freezeLocked(g *Graph) {
+	e := s.eng
+	s.snap = g.Freeze()
+	e.em.snapFreeze.Inc()
+	s.val = e.compile(s.snap, s.sigma)
+	s.store, s.shards, s.aside = nil, nil, nil
+	if e.shards > 1 {
+		s.shards = shard.New(g, s.snap, e.shards, e.partitioner)
+		s.shards.Observe(e.obs.Registry())
+	}
+}
+
+// compile prepares a validator for sigma over snap, reporting its match
+// profiles into the engine's observer.
+func (e *Engine) compile(snap *Snapshot, sigma RuleSet) *reason.Validator {
+	val := reason.NewValidatorOn(snap, sigma)
+	val.Observe(e.obs.Registry())
+	return val
+}
+
+// Apply advances the session by d — the changes after the session
+// snapshot's SourceVersion, from Graph.DeltaSince or a decoded WAL
+// record — and returns the complete violation set of the session's
+// rules in canonical order, truncated to WithViolationLimit.
+//
+// The first Apply seeds the maintained set with one full validation.
+// Every later one costs O(|Δ| + touched neighborhoods): the snapshot
+// advances by Snapshot.Apply (no freeze), stored violations whose match
+// d touches are re-checked, and the touched neighborhoods are searched
+// for new ones. A nil or empty d only seeds or returns the set.
+//
+// On error (cancellation mid-seed or mid-update) the snapshot has still
+// advanced by d, but the maintained set is discarded and the next Apply
+// re-seeds it; no partial set is returned.
+func (s *Session) Apply(ctx context.Context, d *Delta) ([]Violation, error) {
+	defer s.eng.em.observe(s.eng.em.apply, time.Now())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d != nil {
+		if err := s.advanceLocked(ctx, d); err != nil {
+			return nil, err
+		}
+	}
+	return s.violationsLocked(ctx)
+}
+
+// CatchUp is Apply for a caller that holds the session's graph g (or a
+// replica kept in step with it): it brings the session to g's current
+// version and returns the violation set as Apply does. d is g's delta
+// since the session snapshot when the caller already has it — a
+// write-ahead log needed it first — and nil otherwise. A backlog over a
+// quarter of g, or one g's journal no longer reaches back to, re-freezes
+// (and re-partitions) g in place instead: no dearer than applying the
+// delta, and the freeze re-compacts the snapshot pages. The maintained
+// set is then re-seeded.
+func (s *Session) CatchUp(ctx context.Context, g *Graph, d *Delta) ([]Violation, error) {
+	defer s.eng.em.observe(s.eng.em.apply, time.Now())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.syncLocked(ctx, g, d); err != nil {
+		return nil, err
+	}
+	return s.violationsLocked(ctx)
+}
+
+// syncLocked is CatchUp's catch-up: by d (computed from g's journal when
+// nil), or by a fresh freeze when that delta is missing or rivals g — or
+// the session, a shim's new one, has no snapshot yet.
+func (s *Session) syncLocked(ctx context.Context, g *Graph, d *Delta) error {
+	if s.snap == nil {
+		s.freezeLocked(g)
+		return nil
+	}
+	from := s.snap.SourceVersion()
+	if from == g.Version() {
+		s.eng.em.snapHit.Inc()
+		return nil
+	}
+	if d == nil {
+		d = g.DeltaSince(from)
+	}
+	if d != nil && d.Size() <= g.Size()/4 {
+		return s.advanceLocked(ctx, d)
+	}
+	s.freezeLocked(g)
+	return nil
+}
+
+// advanceLocked moves the snapshot forward by d, and with it whatever
+// maintained set is seeded.
+func (s *Session) advanceLocked(ctx context.Context, d *Delta) error {
+	if d.Empty() && d.ToVersion == s.snap.SourceVersion() {
+		return nil
+	}
+	s.eng.em.snapAdvance.Inc()
+	if s.shards != nil {
+		// The topology advances even when the search is cancelled; only
+		// the per-shard stores are dropped, and Apply re-seeds them.
+		err := s.shards.ApplyDelta(ctx, d)
+		s.snap = s.shards.Global()
+		return err
+	}
+	s.snap = s.snap.Apply(d)
+	if s.store == nil {
+		return nil
+	}
+	if err := s.store.Apply(ctx, s.snap, d.TouchedNodes()); err != nil {
+		s.store = nil
+		return err
+	}
+	s.val = s.store.Validator()
+	return nil
+}
+
+// violationsLocked returns the maintained set, seeding it first when no
+// Apply has yet (or a failed one dropped it).
+func (s *Session) violationsLocked(ctx context.Context) ([]Violation, error) {
+	e := s.eng
+	if s.shards != nil {
+		if !s.shards.Seeded(s.sigma) {
+			if err := s.shards.SeedStores(ctx, s.sigma); err != nil {
+				return nil, err
+			}
+		}
+		return e.limited(s.shards.Violations()), nil
+	}
+	if s.store == nil {
+		st, err := e.seed(ctx, s.validatorLocked())
+		if err != nil {
+			return nil, err
+		}
+		s.store = st
+	}
+	return e.limited(s.store.Violations()), nil
+}
+
+// seed builds a maintained violation store from one full validation.
+func (e *Engine) seed(ctx context.Context, val *reason.Validator) (*reason.ViolationStore, error) {
+	st, err := reason.NewViolationStoreParallelCtx(ctx, val, e.workers)
+	if err != nil {
+		return nil, err
+	}
+	st.Observe(e.em.storeRecheck, e.em.storeDrop, e.em.storeFresh)
+	return st, nil
+}
+
+// validatorLocked returns the session's validator bound to its current
+// snapshot.
+func (s *Session) validatorLocked() *reason.Validator {
+	if s.val.Snapshot() != s.snap {
+		s.val = s.val.Rebase(s.snap)
+	}
+	return s.val
+}
+
+// validatorForLocked returns a validator for sigma over the session
+// snapshot without touching the session's rules or maintained set: its
+// own for its rules, else the aside one — compiled once per rule set and
+// rebased after, so callers alternating two rule sets reuse both plans.
+func (s *Session) validatorForLocked(sigma RuleSet) *reason.Validator {
+	if slices.Equal(s.sigma, sigma) {
+		return s.validatorLocked()
+	}
+	if s.aside == nil || !slices.Equal(s.asideSigma, sigma) {
+		s.aside, s.asideSigma = s.eng.compile(s.snap, sigma), sigma
+	}
+	s.aside = s.aside.Rebase(s.snap)
+	return s.aside
+}
+
+// Validate finds the violations of the session's rules in its current
+// snapshot, exactly as Engine.Validate documents — worker count,
+// violation limit, result order, partial results on cancellation. The
+// monolithic path takes the snapshot and validator under the session
+// lock and scans outside it; the sharded path holds the lock throughout
+// (its state is single-writer) and returns no partial results.
+func (s *Session) Validate(ctx context.Context) ([]Violation, error) {
+	defer s.eng.em.observe(s.eng.em.validate, time.Now())
+	s.mu.Lock()
+	return s.validateUnlock(ctx, s.sigma)
+}
+
+// validateUnlock validates sigma over the session snapshot and releases
+// s.mu, which the caller holds.
+func (s *Session) validateUnlock(ctx context.Context, sigma RuleSet) ([]Violation, error) {
+	e := s.eng
+	if s.shards != nil {
+		defer s.mu.Unlock()
+		vs, err := s.shards.Validate(ctx, sigma)
+		if err != nil {
+			return nil, err
+		}
+		return e.limited(vs), nil
+	}
+	val := s.validatorForLocked(sigma)
+	s.mu.Unlock()
+	if e.workers == 1 {
+		return val.RunCtx(ctx, e.violationLimit)
+	}
+	return val.RunParallelCtx(ctx, e.violationLimit, e.workers)
+}
+
+// SetRules replaces the session's rule set. A maintained set that Apply
+// has seeded is re-seeded under the new rules (one full validation)
+// before anything is swapped, so SetRules is atomic: on error — a
+// cancelled ctx included — the old rules and set stay.
+func (s *Session) SetRules(ctx context.Context, sigma RuleSet) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.setRulesLocked(ctx, sigma)
+}
+
+func (s *Session) setRulesLocked(ctx context.Context, sigma RuleSet) error {
+	val := s.eng.compile(s.snap, sigma)
+	switch {
+	case s.shards != nil && s.shards.Seeded(s.sigma):
+		if err := s.shards.SeedStores(ctx, sigma); err != nil {
+			return err
+		}
+	case s.store != nil:
+		st, err := s.eng.seed(ctx, val)
+		if err != nil {
+			return err
+		}
+		s.store = st
+	}
+	s.sigma, s.val = sigma, val
+	return nil
+}
+
+// Snapshot returns the session's current snapshot: immutable and safe
+// for unsynchronized concurrent readers.
+func (s *Session) Snapshot() *Snapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snap
+}
+
+// Validator returns the prepared validator for the session's rules over
+// Snapshot() — after Apply, the maintained store's own. Immutable and
+// safe for concurrent use, it is what a serving layer publishes to its
+// readers next to the snapshot.
+func (s *Session) Validator() *Validator {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.validatorLocked()
+}
+
+// ShardStats describes the shard topology a session maintains under
+// WithShards.
+type ShardStats struct {
+	// Shards is the shard count P.
+	Shards int
+	// Partitioner names the placement strategy.
+	Partitioner string
+	// CutEdges counts distinct edges whose endpoints live on different
+	// shards — the boundary index's headline number.
+	CutEdges int
+	// OwnedNodes are the per-shard owned-node counts.
+	OwnedNodes []int
+	// ShardViolations are the per-shard maintained violation counts
+	// (violations live with the owner of their first variable binding);
+	// nil until an Apply has seeded the sharded stores.
+	ShardViolations []int
+}
+
+// ShardStats reports the session's shard topology; false on a
+// monolithic engine. It costs O(P) and serializes with Apply.
+func (s *Session) ShardStats() (ShardStats, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.shards
+	if st == nil {
+		return ShardStats{}, false
+	}
+	return ShardStats{
+		Shards:          st.P(),
+		Partitioner:     st.PartitionerName(),
+		CutEdges:        st.CutEdges(),
+		OwnedNodes:      st.OwnedNodes(),
+		ShardViolations: st.StoreCounts(),
+	}, true
+}

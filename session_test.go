@@ -1,0 +1,400 @@
+package gedlib_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gedlib"
+	"gedlib/workload"
+)
+
+// mutateKB applies a few random knowledge-base updates to g.
+func mutateKB(rng *rand.Rand, g *gedlib.Graph) {
+	for k := 0; k < 1+rng.Intn(3); k++ {
+		id := gedlib.NodeID(rng.Intn(g.NumNodes()))
+		switch rng.Intn(4) {
+		case 0:
+			g.SetAttr(id, "type", gedlib.String("psychologist"))
+		case 1:
+			g.SetAttr(id, "type", gedlib.String("programmer"))
+		case 2:
+			g.AddNode("person")
+		default:
+			g.AddEdge(id, "create", gedlib.NodeID(rng.Intn(g.NumNodes())))
+		}
+	}
+}
+
+// TestSessionApplyMatchesValidate: a session fed explicit deltas — cut
+// from a twin graph the session never saw — maintains exactly the
+// violations, in order and with the same failing literals, that a fresh
+// validator finds on the twin; and a SetRules that fails on a cancelled
+// context leaves the old rules and set in place.
+func TestSessionApplyMatchesValidate(t *testing.T) {
+	ctx := context.Background()
+	sigma := gedlib.RuleSet{
+		workload.PaperPhi1(), workload.PaperPhi2(),
+		workload.PaperPhi3(), workload.PaperPhi4(),
+	}
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(43))
+			g, _ := workload.KnowledgeBase(31, 30, 0.1)
+			twin, _ := workload.KnowledgeBase(31, 30, 0.1)
+			s, err := gedlib.New(gedlib.WithShards(p)).Open(ctx, g, sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []gedlib.Violation
+			for step := 0; step < 20; step++ {
+				d := twin.DeltaSince(s.Snapshot().SourceVersion())
+				if got, err = s.Apply(ctx, d); err != nil {
+					t.Fatal(err)
+				}
+				want, err := gedlib.NewSnapshotValidator(twin.Freeze(), sigma).RunParallelCtx(ctx, 0, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if orderedCanon(got) != orderedCanon(want) {
+					t.Fatalf("step %d: session diverged\n got:\n%s\nwant:\n%s", step, orderedCanon(got), orderedCanon(want))
+				}
+				mutateKB(rng, twin)
+			}
+
+			cctx, cancel := context.WithCancel(ctx)
+			cancel()
+			// Cancelled before the call, and cancelled once the re-seed
+			// under the new rules is under way.
+			for _, c := range []context.Context{cctx, newCancelAfter(1)} {
+				if err := s.SetRules(c, gedlib.RuleSet{workload.PaperPhi1()}); !errors.Is(err, context.Canceled) {
+					t.Fatalf("SetRules on a cancelled context: %v", err)
+				}
+				// Returning a seeded set does no work that could notice
+				// cancellation, so Apply succeeding on cctx proves the
+				// old set survived rather than being re-seeded.
+				kept, err := s.Apply(cctx, nil)
+				if err != nil {
+					t.Fatalf("the maintained set did not survive a failed SetRules: %v", err)
+				}
+				full, err := s.Validate(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if orderedCanon(kept) != orderedCanon(got) || fmt.Sprint(canon(full)) != fmt.Sprint(canon(got)) {
+					t.Fatalf("failed SetRules changed the session: %d maintained, %d validated, want %d",
+						len(kept), len(full), len(got))
+				}
+			}
+		})
+	}
+}
+
+// cancelAfter is a context whose Err turns context.Canceled after n
+// calls: a cancellation that lands deterministically past an up-front
+// check, inside the work that follows it.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.n.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSessionShimMixedRules: graph-keyed calls with two rule sets,
+// running concurrently on one unchanged graph (under -race in CI), each
+// get their own rules' answer, and read-only calls leave the set Apply
+// maintains alone.
+func TestSessionShimMixedRules(t *testing.T) {
+	ctx := context.Background()
+	a := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi4()}
+	b := gedlib.RuleSet{workload.PaperPhi2(), workload.PaperPhi3()}
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
+			g, _ := workload.KnowledgeBase(23, 30, 0.3)
+			snap := g.Freeze()
+			want := map[int][]gedlib.Violation{}
+			for i, sigma := range []gedlib.RuleSet{a, b} {
+				vs, err := gedlib.NewSnapshotValidator(snap, sigma).RunParallelCtx(ctx, 0, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = vs
+			}
+			if len(want[0]) == 0 || len(want[1]) == 0 {
+				t.Fatalf("workload too clean: %d and %d violations", len(want[0]), len(want[1]))
+			}
+			eng := gedlib.New(gedlib.WithShards(p))
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 12; i++ {
+						k := (w + i) % 2
+						sigma := []gedlib.RuleSet{a, b}[k]
+						var got []gedlib.Violation
+						var err error
+						switch (w + i) % 4 {
+						case 0, 1:
+							got, err = eng.Validate(ctx, g, sigma)
+						case 2:
+							got, err = eng.Apply(ctx, g, sigma)
+						default:
+							var ok bool
+							ok, err = eng.Satisfies(ctx, g, sigma)
+							if err == nil && ok {
+								t.Errorf("Satisfies(Σ%d) = true on a dirty graph", k)
+							}
+							continue
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if fmt.Sprint(canon(got)) != fmt.Sprint(canon(want[k])) {
+							t.Errorf("worker %d call %d: Σ%d got %d violations, want %d", w, i, k, len(got), len(want[k]))
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+
+			// Apply maintains a's set; validating b in between neither
+			// re-seeds nor replaces it.
+			if _, err := eng.Apply(ctx, g, a); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Validate(ctx, g, b); err != nil {
+				t.Fatal(err)
+			}
+			g.SetAttr(gedlib.NodeID(0), "type", gedlib.String("programmer"))
+			got, err := eng.Apply(ctx, g, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := gedlib.NewSnapshotValidator(g.Freeze(), a).RunParallelCtx(ctx, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if orderedCanon(got) != orderedCanon(fresh) {
+				t.Fatalf("maintained set diverged after a mixed-rules read:\n got:\n%s\nwant:\n%s", orderedCanon(got), orderedCanon(fresh))
+			}
+		})
+	}
+}
+
+// TestSessionCatchUp: CatchUp advances by a small backlog within the
+// snapshot lineage and re-freezes on one over a quarter of the graph;
+// either way it maintains the set a fresh validation finds.
+func TestSessionCatchUp(t *testing.T) {
+	ctx := context.Background()
+	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi2(), workload.PaperPhi4()}
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
+			g, _ := workload.KnowledgeBase(13, 30, 0.2)
+			s, err := gedlib.New(gedlib.WithShards(p)).Open(ctx, g, sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Apply(ctx, nil); err != nil {
+				t.Fatal(err)
+			}
+			check := func(step string, sameLineage bool) {
+				t.Helper()
+				lineage := s.Snapshot().Lineage()
+				got, err := s.CatchUp(ctx, g, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := gedlib.NewSnapshotValidator(g.Freeze(), sigma).RunParallelCtx(ctx, 0, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if orderedCanon(got) != orderedCanon(want) {
+					t.Fatalf("%s: session diverged\n got:\n%s\nwant:\n%s", step, orderedCanon(got), orderedCanon(want))
+				}
+				if s.Snapshot().SourceVersion() != g.Version() {
+					t.Fatalf("%s: session at version %d, graph at %d", step, s.Snapshot().SourceVersion(), g.Version())
+				}
+				if (s.Snapshot().Lineage() == lineage) != sameLineage {
+					t.Fatalf("%s: lineage kept = %v, want %v", step, !sameLineage, sameLineage)
+				}
+			}
+			g.SetAttr(gedlib.NodeID(1), "type", gedlib.String("programmer"))
+			check("small backlog", true)
+			for i, n := 0, g.Size()/2+1; i < n; i++ {
+				id := g.AddNode("person")
+				g.AddEdge(id, "create", gedlib.NodeID(i%5))
+			}
+			check("large backlog", false)
+			g.SetAttr(gedlib.NodeID(2), "type", gedlib.String("psychologist"))
+			check("after the re-freeze", true)
+		})
+	}
+}
+
+// TestSessionConcurrentReaders: Validate, Snapshot and Validator run
+// against a session while Apply advances it (run under -race), and the
+// published validator never leaves the session's lineage.
+func TestSessionConcurrentReaders(t *testing.T) {
+	ctx := context.Background()
+	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi4()}
+	g, _ := workload.KnowledgeBase(11, 30, 0.2)
+	s, err := gedlib.New().Open(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := s.Validate(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+				if val := s.Validator(); val.Snapshot().Lineage() != s.Snapshot().Lineage() {
+					t.Error("validator left the session's lineage")
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(9))
+	for step := 0; step < 30; step++ {
+		mutateKB(rng, g)
+		if _, err := s.Apply(ctx, g.DeltaSince(s.Snapshot().SourceVersion())); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestSessionSnapshot: a session's snapshot moves only by the deltas it
+// is handed, within one lineage, and its validator follows it.
+func TestSessionSnapshot(t *testing.T) {
+	ctx := context.Background()
+	g, _ := workload.KnowledgeBase(3, 20, 0.1)
+	s, err := gedlib.New().Open(ctx, g, gedlib.RuleSet{workload.PaperPhi1()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := s.Snapshot()
+	if got, want := s1.SourceVersion(), g.Version(); got != want {
+		t.Fatalf("snapshot at version %d, graph at %d", got, want)
+	}
+	if _, err := s.Apply(ctx, nil); err != nil || s.Snapshot() != s1 {
+		t.Fatalf("a nil delta moved the snapshot (err %v)", err)
+	}
+	g.SetAttr(gedlib.NodeID(0), "name", gedlib.String("moved"))
+	if s.Snapshot() != s1 {
+		t.Fatal("the snapshot followed the graph without a delta")
+	}
+	if _, err := s.Apply(ctx, g.DeltaSince(s1.SourceVersion())); err != nil {
+		t.Fatal(err)
+	}
+	s3 := s.Snapshot()
+	if s3 == s1 || s3.SourceVersion() != g.Version() || s3.Lineage() != s1.Lineage() {
+		t.Fatal("snapshot did not advance by the delta within its lineage")
+	}
+	if s.Validator().Snapshot() != s3 {
+		t.Fatal("validator is not bound to the session snapshot")
+	}
+}
+
+// TestSessionSnapshotCounters: the snapshot outcome counters say what
+// happened — Open freezes, Apply advances, and the shim's catch-up on an
+// unchanged graph hits.
+func TestSessionSnapshotCounters(t *testing.T) {
+	ctx := context.Background()
+	o := gedlib.NewObserver(nil)
+	eng := gedlib.New(gedlib.WithObserver(o))
+	count := func(outcome string) uint64 {
+		return o.Registry().Counter("ged_engine_snapshot_cache_total", "", "outcome", outcome).Value()
+	}
+	rng := rand.New(rand.NewSource(5))
+	g, _ := workload.KnowledgeBase(7, 30, 0.2)
+	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi4()}
+	const steps = 12
+	for i := 0; i < steps; i++ {
+		if _, err := eng.Apply(ctx, g, sigma); err != nil {
+			t.Fatal(err)
+		}
+		mutateKB(rng, g)
+	}
+	if _, err := eng.Apply(ctx, g, sigma); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Validate(ctx, g, sigma); err != nil {
+		t.Fatal(err)
+	}
+	if f, a, h := count("freeze"), count("advance"), count("hit"); f != 1 || a != steps || h != 1 {
+		t.Fatalf("freeze/advance/hit = %d/%d/%d, want 1/%d/1", f, a, h, steps)
+	}
+
+	s, err := eng.Open(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutateKB(rng, g)
+	if _, err := s.Apply(ctx, g.DeltaSince(s.Snapshot().SourceVersion())); err != nil {
+		t.Fatal(err)
+	}
+	if f, a := count("freeze"), count("advance"); f != 2 || a != steps+1 {
+		t.Fatalf("after Open + Apply: freeze/advance = %d/%d, want 2/%d", f, a, steps+1)
+	}
+}
+
+// TestShimSessionsCollected: the graph-keyed shim holds its sessions
+// weakly — once the graphs are garbage, so are their sessions.
+func TestShimSessionsCollected(t *testing.T) {
+	ctx := context.Background()
+	eng := gedlib.New()
+	sigma := gedlib.RuleSet{workload.PaperPhi1()}
+	graphs := make([]*gedlib.Graph, 8)
+	for i := range graphs {
+		graphs[i], _ = workload.KnowledgeBase(int64(i), 20, 0.2)
+		if _, err := eng.Validate(ctx, graphs[i], sigma); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := gedlib.SessionCount(eng); n != len(graphs) {
+		t.Fatalf("%d sessions for %d graphs", n, len(graphs))
+	}
+	runtime.KeepAlive(graphs)
+	deadline := time.Now().Add(5 * time.Second)
+	for gedlib.SessionCount(eng) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions outlived their graphs", gedlib.SessionCount(eng))
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}

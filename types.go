@@ -44,7 +44,7 @@ type GraphEdge = graph.Edge
 // dense ints, CSR adjacency grouped and sorted by edge label, per-label
 // node postings, degree statistics, and the attribute-value index
 // folded in. Snapshots are immutable and safe for concurrent readers;
-// the Engine caches one per graph keyed on Graph.Version, so most
+// a Session holds one per graph and advances it by deltas, so most
 // callers never build one explicitly.
 type Snapshot = graph.Snapshot
 
@@ -52,7 +52,7 @@ type Snapshot = graph.Snapshot
 // Graph.Version: added nodes and edges plus attribute writes.
 // Graph.DeltaSince captures one from the graph's own change journal;
 // Snapshot.Apply consumes it to advance a frozen snapshot in time
-// proportional to the delta, and Engine.Apply drives the whole
+// proportional to the delta, and Session.Apply drives the whole
 // incremental-validation pipeline from it.
 type Delta = graph.Delta
 
@@ -260,11 +260,10 @@ type RewriteResult = optimize.Result
 type Validator = reason.Validator
 
 // NewSnapshotValidator prepares a validator over an immutable snapshot
-// (g.Freeze(), or the Engine's SnapshotOf), sharing it instead of
-// copying. This is the read-path building block of a serving layer: the
+// (g.Freeze(), or a Session's), sharing it instead of copying. The
 // validator is safe for concurrent use, never touches the mutable
 // graph, and Rebase follows a delta-advanced snapshot at the cost of
-// the rule set.
+// the rule set; Session.Validator is the one a session maintains.
 func NewSnapshotValidator(snap *Snapshot, sigma RuleSet) *Validator {
 	return reason.NewValidatorOn(snap, sigma)
 }
