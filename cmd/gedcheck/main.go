@@ -134,7 +134,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("chase applied %d steps; quotient graph:\n", len(res.Steps))
-		fmt.Print(res.Coercion.Graph)
+		fmt.Print(res.Coercion().Graph)
 		classes := res.Eq.NodeClasses()
 		for rep, members := range classes {
 			if len(members) > 1 {

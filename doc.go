@@ -71,9 +71,10 @@
 // mutations, so no graph-bound method re-freezes an already-seen
 // graph; the chase freezes its input once, matches its first round on
 // that snapshot and every round after a node merge on the snapshot's
-// attribute-free quotient, and builds the coercion graph once. A
-// disconnected pattern — every GKey is Q ∪ f(Q) — is never enumerated
-// as a cross product there: the chase matches each connected component
+// attribute-free quotient, and builds the coercion graph only when the
+// result's Coercion method is first called. A disconnected pattern —
+// every GKey is Q ∪ f(Q) — is never enumerated as a cross product
+// there: the chase matches each connected component
 // on its own and hash-joins the components on the antecedent's
 // equality literals between them, evaluated under the equivalence
 // relation built so far, so only pairs that can fire a step are looked

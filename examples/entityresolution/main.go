@@ -52,7 +52,7 @@ func main() {
 		panic("catalog chase must be consistent")
 	}
 	before := g.NumNodes()
-	after := res.Coercion.Graph.NumNodes()
+	after := res.Coercion().Graph.NumNodes()
 	fmt.Printf("chase: %d steps, %d entities -> %d entities (%d merges)\n",
 		len(res.Steps), before, after, before-after)
 

@@ -79,7 +79,7 @@ func main() {
 		log.Fatal("chase failed: ", res.Eq.Conflict())
 	}
 	fmt.Printf("\nchase applied %d steps; %d nodes -> %d nodes\n",
-		len(res.Steps), g.NumNodes(), res.Coercion.Graph.NumNodes())
+		len(res.Steps), g.NumNodes(), res.Coercion().Graph.NumNodes())
 	if !gedlib.Satisfies(res.Materialize(), sigma) {
 		log.Fatal("chase result must satisfy Σ")
 	}

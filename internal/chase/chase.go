@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
@@ -29,24 +30,25 @@ type Coercion struct {
 	RepOf []graph.NodeID
 }
 
-// Coerce builds the coercion of eq on its base graph. It must only be
-// called on a consistent Eq (G_Eq is undefined otherwise).
+// Coerce builds the coercion of eq on its base graph, reading only
+// immutable state: edges off the snapshot frozen by NewEq, labels and
+// attributes off eq's tables. It must only be called on a consistent Eq
+// (G_Eq is undefined otherwise).
 func Coerce(eq *Eq) *Coercion {
 	if !eq.Consistent() {
 		panic("chase: coercion of inconsistent Eq")
 	}
-	g := eq.Graph()
-	classOf, repOf := eq.classes()
+	classOf, repOf, edges := eq.skeleton()
 	co := graph.New()
 	c := &Coercion{Graph: co, NodeOf: make(map[graph.NodeID]graph.NodeID, len(classOf)), RepOf: repOf}
 	for _, r := range repOf {
 		co.AddNode(eq.nodeLabel[r])
 	}
-	for _, id := range g.Nodes() {
-		c.NodeOf[id] = classOf[id]
-		for _, e := range g.Out(id) {
-			co.AddEdge(classOf[e.Src], e.Label, classOf[e.Dst])
-		}
+	for id, cn := range classOf {
+		c.NodeOf[graph.NodeID(id)] = cn
+	}
+	for _, e := range edges {
+		co.AddEdge(e.Src, e.Label, e.Dst)
 	}
 	for cn, r := range repOf {
 		for _, e := range eq.classAttrs[r] {
@@ -73,21 +75,69 @@ type Step struct {
 
 // Result is the outcome chase(G, Σ) of Theorem 1: by the Church-Rosser
 // property it is independent of the order in which GEDs were applied.
+//
+// The result is Eq (Section 4.1); the graphs derived from it — Coercion,
+// Quotient, Materialize — are built only when asked for, from the
+// snapshot the chase froze and Eq's own tables, so mutating the chased
+// graph afterwards changes none of them. Concurrent Coercion calls share
+// one build, and so do concurrent Quotient calls; otherwise a result is
+// read by one goroutine at a time, since Eq's readers compress its
+// union–find paths.
 type Result struct {
 	// Eq is the final equivalence relation. When the chase is invalid it
 	// holds the relation at the failing step, with its Conflict set.
 	Eq *Eq
-	// Coercion is the final coercion G_Eq; nil when the chase is invalid
-	// (the paper's ⊥).
-	Coercion *Coercion
 	// Steps is the chasing sequence applied.
 	Steps []Step
 	// Sigma is the chased dependency set.
 	Sigma ged.Set
+
+	host         host // what the last round matched on; see Quotient
+	quotientOnce sync.Once
+	coercion     *Coercion
+	coercionOnce sync.Once
+	coercionCtr  *obs.Counter // the chase observer's, often nil
 }
 
 // Consistent reports whether the chase terminated in a valid sequence.
 func (r *Result) Consistent() bool { return r.Eq.Consistent() }
+
+// Coercion returns the coercion G_Eq of the final relation, or nil when
+// the chase is invalid (the paper's ⊥). It is built on the first call —
+// most callers read only the verdict, Eq or Steps — and that one
+// coercion is returned to every later call, from any goroutine. A chase
+// cut short by cancellation or its round bound has the coercion of the
+// relation it reached.
+func (r *Result) Coercion() *Coercion {
+	if !r.Consistent() {
+		return nil
+	}
+	r.coercionOnce.Do(func() {
+		r.coercion = Coerce(r.Eq)
+		r.coercionCtr.Inc()
+	})
+	return r.coercion
+}
+
+// Quotient returns G_Eq without attributes as a snapshot, with the base
+// graph's class representative of each of its nodes — numbered as
+// Coercion().RepOf is. It is the host the chase's last round matched
+// on: the frozen input itself, with the identity map, when no nodes
+// were identified, otherwise graph.Snapshot.Quotient. A chase cut short
+// after a round that identified nodes never matched on the quotient of
+// the relation it reached; that one is built on the first call. Both
+// are nil when the chase is invalid.
+func (r *Result) Quotient() (*graph.Snapshot, []graph.NodeID) {
+	if !r.Consistent() {
+		return nil, nil
+	}
+	r.quotientOnce.Do(func() {
+		if r.host.unions != r.Eq.nodeUnions {
+			r.host = hostOf(r.Eq)
+		}
+	})
+	return r.host.snap, r.host.repOf
+}
 
 // Seed is an initial extension of Eq0 before the chase runs; it realizes
 // the relation Eq_X of the implication analysis (Section 5.2), expressed
@@ -108,9 +158,9 @@ func SeedOf(l ged.Literal, vm map[pattern.Var]graph.NodeID) Seed {
 	return Seed{Literal: l, Nodes: nodes}
 }
 
-// Run chases g by sigma starting from Eq0 (Theorem 1). The trace, final
-// relation and coercion are returned; on an invalid sequence the result's
-// Coercion is nil and Eq carries the conflict.
+// Run chases g by sigma starting from Eq0 (Theorem 1). The trace and
+// final relation are returned; on an invalid sequence Eq carries the
+// conflict and the result has no coercion.
 func Run(g *graph.Graph, sigma ged.Set) *Result {
 	return RunSeeded(g, sigma, nil)
 }
@@ -127,27 +177,29 @@ func RunSeeded(g *graph.Graph, sigma ged.Set, seeds []Seed) *Result {
 // RunCtx is RunSeeded with cooperative cancellation and an optional
 // round bound. The chase checks ctx between rounds, between matches and
 // inside the matcher's backtracking search; on cancellation the partial
-// Result (with its coercion materialized when the relation is still
-// consistent) is returned alongside ctx's error. maxRounds > 0 bounds
-// the number of fixpoint rounds (each round applies every GED over the
-// current coercion); if the chase has not converged within the bound,
-// ErrDepthExceeded is returned with the partial result. maxRounds <= 0
-// means unbounded — the chase always terminates by Theorem 1, so the
-// bound is a resource valve, not a semantics knob.
+// Result is returned alongside ctx's error, and while its relation is
+// still consistent its Coercion and Materialize describe that relation.
+// maxRounds > 0 bounds the number of fixpoint rounds (each round applies
+// every GED over the current coercion); if the chase has not converged
+// within the bound, ErrDepthExceeded is returned with the partial
+// result. maxRounds <= 0 means unbounded — the chase always terminates
+// by Theorem 1, so the bound is a resource valve, not a semantics knob.
 //
-// g is frozen once. Eq0 is read off that snapshot, and since every node
-// class of Eq0 is a singleton (G_Eq0 ≅ G) the same snapshot is the match
-// host until a round identifies nodes; the round after matches on the
-// attribute-free quotient of the snapshot by Eq's node classes (see
-// host). The coercion proper — a mutable graph carrying every known
-// constant — is built once, for the Result.
+// g is frozen once, and only that snapshot is read afterwards. Eq0 is
+// read off it, and since every node class of Eq0 is a singleton
+// (G_Eq0 ≅ G) the same snapshot is the match host until a round
+// identifies nodes; the round after matches on the attribute-free
+// quotient of the snapshot by Eq's node classes (see host). The
+// coercion proper — a mutable graph carrying every known constant — is
+// not built by the chase at all: Result.Coercion builds it on request.
 func RunCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed, maxRounds int) (*Result, error) {
 	c := newChaser(ctx, g, sigma, seeds, maxRounds)
 	defer c.report()
-	if !c.eq.Consistent() {
-		return c.res, nil // an inconsistent Eq_X
+	var err error
+	if c.eq.Consistent() { // otherwise Eq_X is inconsistent
+		err = c.run()
 	}
-	return c.run()
+	return c.result(), err
 }
 
 // chaser carries the state of one chase run.
@@ -160,13 +212,13 @@ type chaser struct {
 	baseBuf   []graph.NodeID // reused base-node translation scratch
 	maxRounds int
 	rounds    int
-	// The ctx-injected observer's tallies, often nil. Rounds, quotients
-	// and coercions are counted as they happen; matches and steps
-	// accumulate in matches and res.Steps and are added by report, once
-	// per sweep.
-	roundCtr, matchCtr, stepCtr, quotientCtr, coercionCtr *obs.Counter
-	matches, reportedSteps                                int
-	changed                                               bool // a step was applied this round
+	// The ctx-injected observer's tallies, often nil. Rounds and
+	// quotients are counted as they happen; matches and steps accumulate
+	// in matches and res.Steps and are added by report, once per sweep.
+	// (The result counts its coercion, if one is ever asked for.)
+	roundCtr, matchCtr, stepCtr, quotientCtr *obs.Counter
+	matches, reportedSteps                   int
+	changed                                  bool // a step was applied this round
 
 	// The sweeps' state: pooled build-side arenas, the matcher's abort
 	// hook, and the parked worklists.
@@ -195,7 +247,7 @@ func newChaser(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed,
 		c.matchCtr = reg.Counter("ged_chase_matches_total", "pattern matches the chase checked a dependency's antecedent on")
 		c.stepCtr = reg.Counter("ged_chase_steps_total", "chase steps applied")
 		c.quotientCtr = reg.Counter("ged_chase_quotients_total", "attribute-free quotient hosts built for a chase round after node merges")
-		c.coercionCtr = reg.Counter("ged_chase_coercions_total", "full attribute-bearing coercions G_Eq built for a chase result")
+		c.res.coercionCtr = reg.Counter("ged_chase_coercions_total", "full attribute-bearing coercions G_Eq built, on request, for a chase result")
 	}
 	c.rules = make([]rule, len(sigma))
 	slots := 0
@@ -203,7 +255,8 @@ func newChaser(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed,
 		c.rules[gi] = compileRule(eq, d, slots)
 		slots += len(c.rules[gi].comps)
 	}
-	c.host = host{snap: eq.base, repOf: eq.base.Nodes(), plans: make([]*pattern.Plan, slots)}
+	c.host = hostOf(eq) // the base snapshot: no seed has identified nodes yet
+	c.host.plans = make([]*pattern.Plan, slots)
 	for i, s := range seeds {
 		applyLiteral(eq, s.Literal, s.Nodes, Reason{Kind: ReasonGiven, Seed: i})
 		if !eq.Consistent() {
@@ -288,36 +341,25 @@ func (c *chaser) clitHolds(cl *clit, base []graph.NodeID) bool {
 	}
 }
 
-// coerce hands the result the coercion of eq as it stands.
-func (c *chaser) coerce() {
-	c.res.Coercion = Coerce(c.eq)
-	c.coercionCtr.Inc()
+// result hands out the Result with the host the last round matched on
+// (the host's compiled plans stay behind).
+func (c *chaser) result() *Result {
+	c.res.host = host{snap: c.host.snap, repOf: c.host.repOf, unions: c.host.unions}
+	return c.res
 }
 
-// abort finalizes an interrupted chase: the partial result still
-// carries a usable coercion so callers holding it do not trip over a
-// nil Coercion in Materialize.
-func (c *chaser) abort(err error) (*Result, error) {
-	if c.eq.Consistent() {
-		c.coerce()
-	}
-	return c.res, err
-}
-
-// checkRound guards the top of each fixpoint round; done reports that
-// the caller must return (res, err) immediately.
-func (c *chaser) checkRound() (*Result, error, bool) {
+// checkRound guards the top of each fixpoint round: a non-nil error
+// (cancellation or the round bound) ends the chase with it.
+func (c *chaser) checkRound() error {
 	if err := c.ctx.Err(); err != nil {
-		r, e := c.abort(err)
-		return r, e, true
+		return err
 	}
 	if c.maxRounds > 0 && c.rounds >= c.maxRounds {
-		r, e := c.abort(ErrDepthExceeded)
-		return r, e, true
+		return ErrDepthExceeded
 	}
 	c.rounds++
 	c.roundCtr.Inc()
-	return nil, nil, false
+	return nil
 }
 
 // report adds the matches and steps since the last report to the
@@ -405,7 +447,9 @@ func (c *chaser) park(gi int, bind []graph.NodeID) {
 // one re-quotients the base snapshot and re-sweeps the matches over it:
 // a merge round's new-match set is of the same order as the full match
 // set, so the O(|G|) quotient is the honest floor, at every graph size.
-func (c *chaser) run() (*Result, error) {
+//
+// It returns the error that cut the chase short, if any.
+func (c *chaser) run() error {
 	eq := c.eq
 	c.scratch = joinPool.Get().(*joinScratch)
 	defer joinPool.Put(c.scratch)
@@ -416,8 +460,8 @@ func (c *chaser) run() (*Result, error) {
 
 	structural := true // the host changed since the last sweep
 	for {
-		if res, err, done := c.checkRound(); done {
-			return res, err
+		if err := c.checkRound(); err != nil {
+			return err
 		}
 		if c.host.unions != eq.nodeUnions {
 			c.requotient()
@@ -441,11 +485,11 @@ func (c *chaser) run() (*Result, error) {
 				kept := c.wl[gi][:0]
 				for _, pm := range c.wl[gi] {
 					if err := c.ctx.Err(); err != nil {
-						return c.abort(err)
+						return err
 					}
 					if c.enforce(gi, c.host.repOf, pm) {
 						if !eq.Consistent() {
-							return c.res, nil
+							return nil
 						}
 						continue
 					}
@@ -455,19 +499,17 @@ func (c *chaser) run() (*Result, error) {
 			}
 			c.report()
 			if c.ctxErr != nil {
-				return c.abort(c.ctxErr)
+				return c.ctxErr
 			}
 			if !eq.Consistent() {
-				return c.res, nil
+				return nil
 			}
 		}
 		structural = false
 		if !c.changed {
-			break
+			return nil
 		}
 	}
-	c.coerce()
-	return c.res, nil
 }
 
 // Holds evaluates one GED literal against eq under node assignment m:

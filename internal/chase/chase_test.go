@@ -56,15 +56,15 @@ func TestExample4ValidChase(t *testing.T) {
 	if res.Eq.SameNode(ids[2], ids[3]) {
 		t.Error("v1' and v2' must stay distinct under Σ1")
 	}
-	if res.Coercion.Graph.NumNodes() != 3 {
-		t.Errorf("G1 has %d nodes, want 3", res.Coercion.Graph.NumNodes())
+	if res.Coercion().Graph.NumNodes() != 3 {
+		t.Errorf("G1 has %d nodes, want 3", res.Coercion().Graph.NumNodes())
 	}
 	// The merged node keeps its two outgoing edges.
-	merged := res.Coercion.NodeOf[ids[0]]
-	if len(res.Coercion.Graph.Out(merged)) != 2 {
+	merged := res.Coercion().NodeOf[ids[0]]
+	if len(res.Coercion().Graph.Out(merged)) != 2 {
 		t.Error("merged node must keep both e-edges")
 	}
-	if v, ok := res.Coercion.Graph.Attr(merged, "A"); !ok || !v.Equal(graph.Int(1)) {
+	if v, ok := res.Coercion().Graph.Attr(merged, "A"); !ok || !v.Equal(graph.Int(1)) {
 		t.Error("merged node must carry A = 1")
 	}
 }
@@ -82,7 +82,7 @@ func TestExample4InvalidChase(t *testing.T) {
 	if !strings.Contains(c.Error(), "label conflict") {
 		t.Errorf("conflict message: %s", c.Error())
 	}
-	if res.Coercion != nil {
+	if res.Coercion() != nil {
 		t.Error("invalid chase must have nil coercion (⊥)")
 	}
 }
@@ -129,7 +129,7 @@ func TestAttributeGeneration(t *testing.T) {
 	}
 	// Materialization gives it a placeholder value.
 	m := res.Materialize()
-	if _, ok := m.Attr(res.Coercion.NodeOf[n], "A"); !ok {
+	if _, ok := m.Attr(res.Coercion().NodeOf[n], "A"); !ok {
 		t.Error("materialized graph must carry generated attribute")
 	}
 }
@@ -541,15 +541,15 @@ func TestMaterializeFreshness(t *testing.T) {
 		t.Fatal("chase must be valid")
 	}
 	m := res.Materialize()
-	va, _ := m.Attr(res.Coercion.NodeOf[a], "A")
-	vb, _ := m.Attr(res.Coercion.NodeOf[b], "A")
+	va, _ := m.Attr(res.Coercion().NodeOf[a], "A")
+	vb, _ := m.Attr(res.Coercion().NodeOf[b], "A")
 	if va.Equal(vb) {
 		t.Error("distinct value classes must materialize distinct constants")
 	}
-	if m.Label(res.Coercion.NodeOf[a]) == graph.Wildcard {
+	if m.Label(res.Coercion().NodeOf[a]) == graph.Wildcard {
 		t.Error("wildcard labels must be replaced")
 	}
-	if m.Label(res.Coercion.NodeOf[a]) == m.Label(res.Coercion.NodeOf[b]) {
+	if m.Label(res.Coercion().NodeOf[a]) == m.Label(res.Coercion().NodeOf[b]) {
 		t.Error("fresh labels must be distinct")
 	}
 }
@@ -576,7 +576,7 @@ func TestEmptySigma(t *testing.T) {
 	if !res.Consistent() || len(res.Steps) != 0 {
 		t.Error("empty Σ must be a trivial valid chase")
 	}
-	if res.Coercion.Graph.NumNodes() != g.NumNodes() {
+	if res.Coercion().Graph.NumNodes() != g.NumNodes() {
 		t.Error("coercion must be the identity quotient")
 	}
 }

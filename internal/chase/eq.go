@@ -120,10 +120,10 @@ type termInfo struct {
 // Everything is a flat table indexed by node id, term or attribute id;
 // the only maps are the two symbol tables (attribute names, constants).
 type Eq struct {
-	g *graph.Graph
-	// base is g frozen when Eq0 was read off it: the source of the
-	// initial labels and attribute columns, and the chase's match host
-	// for as long as no two nodes are identified.
+	// base is the graph frozen when Eq0 was read off it: the source of
+	// the initial labels and attribute columns, the chase's match host
+	// for as long as no two nodes are identified, and the edges of every
+	// coercion. Nothing reads the mutable graph after NewEq.
 	base *graph.Snapshot
 
 	// Attribute names by id: g's own in name order (so that closure rule
@@ -173,7 +173,6 @@ func NewEq(g *graph.Graph) *Eq {
 		stored += len(keys)
 	}
 	eq := &Eq{
-		g:          g,
 		base:       base,
 		attrs:      slices.Sorted(slices.Values(syms)),
 		attrIDs:    make(map[graph.Attr]int32, len(syms)),
@@ -215,9 +214,6 @@ func NewEq(g *graph.Graph) *Eq {
 	}
 	return eq
 }
-
-// Graph returns the base graph the relation is over.
-func (eq *Eq) Graph() *graph.Graph { return eq.g }
 
 // Consistent reports whether no conflict has occurred.
 func (eq *Eq) Consistent() bool { return eq.conflict == nil }
@@ -493,6 +489,22 @@ func (eq *Eq) classes() (classOf, repOf []graph.NodeID) {
 		classOf[id] = classOf[r]
 	}
 	return classOf, repOf
+}
+
+// skeleton returns G_Eq without its attributes: the class numbering of
+// classes, and every base edge transported onto the classes of its
+// endpoints, parallel copies folded, in graph.CompareEdges order.
+func (eq *Eq) skeleton() (classOf, repOf []graph.NodeID, edges []graph.Edge) {
+	classOf, repOf = eq.classes()
+	edges = make([]graph.Edge, 0, eq.base.NumEdges())
+	for _, u := range eq.base.Nodes() {
+		edges = eq.base.AppendOutEdges(edges, u)
+	}
+	for i := range edges {
+		edges[i].Src, edges[i].Dst = classOf[edges[i].Src], classOf[edges[i].Dst]
+	}
+	slices.SortFunc(edges, graph.CompareEdges)
+	return classOf, repOf, slices.Compact(edges)
 }
 
 // NodeClasses returns the node classes as a map from representative to

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"fmt"
 
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
@@ -18,13 +19,10 @@ func RunRefreeze(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []See
 	c := newChaser(ctx, g, sigma, seeds, maxRounds)
 	defer c.report()
 	eq := c.eq
-	if !eq.Consistent() {
-		return c.res, nil
-	}
 	stop := func() bool { return ctx.Err() != nil }
-	for {
-		if r, err, done := c.checkRound(); done {
-			return r, err
+	for eq.Consistent() {
+		if err := c.checkRound(); err != nil {
+			return c.result(), err
 		}
 		co := Coerce(eq)
 		host := co.Graph.Freeze()
@@ -38,16 +36,58 @@ func RunRefreeze(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []See
 				return eq.Consistent()
 			})
 			if err := ctx.Err(); err != nil {
-				return c.abort(err)
+				return c.result(), err
 			}
 			if !eq.Consistent() {
-				return c.res, nil
+				break
 			}
 		}
 		if !c.changed {
 			break
 		}
 	}
-	c.coerce()
-	return c.res, nil
+	return c.result(), nil
+}
+
+// MaterializeViaCoercion is the differential oracle for Materialize:
+// the witness read off the coercion graph — nodes in coercion order,
+// the coercion's Edges() numbering the fresh edge labels — which
+// Materialize, building from Eq, must reproduce byte for byte.
+func MaterializeViaCoercion(r *Result) *graph.Graph {
+	eq, co := r.Eq, r.Coercion()
+	out := graph.New()
+	freshLabels := 0
+	for cn := range co.RepOf {
+		l := co.Graph.Label(graph.NodeID(cn))
+		if l == graph.Wildcard {
+			l = graph.Label(fmt.Sprintf("_fresh%d", freshLabels))
+			freshLabels++
+		}
+		out.AddNode(l)
+	}
+	for _, e := range co.Graph.Edges() {
+		l := e.Label
+		if l == graph.Wildcard {
+			l = graph.Label(fmt.Sprintf("_freshe%d", freshLabels))
+			freshLabels++
+		}
+		out.AddEdge(e.Src, l, e.Dst)
+	}
+	placeholder := make(map[Term]graph.Value)
+	for cn, rep := range co.RepOf {
+		for _, a := range eq.ClassAttrs(rep) {
+			if v, ok := eq.AttrConst(rep, a); ok {
+				out.SetAttr(graph.NodeID(cn), a, v)
+				continue
+			}
+			t, _ := eq.SlotTerm(rep, a)
+			v, ok := placeholder[t]
+			if !ok {
+				v = graph.String(fmt.Sprintf("_v%d", len(placeholder)))
+				placeholder[t] = v
+			}
+			out.SetAttr(graph.NodeID(cn), a, v)
+		}
+	}
+	return out
 }

@@ -53,10 +53,29 @@ func TestJoinChaseMusicDBAllOrders(t *testing.T) {
 	}
 }
 
+// TestMaterializeMatchesCoercionPathMusicDB: on the catalogs the
+// benchmark chases, under every order of ψ1–ψ3, the witness Materialize
+// builds from Eq is byte for byte the one read off the coercion graph.
+func TestMaterializeMatchesCoercionPathMusicDB(t *testing.T) {
+	keys := gen.PaperKeys()
+	for _, seed := range []int64{3, 17} {
+		g, _ := gen.MusicDB(seed, 100, 0.2)
+		for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+			res := chase.Run(g, ged.Set{keys[order[0]], keys[order[1]], keys[order[2]]})
+			if !res.Consistent() {
+				t.Fatalf("seed %d order %v: inconsistent", seed, order)
+			}
+			if res.Materialize().String() != chase.MaterializeViaCoercion(res).String() {
+				t.Fatalf("seed %d order %v: Materialize differs from the witness read off the coercion", seed, order)
+			}
+		}
+	}
+}
+
 // TestJoinChaseMusicDBCounters: the benchmark's chase takes two rounds —
 // one that merges every duplicate, one that confirms — and pays for one
 // quotient host (round 2's; round 1 matches on the frozen catalog
-// itself) and one attribute-bearing coercion (the result's).
+// itself) and no attribute-bearing coercion, until one is asked for.
 func TestJoinChaseMusicDBCounters(t *testing.T) {
 	g, _ := gen.MusicDB(3, 100, 0.2)
 	o := obs.New(nil)
@@ -64,14 +83,22 @@ func TestJoinChaseMusicDBCounters(t *testing.T) {
 	if err != nil || !res.Consistent() {
 		t.Fatalf("err %v, consistent %v", err, res.Consistent())
 	}
-	for name, want := range map[string]uint64{
-		"ged_chase_rounds_total":    2,
-		"ged_chase_quotients_total": 1,
-		"ged_chase_coercions_total": 1,
-		"ged_chase_steps_total":     uint64(len(res.Steps)),
-	} {
-		if got := o.Registry().Counter(name, "").Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+	check := func(at string, coercions uint64) {
+		t.Helper()
+		for name, want := range map[string]uint64{
+			"ged_chase_rounds_total":    2,
+			"ged_chase_quotients_total": 1,
+			"ged_chase_coercions_total": coercions,
+			"ged_chase_steps_total":     uint64(len(res.Steps)),
+		} {
+			if got := o.Registry().Counter(name, "").Value(); got != want {
+				t.Errorf("%s: %s = %d, want %d", at, name, got, want)
+			}
 		}
 	}
+	res.Materialize()
+	check("after the chase and Materialize", 0)
+	res.Coercion()
+	res.Coercion()
+	check("after two Coercion calls", 1)
 }

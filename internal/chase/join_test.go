@@ -16,11 +16,12 @@ import (
 )
 
 // chaseTally is one chase run under a private observer: what it counted
-// next to the result.
+// by the time the chase returned, next to the result.
 type chaseTally struct {
-	res                                          *Result
-	err                                          error
-	rounds, matches, steps, quotients, coercions int
+	res                               *Result
+	err                               error
+	rounds, matches, steps, quotients int
+	o                                 *obs.Observer
 }
 
 // tallyChase runs the chase, or with refreeze set its oracle.
@@ -31,10 +32,36 @@ func tallyChase(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed
 		run = RunRefreeze
 	}
 	res, err := run(obs.ContextWithObserver(ctx, o), g, sigma, seeds, maxRounds)
-	count := func(name string) int { return int(o.Registry().Counter(name, "").Value()) }
-	return chaseTally{res, err,
-		count("ged_chase_rounds_total"), count("ged_chase_matches_total"), count("ged_chase_steps_total"),
-		count("ged_chase_quotients_total"), count("ged_chase_coercions_total")}
+	t := chaseTally{res: res, err: err, o: o}
+	t.rounds, t.matches, t.steps = t.count("ged_chase_rounds_total"), t.count("ged_chase_matches_total"), t.count("ged_chase_steps_total")
+	t.quotients = t.count("ged_chase_quotients_total")
+	return t
+}
+
+// count reads one of the run's counters as it stands now.
+func (t chaseTally) count(name string) int { return int(t.o.Registry().Counter(name, "").Value()) }
+
+// lazyCoercion checks the coercion contract of a consistent result whose
+// chase returned with no coercion built: the first Coercion call builds
+// the coercion of the result's Eq and counts it, the second returns the
+// same one and counts nothing.
+func lazyCoercion(t *testing.T, at string, got chaseTally) *Coercion {
+	t.Helper()
+	if n := got.count("ged_chase_coercions_total"); n != 0 {
+		t.Fatalf("%s: %d coercions built before one was asked for", at, n)
+	}
+	co := got.res.Coercion()
+	if again := got.res.Coercion(); co == nil || again != co {
+		t.Fatalf("%s: Coercion() = %p, then %p", at, co, again)
+	}
+	if n := got.count("ged_chase_coercions_total"); n != 1 {
+		t.Fatalf("%s: %d coercions counted after two Coercion calls, want 1", at, n)
+	}
+	fresh := Coerce(got.res.Eq)
+	if co.Graph.String() != fresh.Graph.String() || !reflect.DeepEqual(co.NodeOf, fresh.NodeOf) || !reflect.DeepEqual(co.RepOf, fresh.RepOf) {
+		t.Fatalf("%s: Coercion() is not the coercion of the result's Eq", at)
+	}
+	return co
 }
 
 // sameChase fails unless got and want are the same chase result: same
@@ -69,9 +96,8 @@ func sameChase(t *testing.T, at string, g *graph.Graph, got, want *Result) {
 // TestJoinChaseEquivalentToRefreeze: sweeping Σ component by component
 // and joining on X's literals under Eq computes the chase the legacy
 // loop computes by enumerating every pattern whole — same verdict, same
-// relation, same witness — in no more rounds, and hands out a coercion
-// that is the coercion of the final relation even when it is the live
-// one reused.
+// relation, same witness — in no more rounds, and hands out, when asked
+// for one, the coercion of the final relation.
 func TestJoinChaseEquivalentToRefreeze(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{211, 223, 227} {
@@ -109,12 +135,7 @@ func TestJoinChaseEquivalentToRefreeze(t *testing.T) {
 			}
 			consistent++
 			sameChase(t, at, g, join.res, oracle.res)
-			fresh := Coerce(join.res.Eq)
-			co := join.res.Coercion
-			if co.Graph.String() != fresh.Graph.String() ||
-				!reflect.DeepEqual(co.NodeOf, fresh.NodeOf) || !reflect.DeepEqual(co.RepOf, fresh.RepOf) {
-				t.Fatalf("%s: Result.Coercion is not the coercion of Result.Eq", at)
-			}
+			lazyCoercion(t, at, join)
 		}
 		if consistent < 200 || joined < 30 {
 			t.Fatalf("seed %d: %d consistent instances, %d in which a keyed join fired a step: the generator lost its bite",
@@ -335,11 +356,11 @@ func TestJoinChaseCancelMidJoin(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("countdown %d: error %v, want context.Canceled", k, err)
 		}
-		if !res.Consistent() || res.Coercion == nil {
-			t.Fatalf("countdown %d: partial result consistent=%v coercion=%v", k, res.Consistent(), res.Coercion)
+		if !res.Consistent() || res.Coercion() == nil {
+			t.Fatalf("countdown %d: partial result consistent=%v coercion=%v", k, res.Consistent(), res.Coercion())
 		}
-		if m := res.Materialize(); m.NumNodes() != len(res.Coercion.RepOf) {
-			t.Fatalf("countdown %d: materialized %d nodes for %d classes", k, m.NumNodes(), len(res.Coercion.RepOf))
+		if m := res.Materialize(); m.NumNodes() != len(res.Coercion().RepOf) {
+			t.Fatalf("countdown %d: materialized %d nodes for %d classes", k, m.NumNodes(), len(res.Coercion().RepOf))
 		}
 		for _, a := range g.Nodes() {
 			for _, b := range g.Nodes() {
@@ -359,8 +380,8 @@ func TestJoinChaseCancelMidJoin(t *testing.T) {
 
 // TestJoinChaseAbortKeepsCoercion: a chase stopped between rounds — by
 // its round bound after a round that merged nodes, or by a context that
-// was cancelled before it began — still hands out the one coercion of
-// the relation it reached, although no round ever built one.
+// was cancelled before it began — still hands out, on request, the one
+// coercion of the relation it reached, and its quotient.
 func TestJoinChaseAbortKeepsCoercion(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 6; i++ {
@@ -374,15 +395,16 @@ func TestJoinChaseAbortKeepsCoercion(t *testing.T) {
 		if !errors.Is(got.err, wantErr) {
 			t.Fatalf("%s: error %v, want %v", at, got.err, wantErr)
 		}
-		co, fresh := got.res.Coercion, Coerce(got.res.Eq)
-		if co == nil || got.coercions != 1 || got.quotients != 0 {
-			t.Fatalf("%s: coercion %v after %d coercions and %d quotients, want the one built on the way out", at, co, got.coercions, got.quotients)
-		}
-		if co.Graph.String() != fresh.Graph.String() || !reflect.DeepEqual(co.NodeOf, fresh.NodeOf) || !reflect.DeepEqual(co.RepOf, fresh.RepOf) {
-			t.Fatalf("%s: Result.Coercion is not the coercion of Result.Eq", at)
+		if got.quotients != 0 {
+			t.Fatalf("%s: %d quotients built, want none", at, got.quotients)
 		}
 		if n := g.NumNodes() - got.res.Materialize().NumNodes(); n != merged {
 			t.Fatalf("%s: %d nodes merged, want %d", at, n, merged)
+		}
+		co := lazyCoercion(t, at, got)
+		snap, repOf := got.res.Quotient()
+		if !reflect.DeepEqual(repOf, co.RepOf) || snapString(snap) != snapString(co.Graph.Freeze()) {
+			t.Fatalf("%s: Quotient() is not the coercion without its attributes", at)
 		}
 	}
 	// Round 1 merges every duplicate; the bound stops the confirming round.
@@ -391,7 +413,7 @@ func TestJoinChaseAbortKeepsCoercion(t *testing.T) {
 	cancel()
 	got := tallyChase(ctx, g, sigma, nil, 0, false)
 	check("cancelled", got, context.Canceled, 0)
-	if got.res.Coercion.Graph.String() != g.String() {
+	if got.res.Coercion().Graph.String() != g.String() {
 		t.Fatal("cancelled: the coercion of Eq0 is not the graph itself")
 	}
 }

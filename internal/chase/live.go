@@ -31,19 +31,27 @@ type host struct {
 	plans  []*pattern.Plan // compiled against snap, by component.slot
 }
 
-// requotient rebuilds the host from the base snapshot and eq's current
-// node classes, numbering the classes as Coerce does.
-func (c *chaser) requotient() {
-	eq := c.eq
+// hostOf returns the host for eq's node classes as they stand, without
+// plans: the base snapshot while every class is a singleton, otherwise
+// its quotient by the classes, numbered as Coerce numbers them.
+func hostOf(eq *Eq) host {
+	if eq.nodeUnions == 0 {
+		return host{snap: eq.base, repOf: eq.base.Nodes()}
+	}
 	classOf, repOf := eq.classes()
 	labels := make([]graph.Label, len(repOf))
 	for cn, r := range repOf {
 		labels[cn] = eq.nodeLabel[r]
 	}
-	c.host.snap = eq.base.Quotient(classOf, labels)
-	c.host.repOf = repOf
-	c.host.unions = eq.nodeUnions
-	clear(c.host.plans)
+	return host{snap: eq.base.Quotient(classOf, labels), repOf: repOf, unions: eq.nodeUnions}
+}
+
+// requotient rebuilds the host for eq's current node classes.
+func (c *chaser) requotient() {
+	plans := c.host.plans
+	clear(plans)
+	c.host = hostOf(c.eq)
+	c.host.plans = plans
 	c.quotientCtr.Inc()
 }
 

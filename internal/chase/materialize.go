@@ -6,8 +6,10 @@ import (
 	"gedlib/internal/graph"
 )
 
-// Materialize turns the final coercion of a valid chase into a concrete
+// Materialize turns the final relation of a valid chase into a concrete
 // graph suitable as a model witness (Theorem 2's "only if" direction):
+// the coercion G_Eq — node i is the class Coercion().RepOf[i], edges are
+// transported — except that
 //
 //   - residual wildcard node and edge labels are replaced by fresh
 //     concrete labels (this preserves the match set exactly, because a
@@ -17,30 +19,28 @@ import (
 //     fresh constant, one per value class, so equated attributes agree
 //     and unequated ones differ.
 //
+// Fresh labels are numbered over the nodes in class order, then over
+// the edges in graph.CompareEdges order. The graph is built straight
+// from Eq and the chase's frozen input; no coercion is built for it.
+//
 // It must only be called on a consistent result.
 func (r *Result) Materialize() *graph.Graph {
 	if !r.Consistent() {
 		panic("chase: materializing an invalid chase")
 	}
-	if r.Coercion == nil {
-		panic("chase: materializing a result without a coercion")
-	}
-	eq, co := r.Eq, r.Coercion
+	eq := r.Eq
+	_, repOf, edges := eq.skeleton()
 	out := graph.New()
 	freshLabels := 0
-	for cn, rep := range co.RepOf {
-		l := co.Graph.Label(graph.NodeID(cn))
+	for _, rep := range repOf {
+		l := eq.nodeLabel[rep]
 		if l == graph.Wildcard {
 			l = graph.Label(fmt.Sprintf("_fresh%d", freshLabels))
 			freshLabels++
 		}
-		id := out.AddNode(l)
-		if id != graph.NodeID(cn) {
-			panic("chase: materialize node order")
-		}
-		_ = rep
+		out.AddNode(l)
 	}
-	for _, e := range co.Graph.Edges() {
+	for _, e := range edges {
 		l := e.Label
 		if l == graph.Wildcard {
 			l = graph.Label(fmt.Sprintf("_freshe%d", freshLabels))
@@ -51,7 +51,7 @@ func (r *Result) Materialize() *graph.Graph {
 	// Materialize attributes: constants verbatim, constant-less classes
 	// as fresh values shared across the class.
 	placeholder := make(map[Term]graph.Value)
-	for cn, rep := range co.RepOf {
+	for cn, rep := range repOf {
 		for _, a := range eq.ClassAttrs(rep) {
 			if v, ok := eq.AttrConst(rep, a); ok {
 				out.SetAttr(graph.NodeID(cn), a, v)

@@ -107,17 +107,17 @@ func TestCoercionPreservesMatches(t *testing.T) {
 				// The composed assignment must be a match in the coercion.
 				composed := make(pattern.Match, len(m))
 				for v, n := range m {
-					composed[v] = res.Coercion.NodeOf[n]
+					composed[v] = res.Coercion().NodeOf[n]
 				}
 				// Verify labels and edges directly.
 				for _, v := range d.Pattern.Vars() {
-					if !graph.LabelMatches(d.Pattern.Label(v), res.Coercion.Graph.Label(composed[v])) {
+					if !graph.LabelMatches(d.Pattern.Label(v), res.Coercion().Graph.Label(composed[v])) {
 						t.Fatalf("trial %d: label lost in coercion", trial)
 					}
 				}
 				for _, e := range d.Pattern.Edges() {
 					ok := false
-					for _, ge := range res.Coercion.Graph.Out(composed[e.Src]) {
+					for _, ge := range res.Coercion().Graph.Out(composed[e.Src]) {
 						if ge.Dst == composed[e.Dst] && graph.LabelMatches(e.Label, ge.Label) {
 							ok = true
 							break

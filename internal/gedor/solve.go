@@ -67,20 +67,21 @@ type pending struct {
 }
 
 // findPending rebuilds the relation for b and locates the first pending
-// obligation, if any. It returns the chase result for reuse.
+// obligation, if any, matching on the chase's own attribute-free
+// quotient (literals are judged on Eq). It returns the chase result for
+// reuse.
 func findPending(b branchState, sigma Set) (*chase.Result, *pending) {
 	res := chase.RunSeeded(b.base, nil, b.seeds)
 	if !res.Consistent() {
 		return res, nil
 	}
-	co := res.Coercion
-	snap := co.Graph.Freeze()
+	snap, repOf := res.Quotient()
 	var found *pending
 	for _, d := range sigma {
 		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			base := make(map[pattern.Var]graph.NodeID, len(m))
 			for v, cn := range m {
-				base[v] = co.RepOf[cn]
+				base[v] = repOf[cn]
 			}
 			for _, l := range d.X {
 				if !chase.Holds(res.Eq, l, base) {

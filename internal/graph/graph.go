@@ -16,7 +16,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -207,23 +209,25 @@ func (g *Graph) Size() int { return g.NumNodes() + g.NumEdges() }
 // the graph's own cache; callers must not mutate it.
 func (g *Graph) Nodes() []NodeID { return g.ids }
 
-// Edges returns all edges in a deterministic order.
+// Edges returns all edges in a deterministic order, that of CompareEdges.
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, len(g.edges))
 	for e := range g.edges {
 		es = append(es, e)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		return a.Dst < b.Dst
-	})
+	slices.SortFunc(es, CompareEdges)
 	return es
+}
+
+// CompareEdges orders edges by source, then label, then target.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst, b.Dst)
 }
 
 // Out returns the outgoing edges of node id.

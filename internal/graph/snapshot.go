@@ -675,6 +675,17 @@ func (s *Snapshot) AppendInNeighbors(buf []NodeID, dst NodeID) []NodeID {
 	return dedupNeighbors(buf, s.inSeg(dst).ids)
 }
 
+// AppendOutEdges appends src's outgoing edges, labels resolved, to buf
+// and returns it. They come in the order of src's adjacency segment: by
+// label symbol, then target.
+func (s *Snapshot) AppendOutEdges(buf []Edge, src NodeID) []Edge {
+	seg := s.outSeg(src)
+	for i, d := range seg.ids {
+		buf = append(buf, Edge{Src: src, Label: s.labels[seg.lbl[i]], Dst: d})
+	}
+	return buf
+}
+
 // dedupNeighbors appends the distinct ids of seg to buf in first-seen
 // order; the result never aliases snapshot storage, so callers may
 // recycle it as the buf of a later call. The input segment is sorted by

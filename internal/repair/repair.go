@@ -93,8 +93,7 @@ func Run(g *graph.Graph, sigma ged.Set) *Result {
 // round bound (see chase.RunCtx). On cancellation or an exceeded bound
 // the error is non-nil and the result is not meaningful.
 func RunCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, maxRounds int) (*Result, error) {
-	work := g.Clone()
-	res, err := chase.RunCtx(ctx, work, sigma, nil, maxRounds)
+	res, err := chase.RunCtx(ctx, g, sigma, nil, maxRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +107,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, maxRounds int) (
 	}
 	out.Repaired = true
 	out.Graph = res.Materialize()
-	out.NodeOf = res.Coercion.NodeOf
+	out.NodeOf = res.Coercion().NodeOf
 	out.Edits = editScript(g, res, sigma)
 	return out, nil
 }

@@ -49,6 +49,35 @@ func TestRepairFillsMissingName(t *testing.T) {
 	}
 }
 
+// TestRepairLeavesInputUnchanged: repairing reads the input and writes
+// only the repaired graph — merges, filled-in names and generated
+// attributes leave the input's content and mutation counter as they
+// were.
+func TestRepairLeavesInputUnchanged(t *testing.T) {
+	catalog, _ := gen.MusicDB(3, 25, 0.4)
+	capitals := graph.New()
+	c := capitals.AddNode("country")
+	capitals.AddEdge(c, "capital", capitals.AddNodeAttrs("city", map[graph.Attr]graph.Value{"name": graph.String("Helsinki")}))
+	capitals.AddEdge(c, "capital", capitals.AddNode("city"))
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		sigma ged.Set
+	}{
+		{"catalog", catalog, gen.PaperKeys()},
+		{"capitals", capitals, ged.Set{gen.PaperPhi2()}},
+	} {
+		before, version := tc.g.String(), tc.g.Version()
+		r := Run(tc.g, tc.sigma)
+		if !r.Repaired || len(r.Edits) == 0 {
+			t.Fatalf("%s: repaired %v with %d edits", tc.name, r.Repaired, len(r.Edits))
+		}
+		if tc.g.String() != before || tc.g.Version() != version {
+			t.Fatalf("%s: Run mutated its input (version %d -> %d)", tc.name, version, tc.g.Version())
+		}
+	}
+}
+
 func TestRepairMergesDuplicates(t *testing.T) {
 	g, stats := gen.MusicDB(3, 25, 0.4)
 	if stats.DupPairs == 0 {

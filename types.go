@@ -221,9 +221,13 @@ type SatResult = reason.SatResult
 type ImplResult = reason.ImplResult
 
 // ChaseResult is the outcome of chasing a graph with a rule set
-// (Theorem 1: it is order-independent). Consistent() distinguishes a
-// terminal chase from the paper's ⊥; Materialize() yields the quotient
-// graph.
+// (Theorem 1: it is order-independent): the relation Eq and the steps
+// that built it. Consistent() distinguishes a terminal chase from the
+// paper's ⊥. The graphs derived from Eq are built only on request, from
+// the snapshot the chase froze, so later mutations of the chased graph
+// do not reach them: Coercion() is the coercion G_Eq (built once, nil
+// for ⊥), Quotient() its attribute-free snapshot, and Materialize() a
+// concrete model witness.
 type ChaseResult = chase.Result
 
 // Conflict explains an inconsistent chase: the two facts that clashed.
