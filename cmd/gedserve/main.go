@@ -109,8 +109,6 @@ func main() {
 	var loads, rules assignList
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "validation workers per request (0 = sequential)")
-	shards := flag.Int("shards", 0, "graph shards for partitioned validation (0 or 1 = monolithic)")
-	partitioner := flag.String("partitioner", "", "shard placement strategy: hash or greedy (default hash); needs -shards")
 	chaseDepth := flag.Int("chase-depth", 0, "chase round bound (0 = unbounded)")
 	flushOps := flag.Int("flush-ops", 0, "flush a write queue at this many pending ops (0 = default)")
 	maxDelay := flag.Duration("flush-delay", 0, "flush a non-empty write queue after this delay (0 = default)")
@@ -144,13 +142,8 @@ func main() {
 	if *dataDir != "" && *follow != "" {
 		fatal(fmt.Errorf("-data and -follow are mutually exclusive"))
 	}
-	if *partitioner != "" && *partitioner != "hash" && *partitioner != "greedy" {
-		fatal(fmt.Errorf("-partitioner %q: want hash or greedy", *partitioner))
-	}
 	cfg := serve.Config{
 		Workers:         *workers,
-		Shards:          *shards,
-		Partitioner:     *partitioner,
 		ChaseDepth:      *chaseDepth,
 		FlushOps:        *flushOps,
 		MaxDelay:        *maxDelay,

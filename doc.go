@@ -115,23 +115,6 @@
 // validators, the small solvers and the oracle the differential tests
 // compare against.
 //
-// # Sharding
-//
-// WithShards(P) partitions every graph the engine touches into P
-// shards — WithPartitioner picks the placement: HashPartitioner
-// (stateless) or GreedyPartitioner (streaming edge-cut) — and runs
-// Validate and Apply shard-local in parallel. Each shard owns a
-// snapshot of its nodes' adjacency plus the frontier (non-owned
-// endpoints of cut edges), with its own journal lineage so deltas
-// advance only touched shards. When match enumeration needs to extend
-// across a shard boundary, the partial binding ships to the owning
-// shard's queue and resumes there; complete bindings are re-verified
-// against the global snapshot before a violation is emitted. Per-shard
-// violation stores merge into exactly the canonical order of the
-// monolithic path, which remains the P=1 fallback and the differential
-// oracle. Session.ShardStats exposes the live topology (owned nodes,
-// cut edges, per-shard violation counts).
-//
 // # Serving
 //
 // The serve subpackage (daemon: cmd/gedserve) turns the library into a
@@ -167,9 +150,9 @@
 // timings and the snapshot cache, per-rule matcher profiles (candidate,
 // intersection, probe and binding counts with the active plan
 // fingerprint), chase rounds, considered matches and applied steps,
-// shard frame traffic, WAL/checkpoint/recovery durability
-// counters, and the serving flush pipeline broken into queue-wait,
-// WAL-append, fsync, apply and publish stages. The serve subpackage
+// WAL/checkpoint/recovery durability counters, and the serving flush
+// pipeline broken into queue-wait, WAL-append, fsync, apply and publish
+// stages. The serve subpackage
 // wires an Observer through automatically and exposes the registry as
 // Prometheus text at /metricsz, the trace ring at /tracez, and a
 // slow-operation log via Config.SlowOp; benchmark/ reports what tracing

@@ -16,7 +16,6 @@ import (
 	"gedlib/internal/optimize"
 	"gedlib/internal/reason"
 	"gedlib/internal/repair"
-	"gedlib/internal/shard"
 )
 
 // ErrChaseDepthExceeded is returned by Engine methods when a chase did
@@ -34,7 +33,7 @@ var ErrChaseDepthExceeded = chase.ErrDepthExceeded
 // use. Per-graph state lives in a Session, which Open creates and the
 // caller owns (a serving catalog keeps one per graph):
 //
-//	s, err := eng.Open(ctx, g, sigma) // one freeze (and partition)
+//	s, err := eng.Open(ctx, g, sigma) // one freeze
 //	... mutate g ...
 //	vs, err := s.Apply(ctx, g.DeltaSince(s.Snapshot().SourceVersion()))
 //
@@ -50,8 +49,6 @@ type Engine struct {
 	workers        int
 	violationLimit int
 	chaseDepth     int
-	shards         int
-	partitioner    Partitioner
 
 	// obs is the injected observer (WithObserver), nil by default; em
 	// caches its metric handles so hot paths skip the registry lookup.
@@ -93,39 +90,12 @@ func WithChaseDepth(d int) Option {
 	return func(e *Engine) { e.chaseDepth = d }
 }
 
-// WithShards partitions every graph the engine touches into p shards
-// and runs Validate and Apply through the sharded path: a Partitioner
-// (WithPartitioner, hash by default) assigns node ownership, each shard
-// keeps its own snapshot lineage and — under Apply — its own maintained
-// violation store, and validation executes as parallel shard-local
-// extension with partial bindings shipped across shard queues at
-// boundaries. Deltas route to the shards they touch (O(|Δ| per shard))
-// and per-shard violation sets merge into the same canonical order the
-// monolithic path produces — p ≤ 1 (the default) keeps that monolithic
-// path, which remains the differential oracle for the sharded one.
-func WithShards(p int) Option {
-	return func(e *Engine) { e.shards = p }
-}
-
-// WithPartitioner selects the node-placement strategy WithShards uses:
-// HashPartitioner (the O(1) baseline) or GreedyPartitioner (streaming
-// edge-cut minimization). A nil partitioner keeps the current one.
-func WithPartitioner(part Partitioner) Option {
-	return func(e *Engine) {
-		if part != nil {
-			e.partitioner = part
-		}
-	}
-}
-
 // New returns an Engine with the given options applied over the
-// defaults: sequential validation, no violation limit, no chase bound,
-// unsharded sessions.
+// defaults: sequential validation, no violation limit, no chase bound.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		workers:     1,
-		partitioner: shard.NewHash(),
-		sessions:    make(map[weak.Pointer[Graph]]*Session),
+		workers:  1,
+		sessions: make(map[weak.Pointer[Graph]]*Session),
 	}
 	for _, o := range opts {
 		o(e)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"gedlib"
@@ -22,6 +23,20 @@ func canon(vs []gedlib.Violation) []string {
 		out = append(out, s)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// orderedCanon renders a violation list preserving its order, including
+// the recorded failing literal, so that order and evidence both count.
+func orderedCanon(vs []gedlib.Violation) string {
+	out := ""
+	for _, v := range vs {
+		out += v.GED.Name
+		for _, x := range v.GED.Pattern.Vars() {
+			out += fmt.Sprintf(":%s=%d", x, v.Match[x])
+		}
+		out += fmt.Sprintf(" !%v\n", v.Literal)
+	}
 	return out
 }
 
@@ -136,4 +151,30 @@ func TestEngineApplyAfterValidate(t *testing.T) {
 	if len(vs) != 1 {
 		t.Fatalf("ValidateIncremental: want 1, got %d", len(vs))
 	}
+}
+
+// TestEngineConcurrentApplies: graph-keyed Applies on distinct graphs
+// run concurrently (each session's lock serializes only within its
+// graph); must be race-clean under -race.
+func TestEngineConcurrentApplies(t *testing.T) {
+	ctx := context.Background()
+	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi4()}
+	eng := gedlib.New()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(700 + i)))
+			g, _ := workload.KnowledgeBase(int64(40+i), 25, 0.2)
+			for step := 0; step < 6; step++ {
+				if _, err := eng.Apply(ctx, g, sigma); err != nil {
+					t.Errorf("apply: %v", err)
+					return
+				}
+				g.SetAttr(gedlib.NodeID(rng.Intn(g.NumNodes())), "type", gedlib.String("programmer"))
+			}
+		}(i)
+	}
+	wg.Wait()
 }

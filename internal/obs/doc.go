@@ -30,6 +30,5 @@
 // Metric naming follows the Prometheus conventions: every family is
 // prefixed ged_, counters end in _total, histograms and their
 // exposition are in seconds, and bounded label sets only (stage names,
-// rule names, shard indices, graph names — never node ids or request
-// payloads).
+// rule names, graph names — never node ids or request payloads).
 package obs

@@ -239,20 +239,6 @@ func CompileFiltered(p *Pattern, snap *graph.Snapshot, filters []ConstFilter, cl
 	return pl
 }
 
-// OrderedVars returns the plan's variable binding order — the sequence
-// the worst-case-optimal search extends partial bindings in, chosen
-// from the snapshot's statistics at compile time. Callers that drive
-// their own extension loop (the sharded validator resumes partial
-// bindings across shard queues) reuse it so their enumeration visits
-// variables in the same cost-aware order. The returned slice is fresh.
-func (pl *Plan) OrderedVars() []Var {
-	out := make([]Var, len(pl.order))
-	for i, vi := range pl.order {
-		out[i] = pl.vars[vi]
-	}
-	return out
-}
-
 // Rebind returns a plan equivalent to pl but bound to snap, an
 // immutable snapshot of the same lineage as the plan's own (i.e. one
 // produced from it by graph.Snapshot.Apply, in any number of steps).

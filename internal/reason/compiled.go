@@ -12,11 +12,10 @@ import (
 // matcher's dense binding vector (indexed like Pattern.Vars()): every
 // literal carries the vector positions of its variables and the
 // interned ids of its attributes in one snapshot lineage, so judging a
-// match hashes neither a variable nor an attribute name. The Validator,
-// the ViolationStore and the sharded finalization all judge matches
-// with it; ged.Holds is its Match-map oracle. It is also the
-// pattern.Pruner of the rule's full scans, over the conditions of
-// CloseHints. Immutable.
+// match hashes neither a variable nor an attribute name. The Validator
+// and the ViolationStore judge matches with it; ged.Holds is its
+// Match-map oracle. It is also the pattern.Pruner of the rule's full
+// scans, over the conditions of CloseHints. Immutable.
 type CompiledRule struct {
 	d    *ged.GED
 	x, y []clit

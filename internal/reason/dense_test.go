@@ -126,7 +126,7 @@ func oracleCanonical(val *Validator, limit int, keep func(Violation) bool) []Vio
 			out = append(out, v)
 		}
 	}
-	SortViolations(out, val.sigma)
+	sortViolations(out, val.sigma)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
@@ -245,7 +245,7 @@ func TestDenseValidatorCancellation(t *testing.T) {
 		}
 		subset := func(vs []Violation) bool {
 			sorted := append([]Violation(nil), vs...)
-			SortViolations(sorted, sigma)
+			sortViolations(sorted, sigma)
 			if violationBytes(sorted, sigma) != violationBytes(vs, sigma) {
 				return false
 			}
@@ -301,7 +301,7 @@ func denseMutate(g *graph.Graph, rng *rand.Rand, nOps int) {
 
 // TestDenseStoreMatchesOracle: a store maintained through Apply holds,
 // after every delta, the oracle's full answer on the advanced snapshot —
-// recorded literals included, which exercises Recheck's evidence
+// recorded literals included, which exercises recheck's evidence
 // refresh on the stored binding vectors — and agrees with failingLiteral
 // entry by entry.
 func TestDenseStoreMatchesOracle(t *testing.T) {

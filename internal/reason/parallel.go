@@ -144,14 +144,12 @@ func appendViolationKey(buf []byte, v Violation) []byte {
 	return buf
 }
 
-// SortViolations puts violations into the canonical order every
+// sortViolations puts violations into the canonical order every
 // validation API reports: by GED index in sigma, then by the match
-// bindings in variable order. Exported for callers that assemble
-// violation lists from several independent searches (the sharded
-// validator merges per-shard result sets with it). The per-violation
-// keys are computed once up front — not inside the comparator, which
-// would redo the strconv/concat work O(n log n) times.
-func SortViolations(vs []Violation, sigma ged.Set) {
+// bindings in variable order. The per-violation keys are computed once
+// up front — not inside the comparator, which would redo the
+// strconv/concat work O(n log n) times.
+func sortViolations(vs []Violation, sigma ged.Set) {
 	if len(vs) < 2 {
 		return
 	}

@@ -106,13 +106,13 @@ func TestPrunedScanEqualsUnpruned(t *testing.T) {
 		at := fmt.Sprintf("seed %d rebased: ", seed)
 		for workers := 1; workers <= 3; workers++ {
 			got, err := val.RunParallelCtx(ctx, 0, workers)
-			SortViolations(got, sigma)
+			sortViolations(got, sigma)
 			if err != nil || !sameViolations(t, fmt.Sprintf("%sRunParallelCtx(%d)", at, workers), got, want, sigma) {
 				return false
 			}
 		}
 		got, err := val.RunCtx(ctx, 0)
-		SortViolations(got, sigma)
+		sortViolations(got, sigma)
 		if err != nil || !sameViolations(t, at+"RunCtx", got, want, sigma) {
 			return false
 		}

@@ -84,7 +84,7 @@ func TestPushdownViolationsByteIdentical(t *testing.T) {
 			"repeated":   must(val.RunCtx(ctx, 0)),
 		} {
 			canon := append([]Violation(nil), got...)
-			SortViolations(canon, sigma)
+			sortViolations(canon, sigma)
 			if gotBytes := violationBytes(canon, sigma); gotBytes != want {
 				t.Logf("seed %d: %s diverges from the oracle:\n got %q\nwant %q", seed, name, gotBytes, want)
 				return false

@@ -69,7 +69,7 @@ func matchOracle(snap *graph.Snapshot, sigma ged.Set) []Violation {
 			return true
 		})
 	}
-	SortViolations(out, sigma)
+	sortViolations(out, sigma)
 	return out
 }
 

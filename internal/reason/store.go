@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/obs"
 )
@@ -46,10 +45,9 @@ import (
 // The store is single-writer: Apply must not run concurrently with
 // itself or Violations. gedlib.Session provides the locking.
 type ViolationStore struct {
-	val    *Validator
-	gedIdx map[*ged.GED]int
-	vs     []*storedViolation
-	seen   seenSet
+	val  *Validator
+	vs   []*storedViolation
+	seen seenSet
 	// byNode indexes live entries by every node their match binds.
 	// Lists are pruned of dropped entries as they are visited and the
 	// whole index is rebuilt when dross piles up.
@@ -101,7 +99,8 @@ func (st *ViolationStore) admit(gi int, bind []graph.NodeID, v Violation) *store
 
 // admitHits stores what one of the validator's own searches found, in
 // any order; each new entry's binding vector is copied straight from
-// the matcher's. Matches already stored are skipped.
+// the matcher's. Matches already stored are skipped; the newcomers are
+// merged into the canonically ordered set.
 func (st *ViolationStore) admitHits(hs []hit) {
 	var add []*storedViolation
 	for _, h := range hs {
@@ -109,11 +108,6 @@ func (st *ViolationStore) admitHits(hs []hit) {
 			add = append(add, st.admit(h.gi, append([]graph.NodeID(nil), h.bind...), st.val.violation(h)))
 		}
 	}
-	st.merge(add)
-}
-
-// merge folds new entries into the canonically ordered set.
-func (st *ViolationStore) merge(add []*storedViolation) {
 	if len(add) == 0 {
 		return
 	}
@@ -179,40 +173,16 @@ func NewViolationStoreParallelCtx(ctx context.Context, val *Validator, workers i
 	if err != nil {
 		return nil, err
 	}
-	st := newStore(val)
+	st := &ViolationStore{val: val, byNode: make(map[graph.NodeID][]*storedViolation)}
 	st.admitHits(hs)
 	return st, nil
-}
-
-// NewViolationStoreSeeded builds a maintained store over val's snapshot
-// from an externally computed violation set — the complete violations of
-// val's rules against val's snapshot, in any order (the sharded engine
-// seeds per-shard stores this way, from a partitioned parallel search
-// instead of val's own run). The slice is not retained; entries are
-// admitted and put into canonical order.
-func NewViolationStoreSeeded(val *Validator, vs []Violation) *ViolationStore {
-	st := newStore(val)
-	st.AdmitFresh(vs)
-	return st
-}
-
-func newStore(val *Validator) *ViolationStore {
-	st := &ViolationStore{
-		val:    val,
-		gedIdx: make(map[*ged.GED]int, len(val.sigma)),
-		byNode: make(map[graph.NodeID][]*storedViolation),
-	}
-	for i, d := range val.sigma {
-		st.gedIdx[d] = i
-	}
-	return st
 }
 
 // Snapshot returns the snapshot the store currently reflects.
 func (st *ViolationStore) Snapshot() *graph.Snapshot { return st.val.Snapshot() }
 
 // Validator returns the store's validator, rebased onto Snapshot() by
-// the latest Apply or Recheck.
+// the latest Apply.
 func (st *ViolationStore) Validator() *Validator { return st.val }
 
 // Violations returns the maintained set in canonical order. The slice
@@ -229,21 +199,16 @@ func (st *ViolationStore) Violations() []Violation {
 	return st.view
 }
 
-// Len returns the current violation count.
-func (st *ViolationStore) Len() int { return len(st.vs) }
-
 // Apply advances the store to snap — the delta-updated successor of the
 // store's current snapshot — where touched are the delta's touched
 // nodes (Delta.TouchedNodes). On a non-nil error the store may reflect
 // only part of the delta; callers should discard and re-seed it.
 //
-// Apply is Recheck (drop/refresh the stored entries the delta touches)
+// Apply is recheck (drop/refresh the stored entries the delta touches)
 // followed by the validator's own touched-neighborhood search, whose
-// hits are admitted. Callers that find the fresh violations elsewhere —
-// the sharded engine searches across shard queues — run Recheck and
-// AdmitFresh directly.
+// hits are admitted.
 func (st *ViolationStore) Apply(ctx context.Context, snap *graph.Snapshot, touched []graph.NodeID) error {
-	if err := st.Recheck(ctx, snap, touched); err != nil || len(touched) == 0 {
+	if err := st.recheck(ctx, snap, touched); err != nil || len(touched) == 0 {
 		return err
 	}
 	// Find the new violations around the touched nodes; matches already
@@ -253,11 +218,11 @@ func (st *ViolationStore) Apply(ctx context.Context, snap *graph.Snapshot, touch
 	return err
 }
 
-// Recheck is the first half of Apply: it rebases the store's validator
+// recheck is the first half of Apply: it rebases the store's validator
 // onto snap and re-checks exactly the stored violations whose match
 // binds a touched node, dropping the ones that no longer violate and
 // refreshing recorded evidence. It does not search for new violations.
-func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, touched []graph.NodeID) error {
+func (st *ViolationStore) recheck(ctx context.Context, snap *graph.Snapshot, touched []graph.NodeID) error {
 	st.val = st.val.Rebase(snap)
 	if len(touched) == 0 {
 		return ctx.Err()
@@ -327,29 +292,6 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 		st.rebuildIndex()
 	}
 	return ctx.Err()
-}
-
-// AdmitFresh is the second half of Apply for callers that find the
-// fresh violations elsewhere: it merges them into the store. The input
-// must be verified against the store's current snapshot; any order
-// will do, and duplicates — of stored entries or within vs — are
-// dropped by the key set, so re-discovering a maintained violation is
-// harmless.
-func (st *ViolationStore) AdmitFresh(vs []Violation) {
-	var add []*storedViolation
-	var bind []graph.NodeID
-	for _, v := range vs {
-		// Only the materialized match crosses the package boundary;
-		// recover its binding vector.
-		bind = bind[:0]
-		for _, x := range v.GED.Pattern.Vars() {
-			bind = append(bind, v.Match[x])
-		}
-		if gi := st.gedIdx[v.GED]; st.seen.add(gi, bind) {
-			add = append(add, st.admit(gi, append([]graph.NodeID(nil), bind...), v))
-		}
-	}
-	st.merge(add)
 }
 
 // rebuildIndex re-derives byNode from the live entries, shedding the

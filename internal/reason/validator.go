@@ -289,7 +289,7 @@ func (v *Validator) violations(hs []hit) []Violation {
 // order first, then the limit, so the reported prefix is deterministic.
 func (v *Validator) canonical(hs []hit, limit int) []Violation {
 	out := v.violations(hs)
-	SortViolations(out, v.sigma)
+	sortViolations(out, v.sigma)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}

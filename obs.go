@@ -10,9 +10,9 @@ package gedlib
 import "gedlib/internal/obs"
 
 // Observer bundles a metrics registry and a span tracer — the single
-// handle the instrumented layers (engine, matcher, shard runners,
-// chase, persist, serve) report into. A nil *Observer disables
-// observation; instrumented code pays one nil check per site.
+// handle the instrumented layers (engine, matcher, chase, persist,
+// serve) report into. A nil *Observer disables observation;
+// instrumented code pays one nil check per site.
 type Observer = obs.Observer
 
 // SpanData is one completed traced operation, as retained in the
@@ -29,9 +29,9 @@ func NewObserver(onSlow func(*SpanData)) *Observer {
 
 // WithObserver attaches an observer to the engine: Validate/Apply
 // latency histograms, session snapshot freeze/advance/hit counters,
-// violation-store maintenance counters, per-rule match-plan profiles,
-// shard frame traffic and chase round counts all land in its registry.
-// A nil observer (the default) keeps the engine unobserved.
+// violation-store maintenance counters, per-rule match-plan profiles
+// and chase round counts all land in its registry. A nil observer (the
+// default) keeps the engine unobserved.
 func WithObserver(o *Observer) Option {
 	return func(e *Engine) { e.obs = o }
 }

@@ -1106,17 +1106,6 @@ func (ent *GraphEntry) Stats() EntryStats {
 		s = b.stats()
 	}
 	s.Name = ent.name
-	// The session pointer is read under ent.mu (resetTo swaps it) but
-	// ShardStats is called outside it — it takes the session's own lock.
-	ent.mu.RLock()
-	sess := ent.sess
-	ent.mu.RUnlock()
-	if ss, ok := sess.ShardStats(); ok {
-		s.Shards = ss.Shards
-		s.Partitioner = ss.Partitioner
-		s.CutEdges = ss.CutEdges
-		s.ShardViolations = ss.ShardViolations
-	}
 	if psh := ent.ps.Load(); psh != nil {
 		ps := psh.Stats()
 		s.Durable = true

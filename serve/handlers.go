@@ -488,8 +488,8 @@ func (s *Server) handleEntryStats(w http.ResponseWriter, r *http.Request) {
 
 // handleMetricsz renders the catalog registry in the Prometheus text
 // exposition format: flush pipeline stage histograms, WAL/checkpoint
-// counters, engine and matcher profiles, shard frame traffic, per-graph
-// health — everything the process observed, one scrape.
+// counters, engine and matcher profiles, per-graph health — everything
+// the process observed, one scrape.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.cat.reg.WritePrometheus(w)

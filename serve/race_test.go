@@ -279,62 +279,60 @@ func TestRegisterRulesCancelKeepsRules(t *testing.T) {
 	ctx := context.Background()
 	a := gedlib.FormatRules(gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi4()})
 	b := gedlib.FormatRules(gedlib.RuleSet{workload.PaperPhi2(), workload.PaperPhi3()})
-	for _, shards := range []int{1, 2} {
-		for _, seeded := range []bool{true, false} {
-			t.Run(fmt.Sprintf("shards=%d/seeded=%v", shards, seeded), func(t *testing.T) {
-				cat, err := NewCatalog(Config{MaxDelay: time.Millisecond, Shards: shards})
+	for _, seeded := range []bool{true, false} {
+		t.Run(fmt.Sprintf("seeded=%v", seeded), func(t *testing.T) {
+			cat, err := NewCatalog(Config{MaxDelay: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cat.Close()
+			g, _ := workload.KnowledgeBase(29, 30, 0.3)
+			data, err := gedlib.MarshalGraph(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ent, err := cat.Create("kb", data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := ent.RegisterRules(ctx, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !seeded {
+				ent.mu.Lock()
+				ent.sess, err = cat.eng.Open(ctx, ent.graph, ent.sigma)
+				ent.mu.Unlock()
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer cat.Close()
-				g, _ := workload.KnowledgeBase(29, 30, 0.3)
-				data, err := gedlib.MarshalGraph(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ent, err := cat.Create("kb", data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				before, err := ent.RegisterRules(ctx, a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !seeded {
-					ent.mu.Lock()
-					ent.sess, err = cat.eng.Open(ctx, ent.graph, ent.sigma)
-					ent.mu.Unlock()
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				cctx := &cancelAfter{Context: ctx}
-				cctx.n.Store(1) // SetRules' up-front check passes
-				if _, err := ent.RegisterRules(cctx, b); !errors.Is(err, context.Canceled) {
-					t.Fatalf("RegisterRules cancelled mid-seed returned %v", err)
-				}
-				if cctx.n.Load() >= 0 {
-					t.Fatal("the cancellation never reached the seed")
-				}
-				if ent.CurrentView() != before {
-					t.Fatal("a failed registration published a view")
-				}
+			}
+			cctx := &cancelAfter{Context: ctx}
+			cctx.n.Store(1) // SetRules' up-front check passes
+			if _, err := ent.RegisterRules(cctx, b); !errors.Is(err, context.Canceled) {
+				t.Fatalf("RegisterRules cancelled mid-seed returned %v", err)
+			}
+			if cctx.n.Load() >= 0 {
+				t.Fatal("the cancellation never reached the seed")
+			}
+			if ent.CurrentView() != before {
+				t.Fatal("a failed registration published a view")
+			}
 
-				if _, err := ent.Mutate(ctx, []Op{{Op: "set_attr", ID: "n0", Attr: "type", Value: "programmer"}}); err != nil {
-					t.Fatal(err)
-				}
-				view := ent.CurrentView()
-				if gedlib.FormatRules(view.Rules) != a {
-					t.Fatalf("rules after a failed registration:\n%s\nwant:\n%s", gedlib.FormatRules(view.Rules), a)
-				}
-				direct, err := gedlib.NewSnapshotValidator(view.Snap, view.Rules).RunCtx(ctx, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := canonViolations(view.Violations), canonViolations(direct); strings.Join(got, " ") != strings.Join(want, " ") {
-					t.Fatalf("maintained %d violations after a failed registration, direct %d", len(got), len(want))
-				}
-			})
-		}
+			if _, err := ent.Mutate(ctx, []Op{{Op: "set_attr", ID: "n0", Attr: "type", Value: "programmer"}}); err != nil {
+				t.Fatal(err)
+			}
+			view := ent.CurrentView()
+			if gedlib.FormatRules(view.Rules) != a {
+				t.Fatalf("rules after a failed registration:\n%s\nwant:\n%s", gedlib.FormatRules(view.Rules), a)
+			}
+			direct, err := gedlib.NewSnapshotValidator(view.Snap, view.Rules).RunCtx(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonViolations(view.Violations), canonViolations(direct); strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Fatalf("maintained %d violations after a failed registration, direct %d", len(got), len(want))
+			}
+		})
 	}
 }

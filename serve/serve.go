@@ -118,15 +118,6 @@ type SpanData = gedlib.SpanData
 type Config struct {
 	// Workers is the engine's validation parallelism (WithWorkers).
 	Workers int
-	// Shards, when > 1, routes every graph's Validate/Apply through the
-	// partitioned engine path (WithShards): P shard snapshots with
-	// boundary-aware parallel validation. /stats then reports each
-	// graph's shard topology.
-	Shards int
-	// Partitioner selects the WithShards placement strategy: "greedy"
-	// (streaming edge-cut) or "hash"; empty selects the engine default
-	// (hash). Ignored unless Shards > 1.
-	Partitioner string
 	// ChaseDepth bounds chase requests (WithChaseDepth); 0 = unbounded.
 	ChaseDepth int
 
@@ -244,12 +235,6 @@ func (c Config) engine(o *gedlib.Observer) *gedlib.Engine {
 	}
 	if c.ChaseDepth != 0 {
 		opts = append(opts, gedlib.WithChaseDepth(c.ChaseDepth))
-	}
-	if c.Shards > 1 {
-		opts = append(opts, gedlib.WithShards(c.Shards))
-		if c.Partitioner == "greedy" {
-			opts = append(opts, gedlib.WithPartitioner(gedlib.GreedyPartitioner()))
-		}
 	}
 	return gedlib.New(opts...)
 }

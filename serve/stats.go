@@ -28,14 +28,6 @@ type EntryStats struct {
 	AvgBatchOps    float64 `json:"avg_batch_ops"`
 	AvgBatchReqs   float64 `json:"avg_batch_reqs"`
 
-	// Sharding (set when the catalog's engine runs WithShards). ShardViolations
-	// are the per-shard maintained violation counts, indexed by shard;
-	// violations live with the owner of their first variable binding.
-	Shards          int    `json:"shards,omitempty"`
-	Partitioner     string `json:"partitioner,omitempty"`
-	CutEdges        int    `json:"cut_edges,omitempty"`
-	ShardViolations []int  `json:"shard_violations,omitempty"`
-
 	// Durability (set when the catalog has a data directory).
 	// CheckpointAgeOps is how many logical ops the WAL tail holds beyond
 	// the newest checkpoint — the replay cost of a crash right now.

@@ -7,15 +7,14 @@ import (
 	"time"
 
 	"gedlib/internal/reason"
-	"gedlib/internal/shard"
 )
 
 // Session is one graph's maintained validation state under one rule
 // set: a snapshot lineage, the prepared validator over its newest
-// snapshot, the violation store Apply maintains and — under WithShards —
-// the partitioned shard state. Engine.Open creates it; the caller owns it
-// and hands it the graph's changes as deltas. A Session owns no
-// goroutine or file, so dropping the last reference frees it.
+// snapshot and the violation store Apply maintains. Engine.Open creates
+// it; the caller owns it and hands it the graph's changes as deltas. A
+// Session owns no goroutine or file, so dropping the last reference
+// frees it.
 //
 // Sessions are safe for concurrent use; Apply, CatchUp and SetRules
 // serialize.
@@ -29,19 +28,16 @@ type Session struct {
 	// demand (validatorLocked); once Apply maintains a store it is the
 	// store's own.
 	val *reason.Validator
-	// store is the maintained violation set: nil until the first Apply,
-	// and unused under WithShards, whose per-shard stores replace it.
-	store  *reason.ViolationStore
-	shards *shard.State
+	// store is the maintained violation set: nil until the first Apply.
+	store *reason.ViolationStore
 	// aside is the validator for asideSigma, the rules of the shim's
 	// read-only calls when they are not sigma; rebased like val.
 	aside      *reason.Validator
 	asideSigma RuleSet
 }
 
-// Open freezes g once — and partitions it once under WithShards — into
-// a Session holding g's validation state under Σ. Later changes of g
-// reach the session only through Apply or CatchUp.
+// Open freezes g once into a Session holding g's validation state under
+// Σ. Later changes of g reach the session only through Apply or CatchUp.
 func (e *Engine) Open(ctx context.Context, g *Graph, sigma RuleSet) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -51,18 +47,14 @@ func (e *Engine) Open(ctx context.Context, g *Graph, sigma RuleSet) (*Session, e
 	return s, nil
 }
 
-// freezeLocked puts the session on a fresh freeze (and partition) of g,
-// dropping whatever set it maintained.
+// freezeLocked puts the session on a fresh freeze of g, dropping
+// whatever set it maintained.
 func (s *Session) freezeLocked(g *Graph) {
 	e := s.eng
 	s.snap = g.Freeze()
 	e.em.snapFreeze.Inc()
 	s.val = e.compile(s.snap, s.sigma)
-	s.store, s.shards, s.aside = nil, nil, nil
-	if e.shards > 1 {
-		s.shards = shard.New(g, s.snap, e.shards, e.partitioner)
-		s.shards.Observe(e.obs.Registry())
-	}
+	s.store, s.aside = nil, nil
 }
 
 // compile prepares a validator for sigma over snap, reporting its match
@@ -105,9 +97,8 @@ func (s *Session) Apply(ctx context.Context, d *Delta) ([]Violation, error) {
 // since the session snapshot when the caller already has it — a
 // write-ahead log needed it first — and nil otherwise. A backlog over a
 // quarter of g, or one g's journal no longer reaches back to, re-freezes
-// (and re-partitions) g in place instead: no dearer than applying the
-// delta, and the freeze re-compacts the snapshot pages. The maintained
-// set is then re-seeded.
+// g in place instead: no dearer than applying the delta, and the freeze
+// re-compacts the snapshot pages. The maintained set is then re-seeded.
 func (s *Session) CatchUp(ctx context.Context, g *Graph, d *Delta) ([]Violation, error) {
 	defer s.eng.em.observe(s.eng.em.apply, time.Now())
 	s.mu.Lock()
@@ -148,13 +139,6 @@ func (s *Session) advanceLocked(ctx context.Context, d *Delta) error {
 		return nil
 	}
 	s.eng.em.snapAdvance.Inc()
-	if s.shards != nil {
-		// The topology advances even when the search is cancelled; only
-		// the per-shard stores are dropped, and Apply re-seeds them.
-		err := s.shards.ApplyDelta(ctx, d)
-		s.snap = s.shards.Global()
-		return err
-	}
 	s.snap = s.snap.Apply(d)
 	if s.store == nil {
 		return nil
@@ -171,14 +155,6 @@ func (s *Session) advanceLocked(ctx context.Context, d *Delta) error {
 // Apply has yet (or a failed one dropped it).
 func (s *Session) violationsLocked(ctx context.Context) ([]Violation, error) {
 	e := s.eng
-	if s.shards != nil {
-		if !s.shards.Seeded(s.sigma) {
-			if err := s.shards.SeedStores(ctx, s.sigma); err != nil {
-				return nil, err
-			}
-		}
-		return e.limited(s.shards.Violations()), nil
-	}
 	if s.store == nil {
 		st, err := e.seed(ctx, s.validatorLocked())
 		if err != nil {
@@ -225,10 +201,9 @@ func (s *Session) validatorForLocked(sigma RuleSet) *reason.Validator {
 
 // Validate finds the violations of the session's rules in its current
 // snapshot, exactly as Engine.Validate documents — worker count,
-// violation limit, result order, partial results on cancellation. The
-// monolithic path takes the snapshot and validator under the session
-// lock and scans outside it; the sharded path holds the lock throughout
-// (its state is single-writer) and returns no partial results.
+// violation limit, result order, partial results on cancellation. It
+// takes the snapshot and validator under the session lock and scans
+// outside it.
 func (s *Session) Validate(ctx context.Context) ([]Violation, error) {
 	defer s.eng.em.observe(s.eng.em.validate, time.Now())
 	s.mu.Lock()
@@ -239,14 +214,6 @@ func (s *Session) Validate(ctx context.Context) ([]Violation, error) {
 // s.mu, which the caller holds.
 func (s *Session) validateUnlock(ctx context.Context, sigma RuleSet) ([]Violation, error) {
 	e := s.eng
-	if s.shards != nil {
-		defer s.mu.Unlock()
-		vs, err := s.shards.Validate(ctx, sigma)
-		if err != nil {
-			return nil, err
-		}
-		return e.limited(vs), nil
-	}
 	val := s.validatorForLocked(sigma)
 	s.mu.Unlock()
 	if e.workers == 1 {
@@ -270,12 +237,7 @@ func (s *Session) SetRules(ctx context.Context, sigma RuleSet) error {
 
 func (s *Session) setRulesLocked(ctx context.Context, sigma RuleSet) error {
 	val := s.eng.compile(s.snap, sigma)
-	switch {
-	case s.shards != nil && s.shards.Seeded(s.sigma):
-		if err := s.shards.SeedStores(ctx, sigma); err != nil {
-			return err
-		}
-	case s.store != nil:
+	if s.store != nil {
 		st, err := s.eng.seed(ctx, val)
 		if err != nil {
 			return err
@@ -302,40 +264,4 @@ func (s *Session) Validator() *Validator {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.validatorLocked()
-}
-
-// ShardStats describes the shard topology a session maintains under
-// WithShards.
-type ShardStats struct {
-	// Shards is the shard count P.
-	Shards int
-	// Partitioner names the placement strategy.
-	Partitioner string
-	// CutEdges counts distinct edges whose endpoints live on different
-	// shards — the boundary index's headline number.
-	CutEdges int
-	// OwnedNodes are the per-shard owned-node counts.
-	OwnedNodes []int
-	// ShardViolations are the per-shard maintained violation counts
-	// (violations live with the owner of their first variable binding);
-	// nil until an Apply has seeded the sharded stores.
-	ShardViolations []int
-}
-
-// ShardStats reports the session's shard topology; false on a
-// monolithic engine. It costs O(P) and serializes with Apply.
-func (s *Session) ShardStats() (ShardStats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.shards
-	if st == nil {
-		return ShardStats{}, false
-	}
-	return ShardStats{
-		Shards:          st.P(),
-		Partitioner:     st.PartitionerName(),
-		CutEdges:        st.CutEdges(),
-		OwnedNodes:      st.OwnedNodes(),
-		ShardViolations: st.StoreCounts(),
-	}, true
 }

@@ -43,56 +43,52 @@ func TestSessionApplyMatchesValidate(t *testing.T) {
 		workload.PaperPhi1(), workload.PaperPhi2(),
 		workload.PaperPhi3(), workload.PaperPhi4(),
 	}
-	for _, p := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(43))
-			g, _ := workload.KnowledgeBase(31, 30, 0.1)
-			twin, _ := workload.KnowledgeBase(31, 30, 0.1)
-			s, err := gedlib.New(gedlib.WithShards(p)).Open(ctx, g, sigma)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []gedlib.Violation
-			for step := 0; step < 20; step++ {
-				d := twin.DeltaSince(s.Snapshot().SourceVersion())
-				if got, err = s.Apply(ctx, d); err != nil {
-					t.Fatal(err)
-				}
-				want, err := gedlib.NewSnapshotValidator(twin.Freeze(), sigma).RunParallelCtx(ctx, 0, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if orderedCanon(got) != orderedCanon(want) {
-					t.Fatalf("step %d: session diverged\n got:\n%s\nwant:\n%s", step, orderedCanon(got), orderedCanon(want))
-				}
-				mutateKB(rng, twin)
-			}
+	rng := rand.New(rand.NewSource(43))
+	g, _ := workload.KnowledgeBase(31, 30, 0.1)
+	twin, _ := workload.KnowledgeBase(31, 30, 0.1)
+	s, err := gedlib.New().Open(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []gedlib.Violation
+	for step := 0; step < 20; step++ {
+		d := twin.DeltaSince(s.Snapshot().SourceVersion())
+		if got, err = s.Apply(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+		want, err := gedlib.NewSnapshotValidator(twin.Freeze(), sigma).RunParallelCtx(ctx, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if orderedCanon(got) != orderedCanon(want) {
+			t.Fatalf("step %d: session diverged\n got:\n%s\nwant:\n%s", step, orderedCanon(got), orderedCanon(want))
+		}
+		mutateKB(rng, twin)
+	}
 
-			cctx, cancel := context.WithCancel(ctx)
-			cancel()
-			// Cancelled before the call, and cancelled once the re-seed
-			// under the new rules is under way.
-			for _, c := range []context.Context{cctx, newCancelAfter(1)} {
-				if err := s.SetRules(c, gedlib.RuleSet{workload.PaperPhi1()}); !errors.Is(err, context.Canceled) {
-					t.Fatalf("SetRules on a cancelled context: %v", err)
-				}
-				// Returning a seeded set does no work that could notice
-				// cancellation, so Apply succeeding on cctx proves the
-				// old set survived rather than being re-seeded.
-				kept, err := s.Apply(cctx, nil)
-				if err != nil {
-					t.Fatalf("the maintained set did not survive a failed SetRules: %v", err)
-				}
-				full, err := s.Validate(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if orderedCanon(kept) != orderedCanon(got) || fmt.Sprint(canon(full)) != fmt.Sprint(canon(got)) {
-					t.Fatalf("failed SetRules changed the session: %d maintained, %d validated, want %d",
-						len(kept), len(full), len(got))
-				}
-			}
-		})
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	// Cancelled before the call, and cancelled once the re-seed
+	// under the new rules is under way.
+	for _, c := range []context.Context{cctx, newCancelAfter(1)} {
+		if err := s.SetRules(c, gedlib.RuleSet{workload.PaperPhi1()}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("SetRules on a cancelled context: %v", err)
+		}
+		// Returning a seeded set does no work that could notice
+		// cancellation, so Apply succeeding on cctx proves the
+		// old set survived rather than being re-seeded.
+		kept, err := s.Apply(cctx, nil)
+		if err != nil {
+			t.Fatalf("the maintained set did not survive a failed SetRules: %v", err)
+		}
+		full, err := s.Validate(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if orderedCanon(kept) != orderedCanon(got) || fmt.Sprint(canon(full)) != fmt.Sprint(canon(got)) {
+			t.Fatalf("failed SetRules changed the session: %d maintained, %d validated, want %d",
+				len(kept), len(full), len(got))
+		}
 	}
 }
 
@@ -125,79 +121,75 @@ func TestSessionShimMixedRules(t *testing.T) {
 	ctx := context.Background()
 	a := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi4()}
 	b := gedlib.RuleSet{workload.PaperPhi2(), workload.PaperPhi3()}
-	for _, p := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
-			g, _ := workload.KnowledgeBase(23, 30, 0.3)
-			snap := g.Freeze()
-			want := map[int][]gedlib.Violation{}
-			for i, sigma := range []gedlib.RuleSet{a, b} {
-				vs, err := gedlib.NewSnapshotValidator(snap, sigma).RunParallelCtx(ctx, 0, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[i] = vs
-			}
-			if len(want[0]) == 0 || len(want[1]) == 0 {
-				t.Fatalf("workload too clean: %d and %d violations", len(want[0]), len(want[1]))
-			}
-			eng := gedlib.New(gedlib.WithShards(p))
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < 12; i++ {
-						k := (w + i) % 2
-						sigma := []gedlib.RuleSet{a, b}[k]
-						var got []gedlib.Violation
-						var err error
-						switch (w + i) % 4 {
-						case 0, 1:
-							got, err = eng.Validate(ctx, g, sigma)
-						case 2:
-							got, err = eng.Apply(ctx, g, sigma)
-						default:
-							var ok bool
-							ok, err = eng.Satisfies(ctx, g, sigma)
-							if err == nil && ok {
-								t.Errorf("Satisfies(Σ%d) = true on a dirty graph", k)
-							}
-							continue
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if fmt.Sprint(canon(got)) != fmt.Sprint(canon(want[k])) {
-							t.Errorf("worker %d call %d: Σ%d got %d violations, want %d", w, i, k, len(got), len(want[k]))
-							return
-						}
+	g, _ := workload.KnowledgeBase(23, 30, 0.3)
+	snap := g.Freeze()
+	want := map[int][]gedlib.Violation{}
+	for i, sigma := range []gedlib.RuleSet{a, b} {
+		vs, err := gedlib.NewSnapshotValidator(snap, sigma).RunParallelCtx(ctx, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = vs
+	}
+	if len(want[0]) == 0 || len(want[1]) == 0 {
+		t.Fatalf("workload too clean: %d and %d violations", len(want[0]), len(want[1]))
+	}
+	eng := gedlib.New()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				k := (w + i) % 2
+				sigma := []gedlib.RuleSet{a, b}[k]
+				var got []gedlib.Violation
+				var err error
+				switch (w + i) % 4 {
+				case 0, 1:
+					got, err = eng.Validate(ctx, g, sigma)
+				case 2:
+					got, err = eng.Apply(ctx, g, sigma)
+				default:
+					var ok bool
+					ok, err = eng.Satisfies(ctx, g, sigma)
+					if err == nil && ok {
+						t.Errorf("Satisfies(Σ%d) = true on a dirty graph", k)
 					}
-				}(w)
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if fmt.Sprint(canon(got)) != fmt.Sprint(canon(want[k])) {
+					t.Errorf("worker %d call %d: Σ%d got %d violations, want %d", w, i, k, len(got), len(want[k]))
+					return
+				}
 			}
-			wg.Wait()
+		}(w)
+	}
+	wg.Wait()
 
-			// Apply maintains a's set; validating b in between neither
-			// re-seeds nor replaces it.
-			if _, err := eng.Apply(ctx, g, a); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.Validate(ctx, g, b); err != nil {
-				t.Fatal(err)
-			}
-			g.SetAttr(gedlib.NodeID(0), "type", gedlib.String("programmer"))
-			got, err := eng.Apply(ctx, g, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := gedlib.NewSnapshotValidator(g.Freeze(), a).RunParallelCtx(ctx, 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if orderedCanon(got) != orderedCanon(fresh) {
-				t.Fatalf("maintained set diverged after a mixed-rules read:\n got:\n%s\nwant:\n%s", orderedCanon(got), orderedCanon(fresh))
-			}
-		})
+	// Apply maintains a's set; validating b in between neither
+	// re-seeds nor replaces it.
+	if _, err := eng.Apply(ctx, g, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Validate(ctx, g, b); err != nil {
+		t.Fatal(err)
+	}
+	g.SetAttr(gedlib.NodeID(0), "type", gedlib.String("programmer"))
+	got, err := eng.Apply(ctx, g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := gedlib.NewSnapshotValidator(g.Freeze(), a).RunParallelCtx(ctx, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orderedCanon(got) != orderedCanon(fresh) {
+		t.Fatalf("maintained set diverged after a mixed-rules read:\n got:\n%s\nwant:\n%s", orderedCanon(got), orderedCanon(fresh))
 	}
 }
 
@@ -207,48 +199,44 @@ func TestSessionShimMixedRules(t *testing.T) {
 func TestSessionCatchUp(t *testing.T) {
 	ctx := context.Background()
 	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi2(), workload.PaperPhi4()}
-	for _, p := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
-			g, _ := workload.KnowledgeBase(13, 30, 0.2)
-			s, err := gedlib.New(gedlib.WithShards(p)).Open(ctx, g, sigma)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Apply(ctx, nil); err != nil {
-				t.Fatal(err)
-			}
-			check := func(step string, sameLineage bool) {
-				t.Helper()
-				lineage := s.Snapshot().Lineage()
-				got, err := s.CatchUp(ctx, g, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := gedlib.NewSnapshotValidator(g.Freeze(), sigma).RunParallelCtx(ctx, 0, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if orderedCanon(got) != orderedCanon(want) {
-					t.Fatalf("%s: session diverged\n got:\n%s\nwant:\n%s", step, orderedCanon(got), orderedCanon(want))
-				}
-				if s.Snapshot().SourceVersion() != g.Version() {
-					t.Fatalf("%s: session at version %d, graph at %d", step, s.Snapshot().SourceVersion(), g.Version())
-				}
-				if (s.Snapshot().Lineage() == lineage) != sameLineage {
-					t.Fatalf("%s: lineage kept = %v, want %v", step, !sameLineage, sameLineage)
-				}
-			}
-			g.SetAttr(gedlib.NodeID(1), "type", gedlib.String("programmer"))
-			check("small backlog", true)
-			for i, n := 0, g.Size()/2+1; i < n; i++ {
-				id := g.AddNode("person")
-				g.AddEdge(id, "create", gedlib.NodeID(i%5))
-			}
-			check("large backlog", false)
-			g.SetAttr(gedlib.NodeID(2), "type", gedlib.String("psychologist"))
-			check("after the re-freeze", true)
-		})
+	g, _ := workload.KnowledgeBase(13, 30, 0.2)
+	s, err := gedlib.New().Open(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := s.Apply(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, sameLineage bool) {
+		t.Helper()
+		lineage := s.Snapshot().Lineage()
+		got, err := s.CatchUp(ctx, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := gedlib.NewSnapshotValidator(g.Freeze(), sigma).RunParallelCtx(ctx, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if orderedCanon(got) != orderedCanon(want) {
+			t.Fatalf("%s: session diverged\n got:\n%s\nwant:\n%s", step, orderedCanon(got), orderedCanon(want))
+		}
+		if s.Snapshot().SourceVersion() != g.Version() {
+			t.Fatalf("%s: session at version %d, graph at %d", step, s.Snapshot().SourceVersion(), g.Version())
+		}
+		if (s.Snapshot().Lineage() == lineage) != sameLineage {
+			t.Fatalf("%s: lineage kept = %v, want %v", step, !sameLineage, sameLineage)
+		}
+	}
+	g.SetAttr(gedlib.NodeID(1), "type", gedlib.String("programmer"))
+	check("small backlog", true)
+	for i, n := 0, g.Size()/2+1; i < n; i++ {
+		id := g.AddNode("person")
+		g.AddEdge(id, "create", gedlib.NodeID(i%5))
+	}
+	check("large backlog", false)
+	g.SetAttr(gedlib.NodeID(2), "type", gedlib.String("psychologist"))
+	check("after the re-freeze", true)
 }
 
 // TestSessionConcurrentReaders: Validate, Snapshot and Validator run

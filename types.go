@@ -15,7 +15,6 @@ import (
 	"gedlib/internal/pattern"
 	"gedlib/internal/reason"
 	"gedlib/internal/repair"
-	"gedlib/internal/shard"
 )
 
 // ---- property graphs ----
@@ -58,24 +57,6 @@ type Delta = graph.Delta
 
 // NodeAdd is one added node of a Delta.
 type NodeAdd = graph.NodeAdd
-
-// Partitioner assigns graph nodes to shards for WithShards. The two
-// built-in strategies are HashPartitioner and GreedyPartitioner;
-// implementations must be deterministic for a given graph and shard
-// count.
-type Partitioner = shard.Partitioner
-
-// HashPartitioner returns the baseline node-placement strategy for
-// WithShards: owner = hash(id) mod P. O(1) placement and tight balance,
-// but topology-blind — expect a cut fraction near (P-1)/P.
-func HashPartitioner() Partitioner { return shard.NewHash() }
-
-// GreedyPartitioner returns the streaming greedy edge-cut strategy for
-// WithShards (linear deterministic greedy): each node joins the shard
-// holding most of its already-placed neighbors, damped by a capacity
-// penalty. On community-structured graphs it cuts a small fraction of
-// the edges.
-func GreedyPartitioner() Partitioner { return shard.NewGreedy() }
 
 // AttrWrite is one attribute write of a Delta.
 type AttrWrite = graph.AttrWrite

@@ -74,27 +74,6 @@ func MusicDB(seed int64, artists int, dupRate float64) (*gedlib.Graph, MusicStat
 	return gen.MusicDB(seed, artists, dupRate)
 }
 
-// PowerLawStats reports what PowerLawSocial generated.
-type PowerLawStats = gen.PowerLawStats
-
-// PowerLawSocial synthesizes an LDBC-social-style person graph with
-// power-law degree skew and contiguous community blocks: "knows" edges
-// stay inside a community (Zipf-skewed toward its hubs), "follows"
-// edges cross communities. It is the host workload of the sharding
-// benchmark; see PartitionFriendlyRules and BoundaryHeavyRules.
-func PowerLawSocial(seed int64, communities, size int, degree, interFrac float64) (*gedlib.Graph, PowerLawStats) {
-	return gen.PowerLawSocial(seed, communities, size, degree, interFrac)
-}
-
-// PartitionFriendlyRules returns rules that walk only intra-community
-// "knows" edges of PowerLawSocial — the best case for WithShards.
-func PartitionFriendlyRules() gedlib.RuleSet { return gen.PartitionFriendlyRules() }
-
-// BoundaryHeavyRules returns rules that walk only inter-community
-// "follows" edges of PowerLawSocial, forcing cross-shard handoffs on
-// every binding — the stress case for WithShards.
-func BoundaryHeavyRules() gedlib.RuleSet { return gen.BoundaryHeavyRules() }
-
 // RandomPropertyGraph synthesizes an n-node property graph with the
 // given average degree, labels, attributes and attribute domain size.
 func RandomPropertyGraph(seed int64, n int, deg float64, labels []gedlib.Label, attrs []gedlib.Attr, domain int) *gedlib.Graph {
