@@ -38,6 +38,12 @@ func mutateKB(rng *rand.Rand, g *gedlib.Graph) {
 // validator finds on the twin; and a SetRules that fails on a cancelled
 // context leaves the old rules and set in place.
 func TestSessionApplyMatchesValidate(t *testing.T) {
+	t.Run("shards=1", sessionApplyMatchesValidate)
+}
+
+// The session tests run their body as a "shards=1" subtest: one shard is
+// the whole graph, and the name stays the one the case has always had.
+func sessionApplyMatchesValidate(t *testing.T) {
 	ctx := context.Background()
 	sigma := gedlib.RuleSet{
 		workload.PaperPhi1(), workload.PaperPhi2(),
@@ -118,6 +124,10 @@ func (c *cancelAfter) Err() error {
 // get their own rules' answer, and read-only calls leave the set Apply
 // maintains alone.
 func TestSessionShimMixedRules(t *testing.T) {
+	t.Run("shards=1", sessionShimMixedRules)
+}
+
+func sessionShimMixedRules(t *testing.T) {
 	ctx := context.Background()
 	a := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi4()}
 	b := gedlib.RuleSet{workload.PaperPhi2(), workload.PaperPhi3()}
@@ -197,6 +207,10 @@ func TestSessionShimMixedRules(t *testing.T) {
 // snapshot lineage and re-freezes on one over a quarter of the graph;
 // either way it maintains the set a fresh validation finds.
 func TestSessionCatchUp(t *testing.T) {
+	t.Run("shards=1", sessionCatchUp)
+}
+
+func sessionCatchUp(t *testing.T) {
 	ctx := context.Background()
 	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi2(), workload.PaperPhi4()}
 	g, _ := workload.KnowledgeBase(13, 30, 0.2)
