@@ -39,6 +39,10 @@
 //	POST   /graphs/{name}/rules    register rules (body: GED DSL text)
 //	POST   /graphs/{name}/mutate   {"ops":[{"op":"set_attr",...},...]} — returns after flush
 //	GET    /graphs/{name}/violations?limit=&offset=
+//	                               a page of the maintained set: limit defaults to 100,
+//	                               a negative limit returns the rest of the set, and an
+//	                               unparsable limit or offset falls back to its default;
+//	                               offset (default 0) is clamped into [0, total]
 //	POST   /graphs/{name}/validate {"nodes":["id",...]} — targeted re-validation
 //	POST   /graphs/{name}/chase    run the chase over a point-in-time copy
 //	GET    /graphs/{name}/stats    per-graph serving stats

@@ -18,7 +18,7 @@
 package ged
 
 import (
-	"fmt"
+	"strconv"
 
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
@@ -54,7 +54,7 @@ func (o Op) String() string {
 	case OpGe:
 		return ">="
 	}
-	return fmt.Sprintf("op(%d)", uint8(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // Eval applies the predicate to two constants under the total order on U.
@@ -149,7 +149,7 @@ func (o Operand) String() string {
 	case OperandID:
 		return string(o.Var) + ".id"
 	case OperandAttr:
-		return fmt.Sprintf("%s.%s", o.Var, o.Attr)
+		return string(o.Var) + "." + string(o.Attr)
 	default:
 		return o.Const.String()
 	}
@@ -245,7 +245,7 @@ func (l Literal) Vars() []pattern.Var {
 
 // String renders the literal in DSL syntax.
 func (l Literal) String() string {
-	return fmt.Sprintf("%s %s %s", l.Left, l.Op, l.Right)
+	return l.Left.String() + " " + l.Op.String() + " " + l.Right.String()
 }
 
 // FalseAttr is the reserved attribute used to desugar the Boolean

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // ValueKind discriminates the representation of a constant in the
 // countably infinite domain U of the paper. Two kinds are supported:
@@ -98,5 +95,5 @@ func (v Value) String() string {
 	if v.kind == KindNumber {
 		return strconv.FormatFloat(v.num, 'g', -1, 64)
 	}
-	return fmt.Sprintf("%q", v.str)
+	return strconv.Quote(v.str)
 }

@@ -133,6 +133,9 @@ type View struct {
 	Names *nameTable
 	// Rules is the rule set the violations were maintained under.
 	Rules gedlib.RuleSet
+	// text is Rules' wire text, rendered once per rule set for the
+	// bodies that carry violations.
+	text *ruleText
 }
 
 // GraphEntry is one tenant graph of the catalog.
@@ -150,6 +153,7 @@ type GraphEntry struct {
 	sess   *gedlib.Session
 	names  *nameTable
 	sigma  gedlib.RuleSet
+	text   *ruleText // sigma's wire text
 	closed bool
 
 	epoch atomic.Uint64
@@ -532,9 +536,15 @@ func (ent *GraphEntry) setRulesLocked(ctx context.Context, sigma gedlib.RuleSet,
 		_ = ent.sess.SetRules(context.Background(), ent.sigma)
 		return err
 	}
-	ent.sigma, ent.rulesSrc = sigma, src
+	ent.useRulesLocked(sigma, src)
 	ent.publishLocked(vs)
 	return nil
+}
+
+// useRulesLocked makes sigma, parsed from src, the entry's rule set and
+// renders its wire text once for every view published under it.
+func (ent *GraphEntry) useRulesLocked(sigma gedlib.RuleSet, src string) {
+	ent.sigma, ent.rulesSrc, ent.text = sigma, src, newRuleText(sigma)
 }
 
 // publishLocked hands a new view of the session — its snapshot and the
@@ -551,6 +561,7 @@ func (ent *GraphEntry) publishLocked(vs []gedlib.Violation) {
 		Violations: vs,
 		Names:      ent.names,
 		Rules:      ent.sigma,
+		text:       ent.text,
 	}
 	ent.view.Store(v)
 
@@ -926,7 +937,7 @@ func (ent *GraphEntry) loadLocked(ctx context.Context, st persist.State) error {
 		}
 	}
 	ent.graph, ent.names = st.Graph, nameTableFromDense(st.Names)
-	ent.sigma, ent.rulesSrc = sigma, st.Rules
+	ent.useRulesLocked(sigma, st.Rules)
 	return ent.openLocked(ctx)
 }
 
@@ -1059,7 +1070,7 @@ func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 		if err := ent.sess.SetRules(ctx, sigma); err != nil {
 			return err
 		}
-		ent.sigma, ent.rulesSrc = sigma, *tr.Rules
+		ent.useRulesLocked(sigma, *tr.Rules)
 	}
 	if tr.Delta != nil {
 		if err := ent.graph.ApplyDelta(tr.Delta); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -178,25 +177,6 @@ func queryInt(r *http.Request, key string, def int) int {
 		}
 	}
 	return def
-}
-
-// violationJSON renders one violation with wire-format node ids.
-type violationJSON struct {
-	Rule    string            `json:"rule"`
-	Match   map[string]string `json:"match"`
-	Literal string            `json:"literal"`
-}
-
-func renderViolations(view *View, vs []gedlib.Violation) []violationJSON {
-	out := make([]violationJSON, len(vs))
-	for i, v := range vs {
-		m := make(map[string]string, len(v.Match))
-		for x, id := range v.Match {
-			m[string(x)] = view.Names.NameOf(id)
-		}
-		out[i] = violationJSON{Rule: v.GED.Name, Match: m, Literal: v.Literal.String()}
-	}
-	return out
 }
 
 // ---- handlers ----
@@ -378,6 +358,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// handleViolations answers a page of the maintained violation set of the
+// current view. ?limit= defaults to 100, and a negative limit returns the
+// rest of the set. ?offset= defaults to 0 and is clamped into [0, total].
+// A value that does not parse as an integer falls back to its default.
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	ent, ok := s.entry(w, r)
 	if !ok {
@@ -397,12 +381,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	if limit := queryInt(r, "limit", 100); limit >= 0 && len(vs) > limit {
 		vs = vs[:limit]
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"total":      total,
-		"epoch":      view.Epoch,
-		"version":    view.Version,
-		"violations": renderViolations(view, vs),
-	})
+	writeViolationPage(w, view, total, vs)
 }
 
 // handleValidate re-validates the neighborhoods of the requested nodes
@@ -440,7 +419,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	for _, n := range req.Nodes {
 		id, ok := view.Names.Resolve(n)
 		if !ok {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown node %q", n))
+			httpError(w, http.StatusBadRequest, "unknown node "+strconv.Quote(n))
 			return
 		}
 		ids = append(ids, id)
@@ -450,11 +429,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"epoch":      view.Epoch,
-		"count":      len(vs),
-		"violations": renderViolations(view, vs),
-	})
+	writeTouching(w, view, vs)
 }
 
 func (s *Server) handleChase(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"gedlib"
 )
@@ -82,15 +81,6 @@ func newNameTable(byName map[string]gedlib.NodeID) *nameTable {
 func (t *nameTable) Resolve(name string) (gedlib.NodeID, bool) {
 	id, ok := t.byName[name]
 	return id, ok
-}
-
-// NameOf maps a NodeID back to its wire id; nodes materialized outside
-// the wire format (e.g. by a chase) render positionally.
-func (t *nameTable) NameOf(id gedlib.NodeID) string {
-	if int(id) < len(t.byID) && t.byID[id] != "" {
-		return t.byID[id]
-	}
-	return "#" + strconv.Itoa(int(id))
 }
 
 // Len reports how many named nodes the table holds.
