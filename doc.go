@@ -40,9 +40,12 @@
 // once into a Session, and the Engine's graph-keyed methods keep one
 // session per graph, so repeated Validate, Satisfies and Discover calls
 // on an unchanged graph pay the freeze cost once; the context-free
-// shortcuts (Satisfies, IsModel, Answers) freeze once per call. Under a positive violation limit the sequential
-// scan truncates in enumeration order — snapshots enumerate neighbours
-// in (label, id) order — while the canonical-order APIs sort before
+// shortcuts (Satisfies, IsModel, Answers) freeze once per call. Under a
+// positive violation limit Validate truncates in enumeration order for
+// any worker count — snapshots enumerate neighbours in (label, id)
+// order, and parallel validation cuts each rule's sequential search
+// into morsels of its first-level candidates whose results concatenate
+// back into that order — while the canonical-order APIs sort before
 // truncating.
 //
 // # Deltas and incremental maintenance

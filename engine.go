@@ -64,10 +64,12 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers sets how many goroutines Validate uses. 1 (the default)
-// validates sequentially; larger values partition each rule's match
-// space across n workers; n <= 0 selects GOMAXPROCS. The result is
-// deterministic regardless of worker count.
+// WithWorkers sets how many goroutines Validate (and the first Apply's
+// seeding validation) uses. 1 (the default) validates sequentially;
+// larger values cut each rule's sequential search into morsels of its
+// first-level candidates that n workers pull; n <= 0 selects
+// GOMAXPROCS. The result — order and limit prefix included — is the
+// sequential one for any worker count.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -137,15 +139,16 @@ func (e *Engine) dropSession(key weak.Pointer[Graph]) {
 // rule's pattern that satisfy its antecedent but fail a consequent
 // literal. g ⊨ Σ iff the result is empty. Validation runs sequentially
 // or data-parallel according to WithWorkers, and reports at most
-// WithViolationLimit violations. With one worker the order — and so the
-// prefix a limit keeps — is each rule's plan enumeration order, which
-// follows the planner (it prefers variables that close a literal, so a
-// release may move it); Apply and parallel results are in canonical
-// order. The scan is violation-directed: a partial binding is abandoned
-// once an antecedent literal over it fails or the consequent holds.
+// WithViolationLimit violations. For any worker count the order — and
+// so the prefix a limit keeps — is rule by rule, each in its plan's
+// enumeration order, which follows the planner (it prefers variables
+// that close a literal, so a release may move it); Apply's results are
+// in canonical order. The scan is violation-directed: a partial binding
+// is abandoned once an antecedent literal over it fails or the
+// consequent holds.
 //
-// On cancellation the violations found so far are returned together
-// with ctx's error.
+// On cancellation the violations found so far — a prefix of that
+// order — are returned together with ctx's error.
 func (e *Engine) Validate(ctx context.Context, g *Graph, sigma RuleSet) ([]Violation, error) {
 	defer e.em.observe(e.em.validate, time.Now())
 	s, err := e.lockSession(ctx, g)

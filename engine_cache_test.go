@@ -62,7 +62,9 @@ func TestEngineSnapshotCacheInvalidation(t *testing.T) {
 }
 
 // TestEngineSnapshotCacheParallelWorkers: the cached snapshot is shared
-// with the parallel validator and both worker counts agree.
+// with the parallel validator, and every worker count reports the
+// sequential violations in the sequential order — also under a limit,
+// which keeps the same prefix.
 func TestEngineSnapshotCacheParallelWorkers(t *testing.T) {
 	ctx := context.Background()
 	g, stats := workload.KnowledgeBase(3, 60, 0.3)
@@ -74,12 +76,18 @@ func TestEngineSnapshotCacheParallelWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := gedlib.New(gedlib.WithWorkers(4)).Validate(ctx, g, sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("sequential found %d violations, parallel %d", len(seq), len(par))
+	for _, workers := range []int{2, 3, 4} {
+		par, err := gedlib.New(gedlib.WithWorkers(workers)).Validate(ctx, g, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if orderedCanon(par) != orderedCanon(seq) {
+			t.Fatalf("workers %d diverged from the sequential scan:\n got:\n%s\nwant:\n%s", workers, orderedCanon(par), orderedCanon(seq))
+		}
+		limited, err := gedlib.New(gedlib.WithWorkers(workers), gedlib.WithViolationLimit(3)).Validate(ctx, g, sigma)
+		if err != nil || len(seq) < 3 || orderedCanon(limited) != orderedCanon(seq[:3]) {
+			t.Fatalf("workers %d limit 3 kept %d violations, not the sequential prefix (err %v)", workers, len(limited), err)
+		}
 	}
 	if stats.Total() > 0 && len(seq) == 0 {
 		t.Error("planted inconsistencies but found no violations")

@@ -878,9 +878,6 @@ func (s *Snapshot) buildPostings() {
 	}
 }
 
-// Selectivity returns the number of nodes carrying a = v.
-func (s *Snapshot) Selectivity(a Attr, v Value) int { return len(s.Lookup(a, v)) }
-
 // HasAttr reports whether any node carries attribute a.
 func (s *Snapshot) HasAttr(a Attr) bool {
 	_, ok := s.attrIDs[a]

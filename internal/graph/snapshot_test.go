@@ -129,9 +129,6 @@ func TestSnapshotFoldedAttrIndex(t *testing.T) {
 		if !sameIDSet(got, want) {
 			t.Errorf("Lookup(%s,%v) = %v, want %v", c.a, c.v, got, want)
 		}
-		if s.Selectivity(c.a, c.v) != idx.Selectivity(c.a, c.v) {
-			t.Errorf("Selectivity(%s,%v) differs", c.a, c.v)
-		}
 	}
 	if !s.HasAttr("name") || s.HasAttr("zz") {
 		t.Error("HasAttr wrong")

@@ -166,6 +166,13 @@ type Plan struct {
 	// tallies; carried across Rebind so per-rule statistics accumulate
 	// over a validator's whole snapshot lineage.
 	prof *obs.MatchStats
+
+	// seeds are the first variable's candidates with nothing bound, built
+	// on the first range enumeration (seedList); seedCovered reports that
+	// they already satisfy that variable's pushed-down literals.
+	seedOnce    sync.Once
+	seeds       []graph.NodeID
+	seedCovered bool
 }
 
 // Compile prepares a matching plan for p over snap.
@@ -474,8 +481,8 @@ func (pl *Plan) ForEachDenseCancel(stop func() bool, prune Pruner, yield func([]
 // successively bound to each candidate, reusing one matcher across the
 // whole block and delivering each match as the dense binding vector of
 // ForEachDenseCancel (the pivot's slot included) — the low-overhead
-// primitive behind parallel and touched-neighborhood validation, which
-// judge every match but keep only the violating few. Candidates that
+// primitive behind touched-neighborhood validation, which judges every
+// match but keeps only the violating few. Candidates that
 // violate the pivot's label or incident edges are skipped; a pivot the
 // pattern does not have yields nothing. stop is the cooperative abort
 // hook of ForEachDenseCancel; prune is the full scans' Pruner, nil for

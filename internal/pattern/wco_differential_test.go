@@ -10,12 +10,14 @@ package pattern_test
 // over, which also guards the pooled intersection scratch.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"gedlib/internal/gen"
 	"gedlib/internal/graph"
+	"gedlib/internal/obs"
 	"gedlib/internal/pattern"
 )
 
@@ -173,7 +175,7 @@ func TestFilteredMatchesPostFilter(t *testing.T) {
 // the oracle's pivot matches satisfying the literals, for both sorted
 // candidate blocks (pre-intersected with the pivot's postings) and
 // unsorted ones (per-candidate filtering) — the shapes the touched
-// search and the parallel validator feed it.
+// search feeds it.
 func TestPivotRoutesThroughIntersection(t *testing.T) {
 	f := func(seed int64) bool {
 		seed %= 1_000_000
@@ -208,6 +210,65 @@ func TestPivotRoutesThroughIntersection(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRangesConcatenateToFullScan: seed ranges enumerated one after
+// another — cut anywhere, including empty ranges and ones reaching past
+// the seeds — yield the full scan's sequence of bindings, order
+// included, and together tally exactly the full scan's candidates,
+// intersection steps, probes and bindings: cutting a scan into morsels
+// adds no work.
+func TestRangesConcatenateToFullScan(t *testing.T) {
+	f := func(seed int64) bool {
+		seed %= 1_000_000
+		g := wcoHost(seed)
+		snap := g.Freeze()
+		rng := rand.New(rand.NewSource(seed + 17))
+		for _, p := range append(cyclicPatterns(seed), pattern.New()) {
+			filters := randomFilters(rng, p)
+			scan := func(enumerate func(pl *pattern.Plan, yield func([]graph.NodeID) bool)) (string, [4]uint64) {
+				reg := obs.NewRegistry()
+				ms := &obs.MatchStats{
+					Candidates:     reg.Counter("c", ""),
+					IntersectSteps: reg.Counter("i", ""),
+					ProbeSteps:     reg.Counter("p", ""),
+					Bindings:       reg.Counter("b", ""),
+				}
+				pl := pattern.CompileFiltered(p, snap, filters, nil)
+				pl.SetProfile(ms)
+				var seq []byte
+				enumerate(pl, func(bind []graph.NodeID) bool {
+					seq = fmt.Appendf(seq, "%v;", bind)
+					return true
+				})
+				return string(seq), [4]uint64{ms.Candidates.Value(), ms.IntersectSteps.Value(), ms.ProbeSteps.Value(), ms.Bindings.Value()}
+			}
+			want, wantTally := scan(func(pl *pattern.Plan, yield func([]graph.NodeID) bool) {
+				pl.ForEachDenseCancel(nil, nil, yield)
+			})
+			got, gotTally := scan(func(pl *pattern.Plan, yield func([]graph.NodeID) bool) {
+				n := pl.SeedCount()
+				for lo := 0; lo < n; {
+					hi := lo + rng.Intn(4) // lo itself: an empty range
+					if hi >= n {
+						hi += rng.Intn(3) // past the seeds
+					}
+					pl.ForEachDenseRangeCancel(lo, hi, nil, nil, yield)
+					lo = hi
+				}
+				pl.ForEachDenseRangeCancel(n, n+2, nil, nil, yield)
+			})
+			if got != want || gotTally != wantTally {
+				t.Logf("seed %d pattern %s filters %v: ranges %q tally %v, full scan %q tally %v",
+					seed, p, filters, got, gotTally, want, wantTally)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -70,8 +70,8 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestValidateSnapshotDifferential: quick-generated workloads validate
-// to the oracle's violation set, and the canonical-order parallel path
-// returns the oracle's ordered list.
+// to the oracle's violation set, and the parallel path returns the
+// sequential one's list, order included.
 func TestValidateSnapshotDifferential(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
@@ -88,8 +88,8 @@ func TestValidateSnapshotDifferential(t *testing.T) {
 			return false
 		}
 		par, _ := val.RunParallelCtx(ctx, 0, 4)
-		if !equalStrings(orderedCanon(par, sigma), orderedCanon(want, sigma)) {
-			t.Logf("seed %d: canonical violation order differs", seed)
+		if !equalStrings(orderedCanon(par, sigma), orderedCanon(seq, sigma)) {
+			t.Logf("seed %d: parallel violation order differs", seed)
 			return false
 		}
 		return true

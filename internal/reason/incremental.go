@@ -2,8 +2,10 @@ package reason
 
 import (
 	"context"
+	"sort"
 	"strconv"
 
+	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 )
 
@@ -42,6 +44,55 @@ func (v *Validator) touching(ctx context.Context, nodes []graph.NodeID) ([]hit, 
 		}
 	}
 	return hs.list, nil
+}
+
+// appendViolationKey appends the canonical within-GED sort key of v —
+// the match bindings in variable order — to buf. The ViolationStore
+// precomputes and caches these keys so its per-delta maintenance never
+// re-strings the stored set.
+func appendViolationKey(buf []byte, v Violation) []byte {
+	for _, x := range v.GED.Pattern.Vars() {
+		buf = append(buf, string(x)...)
+		buf = append(buf, '=')
+		buf = strconv.AppendInt(buf, int64(v.Match[x]), 10)
+		buf = append(buf, ';')
+	}
+	return buf
+}
+
+// sortViolations puts violations into the canonical order of the
+// touched search and the store: by GED index in sigma, then by the
+// match bindings in variable order. The per-violation keys are computed
+// once up front — not inside the comparator, which would redo the
+// strconv/concat work O(n log n) times.
+func sortViolations(vs []Violation, sigma ged.Set) {
+	if len(vs) < 2 {
+		return
+	}
+	idx := make(map[*ged.GED]int, len(sigma))
+	for i, d := range sigma {
+		idx[d] = i
+	}
+	type keyed struct {
+		gi  int
+		key string
+		v   Violation
+	}
+	ks := make([]keyed, len(vs))
+	var buf []byte
+	for i, v := range vs {
+		buf = appendViolationKey(buf[:0], v)
+		ks[i] = keyed{gi: idx[v.GED], key: string(buf), v: v}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].gi != ks[j].gi {
+			return ks[i].gi < ks[j].gi
+		}
+		return ks[i].key < ks[j].key
+	})
+	for i := range ks {
+		vs[i] = ks[i].v
+	}
 }
 
 // denseKeyVars is how many bindings the allocation-free match key holds

@@ -1,13 +1,18 @@
 package reason
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"gedlib/internal/ged"
+	"gedlib/internal/gen"
 	"gedlib/internal/graph"
+	"gedlib/internal/obs"
 	"gedlib/internal/pattern"
 )
 
@@ -30,24 +35,18 @@ func canonViolations(vs []Violation, sigma ged.Set) []string {
 	return out
 }
 
-// TestParallelMatchesSequential: the parallel validator finds exactly
-// the violations the sequential one does, for every worker count.
+// TestParallelMatchesSequential: the parallel validator reports exactly
+// the sequential one's violations, in its order, for every worker count.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 30; trial++ {
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
-		want := canonViolations(validate(g, sigma, 0), sigma)
+		want := validate(g, sigma, 0)
 		for _, workers := range []int{1, 2, 4, 8} {
-			got := canonViolations(validateParallel(g, sigma, 0, workers), sigma)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d workers %d: %d violations vs %d sequential",
-					trial, workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d workers %d: violation sets differ", trial, workers)
-				}
+			got := validateParallel(g, sigma, 0, workers)
+			if !sameViolations(t, fmt.Sprintf("trial %d workers %d", trial, workers), got, want, sigma) {
+				t.FailNow()
 			}
 		}
 	}
@@ -73,6 +72,54 @@ func TestParallelDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestParallelTalliesEqualSequential: the morsels of a parallel scan
+// together examine exactly the candidates, intersection steps, probes,
+// bindings and pruned partial bindings of the sequential scan — cutting
+// the plan adds no work — and report its violations in its order.
+func TestParallelTalliesEqualSequential(t *testing.T) {
+	ctx := context.Background()
+	counters := []string{"ged_match_candidates_total", "ged_match_intersect_steps_total",
+		"ged_match_probe_steps_total", "ged_match_bindings_total", "ged_match_pruned_total"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, sigma := denseGraph(rng), prunedSigma(rng)
+		if seed%3 == 0 {
+			g, _ = gen.KnowledgeBase(seed, 60, 0.2)
+			sigma = ged.Set{gen.PaperPhi1(), gen.PaperPhi2(), gen.PaperPhi3(), gen.PaperPhi4()}
+		}
+		snap := g.Freeze()
+		run := func(workers int) ([]Violation, []uint64) {
+			reg := obs.NewRegistry()
+			val := NewValidatorOn(snap, sigma)
+			val.Observe(reg)
+			vs, err := val.RunParallelCtx(ctx, 0, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tally []uint64
+			for i, d := range sigma {
+				for _, c := range counters {
+					tally = append(tally, reg.Counter(c, "", "rule", ruleName(d.Name, i)).Value())
+				}
+			}
+			return vs, tally
+		}
+		want, wantTally := run(1)
+		for workers := 2; workers <= 4; workers++ {
+			got, gotTally := run(workers)
+			if !sameViolations(t, fmt.Sprintf("seed %d workers %d", seed, workers), got, want, sigma) ||
+				!slices.Equal(gotTally, wantTally) {
+				t.Logf("seed %d workers %d: tallies %v, sequential %v", seed, workers, gotTally, wantTally)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg(1901, 150)); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestParallelLimit(t *testing.T) {
 	q := pattern.New()
 	q.AddVar("x", "p")
@@ -85,6 +132,9 @@ func TestParallelLimit(t *testing.T) {
 	if len(vs) != 5 {
 		t.Errorf("limit 5: got %d", len(vs))
 	}
+	if !sameViolations(t, "limit 5", vs, validate(g, ged.Set{phi}, 5), ged.Set{phi}) {
+		t.Error("the limit keeps a different prefix than the sequential scan's")
+	}
 }
 
 func TestParallelEmptyPattern(t *testing.T) {
@@ -96,7 +146,7 @@ func TestParallelEmptyPattern(t *testing.T) {
 }
 
 // TestPivotBlocksPartitionMatches covers the pivot primitive the
-// parallel and touched searches partition by: single-candidate blocks
+// touched search runs on: single-candidate blocks
 // over the pivot's candidates together enumerate every match exactly
 // once, label-violating candidates yield nothing, and so does a pivot
 // the pattern does not have.

@@ -169,7 +169,7 @@ func NewViolationStoreCtx(ctx context.Context, val *Validator) (*ViolationStore,
 // O(|G|) step of the store's life, so it deserves the same parallelism
 // a full Validate gets.
 func NewViolationStoreParallelCtx(ctx context.Context, val *Validator, workers int) (*ViolationStore, error) {
-	hs, err := val.scanParallel(ctx, workers)
+	hs, err := scanParallel(ctx, val, 0, workers, func(hs []hit) []hit { return hs })
 	if err != nil {
 		return nil, err
 	}

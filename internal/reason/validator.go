@@ -2,8 +2,6 @@ package reason
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
@@ -25,24 +23,12 @@ import (
 //
 // The Validator reflects the snapshot it was built on; when the graph
 // moves, Rebase follows a delta-maintained snapshot at the cost of the
-// rule set, not the graph. It is immutable (the pushed-down pivots are
-// materialized lazily under a sync.Once) and safe for concurrent use.
+// rule set, not the graph. It is immutable and safe for concurrent use.
 type Validator struct {
 	snap  *graph.Snapshot
 	sigma ged.Set
 	plans []*pattern.Plan
 	rules []*CompiledRule
-	// pivots[i] is the pushed-down access path for Σ[i], if any; built
-	// on the first parallel scan so that sequential and incremental-only
-	// validators never pay for the value postings.
-	pivotOnce sync.Once
-	pivots    []*pivotPlan
-}
-
-// pivotPlan records the most selective constant-literal access path.
-type pivotPlan struct {
-	variable pattern.Var
-	cands    []graph.NodeID
 }
 
 // NewValidatorOn prepares a validation context over a snapshot — freeze
@@ -116,47 +102,6 @@ func (v *Validator) Rebase(snap *graph.Snapshot) *Validator {
 // Snapshot returns the snapshot the validator is bound to.
 func (v *Validator) Snapshot() *graph.Snapshot { return v.snap }
 
-// ensurePivots materializes the constant-literal access paths; first
-// use triggers the snapshot's lazy value postings.
-func (v *Validator) ensurePivots() {
-	v.pivotOnce.Do(func() {
-		pv := make([]*pivotPlan, len(v.sigma))
-		for i, d := range v.sigma {
-			pv[i] = choosePivot(d, v.snap)
-		}
-		v.pivots = pv
-	})
-}
-
-// choosePivot selects the most selective constant literal of d's
-// antecedent whose index postings beat the label-based candidate set.
-func choosePivot(d *ged.GED, snap *graph.Snapshot) *pivotPlan {
-	var best *pivotPlan
-	bestN := -1
-	for _, l := range d.X {
-		k, ok := l.Kind()
-		if !ok || k != ged.ConstLiteral {
-			continue
-		}
-		n := snap.Selectivity(l.Left.Attr, l.Right.Const)
-		if bestN < 0 || n < bestN {
-			bestN = n
-			best = &pivotPlan{
-				variable: l.Left.Var,
-				cands:    snap.Lookup(l.Left.Attr, l.Right.Const),
-			}
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	// Only worth it when more selective than the label index.
-	if bestN >= snap.LabelCount(d.Pattern.Label(best.variable)) {
-		return nil
-	}
-	return best
-}
-
 // RunCtx finds the violations of Σ in the snapshot, up to limit
 // (limit <= 0 means all): G ⊨ Σ iff the result is empty (Section 5.3).
 // It is sequential full validation through the prepared plans, with
@@ -170,37 +115,21 @@ func (v *Validator) RunCtx(ctx context.Context, limit int) ([]Violation, error) 
 	return v.violations(hs), err
 }
 
-// RunParallelCtx is the data-parallel validator, a first step toward
-// the "parallel scalable algorithms for reasoning about GEDs" the paper
-// leaves as future work (Section 9). The snapshot is shared by every
-// worker; the match space of each GED is partitioned by pre-binding a
-// pivot variable — the most selective constant-literal access path of
-// the antecedent when the snapshot's attribute index beats the label
-// postings, the smallest label candidate set otherwise — to disjoint
-// candidate blocks; workers search the partitions independently and
-// merge their violation lists. Every worker checks ctx between
-// candidate matches and between tasks, so a cancelled context drains
-// the whole pool promptly; the (canonical, possibly partial) violations
-// found before the abort are returned alongside ctx's error.
-//
-// The result is deterministic: violations are returned in the same
-// canonical order (by GED index, then by match bindings in variable
-// order) regardless of worker count. With a positive limit the workers
-// may transiently find more than limit violations; the merged list is
-// put into canonical order first and then truncated, so the reported
-// prefix is the canonically-least limit violations and is likewise
-// deterministic across runs and worker counts.
+// RunParallelCtx is RunCtx across workers, a first step toward the
+// "parallel scalable algorithms for reasoning about GEDs" the paper
+// leaves as future work (Section 9). Every worker shares the snapshot
+// and the compiled plans; each rule's sequential search is cut into
+// morsels — consecutive ranges of its plan's seed candidates — that the
+// workers pull and search in the plan's own order, and the morsels'
+// violations are concatenated in range order. The result is RunCtx's,
+// order and limit prefix included, for any worker count. Every worker
+// checks ctx between candidate matches and between morsels, so a
+// cancelled context drains the pool promptly; what is returned
+// alongside ctx's error is then a prefix of RunCtx's sequence.
 //
 // workers <= 0 selects GOMAXPROCS; workers == 1 is RunCtx.
 func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]Violation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return v.RunCtx(ctx, limit)
-	}
-	hs, err := v.scanParallel(ctx, workers)
-	return v.canonical(hs, limit), err
+	return scanParallel(ctx, v, limit, workers, v.violations)
 }
 
 // TouchingCtx finds the violations of Σ whose match involves at least
@@ -220,13 +149,19 @@ func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]V
 // halves into one maintained set, and gedlib.Session.Apply drives it
 // from the deltas it is handed.
 //
-// Matches touching several affected nodes are reported once. The result
-// order is canonical, as in RunParallelCtx. ctx is checked between
-// candidate matches; the violations found before an abort are returned
-// alongside ctx's error.
+// Matches touching several affected nodes are reported once, in
+// canonical order (by GED index, then by match bindings in variable
+// order), and a positive limit keeps that order's prefix. ctx is
+// checked between candidate matches; the violations found before an
+// abort are returned alongside ctx's error.
 func (v *Validator) TouchingCtx(ctx context.Context, nodes []graph.NodeID, limit int) ([]Violation, error) {
 	hs, err := v.touching(ctx, nodes)
-	return v.canonical(hs, limit), err
+	out := v.violations(hs)
+	sortViolations(out, v.sigma)
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out, err
 }
 
 // hit is one violating match as the searches record it: the rule, the
@@ -281,17 +216,6 @@ func (v *Validator) violations(hs []hit) []Violation {
 	out := make([]Violation, len(hs))
 	for i, h := range hs {
 		out[i] = v.violation(h)
-	}
-	return out
-}
-
-// canonical materializes hits found in no particular order: canonical
-// order first, then the limit, so the reported prefix is deterministic.
-func (v *Validator) canonical(hs []hit, limit int) []Violation {
-	out := v.violations(hs)
-	sortViolations(out, v.sigma)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
 	}
 	return out
 }

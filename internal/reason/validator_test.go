@@ -3,6 +3,7 @@ package reason
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gedlib/internal/ged"
@@ -31,23 +32,26 @@ func TestValidatorMatchesValidate(t *testing.T) {
 	}
 }
 
+// TestValidatorUsesIndexPivot: φ₁'s antecedent (y.type = "video game")
+// is rare in a graph with many products, so the plan seeds at y from the
+// attribute index — the seeds every worker count cuts into morsels.
 func TestValidatorUsesIndexPivot(t *testing.T) {
-	// φ₁'s antecedent (y.type = "video game") is rare in a graph with
-	// many products, so the pivot must come from the attribute index.
 	g, _ := gen.KnowledgeBase(17, 100, 0.1)
 	sigma := ged.Set{gen.PaperPhi1()}
-	v := NewValidatorOn(g.Freeze(), sigma)
-	v.ensurePivots() // built lazily on the first parallel run
-	if v.pivots[0] == nil {
-		t.Skip("index pivot not selected; label index already tighter")
+	snap := g.Freeze()
+	v := NewValidatorOn(snap, sigma)
+	if fp := v.plans[0].Fingerprint(); !strings.HasPrefix(fp, "y,") {
+		t.Errorf("plan %s does not seed at y", fp)
 	}
-	if v.pivots[0].variable != "y" {
-		t.Errorf("pivot variable = %s, want y", v.pivots[0].variable)
+	posting := len(snap.Lookup("type", graph.String("video game")))
+	if n := v.plans[0].SeedCount(); n != posting || n >= snap.LabelCount("product") {
+		t.Errorf("%d seeds, want the %d video games, fewer than the products", n, posting)
 	}
-	// Correctness regardless.
-	par, err := v.RunParallelCtx(context.Background(), 0, 2)
-	if err != nil || len(par) != len(validate(g, sigma, 0)) {
-		t.Error("indexed validation disagrees")
+	ctx := context.Background()
+	seq, _ := v.RunCtx(ctx, 0)
+	par, err := v.RunParallelCtx(ctx, 0, 2)
+	if err != nil || violationBytes(par, sigma) != violationBytes(seq, sigma) {
+		t.Error("indexed parallel validation disagrees")
 	}
 }
 

@@ -216,9 +216,6 @@ func (s *Session) validateUnlock(ctx context.Context, sigma RuleSet) ([]Violatio
 	e := s.eng
 	val := s.validatorForLocked(sigma)
 	s.mu.Unlock()
-	if e.workers == 1 {
-		return val.RunCtx(ctx, e.violationLimit)
-	}
 	return val.RunParallelCtx(ctx, e.violationLimit, e.workers)
 }
 

@@ -32,6 +32,13 @@ func mutateKB(rng *rand.Rand, g *gedlib.Graph) {
 	}
 }
 
+// canonicalValidate is a fresh validation of sigma over g in the
+// canonical order Apply reports: the touched search over every node.
+func canonicalValidate(ctx context.Context, g *gedlib.Graph, sigma gedlib.RuleSet) ([]gedlib.Violation, error) {
+	snap := g.Freeze()
+	return gedlib.NewSnapshotValidator(snap, sigma).TouchingCtx(ctx, snap.Nodes(), 0)
+}
+
 // TestSessionApplyMatchesValidate: a session fed explicit deltas — cut
 // from a twin graph the session never saw — maintains exactly the
 // violations, in order and with the same failing literals, that a fresh
@@ -62,7 +69,7 @@ func sessionApplyMatchesValidate(t *testing.T) {
 		if got, err = s.Apply(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		want, err := gedlib.NewSnapshotValidator(twin.Freeze(), sigma).RunParallelCtx(ctx, 0, 2)
+		want, err := canonicalValidate(ctx, twin, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +201,7 @@ func sessionShimMixedRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := gedlib.NewSnapshotValidator(g.Freeze(), a).RunParallelCtx(ctx, 0, 2)
+	fresh, err := canonicalValidate(ctx, g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +235,7 @@ func sessionCatchUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := gedlib.NewSnapshotValidator(g.Freeze(), sigma).RunParallelCtx(ctx, 0, 2)
+		want, err := canonicalValidate(ctx, g, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
