@@ -259,9 +259,9 @@ func (s *Store) drainTail(dir string, rec *Recovery, bounds []EpochBound, cur *u
 				return grew, nil
 			}
 		}
-		next := s.nextSegment(dir, segPath, *cur)
-		if next == "" {
-			return grew, nil
+		next, err := s.nextSegment(dir, segPath, *cur)
+		if err != nil || next == "" {
+			return grew, err
 		}
 		rec.tailSeg, rec.tailOff = next, 0
 		grew = true

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,7 +25,10 @@ const tailStallPolls = 200
 // bound are silently skipped, exactly as recovery skips them. Tail
 // returns only on failure: ctx cancellation (ctx.Err()), fn error,
 // ErrLagBehind when the position was compacted away (re-recover and
-// call again with the fresh Recovery), or a corruption diagnosis. rec
+// call again with the fresh Recovery), a wrapped ErrNotFound once the
+// graph's directory is gone (the leader deleted it; an open segment
+// would otherwise keep answering "no growth" forever), or a corruption
+// diagnosis. rec
 // must come from Recover/OpenGraph of the same graph and must not be
 // reused across Tail calls.
 func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.Duration, fn func(TailRecord) error) error {
@@ -62,7 +66,11 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 					// retention) or never created yet (leader crashed
 					// between checkpoint and rotation — the next poll or a
 					// re-recover sorts it out).
-					if next := s.nextSegment(dir, segPath, version); next != "" {
+					next, err := s.nextSegment(dir, segPath, version)
+					if err != nil {
+						return err
+					}
+					if next != "" {
 						segPath, off = next, 0
 						continue
 					}
@@ -136,8 +144,13 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 				continue // drained cleanly; look again immediately
 			}
 		} else {
-			// No growth: maybe the leader rotated onto a new segment.
-			if next := s.nextSegment(dir, segPath, version); next != "" {
+			// No growth: maybe the leader rotated onto a new segment, or
+			// deleted the graph.
+			next, err := s.nextSegment(dir, segPath, version)
+			if err != nil {
+				return err
+			}
+			if next != "" {
 				_ = f.Close()
 				f = nil
 				segPath, off, stalled = next, 0, 0
@@ -156,12 +169,17 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 // to: the largest segment start ≤ version that is newer than cur's
 // start. (Rotation happens at a checkpoint version the tail has fully
 // consumed, so switching at version is gap-free; records below the
-// recovery point are version-skipped anyway.)
-func (s *Store) nextSegment(dir, cur string, version uint64) string {
+// recovery point are version-skipped anyway.) The one error it reports
+// is a wrapped ErrNotFound for a removed graph directory; a failing
+// listing is retried on the next poll.
+func (s *Store) nextSegment(dir, cur string, version uint64) (string, error) {
 	curStart, _ := parseVersioned(filepath.Base(cur), "wal-", ".log")
 	segs, err := s.listVersions(dir, "wal-", ".log")
+	if errors.Is(err, ErrNotFound) {
+		return "", fmt.Errorf("%w: graph %q was deleted", ErrNotFound, filepath.Base(dir))
+	}
 	if err != nil {
-		return ""
+		return "", nil
 	}
 	best := ""
 	for _, v := range segs {
@@ -169,5 +187,5 @@ func (s *Store) nextSegment(dir, cur string, version uint64) string {
 			best = filepath.Join(dir, segName(v))
 		}
 	}
-	return best
+	return best, nil
 }

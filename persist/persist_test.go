@@ -523,3 +523,42 @@ func TestTailLagResync(t *testing.T) {
 	}
 	_ = gs.Close()
 }
+
+// TestTailReportsDeletedGraph: a tailer whose graph the leader deletes
+// gets ErrNotFound instead of polling the unlinked segment forever.
+func TestTailReportsDeletedGraph(t *testing.T) {
+	s := openStore(t, Options{Fsync: FsyncOff})
+	g := gedlib.NewGraph()
+	var names []string
+	rng := rand.New(rand.NewSource(5))
+	gs, err := s.Create("kb", State{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.Recover("kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(g, &names, rng, 5)
+	if err := gs.AppendDelta(g.DeltaSince(0), make([]string, 64)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	applied := make(chan struct{}, 1)
+	tailErr := make(chan error, 1)
+	go func() {
+		tailErr <- s.Tail(ctx, "kb", rec, time.Millisecond, func(TailRecord) error {
+			applied <- struct{}{}
+			return nil
+		})
+	}()
+	<-applied // the tail holds the segment open
+	_ = gs.Close()
+	if err := s.Delete("kb"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-tailErr; !errors.Is(err, ErrNotFound) {
+		t.Fatalf("tail of a deleted graph: got %v, want ErrNotFound", err)
+	}
+}

@@ -143,18 +143,17 @@ type GraphEntry struct {
 	name string
 	cat  *Catalog
 
-	// mu guards the mutable graph, its session, the name working-copy,
-	// the rule set and the closed flag. The flusher holds it exclusively
-	// for the whole mutate+Apply+publish sequence; chase requests hold
-	// it shared just long enough to clone the graph. The read path never
-	// takes it.
-	mu     sync.RWMutex
-	graph  *gedlib.Graph
-	sess   *gedlib.Session
-	names  *nameTable
-	sigma  gedlib.RuleSet
-	text   *ruleText // sigma's wire text
-	closed bool
+	// mu guards the mutable graph, its session, the name working-copy
+	// and the rule set, and the move into closing happens under it. The
+	// flusher holds it exclusively for the whole mutate+Apply+publish
+	// sequence; chase requests hold it shared just long enough to clone
+	// the graph. The read path never takes it.
+	mu    sync.RWMutex
+	graph *gedlib.Graph
+	sess  *gedlib.Session
+	names *nameTable
+	sigma gedlib.RuleSet
+	text  *ruleText // sigma's wire text
 
 	epoch atomic.Uint64
 	view  atomic.Pointer[View]
@@ -167,10 +166,15 @@ type GraphEntry struct {
 	retainMu sync.Mutex
 	retained []*View
 
-	// b is the write batcher; nil on follower entries, which reject
-	// writes with ErrReadOnly. An atomic pointer because promotion
-	// attaches a batcher to a live entry that lock-free paths (Mutate,
-	// Stats) are reading concurrently.
+	// life is the lifecycle record (see health.go); probeStop ends the
+	// auto-probe loop when the entry closes.
+	life      atomic.Pointer[lifecycle]
+	probeStop chan struct{}
+
+	// b is the write batcher, set before the entry first reaches
+	// leader-ok (so every writable entry has one); followers have none.
+	// An atomic pointer because promotion attaches a batcher to a live
+	// entry that lock-free paths (Mutate, Stats) are reading.
 	b atomic.Pointer[batcher]
 
 	// ps is the entry's durability handle (nil when the catalog is
@@ -182,32 +186,16 @@ type GraphEntry struct {
 	// persist the source, not the parsed set). Guarded by mu.
 	rulesSrc string
 
-	// follower marks a read-only replica entry; mFolRecords/folLag are
-	// its replication counters (records applied, staleness of the last),
-	// folFailures the consecutive tail/recover failures (reset on
-	// success).
-	follower    atomic.Bool
+	// mFolRecords/folLag are a follower's replication counters (records
+	// applied, staleness of the last), folFailures the consecutive
+	// tail/recover failures (reset on success).
 	mFolRecords *obs.Counter
 	folLag      atomic.Int64
 	folFailures atomic.Uint64
 
-	// leaderEpoch is the leadership epoch this entry's WAL handle writes
-	// under (0 until restored/promoted); promotionNanos is the wall time
-	// of the last promotion that created this leader (its RTO share).
-	leaderEpoch    atomic.Uint64
+	// promotionNanos is the wall time of the last promotion that created
+	// this leader (its RTO share).
 	promotionNanos atomic.Int64
-
-	// health is the entry's serving health (healthOK/healthDegraded),
-	// checked lock-free on the write path. The cause and probe state
-	// live behind healthMu, a leaf lock (never held around other locks);
-	// probeStop ends the auto-probe loop when the entry closes.
-	health        atomic.Int32
-	healthMu      sync.Mutex
-	healthErr     error
-	degradedSince time.Time
-	probing       bool
-	probeStop     chan struct{}
-	stopProbe     sync.Once
 
 	// Serving counters, resolved from the catalog registry by
 	// initMetrics (see obs.go): degraded-mode transitions, transient WAL
@@ -264,9 +252,8 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 		}
 		names = newNameTable(byName)
 	}
-	ent := &GraphEntry{name: name, cat: c, graph: g, names: names, sigma: gedlib.RuleSet{},
-		probeStop: make(chan struct{})}
-	ent.initMetrics()
+	ent := c.newEntry(name, stLeaderOK)
+	ent.graph, ent.names, ent.sigma = g, names, gedlib.RuleSet{}
 	if err := ent.openLocked(context.Background()); err != nil {
 		return nil, err
 	}
@@ -282,16 +269,24 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 			return nil, err
 		}
 		ent.ps.Store(gs)
-		ent.leaderEpoch.Store(gs.Epoch())
 	}
-	nb := newBatcher(ent, c.cfg)
-	ent.b.Store(nb)
-
-	c.mu.Lock()
-	c.entries[name] = ent // the reservation guarantees the slot is free
-	c.mu.Unlock()
-	go nb.run()
+	ent.startBatcher()
+	c.put(ent) // the reservation guarantees the slot is free
 	return ent, nil
+}
+
+// put publishes an entry to the catalog map.
+func (c *Catalog) put(ent *GraphEntry) {
+	c.mu.Lock()
+	c.entries[ent.name] = ent
+	c.mu.Unlock()
+}
+
+// startBatcher attaches and starts the entry's write batcher.
+func (ent *GraphEntry) startBatcher() {
+	nb := newBatcher(ent, ent.cat.cfg)
+	ent.b.Store(nb)
+	go nb.run()
 }
 
 // Get returns the named entry.
@@ -323,22 +318,38 @@ func (c *Catalog) Delete(name string) error {
 	if c.follower.Load() {
 		return ErrReadOnly
 	}
-	c.mu.Lock()
-	ent := c.entries[name]
-	delete(c.entries, name)
-	c.mu.Unlock()
+	ent := c.remove(name)
 	if ent == nil {
 		return ErrNotFound
 	}
-	ent.close(true)
-	// Drop every metric series labeled with the graph — gauges registered
-	// through GaugeFunc close over the entry, so removal is also what
-	// stops the registry from pinning its state.
-	c.reg.RemoveLabeled("graph", name)
 	if ent.ps.Load() != nil {
 		return c.store.Delete(name)
 	}
 	return nil
+}
+
+// remove takes the named entry out of the catalog and retires it
+// without a parting checkpoint (its data is going away): how Delete and
+// a follower whose leader deleted the graph both drop one. It returns
+// the entry, nil when there was none.
+func (c *Catalog) remove(name string) *GraphEntry {
+	c.mu.Lock()
+	ent := c.entries[name]
+	delete(c.entries, name)
+	c.mu.Unlock()
+	if ent != nil {
+		ent.retire(true)
+	}
+	return ent
+}
+
+// retire closes the entry and drops every metric series labeled with
+// it — gauges registered through GaugeFunc close over the entry, so
+// removal is also what stops the registry from pinning its state and
+// reporting a graph the catalog no longer holds.
+func (ent *GraphEntry) retire(drop bool) {
+	ent.close(drop)
+	ent.cat.reg.RemoveLabeled("graph", ent.name)
 }
 
 // Close shuts the whole catalog down: follower tails stop first, then
@@ -347,38 +358,46 @@ func (c *Catalog) Delete(name string) error {
 func (c *Catalog) Close() {
 	c.roleMu.Lock()
 	defer c.roleMu.Unlock()
+	c.stopFollowing()
+	for _, e := range c.takeAll() {
+		e.close(false)
+	}
+}
+
+// stopFollowing cancels the tail and rescan loops and waits them out.
+// Callers hold roleMu.
+func (c *Catalog) stopFollowing() {
 	if c.followCancel != nil {
 		c.followCancel()
 		c.followWG.Wait()
 		c.followCancel = nil
 	}
+}
+
+// takeAll empties the catalog map and returns what it held.
+func (c *Catalog) takeAll() []*GraphEntry {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	ents := make([]*GraphEntry, 0, len(c.entries))
 	for _, e := range c.entries {
 		ents = append(ents, e)
 	}
 	c.entries = make(map[string]*GraphEntry)
-	c.mu.Unlock()
-	for _, e := range ents {
-		e.close(false)
-	}
+	return ents
 }
 
 // close shuts one entry down. Ordering is load-bearing: the batcher is
 // drained FIRST, so every accepted write reaches the graph and the WAL
 // before any per-graph resource goes away — closing the GraphStore (or
-// marking the entry closed) ahead of the drain would fail or drop the
-// final flush. drop skips the parting checkpoint (the caller is about
-// to delete the directory anyway).
+// moving the entry to closing) ahead of the drain would fail or drop
+// the final flush. drop skips the parting checkpoint (the caller is
+// about to delete the directory anyway).
 func (ent *GraphEntry) close(drop bool) {
 	if b := ent.b.Load(); b != nil {
 		b.close()
 	}
-	if ent.probeStop != nil {
-		ent.stopProbe.Do(func() { close(ent.probeStop) })
-	}
-	// Then mark the entry closed under the entry lock: an in-flight
-	// RegisterRules either finished before or observes closed.
+	// Then move to closing under the entry lock: an in-flight
+	// RegisterRules either finished before or observes closing.
 	ent.mu.Lock()
 	if ps := ent.ps.Load(); ps != nil {
 		if !drop {
@@ -390,7 +409,7 @@ func (ent *GraphEntry) close(drop bool) {
 		}
 		_ = ps.Close()
 	}
-	ent.closed = true
+	ent.on(evClose, nil)
 	ent.mu.Unlock()
 }
 
@@ -415,8 +434,10 @@ func (ent *GraphEntry) CurrentView() *View {
 // view carrying the new maintained violation set. It returns the new
 // view.
 func (ent *GraphEntry) RegisterRules(ctx context.Context, src string) (*View, error) {
-	if ent.follower.Load() {
-		return nil, ErrReadOnly
+	// Fail fast before parsing; the check under the lock is the one that
+	// counts.
+	if err := ent.writeErr(); err != nil {
+		return nil, err
 	}
 	sigma, err := gedlib.ParseRules(src)
 	if err != nil {
@@ -424,14 +445,8 @@ func (ent *GraphEntry) RegisterRules(ctx context.Context, src string) (*View, er
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	if ent.closed {
-		return nil, ErrClosed
-	}
-	switch ent.health.Load() {
-	case healthFenced:
-		return nil, ErrFenced
-	case healthDegraded:
-		return nil, ErrDegraded
+	if err := ent.writeErr(); err != nil {
+		return nil, err
 	}
 	old, oldSrc := ent.sigma, ent.rulesSrc
 	if err := ent.setRulesLocked(ctx, sigma, src); err != nil {
@@ -443,8 +458,7 @@ func (ent *GraphEntry) RegisterRules(ctx context.Context, src string) (*View, er
 				// A newer epoch owns the log: the registration was never
 				// durable and must not be vouched for. Fence the entry
 				// and roll the in-memory rules back.
-				ent.mFencedAppends.Inc()
-				ent.fence(err)
+				ent.persistFault(err)
 				_ = ent.setRulesLocked(context.Background(), old, oldSrc)
 				return nil, fmt.Errorf("%w: %v", ErrFenced, err)
 			}
@@ -462,21 +476,18 @@ func (ent *GraphEntry) RegisterRules(ctx context.Context, src string) (*View, er
 // version/epoch and any per-op errors. A ctx expiry abandons only the
 // wait: the enqueued ops are still applied by a later flush.
 func (ent *GraphEntry) Mutate(ctx context.Context, ops []Op) (WriteResult, error) {
-	b := ent.b.Load()
-	if b == nil {
-		return WriteResult{}, ErrReadOnly
+	// Fail fast in a read-only state rather than queueing ops that the
+	// flush would reject anyway (the flush re-checks, so this is
+	// advisory). A writable entry always has a batcher.
+	if err := ent.writeErr(); err != nil {
+		return WriteResult{}, err
 	}
-	// Fail fast while degraded or fenced rather than queueing ops that
-	// the flush would reject anyway (the flush re-checks, so this is
-	// advisory).
-	switch ent.health.Load() {
-	case healthFenced:
-		return WriteResult{}, ErrFenced
-	case healthDegraded:
-		return WriteResult{}, ErrDegraded
-	}
-	return b.enqueue(ctx, ops)
+	return ent.b.Load().enqueue(ctx, ops)
 }
+
+// writeErr is the rejection a write meets in the entry's current state;
+// nil when it may proceed.
+func (ent *GraphEntry) writeErr() error { return ent.life.Load().row().writeErr }
 
 // Chase runs the engine's chase over a point-in-time copy of the graph
 // under the entry's current rules. The copy is taken under a shared
@@ -633,7 +644,7 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%w: panic: %v", ErrFlush, p)
 			if ent.ps.Load() != nil {
-				ent.degrade(err)
+				ent.on(evFault, err)
 			}
 		}
 		view = ent.view.Load()
@@ -654,14 +665,8 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 		ent.stQueue.Observe(wait)
 		sp.StageDur(stageQueueWait, wait)
 	}
-	if ent.closed {
-		return nil, ErrClosed
-	}
-	switch ent.health.Load() {
-	case healthFenced:
-		return nil, ErrFenced
-	case healthDegraded:
-		return nil, ErrDegraded
+	if err := ent.writeErr(); err != nil {
+		return nil, err
 	}
 	if hook := flushTestHook; hook != nil {
 		hook(ent)
@@ -707,19 +712,6 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 	return nil, nil
 }
 
-// faultLocked routes a persist-layer failure to the matching health
-// transition: an epoch fence (persist.ErrFenced — a promoted follower
-// owns the log now) fences the entry, sticky and unprobed; anything
-// else degrades it and starts the probe loop.
-func (ent *GraphEntry) faultLocked(err error) {
-	if errors.Is(err, persist.ErrFenced) {
-		ent.mFencedAppends.Inc()
-		ent.fence(err)
-		return
-	}
-	ent.degrade(err)
-}
-
 // Flush-path retry tuning: transient append errors back off 2→4→8ms
 // (capped) between attempts, all while holding the entry lock — short
 // enough that queued writers wait out a blip instead of failing.
@@ -754,7 +746,7 @@ func (ent *GraphEntry) logBatchLocked(d *gedlib.Delta, sp *obs.Span) error {
 		// journal. A checkpoint of the current state re-anchors the log
 		// losslessly.
 		if err := ps.Checkpoint(ent.persistState()); err != nil {
-			ent.faultLocked(err)
+			ent.persistFault(err)
 			return err
 		}
 		return nil
@@ -773,7 +765,7 @@ func (ent *GraphEntry) logBatchLocked(d *gedlib.Delta, sp *obs.Span) error {
 			break
 		}
 		if errors.Is(err, persist.ErrFenced) || !persist.IsTransient(err) || attempt >= ent.cat.cfg.FlushRetries {
-			ent.faultLocked(err)
+			ent.persistFault(err)
 			return err
 		}
 		ent.mWALRetries.Inc()
@@ -790,7 +782,7 @@ func (ent *GraphEntry) logBatchLocked(d *gedlib.Delta, sp *obs.Span) error {
 	// group commit fails here (persist re-reads the fence table after
 	// the fsync), so the batch is never reported durable.
 	if err := ps.Sync(); err != nil {
-		ent.faultLocked(err)
+		ent.persistFault(err)
 		return err
 	}
 	syncDur := time.Since(syncStart)
@@ -807,7 +799,7 @@ func (ent *GraphEntry) logBatchLocked(d *gedlib.Delta, sp *obs.Span) error {
 			// its fence check, so the batch predates the takeover bound
 			// and the new leader adopted it.)
 			if !persist.IsTransient(err) {
-				ent.faultLocked(err)
+				ent.persistFault(err)
 			}
 		}
 		sp.StageDur("checkpoint", time.Since(ckptStart))
@@ -846,23 +838,17 @@ func (c *Catalog) Restore(ctx context.Context) ([]string, error) {
 				fenceErr = aerr
 			}
 		}
-		ent, err := c.adoptState(ctx, name, rec.State)
-		if err != nil {
+		ent := c.newEntry(name, stLeaderOK)
+		if err := ent.loadLocked(ctx, rec.State); err != nil {
 			_ = gs.Close()
 			return nil, fmt.Errorf("serve: restore %q: %w", name, err)
 		}
 		ent.ps.Store(gs)
-		ent.leaderEpoch.Store(gs.Epoch())
 		if fenceErr != nil {
-			ent.mFencedAppends.Inc()
-			ent.fence(fenceErr)
+			ent.persistFault(fenceErr)
 		}
-		nb := newBatcher(ent, c.cfg)
-		ent.b.Store(nb)
-		c.mu.Lock()
-		c.entries[name] = ent
-		c.mu.Unlock()
-		go nb.run()
+		ent.startBatcher()
+		c.put(ent)
 	}
 	return names, nil
 }
@@ -899,30 +885,27 @@ func (c *Catalog) followGraph(name string) error {
 	if err != nil {
 		return err
 	}
-	ent, err := c.adoptState(c.followCtx, name, rec.State)
-	if err != nil {
+	ent := c.newEntry(name, stFollowerOK)
+	if err := ent.loadLocked(c.followCtx, rec.State); err != nil {
 		return err
 	}
-	ent.follower.Store(true)
-	ent.initFollowerMetrics()
-	c.mu.Lock()
-	c.entries[name] = ent
-	c.mu.Unlock()
+	c.put(ent)
 	c.followWG.Add(1)
 	go c.followLoop(ent, rec)
 	return nil
 }
 
-// adoptState builds a catalog entry around recovered durable state,
-// first view published. The entry is not yet in the map and has no
-// batcher or durability handle — the caller attaches those.
-func (c *Catalog) adoptState(ctx context.Context, name string, st persist.State) (*GraphEntry, error) {
+// newEntry builds an entry in state s with its metrics registered. The
+// caller gives it a graph (and, to write, a durability handle and a
+// batcher) before publishing it to the map.
+func (c *Catalog) newEntry(name string, s lifeState) *GraphEntry {
 	ent := &GraphEntry{name: name, cat: c, probeStop: make(chan struct{})}
+	ent.life.Store(&lifecycle{state: s, since: time.Now()})
 	ent.initMetrics()
-	if err := ent.loadLocked(ctx, st); err != nil {
-		return nil, err
+	if s == stFollowerOK {
+		ent.initFollowerMetrics()
 	}
-	return ent, nil
+	return ent
 }
 
 // loadLocked puts the entry on recovered durable state — rules
@@ -948,20 +931,18 @@ func (ent *GraphEntry) loadLocked(ctx context.Context, st persist.State) error {
 const followerDegradeAfter = 3
 
 // tailFailed records one follower tail/recover failure; a streak of
-// them degrades the replica's health so /healthz stops vouching for its
+// them makes the replica lagging so /healthz stops vouching for its
 // freshness.
 func (ent *GraphEntry) tailFailed(err error) {
 	if ent.folFailures.Add(1) >= followerDegradeAfter {
-		ent.degrade(err)
+		ent.on(evTailFail, err)
 	}
 }
 
 // tailAdvanced records follower progress, clearing any failure streak.
 func (ent *GraphEntry) tailAdvanced() {
 	ent.folFailures.Store(0)
-	if ent.health.Load() == healthDegraded {
-		ent.setHealthy()
-	}
+	ent.on(evTailOK, nil)
 }
 
 // followLoop tails one graph's WAL forever, applying each record to the
@@ -969,42 +950,40 @@ func (ent *GraphEntry) tailAdvanced() {
 // the leader's compaction, a corrupt segment) re-recovers from the
 // newest checkpoint and resumes — the replica jumps forward, it never
 // serves stale state silently. Repeated failures back off with jitter
-// (reset on success) and, past a streak, degrade the replica's health.
+// (reset on success) and, past a streak, make the replica lagging. A
+// graph the leader deleted (persist.ErrNotFound from the tail or the
+// re-recovery) is dropped from the catalog.
 func (c *Catalog) followLoop(ent *GraphEntry, rec *persist.Recovery) {
 	defer c.followWG.Done()
 	ctx := c.followCtx
 	bo := newBackoff(50*time.Millisecond, 2*time.Second)
-	for {
-		err := c.store.Tail(ctx, ent.name, rec, c.cfg.FollowPoll, ent.applyTailRecord)
-		if ctx.Err() != nil || errors.Is(err, ErrClosed) {
+	err := c.store.Tail(ctx, ent.name, rec, c.cfg.FollowPoll, ent.applyTailRecord)
+	for retry := false; ; {
+		switch {
+		case ctx.Err() != nil, errors.Is(err, ErrClosed):
+			return
+		case errors.Is(err, persist.ErrNotFound):
+			c.remove(ent.name)
 			return
 		}
 		ent.tailFailed(err)
-		for {
-			nrec, rerr := c.store.Recover(ent.name)
-			if rerr == nil {
-				if rerr = ent.resetTo(nrec.State); rerr == nil {
-					rec = nrec
-					bo.reset()
-					ent.tailAdvanced()
-					break
-				}
-			}
-			if errors.Is(rerr, persist.ErrNotFound) {
-				// The leader deleted the graph; drop the replica.
-				c.mu.Lock()
-				delete(c.entries, ent.name)
-				c.mu.Unlock()
-				ent.close(true)
-				return
-			}
-			ent.tailFailed(rerr)
+		if retry {
 			select { // mid-compaction races and real faults both retry
 			case <-ctx.Done():
 				return
 			case <-time.After(bo.next()):
 			}
 		}
+		rec, err = c.store.Recover(ent.name)
+		if err == nil {
+			err = ent.resetTo(rec.State)
+		}
+		if retry = err != nil; retry {
+			continue
+		}
+		bo.reset()
+		ent.tailAdvanced()
+		err = c.store.Tail(ctx, ent.name, rec, c.cfg.FollowPoll, ent.applyTailRecord)
 	}
 }
 
@@ -1058,7 +1037,7 @@ func (c *Catalog) rescanLoop() {
 func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	if ent.closed {
+	if ent.closing() {
 		return ErrClosed
 	}
 	ctx := context.Background()
@@ -1100,74 +1079,12 @@ func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 func (ent *GraphEntry) resetTo(st persist.State) error {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	if ent.closed {
+	if ent.closing() {
 		return ErrClosed
 	}
 	return ent.loadLocked(context.Background(), st)
 }
 
-// Stats reports the entry's serving statistics.
-func (ent *GraphEntry) Stats() EntryStats {
-	view := ent.view.Load()
-	ent.retainMu.Lock()
-	retained := len(ent.retained)
-	ent.retainMu.Unlock()
-	var s EntryStats
-	if b := ent.b.Load(); b != nil {
-		s = b.stats()
-	}
-	s.Name = ent.name
-	if psh := ent.ps.Load(); psh != nil {
-		ps := psh.Stats()
-		s.Durable = true
-		s.WALBytes = ps.WALBytes
-		s.WALRecords = ps.WALRecords
-		s.LastFsyncNanos = ps.LastSync.Nanoseconds()
-		s.CheckpointVersion = ps.CheckpointVersion
-		s.CheckpointAgeOps = ps.OpsSinceCheckpoint
-		s.LeaderEpoch = ps.Epoch
-	}
-	if ent.follower.Load() {
-		s.Follower = true
-		s.FollowerRecords = ent.mFolRecords.Value()
-		s.FollowerLagNanos = ent.folLag.Load()
-		s.FollowerFailures = ent.folFailures.Load()
-	}
-	h, herr := ent.Health()
-	s.Health = h
-	if herr != nil {
-		s.HealthError = herr.Error()
-	}
-	switch {
-	case h == "fenced":
-		s.Role = "fenced"
-	case s.Follower:
-		s.Role = "follower"
-	default:
-		s.Role = "leader"
-	}
-	if pn := ent.promotionNanos.Load(); pn != 0 {
-		s.PromotionNanos = pn
-	}
-	s.FencedAppends = ent.mFencedAppends.Value()
-	ent.healthMu.Lock()
-	since := ent.degradedSince
-	ent.healthMu.Unlock()
-	if !since.IsZero() {
-		s.DegradedForNanos = time.Since(since).Nanoseconds()
-	}
-	s.WALRetries = ent.mWALRetries.Value()
-	s.Probes = ent.mProbes.Value()
-	s.Recoveries = ent.mRecoveries.Value()
-	s.ReadsServed = ent.mReads.Value()
-	s.RetainedViews = retained
-	if view != nil {
-		s.Epoch = view.Epoch
-		s.Version = view.Version
-		s.Nodes = view.Snap.NumNodes()
-		s.Edges = view.Snap.NumEdges()
-		s.Rules = len(view.Rules)
-		s.Violations = len(view.Violations)
-	}
-	return s
-}
+// closing reports whether the entry has closed; stable once true, and
+// moved to only under ent.mu.
+func (ent *GraphEntry) closing() bool { return ent.life.Load().state == stClosing }

@@ -42,15 +42,11 @@ func (c *Catalog) Promote(ctx context.Context) (PromoteResult, error) {
 	start := time.Now()
 	// Stop the tails first: promotion drains each WAL to its end and
 	// resets the entries, and a live tail loop would race both.
-	if c.followCancel != nil {
-		c.followCancel()
-		c.followWG.Wait()
-		c.followCancel = nil
-	}
+	c.stopFollowing()
 	c.mu.RLock()
 	ents := make([]*GraphEntry, 0, len(c.entries))
 	for _, e := range c.entries {
-		if e.b.Load() == nil { // batcher-less: still a follower entry
+		if e.life.Load().row().role == "follower" {
 			ents = append(ents, e)
 		}
 	}
@@ -75,20 +71,17 @@ func (c *Catalog) Promote(ctx context.Context) (PromoteResult, error) {
 			}
 		}
 		if err != nil {
-			ent.degrade(fmt.Errorf("promote: %w", err))
+			ent.on(evPromoteFail, fmt.Errorf("promote: %w", err))
 			if firstErr == nil {
 				firstErr = fmt.Errorf("serve: promote %q: %w", ent.name, err)
 			}
 			continue
 		}
+		// The handle and batcher land before the state turns leader-ok:
+		// a writable entry always has both.
 		ent.ps.Store(gs)
-		ent.follower.Store(false)
-		ent.folFailures.Store(0)
-		ent.leaderEpoch.Store(gs.Epoch())
-		ent.setHealthy()
-		nb := newBatcher(ent, c.cfg)
-		ent.b.Store(nb)
-		go nb.run()
+		ent.startBatcher()
+		ent.on(evPromote, nil)
 		if gs.Epoch() > res.Epoch {
 			res.Epoch = gs.Epoch()
 		}
@@ -129,16 +122,8 @@ func (c *Catalog) Demote(ctx context.Context) error {
 	if c.follower.Load() {
 		return nil
 	}
-	c.mu.Lock()
-	ents := make([]*GraphEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		ents = append(ents, e)
-	}
-	c.entries = make(map[string]*GraphEntry)
-	c.mu.Unlock()
-	for _, e := range ents {
-		e.close(false)
-		c.reg.RemoveLabeled("graph", e.name)
+	for _, e := range c.takeAll() {
+		e.retire(false)
 	}
 	return c.Follow(ctx)
 }

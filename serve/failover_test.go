@@ -221,11 +221,11 @@ func TestWriteRejectionStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent.degrade(errors.New("injected disk failure"))
+	ent.on(evFault, errors.New("injected disk failure"))
 	checkRejection(t, lts.URL+"/graphs/g/mutate", mut, http.StatusServiceUnavailable, "5")
-	ent.setHealthy()
+	ent.on(evHeal, nil)
 
-	ent.fence(errors.New("injected fence"))
+	ent.on(evFence, errors.New("injected fence"))
 	checkRejection(t, lts.URL+"/graphs/g/mutate", mut, http.StatusServiceUnavailable, "5")
 	// Sticky: the operator re-enable path must NOT resurrect a fenced
 	// graph the way it resurrects a degraded one.

@@ -99,23 +99,13 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorBody{Error: msg})
 }
 
-// fail maps catalog/batcher errors onto status codes.
-//
-// Write rejections draw a deliberate distinction:
-//
-//   - ErrReadOnly → 403 + Retry-After 30. The graph is a follower
-//     replica: the request is well-formed but aimed at the wrong role,
-//     and retrying HERE only helps once this process is promoted —
-//     clients should redirect to the leader, which is alive and
-//     accepting (that is why a follower exists). The long Retry-After
-//     says "wrong door", not "come right back".
-//   - ErrDegraded → 503 + Retry-After 5. The graph is the right door
-//     but its disk is failing; the auto-probe may heal it any moment,
-//     so a short retry against the same endpoint is sensible.
-//   - ErrFenced → 503 + Retry-After 5. A deposed leader: a promoted
-//     follower owns the log now. Retrying reaches the new leader as
-//     soon as the client's routing catches up (or this process demotes
-//     and 403s like any follower).
+// fail maps catalog/batcher errors onto status codes. The write
+// rejections of the lifecycle states differ on purpose: ErrReadOnly
+// (a follower) is 403 + Retry-After 30 — the wrong door; clients should
+// go to the live leader, and retrying here only helps once this process
+// is promoted. ErrDegraded (a failing disk the probe may heal any
+// moment) and ErrFenced (a deposed leader; the client's routing will
+// catch up with the new one) are 503 + Retry-After 5.
 func fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -182,40 +172,32 @@ func queryInt(r *http.Request, key string, def int) int {
 // ---- handlers ----
 
 // handleHealthz reports per-graph serving health. The overall status is
-// "ok" unless any graph is degraded; the response stays 200 either way
-// (the process is up and serving reads — load balancers that should
-// drain on degradation match on the body's status field).
+// "ok" unless a graph is degraded or fenced — "fenced" if any is, since
+// it never heals by itself. The response stays 200 either way (the
+// process is up and serving reads — load balancers that should drain on
+// degradation match on the body's status field).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
+	rank := 0
 	graphs := map[string]any{}
 	for _, name := range s.cat.Names() {
 		ent, err := s.cat.Get(name)
 		if err != nil {
 			continue
 		}
-		h, cause := ent.Health()
-		g := map[string]any{"health": h}
-		if cause != nil {
-			g["error"] = cause.Error()
+		lc := ent.life.Load()
+		row := lc.row()
+		g := map[string]any{"health": row.health, "role": row.role}
+		if lc.cause != nil {
+			g["error"] = lc.cause.Error()
 		}
-		if st := ent.Stats(); st.Role != "" {
-			g["role"] = st.Role
-			if st.LeaderEpoch != 0 {
-				g["leader_epoch"] = st.LeaderEpoch
-			}
+		if e := ent.writeEpoch(); e != 0 {
+			g["leader_epoch"] = e
 		}
 		graphs[name] = g
-		// Fenced outranks degraded in the rollup: it never self-heals,
-		// so it is the state an operator must act on first.
-		if h == "degraded" && status == "ok" {
-			status = "degraded"
-		}
-		if h == "fenced" {
-			status = "fenced"
-		}
+		rank = max(rank, row.rank)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status": status, "role": s.cat.Role(), "graphs": graphs,
+		"status": rollup[rank], "role": s.cat.Role(), "graphs": graphs,
 	})
 }
 

@@ -51,32 +51,14 @@ func (ent *GraphEntry) initMetrics() {
 	ent.mFencedAppends = reg.Counter("ged_fenced_appends_total",
 		"WAL appends and syncs refused by the leadership-epoch fence", "graph", n)
 	reg.GaugeFunc("ged_serve_graph_health",
-		"per-graph serving health: 0 ok, 1 degraded, 2 readonly, 3 fenced",
-		func() float64 {
-			switch {
-			case ent.health.Load() == healthFenced:
-				return 3
-			case ent.health.Load() == healthDegraded:
-				return 1
-			case ent.follower.Load():
-				return 2
-			}
-			return 0
-		}, "graph", n)
+		"per-graph serving health: 0 ok, 1 degraded, 2 readonly, 3 fenced, 4 closed",
+		func() float64 { return ent.life.Load().row().healthGauge }, "graph", n)
 	reg.GaugeFunc("ged_serve_role",
-		"per-graph role: 0 leader, 1 follower, 2 fenced",
-		func() float64 {
-			switch {
-			case ent.health.Load() == healthFenced:
-				return 2
-			case ent.follower.Load():
-				return 1
-			}
-			return 0
-		}, "graph", n)
+		"per-graph role: 0 leader, 1 follower, 2 fenced, 3 closed",
+		func() float64 { return ent.life.Load().row().roleGauge }, "graph", n)
 	reg.GaugeFunc("ged_leader_epoch",
 		"leadership epoch the graph's WAL handle writes under",
-		func() float64 { return float64(ent.leaderEpoch.Load()) }, "graph", n)
+		func() float64 { return float64(ent.writeEpoch()) }, "graph", n)
 
 	const name, help = "ged_serve_flush_stage_seconds", "per-stage duration of the write flush pipeline"
 	ent.stQueue = reg.Histogram(name, help, "graph", n, "stage", stageQueueWait)
@@ -87,8 +69,8 @@ func (ent *GraphEntry) initMetrics() {
 }
 
 // initFollowerMetrics adds the replication series a follower entry
-// maintains; leaders never expose them. Called after ent.follower is
-// set, before the tail loop starts.
+// maintains; leaders never expose them (a promotion drops them through
+// dropFollowerMetrics). Called before the tail loop starts.
 func (ent *GraphEntry) initFollowerMetrics() {
 	reg := ent.cat.reg
 	ent.mFolRecords = reg.Counter("ged_follower_records_total",
@@ -97,4 +79,20 @@ func (ent *GraphEntry) initFollowerMetrics() {
 		"staleness of the last applied record (now minus its append time)",
 		func() float64 { return float64(ent.folLag.Load()) / 1e9 },
 		"graph", ent.name)
+}
+
+// dropFollowerMetrics retires the follower-only series of a promoted
+// entry.
+func (ent *GraphEntry) dropFollowerMetrics() {
+	ent.cat.reg.RemoveFamilyLabeled("ged_follower_records_total", "graph", ent.name)
+	ent.cat.reg.RemoveFamilyLabeled("ged_follower_lag_seconds", "graph", ent.name)
+}
+
+// writeEpoch is the leadership epoch the entry's WAL handle writes
+// under; 0 without one (in-memory, or a follower).
+func (ent *GraphEntry) writeEpoch() uint64 {
+	if ps := ent.ps.Load(); ps != nil {
+		return ps.Epoch()
+	}
+	return 0
 }

@@ -33,35 +33,15 @@
 // they are never dirty (a view is only published after Session.CatchUp
 // committed the whole batch) and never torn (views are immutable).
 //
-// Failure model: when a graph's persistence starts failing, the graph
-// degrades rather than taking the process down or silently dropping
-// durability. Transient WAL-append errors are retried inside the flush
-// with capped backoff; a failed fsync, exhausted retries, or a
-// permanent error (ENOSPC, EROFS) flips the graph to degraded —
-// reads keep serving the last published view, writes fail fast with
-// ErrDegraded (HTTP 503 + Retry-After), and health surfaces the cause
-// in /healthz and per-graph stats. Recovery is a heal checkpoint (a
-// full rewrite, which also rolls forward applied-but-unlogged ops)
-// attempted by a backed-off background probe or forced via
-// POST /graphs/{name}/enable. See the README's "Failure model &
-// degraded modes" section.
-//
-// Failover model: a durable catalog is a leader (Restore — owns the
-// WALs, accepts writes), a follower (Follow — tails the leader's WALs,
-// serves reads), or per-graph fenced (a deposed leader). POST /promote
-// turns a follower into the leader: tail loops stop, each graph's WAL
-// is drained to its end, the leadership epoch is bumped behind a
-// crash-atomic fence bound (persist.Store.Promote), and batchers start
-// accepting writes — the measured promotion time is the recovery-time
-// objective (RTO). The deposed leader's next append or fsync fails the
-// epoch fence check (persist.ErrFenced) before being acknowledged: its
-// graphs turn fenced — reads keep serving the last view, writes get
-// 503 + Retry-After like the degraded path, but fencing is sticky (no
-// probe can heal it; the log belongs to a newer epoch). It reboots as
-// a follower of the new epoch via POST /demote, or with its old epoch
-// asserted explicitly (Config.AssumeEpoch, gedserve -epoch) so the
-// fence is applied at startup instead of first write. See the README's
-// "Failover & roles" section.
+// Lifecycle: each graph is in one state — leader-ok, leader-degraded
+// (its persist layer failed; a heal probe re-anchors it), follower-ok
+// or follower-lagging (a replica tailing the leader's WAL), fenced (a
+// deposed leader: a promoted follower owns the log; sticky) or closing.
+// Every state but leader-ok keeps serving reads from the last published
+// view and rejects writes. One transition table (health.go) moves the
+// state, and /healthz, the stats, the gauges, write rejections and
+// probes all read it. See the README's "Graph lifecycle" table and its
+// "Failure model" and "Failover & roles" sections.
 //
 // Command gedserve is a thin daemon over this package; benchmark/'s
 // serve_read_mostly and serve_ingest workloads drive it over HTTP, and

@@ -1,5 +1,7 @@
 package serve
 
+import "time"
+
 // EntryStats is one graph's serving statistics, as reported by
 // GET /graphs/{name}/stats and aggregated under /statsz.
 type EntryStats struct {
@@ -47,13 +49,11 @@ type EntryStats struct {
 	FollowerLagNanos int64  `json:"follower_lag_ns,omitempty"`
 	FollowerFailures uint64 `json:"follower_failures,omitempty"`
 
-	// Health & degraded mode (see the README's "Failure model" section).
-	// Health is "ok", "degraded" (persist failure — reads keep serving
-	// from the last view, writes get 503) or "readonly" (healthy
-	// follower); HealthError is the causing error while degraded.
-	// WALRetries counts transient WAL appends retried inside flushes,
-	// Probes the recovery attempts while degraded, Recoveries the
-	// degraded→ok transitions.
+	// Health and Role are the lifecycle state's (the README's "Graph
+	// lifecycle" table); HealthError is the cause while degraded or
+	// fenced. WALRetries counts transient WAL appends retried inside
+	// flushes, Probes the recovery attempts while degraded, Recoveries
+	// the degraded→ok transitions.
 	Health           string `json:"health"`
 	HealthError      string `json:"health_error,omitempty"`
 	DegradedForNanos int64  `json:"degraded_for_ns,omitempty"`
@@ -61,12 +61,10 @@ type EntryStats struct {
 	Probes           uint64 `json:"probes,omitempty"`
 	Recoveries       uint64 `json:"recoveries,omitempty"`
 
-	// Failover & roles (see the README's "Failover & roles" section).
-	// Role is "leader", "follower", or "fenced" (a deposed leader whose
-	// WAL a newer epoch owns). LeaderEpoch is the leadership epoch the
-	// graph's WAL handle writes under; PromotionNanos the wall time of
-	// the promotion that made this entry a leader (0 if it never was
-	// promoted); FencedAppends the appends/syncs the epoch fence refused.
+	// LeaderEpoch is the leadership epoch the graph's WAL handle writes
+	// under; PromotionNanos the wall time of the promotion that made
+	// this entry a leader; FencedAppends the appends/syncs the epoch
+	// fence refused.
 	Role           string `json:"role,omitempty"`
 	LeaderEpoch    uint64 `json:"leader_epoch,omitempty"`
 	PromotionNanos int64  `json:"promotion_ns,omitempty"`
@@ -103,4 +101,58 @@ func (c *Catalog) Stats() []EntryStats {
 		}
 	}
 	return out
+}
+
+// Stats reports the entry's serving statistics.
+func (ent *GraphEntry) Stats() EntryStats {
+	view := ent.view.Load()
+	ent.retainMu.Lock()
+	retained := len(ent.retained)
+	ent.retainMu.Unlock()
+	var s EntryStats
+	if b := ent.b.Load(); b != nil {
+		s = b.stats()
+	}
+	s.Name = ent.name
+	if psh := ent.ps.Load(); psh != nil {
+		ps := psh.Stats()
+		s.Durable = true
+		s.WALBytes = ps.WALBytes
+		s.WALRecords = ps.WALRecords
+		s.LastFsyncNanos = ps.LastSync.Nanoseconds()
+		s.CheckpointVersion = ps.CheckpointVersion
+		s.CheckpointAgeOps = ps.OpsSinceCheckpoint
+		s.LeaderEpoch = ps.Epoch
+	}
+	lc := ent.life.Load()
+	row := lc.row()
+	s.Health, s.Role = row.health, row.role
+	if lc.cause != nil {
+		s.HealthError = lc.cause.Error()
+	}
+	if row.health == "degraded" {
+		s.DegradedForNanos = time.Since(lc.since).Nanoseconds()
+	}
+	if row.role == "follower" {
+		s.Follower = true
+		s.FollowerRecords = ent.mFolRecords.Value()
+		s.FollowerLagNanos = ent.folLag.Load()
+		s.FollowerFailures = ent.folFailures.Load()
+	}
+	s.PromotionNanos = ent.promotionNanos.Load()
+	s.FencedAppends = ent.mFencedAppends.Value()
+	s.WALRetries = ent.mWALRetries.Value()
+	s.Probes = ent.mProbes.Value()
+	s.Recoveries = ent.mRecoveries.Value()
+	s.ReadsServed = ent.mReads.Value()
+	s.RetainedViews = retained
+	if view != nil {
+		s.Epoch = view.Epoch
+		s.Version = view.Version
+		s.Nodes = view.Snap.NumNodes()
+		s.Edges = view.Snap.NumEdges()
+		s.Rules = len(view.Rules)
+		s.Violations = len(view.Violations)
+	}
+	return s
 }
