@@ -925,19 +925,10 @@ func (ent *GraphEntry) loadLocked(ctx context.Context, st persist.State) error {
 }
 
 // followerDegradeAfter is how many consecutive tail/recover failures a
-// replica entry tolerates before its health flips to degraded (a single
+// replica entry tolerates before it turns follower-lagging (a single
 // ErrLagBehind with an immediate re-recovery is normal operation, not a
 // fault).
 const followerDegradeAfter = 3
-
-// tailFailed records one follower tail/recover failure; a streak of
-// them makes the replica lagging so /healthz stops vouching for its
-// freshness.
-func (ent *GraphEntry) tailFailed(err error) {
-	if ent.folFailures.Add(1) >= followerDegradeAfter {
-		ent.on(evTailFail, err)
-	}
-}
 
 // tailAdvanced records follower progress, clearing any failure streak.
 func (ent *GraphEntry) tailAdvanced() {
@@ -966,7 +957,11 @@ func (c *Catalog) followLoop(ent *GraphEntry, rec *persist.Recovery) {
 			c.remove(ent.name)
 			return
 		}
-		ent.tailFailed(err)
+		// A streak of failures makes the replica lagging, so /healthz
+		// stops vouching for its freshness.
+		if ent.folFailures.Add(1) >= followerDegradeAfter {
+			ent.on(evTailFail, err)
+		}
 		if retry {
 			select { // mid-compaction races and real faults both retry
 			case <-ctx.Done():

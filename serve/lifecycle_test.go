@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -61,11 +62,6 @@ func metricsText(c *Catalog) string {
 // follower series leaving on promotion. Illegal pairs change nothing —
 // fenced stays fenced under heal, and nothing leaves closing.
 func TestLifecycleTransitions(t *testing.T) {
-	c, err := NewCatalog(Config{ProbeInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	legal := map[[2]int]wantTransition{}
 	for _, w := range legalTransitions {
 		legal[[2]int{int(w.from), int(w.ev)}] = w
@@ -73,7 +69,11 @@ func TestLifecycleTransitions(t *testing.T) {
 	for _, s := range allStates {
 		for _, ev := range allEvents {
 			name := stateNames[s] + "+" + eventNames[ev]
-			ent := c.newEntry(name, stFollowerOK) // registers the follower series
+			c, err := NewCatalog(Config{ProbeInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ent := c.newEntry("g", stFollowerOK) // registers the follower series
 			prior := errors.New("prior cause")
 			before := &lifecycle{state: s, cause: prior, since: time.Now().Add(-time.Hour)}
 			ent.life.Store(before)
@@ -111,11 +111,58 @@ func TestLifecycleTransitions(t *testing.T) {
 				}
 				ent.on(evClose, nil) // stop any probe loop the event started
 			}
-			series := `ged_follower_lag_seconds{graph="` + name + `"}`
+			series := `ged_follower_lag_seconds{graph="g"}`
 			if promoted := ok && ev == evPromote; promoted == strings.Contains(metricsText(c), series) {
 				t.Errorf("%s: follower series present=%v after the event", name, !promoted)
 			}
+			c.Close()
 		}
+	}
+}
+
+// TestLifecycleConcurrentEvents races faults, heals and closes on one
+// entry: every transition that lands runs its effects exactly once, so
+// the degraded and recovered counters differ by exactly the final
+// degraded state, and the probe loop's stop channel closes once.
+func TestLifecycleConcurrentEvents(t *testing.T) {
+	c, err := NewCatalog(Config{ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ent := c.newEntry("g", stLeaderOK)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				if (i+j)%2 == 0 {
+					ent.on(evFault, errors.New("fault"))
+				} else {
+					ent.on(evHeal, nil)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	open := uint64(0)
+	if ent.life.Load().state == stLeaderDegraded {
+		open = 1
+	}
+	if d, r := ent.mDegraded.Value(), ent.mRecoveries.Value(); d != r+open {
+		t.Fatalf("degraded %d, recovered %d, final state %s", d, r, stateNames[ent.life.Load().state])
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ent.on(evClose, nil) // a second close of probeStop would panic
+		}()
+	}
+	wg.Wait()
+	if ent.life.Load().state != stClosing {
+		t.Fatalf("state %s after close", stateNames[ent.life.Load().state])
 	}
 }
 
