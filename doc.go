@@ -16,8 +16,11 @@
 // Rules are parsed from a text DSL (ParseRules) or built
 // programmatically (NewPattern, NewRule, NewKey, the literal
 // constructors); graphs load from JSON (LoadGraph) or are built with
-// NewGraph. The workload, gdc and gedor subpackages expose the paper's
-// generators and the two dependency extensions. The machinery lives
+// NewGraph. A Rule is a GED, a GDC (ordered comparisons) or a GED∨
+// (disjunctive consequent), told apart by Rule.Form; validation takes
+// all three, the chase-based analyses GEDs only (ErrNotGED). The
+// workload subpackage exposes the paper's generators, and gdc and gedor
+// the extensions' satisfiability and implication. The machinery lives
 // under internal/; see README.md for the package map, the quickstart
 // and the DSL grammar. The benchmarks in bench_test.go regenerate
 // Table 1's shapes; run them with
@@ -114,9 +117,8 @@
 // validator to vector positions and interned attribute ids, carried
 // across Rebase like the plans' label ids, and a Match map is built
 // only for the matches that are violations. Resolving variables and
-// attributes by name per match (ged.Holds) is left to the GDC and GED∨
-// validators, the small solvers and the oracle the differential tests
-// compare against.
+// attributes by name per match (ged.Holds) is left to the small
+// solvers and the oracle the differential tests compare against.
 //
 // # Serving
 //

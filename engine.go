@@ -12,6 +12,7 @@ import (
 	"gedlib/internal/axiom"
 	"gedlib/internal/chase"
 	"gedlib/internal/discover"
+	"gedlib/internal/ged"
 	"gedlib/internal/obs"
 	"gedlib/internal/optimize"
 	"gedlib/internal/reason"
@@ -21,6 +22,11 @@ import (
 // ErrChaseDepthExceeded is returned by Engine methods when a chase did
 // not converge within the bound set by WithChaseDepth.
 var ErrChaseDepthExceeded = chase.ErrDepthExceeded
+
+// ErrNotGED is wrapped by the errors of the Engine methods defined for
+// GEDs only — Chase, Repair, CheckSat, Implies, Prove, CheckProof and
+// OptimizeQuery — when a rule they are handed is a GDC or a GED∨.
+var ErrNotGED = ged.ErrNotGED
 
 // Engine is the entry point of the library: one configured instance of
 // the paper's analyses. Every method takes a context.Context first and

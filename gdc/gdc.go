@@ -1,9 +1,12 @@
-// Package gdc exposes graph denial constraints — the GED extension of
-// Section 8.1 with ordered comparison predicates (<, <=, >, >=, !=) —
-// through the same vocabulary as the root gedlib package. Because
-// inequalities lift satisfiability and implication beyond the chase
-// (Theorem 8), the analyses here return three-valued Verdicts: True and
-// False are certified, Unknown means the branch budget was exhausted.
+// Package gdc exposes the satisfiability and implication analyses of
+// graph denial constraints — the GED extension of Section 7.1 with
+// ordered comparison predicates (<, <=, >, >=, !=) — through the same
+// vocabulary as the root gedlib package. A GDC is a gedlib.Rule, and
+// Engine.Validate, Session.Apply and ParseRules take it like any
+// other. Because inequalities lift satisfiability and implication
+// beyond the chase (Theorem 8), the analyses here return three-valued
+// Verdicts: True and False are certified, Unknown means the branch
+// budget was exhausted or the input holds a GED∨ (the result's Err).
 package gdc
 
 import (
@@ -12,14 +15,8 @@ import (
 )
 
 // GDC is a graph denial constraint Q[x̄](X → Y) whose literals may use
-// ordered comparisons.
-type GDC = gdc.GDC
-
-// Set is a set of GDCs.
-type Set = gdc.Set
-
-// Violation is a match violating a GDC.
-type Violation = gdc.Violation
+// ordered comparisons: a gedlib.Rule.
+type GDC = gedlib.Rule
 
 // Verdict is a three-valued answer; True and False are certified.
 type Verdict = gdc.Verdict
@@ -42,27 +39,16 @@ func New(name string, q *gedlib.Pattern, x, y []gedlib.Literal) *GDC {
 	return gdc.New(name, q, x, y)
 }
 
-// FromGED reads a plain rule as a GDC (every GED is one).
-func FromGED(r *gedlib.Rule) *GDC { return gdc.FromGED(r) }
-
 // DomainConstraint returns the GDCs asserting that attribute a of every
 // tau-labeled node takes one of the given values.
-func DomainConstraint(tau gedlib.Label, a gedlib.Attr, domain ...gedlib.Value) Set {
+func DomainConstraint(tau gedlib.Label, a gedlib.Attr, domain ...gedlib.Value) gedlib.RuleSet {
 	return gdc.DomainConstraint(tau, a, domain...)
 }
 
-// Validate finds violations of Σ in g, up to limit (<= 0 means all).
-func Validate(g *gedlib.Graph, sigma Set, limit int) []Violation {
-	return gdc.Validate(g, sigma, limit)
-}
-
-// Satisfies reports g ⊨ Σ.
-func Satisfies(g *gedlib.Graph, sigma Set) bool { return gdc.Satisfies(g, sigma) }
-
 // CheckSat decides (three-valued) whether Σ has a model, certifying
 // True with a witness.
-func CheckSat(sigma Set) *SatResult { return gdc.CheckSat(sigma) }
+func CheckSat(sigma gedlib.RuleSet) *SatResult { return gdc.CheckSat(sigma) }
 
 // Implies decides (three-valued) whether Σ ⊨ φ, certifying False with a
 // counterexample.
-func Implies(sigma Set, phi *GDC) *ImplResult { return gdc.Implies(sigma, phi) }
+func Implies(sigma gedlib.RuleSet, phi *GDC) *ImplResult { return gdc.Implies(sigma, phi) }

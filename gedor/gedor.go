@@ -1,9 +1,12 @@
-// Package gedor exposes GED∨ — the GED extension of Section 8.2 with
-// disjunctive consequents — through the same vocabulary as the root
-// gedlib package. Satisfiability and implication branch over disjunct
-// choices (Theorems 9 and 10), so the analyses return three-valued
-// Verdicts: True and False are certified, Unknown means the branch
-// budget was exhausted.
+// Package gedor exposes the satisfiability and implication analyses of
+// GED∨s — the GED extension of Section 7.2 with disjunctive consequents
+// — through the same vocabulary as the root gedlib package. A GED∨ is a
+// gedlib.Rule with the Disjunctive bit, and Engine.Validate,
+// Session.Apply and ParseRules take it like any other. Satisfiability
+// and implication branch over disjunct choices (Theorem 9), so the
+// analyses return three-valued Verdicts: True and False are certified,
+// Unknown means the branch budget was exhausted or the input holds a
+// GDC (the result's Err).
 package gedor
 
 import (
@@ -11,14 +14,9 @@ import (
 	"gedlib/internal/gedor"
 )
 
-// GEDor is a disjunctive dependency Q[x̄](X → l₁ ∨ ... ∨ lₖ).
-type GEDor = gedor.GEDor
-
-// Set is a set of GED∨s.
-type Set = gedor.Set
-
-// Violation is a match satisfying X with every disjunct of Y false.
-type Violation = gedor.Violation
+// GEDor is a disjunctive dependency Q[x̄](X → l₁ ∨ ... ∨ lₖ): a
+// gedlib.Rule with Disjunctive set.
+type GEDor = gedlib.Rule
 
 // Verdict is a three-valued answer; True and False are certified.
 type Verdict = gedor.Verdict
@@ -36,14 +34,14 @@ type SatResult = gedor.SatResult
 // ImplResult reports a GED∨ implication analysis.
 type ImplResult = gedor.ImplResult
 
-// New returns the GED∨ Q[x̄](X → Y) with Y read disjunctively.
+// New returns the GED∨ Q[x̄](X → l₁ ∨ ... ∨ lₖ); an empty y is false.
 func New(name string, q *gedlib.Pattern, x, y []gedlib.Literal) *GEDor {
 	return gedor.New(name, q, x, y)
 }
 
-// FromGED translates a plain rule into the equivalent GED∨s (one per
-// consequent literal).
-func FromGED(r *gedlib.Rule) []*GEDor { return gedor.FromGED(r) }
+// FromGED splits a plain rule into equivalent GED∨s, one per consequent
+// literal.
+func FromGED(r *gedlib.Rule) gedlib.RuleSet { return gedor.FromGED(r) }
 
 // DomainConstraint returns the GED∨ asserting that attribute a of every
 // tau-labeled node takes one of the given values.
@@ -51,18 +49,10 @@ func DomainConstraint(tau gedlib.Label, a gedlib.Attr, domain ...gedlib.Value) *
 	return gedor.DomainConstraint(tau, a, domain...)
 }
 
-// Validate finds violations of Σ in g, up to limit (<= 0 means all).
-func Validate(g *gedlib.Graph, sigma Set, limit int) []Violation {
-	return gedor.Validate(g, sigma, limit)
-}
-
-// Satisfies reports g ⊨ Σ.
-func Satisfies(g *gedlib.Graph, sigma Set) bool { return gedor.Satisfies(g, sigma) }
-
 // CheckSat decides (three-valued) whether Σ has a model, certifying
-// True with a witness.
-func CheckSat(sigma Set) *SatResult { return gedor.CheckSat(sigma) }
+// True with a witness. Plain rules in Σ count as their FromGED split.
+func CheckSat(sigma gedlib.RuleSet) *SatResult { return gedor.CheckSat(sigma) }
 
 // Implies decides (three-valued) whether Σ ⊨ φ, certifying False with a
-// counterexample.
-func Implies(sigma Set, phi *GEDor) *ImplResult { return gedor.Implies(sigma, phi) }
+// counterexample. Plain rules count as their FromGED split.
+func Implies(sigma gedlib.RuleSet, phi *GEDor) *ImplResult { return gedor.Implies(sigma, phi) }

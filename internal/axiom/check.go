@@ -13,10 +13,15 @@ import (
 // every step must be justified by its rule, and the final step must
 // conclude the target (up to literal-set equality; a target with empty Y
 // is accepted against any conclusion sharing its pattern and antecedent,
-// since Q[x̄](X → ∅) is vacuous). A nil error means Σ ⊢ φ.
+// since Q[x̄](X → ∅) is vacuous). A nil error means Σ ⊢ φ. A_GED
+// derives GEDs from GEDs: a GDC or GED∨ target or premise is an error
+// wrapping ged.ErrNotGED.
 func Check(sigma ged.Set, p *Proof) error {
 	if len(p.Steps) == 0 {
 		return fmt.Errorf("axiom: empty proof")
+	}
+	if err := ged.RequireGED(append(ged.Set{p.Target}, sigma...)...); err != nil {
+		return err
 	}
 	for i := range p.Steps {
 		if err := checkStep(sigma, p, i); err != nil {

@@ -39,6 +39,9 @@ func ProveCtx(ctx context.Context, sigma ged.Set, phi *ged.GED, maxRounds int) (
 	if err := sigma.Validate(); err != nil {
 		return nil, err
 	}
+	if err := ged.RequireGED(phi); err != nil {
+		return nil, err
+	}
 	gq, vm := phi.Pattern.ToGraph()
 	inv := make(map[graph.NodeID]pattern.Var, len(vm))
 	for v, n := range vm {

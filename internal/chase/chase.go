@@ -192,7 +192,19 @@ func RunSeeded(g *graph.Graph, sigma ged.Set, seeds []Seed) *Result {
 // quotient of the snapshot by Eq's node classes (see host). The
 // coercion proper — a mutable graph carrying every known constant — is
 // not built by the chase at all: Result.Coercion builds it on request.
+//
+// The chase enforces GEDs only: a GDC or GED∨ in Σ, or a seed that is
+// not a GED literal, returns an error wrapping ged.ErrNotGED and no
+// result.
 func RunCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []Seed, maxRounds int) (*Result, error) {
+	if err := ged.RequireGED(sigma...); err != nil {
+		return nil, err
+	}
+	for _, s := range seeds {
+		if _, ok := s.Literal.Kind(); !ok {
+			return nil, fmt.Errorf("%w: seed %s is not a GED literal", ged.ErrNotGED, s.Literal)
+		}
+	}
 	c := newChaser(ctx, g, sigma, seeds, maxRounds)
 	defer c.report()
 	var err error

@@ -47,12 +47,12 @@ func TestGDCValidationSalaryDenial(t *testing.T) {
 	boss := g.AddNodeAttrs("emp", map[graph.Attr]graph.Value{"salary": graph.Int(100)})
 	worker := g.AddNodeAttrs("emp", map[graph.Attr]graph.Value{"salary": graph.Int(120)})
 	g.AddEdge(worker, "reports_to", boss)
-	vs := Validate(g, Set{dc}, 0)
+	vs := validate(g, ged.Set{dc}, 0)
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1", len(vs))
 	}
 	g.SetAttr(worker, "salary", graph.Int(90))
-	if !Satisfies(g, Set{dc}) {
+	if !reason.Satisfies(g, ged.Set{dc}) {
 		t.Error("fixed salary must satisfy the denial constraint")
 	}
 }
@@ -64,16 +64,16 @@ func TestExample9DomainConstraint(t *testing.T) {
 	// node without A violates φ₁.
 	g := graph.New()
 	n := g.AddNodeAttrs("tau", map[graph.Attr]graph.Value{"A": graph.Int(2)})
-	if Satisfies(g, dom) {
+	if reason.Satisfies(g, dom) {
 		t.Error("A = 2 must violate the domain constraint")
 	}
 	g.SetAttr(n, "A", graph.Int(1))
-	if !Satisfies(g, dom) {
+	if !reason.Satisfies(g, dom) {
 		t.Error("A = 1 must satisfy the domain constraint")
 	}
 	g2 := graph.New()
 	g2.AddNode("tau")
-	if Satisfies(g2, dom) {
+	if reason.Satisfies(g2, dom) {
 		t.Error("missing A must violate φ₁")
 	}
 
@@ -82,14 +82,14 @@ func TestExample9DomainConstraint(t *testing.T) {
 	if r.Satisfiable != True {
 		t.Fatalf("domain constraint must be satisfiable, got %v", r.Satisfiable)
 	}
-	if !Satisfies(r.Model, dom) {
+	if !reason.Satisfies(r.Model, dom) {
 		t.Errorf("witness violates Σ:\n%s", r.Model)
 	}
 }
 
 func TestCheckSatOrderConflict(t *testing.T) {
 	q := nodeQ("p")
-	sigma := Set{
+	sigma := ged.Set{
 		New("lt", q, nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))}),
 		New("gt", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(7))}),
 	}
@@ -97,7 +97,7 @@ func TestCheckSatOrderConflict(t *testing.T) {
 		t.Errorf("5 < a < 7 conflict must be unsatisfiable, got %v", r.Satisfiable)
 	}
 	// Compatible bounds are satisfiable.
-	sigma2 := Set{
+	sigma2 := ged.Set{
 		New("lt", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(7))}),
 		New("gt", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(5))}),
 	}
@@ -124,15 +124,15 @@ func TestCheckSatStrictCycle(t *testing.T) {
 	q2.AddEdge("v", "e", "u")
 	cyc := New("cyc", q2, nil, []ged.Literal{ged.VarLit("u", "b", "u", "b")})
 
-	if r := CheckSat(Set{inc, cyc}); r.Satisfiable != False {
+	if r := CheckSat(ged.Set{inc, cyc}); r.Satisfiable != False {
 		t.Errorf("strict order cycle must be unsatisfiable, got %v", r.Satisfiable)
 	}
 	// Without the 2-cycle pattern, a chain is a fine model.
-	r := CheckSat(Set{inc})
+	r := CheckSat(ged.Set{inc})
 	if r.Satisfiable != True {
 		t.Fatalf("chain must be satisfiable, got %v", r.Satisfiable)
 	}
-	if !Satisfies(r.Model, Set{inc}) {
+	if !reason.Satisfies(r.Model, ged.Set{inc}) {
 		t.Error("witness violates inc")
 	}
 }
@@ -145,7 +145,7 @@ func TestCheckSatNeChain(t *testing.T) {
 	q2 := pattern.New()
 	q2.AddVar("x", "p").AddVar("y", "p")
 	ne := New("ne", q2, nil, []ged.Literal{ged.CmpVars("x", "a", ged.OpNe, "y", "a")})
-	if r := CheckSat(Set{eq, ne}); r.Satisfiable != False {
+	if r := CheckSat(ged.Set{eq, ne}); r.Satisfiable != False {
 		// Homomorphism allows x = y, making x.a ≠ x.a refutable — so this
 		// must be unsatisfiable.
 		t.Errorf("eq+ne must be unsatisfiable, got %v", r.Satisfiable)
@@ -154,29 +154,29 @@ func TestCheckSatNeChain(t *testing.T) {
 
 func TestImpliesOrderWeakening(t *testing.T) {
 	q := nodeQ("p")
-	sigma := Set{New("lt5", q, nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})}
+	sigma := ged.Set{New("lt5", q, nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})}
 	phi10 := New("lt10", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(10))})
 	if r := Implies(sigma, phi10); r.Implied != True {
 		t.Errorf("a < 5 must imply a < 10, got %v", r.Implied)
 	}
 	// The converse fails, with a certified counterexample.
-	sigma10 := Set{New("lt10", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(10))})}
+	sigma10 := ged.Set{New("lt10", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(10))})}
 	phi5 := New("lt5", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
 	r := Implies(sigma10, phi5)
 	if r.Implied != False {
 		t.Fatalf("a < 10 must not imply a < 5, got %v", r.Implied)
 	}
-	if r.Counterexample == nil || !Satisfies(r.Counterexample, sigma10) {
+	if r.Counterexample == nil || !reason.Satisfies(r.Counterexample, sigma10) {
 		t.Error("counterexample missing or violates Σ")
 	}
-	if len(Validate(r.Counterexample, Set{phi5}, 1)) == 0 {
+	if len(validate(r.Counterexample, ged.Set{phi5}, 1)) == 0 {
 		t.Error("counterexample does not violate φ")
 	}
 }
 
 func TestImpliesDenialStrengthening(t *testing.T) {
 	// (a > 5 → false) implies (a > 7 → false).
-	sigma := Set{New("d5", nodeQ("p"),
+	sigma := ged.Set{New("d5", nodeQ("p"),
 		[]ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(5))}, ged.False("x"))}
 	phi := New("d7", nodeQ("p"),
 		[]ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(7))}, ged.False("x"))
@@ -184,7 +184,7 @@ func TestImpliesDenialStrengthening(t *testing.T) {
 		t.Errorf("stronger denial must be implied, got %v", r.Implied)
 	}
 	// Converse fails.
-	sigma7 := Set{New("d7", nodeQ("p"),
+	sigma7 := ged.Set{New("d7", nodeQ("p"),
 		[]ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(7))}, ged.False("x"))}
 	phi5 := New("d5", nodeQ("p"),
 		[]ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(5))}, ged.False("x"))
@@ -198,7 +198,7 @@ func TestImpliesIDLiterals(t *testing.T) {
 	q.AddVar("x", "a").AddVar("y", "a")
 	key := New("key", q, nil, []ged.Literal{ged.IDLit("x", "y")})
 	// Σ ∋ φ.
-	if r := Implies(Set{key}, key); r.Implied != True {
+	if r := Implies(ged.Set{key}, key); r.Implied != True {
 		t.Errorf("reflexive implication failed: %v", r.Implied)
 	}
 	// ∅ does not imply the key; the counterexample keeps two nodes.
@@ -221,11 +221,11 @@ func TestGDCImpliesAgreesWithGEDImplication(t *testing.T) {
 		phi := randomGEDSigma(rng)[0]
 		exact, _ := reason.ImpliesCtx(context.Background(), sigma, phi, 0)
 		want := exact.Implied
-		var gs Set
+		var gs ged.Set
 		for _, d := range sigma {
-			gs = append(gs, FromGED(d))
+			gs = append(gs, d)
 		}
-		got := Implies(gs, FromGED(phi)).Implied
+		got := Implies(gs, phi).Implied
 		if got == Unknown {
 			unknown++
 			continue
@@ -250,9 +250,9 @@ func TestGDCSatAgreesWithGEDSat(t *testing.T) {
 		sigma := randomGEDSigma(rng)
 		exact, _ := reason.CheckSatCtx(context.Background(), sigma, 0)
 		want := exact.Satisfiable
-		var gs Set
+		var gs ged.Set
 		for _, d := range sigma {
-			gs = append(gs, FromGED(d))
+			gs = append(gs, d)
 		}
 		got := CheckSat(gs).Satisfiable
 		if got == Unknown {
@@ -369,5 +369,26 @@ func TestMixedKindOrderInfeasible(t *testing.T) {
 	s.addOrder(x, s.constTerm(graph.Int(5)), true)
 	if s.feasible() {
 		t.Error(`"" < x < 5 must be infeasible under the U order`)
+	}
+}
+
+// validate is Engine.Validate's check of Σ on g, up to limit (≤ 0 means
+// all).
+func validate(g *graph.Graph, sigma ged.Set, limit int) []reason.Violation {
+	vs, _ := reason.NewValidatorOn(g.Freeze(), sigma).RunCtx(context.Background(), limit)
+	return vs
+}
+
+// TestSolverRejectsDisjunction: a GED∨ anywhere in the input is an
+// error and an Unknown verdict, not a wrong answer.
+func TestSolverRejectsDisjunction(t *testing.T) {
+	or := ged.New("or", nodeQ("p"), nil, []ged.Literal{ged.ConstLit("x", "a", graph.Int(0)), ged.ConstLit("x", "a", graph.Int(1))})
+	or.Disjunctive = true
+	lt := New("lt", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
+	if r := CheckSat(ged.Set{lt, or}); r.Err == nil || r.Satisfiable != Unknown {
+		t.Errorf("CheckSat with a GED∨: %v, %v", r.Satisfiable, r.Err)
+	}
+	if r := Implies(ged.Set{lt}, or); r.Err == nil || r.Implied != Unknown {
+		t.Errorf("Implies of a GED∨: %v, %v", r.Implied, r.Err)
 	}
 }

@@ -1,11 +1,16 @@
 package gdc
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
+	"gedlib/internal/reason"
 )
 
 // Verdict is a three-valued answer: the solver certifies every True with
@@ -35,22 +40,29 @@ func (v Verdict) String() string {
 	}
 }
 
-// SatResult reports a GDC satisfiability analysis.
+// SatResult reports a satisfiability analysis.
 type SatResult struct {
 	// Satisfiable is the verdict; True is certified by Model.
 	Satisfiable Verdict
 	// Model is a concrete model of Σ when Satisfiable is True.
 	Model *graph.Graph
+	// Err names a rule the solver cannot decide; Satisfiable is then
+	// Unknown.
+	Err error
 }
 
-// ImplResult reports a GDC implication analysis.
+// ImplResult reports an implication analysis.
 type ImplResult struct {
-	// Implied is the verdict: True means no counterexample exists over
-	// quotients of φ's canonical graph (exact for the equality-only
-	// fragment, by Theorem 4); False is certified by Counterexample.
+	// Implied is the verdict; False is certified by Counterexample. For
+	// a GDC, True means no counterexample exists over quotients of φ's
+	// canonical graph (exact for the equality-only fragment, by
+	// Theorem 4).
 	Implied Verdict
 	// Counterexample satisfies Σ but violates φ when Implied is False.
 	Counterexample *graph.Graph
+	// Err names a rule the solver cannot decide; Implied is then
+	// Unknown.
+	Err error
 }
 
 // defaultBudget bounds the number of propagate/branch operations.
@@ -142,17 +154,11 @@ func (s *state) mergeNodes(a, b graph.NodeID) bool {
 }
 
 func sortedSlots(st *store) []slot {
-	out := make([]slot, 0, len(st.slotOf))
-	for sl := range st.slotOf {
-		out = append(out, sl)
-	}
+	out := slices.Collect(maps.Keys(st.slotOf))
 	// Deterministic order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && (out[j].node < out[j-1].node ||
-			(out[j].node == out[j-1].node && out[j].attr < out[j-1].attr)); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b slot) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.attr, b.attr))
+	})
 	return out
 }
 
@@ -188,18 +194,9 @@ func (s *state) quotient() (*graph.Graph, map[graph.NodeID]graph.NodeID, []graph
 	return q, nodeOf, repOf
 }
 
-// evalAntecedent evaluates a literal of an antecedent: models are
-// attribute-minimal, so a missing slot refutes the literal.
-func (s *state) evalAntecedent(l ged.Literal, m map[pattern.Var]graph.NodeID) status {
-	return s.eval(l, m, false)
-}
-
-// evalConsequent evaluates a literal of a consequent: a missing slot is
-// unknown — enforcement will generate it.
-func (s *state) evalConsequent(l ged.Literal, m map[pattern.Var]graph.NodeID) status {
-	return s.eval(l, m, true)
-}
-
+// eval judges a literal on the state. In an antecedent (generate
+// false) a missing slot refutes it, models being attribute-minimal; in
+// a consequent it is unknown — enforcement will generate it.
 func (s *state) eval(l ged.Literal, m map[pattern.Var]graph.NodeID, generate bool) status {
 	if l.Left.Kind == ged.OperandID {
 		if s.nodeRoot(m[l.Left.Var]) == s.nodeRoot(m[l.Right.Var]) {
@@ -256,16 +253,10 @@ func (s *state) enforceLit(l ged.Literal, m map[pattern.Var]graph.NodeID) (chang
 	return changed || created, ok
 }
 
-// pendingMatch is a match whose antecedent is not yet decided.
-type pendingMatch struct {
-	gdc   *GDC
-	match map[pattern.Var]graph.NodeID
-}
-
 // propagate closes the state under Σ: every match with a fully-entailed
 // antecedent gets its consequent enforced. It returns ok=false on
 // conflict, and complete=false when the budget ran out first.
-func (s *state) propagate(sigma Set, budget *int) (ok, complete bool) {
+func (s *state) propagate(sigma ged.Set, budget *int) (ok, complete bool) {
 	for {
 		if *budget <= 0 {
 			return true, false
@@ -282,12 +273,12 @@ func (s *state) propagate(sigma Set, budget *int) (ok, complete bool) {
 					base[v] = repOf[qn]
 				}
 				for _, l := range d.X {
-					if s.evalAntecedent(l, base) != stEntailed {
+					if s.eval(l, base, false) != stEntailed {
 						return true
 					}
 				}
 				for _, l := range d.Y {
-					switch s.evalConsequent(l, base) {
+					switch s.eval(l, base, true) {
 					case stEntailed:
 					case stRefuted:
 						conflict = true
@@ -326,14 +317,13 @@ func (s *state) materialize() (*graph.Graph, map[graph.NodeID]graph.NodeID, erro
 	q, nodeOf, repOf := s.quotient()
 	out := graph.New()
 	fresh := 0
-	for qn, rep := range repOf {
+	for qn := range repOf {
 		l := q.Label(graph.NodeID(qn))
 		if l == graph.Wildcard {
 			l = graph.Label(fmt.Sprintf("_fresh%d", fresh))
 			fresh++
 		}
 		out.AddNode(l)
-		_ = rep
 	}
 	for _, e := range q.Edges() {
 		l := e.Label
@@ -366,7 +356,10 @@ func (s *state) signature() string {
 // search explores quotients of the canonical graph G_Σ with normalized
 // attribute values — mirroring the small-model property behind
 // Theorem 8 — and certifies positive answers with the validator.
-func CheckSat(sigma Set) *SatResult {
+func CheckSat(sigma ged.Set) *SatResult {
+	if err := decidable(sigma...); err != nil {
+		return &SatResult{Satisfiable: Unknown, Err: err}
+	}
 	gs, _ := sigma.CanonicalGraph()
 	budget := defaultBudget
 	v, model := solve(newState(gs), sigma, &budget, nil, 0)
@@ -377,7 +370,7 @@ func CheckSat(sigma Set) *SatResult {
 // non-nil, adds an extra acceptance predicate on candidate models, read
 // through the frozen model (used by the implication counterexample
 // search).
-func solve(s *state, sigma Set, budget *int, certify func(*graph.Snapshot, *state) bool, depth int) (Verdict, *graph.Graph) {
+func solve(s *state, sigma ged.Set, budget *int, certify func(*graph.Snapshot, *state) bool, depth int) (Verdict, *graph.Graph) {
 	if *budget <= 0 || depth > 40 {
 		return Unknown, nil
 	}
@@ -395,7 +388,7 @@ func solve(s *state, sigma Set, budget *int, certify func(*graph.Snapshot, *stat
 	}
 	frozen := model.Freeze()
 	extraOK := certify == nil || certify(frozen, s)
-	vs := validate(frozen, sigma, 1)
+	vs, _ := reason.NewValidatorOn(frozen, sigma).RunCtx(context.Background(), 1)
 	if len(vs) == 0 && extraOK {
 		return True, model
 	}
@@ -409,8 +402,8 @@ func solve(s *state, sigma Set, budget *int, certify func(*graph.Snapshot, *stat
 	base := matchToReps(s, viol.Match)
 	sawUnknown := false
 	// Branch A: some unknown antecedent literal is false.
-	for _, l := range viol.GDC.X {
-		if s.evalAntecedent(l, base) != stUnknown {
+	for _, l := range viol.GED.X {
+		if s.eval(l, base, false) != stUnknown {
 			continue
 		}
 		b := s.clone()
@@ -428,8 +421,8 @@ func solve(s *state, sigma Set, budget *int, certify func(*graph.Snapshot, *stat
 	// Branch B: the antecedent holds, so the consequent must too.
 	b := s.clone()
 	bOK := true
-	for _, l := range viol.GDC.X {
-		if b.evalAntecedent(l, base) == stUnknown {
+	for _, l := range viol.GED.X {
+		if b.eval(l, base, false) == stUnknown {
 			if _, lok := b.enforceLit(l, base); !lok {
 				bOK = false
 				break
@@ -437,8 +430,8 @@ func solve(s *state, sigma Set, budget *int, certify func(*graph.Snapshot, *stat
 		}
 	}
 	if bOK {
-		for _, l := range viol.GDC.Y {
-			if b.evalConsequent(l, base) != stEntailed {
+		for _, l := range viol.GED.Y {
+			if b.eval(l, base, true) != stEntailed {
 				if _, lok := b.enforceLit(l, base); !lok {
 					bOK = false
 					break
@@ -485,7 +478,10 @@ func matchToReps(s *state, m pattern.Match) map[pattern.Var]graph.NodeID {
 // of Y. For the equality-only fragment this search space is exactly the
 // chase's and the answer is exact (Theorem 4); with inequalities it
 // mirrors the Πᵖ₂ structure of Theorem 8 over normalized small models.
-func Implies(sigma Set, phi *GDC) *ImplResult {
+func Implies(sigma ged.Set, phi *ged.GED) *ImplResult {
+	if err := decidable(append(ged.Set{phi}, sigma...)...); err != nil {
+		return &ImplResult{Implied: Unknown, Err: err}
+	}
 	gq, vm := phi.Pattern.ToGraph()
 	budget := defaultBudget
 
@@ -501,25 +497,13 @@ func Implies(sigma Set, phi *GDC) *ImplResult {
 		return &ImplResult{Implied: True}
 	}
 
-	certifyFor := func(lit *ged.Literal) func(*graph.Snapshot, *state) bool {
+	// certifyFor accepts a candidate model whose identity embedding of
+	// φ's pattern satisfies X and fails a literal of y, judged by the
+	// validator's compiled rule.
+	certifyFor := func(y []ged.Literal) func(*graph.Snapshot, *state) bool {
+		rule := ged.New(phi.Name, phi.Pattern, phi.X, y)
 		return func(model *graph.Snapshot, st *state) bool {
-			// The identity embedding must satisfy X and falsify Y (the
-			// specific literal when given, any literal otherwise).
-			m := identityMatch(st, vm)
-			for _, l := range phi.X {
-				if !ged.Holds(model, l, m) {
-					return false
-				}
-			}
-			if lit != nil {
-				return !ged.Holds(model, *lit, m)
-			}
-			for _, l := range phi.Y {
-				if !ged.Holds(model, l, m) {
-					return true
-				}
-			}
-			return false
+			return reason.CompileRule(rule, model).CheckMatch(model, identityBinding(st, phi.Pattern, vm)) != nil
 		}
 	}
 
@@ -536,7 +520,7 @@ func Implies(sigma Set, phi *GDC) *ImplResult {
 		} else if _, ok := b.enforceLit(l.Negate(), resolveVars(l, vm, b)); !ok {
 			continue
 		}
-		v, m := solve(b, sigma, &budget, certifyFor(&l), 0)
+		v, m := solve(b, sigma, &budget, certifyFor([]ged.Literal{l}), 0)
 		switch v {
 		case True:
 			return &ImplResult{Implied: False, Counterexample: m}
@@ -546,7 +530,7 @@ func Implies(sigma Set, phi *GDC) *ImplResult {
 	}
 	// Extra attempt: attribute minimality alone may falsify Y (an
 	// attribute mentioned only in Y never comes into existence).
-	v, m := solve(s0.clone(), sigma, &budget, certifyFor(nil), 0)
+	v, m := solve(s0.clone(), sigma, &budget, certifyFor(phi.Y), 0)
 	switch v {
 	case True:
 		return &ImplResult{Implied: False, Counterexample: m}
@@ -568,13 +552,13 @@ func resolveVars(l ged.Literal, vm map[pattern.Var]graph.NodeID, s *state) map[p
 	return out
 }
 
-// identityMatch maps φ's pattern variables to the candidate model's
-// nodes through the quotient.
-func identityMatch(s *state, vm map[pattern.Var]graph.NodeID) pattern.Match {
+// identityBinding is the candidate model's binding vector of q's
+// variables (in q.Vars() order) through vm and the quotient.
+func identityBinding(s *state, q *pattern.Pattern, vm map[pattern.Var]graph.NodeID) []graph.NodeID {
 	_, nodeOf, _ := s.quotient()
-	m := make(pattern.Match, len(vm))
-	for v, n := range vm {
-		m[v] = nodeOf[n]
+	bind := make([]graph.NodeID, 0, len(vm))
+	for _, v := range q.Vars() {
+		bind = append(bind, nodeOf[vm[v]])
 	}
-	return m
+	return bind
 }

@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -121,13 +122,49 @@ func TestGEDValidate(t *testing.T) {
 	if badVar.Validate() == nil {
 		t.Error("unknown variable accepted")
 	}
-	badOp := New("bad", q1(), []Literal{Cmp("x", "a", OpLt, graph.Int(1))}, nil)
-	if badOp.Validate() == nil {
-		t.Error("comparison literal accepted in plain GED")
+	lt := New("lt", q1(), []Literal{Cmp("x", "a", OpLt, graph.Int(1))}, nil)
+	if err := lt.Validate(); err != nil || lt.Form() != FormGDC {
+		t.Errorf("GDC literal: Validate = %v, Form = %v", err, lt.Form())
+	}
+	orderedID := New("bad", q1(), nil, []Literal{{Left: ID("x"), Right: ID("y"), Op: OpLt}})
+	if orderedID.Validate() == nil {
+		t.Error("ordered id literal accepted")
+	}
+	cmpOr := New("bad", q1(), nil, []Literal{Cmp("x", "a", OpLt, graph.Int(1)), ConstLit("y", "a", graph.Int(1))})
+	cmpOr.Disjunctive = true
+	if cmpOr.Validate() == nil {
+		t.Error("comparison accepted in a disjunction")
 	}
 	badID := New("bad", q1(), nil, []Literal{ConstLit("x", "id", graph.Int(1))})
 	if badID.Validate() == nil {
 		t.Error("id used as plain attribute accepted")
+	}
+}
+
+func TestForm(t *testing.T) {
+	lt := Cmp("x", "a", OpLt, graph.Int(1))
+	eq := ConstLit("x", "a", graph.Int(1))
+	or := New("or", q1(), nil, []Literal{eq, IDLit("x", "y")})
+	or.Disjunctive = true
+	for _, c := range []struct {
+		g    *GED
+		want Form
+	}{
+		{New("ged", q1(), []Literal{eq}, []Literal{IDLit("x", "y")}), FormGED},
+		{New("gdc-x", q1(), []Literal{lt}, nil), FormGDC},
+		{New("gdc-y", q1(), nil, []Literal{eq, lt}), FormGDC},
+		{or, FormGEDor},
+	} {
+		if got := c.g.Form(); got != c.want {
+			t.Errorf("%s: Form = %v, want %v", c.g.Name, got, c.want)
+		}
+		err := RequireGED(c.g)
+		if (err == nil) != (c.want == FormGED) || (err != nil && !errors.Is(err, ErrNotGED)) {
+			t.Errorf("%s: RequireGED = %v", c.g.Name, err)
+		}
+	}
+	if got := or.String(); got != "or: (x:person)-[create]->(y:product) (true -> x.a = 1 || x.id = y.id)" {
+		t.Errorf("disjunctive String = %q", got)
 	}
 }
 

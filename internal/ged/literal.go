@@ -207,6 +207,18 @@ func (l Literal) Kind() (LiteralKind, bool) {
 	return 0, false
 }
 
+// wellFormed reports that l is x.A ⊕ c, x.A ⊕ y.B or x.id = y.id: a
+// literal of a GED, a GDC or a GED∨.
+func (l Literal) wellFormed() bool {
+	switch {
+	case l.Left.Kind == OperandAttr && (l.Right.Kind == OperandConst || l.Right.Kind == OperandAttr):
+		return l.Op <= OpGe
+	case l.Left.Kind == OperandID && l.Right.Kind == OperandID:
+		return l.Op == OpEq
+	}
+	return false
+}
+
 // LiteralKind is the paper's three-way literal classification.
 type LiteralKind uint8
 
@@ -294,7 +306,6 @@ func IsFalse(lits []Literal) bool {
 // It resolves variables and attributes by name on every call: it is the
 // Match-map evaluator of the solvers and the test oracles, while
 // validation judges dense binding vectors through reason.CompiledRule.
-// Callers that admit only GED literals check Kind first.
 func Holds(snap *graph.Snapshot, l Literal, m pattern.Match) bool {
 	switch {
 	case l.Left.Kind == OperandID:

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"unicode"
 
-	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
-	"gedlib/internal/gedor"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
 )
@@ -40,81 +38,8 @@ import (
 // consequent; literals are `x.attr OP value`, `x.attr OP y.attr` or
 // `x.id = y.id` with OP among = != < <= > >=; `false` desugars to the
 // paper's two-constant encoding; `or` makes the consequent disjunctive.
-
-// Rule is a parsed dependency, neutral among GED / GDC / GED∨.
-type Rule struct {
-	// Name is the rule identifier.
-	Name string
-	// Pattern is Q[x̄].
-	Pattern *pattern.Pattern
-	// X and Y are the antecedent and consequent.
-	X, Y []ged.Literal
-	// Disjunctive marks a consequent written with `or`.
-	Disjunctive bool
-}
-
-// HasComparisons reports whether any literal uses a non-equality
-// predicate (making the rule a GDC).
-func (r *Rule) HasComparisons() bool {
-	for _, l := range append(append([]ged.Literal{}, r.X...), r.Y...) {
-		if l.Op != ged.OpEq {
-			return true
-		}
-	}
-	return false
-}
-
-// AsGED converts the rule, failing on comparisons or disjunction.
-func (r *Rule) AsGED() (*ged.GED, error) {
-	if r.Disjunctive {
-		return nil, fmt.Errorf("gedio: rule %s is disjunctive; use AsGEDor", r.Name)
-	}
-	if r.HasComparisons() {
-		return nil, fmt.Errorf("gedio: rule %s uses built-in predicates; use AsGDC", r.Name)
-	}
-	g := ged.New(r.Name, r.Pattern, r.X, r.Y)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// AsGDC converts the rule, failing on disjunction.
-func (r *Rule) AsGDC() (*gdc.GDC, error) {
-	if r.Disjunctive {
-		return nil, fmt.Errorf("gedio: rule %s is disjunctive; use AsGEDor", r.Name)
-	}
-	g := gdc.New(r.Name, r.Pattern, r.X, r.Y)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// AsGEDor converts the rule, failing on comparisons.
-func (r *Rule) AsGEDor() (*gedor.GEDor, error) {
-	if r.HasComparisons() {
-		return nil, fmt.Errorf("gedio: rule %s uses built-in predicates, which GED∨s do not support", r.Name)
-	}
-	g := gedor.New(r.Name, r.Pattern, r.X, r.Y)
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// GEDs converts all rules to GEDs, failing if any is not one.
-func GEDs(rules []*Rule) (ged.Set, error) {
-	var out ged.Set
-	for _, r := range rules {
-		g, err := r.AsGED()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
+// String constants are Go-quoted: escapes decode as strconv.Unquote
+// reads them.
 
 // ---- lexer ----
 
@@ -192,7 +117,6 @@ scan:
 		return token{kind: tokNumber, num: f, text: string(l.src[start:l.pos]), line: l.line}, nil
 	case c == '"':
 		l.pos++
-		var b strings.Builder
 		for l.pos < len(l.src) && l.src[l.pos] != '"' {
 			if l.src[l.pos] == '\\' && l.pos+1 < len(l.src) {
 				l.pos++
@@ -200,14 +124,17 @@ scan:
 			if l.src[l.pos] == '\n' {
 				return token{}, l.errf("unterminated string")
 			}
-			b.WriteRune(l.src[l.pos])
 			l.pos++
 		}
 		if l.pos >= len(l.src) {
 			return token{}, l.errf("unterminated string")
 		}
 		l.pos++
-		return token{kind: tokString, text: b.String(), line: l.line}, nil
+		text, err := strconv.Unquote(string(l.src[start:l.pos]))
+		if err != nil {
+			return token{}, l.errf("bad string %s", string(l.src[start:l.pos]))
+		}
+		return token{kind: tokString, text: text, line: l.line}, nil
 	default:
 		two := ""
 		if l.pos+1 < len(l.src) {
@@ -231,13 +158,14 @@ type parser struct {
 	prev token
 }
 
-// Parse parses a DSL document into rules.
-func Parse(src string) ([]*Rule, error) {
+// Parse parses a DSL document into rules of all three forms. It checks
+// syntax only; ged.Set.Validate checks that the rules are well-formed.
+func Parse(src string) (ged.Set, error) {
 	p := &parser{lex: newLexer(src)}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	var rules []*Rule
+	var rules ged.Set
 	for p.tok.kind != tokEOF {
 		r, err := p.rule()
 		if err != nil {
@@ -276,14 +204,14 @@ func (p *parser) expectPunct(s string) error {
 	return p.advance()
 }
 
-func (p *parser) rule() (*Rule, error) {
+func (p *parser) rule() (*ged.GED, error) {
 	if err := p.expectIdent("ged"); err != nil {
 		return nil, err
 	}
 	if p.tok.kind != tokIdent {
 		return nil, p.errf("expected rule name")
 	}
-	r := &Rule{Name: p.tok.text, Pattern: pattern.New()}
+	r := ged.New(p.tok.text, pattern.New(), nil, nil)
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -325,7 +253,7 @@ func (p *parser) rule() (*Rule, error) {
 }
 
 // patternClause parses comma-separated node/edge chains.
-func (p *parser) patternClause(r *Rule) error {
+func (p *parser) patternClause(r *ged.GED) error {
 	for {
 		v, err := p.node(r)
 		if err != nil {
@@ -372,7 +300,7 @@ func (p *parser) patternClause(r *Rule) error {
 }
 
 // node parses (var[:label]).
-func (p *parser) node(r *Rule) (pattern.Var, error) {
+func (p *parser) node(r *ged.GED) (pattern.Var, error) {
 	if err := p.expectPunct("("); err != nil {
 		return "", err
 	}
@@ -467,24 +395,12 @@ func (p *parser) op() (ged.Op, error) {
 	if p.tok.kind != tokPunct {
 		return 0, p.errf("expected comparison operator, got %q", p.tok.text)
 	}
-	var op ged.Op
-	switch p.tok.text {
-	case "=":
-		op = ged.OpEq
-	case "!=":
-		op = ged.OpNe
-	case "<":
-		op = ged.OpLt
-	case "<=":
-		op = ged.OpLe
-	case ">":
-		op = ged.OpGt
-	case ">=":
-		op = ged.OpGe
-	default:
-		return 0, p.errf("unknown operator %q", p.tok.text)
+	for op := ged.OpEq; op <= ged.OpGe; op++ {
+		if op.String() == p.tok.text {
+			return op, p.advance()
+		}
 	}
-	return op, p.advance()
+	return 0, p.errf("unknown operator %q", p.tok.text)
 }
 
 func (p *parser) operand() (ged.Operand, error) {
@@ -521,7 +437,7 @@ func (p *parser) operand() (ged.Operand, error) {
 
 // fixFalseAnchors rewrites the placeholder variable of a bare `false`
 // consequent to the rule pattern's first variable.
-func fixFalseAnchors(r *Rule) {
+func fixFalseAnchors(r *ged.GED) {
 	if len(r.Pattern.Vars()) == 0 {
 		return
 	}
@@ -534,37 +450,32 @@ func fixFalseAnchors(r *Rule) {
 	}
 }
 
-// Format renders rules back into DSL text (a printer for round-trip
-// tests and tool output).
-func Format(rules []*Rule) string {
+// Format renders rules back into DSL text that Parse reads back as the
+// same rules. The DSL writes a disjunction of two or more literals; a
+// one-literal or empty disjunction is written as its conjunctive
+// equivalent (`then l`, `then false`).
+func Format(rules ged.Set) string {
 	var b strings.Builder
 	for i, r := range rules {
 		if i > 0 {
 			b.WriteString("\n")
 		}
 		fmt.Fprintf(&b, "ged %s on %s {\n", r.Name, r.Pattern)
-		sep := " and "
-		if r.Disjunctive {
-			sep = " or "
-		}
 		if len(r.X) > 0 {
 			b.WriteString("  when ")
-			for j, l := range r.X {
-				if j > 0 {
-					b.WriteString(" and ")
-				}
-				b.WriteString(litDSL(l))
-			}
+			writeLits(&b, r.X, " and ")
 			b.WriteString("\n")
 		}
-		if len(r.Y) > 0 {
-			b.WriteString("  then ")
-			for j, l := range r.Y {
-				if j > 0 {
-					b.WriteString(sep)
-				}
-				b.WriteString(litDSL(l))
+		switch {
+		case r.Disjunctive && len(r.Y) == 0:
+			b.WriteString("  then false\n")
+		case len(r.Y) > 0:
+			sep := " and "
+			if r.Disjunctive {
+				sep = " or "
 			}
+			b.WriteString("  then ")
+			writeLits(&b, r.Y, sep)
 			b.WriteString("\n")
 		}
 		b.WriteString("}\n")
@@ -572,6 +483,20 @@ func Format(rules []*Rule) string {
 	return b.String()
 }
 
-func litDSL(l ged.Literal) string {
-	return fmt.Sprintf("%s %s %s", l.Left, l.Op, l.Right)
+func writeLits(b *strings.Builder, lits []ged.Literal, sep string) {
+	for i, l := range lits {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		fmt.Fprintf(b, "%s %s %s", operandDSL(l.Left), l.Op, operandDSL(l.Right))
+	}
+}
+
+// operandDSL renders an operand as the lexer reads it back: numbers
+// without an exponent, strings Go-quoted.
+func operandDSL(o ged.Operand) string {
+	if o.Kind == ged.OperandConst && o.Const.IsNumber() {
+		return strconv.FormatFloat(o.Const.Num(), 'f', -1, 64)
+	}
+	return o.String()
 }

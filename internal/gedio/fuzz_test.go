@@ -6,8 +6,9 @@ import (
 
 // FuzzParse drives the DSL parser with arbitrary inputs: it must never
 // panic, and everything it accepts must survive a Format → Parse round
-// trip. Run with `go test -fuzz=FuzzParse ./internal/gedio` to explore;
-// the seed corpus runs under plain `go test`.
+// trip as the same rules: each rule's String and Disjunctive bit. Run
+// with `go test -fuzz=FuzzParse ./internal/gedio` to explore; the seed
+// corpus runs under plain `go test`.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		phi1Src,
@@ -20,6 +21,10 @@ func FuzzParse(f *testing.F) {
 		`ged broken on (x:a { }`,
 		`ged n on (x:a) { when x.a = -3.5 then x.b = "q\"uo" }`,
 		"ged m on (x:a)-[e]->(y:b), (y)-[f]->(z) {\n when x.p = y.q\n then z.r = 1\n}",
+		`ged t on (x:a) { then x.s = "a\tb" }`,
+		`ged l on (x:a) { then x.s = "line\nbreak" }`,
+		`ged c on (x:a) { then x.s = "\x03" or x.s = "\u00e9\\" }`,
+		`ged big on (x:a) { when x.n > 100000000000000000000000 then x.m = 0.000001 }`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -37,6 +42,12 @@ func FuzzParse(f *testing.F) {
 		}
 		if len(again) != len(rules) {
 			t.Fatalf("rule count changed: %d -> %d", len(rules), len(again))
+		}
+		for i, r := range rules {
+			if again[i].String() != r.String() || again[i].Disjunctive != r.Disjunctive {
+				t.Fatalf("rule %d changed:\n%s (disjunctive %v)\n%s (disjunctive %v)\nprinted: %q",
+					i, r, r.Disjunctive, again[i], again[i].Disjunctive, text)
+			}
 		}
 	})
 }

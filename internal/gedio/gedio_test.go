@@ -3,9 +3,7 @@ package gedio
 import (
 	"testing"
 
-	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
-	"gedlib/internal/gedor"
 	"gedlib/internal/graph"
 	"gedlib/internal/reason"
 )
@@ -84,9 +82,9 @@ func TestParsePhi1(t *testing.T) {
 	if len(rules) != 1 {
 		t.Fatalf("got %d rules", len(rules))
 	}
-	g, err := rules[0].AsGED()
-	if err != nil {
-		t.Fatal(err)
+	g := rules[0]
+	if f, err := g.Form(), g.Validate(); f != ged.FormGED || err != nil {
+		t.Fatalf("parsed a %s (%v), want a valid GED", f, err)
 	}
 	if g.Name != "phi1" || len(g.X) != 1 || len(g.Y) != 1 {
 		t.Errorf("parsed GED wrong: %s", g)
@@ -118,9 +116,9 @@ ged twoCaps on (x:country)-[capital]->(y:city), (x)-[capital]->(z:city) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := rules[0].AsGED()
-	if err != nil {
-		t.Fatal(err)
+	g := rules[0]
+	if f, err := g.Form(), g.Validate(); f != ged.FormGED || err != nil {
+		t.Fatalf("parsed a %s (%v), want a valid GED", f, err)
 	}
 	if g.Pattern.NumVars() != 3 || len(g.Pattern.Edges()) != 2 {
 		t.Errorf("pattern shape: %d vars %d edges", g.Pattern.NumVars(), len(g.Pattern.Edges()))
@@ -145,16 +143,16 @@ ged inherit on (y)-[is_a]->(x) {
 	if len(rules) != 2 {
 		t.Fatalf("got %d rules", len(rules))
 	}
-	key, err := rules[0].AsGED()
-	if err != nil {
-		t.Fatal(err)
+	key := rules[0]
+	if f, err := key.Form(), key.Validate(); f != ged.FormGED || err != nil {
+		t.Fatalf("parsed a %s (%v), want a valid GED", f, err)
 	}
 	if k, _ := key.Y[0].Kind(); k != ged.IDLiteral {
 		t.Error("id literal not parsed")
 	}
-	inherit, err := rules[1].AsGED()
-	if err != nil {
-		t.Fatal(err)
+	inherit := rules[1]
+	if f, err := inherit.Form(), inherit.Validate(); f != ged.FormGED || err != nil {
+		t.Fatalf("parsed a %s (%v), want a valid GED", f, err)
 	}
 	if inherit.Pattern.Label("x") != graph.Wildcard {
 		t.Error("unlabeled node must be wildcard")
@@ -171,9 +169,9 @@ ged noCycle on (x:person)-[child]->(y:person), (x)-[parent]->(y) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := rules[0].AsGED()
-	if err != nil {
-		t.Fatal(err)
+	g := rules[0]
+	if f, err := g.Form(), g.Validate(); f != ged.FormGED || err != nil {
+		t.Fatalf("parsed a %s (%v), want a valid GED", f, err)
 	}
 	if !g.IsForbidding() {
 		t.Error("false must desugar to a forbidding constraint")
@@ -191,25 +189,21 @@ ged bound on (x:emp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rules[0]
-	if !r.HasComparisons() {
-		t.Fatal("comparisons not detected")
+	d := rules[0]
+	if f := d.Form(); f != ged.FormGDC {
+		t.Fatalf("comparisons not detected: parsed a %s", f)
 	}
-	if _, err := r.AsGED(); err == nil {
-		t.Error("comparison rule accepted as plain GED")
-	}
-	d, err := r.AsGDC()
-	if err != nil {
+	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	gr := graph.New()
 	gr.AddNodeAttrs("emp", map[graph.Attr]graph.Value{"salary": graph.Int(150)})
-	if gdc.Satisfies(gr, gdc.Set{d}) {
+	if reason.Satisfies(gr, ged.Set{d}) {
 		t.Error("salary in (100, 200] must violate")
 	}
 	gr2 := graph.New()
 	gr2.AddNodeAttrs("emp", map[graph.Attr]graph.Value{"salary": graph.Int(250)})
-	if !gdc.Satisfies(gr2, gdc.Set{d}) {
+	if !reason.Satisfies(gr2, ged.Set{d}) {
 		t.Error("salary 250 must satisfy")
 	}
 }
@@ -224,24 +218,20 @@ ged domain on (x:account) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rules[0]
-	if !r.Disjunctive {
-		t.Fatal("disjunction not detected")
+	d := rules[0]
+	if !d.Disjunctive || d.Form() != ged.FormGEDor {
+		t.Fatalf("disjunction not detected: parsed a %s", d.Form())
 	}
-	if _, err := r.AsGED(); err == nil {
-		t.Error("disjunctive rule accepted as plain GED")
-	}
-	d, err := r.AsGEDor()
-	if err != nil {
+	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	gr := graph.New()
 	gr.AddNodeAttrs("account", map[graph.Attr]graph.Value{"flag": graph.Int(1)})
-	if !gedor.Satisfies(gr, gedor.Set{d}) {
+	if !reason.Satisfies(gr, ged.Set{d}) {
 		t.Error("flag = 1 must satisfy the domain")
 	}
 	gr.SetAttr(0, "flag", graph.Int(5))
-	if gedor.Satisfies(gr, gedor.Set{d}) {
+	if reason.Satisfies(gr, ged.Set{d}) {
 		t.Error("flag = 5 must violate the domain")
 	}
 }
@@ -274,8 +264,7 @@ func TestFormatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("printer output does not re-parse: %v\n%s", err, text)
 	}
-	g1, _ := rules[0].AsGED()
-	g2, _ := rules2[0].AsGED()
+	g1, g2 := rules[0], rules2[0]
 	if g1.String() != g2.String() {
 		t.Errorf("round trip changed the rule:\n%s\nvs\n%s", g1, g2)
 	}
@@ -294,12 +283,10 @@ ged second on (a:x) {
 	if len(rules) != 2 {
 		t.Fatalf("got %d rules, want 2", len(rules))
 	}
-	set, err := GEDs(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 2 {
-		t.Error("GEDs conversion lost rules")
+	for _, r := range rules {
+		if f := r.Form(); f != ged.FormGED {
+			t.Errorf("rule %s parsed as a %s, want a GED", r.Name, f)
+		}
 	}
 }
 
@@ -315,9 +302,9 @@ ged k on (x:album), (x':album) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := rules[0].AsGED()
-	if err != nil {
-		t.Fatal(err)
+	g := rules[0]
+	if f, err := g.Form(), g.Validate(); f != ged.FormGED || err != nil {
+		t.Fatalf("parsed a %s (%v), want a valid GED", f, err)
 	}
 	if !ged.IsGKey(g) {
 		t.Error("parsed primed rule should be recognized as a GKey")

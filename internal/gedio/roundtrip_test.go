@@ -12,7 +12,7 @@ import (
 
 // randomRule builds a random parsed rule directly (bypassing the
 // parser), to exercise Format → Parse round-trips from arbitrary inputs.
-func randomRule(rng *rand.Rand, idx int) *Rule {
+func randomRule(rng *rand.Rand, idx int) *ged.GED {
 	labels := []graph.Label{"person", "product", "account", graph.Wildcard}
 	attrs := []graph.Attr{"name", "age", "kind"}
 	edges := []graph.Label{"knows", "likes", "owns"}
@@ -47,7 +47,7 @@ func randomRule(rng *rand.Rand, idx int) *Rule {
 			return ged.IDLit(rv(), rv())
 		}
 	}
-	r := &Rule{Name: fmt.Sprintf("r%d", idx), Pattern: p}
+	r := &ged.GED{Name: fmt.Sprintf("r%d", idx), Pattern: p}
 	useOps := rng.Intn(3) == 0
 	for i := 0; i < rng.Intn(3); i++ {
 		r.X = append(r.X, randLit(useOps))
@@ -68,7 +68,7 @@ func TestFormatParseRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 150; trial++ {
 		r := randomRule(rng, trial)
-		text := Format([]*Rule{r})
+		text := Format(ged.Set{r})
 		parsed, err := Parse(text)
 		if err != nil {
 			t.Fatalf("trial %d: printer output rejected: %v\n%s", trial, err, text)
@@ -137,5 +137,30 @@ func TestJSONRoundTripRandom(t *testing.T) {
 		if g.String() != g2.String() {
 			t.Fatalf("trial %d: round trip changed the graph:\n%s\nvs\n%s", trial, g, g2)
 		}
+	}
+}
+
+// TestFormatQuotedConstants: constants Format must escape or spell out
+// come back from Parse unchanged, and a bad escape is rejected.
+func TestFormatQuotedConstants(t *testing.T) {
+	p := pattern.New()
+	p.AddVar("x", "a")
+	for _, c := range []graph.Value{
+		graph.String("a\tb"), graph.String("line\nbreak"), graph.String("\x03"),
+		graph.String(`q"uo`), graph.String(`back\slash`), graph.String("é"),
+		graph.Number(1e23), graph.Number(-0.5), graph.Number(1e-7),
+	} {
+		r := ged.New("c", p, nil, []ged.Literal{ged.ConstLit("x", "s", c)})
+		text := Format(ged.Set{r})
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%v: printer output rejected: %v\n%s", c, err, text)
+		}
+		if got := again[0].Y[0].Right.Const; got != c {
+			t.Errorf("%v came back as %v\n%s", c, got, text)
+		}
+	}
+	if _, err := Parse(`ged r on (x:a) { then x.s = "\q" }`); err == nil {
+		t.Error(`bad escape \q accepted`)
 	}
 }

@@ -1,55 +1,51 @@
-// Package gedor implements GED∨s — GEDs with limited disjunction — from
-// Section 7.2 of "Dependencies for Graphs" (Fan & Lu, PODS 2017).
+// Package gedor decides satisfiability and implication of GED∨s — GEDs
+// with limited disjunction — from Section 7.2 of "Dependencies for
+// Graphs" (Fan & Lu, PODS 2017).
 //
-// A GED∨ has the same syntactic form Q[x̄](X → Y) as a GED, but Y is
-// interpreted as a disjunction: a match satisfying X must satisfy at
-// least one literal of Y. GED∨s subsume GEDs (each conjunct becomes its
-// own GED∨) and can express domain constraints such as
+// A GED∨ is a ged.GED with the Disjunctive bit: its consequent Y is
+// read as a disjunction, so a match satisfying X must satisfy at least
+// one literal of Y. GED∨s subsume GEDs (each conjunct becomes its own
+// GED∨, FromGED) and can express domain constraints such as
 // Q[x](∅ → x.A = 0 ∨ x.A = 1) that plain GEDs cannot (Example 10).
+// Validation is the GEDs' own (Theorem 9: it stays coNP-complete),
+// through package reason.
 //
-// Validation is exact (coNP-complete, Theorem 9). Satisfiability and
-// implication are decided by a branching chase that mirrors their
-// Σᵖ₂/Πᵖ₂ structure: at every match with a satisfied antecedent and no
-// satisfied disjunct, the search branches on which disjunct to enforce.
-// Positive satisfiability answers are certified with the validator;
-// non-implication answers with a certified countermodel.
+// Satisfiability and implication are decided by a branching chase that
+// mirrors their Σᵖ₂/Πᵖ₂ structure: at every match with a satisfied
+// antecedent and no satisfied disjunct, the search branches on which
+// disjunct to enforce. Positive satisfiability answers are certified
+// with the validator; non-implication answers with a certified
+// countermodel. GED∨s have GED literals only: a comparison is an error.
 package gedor
 
 import (
+	"fmt"
+	"strconv"
+
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
 )
 
-// GEDor is a disjunctive dependency Q[x̄](X → l₁ ∨ ... ∨ l_k).
-type GEDor struct {
-	// Name is an optional identifier.
-	Name string
-	// Pattern is the topological constraint Q[x̄].
-	Pattern *pattern.Pattern
-	// X is the (conjunctive) antecedent.
-	X []ged.Literal
-	// Y is the disjunctive consequent. An empty Y is the constant false,
-	// making the GED∨ a forbidding constraint.
-	Y []ged.Literal
-}
-
-// New returns the GED∨ Q[x̄](X → ∨Y).
-func New(name string, q *pattern.Pattern, x, y []ged.Literal) *GEDor {
-	return &GEDor{Name: name, Pattern: q, X: x, Y: y}
+// New returns the GED∨ Q[x̄](X → ∨Y). An empty Y is the constant false,
+// making it a forbidding constraint.
+func New(name string, q *pattern.Pattern, x, y []ged.Literal) *ged.GED {
+	d := ged.New(name, q, x, y)
+	d.Disjunctive = true
+	return d
 }
 
 // FromGED splits a GED into the equivalent set of GED∨s, one per
 // consequent literal (Section 7.2).
-func FromGED(g *ged.GED) []*GEDor {
+func FromGED(g *ged.GED) ged.Set {
 	if len(g.Y) == 0 {
-		return []*GEDor{New(g.Name, g.Pattern, g.X, []ged.Literal{trivialLit(g.Pattern)})}
+		return ged.Set{New(g.Name, g.Pattern, g.X, []ged.Literal{trivialLit(g.Pattern)})}
 	}
-	out := make([]*GEDor, 0, len(g.Y))
+	out := make(ged.Set, 0, len(g.Y))
 	for i, l := range g.Y {
 		name := g.Name
 		if len(g.Y) > 1 {
-			name = g.Name + "#" + string(rune('0'+i))
+			name = g.Name + "#" + strconv.Itoa(i)
 		}
 		out = append(out, New(name, g.Pattern, g.X, []ged.Literal{l}))
 	}
@@ -63,105 +59,27 @@ func trivialLit(q *pattern.Pattern) ged.Literal {
 	return ged.IDLit(x, x)
 }
 
-// Validate checks well-formedness (same literal forms as GEDs).
-func (g *GEDor) Validate() error {
-	return ged.New(g.Name, g.Pattern, g.X, g.Y).Validate()
-}
-
-// String renders the GED∨ with ∨-separated consequents.
-func (g *GEDor) String() string {
-	s := ged.New(g.Name, g.Pattern, g.X, nil).String()
-	// Render Y by hand to show the disjunction.
-	out := s[:len(s)-len("true)")]
-	if len(g.Y) == 0 {
-		return out + "false)"
-	}
-	for i, l := range g.Y {
-		if i > 0 {
-			out += " || "
-		}
-		out += l.String()
-	}
-	return out + ")"
-}
-
-// Set is a finite set Σ of GED∨s.
-type Set []*GEDor
-
-// Validate checks every member.
-func (s Set) Validate() error {
-	for _, g := range s {
-		if err := g.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CanonicalGraph builds G_Σ.
-func (s Set) CanonicalGraph() (*graph.Graph, []map[pattern.Var]graph.NodeID) {
-	g := graph.New()
-	maps := make([]map[pattern.Var]graph.NodeID, len(s))
-	for i, d := range s {
-		pg, vm := d.Pattern.ToGraph()
-		nm := g.DisjointUnion(pg)
-		m := make(map[pattern.Var]graph.NodeID, len(vm))
-		for v, id := range vm {
-			m[v] = nm[id]
-		}
-		maps[i] = m
-	}
-	return g, maps
-}
-
-// Violation is a match satisfying X with every disjunct of Y false.
-type Violation struct {
-	GEDor *GEDor
-	Match pattern.Match
-}
-
-// Validate finds violations of Σ in G, up to limit (≤ 0 means all).
-func Validate(g *graph.Graph, sigma Set, limit int) []Violation {
-	snap := g.Freeze()
-	var out []Violation
+// disjunctive returns Σ with every conjunctive GED split by FromGED, so
+// that the solver reads every Y as a disjunction, or an error naming
+// the first rule it cannot decide: a GDC.
+func disjunctive(sigma ged.Set) (ged.Set, error) {
+	out := make(ged.Set, 0, len(sigma))
 	for _, d := range sigma {
-		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
-			for _, l := range d.X {
-				if !holds(snap, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if holds(snap, l, m) {
-					return true
-				}
-			}
-			out = append(out, Violation{GEDor: d, Match: m.Clone()})
-			return limit <= 0 || len(out) < limit
-		})
-		if limit > 0 && len(out) >= limit {
-			break
+		switch d.Form() {
+		case ged.FormGDC:
+			return nil, fmt.Errorf("gedor: rule %s is a %s; GED∨s compare with = only", d.Name, d.Form())
+		case ged.FormGED:
+			out = append(out, FromGED(d)...)
+		default:
+			out = append(out, d)
 		}
 	}
-	return out
-}
-
-// Satisfies reports G ⊨ Σ.
-func Satisfies(g *graph.Graph, sigma Set) bool {
-	return len(Validate(g, sigma, 1)) == 0
-}
-
-// holds is ged.Holds restricted to the GED literal forms GED∨s admit.
-func holds(snap *graph.Snapshot, l ged.Literal, m pattern.Match) bool {
-	if _, ok := l.Kind(); !ok {
-		panic("gedor: non-GED literal")
-	}
-	return ged.Holds(snap, l, m)
+	return out, nil
 }
 
 // DomainConstraint returns the GED∨ of Example 10: every node labeled
 // tau has attribute a with a value among the given constants.
-func DomainConstraint(tau graph.Label, a graph.Attr, domain ...graph.Value) *GEDor {
+func DomainConstraint(tau graph.Label, a graph.Attr, domain ...graph.Value) *ged.GED {
 	q := pattern.New()
 	q.AddVar("x", tau)
 	var ys []ged.Literal

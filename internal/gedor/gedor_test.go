@@ -25,26 +25,26 @@ func TestExample10DomainConstraint(t *testing.T) {
 
 	g := graph.New()
 	n := g.AddNodeAttrs("tau", map[graph.Attr]graph.Value{"A": graph.Int(1)})
-	if !Satisfies(g, Set{psi}) {
+	if !reason.Satisfies(g, ged.Set{psi}) {
 		t.Error("A = 1 must satisfy the domain constraint")
 	}
 	g.SetAttr(n, "A", graph.Int(2))
-	if Satisfies(g, Set{psi}) {
+	if reason.Satisfies(g, ged.Set{psi}) {
 		t.Error("A = 2 must violate")
 	}
 	// Unlike the GDC pair of Example 9, the single GED∨ also forces the
 	// attribute to exist.
 	g2 := graph.New()
 	g2.AddNode("tau")
-	if Satisfies(g2, Set{psi}) {
+	if reason.Satisfies(g2, ged.Set{psi}) {
 		t.Error("missing A must violate the disjunction")
 	}
 
-	r := CheckSat(Set{psi})
+	r := CheckSat(ged.Set{psi})
 	if r.Satisfiable != True {
 		t.Fatalf("domain constraint must be satisfiable, got %v", r.Satisfiable)
 	}
-	if !Satisfies(r.Model, Set{psi}) {
+	if !reason.Satisfies(r.Model, ged.Set{psi}) {
 		t.Error("witness violates ψ")
 	}
 	if v, ok := r.Model.Attr(0, "A"); !ok || !(v.Equal(graph.Int(0)) || v.Equal(graph.Int(1))) {
@@ -56,7 +56,7 @@ func TestCheckSatForbidding(t *testing.T) {
 	// An empty disjunction forbids the pattern outright; a Σ whose
 	// pattern must match (strong satisfiability) is then unsatisfiable.
 	forbid := New("forbid", nodeQ("tau"), nil, nil)
-	if r := CheckSat(Set{forbid}); r.Satisfiable != False {
+	if r := CheckSat(ged.Set{forbid}); r.Satisfiable != False {
 		t.Errorf("forbidding constraint alone must be unsatisfiable, got %v", r.Satisfiable)
 	}
 }
@@ -69,18 +69,18 @@ func TestCheckSatBranchingNeeded(t *testing.T) {
 		ged.ConstLit("x", "A", graph.Int(0)), ged.ConstLit("x", "A", graph.Int(1))})
 	psi2 := New("p2", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(1)), ged.ConstLit("x", "A", graph.Int(2))})
-	r := CheckSat(Set{psi1, psi2})
+	r := CheckSat(ged.Set{psi1, psi2})
 	if r.Satisfiable != True {
 		t.Fatalf("ψ1 ∧ ψ2 must be satisfiable (A = 1), got %v", r.Satisfiable)
 	}
-	if !Satisfies(r.Model, Set{psi1, psi2}) {
+	if !reason.Satisfies(r.Model, ged.Set{psi1, psi2}) {
 		t.Error("witness violates the set")
 	}
 
 	// Disjoint domains are unsatisfiable.
 	psi3 := New("p3", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(7)), ged.ConstLit("x", "A", graph.Int(8))})
-	if r := CheckSat(Set{psi1, psi3}); r.Satisfiable != False {
+	if r := CheckSat(ged.Set{psi1, psi3}); r.Satisfiable != False {
 		t.Errorf("disjoint domains must be unsatisfiable, got %v", r.Satisfiable)
 	}
 }
@@ -90,24 +90,24 @@ func TestImpliesDomainWeakening(t *testing.T) {
 	narrow := New("n", nodeQ("tau"), nil, []ged.Literal{ged.ConstLit("x", "A", graph.Int(0))})
 	wide := New("w", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(0)), ged.ConstLit("x", "A", graph.Int(1))})
-	if r := Implies(Set{narrow}, wide); r.Implied != True {
+	if r := Implies(ged.Set{narrow}, wide); r.Implied != True {
 		t.Errorf("narrow must imply wide, got %v", r.Implied)
 	}
-	r := Implies(Set{wide}, narrow)
+	r := Implies(ged.Set{wide}, narrow)
 	if r.Implied != False {
 		t.Fatalf("wide must not imply narrow, got %v", r.Implied)
 	}
-	if r.Counterexample == nil || !Satisfies(r.Counterexample, Set{wide}) {
+	if r.Counterexample == nil || !reason.Satisfies(r.Counterexample, ged.Set{wide}) {
 		t.Error("countermodel missing or violates Σ")
 	}
-	if len(Validate(r.Counterexample, Set{narrow}, 1)) == 0 {
+	if len(validate(r.Counterexample, ged.Set{narrow}, 1)) == 0 {
 		t.Error("countermodel does not violate φ")
 	}
 }
 
 func TestImpliesReflexive(t *testing.T) {
 	psi := DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
-	if r := Implies(Set{psi}, psi); r.Implied != True {
+	if r := Implies(ged.Set{psi}, psi); r.Implied != True {
 		t.Errorf("Σ must imply its own member, got %v", r.Implied)
 	}
 }
@@ -123,11 +123,11 @@ func TestImpliesThroughCaseSplit(t *testing.T) {
 		[]ged.Literal{ged.ConstLit("x", "A", graph.Int(1))},
 		[]ged.Literal{ged.ConstLit("x", "B", graph.Int(5))})
 	phi := New("phi", nodeQ("tau"), nil, []ged.Literal{ged.ConstLit("x", "B", graph.Int(5))})
-	if r := Implies(Set{dom, c0, c1}, phi); r.Implied != True {
+	if r := Implies(ged.Set{dom, c0, c1}, phi); r.Implied != True {
 		t.Errorf("case split must yield B = 5 on every branch, got %v", r.Implied)
 	}
 	// Dropping one case loses the implication.
-	r := Implies(Set{dom, c0}, phi)
+	r := Implies(ged.Set{dom, c0}, phi)
 	if r.Implied != False {
 		t.Errorf("missing case must break the implication, got %v", r.Implied)
 	}
@@ -155,8 +155,26 @@ func TestFromGED(t *testing.T) {
 	}
 	gr := graph.New()
 	gr.AddNode("p")
-	if !Satisfies(gr, Set{sp[0]}) {
+	if !reason.Satisfies(gr, ged.Set{sp[0]}) {
 		t.Error("trivial disjunct must hold")
+	}
+}
+
+// TestFromGEDNamesPastNine: split members are named g#0 … g#11, and
+// each is a one-disjunct GED∨.
+func TestFromGEDNamesPastNine(t *testing.T) {
+	var ys []ged.Literal
+	for i := 0; i < 12; i++ {
+		ys = append(ys, ged.ConstLit("x", graph.Attr(fmt.Sprintf("a%d", i)), graph.Int(i)))
+	}
+	split := FromGED(ged.New("g", nodeQ("p"), nil, ys))
+	if len(split) != 12 {
+		t.Fatalf("split into %d, want 12", len(split))
+	}
+	for i, d := range split {
+		if want := fmt.Sprintf("g#%d", i); d.Name != want || d.Form() != ged.FormGEDor || len(d.Y) != 1 {
+			t.Errorf("member %d: %s (%s, %d disjuncts), want %s", i, d.Name, d.Form(), len(d.Y), want)
+		}
 	}
 }
 
@@ -168,7 +186,7 @@ func TestGEDorSatAgreesWithGEDSat(t *testing.T) {
 		sigma := randomGEDSigma(rng)
 		exact, _ := reason.CheckSatCtx(context.Background(), sigma, 0)
 		want := exact.Satisfiable
-		var ds Set
+		var ds ged.Set
 		for _, d := range sigma {
 			ds = append(ds, FromGED(d)...)
 		}
@@ -194,7 +212,7 @@ func TestGEDorImplAgreesWithGEDImpl(t *testing.T) {
 		}
 		exact, _ := reason.ImpliesCtx(context.Background(), sigma, phiGED, 0)
 		want := exact.Implied
-		var ds Set
+		var ds ged.Set
 		for _, d := range sigma {
 			ds = append(ds, FromGED(d)...)
 		}
@@ -253,4 +271,31 @@ func randomGEDSigma(rng *rand.Rand) ged.Set {
 		sigma = append(sigma, ged.New(fmt.Sprintf("r%d", i), q, xs, ys))
 	}
 	return sigma
+}
+
+// validate is Engine.Validate's check of Σ on g, up to limit (≤ 0 means
+// all).
+func validate(g *graph.Graph, sigma ged.Set, limit int) []reason.Violation {
+	vs, _ := reason.NewValidatorOn(g.Freeze(), sigma).RunCtx(context.Background(), limit)
+	return vs
+}
+
+// TestSolverRejectsComparisons: a GDC anywhere in the input is an error
+// and an Unknown verdict; a plain GED is read as its FromGED split.
+func TestSolverRejectsComparisons(t *testing.T) {
+	lt := ged.New("lt", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
+	dom := DomainConstraint("p", "a", graph.Int(0), graph.Int(1))
+	if r := CheckSat(ged.Set{dom, lt}); r.Err == nil || r.Satisfiable != Unknown {
+		t.Errorf("CheckSat with a GDC: %v, %v", r.Satisfiable, r.Err)
+	}
+	if r := Implies(ged.Set{dom}, lt); r.Err == nil || r.Implied != Unknown {
+		t.Errorf("Implies of a GDC: %v, %v", r.Implied, r.Err)
+	}
+	both := ged.New("both", nodeQ("p"), nil, []ged.Literal{ged.ConstLit("x", "a", graph.Int(0)), ged.ConstLit("x", "b", graph.Int(1))})
+	if r := Implies(ged.Set{both}, both); r.Err != nil || r.Implied != True {
+		t.Errorf("a conjunctive GED implies itself: %v, %v", r.Implied, r.Err)
+	}
+	if r := Implies(ged.Set{dom}, both); r.Err != nil || r.Implied != False {
+		t.Errorf("a domain does not imply a conjunction: %v, %v", r.Implied, r.Err)
+	}
 }

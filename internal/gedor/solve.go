@@ -2,52 +2,30 @@ package gedor
 
 import (
 	"gedlib/internal/chase"
+	"gedlib/internal/gdc"
+	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
+	"gedlib/internal/reason"
 )
 
-// Verdict is a three-valued answer, as in package gdc.
-type Verdict uint8
+// Verdict, SatResult and ImplResult are package gdc's: the two solvers
+// answer alike.
+type (
+	Verdict    = gdc.Verdict
+	SatResult  = gdc.SatResult
+	ImplResult = gdc.ImplResult
+)
 
+// The verdicts.
 const (
-	// False: exhaustively refuted.
-	False Verdict = iota
-	// True: certified by a witness.
-	True
-	// Unknown: the search was cut off.
-	Unknown
+	False   = gdc.False
+	True    = gdc.True
+	Unknown = gdc.Unknown
 )
-
-// String names the verdict.
-func (v Verdict) String() string {
-	switch v {
-	case True:
-		return "true"
-	case False:
-		return "false"
-	default:
-		return "unknown"
-	}
-}
 
 // defaultBudget bounds the number of branch-chase states explored.
 const defaultBudget = 100000
-
-// SatResult reports a GED∨ satisfiability analysis.
-type SatResult struct {
-	// Satisfiable is the verdict; True is certified by Model.
-	Satisfiable Verdict
-	// Model is a model of Σ when satisfiable.
-	Model *graph.Graph
-}
-
-// ImplResult reports a GED∨ implication analysis.
-type ImplResult struct {
-	// Implied is the verdict; False is certified by Counterexample.
-	Implied Verdict
-	// Counterexample satisfies Σ and violates φ when Implied is False.
-	Counterexample *graph.Graph
-}
 
 // branchState is one node of the disjunctive chase tree: the seed
 // literals committed so far over a fixed base graph.
@@ -62,7 +40,7 @@ func (b branchState) with(s chase.Seed) branchState {
 
 // pending is a match whose antecedent holds but no disjunct does.
 type pending struct {
-	d     *GEDor
+	d     *ged.GED
 	match map[pattern.Var]graph.NodeID
 }
 
@@ -70,7 +48,7 @@ type pending struct {
 // obligation, if any, matching on the chase's own attribute-free
 // quotient (literals are judged on Eq). It returns the chase result for
 // reuse.
-func findPending(b branchState, sigma Set) (*chase.Result, *pending) {
+func findPending(b branchState, sigma ged.Set) (*chase.Result, *pending) {
 	res := chase.RunSeeded(b.base, nil, b.seeds)
 	if !res.Consistent() {
 		return res, nil
@@ -105,7 +83,7 @@ func findPending(b branchState, sigma Set) (*chase.Result, *pending) {
 
 // solveSat explores the disjunctive chase tree looking for a consistent
 // terminal branch.
-func solveSat(b branchState, sigma Set, budget *int, depth int) (Verdict, *graph.Graph) {
+func solveSat(b branchState, sigma ged.Set, budget *int, depth int) (Verdict, *graph.Graph) {
 	if *budget <= 0 || depth > 200 {
 		return Unknown, nil
 	}
@@ -117,7 +95,7 @@ func solveSat(b branchState, sigma Set, budget *int, depth int) (Verdict, *graph
 	if p == nil {
 		// Terminal branch: materialize and certify.
 		model := res.Materialize()
-		if Satisfies(model, sigma) {
+		if reason.Satisfies(model, sigma) {
 			return True, model
 		}
 		return Unknown, nil // materialization artifact; should not occur
@@ -147,8 +125,12 @@ func solveSat(b branchState, sigma Set, budget *int, depth int) (Verdict, *graph
 // a consistent terminal branch materializes into a certified model
 // (mirroring Theorem 2 branch-wise), and Σ is unsatisfiable when every
 // branch dies (Theorem 9's Σᵖ₂ search, with the inner ∀ discharged by
-// the validator).
-func CheckSat(sigma Set) *SatResult {
+// the validator). A conjunctive GED in Σ is read as its FromGED split.
+func CheckSat(sigma ged.Set) *SatResult {
+	sigma, err := disjunctive(sigma)
+	if err != nil {
+		return &SatResult{Satisfiable: Unknown, Err: err}
+	}
 	gs, _ := sigma.CanonicalGraph()
 	budget := defaultBudget
 	v, m := solveSat(branchState{base: gs}, sigma, &budget, 0)
@@ -159,8 +141,27 @@ func CheckSat(sigma Set) *SatResult {
 // φ's canonical graph from Eq_X by Σ must, on every consistent terminal
 // branch, satisfy some disjunct of φ's consequent on the identity
 // embedding. A terminal branch that does not yields a certified
-// countermodel.
-func Implies(sigma Set, phi *GEDor) *ImplResult {
+// countermodel. Conjunctive GEDs, in Σ or as φ, are read as their
+// FromGED split: a conjunctive φ is implied when every part is.
+func Implies(sigma ged.Set, phi *ged.GED) *ImplResult {
+	sigma, err := disjunctive(sigma)
+	if err != nil {
+		return &ImplResult{Implied: Unknown, Err: err}
+	}
+	phis, err := disjunctive(ged.Set{phi})
+	if err != nil {
+		return &ImplResult{Implied: Unknown, Err: err}
+	}
+	for _, phi := range phis {
+		if r := implies(sigma, phi); r.Implied != True {
+			return r
+		}
+	}
+	return &ImplResult{Implied: True}
+}
+
+// implies is Implies for one GED∨ φ.
+func implies(sigma ged.Set, phi *ged.GED) *ImplResult {
 	gq, vm := phi.Pattern.ToGraph()
 	var seeds []chase.Seed
 	for _, l := range phi.X {
@@ -180,7 +181,7 @@ func Implies(sigma Set, phi *GEDor) *ImplResult {
 
 // refute searches for a consistent terminal branch whose identity
 // embedding of φ's pattern satisfies X but no disjunct of Y.
-func refute(b branchState, sigma Set, phi *GEDor, vm map[pattern.Var]graph.NodeID, budget *int, depth int) (Verdict, *graph.Graph) {
+func refute(b branchState, sigma ged.Set, phi *ged.GED, vm map[pattern.Var]graph.NodeID, budget *int, depth int) (Verdict, *graph.Graph) {
 	if *budget <= 0 || depth > 200 {
 		return Unknown, nil
 	}
@@ -198,10 +199,7 @@ func refute(b branchState, sigma Set, phi *GEDor, vm map[pattern.Var]graph.NodeI
 		}
 		model := res.Materialize()
 		// Certify: the countermodel must satisfy Σ and violate φ.
-		if !Satisfies(model, sigma) {
-			return Unknown, nil
-		}
-		if len(Validate(model, Set{phi}, 1)) == 0 {
+		if !reason.Satisfies(model, sigma) || reason.Satisfies(model, ged.Set{phi}) {
 			return Unknown, nil
 		}
 		return True, model

@@ -423,7 +423,7 @@ func TestTable1(t *testing.T) {
 		return certain(gdc.CheckSat(dom).Satisfiable)
 	})
 	add("GDC", "satisfiability", "domain-conflict", false, func() bool {
-		conflict := append(gdc.Set{}, dom...)
+		conflict := append(ged.Set{}, dom...)
 		conflict = append(conflict, gdc.New("ne", dom[0].Pattern, nil, []ged.Literal{
 			ged.Cmp("x", "A", ged.OpNe, graph.Int(0)),
 			ged.Cmp("x", "A", ged.OpNe, graph.Int(1)),
@@ -433,32 +433,32 @@ func TestTable1(t *testing.T) {
 	lt5 := gdc.New("lt5", node("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
 	lt10 := gdc.New("lt10", node("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(10))})
 	add("GDC", "implication", "a<5 ⊨ a<10", true, func() bool {
-		return certain(gdc.Implies(gdc.Set{lt5}, lt10).Implied)
+		return certain(gdc.Implies(ged.Set{lt5}, lt10).Implied)
 	})
 	add("GDC", "implication", "a<10 ⊭ a<5", false, func() bool {
-		return certain(gdc.Implies(gdc.Set{lt10}, lt5).Implied)
+		return certain(gdc.Implies(ged.Set{lt10}, lt5).Implied)
 	})
 	add("GDC", "validation", "a=3 vs a<5", true, func() bool {
 		g := graph.New()
 		g.AddNodeAttrs("p", map[graph.Attr]graph.Value{"a": graph.Int(3)})
-		return gdc.Satisfies(g, gdc.Set{lt5})
+		return reason.Satisfies(g, ged.Set{lt5})
 	})
 	// GED∨ row (Theorem 9).
 	psi := gedor.DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
 	narrow := gedor.New("n", node("tau"), nil, []ged.Literal{ged.ConstLit("x", "A", graph.Int(0))})
 	add("GED∨", "satisfiability", "domain{0,1}", true, func() bool {
-		return certain(gedor.CheckSat(gedor.Set{psi}).Satisfiable)
+		return certain(gedor.CheckSat(ged.Set{psi}).Satisfiable)
 	})
 	add("GED∨", "implication", "A=0 ⊨ A∈{0,1}", true, func() bool {
-		return certain(gedor.Implies(gedor.Set{narrow}, psi).Implied)
+		return certain(gedor.Implies(ged.Set{narrow}, psi).Implied)
 	})
 	add("GED∨", "implication", "A∈{0,1} ⊭ A=0", false, func() bool {
-		return certain(gedor.Implies(gedor.Set{psi}, narrow).Implied)
+		return certain(gedor.Implies(ged.Set{psi}, narrow).Implied)
 	})
 	add("GED∨", "validation", "A=1 vs domain", true, func() bool {
 		g := graph.New()
 		g.AddNodeAttrs("tau", map[graph.Attr]graph.Value{"A": graph.Int(1)})
-		return gedor.Satisfies(g, gedor.Set{psi})
+		return reason.Satisfies(g, ged.Set{psi})
 	})
 
 	classes, problems := map[string]bool{}, map[string]bool{}
@@ -549,7 +549,7 @@ func TestRelationalDependencies(t *testing.T) {
 		rel   graph.Label
 		class ged.Class // of the GED encoding, when there is one
 		geds  ged.Set
-		gdcs  gdc.Set
+		gdcs  ged.Set
 		// direct is the dependency checked on the relation itself.
 		direct    func(ts []tuple) bool
 		instances []instance
@@ -626,7 +626,7 @@ func TestRelationalDependencies(t *testing.T) {
 		{
 			name: "DenialConstraintEncoding", rel: "emp",
 			// ¬∃ s, t: s.salary > t.salary ∧ s.dept = t.dept ∧ s.rank < t.rank
-			gdcs: gdc.Set{gdc.New("dc", pair("emp"), []ged.Literal{
+			gdcs: ged.Set{gdc.New("dc", pair("emp"), []ged.Literal{
 				ged.CmpVars("s", "salary", ged.OpGt, "t", "salary"),
 				ged.CmpVars("s", "dept", ged.OpEq, "t", "dept"),
 				ged.CmpVars("s", "rank", ged.OpLt, "t", "rank"),
@@ -650,7 +650,7 @@ func TestRelationalDependencies(t *testing.T) {
 		{
 			name: "ConstantDCAtom", rel: "emp",
 			// ¬∃ t: t.salary < 0
-			gdcs: gdc.Set{gdc.New("dc", pair("emp"),
+			gdcs: ged.Set{gdc.New("dc", pair("emp"),
 				[]ged.Literal{ged.Cmp("s", "salary", ged.OpLt, graph.Int(0))}, ged.False("s"))},
 			direct: func(ts []tuple) bool {
 				return allPairs(ts, func(s, _ tuple) bool { return !s["salary"].Less(graph.Int(0)) })
@@ -677,7 +677,7 @@ func TestRelationalDependencies(t *testing.T) {
 					t.Fatalf("instance %d: encoded shape %d nodes %d edges", i, g.NumNodes(), g.NumEdges())
 				}
 				direct := c.direct(in.tuples)
-				validated := reason.Satisfies(g, c.geds) && gdc.Satisfies(g, c.gdcs)
+				validated := reason.Satisfies(g, c.geds) && reason.Satisfies(g, c.gdcs)
 				if direct != in.holds || validated != direct {
 					t.Errorf("instance %d: relational check %v, graph validation %v, known status %v", i, direct, validated, in.holds)
 				}

@@ -12,8 +12,8 @@ import (
 // paper's lower bounds (Theorems 3, 5 and 6). The authors defer the
 // reduction details to proofs; the constructions here follow the stated
 // shapes (number and form of the dependencies) and are verified against
-// brute-force 3-coloring in the tests. See DESIGN.md §3 for the
-// correctness arguments.
+// brute-force 3-coloring in the tests, which are the correctness
+// argument.
 
 // hVar names the pattern variable of vertex i of H.
 func hVar(i int) pattern.Var { return pattern.Var(fmt.Sprintf("h%d", i)) }

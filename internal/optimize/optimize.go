@@ -182,15 +182,13 @@ func substituteVars(l ged.Literal, m map[pattern.Var]pattern.Var) ged.Literal {
 }
 
 // Answers evaluates a query on a graph: the matches of its pattern that
-// satisfy its selection. The selection must consist of GED literals.
+// satisfy its selection, whose literals may compare with any Op (a
+// selection Rewrite chases must be GED literals).
 func Answers(q *Query, g *graph.Graph) []pattern.Match {
 	snap := g.Freeze()
 	var out []pattern.Match
 	pattern.ForEachMatch(q.Pattern, snap, func(m pattern.Match) bool {
 		for _, l := range q.X {
-			if _, ok := l.Kind(); !ok {
-				panic("optimize: non-GED literal in a query selection")
-			}
 			if !ged.Holds(snap, l, m) {
 				return true
 			}

@@ -8,19 +8,24 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// CompiledRule is one GED's X → Y lowered for evaluation on the
+// CompiledRule is one rule's X → Y lowered for evaluation on the
 // matcher's dense binding vector (indexed like Pattern.Vars()): every
 // literal carries the vector positions of its variables and the
 // interned ids of its attributes in one snapshot lineage, so judging a
-// match hashes neither a variable nor an attribute name. The Validator
-// and the ViolationStore judge matches with it; ged.Holds is its
-// Match-map oracle. It is also the pattern.Pruner of the rule's full
-// scans, over the conditions of CloseHints. Immutable.
+// match hashes neither a variable nor an attribute name. All three
+// rule forms lower here: a GDC's literals compare with their Op, and a
+// GED∨'s Y is read as a disjunction. The Validator and the
+// ViolationStore judge matches with it; ged.Holds is its Match-map
+// oracle. It is also the pattern.Pruner of the rule's full scans, over
+// the conditions of CloseHints. Immutable.
 type CompiledRule struct {
 	d    *ged.GED
 	x, y []clit
+	// disj reads y as a disjunction, which a violation fails as a whole
+	// and reports by its first disjunct.
+	disj bool
 	// px[k] indexes the x literal that pruning condition 1+k judges;
-	// never marks a trivial Y, which no match fails.
+	// never marks a Y no match fails.
 	px    []int
 	never bool
 	// open lists the attributes no node carried at compile time (their
@@ -38,39 +43,78 @@ type clit struct {
 	src    *ged.Literal
 }
 
-// notGED marks a literal outside the three GED forms; it panics when
-// evaluated, not when compiled.
+// The GDC literal shapes x.A ⊕ c and x.A ⊕ y.B for ⊕ other than =,
+// beside the three GED kinds.
+const (
+	cmpConst = ged.IDLiteral + 1 + iota
+	cmpVar
+)
+
+// notGED marks a malformed literal (ged.GED.Validate rejects it); it
+// panics when evaluated, not when compiled.
 const notGED = ged.LiteralKind(255)
 
 // CompileRule lowers d's literals against snap.
 func CompileRule(d *ged.GED, snap *graph.Snapshot) *CompiledRule {
 	idx := varIndex(d.Pattern)
-	r := &CompiledRule{d: d, never: !slices.ContainsFunc(d.Y, nontrivial)}
+	y, disj := consequent(d)
+	r := &CompiledRule{d: d, disj: disj, never: never(d)}
 	lower := func(ls []ged.Literal) []clit {
 		out := make([]clit, len(ls))
 		for i := range ls {
 			l := &ls[i]
 			k, ok := l.Kind()
-			if !ok {
+			switch {
+			case ok:
+			case l.Left.Kind == ged.OperandAttr && l.Right.Kind == ged.OperandConst:
+				k = cmpConst
+			case l.Left.Kind == ged.OperandAttr && l.Right.Kind == ged.OperandAttr:
+				k = cmpVar
+			default:
 				k = notGED
 			}
 			out[i] = clit{kind: k, li: idx[l.Left.Var], ri: idx[l.Right.Var], src: l}
-			if k == ged.ConstLiteral || k == ged.VarLiteral {
+			if l.Left.Kind == ged.OperandAttr {
 				out[i].la = r.attrID(snap, l.Left.Attr)
 			}
-			if k == ged.VarLiteral {
+			if l.Right.Kind == ged.OperandAttr {
 				out[i].ra = r.attrID(snap, l.Right.Attr)
 			}
 		}
 		return out
 	}
-	r.x, r.y = lower(d.X), lower(d.Y)
+	r.x, r.y = lower(d.X), lower(y)
 	for i, l := range d.X {
 		if !pushable(l) {
 			r.px = append(r.px, i)
 		}
 	}
 	return r
+}
+
+// consequent is d's Y as validation judges it, and whether it is a
+// disjunction. An empty disjunction is false: it is judged as a
+// forbidding GED's consequent, the false desugaring at d's first
+// variable, so its violations name that desugaring's failing literal.
+func consequent(d *ged.GED) ([]ged.Literal, bool) {
+	if !d.Disjunctive || len(d.Y) > 0 {
+		return d.Y, d.Disjunctive
+	}
+	var anchor pattern.Var
+	if vs := d.Pattern.Vars(); len(vs) > 0 {
+		anchor = vs[0]
+	}
+	return ged.False(anchor), false
+}
+
+// never reports that no match violates d: every literal of a
+// conjunctive Y is trivial, or some disjunct of a disjunctive one is.
+func never(d *ged.GED) bool {
+	y, disj := consequent(d)
+	if disj {
+		return slices.ContainsFunc(y, func(l ged.Literal) bool { return !nontrivial(l) })
+	}
+	return !slices.ContainsFunc(y, nontrivial)
 }
 
 func varIndex(p *pattern.Pattern) map[pattern.Var]int {
@@ -90,11 +134,12 @@ func nontrivial(l ged.Literal) bool {
 
 // CloseHints names what a full scan of d prunes on, as the positions in
 // d.Pattern.Vars() each condition reads: first Y as a whole (its trivial
-// literals aside) — a binding on which Y holds extends to no violation —
-// then each variable or id literal of X — nor does one on which such a
-// literal fails. X's constant literals are PushdownFilters' business: no
-// enumerated binding fails them. Plans are compiled with the hints so
-// that literals close early.
+// literals aside; a disjunctive Y holds when one disjunct does) — a
+// binding on which Y holds extends to no violation — then each variable
+// or id literal of X — nor does one on which such a literal fails. X's
+// constant literals are PushdownFilters' business: no enumerated
+// binding fails them. Plans are compiled with the hints so that
+// literals close early.
 func CloseHints(d *ged.GED) [][]int {
 	idx := varIndex(d.Pattern)
 	reads := func(into []int, l ged.Literal) []int {
@@ -104,7 +149,8 @@ func CloseHints(d *ged.GED) [][]int {
 		return into
 	}
 	hints := [][]int{nil}
-	for _, l := range d.Y {
+	y, _ := consequent(d)
+	for _, l := range y {
 		if nontrivial(l) {
 			hints[0] = reads(hints[0], l)
 		}
@@ -155,9 +201,9 @@ func (r *CompiledRule) Rebind(snap *graph.Snapshot) *CompiledRule {
 }
 
 // CheckMatch decides the match h(x̄) given as its dense binding vector:
-// it returns the first consequent literal the match fails when h ⊨ X
-// and h ⊭ Y (a violation), and nil otherwise. snap must belong to the
-// lineage the rule was compiled or last rebound on.
+// when h ⊨ X and h ⊭ Y (a violation) it returns the literal failingY
+// names, and nil otherwise. snap must belong to the lineage the rule was
+// compiled or last rebound on.
 func (r *CompiledRule) CheckMatch(snap *graph.Snapshot, bind []graph.NodeID) *ged.Literal {
 	for i := range r.x {
 		if !r.x[i].holds(snap, bind) {
@@ -167,14 +213,23 @@ func (r *CompiledRule) CheckMatch(snap *graph.Snapshot, bind []graph.NodeID) *ge
 	return r.failingY(snap, bind)
 }
 
-// failingY returns the first consequent literal bind fails, if any.
+// failingY returns the first consequent literal bind fails, if any; for
+// a disjunctive Y, the first disjunct when bind fails every one.
 func (r *CompiledRule) failingY(snap *graph.Snapshot, bind []graph.NodeID) *ged.Literal {
+	if !r.disj {
+		for i := range r.y {
+			if !r.y[i].holds(snap, bind) {
+				return r.y[i].src
+			}
+		}
+		return nil
+	}
 	for i := range r.y {
-		if !r.y[i].holds(snap, bind) {
-			return r.y[i].src
+		if r.y[i].holds(snap, bind) {
+			return nil
 		}
 	}
-	return nil
+	return r.y[0].src
 }
 
 func (l *clit) holds(snap *graph.Snapshot, bind []graph.NodeID) bool {
@@ -194,6 +249,19 @@ func (l *clit) holds(snap *graph.Snapshot, bind []graph.NodeID) bool {
 		return ok1 && ok2 && v1.Equal(v2)
 	case ged.IDLiteral:
 		return bind[l.li] == bind[l.ri]
+	case cmpConst:
+		if l.la < 0 {
+			return false
+		}
+		v, ok := snap.AttrValueID(bind[l.li], l.la)
+		return ok && l.src.Op.Eval(v, l.src.Right.Const)
+	case cmpVar:
+		if l.la < 0 || l.ra < 0 {
+			return false
+		}
+		v1, ok1 := snap.AttrValueID(bind[l.li], l.la)
+		v2, ok2 := snap.AttrValueID(bind[l.ri], l.ra)
+		return ok1 && ok2 && l.src.Op.Eval(v1, v2)
 	}
-	panic("reason: non-GED literal in validation")
+	panic("reason: malformed literal in validation")
 }

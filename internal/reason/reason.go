@@ -39,8 +39,9 @@ type SatResult struct {
 // CheckSatCtx decides whether Σ is satisfiable in the strong sense of
 // Section 5.1, by chasing the canonical graph G_Σ (Theorem 2: Σ is
 // satisfiable iff chase(G_Σ, Σ) is consistent). It takes an optional
-// chase round bound (see chase.RunCtx); on cancellation or an exceeded
-// bound the error is non-nil and the result is not meaningful.
+// chase round bound (see chase.RunCtx); on cancellation, an exceeded
+// bound or a Σ that is not all GEDs the error is non-nil and the result
+// is not meaningful.
 func CheckSatCtx(ctx context.Context, sigma ged.Set, maxRounds int) (*SatResult, error) {
 	gs, _ := sigma.CanonicalGraph()
 	res, err := chase.RunCtx(ctx, gs, sigma, nil, maxRounds)
@@ -52,18 +53,6 @@ func CheckSatCtx(ctx context.Context, sigma ged.Set, maxRounds int) (*SatResult,
 		out.Model = res.Materialize()
 	}
 	return out, nil
-}
-
-// DecideSat answers only the yes/no satisfiability question. For GFDx
-// sets it returns true in O(1) beyond the syntactic class scan: with
-// neither constant nor id literals no chase step can conflict, exactly
-// the O(1) row of Theorem 3. Other classes fall back to the chase.
-func DecideSat(sigma ged.Set) bool {
-	if sigma.Classify() == ged.ClassGFDx {
-		return true
-	}
-	gs, _ := sigma.CanonicalGraph()
-	return chase.Run(gs, sigma).Consistent()
 }
 
 // ImplResult reports an implication analysis.
@@ -86,8 +75,12 @@ type ImplResult struct {
 // inconsistent, or it is consistent and every literal of Y can be
 // deduced from its result. It takes an optional chase round bound (see
 // chase.RunCtx); on cancellation or an exceeded bound the error is
-// non-nil and the result is not meaningful.
+// non-nil and the result is not meaningful. Σ and φ must be GEDs (the
+// error wraps ged.ErrNotGED otherwise).
 func ImpliesCtx(ctx context.Context, sigma ged.Set, phi *ged.GED, maxRounds int) (*ImplResult, error) {
+	if err := ged.RequireGED(phi); err != nil {
+		return nil, err
+	}
 	gq, vm := phi.Pattern.ToGraph()
 	seeds := make([]chase.Seed, 0, len(phi.X))
 	for _, l := range phi.X {
@@ -109,15 +102,17 @@ func ImpliesCtx(ctx context.Context, sigma ged.Set, phi *ged.GED, maxRounds int)
 	return &ImplResult{Implied: true, Chase: res}, nil
 }
 
-// Violation is one witness that G ⊭ Σ: a match of a GED's pattern that
+// Violation is one witness that G ⊭ Σ: a match of a rule's pattern that
 // satisfies X but fails the given consequent literal (for forbidding
 // constraints the failed literal is part of the false desugaring).
 type Violation struct {
-	// GED is the violated dependency.
+	// GED is the violated rule, of any Form.
 	GED *ged.GED
 	// Match is the violating match h(x̄).
 	Match pattern.Match
-	// Literal is the first consequent literal not satisfied.
+	// Literal is the first consequent literal not satisfied. A
+	// disjunctive rule's match fails every disjunct and names the first;
+	// an empty disjunction names the false desugaring's first literal.
 	Literal ged.Literal
 }
 

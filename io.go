@@ -16,31 +16,32 @@ import (
 // Patterns are comma-separated edge chains of (var:label) nodes with `_`
 // as the wildcard label; `when` (optional) introduces the antecedent and
 // `then` the consequent; literals are `x.attr = value`, `x.attr =
-// y.attr` or `x.id = y.id`, and `false` forbids the antecedent. Rules
-// using ordered comparisons (GDC) or `or` (GED∨) are rejected here —
-// parse those with the gdc and gedor subpackages.
+// y.attr` or `x.id = y.id`, and `false` forbids the antecedent. All
+// three rule forms parse: a literal comparing with != < <= > >= makes a
+// GDC, and a consequent joined by `or` makes a GED∨ (Rule.Form tells
+// them apart). Every rule is checked with Rule.Validate.
 func ParseRules(src string) (RuleSet, error) {
-	rules, err := gedio.Parse(src)
+	sigma, err := gedio.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return gedio.GEDs(rules)
+	if err := sigma.Validate(); err != nil {
+		return nil, err
+	}
+	return sigma, nil
 }
 
 // FormatRules renders Σ in the DSL accepted by ParseRules. Rule names
 // are sanitized to DSL identifiers (mined rules carry punctuation), so
 // the output always re-parses.
 func FormatRules(sigma RuleSet) string {
-	rules := make([]*gedio.Rule, 0, len(sigma))
-	for _, d := range sigma {
-		rules = append(rules, &gedio.Rule{
-			Name:    sanitizeRuleName(d.Name),
-			Pattern: d.Pattern,
-			X:       d.X,
-			Y:       d.Y,
-		})
+	named := make(RuleSet, len(sigma))
+	for i, d := range sigma {
+		c := *d
+		c.Name = sanitizeRuleName(d.Name)
+		named[i] = &c
 	}
-	return gedio.Format(rules)
+	return gedio.Format(named)
 }
 
 // sanitizeRuleName maps an arbitrary rule name to a DSL identifier.

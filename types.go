@@ -112,11 +112,14 @@ type Match = pattern.Match
 // build it.
 func NewPattern() *Pattern { return pattern.New() }
 
-// ---- rules (GEDs) and literals ----
+// ---- rules (GEDs, GDCs, GED∨s) and literals ----
 
 // Rule is a graph entity dependency φ = Q[x̄](X → Y): whenever the
 // pattern matches and the antecedent X holds, the consequent Y must
-// hold.
+// hold. The same type carries the extensions of Section 7: a GDC's
+// literals compare with any Op, and a GED∨'s consequent is Disjunctive
+// (some literal of Y must hold). Validation and Session.Apply judge all
+// three forms; the chase and the analyses built on it take GEDs only.
 type Rule = ged.GED
 
 // RuleSet is a set Σ of rules.
@@ -258,11 +261,6 @@ func NewSnapshotValidator(snap *Snapshot, sigma RuleSet) *Validator {
 // Satisfies reports g ⊨ Σ, freezing g once. For cancellation and
 // parallelism use Engine.Validate.
 func Satisfies(g *Graph, sigma RuleSet) bool { return reason.Satisfies(g, sigma) }
-
-// DecideSat answers only the yes/no satisfiability question, using the
-// O(1) fast path for GFDx sets (Theorem 3). For the full result with a
-// witness model use Engine.CheckSat.
-func DecideSat(sigma RuleSet) bool { return reason.DecideSat(sigma) }
 
 // IsModel reports whether g is a model of Σ: g ⊨ Σ and every pattern of
 // Σ has a match in g (the strong satisfiability of Section 5.1).
