@@ -6,7 +6,7 @@
 // and implication branch over disjunct choices (Theorem 9), so the
 // analyses return three-valued Verdicts: True and False are certified,
 // Unknown means the branch budget was exhausted or the input holds a
-// GDC (the result's Err).
+// GDC or an unsplit plain rule (the result's Err).
 package gedor
 
 import (
@@ -50,9 +50,10 @@ func DomainConstraint(tau gedlib.Label, a gedlib.Attr, domain ...gedlib.Value) *
 }
 
 // CheckSat decides (three-valued) whether Σ has a model, certifying
-// True with a witness. Plain rules in Σ count as their FromGED split.
+// True with a witness. A GDC, or a plain rule of more than one
+// consequent literal (split it with FromGED), is reported in Err.
 func CheckSat(sigma gedlib.RuleSet) *SatResult { return gedor.CheckSat(sigma) }
 
 // Implies decides (three-valued) whether Σ ⊨ φ, certifying False with a
-// counterexample. Plain rules count as their FromGED split.
+// counterexample. Inputs CheckSat cannot decide are reported in Err.
 func Implies(sigma gedlib.RuleSet, phi *GEDor) *ImplResult { return gedor.Implies(sigma, phi) }

@@ -2,6 +2,7 @@ package axiom
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -270,6 +271,20 @@ func TestCheckRejectsTampering(t *testing.T) {
 	}
 	if Check(sigma, forged) == nil {
 		t.Error("GED5 on a consistent premise accepted")
+	}
+
+	// Tamper 3b: the same forgery over a comparison is a GDC step, not
+	// an A_GED one; it is rejected before GED5 chases its premise.
+	lt := []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(1))}
+	forgedGDC := &Proof{
+		Target: ac,
+		Steps: []Step{
+			{Rule: RuleGED1, Concl: ged.New("", q, lt, append(append([]ged.Literal{}, lt...), ged.IDLit("x", "x")))},
+			{Rule: RuleGED5, Concl: ged.New("", q, lt, nil), Prem: []int{0}},
+		},
+	}
+	if err := Check(sigma, forgedGDC); !errors.Is(err, ged.ErrNotGED) {
+		t.Errorf("GDC step: %v, want ErrNotGED", err)
 	}
 
 	// Tamper 4: GED6 with a match violating labels.

@@ -14,8 +14,8 @@ import (
 // conclude the target (up to literal-set equality; a target with empty Y
 // is accepted against any conclusion sharing its pattern and antecedent,
 // since Q[x̄](X → ∅) is vacuous). A nil error means Σ ⊢ φ. A_GED
-// derives GEDs from GEDs: a GDC or GED∨ target or premise is an error
-// wrapping ged.ErrNotGED.
+// derives GEDs from GEDs: a GDC or GED∨ target, premise or step
+// conclusion is an error wrapping ged.ErrNotGED.
 func Check(sigma ged.Set, p *Proof) error {
 	if len(p.Steps) == 0 {
 		return fmt.Errorf("axiom: empty proof")
@@ -43,6 +43,9 @@ func checkStep(sigma ged.Set, p *Proof, i int) error {
 	s := p.Steps[i]
 	if s.Concl == nil || s.Concl.Pattern == nil {
 		return fmt.Errorf("missing conclusion")
+	}
+	if err := ged.RequireGED(s.Concl); err != nil {
+		return err
 	}
 	prem := make([]*ged.GED, len(s.Prem))
 	for j, pi := range s.Prem {

@@ -169,8 +169,13 @@ func Run(g *graph.Graph, sigma ged.Set) *Result {
 // seed literals — the chase(G_Q, Eq_X, Σ) of Section 5.2. Seeds are
 // applied with ReasonGiven in order; a conflicting seed set makes the
 // chase invalid immediately (an inconsistent Eq_X, Section 4.1 case (b)).
+// It panics with RunCtx's error on a Σ or seed that is not a GED's: the
+// callers that cannot rule one out use RunCtx.
 func RunSeeded(g *graph.Graph, sigma ged.Set, seeds []Seed) *Result {
-	res, _ := RunCtx(context.Background(), g, sigma, seeds, 0)
+	res, err := RunCtx(context.Background(), g, sigma, seeds, 0)
+	if err != nil {
+		panic(err)
+	}
 	return res
 }
 

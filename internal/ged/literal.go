@@ -281,19 +281,15 @@ func False(y pattern.Var) []Literal {
 // IsFalse reports whether the literal set contains the reserved false
 // desugaring (two distinct constants asserted on one _F attribute).
 func IsFalse(lits []Literal) bool {
-	type key struct {
-		v pattern.Var
-	}
-	seen := make(map[key]graph.Value)
+	seen := make(map[pattern.Var]graph.Value)
 	for _, l := range lits {
 		if l.Op != OpEq || l.Left.Kind != OperandAttr || l.Left.Attr != FalseAttr || l.Right.Kind != OperandConst {
 			continue
 		}
-		k := key{l.Left.Var}
-		if prev, ok := seen[k]; ok && !prev.Equal(l.Right.Const) {
+		if prev, ok := seen[l.Left.Var]; ok && !prev.Equal(l.Right.Const) {
 			return true
 		}
-		seen[k] = l.Right.Const
+		seen[l.Left.Var] = l.Right.Const
 	}
 	return false
 }

@@ -15,7 +15,9 @@
 // antecedent and no satisfied disjunct, the search branches on which
 // disjunct to enforce. Positive satisfiability answers are certified
 // with the validator; non-implication answers with a certified
-// countermodel. GED∨s have GED literals only: a comparison is an error.
+// countermodel. GED∨s have GED literals only: a comparison is an error,
+// and so is a conjunctive GED of several literals until FromGED splits
+// it.
 package gedor
 
 import (
@@ -59,22 +61,20 @@ func trivialLit(q *pattern.Pattern) ged.Literal {
 	return ged.IDLit(x, x)
 }
 
-// disjunctive returns Σ with every conjunctive GED split by FromGED, so
-// that the solver reads every Y as a disjunction, or an error naming
-// the first rule it cannot decide: a GDC.
-func disjunctive(sigma ged.Set) (ged.Set, error) {
-	out := make(ged.Set, 0, len(sigma))
-	for _, d := range sigma {
-		switch d.Form() {
-		case ged.FormGDC:
-			return nil, fmt.Errorf("gedor: rule %s is a %s; GED∨s compare with = only", d.Name, d.Form())
-		case ged.FormGED:
-			out = append(out, FromGED(d)...)
-		default:
-			out = append(out, d)
+// decidable returns an error naming the first rule the solver cannot
+// decide: a GDC, or a conjunctive GED whose consequent is not exactly
+// one literal (FromGED splits it into GED∨s). A conjunctive GED of one
+// literal reads the same as a GED∨.
+func decidable(rules ...*ged.GED) error {
+	for _, d := range rules {
+		switch {
+		case d.Form() == ged.FormGDC:
+			return fmt.Errorf("gedor: rule %s is a %s; GED∨s compare with = only", d.Name, d.Form())
+		case !d.Disjunctive && len(d.Y) != 1:
+			return fmt.Errorf("gedor: rule %s is a conjunctive GED of %d literals; split it with FromGED", d.Name, len(d.Y))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // DomainConstraint returns the GED∨ of Example 10: every node labeled

@@ -281,7 +281,8 @@ func validate(g *graph.Graph, sigma ged.Set, limit int) []reason.Violation {
 }
 
 // TestSolverRejectsComparisons: a GDC anywhere in the input is an error
-// and an Unknown verdict; a plain GED is read as its FromGED split.
+// and an Unknown verdict; so is a conjunctive GED of two literals, which
+// decides once split by FromGED.
 func TestSolverRejectsComparisons(t *testing.T) {
 	lt := ged.New("lt", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
 	dom := DomainConstraint("p", "a", graph.Int(0), graph.Int(1))
@@ -292,10 +293,14 @@ func TestSolverRejectsComparisons(t *testing.T) {
 		t.Errorf("Implies of a GDC: %v, %v", r.Implied, r.Err)
 	}
 	both := ged.New("both", nodeQ("p"), nil, []ged.Literal{ged.ConstLit("x", "a", graph.Int(0)), ged.ConstLit("x", "b", graph.Int(1))})
-	if r := Implies(ged.Set{both}, both); r.Err != nil || r.Implied != True {
-		t.Errorf("a conjunctive GED implies itself: %v, %v", r.Implied, r.Err)
+	if r := Implies(ged.Set{dom}, both); r.Err == nil || r.Implied != Unknown {
+		t.Errorf("Implies of a conjunction: %v, %v", r.Implied, r.Err)
 	}
-	if r := Implies(ged.Set{dom}, both); r.Err != nil || r.Implied != False {
-		t.Errorf("a domain does not imply a conjunction: %v, %v", r.Implied, r.Err)
+	split := FromGED(both)
+	if r := Implies(split, split[1]); r.Err != nil || r.Implied != True {
+		t.Errorf("a split conjunct is implied by its split: %v, %v", r.Implied, r.Err)
+	}
+	if r := Implies(ged.Set{dom}, split[0]); r.Err != nil || r.Implied != False {
+		t.Errorf("a domain does not imply one value: %v, %v", r.Implied, r.Err)
 	}
 }

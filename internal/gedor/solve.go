@@ -81,9 +81,11 @@ func findPending(b branchState, sigma ged.Set) (*chase.Result, *pending) {
 	return res, found
 }
 
-// solveSat explores the disjunctive chase tree looking for a consistent
-// terminal branch.
-func solveSat(b branchState, sigma ged.Set, budget *int, depth int) (Verdict, *graph.Graph) {
+// search explores the disjunctive chase tree from b for a consistent
+// terminal branch, which accept judges: True with a certified graph,
+// False to reject the branch, Unknown when certification fails. The
+// search is False when every branch dies or is rejected.
+func search(b branchState, sigma ged.Set, accept func(*chase.Result) (Verdict, *graph.Graph), budget *int, depth int) (Verdict, *graph.Graph) {
 	if *budget <= 0 || depth > 200 {
 		return Unknown, nil
 	}
@@ -93,16 +95,11 @@ func solveSat(b branchState, sigma ged.Set, budget *int, depth int) (Verdict, *g
 		return False, nil
 	}
 	if p == nil {
-		// Terminal branch: materialize and certify.
-		model := res.Materialize()
-		if reason.Satisfies(model, sigma) {
-			return True, model
-		}
-		return Unknown, nil // materialization artifact; should not occur
+		return accept(res)
 	}
 	sawUnknown := false
 	for _, l := range p.d.Y {
-		v, m := solveSat(b.with(chase.Seed{Literal: l, Nodes: p.match}), sigma, budget, depth+1)
+		v, m := search(b.with(chase.Seed{Literal: l, Nodes: p.match}), sigma, accept, budget, depth+1)
 		switch v {
 		case True:
 			return True, m
@@ -125,15 +122,19 @@ func solveSat(b branchState, sigma ged.Set, budget *int, depth int) (Verdict, *g
 // a consistent terminal branch materializes into a certified model
 // (mirroring Theorem 2 branch-wise), and Σ is unsatisfiable when every
 // branch dies (Theorem 9's Σᵖ₂ search, with the inner ∀ discharged by
-// the validator). A conjunctive GED in Σ is read as its FromGED split.
+// the validator). A rule it cannot decide is reported in Err.
 func CheckSat(sigma ged.Set) *SatResult {
-	sigma, err := disjunctive(sigma)
-	if err != nil {
+	if err := decidable(sigma...); err != nil {
 		return &SatResult{Satisfiable: Unknown, Err: err}
 	}
 	gs, _ := sigma.CanonicalGraph()
 	budget := defaultBudget
-	v, m := solveSat(branchState{base: gs}, sigma, &budget, 0)
+	v, m := search(branchState{base: gs}, sigma, func(res *chase.Result) (Verdict, *graph.Graph) {
+		if model := res.Materialize(); reason.Satisfies(model, sigma) {
+			return True, model
+		}
+		return Unknown, nil // materialization artifact; should not occur
+	}, &budget, 0)
 	return &SatResult{Satisfiable: v, Model: m}
 }
 
@@ -141,34 +142,31 @@ func CheckSat(sigma ged.Set) *SatResult {
 // φ's canonical graph from Eq_X by Σ must, on every consistent terminal
 // branch, satisfy some disjunct of φ's consequent on the identity
 // embedding. A terminal branch that does not yields a certified
-// countermodel. Conjunctive GEDs, in Σ or as φ, are read as their
-// FromGED split: a conjunctive φ is implied when every part is.
+// countermodel. A rule it cannot decide is reported in Err.
 func Implies(sigma ged.Set, phi *ged.GED) *ImplResult {
-	sigma, err := disjunctive(sigma)
-	if err != nil {
+	if err := decidable(append(ged.Set{phi}, sigma...)...); err != nil {
 		return &ImplResult{Implied: Unknown, Err: err}
 	}
-	phis, err := disjunctive(ged.Set{phi})
-	if err != nil {
-		return &ImplResult{Implied: Unknown, Err: err}
-	}
-	for _, phi := range phis {
-		if r := implies(sigma, phi); r.Implied != True {
-			return r
-		}
-	}
-	return &ImplResult{Implied: True}
-}
-
-// implies is Implies for one GED∨ φ.
-func implies(sigma ged.Set, phi *ged.GED) *ImplResult {
 	gq, vm := phi.Pattern.ToGraph()
 	var seeds []chase.Seed
 	for _, l := range phi.X {
 		seeds = append(seeds, chase.SeedOf(l, vm))
 	}
 	budget := defaultBudget
-	v, m := refute(branchState{base: gq, seeds: seeds}, sigma, phi, vm, &budget, 0)
+	// A terminal branch refutes φ when its identity embedding satisfies
+	// no disjunct; the countermodel must satisfy Σ and violate φ.
+	v, m := search(branchState{base: gq, seeds: seeds}, sigma, func(res *chase.Result) (Verdict, *graph.Graph) {
+		for _, l := range phi.Y {
+			if chase.Holds(res.Eq, l, vm) {
+				return False, nil // φ holds on this branch
+			}
+		}
+		model := res.Materialize()
+		if !reason.Satisfies(model, sigma) || reason.Satisfies(model, ged.Set{phi}) {
+			return Unknown, nil
+		}
+		return True, model
+	}, &budget, 0)
 	switch v {
 	case True:
 		return &ImplResult{Implied: False, Counterexample: m}
@@ -177,45 +175,4 @@ func implies(sigma ged.Set, phi *ged.GED) *ImplResult {
 	default:
 		return &ImplResult{Implied: True}
 	}
-}
-
-// refute searches for a consistent terminal branch whose identity
-// embedding of φ's pattern satisfies X but no disjunct of Y.
-func refute(b branchState, sigma ged.Set, phi *ged.GED, vm map[pattern.Var]graph.NodeID, budget *int, depth int) (Verdict, *graph.Graph) {
-	if *budget <= 0 || depth > 200 {
-		return Unknown, nil
-	}
-	*budget--
-	res, p := findPending(b, sigma)
-	if !res.Consistent() {
-		return False, nil // vacuous branch: no countermodel here
-	}
-	if p == nil {
-		// Terminal: does the identity embedding falsify φ?
-		for _, l := range phi.Y {
-			if chase.Holds(res.Eq, l, vm) {
-				return False, nil // φ holds on this branch
-			}
-		}
-		model := res.Materialize()
-		// Certify: the countermodel must satisfy Σ and violate φ.
-		if !reason.Satisfies(model, sigma) || reason.Satisfies(model, ged.Set{phi}) {
-			return Unknown, nil
-		}
-		return True, model
-	}
-	sawUnknown := false
-	for _, l := range p.d.Y {
-		v, m := refute(b.with(chase.Seed{Literal: l, Nodes: p.match}), sigma, phi, vm, budget, depth+1)
-		switch v {
-		case True:
-			return True, m
-		case Unknown:
-			sawUnknown = true
-		}
-	}
-	if sawUnknown {
-		return Unknown, nil
-	}
-	return False, nil
 }

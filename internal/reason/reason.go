@@ -17,6 +17,8 @@ package reason
 
 import (
 	"context"
+	"maps"
+	"slices"
 
 	"gedlib/internal/chase"
 	"gedlib/internal/ged"
@@ -42,8 +44,19 @@ type SatResult struct {
 // chase round bound (see chase.RunCtx); on cancellation, an exceeded
 // bound or a Σ that is not all GEDs the error is non-nil and the result
 // is not meaningful.
+//
+// A GFDx Σ (neither constant nor id literals) is satisfiable without a
+// chase — Theorem 3's O(1) row — and its model is built directly: G_Σ
+// with every attribute Σ mentions set to one shared constant. Chase is
+// nil then.
 func CheckSatCtx(ctx context.Context, sigma ged.Set, maxRounds int) (*SatResult, error) {
 	gs, _ := sigma.CanonicalGraph()
+	if ged.RequireGED(sigma...) == nil && sigma.Classify() == ged.ClassGFDx {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return &SatResult{Satisfiable: true, Model: gfdxModel(gs, sigma)}, nil
+	}
 	res, err := chase.RunCtx(ctx, gs, sigma, nil, maxRounds)
 	if err != nil {
 		return nil, err
@@ -53,6 +66,27 @@ func CheckSatCtx(ctx context.Context, sigma ged.Set, maxRounds int) (*SatResult,
 		out.Model = res.Materialize()
 	}
 	return out, nil
+}
+
+// gfdxModel materializes G_Σ (wildcard labels made fresh, as for any
+// chase model) and sets every attribute Σ mentions to one constant on
+// every node. Every x.A = y.B literal then holds on every match, so the
+// graph satisfies Σ, and each pattern matches its own component.
+func gfdxModel(gs *graph.Graph, sigma ged.Set) *graph.Graph {
+	mentioned := make(map[graph.Attr]bool)
+	for _, d := range sigma {
+		for _, l := range slices.Concat(d.X, d.Y) {
+			mentioned[l.Left.Attr], mentioned[l.Right.Attr] = true, true
+		}
+	}
+	attrs := slices.Sorted(maps.Keys(mentioned))
+	model := chase.Run(gs, nil).Materialize()
+	for _, n := range model.Nodes() {
+		for _, a := range attrs {
+			model.SetAttr(n, a, graph.Int(0))
+		}
+	}
+	return model
 }
 
 // ImplResult reports an implication analysis.

@@ -529,7 +529,8 @@ func TestSatModelsAreModels(t *testing.T) {
 }
 
 // TestGFDxAlwaysSatisfiable: Theorem 3's O(1) row — sets of GFDxs are
-// always satisfiable (no constant or id literals, so no chase conflicts).
+// always satisfiable (no constant or id literals, so no chase conflicts),
+// and the witness CheckSat builds for them without a chase is a model.
 func TestGFDxAlwaysSatisfiable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
@@ -551,8 +552,13 @@ func TestGFDxAlwaysSatisfiable(t *testing.T) {
 		if gfdx.Classify() != ged.ClassGFDx {
 			t.Fatal("stripping failed")
 		}
-		if !checkSat(gfdx).Satisfiable {
+		r := checkSat(gfdx)
+		if !r.Satisfiable {
 			t.Fatalf("trial %d: GFDx set reported unsatisfiable: %v", trial, gfdx)
+		}
+		// The model is built without a chase; it must still be one.
+		if !Satisfies(r.Model, gfdx) || !hasAllPatterns(r.Model.Freeze(), gfdx) {
+			t.Fatalf("trial %d: GFDx witness is not a model\nΣ: %v\nmodel:\n%s", trial, gfdx, r.Model)
 		}
 	}
 }

@@ -332,6 +332,12 @@ func TestGEDOnlyMethodsRejectOtherForms(t *testing.T) {
 			"CheckProof(φ)": func() error { return eng.CheckProof(ctx, gedlib.RuleSet{plain}, &retargeted) },
 			"OptimizeQuery": func() error { _, err := eng.OptimizeQuery(ctx, q, with); return err },
 		}
+		for i := range proof.Steps {
+			tampered := *proof
+			tampered.Steps = append(proof.Steps[:0:0], proof.Steps...)
+			tampered.Steps[i].Concl = other
+			calls[fmt.Sprintf("CheckProof(step %d)", i+1)] = func() error { return eng.CheckProof(ctx, gedlib.RuleSet{plain}, &tampered) }
+		}
 		for name, call := range calls {
 			if err := call(); !errors.Is(err, gedlib.ErrNotGED) {
 				t.Errorf("%s with a %s: err = %v, want ErrNotGED", name, other.Form(), err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -915,13 +916,48 @@ func (ent *GraphEntry) loadLocked(ctx context.Context, st persist.State) error {
 	sigma := gedlib.RuleSet{}
 	if st.Rules != "" {
 		var err error
-		if sigma, err = gedlib.ParseRules(st.Rules); err != nil {
+		if sigma, err = parseStoredRules(st.Rules); err != nil {
 			return fmt.Errorf("persisted rules: %w", err)
 		}
 	}
 	ent.graph, ent.names = st.Graph, nameTableFromDense(st.Names)
 	ent.useRulesLocked(sigma, st.Rules)
 	return ent.openLocked(ctx)
+}
+
+// parseStoredRules re-reads a rule source from the data directory.
+// RegisterRules stores only sources ParseRules accepts, so a stored
+// source it rejects may predate Go-quoted constants, when a backslash
+// stood the next character for itself ("\d" read d, "a\tb" atb). Such
+// a source is read that way again, so the graph restores with the
+// rules it served; it cannot be registered again as it is.
+func parseStoredRules(src string) (gedlib.RuleSet, error) {
+	sigma, err := gedlib.ParseRules(src)
+	if err != nil {
+		if old, oerr := gedlib.ParseRules(unescapeLegacy(src)); oerr == nil {
+			return old, nil
+		}
+	}
+	return sigma, err
+}
+
+// unescapeLegacy rewrites the old string reading in Go quoting: it
+// drops every backslash but the escapes \" and \\, which both readings
+// share. Outside quoted constants a backslash can stand only in a
+// comment, where dropping it changes nothing.
+func unescapeLegacy(src string) string {
+	var b strings.Builder
+	for i := 0; i < len(src); i++ {
+		if src[i] == '\\' && i+1 < len(src) {
+			if c := src[i+1]; c != '"' && c != '\\' {
+				continue
+			}
+			b.WriteByte(src[i])
+			i++
+		}
+		b.WriteByte(src[i])
+	}
+	return b.String()
 }
 
 // followerDegradeAfter is how many consecutive tail/recover failures a
@@ -1037,7 +1073,7 @@ func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 	}
 	ctx := context.Background()
 	if tr.Rules != nil {
-		sigma, err := gedlib.ParseRules(*tr.Rules)
+		sigma, err := parseStoredRules(*tr.Rules)
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gedlib"
+	"gedlib/persist"
 )
 
 // A GDC and a GED∨ over one graph: no employee out-earns their manager,
@@ -144,5 +145,118 @@ func TestServeGDCAndGEDor(t *testing.T) {
 	defer ts.Close()
 	if got := wireViolations(t, ts.URL); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("reopened /violations:\n%v\nEngine.Validate:\n%v", got, want)
+	}
+}
+
+// TestRestoreLegacyEscapes: a data directory whose stored rules use an
+// escape that Go unquoting rejects ("\d", which the DSL once read as d)
+// restores, on a leader and on a follower, with the constants it was
+// served with. Registering that source anew is a 400.
+func TestRestoreLegacyEscapes(t *testing.T) {
+	const legacy = `ged code on (x:item) { then x.code = "\d" }`
+	if _, err := gedlib.ParseRules(legacy); err == nil {
+		t.Fatal("ParseRules accepts a bad escape")
+	}
+	dir := t.TempDir()
+	cfg := Config{MaxDelay: time.Millisecond, DataDir: dir}
+	g := gedlib.NewGraph()
+	g.AddNodeAttrs("item", map[gedlib.Attr]gedlib.Value{"code": gedlib.String("d")})
+	g.AddNodeAttrs("item", map[gedlib.Attr]gedlib.Value{"code": gedlib.String(`\d`)})
+	data, err := gedlib.MarshalGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	doJSON(t, "POST", ts.URL+"/graphs?name=acct", data, http.StatusCreated)
+	doJSON(t, "POST", ts.URL+"/graphs/acct/rules", []byte(legacy), http.StatusBadRequest)
+	ts.Close()
+	srv.Close()
+
+	// Store the source as a build with the old reading did.
+	st, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, rec, err := st.OpenGraph("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gs.AppendRules(rec.State.Graph.Version(), legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := gs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sigma, err := parseStoredRules(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := sigma[0].Y[0].Right.Const; c != gedlib.String("d") {
+		t.Fatalf("legacy reading of \\d is %v, want d", c)
+	}
+	want := engineViolations(t, g, sigma)
+	if len(want) != 1 {
+		t.Fatalf("Engine.Validate: %v, want the \\d item only", want)
+	}
+
+	reopened, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if _, err := reopened.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts = httptest.NewServer(reopened.Handler())
+	defer ts.Close()
+	if got := wireViolations(t, ts.URL); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restored /violations:\n%v\nEngine.Validate:\n%v", got, want)
+	}
+
+	fol, err := NewCatalog(Config{DataDir: dir, FollowPoll: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	if err := fol.Follow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fent, err := fol.Get("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := fent.CurrentView().Violations; len(vs) != 1 {
+		t.Fatalf("follower holds %d violations, want 1", len(vs))
+	}
+}
+
+// TestUnescapeLegacy: the old reading stood every escaped character for
+// itself; rewritten in Go quoting, the same source reads the same
+// constants, and a source without a backslash is left alone.
+func TestUnescapeLegacy(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`"\d"`, "d"},
+		{`"a\tb"`, "atb"},
+		{`"C:\path\n"`, "C:pathn"},
+		{`"q\"uo"`, `q"uo`},
+		{`"back\\sl"`, `back\sl`},
+		{`"\é\\"`, `é\`},
+		{`"plain text"`, "plain text"},
+	} {
+		doc := "# a comment \\ with \\\" quotes\nged r on (x:a) { then x.s = " + c.src + " and x.t = \"\\d\" }"
+		sigma, err := gedlib.ParseRules(unescapeLegacy(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		if got := sigma[0].Y[0].Right.Const; got != gedlib.String(c.want) {
+			t.Errorf("%s read as %v, want %q", c.src, got, c.want)
+		}
+		if got := sigma[0].Y[1].Right.Const; got != gedlib.String("d") {
+			t.Errorf("second constant read as %v, want d", got)
+		}
 	}
 }
