@@ -3,10 +3,12 @@
 // ordered comparison predicates (<, <=, >, >=, !=) — through the same
 // vocabulary as the root gedlib package. A GDC is a gedlib.Rule, and
 // Engine.Validate, Session.Apply and ParseRules take it like any
-// other. Because inequalities lift satisfiability and implication
-// beyond the chase (Theorem 8), the analyses here return three-valued
-// Verdicts: True and False are certified, Unknown means the branch
-// budget was exhausted or the input holds a GED∨ (the result's Err).
+// other. The analyses decide any set of rules — GEDs, GDCs and GED∨s
+// mixed freely — by one branching chase, the same solver package gedor
+// exposes. Because inequalities and disjunction lift satisfiability and
+// implication beyond the chase (Theorems 8 and 9), they return
+// three-valued Verdicts: True and False are certified, Unknown means
+// the search budget was exhausted.
 package gdc
 
 import (
@@ -28,10 +30,10 @@ const (
 	Unknown = gdc.Unknown
 )
 
-// SatResult reports a GDC satisfiability analysis.
+// SatResult reports a satisfiability analysis.
 type SatResult = gdc.SatResult
 
-// ImplResult reports a GDC implication analysis.
+// ImplResult reports an implication analysis.
 type ImplResult = gdc.ImplResult
 
 // New returns the GDC Q[x̄](X → Y).

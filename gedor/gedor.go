@@ -2,15 +2,16 @@
 // GED∨s — the GED extension of Section 7.2 with disjunctive consequents
 // — through the same vocabulary as the root gedlib package. A GED∨ is a
 // gedlib.Rule with the Disjunctive bit, and Engine.Validate,
-// Session.Apply and ParseRules take it like any other. Satisfiability
-// and implication branch over disjunct choices (Theorem 9), so the
-// analyses return three-valued Verdicts: True and False are certified,
-// Unknown means the branch budget was exhausted or the input holds a
-// GDC or an unsplit plain rule (the result's Err).
+// Session.Apply and ParseRules take it like any other. The analyses are
+// package gdc's one solver, which decides GEDs, GDCs and GED∨s mixed
+// freely; it branches over disjunct choices (Theorem 9), so they return
+// three-valued Verdicts: True and False are certified, Unknown means
+// the search budget was exhausted.
 package gedor
 
 import (
 	"gedlib"
+	"gedlib/internal/gdc"
 	"gedlib/internal/gedor"
 )
 
@@ -19,20 +20,20 @@ import (
 type GEDor = gedlib.Rule
 
 // Verdict is a three-valued answer; True and False are certified.
-type Verdict = gedor.Verdict
+type Verdict = gdc.Verdict
 
 // Three-valued verdicts.
 const (
-	False   = gedor.False
-	True    = gedor.True
-	Unknown = gedor.Unknown
+	False   = gdc.False
+	True    = gdc.True
+	Unknown = gdc.Unknown
 )
 
-// SatResult reports a GED∨ satisfiability analysis.
-type SatResult = gedor.SatResult
+// SatResult reports a satisfiability analysis.
+type SatResult = gdc.SatResult
 
-// ImplResult reports a GED∨ implication analysis.
-type ImplResult = gedor.ImplResult
+// ImplResult reports an implication analysis.
+type ImplResult = gdc.ImplResult
 
 // New returns the GED∨ Q[x̄](X → l₁ ∨ ... ∨ lₖ); an empty y is false.
 func New(name string, q *gedlib.Pattern, x, y []gedlib.Literal) *GEDor {
@@ -50,10 +51,9 @@ func DomainConstraint(tau gedlib.Label, a gedlib.Attr, domain ...gedlib.Value) *
 }
 
 // CheckSat decides (three-valued) whether Σ has a model, certifying
-// True with a witness. A GDC, or a plain rule of more than one
-// consequent literal (split it with FromGED), is reported in Err.
-func CheckSat(sigma gedlib.RuleSet) *SatResult { return gedor.CheckSat(sigma) }
+// True with a witness.
+func CheckSat(sigma gedlib.RuleSet) *SatResult { return gdc.CheckSat(sigma) }
 
 // Implies decides (three-valued) whether Σ ⊨ φ, certifying False with a
-// counterexample. Inputs CheckSat cannot decide are reported in Err.
-func Implies(sigma gedlib.RuleSet, phi *GEDor) *ImplResult { return gedor.Implies(sigma, phi) }
+// counterexample.
+func Implies(sigma gedlib.RuleSet, phi *GEDor) *ImplResult { return gdc.Implies(sigma, phi) }

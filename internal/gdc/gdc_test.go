@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gedlib/internal/chase"
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
@@ -304,70 +305,59 @@ func randomGEDSigma(rng *rand.Rand) ged.Set {
 	return sigma
 }
 
+// closeFacts chases two p-nodes x (node 0) and y (node 1) under the
+// facts and closes their order layer, as a branch of the search does.
+func closeFacts(facts ...ged.Literal) (*state, bool) {
+	g := graph.New()
+	g.AddNode("p")
+	g.AddNode("p")
+	s := newSearch(g, ged.Set{New("facts", nodeQ("p"), nil, facts)}, nil)
+	for _, l := range facts {
+		s.push(chase.Seed{Literal: l, Nodes: map[pattern.Var]graph.NodeID{"x": 0, "y": 1}})
+	}
+	return s.chase()
+}
+
 func TestStoreFeasibility(t *testing.T) {
-	s := newStore()
-	a := s.slotTerm(slot{node: 0, attr: "a"})
-	b := s.slotTerm(slot{node: 1, attr: "a"})
-	s.addOrder(a, b, false)
-	s.addOrder(b, a, false)
-	if !s.feasible() {
+	st, ok := closeFacts(ged.CmpVars("x", "a", ged.OpLe, "y", "a"), ged.CmpVars("y", "a", ged.OpLe, "x", "a"))
+	if !ok {
 		t.Fatal("a ≤ b ≤ a is feasible (forces equality)")
 	}
-	if s.find(a) != s.find(b) {
+	if !st.res.Eq.SameValue(0, "a", 1, "a") {
 		t.Error("non-strict cycle must merge classes")
 	}
-	s2 := newStore()
-	a2 := s2.slotTerm(slot{node: 0, attr: "a"})
-	b2 := s2.slotTerm(slot{node: 1, attr: "a"})
-	s2.addOrder(a2, b2, true)
-	s2.addOrder(b2, a2, false)
-	if s2.feasible() {
+	if _, ok := closeFacts(ged.CmpVars("x", "a", ged.OpLt, "y", "a"), ged.CmpVars("y", "a", ged.OpLe, "x", "a")); ok {
 		t.Error("strict cycle must be infeasible")
 	}
 	// Constant chain: 3 ≤ x ≤ 2 is infeasible.
-	s3 := newStore()
-	x := s3.slotTerm(slot{node: 0, attr: "a"})
-	s3.addOrder(s3.constTerm(graph.Int(3)), x, false)
-	s3.addOrder(x, s3.constTerm(graph.Int(2)), false)
-	if s3.feasible() {
+	if _, ok := closeFacts(ged.Cmp("x", "a", ged.OpGe, graph.Int(3)), ged.Cmp("x", "a", ged.OpLe, graph.Int(2))); ok {
 		t.Error("3 ≤ x ≤ 2 must be infeasible")
 	}
 	// Diseq after forced merge.
-	s4 := newStore()
-	p := s4.slotTerm(slot{node: 0, attr: "a"})
-	q := s4.slotTerm(slot{node: 1, attr: "a"})
-	s4.addDiseq(p, q)
-	s4.addOrder(p, q, false)
-	s4.addOrder(q, p, false)
-	if s4.feasible() {
+	if _, ok := closeFacts(ged.CmpVars("x", "a", ged.OpNe, "y", "a"),
+		ged.CmpVars("x", "a", ged.OpLe, "y", "a"), ged.CmpVars("y", "a", ged.OpLe, "x", "a")); ok {
 		t.Error("x ≠ y with x ≤ y ≤ x must be infeasible")
 	}
 }
 
 func TestStoreAssignRespectsOrder(t *testing.T) {
-	s := newStore()
-	a := s.slotTerm(slot{node: 0, attr: "a"})
-	b := s.slotTerm(slot{node: 1, attr: "a"})
-	s.addOrder(s.constTerm(graph.Int(0)), a, true)
-	s.addOrder(a, b, true)
-	s.addOrder(b, s.constTerm(graph.Int(10)), true)
-	if !s.feasible() {
+	st, ok := closeFacts(ged.Cmp("x", "a", ged.OpGt, graph.Int(0)),
+		ged.CmpVars("x", "a", ged.OpLt, "y", "a"), ged.Cmp("y", "a", ged.OpLt, graph.Int(10)))
+	if !ok {
 		t.Fatal("feasible store rejected")
 	}
-	vals := s.assign()
-	va, vb := vals[s.find(a)], vals[s.find(b)]
-	if !graph.Int(0).Less(va) || !vb.Less(graph.Int(10)) {
+	vals := st.ord.assign()
+	ta, _ := st.res.Eq.SlotTerm(0, "a")
+	tb, _ := st.res.Eq.SlotTerm(1, "a")
+	va, vb := vals[ta], vals[tb]
+	if !graph.Int(0).Less(va) || !va.Less(vb) || !vb.Less(graph.Int(10)) {
 		t.Errorf("bounds violated: a=%v b=%v", va, vb)
 	}
 }
 
 func TestMixedKindOrderInfeasible(t *testing.T) {
 	// "" < x < 5 is infeasible: all numbers precede all strings.
-	s := newStore()
-	x := s.slotTerm(slot{node: 0, attr: "a"})
-	s.addOrder(s.constTerm(graph.String("")), x, true)
-	s.addOrder(x, s.constTerm(graph.Int(5)), true)
-	if s.feasible() {
+	if _, ok := closeFacts(ged.Cmp("x", "a", ged.OpGt, graph.String("")), ged.Cmp("x", "a", ged.OpLt, graph.Int(5))); ok {
 		t.Error(`"" < x < 5 must be infeasible under the U order`)
 	}
 }
@@ -377,18 +367,4 @@ func TestMixedKindOrderInfeasible(t *testing.T) {
 func validate(g *graph.Graph, sigma ged.Set, limit int) []reason.Violation {
 	vs, _ := reason.NewValidatorOn(g.Freeze(), sigma).RunCtx(context.Background(), limit)
 	return vs
-}
-
-// TestSolverRejectsDisjunction: a GED∨ anywhere in the input is an
-// error and an Unknown verdict, not a wrong answer.
-func TestSolverRejectsDisjunction(t *testing.T) {
-	or := ged.New("or", nodeQ("p"), nil, []ged.Literal{ged.ConstLit("x", "a", graph.Int(0)), ged.ConstLit("x", "a", graph.Int(1))})
-	or.Disjunctive = true
-	lt := New("lt", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
-	if r := CheckSat(ged.Set{lt, or}); r.Err == nil || r.Satisfiable != Unknown {
-		t.Errorf("CheckSat with a GED∨: %v, %v", r.Satisfiable, r.Err)
-	}
-	if r := Implies(ged.Set{lt}, or); r.Err == nil || r.Implied != Unknown {
-		t.Errorf("Implies of a GED∨: %v, %v", r.Implied, r.Err)
-	}
 }

@@ -1,6 +1,5 @@
-// Package gedor decides satisfiability and implication of GED∨s — GEDs
-// with limited disjunction — from Section 7.2 of "Dependencies for
-// Graphs" (Fan & Lu, PODS 2017).
+// Package gedor builds GED∨s — GEDs with limited disjunction — from
+// Section 7.2 of "Dependencies for Graphs" (Fan & Lu, PODS 2017).
 //
 // A GED∨ is a ged.GED with the Disjunctive bit: its consequent Y is
 // read as a disjunction, so a match satisfying X must satisfy at least
@@ -8,20 +7,11 @@
 // GED∨, FromGED) and can express domain constraints such as
 // Q[x](∅ → x.A = 0 ∨ x.A = 1) that plain GEDs cannot (Example 10).
 // Validation is the GEDs' own (Theorem 9: it stays coNP-complete),
-// through package reason.
-//
-// Satisfiability and implication are decided by a branching chase that
-// mirrors their Σᵖ₂/Πᵖ₂ structure: at every match with a satisfied
-// antecedent and no satisfied disjunct, the search branches on which
-// disjunct to enforce. Positive satisfiability answers are certified
-// with the validator; non-implication answers with a certified
-// countermodel. GED∨s have GED literals only: a comparison is an error,
-// and so is a conjunctive GED of several literals until FromGED splits
-// it.
+// through package reason; satisfiability and implication of any set of
+// GEDs, GDCs and GED∨s are package gdc's.
 package gedor
 
 import (
-	"fmt"
 	"strconv"
 
 	"gedlib/internal/ged"
@@ -59,22 +49,6 @@ func FromGED(g *ged.GED) ged.Set {
 func trivialLit(q *pattern.Pattern) ged.Literal {
 	x := q.Vars()[0]
 	return ged.IDLit(x, x)
-}
-
-// decidable returns an error naming the first rule the solver cannot
-// decide: a GDC, or a conjunctive GED whose consequent is not exactly
-// one literal (FromGED splits it into GED∨s). A conjunctive GED of one
-// literal reads the same as a GED∨.
-func decidable(rules ...*ged.GED) error {
-	for _, d := range rules {
-		switch {
-		case d.Form() == ged.FormGDC:
-			return fmt.Errorf("gedor: rule %s is a %s; GED∨s compare with = only", d.Name, d.Form())
-		case !d.Disjunctive && len(d.Y) != 1:
-			return fmt.Errorf("gedor: rule %s is a conjunctive GED of %d literals; split it with FromGED", d.Name, len(d.Y))
-		}
-	}
-	return nil
 }
 
 // DomainConstraint returns the GED∨ of Example 10: every node labeled

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
@@ -40,8 +41,8 @@ func TestExample10DomainConstraint(t *testing.T) {
 		t.Error("missing A must violate the disjunction")
 	}
 
-	r := CheckSat(ged.Set{psi})
-	if r.Satisfiable != True {
+	r := gdc.CheckSat(ged.Set{psi})
+	if r.Satisfiable != gdc.True {
 		t.Fatalf("domain constraint must be satisfiable, got %v", r.Satisfiable)
 	}
 	if !reason.Satisfies(r.Model, ged.Set{psi}) {
@@ -56,7 +57,7 @@ func TestCheckSatForbidding(t *testing.T) {
 	// An empty disjunction forbids the pattern outright; a Σ whose
 	// pattern must match (strong satisfiability) is then unsatisfiable.
 	forbid := New("forbid", nodeQ("tau"), nil, nil)
-	if r := CheckSat(ged.Set{forbid}); r.Satisfiable != False {
+	if r := gdc.CheckSat(ged.Set{forbid}); r.Satisfiable != gdc.False {
 		t.Errorf("forbidding constraint alone must be unsatisfiable, got %v", r.Satisfiable)
 	}
 }
@@ -69,8 +70,8 @@ func TestCheckSatBranchingNeeded(t *testing.T) {
 		ged.ConstLit("x", "A", graph.Int(0)), ged.ConstLit("x", "A", graph.Int(1))})
 	psi2 := New("p2", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(1)), ged.ConstLit("x", "A", graph.Int(2))})
-	r := CheckSat(ged.Set{psi1, psi2})
-	if r.Satisfiable != True {
+	r := gdc.CheckSat(ged.Set{psi1, psi2})
+	if r.Satisfiable != gdc.True {
 		t.Fatalf("ψ1 ∧ ψ2 must be satisfiable (A = 1), got %v", r.Satisfiable)
 	}
 	if !reason.Satisfies(r.Model, ged.Set{psi1, psi2}) {
@@ -80,7 +81,7 @@ func TestCheckSatBranchingNeeded(t *testing.T) {
 	// Disjoint domains are unsatisfiable.
 	psi3 := New("p3", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(7)), ged.ConstLit("x", "A", graph.Int(8))})
-	if r := CheckSat(ged.Set{psi1, psi3}); r.Satisfiable != False {
+	if r := gdc.CheckSat(ged.Set{psi1, psi3}); r.Satisfiable != gdc.False {
 		t.Errorf("disjoint domains must be unsatisfiable, got %v", r.Satisfiable)
 	}
 }
@@ -90,11 +91,11 @@ func TestImpliesDomainWeakening(t *testing.T) {
 	narrow := New("n", nodeQ("tau"), nil, []ged.Literal{ged.ConstLit("x", "A", graph.Int(0))})
 	wide := New("w", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(0)), ged.ConstLit("x", "A", graph.Int(1))})
-	if r := Implies(ged.Set{narrow}, wide); r.Implied != True {
+	if r := gdc.Implies(ged.Set{narrow}, wide); r.Implied != gdc.True {
 		t.Errorf("narrow must imply wide, got %v", r.Implied)
 	}
-	r := Implies(ged.Set{wide}, narrow)
-	if r.Implied != False {
+	r := gdc.Implies(ged.Set{wide}, narrow)
+	if r.Implied != gdc.False {
 		t.Fatalf("wide must not imply narrow, got %v", r.Implied)
 	}
 	if r.Counterexample == nil || !reason.Satisfies(r.Counterexample, ged.Set{wide}) {
@@ -107,7 +108,7 @@ func TestImpliesDomainWeakening(t *testing.T) {
 
 func TestImpliesReflexive(t *testing.T) {
 	psi := DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
-	if r := Implies(ged.Set{psi}, psi); r.Implied != True {
+	if r := gdc.Implies(ged.Set{psi}, psi); r.Implied != gdc.True {
 		t.Errorf("Σ must imply its own member, got %v", r.Implied)
 	}
 }
@@ -123,12 +124,12 @@ func TestImpliesThroughCaseSplit(t *testing.T) {
 		[]ged.Literal{ged.ConstLit("x", "A", graph.Int(1))},
 		[]ged.Literal{ged.ConstLit("x", "B", graph.Int(5))})
 	phi := New("phi", nodeQ("tau"), nil, []ged.Literal{ged.ConstLit("x", "B", graph.Int(5))})
-	if r := Implies(ged.Set{dom, c0, c1}, phi); r.Implied != True {
+	if r := gdc.Implies(ged.Set{dom, c0, c1}, phi); r.Implied != gdc.True {
 		t.Errorf("case split must yield B = 5 on every branch, got %v", r.Implied)
 	}
 	// Dropping one case loses the implication.
-	r := Implies(ged.Set{dom, c0}, phi)
-	if r.Implied != False {
+	r := gdc.Implies(ged.Set{dom, c0}, phi)
+	if r.Implied != gdc.False {
 		t.Errorf("missing case must break the implication, got %v", r.Implied)
 	}
 }
@@ -190,11 +191,11 @@ func TestGEDorSatAgreesWithGEDSat(t *testing.T) {
 		for _, d := range sigma {
 			ds = append(ds, FromGED(d)...)
 		}
-		r := CheckSat(ds)
-		if r.Satisfiable == Unknown {
+		r := gdc.CheckSat(ds)
+		if r.Satisfiable == gdc.Unknown {
 			t.Fatalf("trial %d: unexpected Unknown", trial)
 		}
-		if (r.Satisfiable == True) != want {
+		if (r.Satisfiable == gdc.True) != want {
 			t.Fatalf("trial %d: disagreement: got %v want %v\nΣ=%v", trial, r.Satisfiable, want, sigma)
 		}
 	}
@@ -217,11 +218,11 @@ func TestGEDorImplAgreesWithGEDImpl(t *testing.T) {
 			ds = append(ds, FromGED(d)...)
 		}
 		phi := New(phiGED.Name, phiGED.Pattern, phiGED.X, phiGED.Y)
-		r := Implies(ds, phi)
-		if r.Implied == Unknown {
+		r := gdc.Implies(ds, phi)
+		if r.Implied == gdc.Unknown {
 			t.Fatalf("trial %d: unexpected Unknown", trial)
 		}
-		if (r.Implied == True) != want {
+		if (r.Implied == gdc.True) != want {
 			t.Fatalf("trial %d: disagreement: got %v want %v\nΣ=%v\nφ=%v", trial, r.Implied, want, sigma, phiGED)
 		}
 	}
@@ -280,27 +281,33 @@ func validate(g *graph.Graph, sigma ged.Set, limit int) []reason.Violation {
 	return vs
 }
 
-// TestSolverRejectsComparisons: a GDC anywhere in the input is an error
-// and an Unknown verdict; so is a conjunctive GED of two literals, which
-// decides once split by FromGED.
-func TestSolverRejectsComparisons(t *testing.T) {
-	lt := ged.New("lt", nodeQ("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
-	dom := DomainConstraint("p", "a", graph.Int(0), graph.Int(1))
-	if r := CheckSat(ged.Set{dom, lt}); r.Err == nil || r.Satisfiable != Unknown {
-		t.Errorf("CheckSat with a GDC: %v, %v", r.Satisfiable, r.Err)
-	}
-	if r := Implies(ged.Set{dom}, lt); r.Err == nil || r.Implied != Unknown {
-		t.Errorf("Implies of a GDC: %v, %v", r.Implied, r.Err)
-	}
-	both := ged.New("both", nodeQ("p"), nil, []ged.Literal{ged.ConstLit("x", "a", graph.Int(0)), ged.ConstLit("x", "b", graph.Int(1))})
-	if r := Implies(ged.Set{dom}, both); r.Err == nil || r.Implied != Unknown {
-		t.Errorf("Implies of a conjunction: %v, %v", r.Implied, r.Err)
-	}
-	split := FromGED(both)
-	if r := Implies(split, split[1]); r.Err != nil || r.Implied != True {
-		t.Errorf("a split conjunct is implied by its split: %v, %v", r.Implied, r.Err)
-	}
-	if r := Implies(ged.Set{dom}, split[0]); r.Err != nil || r.Implied != False {
-		t.Errorf("a domain does not imply one value: %v, %v", r.Implied, r.Err)
+// TestFromGEDKeepsVerdicts: splitting every GED of Σ by FromGED changes
+// neither satisfiability nor implication (Section 7.2), on random sets
+// mixing GEDs with a GDC and a GED∨.
+func TestFromGEDKeepsVerdicts(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 100; trial++ {
+		sigma := randomGEDSigma(rng)
+		label := graph.Label([]string{"a", "b"}[rng.Intn(2)])
+		if rng.Intn(2) == 0 {
+			sigma = append(sigma, ged.New("lt", nodeQ(label), nil, []ged.Literal{ged.Cmp("x", "p", ged.OpLt, graph.Int(rng.Intn(2)))}))
+		}
+		if rng.Intn(2) == 0 {
+			sigma = append(sigma, DomainConstraint(label, "q", graph.Int(0), graph.Int(1)))
+		}
+		var split ged.Set
+		for _, d := range sigma {
+			if d.Form() == ged.FormGED {
+				split = append(split, FromGED(d)...)
+			} else {
+				split = append(split, d)
+			}
+		}
+		phi := randomGEDSigma(rng)[0]
+		sat, satSplit := gdc.CheckSat(sigma).Satisfiable, gdc.CheckSat(split).Satisfiable
+		impl, implSplit := gdc.Implies(sigma, phi).Implied, gdc.Implies(split, phi).Implied
+		if sat == gdc.Unknown || sat != satSplit || impl == gdc.Unknown || impl != implSplit {
+			t.Fatalf("trial %d: sat %v vs split %v, implies %v vs split %v\nΣ=%v\nφ=%v", trial, sat, satSplit, impl, implSplit, sigma, phi)
+		}
 	}
 }

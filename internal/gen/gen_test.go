@@ -438,6 +438,16 @@ func TestTable1(t *testing.T) {
 	add("GDC", "implication", "a<10 ⊭ a<5", false, func() bool {
 		return certain(gdc.Implies(ged.Set{lt10}, lt5).Implied)
 	})
+	// A case split on an order literal: a > 3 and a ≤ 3 both give b = 1.
+	add("GDC", "implication", "a>3∨a≤3 ⊨ b=1", true, func() bool {
+		b1 := []ged.Literal{ged.ConstLit("x", "b", graph.Int(1))}
+		sigma := ged.Set{
+			gdc.New("gt3", node("p"), []ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(3))}, b1),
+			gdc.New("le3", node("p"), []ged.Literal{ged.Cmp("x", "a", ged.OpLe, graph.Int(3))}, b1),
+			gdc.New("has-a", node("p"), nil, []ged.Literal{ged.VarLit("x", "a", "x", "a")}),
+		}
+		return certain(gdc.Implies(sigma, gdc.New("b1", node("p"), nil, b1)).Implied)
+	})
 	add("GDC", "validation", "a=3 vs a<5", true, func() bool {
 		g := graph.New()
 		g.AddNodeAttrs("p", map[graph.Attr]graph.Value{"a": graph.Int(3)})
@@ -447,18 +457,35 @@ func TestTable1(t *testing.T) {
 	psi := gedor.DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
 	narrow := gedor.New("n", node("tau"), nil, []ged.Literal{ged.ConstLit("x", "A", graph.Int(0))})
 	add("GED∨", "satisfiability", "domain{0,1}", true, func() bool {
-		return certain(gedor.CheckSat(ged.Set{psi}).Satisfiable)
+		return certain(gdc.CheckSat(ged.Set{psi}).Satisfiable)
 	})
 	add("GED∨", "implication", "A=0 ⊨ A∈{0,1}", true, func() bool {
-		return certain(gedor.Implies(ged.Set{narrow}, psi).Implied)
+		return certain(gdc.Implies(ged.Set{narrow}, psi).Implied)
 	})
 	add("GED∨", "implication", "A∈{0,1} ⊭ A=0", false, func() bool {
-		return certain(gedor.Implies(ged.Set{psi}, narrow).Implied)
+		return certain(gdc.Implies(ged.Set{psi}, narrow).Implied)
 	})
 	add("GED∨", "validation", "A=1 vs domain", true, func() bool {
 		g := graph.New()
 		g.AddNodeAttrs("tau", map[graph.Attr]graph.Value{"A": graph.Int(1)})
 		return reason.Satisfies(g, ged.Set{psi})
+	})
+	// Mixed sets (Theorems 8 and 9 together): A ∈ {0, 1} and A > 0.5
+	// leave A = 1; A > 1 leaves nothing.
+	mixed := func(bound float64) ged.Set {
+		return ged.Set{psi, gdc.New("gt", node("tau"), nil, []ged.Literal{ged.Cmp("x", "A", ged.OpGt, graph.Number(bound))})}
+	}
+	add("GDC+GED∨", "satisfiability", "A∈{0,1}, A>0.5", true, func() bool {
+		r := gdc.CheckSat(mixed(0.5))
+		if r.Satisfiable == gdc.True {
+			if v, ok := r.Model.Attr(0, "A"); !ok || !v.Equal(graph.Int(1)) {
+				t.Errorf("mixed model has A = %v, want 1", v)
+			}
+		}
+		return certain(r.Satisfiable)
+	})
+	add("GDC+GED∨", "satisfiability", "A∈{0,1}, A>1", false, func() bool {
+		return certain(gdc.CheckSat(mixed(1)).Satisfiable)
 	})
 
 	classes, problems := map[string]bool{}, map[string]bool{}
