@@ -55,7 +55,11 @@
 //
 // Graphs are add-only and journal every mutation: Graph.DeltaSince(v)
 // returns the Delta — added nodes, added edges, attribute writes —
-// applied after version v. Snapshot.Apply(delta) advances a frozen
+// applied after version v. The journal is trimmed to keep every lag of
+// up to a quarter of the graph, the most a session replays rather than
+// re-freezing, and DeltaSince answers nil for older versions. A node's
+// attributes are the paper's finite tuple, which Graph.Attrs iterates
+// in attribute name order. Snapshot.Apply(delta) advances a frozen
 // snapshot by a delta in O(|Δ| + touched adjacency): the snapshot's
 // per-node tables are page-chunked and copy-on-write, so only the
 // pages, label postings and symbol tables the delta touches are

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -158,7 +159,7 @@ func wildcardEdgeInstance(rng *rand.Rand) (*graph.Graph, ged.Set) {
 	g, sigma := mergingInstance(rng)
 	w := graph.New()
 	for _, id := range g.Nodes() {
-		w.AddNodeAttrs(g.Label(id), g.Attrs(id))
+		w.AddNodeAttrs(g.Label(id), maps.Collect(g.Attrs(id)))
 	}
 	for _, e := range g.Edges() {
 		if rng.Intn(2) == 0 {

@@ -270,7 +270,7 @@ func TestCanonicalGraph(t *testing.T) {
 	if gs.Label(maps[0]["x"]) != "person" || gs.Label(maps[1]["x"]) != "country" {
 		t.Error("canonical graph labels wrong")
 	}
-	if len(gs.Attrs(maps[0]["x"])) != 0 {
+	if gs.NumAttrs(maps[0]["x"]) != 0 {
 		t.Error("canonical graph attribute map must be empty")
 	}
 }

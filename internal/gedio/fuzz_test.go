@@ -1,7 +1,11 @@
 package gedio
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
+
+	"gedlib/internal/graph"
 )
 
 // FuzzParse drives the DSL parser with arbitrary inputs: it must never
@@ -52,11 +56,13 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalGraph: the JSON reader must never panic, and accepted
-// graphs must re-marshal.
+// FuzzUnmarshalGraph: the JSON reader must never panic, and an
+// accepted graph round-trips: what MarshalGraph writes reads back to a
+// graph that marshals to the same bytes and exports the same image.
 func FuzzUnmarshalGraph(f *testing.F) {
 	f.Add(`{"nodes":[{"id":"a","label":"x","attrs":{"k":1}}],"edges":[]}`)
 	f.Add(`{"nodes":[{"id":"a","label":"x"},{"id":"b","label":"y"}],"edges":[{"src":"a","label":"e","dst":"b"}]}`)
+	f.Add(`{"nodes":[{"id":"a","label":"x","attrs":{"b":"s","a":-2.5,"c":true}}],"edges":[{"src":"a","label":"e","dst":"a"},{"src":"a","label":"e","dst":"a"}]}`)
 	f.Add(`{}`)
 	f.Add(`[1,2,3]`)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -64,8 +70,19 @@ func FuzzUnmarshalGraph(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := MarshalGraph(g); err != nil {
+		out, err := MarshalGraph(g)
+		if err != nil {
 			t.Fatalf("accepted graph failed to marshal: %v", err)
+		}
+		again, _, err := UnmarshalGraph(out)
+		if err != nil {
+			t.Fatalf("marshalled graph does not read back: %v\n%s", err, out)
+		}
+		if out2, err := MarshalGraph(again); err != nil || !bytes.Equal(out, out2) {
+			t.Fatalf("re-marshal differs (err %v):\n%s\nthen\n%s", err, out, out2)
+		}
+		if !reflect.DeepEqual(graph.ImageOf(g), graph.ImageOf(again)) {
+			t.Fatalf("round trip changed the image:\n%s", out)
 		}
 	})
 }

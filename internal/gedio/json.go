@@ -36,20 +36,14 @@ func MarshalGraph(g *graph.Graph) ([]byte, error) {
 	var jg jsonGraph
 	for _, id := range g.Nodes() {
 		n := jsonNode{ID: fmt.Sprintf("n%d", id), Label: string(g.Label(id))}
-		attrs := g.Attrs(id)
-		if len(attrs) > 0 {
-			n.Attrs = make(map[string]json.RawMessage, len(attrs))
-			names := make([]string, 0, len(attrs))
-			for a := range attrs {
-				names = append(names, string(a))
-			}
-			sort.Strings(names)
-			for _, a := range names {
-				raw, err := marshalValue(attrs[graph.Attr(a)])
+		if k := g.NumAttrs(id); k > 0 {
+			n.Attrs = make(map[string]json.RawMessage, k)
+			for a, v := range g.Attrs(id) {
+				raw, err := marshalValue(v)
 				if err != nil {
 					return nil, err
 				}
-				n.Attrs[a] = raw
+				n.Attrs[string(a)] = raw
 			}
 		}
 		jg.Nodes = append(jg.Nodes, n)

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -178,13 +179,19 @@ func TestSnapshotApplySharing(t *testing.T) {
 // replaying exactly.
 func TestJournalTrim(t *testing.T) {
 	g := New()
+	for i := 0; i < 20000; i++ {
+		g.AddNode("b")
+	}
 	id := g.AddNode("a")
 	v0 := g.Version()
 	for i := 0; i < 200000; i++ {
 		g.SetAttr(id, "p", Int(i%7))
 	}
-	if n := len(g.journal); n > 4096+2*g.Size() {
-		t.Fatalf("journal not trimmed: %d ops for a size-%d graph", n, g.Size())
+	if n, limit := len(g.journal), 2*(journalSlack+CatchUpBound(g.Size())); n > limit {
+		t.Fatalf("journal not trimmed: %d ops for a size-%d graph, bound %d", n, g.Size(), limit)
+	}
+	if n, keep := len(g.journal), journalSlack+CatchUpBound(g.Size()); n < keep {
+		t.Fatalf("journal trimmed too far: %d ops for a size-%d graph, keeps at least %d", n, g.Size(), keep)
 	}
 	if d := g.DeltaSince(v0); d != nil {
 		t.Fatal("DeltaSince must refuse versions older than the trimmed journal")
@@ -203,6 +210,76 @@ func TestJournalTrim(t *testing.T) {
 	got := base.Apply(g.DeltaSince(from))
 	if v, ok := got.Attr(id, "p"); !ok || !v.Equal(Int(43)) {
 		t.Fatalf("post-trim Apply lost the write: %v %v", v, ok)
+	}
+}
+
+// TestJournalKeepsCatchUpBound: under a long random op stream that
+// trims the journal again and again, every lag within CatchUpBound
+// still replays, and replays exactly — an image cut at the older version
+// plus the delta is the graph now.
+func TestJournalKeepsCatchUpBound(t *testing.T) {
+	// A small graph, where the slack decides what is kept, and graphs
+	// large enough that CatchUpBound does.
+	for _, c := range []struct {
+		seed          int64
+		build, stream int
+	}{{1, 4000, 30000}, {2, 60000, 120000}} {
+		seed := c.seed
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		applyRandomOps(g, rng, c.build)
+		type cut struct {
+			version uint64
+			img     *Image
+		}
+		var cuts []cut
+		trims := 0
+		for i := 0; i < c.stream; i++ {
+			base := g.journalBase
+			if rng.Intn(4) == 0 {
+				applyRandomOps(g, rng, 1)
+			} else {
+				g.SetAttr(NodeID(rng.Intn(g.NumNodes())), "hot", Int(rng.Intn(100)))
+			}
+			if g.journalBase != base {
+				trims++
+			}
+			if lag := uint64(CatchUpBound(g.Size())); g.Version()-lag < g.journalBase {
+				t.Fatalf("seed %d op %d: journal reaches back %d ops, CatchUpBound is %d",
+					seed, i, g.Version()-g.journalBase, lag)
+			}
+			if i >= c.stream-2000 && i%400 == 0 {
+				cuts = append(cuts, cut{g.Version(), ImageOf(g)})
+			}
+		}
+		if trims < 5 {
+			t.Fatalf("seed %d: only %d trims, the stream must exercise the bound", seed, trims)
+		}
+		replayed, want := 0, ImageOf(g)
+		for _, c := range cuts {
+			lag := g.Version() - c.version
+			if lag > uint64(CatchUpBound(g.Size())) {
+				continue
+			}
+			d := g.DeltaSince(c.version)
+			if d == nil || uint64(d.Size()) != lag {
+				t.Fatalf("seed %d: lag %d within the bound does not replay (%v)", seed, lag, d)
+			}
+			h, err := FromImage(c.img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ImageOf(h), want) {
+				t.Fatalf("seed %d: lag %d replays to a different graph", seed, lag)
+			}
+			replayed++
+		}
+		if replayed == 0 {
+			t.Fatalf("seed %d: no cut fell within the bound", seed)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -70,10 +70,24 @@ type Edge struct {
 	Dst   NodeID
 }
 
-// node is the internal per-node record.
+// node is the internal per-node record. Its attributes are the paper's
+// finite tuple, kept sorted by name: real nodes carry a handful, and a
+// slice of them is a fraction of the size of a map holding as many.
 type node struct {
 	label Label
-	attrs map[Attr]Value
+	attrs []attrVal
+}
+
+// attrVal is one attribute/value pair of a node's tuple.
+type attrVal struct {
+	name Attr
+	val  Value
+}
+
+// find returns the position of attribute a in n's tuple, or where it
+// would be inserted, and whether n carries it.
+func (n *node) find(a Attr) (int, bool) {
+	return slices.BinarySearchFunc(n.attrs, a, func(p attrVal, a Attr) int { return cmp.Compare(p.name, a) })
 }
 
 // Graph is a mutable finite directed labeled property graph. The zero
@@ -99,16 +113,29 @@ type Graph struct {
 	journalBase uint64
 }
 
-// noteOp journals one mutation and ticks the version. When the journal
-// outgrows the graph by a comfortable margin it is trimmed to its
-// recent half: every delta consumer this library ships (the Engine's
-// session catch-up) falls back to a full freeze well before lagging that
-// far, so the trim only sheds history nobody can use, and memory stays
-// O(|G|) even under endless attribute overwrites.
+// CatchUpBound is the largest delta, in ops, that a consumer holding a
+// snapshot of a graph of size n replays instead of re-freezing: a
+// quarter of the graph. The Engine's session catch-up applies a delta
+// only within it, and the journal (see noteOp) always keeps at least
+// that much history.
+func CatchUpBound(n int) int { return n / 4 }
+
+// journalSlack is the history the journal keeps beyond CatchUpBound, so
+// a small graph still replays a few thousand recent ops.
+const journalSlack = 2048
+
+// noteOp journals one mutation and ticks the version. Once the journal
+// holds twice journalSlack + CatchUpBound(|G|) ops it is trimmed to its
+// recent half. The half kept still covers every lag within
+// CatchUpBound — the graph only grows, so what was a quarter of it at
+// the trim stays at least that — so the trim sheds only history no
+// consumer would replay, and memory stays O(|G|) even under endless
+// attribute overwrites. DeltaSince answers nil for any lag the trim
+// dropped, at most one beyond CatchUpBound(|G|) + journalSlack.
 func (g *Graph) noteOp(o op) {
 	g.journal = append(g.journal, o)
 	g.version++
-	if limit := 4096 + 2*g.Size(); len(g.journal) > limit {
+	if limit := 2 * (journalSlack + CatchUpBound(g.Size())); len(g.journal) > limit {
 		drop := len(g.journal) - limit/2
 		g.journalBase += uint64(drop)
 		trimmed := make([]op, len(g.journal)-drop)
@@ -141,6 +168,9 @@ func (g *Graph) AddNode(label Label) NodeID {
 // AddNodeAttrs adds a node with the given label and attribute tuple.
 func (g *Graph) AddNodeAttrs(label Label, attrs map[Attr]Value) NodeID {
 	id := g.AddNode(label)
+	if len(attrs) > 1 {
+		g.nodes[id].attrs = make([]attrVal, 0, len(attrs))
+	}
 	for a, v := range attrs {
 		g.SetAttr(id, a, v)
 	}
@@ -168,12 +198,17 @@ func (g *Graph) HasEdge(src NodeID, label Label, dst NodeID) bool {
 
 // SetAttr sets attribute a of node id to value v, creating it if absent.
 func (g *Graph) SetAttr(id NodeID, a Attr, v Value) {
-	n := &g.nodes[id]
-	if n.attrs == nil {
-		n.attrs = make(map[Attr]Value)
-	}
-	n.attrs[a] = v
+	g.nodes[id].set(a, v)
 	g.noteOp(op{kind: opSetAttr, node: id, attr: a, val: v})
+}
+
+// set writes a = v into n's tuple, in name order.
+func (n *node) set(a Attr, v Value) {
+	if i, ok := n.find(a); ok {
+		n.attrs[i].val = v
+	} else {
+		n.attrs = slices.Insert(n.attrs, i, attrVal{a, v})
+	}
 }
 
 // Version is the mutation counter: it increments on every AddNode,
@@ -184,13 +219,28 @@ func (g *Graph) Version() uint64 { return g.version }
 // Attr returns the value of attribute a at node id, and whether the node
 // carries that attribute. Graphs are schemaless, so absence is routine.
 func (g *Graph) Attr(id NodeID, a Attr) (Value, bool) {
-	v, ok := g.nodes[id].attrs[a]
-	return v, ok
+	n := &g.nodes[id]
+	if i, ok := n.find(a); ok {
+		return n.attrs[i].val, true
+	}
+	return Value{}, false
 }
 
-// Attrs returns the attribute tuple of node id. The returned map is the
-// graph's own storage; callers must not mutate it.
-func (g *Graph) Attrs(id NodeID) map[Attr]Value { return g.nodes[id].attrs }
+// Attrs returns the attribute tuple of node id, in attribute name order.
+// It iterates the tuple as it stands when Attrs is called.
+func (g *Graph) Attrs(id NodeID) iter.Seq2[Attr, Value] {
+	attrs := g.nodes[id].attrs
+	return func(yield func(Attr, Value) bool) {
+		for _, p := range attrs {
+			if !yield(p.name, p.val) {
+				return
+			}
+		}
+	}
+}
+
+// NumAttrs returns how many attributes node id carries.
+func (g *Graph) NumAttrs(id NodeID) int { return len(g.nodes[id].attrs) }
 
 // Label returns the label of node id.
 func (g *Graph) Label(id NodeID) Label { return g.nodes[id].label }
@@ -310,8 +360,8 @@ func (g *Graph) Clone() *Graph {
 	c := New()
 	for _, n := range g.nodes {
 		id := c.AddNode(n.label)
-		for a, v := range n.attrs {
-			c.SetAttr(id, a, v)
+		for _, p := range n.attrs {
+			c.SetAttr(id, p.name, p.val)
 		}
 	}
 	for e := range g.edges {
@@ -345,17 +395,12 @@ func (g *Graph) String() string {
 	for i, n := range g.nodes {
 		fmt.Fprintf(&b, "n%d:%s", i, n.label)
 		if len(n.attrs) > 0 {
-			names := make([]string, 0, len(n.attrs))
-			for a := range n.attrs {
-				names = append(names, string(a))
-			}
-			sort.Strings(names)
 			b.WriteString(" {")
-			for j, a := range names {
+			for j, p := range n.attrs {
 				if j > 0 {
 					b.WriteString(", ")
 				}
-				fmt.Fprintf(&b, "%s=%s", a, n.attrs[Attr(a)])
+				fmt.Fprintf(&b, "%s=%s", p.name, p.val)
 			}
 			b.WriteString("}")
 		}

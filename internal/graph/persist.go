@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file is the persistence contract of the graph package: ApplyDelta
@@ -97,9 +96,27 @@ type Image struct {
 
 // ImageOf exports g as a flat Image. Rows are emitted deterministically
 // (nodes in id order, edges in Edges() order, attributes per node in
-// name order), so identical graphs produce identical images.
+// name order), so identical graphs produce identical images. Every
+// column is sized up front and each node's tuple is already in name
+// order, so the export allocates nothing per node: only the columns,
+// the sorted edge list and the symbol tables.
 func ImageOf(g *Graph) *Image {
-	img := &Image{Version: g.version}
+	nAttrs := 0
+	for i := range g.nodes {
+		nAttrs += len(g.nodes[i].attrs)
+	}
+	edges := g.Edges()
+	img := &Image{
+		Version:   g.version,
+		NodeLabel: make([]uint32, len(g.nodes)),
+		EdgeSrc:   make([]uint32, len(edges)),
+		EdgeLabel: make([]uint32, len(edges)),
+		EdgeDst:   make([]uint32, len(edges)),
+		AttrNode:  make([]uint32, 0, nAttrs),
+		AttrName:  make([]uint32, 0, nAttrs),
+		AttrKind:  make([]uint8, 0, nAttrs),
+		AttrVal:   make([]uint64, 0, nAttrs),
+	}
 	labelIdx := make(map[Label]uint32)
 	labelOf := func(l Label) uint32 {
 		if i, ok := labelIdx[l]; ok {
@@ -131,33 +148,23 @@ func ImageOf(g *Graph) *Image {
 		return i
 	}
 
-	img.NodeLabel = make([]uint32, len(g.nodes))
 	for id, n := range g.nodes {
 		img.NodeLabel[id] = labelOf(n.label)
 	}
-	for _, e := range g.Edges() {
-		img.EdgeSrc = append(img.EdgeSrc, uint32(e.Src))
-		img.EdgeLabel = append(img.EdgeLabel, labelOf(e.Label))
-		img.EdgeDst = append(img.EdgeDst, uint32(e.Dst))
+	for i, e := range edges {
+		img.EdgeSrc[i] = uint32(e.Src)
+		img.EdgeLabel[i] = labelOf(e.Label)
+		img.EdgeDst[i] = uint32(e.Dst)
 	}
 	for id, n := range g.nodes {
-		if len(n.attrs) == 0 {
-			continue
-		}
-		names := make([]string, 0, len(n.attrs))
-		for a := range n.attrs {
-			names = append(names, string(a))
-		}
-		sort.Strings(names)
-		for _, a := range names {
-			v := n.attrs[Attr(a)]
+		for _, p := range n.attrs {
 			img.AttrNode = append(img.AttrNode, uint32(id))
-			img.AttrName = append(img.AttrName, attrOf(Attr(a)))
-			img.AttrKind = append(img.AttrKind, uint8(v.Kind()))
-			if v.Kind() == KindNumber {
-				img.AttrVal = append(img.AttrVal, math.Float64bits(v.Num()))
+			img.AttrName = append(img.AttrName, attrOf(p.name))
+			img.AttrKind = append(img.AttrKind, uint8(p.val.Kind()))
+			if p.val.Kind() == KindNumber {
+				img.AttrVal = append(img.AttrVal, math.Float64bits(p.val.Num()))
 			} else {
-				img.AttrVal = append(img.AttrVal, uint64(strOf(v.Str())))
+				img.AttrVal = append(img.AttrVal, uint64(strOf(p.val.Str())))
 			}
 		}
 	}
@@ -236,17 +243,13 @@ func FromImage(img *Image) (*Graph, error) {
 		g.in[e.Dst] = append(g.in[e.Dst], e)
 	}
 	for i := range img.AttrNode {
-		n := &g.nodes[img.AttrNode[i]]
-		if n.attrs == nil {
-			n.attrs = make(map[Attr]Value)
-		}
 		var v Value
 		if ValueKind(img.AttrKind[i]) == KindNumber {
 			v = Number(math.Float64frombits(img.AttrVal[i]))
 		} else {
 			v = String(img.Strings[img.AttrVal[i]])
 		}
-		n.attrs[Attr(img.AttrNames[img.AttrName[i]])] = v
+		g.nodes[img.AttrNode[i]].set(Attr(img.AttrNames[img.AttrName[i]]), v)
 	}
 	g.version = img.Version
 	g.journalBase = img.Version

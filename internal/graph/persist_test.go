@@ -243,3 +243,31 @@ func TestImageValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestImageOfAllocsFlat: the export allocates per column and per symbol,
+// never per node. Over a fixed vocabulary the symbol tables stop
+// growing, so exporting ten times the graph costs the same allocations.
+func TestImageOfAllocsFlat(t *testing.T) {
+	build := func(n int) *Graph {
+		rng := rand.New(rand.NewSource(int64(n)))
+		g := New()
+		for i := 0; i < n; i++ {
+			id := g.AddNode([]Label{"person", "product"}[i%2])
+			g.SetAttr(id, "type", String([]string{"a", "b", "c"}[rng.Intn(3)]))
+			if i%3 == 0 {
+				g.SetAttr(id, "rank", Int(rng.Intn(4)))
+			}
+		}
+		for i := 0; i < n; i++ {
+			g.AddEdge(NodeID(rng.Intn(n)), "likes", NodeID(rng.Intn(n)))
+		}
+		return g
+	}
+	small, large := build(1000), build(10000)
+	a1 := testing.AllocsPerRun(5, func() { ImageOf(small) })
+	a10 := testing.AllocsPerRun(5, func() { ImageOf(large) })
+	if a10 > a1 {
+		t.Fatalf("ImageOf allocates %.0f times at 1k nodes but %.0f at 10k", a1, a10)
+	}
+	t.Logf("allocs: %.0f at 1k nodes, %.0f at 10k", a1, a10)
+}

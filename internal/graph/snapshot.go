@@ -309,8 +309,8 @@ func (g *Graph) Freeze() *Snapshot {
 	var scratch []kv
 	for i := range g.nodes {
 		scratch = scratch[:0]
-		for a, v := range g.nodes[i].attrs {
-			scratch = append(scratch, kv{s.internAttr(a), v})
+		for _, p := range g.nodes[i].attrs {
+			scratch = append(scratch, kv{s.internAttr(p.name), p.val})
 		}
 		// Attribute tuples are tiny; insertion sort avoids a sort.Slice
 		// closure per node.

@@ -278,8 +278,8 @@ func TestSnapshotQuotientEquivalence(t *testing.T) {
 		s := g.Freeze()
 		for i := 0; i < n; i++ {
 			keys, vals := s.AttrTuple(NodeID(i))
-			if len(keys) != len(g.Attrs(NodeID(i))) {
-				t.Fatalf("trial %d: n%d has %d stored attributes, its tuple %d", trial, i, len(g.Attrs(NodeID(i))), len(keys))
+			if len(keys) != g.NumAttrs(NodeID(i)) {
+				t.Fatalf("trial %d: n%d has %d stored attributes, its tuple %d", trial, i, g.NumAttrs(NodeID(i)), len(keys))
 			}
 			for j, k := range keys {
 				if v, ok := g.Attr(NodeID(i), s.AttrSymbols()[k]); !ok || !v.Equal(vals[j]) || (j > 0 && keys[j-1] >= k) {

@@ -105,7 +105,7 @@ func TestToGraph(t *testing.T) {
 	if !g.HasEdge(m["x"], "likes", m["y"]) {
 		t.Error("canonical graph edge missing")
 	}
-	if len(g.Attrs(m["x"])) != 0 {
+	if g.NumAttrs(m["x"]) != 0 {
 		t.Error("canonical graph must have empty F_A")
 	}
 }

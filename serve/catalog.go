@@ -144,7 +144,7 @@ type GraphEntry struct {
 	name string
 	cat  *Catalog
 
-	// mu guards the mutable graph, its session, the name working-copy
+	// mu guards the mutable graph, its session, writes to the name index
 	// and the rule set, and the move into closing happens under it. The
 	// flusher holds it exclusively for the whole mutate+Apply+publish
 	// sequence; chase requests hold it shared just long enough to clone
@@ -152,7 +152,7 @@ type GraphEntry struct {
 	mu    sync.RWMutex
 	graph *gedlib.Graph
 	sess  *gedlib.Session
-	names *nameTable
+	names *nameIndex
 	sigma gedlib.RuleSet
 	text  *ruleText // sigma's wire text
 
@@ -243,7 +243,7 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 		c.mu.Unlock()
 	}()
 	g := gedlib.NewGraph()
-	names := newNameTable(nil)
+	names := newNameIndex(nil)
 	if graphJSON != nil {
 		var byName map[string]gedlib.NodeID
 		var err error
@@ -251,7 +251,7 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: load graph %q: %w", name, err)
 		}
-		names = newNameTable(byName)
+		names = newNameIndex(byName)
 	}
 	ent := c.newEntry(name, stLeaderOK)
 	ent.graph, ent.names, ent.sigma = g, names, gedlib.RuleSet{}
@@ -415,7 +415,9 @@ func (ent *GraphEntry) close(drop bool) {
 }
 
 // persistState assembles the durable state of the entry. Callers hold
-// ent.mu (or have sole access during Create).
+// ent.mu (or have sole access during Create). Names is the index's own
+// capacity-clamped column, not a copy: persist only reads it, and
+// nothing writes it while ent.mu is held.
 func (ent *GraphEntry) persistState() persist.State {
 	return persist.State{Graph: ent.graph, Names: ent.names.dense(), Rules: ent.rulesSrc}
 }
@@ -571,7 +573,7 @@ func (ent *GraphEntry) publishLocked(vs []gedlib.Violation) {
 		Snap:       snap,
 		Val:        val,
 		Violations: vs,
-		Names:      ent.names,
+		Names:      ent.names.table(snap.NumNodes()),
 		Rules:      ent.sigma,
 		text:       ent.text,
 	}
@@ -604,9 +606,13 @@ func validName(name string) bool {
 	return true
 }
 
-// flushTestHook, when non-nil, runs at the top of every applyBatch
-// (tests inject panics and fault windows through it).
-var flushTestHook func(*GraphEntry)
+// flushTestHook, when non-nil, runs at the top of every applyBatch, and
+// opTestHook after each op a flush applies (tests inject panics and
+// fault windows through them).
+var (
+	flushTestHook func(*GraphEntry)
+	opTestHook    func(Op)
+)
 
 // flushBatch runs one merged batch through applyBatch and completes the
 // requests after the view lands, so a returned write is visible to
@@ -675,18 +681,19 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 	// The session's version, not the graph's: the delta then also carries
 	// any ops a flush that panicked mid-way left unseen by the session.
 	from := ent.sess.Snapshot().SourceVersion()
-	nb := &nameBuilder{cur: ent.names}
 	for _, req := range reqs {
 		req.res.Applied = 0
 		for i := range req.ops {
-			if err := applyOp(ent.graph, nb, req.ops[i]); err != nil {
+			if err := applyOp(ent.graph, ent.names, req.ops[i]); err != nil {
 				req.res.OpErrors = append(req.res.OpErrors, OpError{Index: i, Message: err.Error()})
 				continue
 			}
 			req.res.Applied++
+			if hook := opTestHook; hook != nil {
+				hook(req.ops[i])
+			}
 		}
 	}
-	ent.names = nb.table()
 	sp.Stage("mutate")
 	d := ent.graph.DeltaSince(from)
 	// Write-ahead: the batch's delta reaches the WAL (and, in batch
@@ -920,7 +927,7 @@ func (ent *GraphEntry) loadLocked(ctx context.Context, st persist.State) error {
 			return fmt.Errorf("persisted rules: %w", err)
 		}
 	}
-	ent.graph, ent.names = st.Graph, nameTableFromDense(st.Names)
+	ent.graph, ent.names = st.Graph, nameIndexFromDense(st.Names)
 	ent.useRulesLocked(sigma, st.Rules)
 	return ent.openLocked(ctx)
 }
@@ -1086,13 +1093,11 @@ func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 		if err := ent.graph.ApplyDelta(tr.Delta); err != nil {
 			return err
 		}
-		nb := &nameBuilder{cur: ent.names}
 		for i, n := range tr.Delta.Nodes {
 			if tr.Names[i] != "" {
-				nb.add(tr.Names[i], n.ID)
+				ent.names.add(tr.Names[i], n.ID)
 			}
 		}
-		ent.names = nb.table()
 	}
 	vs, err := ent.sess.Apply(ctx, tr.Delta)
 	if err != nil {

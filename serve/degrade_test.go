@@ -98,3 +98,107 @@ func TestFlushPanicDegradesDurable(t *testing.T) {
 		t.Fatalf("stats recoveries=%d probes=%d, want 1/1", got.Recoveries, got.Probes)
 	}
 }
+
+// TestFlushPanicKeepsNames: a panic in the op loop after an add_node
+// applied leaves that node in the graph, so its wire id must stay named
+// with it. The heal checkpoint persists the name, the node resolves by
+// it, and a re-sent add_node of the same id is a duplicate — on the
+// healed entry and after a restore from the checkpoint.
+func TestFlushPanicKeepsNames(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCatalog(Config{DataDir: dir, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ent, err := c.Create("g", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opTestHook = func(op Op) {
+		if op.Op == "add_node" {
+			panic("poisoned op loop")
+		}
+	}
+	defer func() { opTestHook = nil }()
+	ops := []Op{{Op: "add_node", ID: "a", Label: "person"}, {Op: "add_node", ID: "b", Label: "person"}}
+	if _, err := ent.Mutate(context.Background(), ops); !errors.Is(err, ErrFlush) {
+		t.Fatalf("poisoned flush: err=%v, want ErrFlush", err)
+	}
+	opTestHook = nil
+	if err := ent.Probe(context.Background()); err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	check := func(ent *GraphEntry, when string) {
+		t.Helper()
+		view := ent.CurrentView()
+		if id, ok := view.Names.Resolve("a"); !ok || view.Snap.Label(id) != "person" {
+			t.Fatalf("%s: %q resolves to %d/%v, want the node the panicked flush added", when, "a", id, ok)
+		}
+		if n := view.Snap.NumNodes(); n != 1 {
+			t.Fatalf("%s: %d nodes, want 1", when, n)
+		}
+		res, err := ent.Mutate(context.Background(), ops[:1])
+		if err != nil || res.Applied != 0 || len(res.OpErrors) != 1 || !strings.Contains(res.OpErrors[0].Message, "already exists") {
+			t.Fatalf("%s: re-sent add_node: applied %d, errors %v, err %v; want a duplicate", when, res.Applied, res.OpErrors, err)
+		}
+	}
+	check(ent, "after heal")
+	c.Close()
+	rc, err := NewCatalog(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, err := rc.Restore(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rent, err := rc.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(rent, "after restore")
+}
+
+// TestViewNamesBoundedBySnapshot: after an in-memory flush panics past an
+// add_node, the graph holds a node the session has not seen. A rules
+// registration then publishes the session's snapshot, and that view must
+// not resolve the unseen node's wire id to an id its snapshot lacks; the
+// next flush catches the session up and the id resolves.
+func TestViewNamesBoundedBySnapshot(t *testing.T) {
+	c, err := NewCatalog(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ent, err := c.Create("g", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opTestHook = func(Op) { panic("poisoned op loop") }
+	defer func() { opTestHook = nil }()
+	ctx := context.Background()
+	if _, err := ent.Mutate(ctx, []Op{{Op: "add_node", ID: "a", Label: "person"}}); !errors.Is(err, ErrFlush) {
+		t.Fatalf("poisoned flush: err=%v, want ErrFlush", err)
+	}
+	opTestHook = nil
+	view, err := ent.RegisterRules(ctx, `ged r on (x:person) { then x.ok = 1 }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := view.Names.Resolve("a"); ok && int(id) >= view.Snap.NumNodes() {
+		t.Fatalf("view of %d nodes resolves %q to node %d", view.Snap.NumNodes(), "a", id)
+	}
+	if _, err := ent.Mutate(ctx, []Op{{Op: "add_node", ID: "b", Label: "person"}}); err != nil {
+		t.Fatal(err)
+	}
+	view = ent.CurrentView()
+	for _, name := range []string{"a", "b"} {
+		if id, ok := view.Names.Resolve(name); !ok || int(id) >= view.Snap.NumNodes() {
+			t.Fatalf("after catch-up %q resolves to %d/%v of %d nodes", name, id, ok, view.Snap.NumNodes())
+		}
+	}
+	if n := len(view.Violations); n != 2 {
+		t.Fatalf("%d violations after catch-up, want 2 (both persons lack ok)", n)
+	}
+}

@@ -111,7 +111,7 @@ func differentialCase(seed int64) (*View, []gedlib.Violation) {
 	}
 	view := &View{
 		Epoch: rng.Uint64(), Version: uint64(rng.Intn(1000)),
-		Names: nameTableFromDense(names), Rules: sigma, text: newRuleText(sigma),
+		Names: nameIndexFromDense(names).table(len(names)), Rules: sigma, text: newRuleText(sigma),
 	}
 
 	vs := make([]gedlib.Violation, 1+rng.Intn(200))

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"gedlib"
 )
@@ -50,107 +51,126 @@ type WriteResult struct {
 	Err error `json:"-"`
 }
 
-// nameTable is the immutable two-way mapping between wire-format string
-// node ids and NodeIDs. Views publish it alongside the snapshot, so the
-// read path resolves and renders ids without locking; flushes that add
-// nodes publish a successor table.
-type nameTable struct {
-	byName map[string]gedlib.NodeID
-	byID   []string // dense, indexed by NodeID
+// nameIndex is a graph's one two-way mapping between wire-format string
+// node ids and NodeIDs, shared by every view of the entry. It only
+// grows: a flush that adds named nodes stores their names and appends
+// them to the dense column in place, so no flush copies the table, and
+// each view bounds what it sees by the column's length when it was
+// published (see nameTable). Writers hold the entry lock. Readers take
+// no lock: the names the graph was loaded or recovered with sit in a map
+// that is never written again, later ones in a sync.Map, whose Load
+// never locks, and a view reads byID only below its bound, which no
+// later write touches. (A sync.Map store costs several times a map's,
+// in time and memory, so a restore or promotion fills the plain map.)
+type nameIndex struct {
+	loaded map[string]gedlib.NodeID
+	added  sync.Map // string → gedlib.NodeID
+	byID   []string // dense, indexed by NodeID; "" for an unnamed node
 }
 
-func newNameTable(byName map[string]gedlib.NodeID) *nameTable {
-	t := &nameTable{byName: byName}
-	if t.byName == nil {
-		t.byName = map[string]gedlib.NodeID{}
+// newNameIndex builds an index over a graph load's name map, which it
+// takes over.
+func newNameIndex(byName map[string]gedlib.NodeID) *nameIndex {
+	ix := &nameIndex{loaded: byName, byID: make([]string, 0, len(byName))}
+	for name, id := range byName {
+		ix.setID(name, id)
 	}
-	max := -1
-	for _, id := range t.byName {
-		if int(id) > max {
-			max = int(id)
-		}
-	}
-	t.byID = make([]string, max+1)
-	for name, id := range t.byName {
-		t.byID[id] = name
-	}
-	return t
+	return ix
 }
 
-// Resolve maps a wire id to a NodeID.
-func (t *nameTable) Resolve(name string) (gedlib.NodeID, bool) {
-	id, ok := t.byName[name]
-	return id, ok
-}
-
-// Len reports how many named nodes the table holds.
-func (t *nameTable) Len() int { return len(t.byName) }
-
-// raw returns the wire id of a node, "" when it has none (the WAL and
-// checkpoints persist the raw column; unnamed nodes stay unnamed).
-func (t *nameTable) raw(id gedlib.NodeID) string {
-	if int(id) < len(t.byID) {
-		return t.byID[id]
-	}
-	return ""
-}
-
-// dense copies out the dense id→name column (what persist.State holds).
-func (t *nameTable) dense() []string {
-	return append([]string(nil), t.byID...)
-}
-
-// nameTableFromDense rebuilds a table from a persisted dense column.
-func nameTableFromDense(names []string) *nameTable {
-	t := &nameTable{
-		byName: make(map[string]gedlib.NodeID, len(names)),
+// nameIndexFromDense rebuilds an index from a persisted dense column.
+func nameIndexFromDense(names []string) *nameIndex {
+	ix := &nameIndex{
+		loaded: make(map[string]gedlib.NodeID, len(names)),
 		byID:   append([]string(nil), names...),
 	}
 	for i, n := range names {
 		if n != "" {
-			t.byName[n] = gedlib.NodeID(i)
+			ix.loaded[n] = gedlib.NodeID(i)
 		}
 	}
-	return t
+	return ix
 }
 
-// nameBuilder lazily clones a nameTable on first added node, so
-// attribute-only batches publish the predecessor table unchanged.
-type nameBuilder struct {
-	cur   *nameTable
-	owned bool
+// add names node id. Callers hold the entry lock.
+func (ix *nameIndex) add(name string, id gedlib.NodeID) {
+	ix.added.Store(name, id)
+	ix.setID(name, id)
 }
 
-func (b *nameBuilder) table() *nameTable { return b.cur }
-
-func (b *nameBuilder) add(name string, id gedlib.NodeID) {
-	if !b.owned {
-		nt := &nameTable{
-			byName: make(map[string]gedlib.NodeID, len(b.cur.byName)+1),
-			byID:   append([]string(nil), b.cur.byID...),
-		}
-		for k, v := range b.cur.byName {
-			nt.byName[k] = v
-		}
-		b.cur, b.owned = nt, true
+// setID writes the dense column's entry for id.
+func (ix *nameIndex) setID(name string, id gedlib.NodeID) {
+	for int(id) >= len(ix.byID) {
+		ix.byID = append(ix.byID, "")
 	}
-	b.cur.byName[name] = id
-	for int(id) >= len(b.cur.byID) {
-		b.cur.byID = append(b.cur.byID, "")
-	}
-	b.cur.byID[id] = name
+	ix.byID[id] = name
 }
 
-// applyOp applies one op to the mutable graph, updating the name
-// builder for added nodes. Called with the entry lock held by the
-// flusher.
-func applyOp(g *gedlib.Graph, nb *nameBuilder, op Op) error {
+// resolve maps a wire id to a NodeID on the write path, which sees
+// every name added so far.
+func (ix *nameIndex) resolve(name string) (gedlib.NodeID, bool) {
+	if id, ok := ix.loaded[name]; ok {
+		return id, true
+	}
+	id, ok := ix.added.Load(name)
+	if !ok {
+		return 0, false
+	}
+	return id.(gedlib.NodeID), true
+}
+
+// raw returns the wire id of a node, "" when it has none (the WAL and
+// checkpoints persist the raw column; unnamed nodes stay unnamed).
+func (ix *nameIndex) raw(id gedlib.NodeID) string {
+	if int(id) < len(ix.byID) {
+		return ix.byID[id]
+	}
+	return ""
+}
+
+// dense returns the dense id→name column (what persist.State holds),
+// capacity-clamped so the caller cannot write past it into the index.
+func (ix *nameIndex) dense() []string {
+	return ix.byID[:len(ix.byID):len(ix.byID)]
+}
+
+// table returns the index bounded to the first n nodes: what a view of
+// a snapshot holding n nodes publishes.
+func (ix *nameIndex) table(n int) *nameTable {
+	n = min(n, len(ix.byID))
+	return &nameTable{idx: ix, byID: ix.byID[:n:n]}
+}
+
+// nameTable is the wire-id mapping of one view: the entry's shared
+// index, bounded to the nodes the view's snapshot holds. It never
+// changes, so readers resolve and render ids against it without
+// locking, whatever flushes land meanwhile.
+type nameTable struct {
+	idx  *nameIndex
+	byID []string // idx.byID as of publication
+}
+
+// Resolve maps a wire id to a NodeID, answering only for nodes named
+// by the time the view was published.
+func (t *nameTable) Resolve(name string) (gedlib.NodeID, bool) {
+	id, ok := t.idx.resolve(name)
+	if !ok || int(id) >= len(t.byID) {
+		return 0, false
+	}
+	return id, true
+}
+
+// applyOp applies one op to the mutable graph, naming added nodes in
+// the entry's index as they are added, so the names stay in step with
+// the graph however the flush ends. Called with the entry lock held by
+// the flusher.
+func applyOp(g *gedlib.Graph, names *nameIndex, op Op) error {
 	switch op.Op {
 	case "add_node":
 		if op.ID == "" {
 			return fmt.Errorf("add_node: missing id")
 		}
-		if _, dup := nb.table().Resolve(op.ID); dup {
+		if _, dup := names.resolve(op.ID); dup {
 			return fmt.Errorf("add_node: id %q already exists", op.ID)
 		}
 		if op.Label == "" {
@@ -165,14 +185,14 @@ func applyOp(g *gedlib.Graph, nb *nameBuilder, op Op) error {
 			attrs[gedlib.Attr(a)] = v
 		}
 		id := g.AddNodeAttrs(gedlib.Label(op.Label), attrs)
-		nb.add(op.ID, id)
+		names.add(op.ID, id)
 		return nil
 	case "add_edge":
-		src, ok := nb.table().Resolve(op.Src)
+		src, ok := names.resolve(op.Src)
 		if !ok {
 			return fmt.Errorf("add_edge: unknown src %q", op.Src)
 		}
-		dst, ok := nb.table().Resolve(op.Dst)
+		dst, ok := names.resolve(op.Dst)
 		if !ok {
 			return fmt.Errorf("add_edge: unknown dst %q", op.Dst)
 		}
@@ -182,7 +202,7 @@ func applyOp(g *gedlib.Graph, nb *nameBuilder, op Op) error {
 		g.AddEdge(src, gedlib.Label(op.Label), dst)
 		return nil
 	case "set_attr":
-		id, ok := nb.table().Resolve(op.ID)
+		id, ok := names.resolve(op.ID)
 		if !ok {
 			return fmt.Errorf("set_attr: unknown id %q", op.ID)
 		}

@@ -315,7 +315,7 @@ func (s *soak) checkCrashCopy(leader *Catalog, forbidden []string) {
 		} else if got, want := st.Graph.Version(), ent.CurrentView().Version; got != want {
 			t.Errorf("seed %d: %s: recovered version %d != leader version %d", s.seed, name, got, want)
 		}
-		names := nameTableFromDense(st.Names)
+		names := nameIndexFromDense(st.Names).table(st.Graph.NumNodes())
 		for _, node := range forbidden {
 			if _, ok := names.Resolve(node); ok {
 				t.Errorf("seed %d: %s: fenced write %s leaked into the recovered state", s.seed, name, node)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"gedlib/internal/graph"
 	"gedlib/internal/reason"
 )
 
@@ -125,7 +126,7 @@ func (s *Session) syncLocked(ctx context.Context, g *Graph, d *Delta) error {
 	if d == nil {
 		d = g.DeltaSince(from)
 	}
-	if d != nil && d.Size() <= g.Size()/4 {
+	if d != nil && d.Size() <= graph.CatchUpBound(g.Size()) {
 		return s.advanceLocked(ctx, d)
 	}
 	s.freezeLocked(g)
