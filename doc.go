@@ -73,7 +73,8 @@
 // the violation set of its rules (re-checking only violations the
 // delta touches and searching only the touched neighborhoods for new
 // ones), and returns the complete canonical violation set at O(|Δ|)
-// cost per update. Session.CatchUp(ctx, g, delta) is the same for a
+// cost per update; it refuses a nil delta (history the journal no
+// longer holds) with ErrNoDelta. Session.CatchUp(ctx, g, delta) is the same for a
 // caller holding the graph, reading the delta off its journal when not
 // handed one and re-freezing instead when the backlog rivals the graph.
 // Engine.Apply(ctx, g, Σ) is that catch-up for a caller holding only the

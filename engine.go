@@ -41,7 +41,10 @@ var ErrNotGED = ged.ErrNotGED
 //
 //	s, err := eng.Open(ctx, g, sigma) // one freeze
 //	... mutate g ...
-//	vs, err := s.Apply(ctx, g.DeltaSince(s.Snapshot().SourceVersion()))
+//	vs, err := s.CatchUp(ctx, g, nil) // by g's journal, or a re-freeze
+//
+// A caller that ships deltas instead of the graph — a WAL follower —
+// hands them to s.Apply.
 //
 // The graph-keyed methods (Validate, ValidateIncremental, Apply,
 // Satisfies, Discover) are a thin shim for callers holding only a

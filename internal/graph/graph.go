@@ -121,8 +121,11 @@ type Graph struct {
 func CatchUpBound(n int) int { return n / 4 }
 
 // journalSlack is the history the journal keeps beyond CatchUpBound, so
-// a small graph still replays a few thousand recent ops.
-const journalSlack = 2048
+// a small graph still replays its last few thousand ops. serve logs each
+// flush as the delta since its last one, so a batch of up to 4096 graph
+// ops (serve's default queue bound, when no op adds a node with
+// attributes) always gets one.
+const journalSlack = 4096
 
 // noteOp journals one mutation and ticks the version. Once the journal
 // holds twice journalSlack + CatchUpBound(|G|) ops it is trimmed to its
@@ -227,7 +230,9 @@ func (g *Graph) Attr(id NodeID, a Attr) (Value, bool) {
 }
 
 // Attrs returns the attribute tuple of node id, in attribute name order.
-// It iterates the tuple as it stands when Attrs is called.
+// The node must not gain attributes while the iteration runs: SetAttr
+// of a name it lacks shifts the tuple in place, so the loop may see the
+// new pair and skip another. Overwriting an existing attribute is safe.
 func (g *Graph) Attrs(id NodeID) iter.Seq2[Attr, Value] {
 	attrs := g.nodes[id].attrs
 	return func(yield func(Attr, Value) bool) {

@@ -96,13 +96,18 @@ type epatch struct {
 // sequence, exactly as Graph.DeltaSince hands them out. Apply panics on
 // a version mismatch, on non-contiguous node ids, and on edges or
 // attribute writes naming nodes the result would not have — all
-// programmer errors in delta construction, never data errors.
+// programmer errors in delta construction, never data errors. It panics
+// on a nil d too: DeltaSince's answer once the journal no longer
+// reaches back to s, where the caller has to re-freeze the graph.
 //
 // Applying an empty delta returns s itself. The result is
 // indistinguishable from Graph.Freeze() on the post-delta graph (the
 // differential tests assert exactly that), so callers may mix the two
 // freely.
 func (s *Snapshot) Apply(d *Delta) *Snapshot {
+	if d == nil {
+		panic(fmt.Sprintf("graph: Apply of a nil delta onto snapshot at version %d: the journal no longer reaches it; re-freeze", s.version))
+	}
 	if d.FromVersion != s.version {
 		panic(fmt.Sprintf("graph: Apply of delta from version %d onto snapshot at version %d",
 			d.FromVersion, s.version))

@@ -513,7 +513,7 @@ func (ent *GraphEntry) openLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	vs, err := sess.Apply(ctx, nil)
+	vs, err := sess.Violations(ctx)
 	if err != nil {
 		return err
 	}
@@ -545,7 +545,7 @@ func (ent *GraphEntry) setRulesLocked(ctx context.Context, sigma gedlib.RuleSet,
 	if err := ent.sess.SetRules(ctx, sigma); err != nil {
 		return err
 	}
-	vs, err := ent.sess.Apply(ctx, nil)
+	vs, err := ent.sess.Violations(ctx)
 	if err != nil { // nothing was seeded, so the rollback only recompiles
 		_ = ent.sess.SetRules(context.Background(), ent.sigma)
 		return err
@@ -750,9 +750,11 @@ func (ent *GraphEntry) logBatchLocked(d *gedlib.Delta, sp *obs.Span) error {
 	}
 	switch {
 	case d == nil:
-		// Possible only after an exceptionally large batch trimmed the
-		// journal. A checkpoint of the current state re-anchors the log
-		// losslessly.
+		// The ops since the session snapshot outran the journal, which
+		// keeps at least 4096 + |G|/4 graph ops (graph.CatchUpBound); an
+		// add_node with k attributes is k+1 of them. On a small graph a
+		// bulk batch of a few thousand add_node ops gets here. A
+		// checkpoint of the current state re-anchors the log losslessly.
 		if err := ps.Checkpoint(ent.persistState()); err != nil {
 			ent.persistFault(err)
 			return err

@@ -2,6 +2,7 @@ package gedlib
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"time"
@@ -75,20 +76,41 @@ func (e *Engine) compile(snap *Snapshot, sigma RuleSet) *reason.Validator {
 // Every later one costs O(|Δ| + touched neighborhoods): the snapshot
 // advances by Snapshot.Apply (no freeze), stored violations whose match
 // d touches are re-checked, and the touched neighborhoods are searched
-// for new ones. A nil or empty d only seeds or returns the set.
+// for new ones. An empty d (the delta of an unchanged graph) only seeds
+// or returns the set.
+//
+// A nil d fails with ErrNoDelta and leaves the session as it was: nil is
+// what DeltaSince answers once the graph's journal no longer reaches
+// back to the session snapshot, so the changes are unknown. CatchUp,
+// handed the graph, re-freezes it instead.
 //
 // On error (cancellation mid-seed or mid-update) the snapshot has still
 // advanced by d, but the maintained set is discarded and the next Apply
 // re-seeds it; no partial set is returned.
 func (s *Session) Apply(ctx context.Context, d *Delta) ([]Violation, error) {
 	defer s.eng.em.observe(s.eng.em.apply, time.Now())
+	if d == nil {
+		return nil, ErrNoDelta
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d != nil {
-		if err := s.advanceLocked(ctx, d); err != nil {
-			return nil, err
-		}
+	if err := s.advanceLocked(ctx, d); err != nil {
+		return nil, err
 	}
+	return s.violationsLocked(ctx)
+}
+
+// ErrNoDelta is Session.Apply's error for a nil delta.
+var ErrNoDelta = errors.New("gedlib: no delta to apply: the graph's journal no longer reaches the session snapshot; use Session.CatchUp")
+
+// Violations returns the maintained violation set as Apply does, for
+// the session's current snapshot, without advancing it: the set Apply
+// or CatchUp last returned, or one full validation seeding it when
+// none has run yet (or a failed one dropped it).
+func (s *Session) Violations(ctx context.Context) ([]Violation, error) {
+	defer s.eng.em.observe(s.eng.em.apply, time.Now())
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.violationsLocked(ctx)
 }
 

@@ -88,9 +88,9 @@ func sessionApplyMatchesValidate(t *testing.T) {
 			t.Fatalf("SetRules on a cancelled context: %v", err)
 		}
 		// Returning a seeded set does no work that could notice
-		// cancellation, so Apply succeeding on cctx proves the
+		// cancellation, so Violations succeeding on cctx proves the
 		// old set survived rather than being re-seeded.
-		kept, err := s.Apply(cctx, nil)
+		kept, err := s.Violations(cctx)
 		if err != nil {
 			t.Fatalf("the maintained set did not survive a failed SetRules: %v", err)
 		}
@@ -225,7 +225,7 @@ func sessionCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(ctx, nil); err != nil {
+	if _, err := s.Violations(ctx); err != nil {
 		t.Fatal(err)
 	}
 	check := func(step string, sameLineage bool) {
@@ -319,8 +319,11 @@ func TestSessionSnapshot(t *testing.T) {
 	if got, want := s1.SourceVersion(), g.Version(); got != want {
 		t.Fatalf("snapshot at version %d, graph at %d", got, want)
 	}
-	if _, err := s.Apply(ctx, nil); err != nil || s.Snapshot() != s1 {
-		t.Fatalf("a nil delta moved the snapshot (err %v)", err)
+	if _, err := s.Apply(ctx, g.DeltaSince(s1.SourceVersion())); err != nil || s.Snapshot() != s1 {
+		t.Fatalf("an empty delta moved the snapshot (err %v)", err)
+	}
+	if _, err := s.Apply(ctx, nil); !errors.Is(err, gedlib.ErrNoDelta) || s.Snapshot() != s1 {
+		t.Fatalf("a nil delta: err %v, want ErrNoDelta and the snapshot kept", err)
 	}
 	g.SetAttr(gedlib.NodeID(0), "name", gedlib.String("moved"))
 	if s.Snapshot() != s1 {
@@ -335,6 +338,57 @@ func TestSessionSnapshot(t *testing.T) {
 	}
 	if s.Validator().Snapshot() != s3 {
 		t.Fatal("validator is not bound to the session snapshot")
+	}
+}
+
+// TestSessionApplyPastJournal: a burst of writes longer than the graph's
+// journal keeps leaves DeltaSince nil for the session snapshot. Apply
+// refuses that nil with ErrNoDelta instead of returning the pre-burst
+// set as current, and CatchUp, handed the graph, re-freezes to the
+// post-burst set. The burst is shorter than |G| + 2048 ops, the
+// journal's floor before it was tied to the session's catch-up bound.
+func TestSessionApplyPastJournal(t *testing.T) {
+	ctx := context.Background()
+	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi2(), workload.PaperPhi4()}
+	g, _ := workload.KnowledgeBase(13, 2000, 0.2)
+	s, err := gedlib.New().Open(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := s.Violations(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	burst := 8192 + g.Size()/2 + 1 // past the most the journal ever holds
+	if burst >= g.Size()+2048 {
+		t.Fatalf("a %d-op burst on a size-%d graph is outside the window under test", burst, g.Size())
+	}
+	rng := rand.New(rand.NewSource(3))
+	types := []gedlib.Value{gedlib.String("psychologist"), gedlib.String("programmer")}
+	for i := 0; i < burst; i++ {
+		g.SetAttr(gedlib.NodeID(rng.Intn(g.NumNodes())), "type", types[rng.Intn(2)])
+	}
+	d := g.DeltaSince(snap.SourceVersion())
+	if d != nil {
+		t.Fatalf("the journal still reaches back %d ops on a size-%d graph", burst, g.Size())
+	}
+	if vs, err := s.Apply(ctx, d); !errors.Is(err, gedlib.ErrNoDelta) || vs != nil || s.Snapshot() != snap {
+		t.Fatalf("Apply of the trimmed history: %d violations, err %v; want ErrNoDelta and the snapshot kept", len(vs), err)
+	}
+	want, err := canonicalValidate(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(want) == fmt.Sprint(pre) {
+		t.Fatal("the burst left the violation set as it was; it cannot tell a stale set from a current one")
+	}
+	got, err := s.CatchUp(ctx, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("CatchUp after the burst: %d violations, want %d", len(got), len(want))
 	}
 }
 
