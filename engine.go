@@ -191,7 +191,8 @@ func (e *Engine) ValidateIncremental(ctx context.Context, g *Graph, sigma RuleSe
 // *by identity* (same rules, same order, same pointers): a call with
 // other rules than the previous Apply's re-seeds the set under them, so
 // passing a freshly rebuilt RuleSet on every call makes Apply no
-// cheaper than Validate; build Σ once and reuse it.
+// cheaper than Validate; build Σ once and reuse it. The slice is
+// read-only, as Session.Apply's is.
 func (e *Engine) Apply(ctx context.Context, g *Graph, sigma RuleSet) ([]Violation, error) {
 	defer e.em.observe(e.em.apply, time.Now())
 	s, err := e.lockSession(ctx, g)
@@ -207,16 +208,17 @@ func (e *Engine) Apply(ctx context.Context, g *Graph, sigma RuleSet) ([]Violatio
 	return s.violationsLocked(ctx)
 }
 
-// limited applies the engine's violation limit and copies the result:
-// ViolationStore.Violations returns (possibly cached) store-owned
-// state, and Apply's callers get the same ownership Validate's do.
+// limited applies the engine's violation limit to the maintained set
+// without copying it. ViolationStore.Violations hands out a view it
+// never writes again (a change builds the next one afresh), so the
+// callers of Session.Apply, CatchUp and Violations share it read-only; a
+// limit reslices it with the capacity clamped, so an append by the
+// caller copies instead of writing into it.
 func (e *Engine) limited(vs []Violation) []Violation {
-	if e.violationLimit > 0 && len(vs) > e.violationLimit {
-		vs = vs[:e.violationLimit]
+	if n := e.violationLimit; n > 0 && len(vs) > n {
+		return vs[:n:n]
 	}
-	out := make([]Violation, len(vs))
-	copy(out, vs)
-	return out
+	return vs
 }
 
 // Satisfies reports g ⊨ Σ, stopping at the first violation.

@@ -94,14 +94,15 @@ const (
 	opSetAttr
 )
 
-// op is one journaled mutation.
+// op is one journaled mutation. The fields are shared between kinds (a
+// journal holds thousands of ops per graph, and a union costs 72 bytes
+// where a field per use cost 96).
 type op struct {
-	kind     opKind
-	node     NodeID // AddNode: the new id; SetAttr: the target
-	src, dst NodeID // AddEdge endpoints
-	label    Label  // AddNode / AddEdge label
-	attr     Attr   // SetAttr name
-	val      Value  // SetAttr value
+	node NodeID // AddNode: the new id; AddEdge: the source; SetAttr: the target
+	dst  NodeID // AddEdge: the target
+	name string // AddNode, AddEdge: the label; SetAttr: the attribute
+	val  Value  // SetAttr value
+	kind opKind
 }
 
 // DeltaSince returns the changes applied to g after version v, i.e.
@@ -118,14 +119,33 @@ func (g *Graph) DeltaSince(v uint64) *Delta {
 		return nil
 	}
 	d := &Delta{FromVersion: v, ToVersion: g.version}
-	for _, o := range g.journal[v-g.journalBase:] {
+	ops := g.journal[v-g.journalBase:]
+	var nodes, edges int
+	for _, o := range ops {
 		switch o.kind {
 		case opAddNode:
-			d.Nodes = append(d.Nodes, NodeAdd{ID: o.node, Label: o.label})
+			nodes++
 		case opAddEdge:
-			d.Edges = append(d.Edges, Edge{Src: o.src, Label: o.label, Dst: o.dst})
+			edges++
+		}
+	}
+	if nodes > 0 {
+		d.Nodes = make([]NodeAdd, 0, nodes)
+	}
+	if edges > 0 {
+		d.Edges = make([]Edge, 0, edges)
+	}
+	if attrs := len(ops) - nodes - edges; attrs > 0 {
+		d.Attrs = make([]AttrWrite, 0, attrs)
+	}
+	for _, o := range ops {
+		switch o.kind {
+		case opAddNode:
+			d.Nodes = append(d.Nodes, NodeAdd{ID: o.node, Label: Label(o.name)})
+		case opAddEdge:
+			d.Edges = append(d.Edges, Edge{Src: o.node, Label: Label(o.name), Dst: o.dst})
 		default:
-			d.Attrs = append(d.Attrs, AttrWrite{Node: o.node, Attr: o.attr, Value: o.val})
+			d.Attrs = append(d.Attrs, AttrWrite{Node: o.node, Attr: Attr(o.name), Value: o.val})
 		}
 	}
 	return d

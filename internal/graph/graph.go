@@ -164,7 +164,7 @@ func (g *Graph) AddNode(label Label) NodeID {
 	g.nodes = append(g.nodes, node{label: label})
 	g.ids = append(g.ids, id)
 	g.byLabel[label] = append(g.byLabel[label], id)
-	g.noteOp(op{kind: opAddNode, node: id, label: label})
+	g.noteOp(op{kind: opAddNode, node: id, name: string(label)})
 	return id
 }
 
@@ -190,7 +190,7 @@ func (g *Graph) AddEdge(src NodeID, label Label, dst NodeID) {
 	g.edges[e] = struct{}{}
 	g.out[src] = append(g.out[src], e)
 	g.in[dst] = append(g.in[dst], e)
-	g.noteOp(op{kind: opAddEdge, src: src, dst: dst, label: label})
+	g.noteOp(op{kind: opAddEdge, node: src, dst: dst, name: string(label)})
 }
 
 // HasEdge reports whether the exact edge (src, label, dst) is present.
@@ -202,7 +202,7 @@ func (g *Graph) HasEdge(src NodeID, label Label, dst NodeID) bool {
 // SetAttr sets attribute a of node id to value v, creating it if absent.
 func (g *Graph) SetAttr(id NodeID, a Attr, v Value) {
 	g.nodes[id].set(a, v)
-	g.noteOp(op{kind: opSetAttr, node: id, attr: a, val: v})
+	g.noteOp(op{kind: opSetAttr, node: id, name: string(a), val: v})
 }
 
 // set writes a = v into n's tuple, in name order.

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"slices"
 )
 
 // This file is the persistence contract of the graph package: ApplyDelta
@@ -95,80 +98,264 @@ type Image struct {
 }
 
 // ImageOf exports g as a flat Image. Rows are emitted deterministically
-// (nodes in id order, edges in Edges() order, attributes per node in
-// name order), so identical graphs produce identical images. Every
-// column is sized up front and each node's tuple is already in name
-// order, so the export allocates nothing per node: only the columns,
-// the sorted edge list and the symbol tables.
+// (nodes in id order, edges by source, then label, then target,
+// attributes per node in name order), so identical graphs produce
+// identical images. Each node's out-list is ordered on its own, never
+// the whole edge set, and every column is sized up front, so the export
+// allocates nothing per node: only the columns, one scratch row buffer
+// and the symbol tables.
 func ImageOf(g *Graph) *Image {
-	nAttrs := 0
+	nAttrs, nStrs, maxDeg := 0, 0, 0
 	for i := range g.nodes {
 		nAttrs += len(g.nodes[i].attrs)
-	}
-	edges := g.Edges()
-	img := &Image{
-		Version:   g.version,
-		NodeLabel: make([]uint32, len(g.nodes)),
-		EdgeSrc:   make([]uint32, len(edges)),
-		EdgeLabel: make([]uint32, len(edges)),
-		EdgeDst:   make([]uint32, len(edges)),
-		AttrNode:  make([]uint32, 0, nAttrs),
-		AttrName:  make([]uint32, 0, nAttrs),
-		AttrKind:  make([]uint8, 0, nAttrs),
-		AttrVal:   make([]uint64, 0, nAttrs),
-	}
-	labelIdx := make(map[Label]uint32)
-	labelOf := func(l Label) uint32 {
-		if i, ok := labelIdx[l]; ok {
-			return i
+		for _, p := range g.nodes[i].attrs {
+			if p.val.Kind() == KindString {
+				nStrs++
+			}
 		}
-		i := uint32(len(img.Labels))
-		img.Labels = append(img.Labels, string(l))
-		labelIdx[l] = i
-		return i
+		maxDeg = max(maxDeg, len(g.out[NodeID(i)]))
 	}
-	attrIdx := make(map[Attr]uint32)
-	attrOf := func(a Attr) uint32 {
-		if i, ok := attrIdx[a]; ok {
-			return i
-		}
-		i := uint32(len(img.AttrNames))
-		img.AttrNames = append(img.AttrNames, string(a))
-		attrIdx[a] = i
-		return i
-	}
-	strIdx := make(map[string]uint32)
-	strOf := func(s string) uint32 {
-		if i, ok := strIdx[s]; ok {
-			return i
-		}
-		i := uint32(len(img.Strings))
-		img.Strings = append(img.Strings, s)
-		strIdx[s] = i
-		return i
-	}
-
+	b := newImageBuilder(g.version, len(g.nodes), len(g.edges), nAttrs, nStrs)
 	for id, n := range g.nodes {
-		img.NodeLabel[id] = labelOf(n.label)
+		b.img.NodeLabel[id] = b.label(n.label)
 	}
-	for i, e := range edges {
-		img.EdgeSrc[i] = uint32(e.Src)
-		img.EdgeLabel[i] = labelOf(e.Label)
-		img.EdgeDst[i] = uint32(e.Dst)
+	out := make([]Edge, 0, maxDeg)
+	for id := range g.nodes {
+		out = append(out[:0], g.out[NodeID(id)]...)
+		if !slices.IsSortedFunc(out, CompareEdges) {
+			slices.SortFunc(out, CompareEdges)
+		}
+		for _, e := range out {
+			b.edge(e.Src, b.label(e.Label), e.Dst)
+		}
 	}
 	for id, n := range g.nodes {
 		for _, p := range n.attrs {
-			img.AttrNode = append(img.AttrNode, uint32(id))
-			img.AttrName = append(img.AttrName, attrOf(p.name))
-			img.AttrKind = append(img.AttrKind, uint8(p.val.Kind()))
-			if p.val.Kind() == KindNumber {
-				img.AttrVal = append(img.AttrVal, math.Float64bits(p.val.Num()))
-			} else {
-				img.AttrVal = append(img.AttrVal, uint64(strOf(p.val.Str())))
+			b.attrRow(NodeID(id), b.attr(p.name), p.val)
+		}
+	}
+	return b.img
+}
+
+// Image exports s as a flat Image: the bytes ImageOf gives for the graph
+// s reflects, whether s was frozen or advanced by Apply (the
+// differential tests pin the two together). It reads the snapshot's own
+// columns and touches no map of the graph: a node's adjacency is already
+// grouped by label and sorted by endpoint, so only the order of its
+// label runs, and of its attributes, needs fixing where symbols were
+// interned out of name order. s is immutable, so Image may run
+// concurrently with readers and with Apply building successors. yield,
+// when non-nil, runs once every 1024 nodes of each pass: a background
+// caller gives way to foreground work there.
+func (s *Snapshot) Image(yield func()) *Image {
+	nAttrs, nStrs := 0, 0
+	for id := 0; id < s.numNodes; id++ {
+		seg := s.attrSeg(NodeID(id))
+		nAttrs += len(seg.key)
+		for _, v := range seg.val {
+			if v.Kind() == KindString {
+				nStrs++
 			}
 		}
 	}
-	return img
+	b := newImageBuilder(s.version, s.numNodes, s.numEdges, nAttrs, nStrs)
+	// Symbol ids map to image indexes as the builder first meets them,
+	// which is the order ImageOf meets the same labels and names in.
+	labelIdx := make([]uint32, len(s.labels))
+	for i := range labelIdx {
+		labelIdx[i] = noIndex
+	}
+	labelOf := func(lid int32) uint32 {
+		if labelIdx[lid] == noIndex {
+			labelIdx[lid] = b.label(s.labels[lid])
+		}
+		return labelIdx[lid]
+	}
+	for id := 0; id < s.numNodes; id++ {
+		if yield != nil && id&1023 == 1023 {
+			yield()
+		}
+		b.img.NodeLabel[id] = labelOf(s.nodeLabel[id>>pageShift][id&pageMask])
+	}
+
+	labelRank, attrRank := nameRanks(s.labels), nameRanks(s.attrs)
+	runs := make([]imageRun, 0, len(s.labels))
+	for id := 0; id < s.numNodes; id++ {
+		if yield != nil && id&1023 == 1023 {
+			yield()
+		}
+		seg := s.outSeg(NodeID(id))
+		runs = runs[:0]
+		for lo := 0; lo < len(seg.lbl); {
+			hi := lo + 1
+			for hi < len(seg.lbl) && seg.lbl[hi] == seg.lbl[lo] {
+				hi++
+			}
+			runs = append(runs, imageRun{rank: labelRank[seg.lbl[lo]], lo: lo, hi: hi})
+			lo = hi
+		}
+		for x := 1; x < len(runs); x++ {
+			for y := x; y > 0 && runs[y].rank < runs[y-1].rank; y-- {
+				runs[y], runs[y-1] = runs[y-1], runs[y]
+			}
+		}
+		for _, r := range runs {
+			l := labelOf(seg.lbl[r.lo])
+			for _, dst := range seg.ids[r.lo:r.hi] {
+				b.edge(NodeID(id), l, dst)
+			}
+		}
+	}
+
+	attrIdx := make([]uint32, len(s.attrs))
+	for i := range attrIdx {
+		attrIdx[i] = noIndex
+	}
+	order := make([]int, 0, len(s.attrs))
+	for id := 0; id < s.numNodes; id++ {
+		if yield != nil && id&1023 == 1023 {
+			yield()
+		}
+		seg := s.attrSeg(NodeID(id))
+		order = order[:0]
+		for k := range seg.key {
+			order = append(order, k)
+			for y := len(order) - 1; y > 0 && attrRank[seg.key[order[y]]] < attrRank[seg.key[order[y-1]]]; y-- {
+				order[y], order[y-1] = order[y-1], order[y]
+			}
+		}
+		for _, k := range order {
+			aid := seg.key[k]
+			if attrIdx[aid] == noIndex {
+				attrIdx[aid] = b.attr(s.attrs[aid])
+			}
+			b.attrRow(NodeID(id), attrIdx[aid], seg.val[k])
+		}
+	}
+	return b.img
+}
+
+// imageRun is one label's run of a node's adjacency segment, ranked by
+// the label's name.
+type imageRun struct {
+	rank   int32
+	lo, hi int
+}
+
+// noIndex marks a symbol the image has not interned yet.
+const noIndex = ^uint32(0)
+
+// nameRanks ranks symbols by name: ranks[id] is symbol id's position in
+// name order.
+func nameRanks[S ~string](syms []S) []int32 {
+	byName := make([]int32, len(syms))
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return cmp.Compare(syms[a], syms[b]) })
+	ranks := make([]int32, len(syms))
+	for r, id := range byName {
+		ranks[id] = int32(r)
+	}
+	return ranks
+}
+
+// imageBuilder fills an Image's columns, interning labels, attribute
+// names and string values in the order rows first name them — the order
+// that makes identical graphs export identical images.
+type imageBuilder struct {
+	img      *Image
+	labelIdx map[Label]uint32
+	attrIdx  map[Attr]uint32
+	// strSlots is an open-addressing index of img.Strings (a slot holds
+	// a string's index + 1, 0 when empty), sized once for at least twice
+	// the string-valued rows: the export never rehashes, and the table
+	// holds no pointers for the collector to trace.
+	strSlots []uint32
+	strSeed  maphash.Seed
+}
+
+// newImageBuilder sizes every column for the given row counts, and the
+// string index for strs string-valued rows.
+func newImageBuilder(version uint64, nodes, edges, attrs, strs int) *imageBuilder {
+	slots := 16
+	for slots < 2*strs {
+		slots <<= 1
+	}
+	return &imageBuilder{
+		img: &Image{
+			Version:   version,
+			NodeLabel: make([]uint32, nodes),
+			EdgeSrc:   make([]uint32, 0, edges),
+			EdgeLabel: make([]uint32, 0, edges),
+			EdgeDst:   make([]uint32, 0, edges),
+			AttrNode:  make([]uint32, 0, attrs),
+			AttrName:  make([]uint32, 0, attrs),
+			AttrKind:  make([]uint8, 0, attrs),
+			AttrVal:   make([]uint64, 0, attrs),
+		},
+		labelIdx: make(map[Label]uint32),
+		attrIdx:  make(map[Attr]uint32),
+		strSlots: make([]uint32, slots),
+		strSeed:  maphash.MakeSeed(),
+	}
+}
+
+func (b *imageBuilder) label(l Label) uint32 {
+	if i, ok := b.labelIdx[l]; ok {
+		return i
+	}
+	i := uint32(len(b.img.Labels))
+	b.img.Labels = append(b.img.Labels, string(l))
+	b.labelIdx[l] = i
+	return i
+}
+
+func (b *imageBuilder) attr(a Attr) uint32 {
+	if i, ok := b.attrIdx[a]; ok {
+		return i
+	}
+	i := uint32(len(b.img.AttrNames))
+	b.img.AttrNames = append(b.img.AttrNames, string(a))
+	b.attrIdx[a] = i
+	return i
+}
+
+func (b *imageBuilder) edge(src NodeID, label uint32, dst NodeID) {
+	b.img.EdgeSrc = append(b.img.EdgeSrc, uint32(src))
+	b.img.EdgeLabel = append(b.img.EdgeLabel, label)
+	b.img.EdgeDst = append(b.img.EdgeDst, uint32(dst))
+}
+
+// attrRow appends one attribute row: a number's float64 bits, or a
+// string's index in the string table.
+func (b *imageBuilder) attrRow(id NodeID, name uint32, v Value) {
+	img := b.img
+	img.AttrNode = append(img.AttrNode, uint32(id))
+	img.AttrName = append(img.AttrName, name)
+	img.AttrKind = append(img.AttrKind, uint8(v.Kind()))
+	if v.Kind() == KindNumber {
+		img.AttrVal = append(img.AttrVal, math.Float64bits(v.Num()))
+		return
+	}
+	img.AttrVal = append(img.AttrVal, uint64(b.str(v.Str())))
+}
+
+// str interns a string value, returning its index in the string table.
+func (b *imageBuilder) str(s string) uint32 {
+	mask := uint64(len(b.strSlots) - 1)
+	for i := maphash.String(b.strSeed, s) & mask; ; i = (i + 1) & mask {
+		slot := b.strSlots[i]
+		if slot == 0 {
+			b.img.Strings = append(b.img.Strings, s)
+			n := uint32(len(b.img.Strings))
+			b.strSlots[i] = n
+			return n - 1
+		}
+		if b.img.Strings[slot-1] == s {
+			return slot - 1
+		}
+	}
 }
 
 // FromImage rebuilds a Graph from an Image. Every index is bounds
@@ -224,14 +411,51 @@ func FromImage(img *Image) (*Graph, error) {
 	if err := img.validate(); err != nil {
 		return nil, err
 	}
+	n := len(img.NodeLabel)
 	g := New()
-	g.nodes = make([]node, len(img.NodeLabel))
-	g.ids = make([]NodeID, len(img.NodeLabel))
+	g.nodes = make([]node, n)
+	g.ids = make([]NodeID, n)
 	for i, li := range img.NodeLabel {
 		l := Label(img.Labels[li])
 		g.nodes[i] = node{label: l}
 		g.ids[i] = NodeID(i)
 		g.byLabel[l] = append(g.byLabel[l], NodeID(i))
+	}
+	// Every per-node list is carved, at its exact size, out of one
+	// arena per kind: one allocation per kind instead of a few per node.
+	// The three-index slices keep a later append from running into the
+	// next node's share.
+	outDeg, inDeg, nAttrs := make([]int32, n), make([]int32, n), make([]int32, n)
+	srcs, dsts := 0, 0
+	for i := range img.EdgeSrc {
+		if outDeg[img.EdgeSrc[i]]++; outDeg[img.EdgeSrc[i]] == 1 {
+			srcs++
+		}
+		if inDeg[img.EdgeDst[i]]++; inDeg[img.EdgeDst[i]] == 1 {
+			dsts++
+		}
+	}
+	for _, id := range img.AttrNode {
+		nAttrs[id]++
+	}
+	outArena, inArena := make([]Edge, len(img.EdgeSrc)), make([]Edge, len(img.EdgeSrc))
+	attrArena := make([]attrVal, len(img.AttrNode))
+	g.edges = make(map[Edge]struct{}, len(img.EdgeSrc))
+	g.out, g.in = make(map[NodeID][]Edge, srcs), make(map[NodeID][]Edge, dsts)
+	var outOff, inOff, attrOff int32
+	for id := range g.nodes {
+		if d := outDeg[id]; d > 0 {
+			g.out[NodeID(id)] = outArena[outOff : outOff : outOff+d]
+			outOff += d
+		}
+		if d := inDeg[id]; d > 0 {
+			g.in[NodeID(id)] = inArena[inOff : inOff : inOff+d]
+			inOff += d
+		}
+		if k := nAttrs[id]; k > 0 {
+			g.nodes[id].attrs = attrArena[attrOff : attrOff : attrOff+k]
+			attrOff += k
+		}
 	}
 	for i := range img.EdgeSrc {
 		e := Edge{Src: NodeID(img.EdgeSrc[i]), Label: Label(img.Labels[img.EdgeLabel[i]]), Dst: NodeID(img.EdgeDst[i])}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -213,6 +214,31 @@ func TestImageRoundTrip(t *testing.T) {
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotImageDifferential: the snapshot exporter and ImageOf agree
+// row for row on random graphs, for a frozen snapshot and for one
+// advanced by Apply through random deltas (fresh labels and attribute
+// names among them, interned in delta order rather than Freeze's).
+func TestSnapshotImageDifferential(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		applyRandomOps(g, rng, 1+rng.Intn(40))
+		snap := g.Freeze()
+		for step := 0; step < 6; step++ {
+			applyRandomOps(g, rng, rng.Intn(60))
+			snap = snap.Apply(g.DeltaSince(snap.SourceVersion()))
+			if want := ImageOf(g); !reflect.DeepEqual(snap.Image(nil), want) || !reflect.DeepEqual(g.Freeze().Image(nil), want) {
+				t.Errorf("seed %d step %d: snapshot image differs from ImageOf", seed, step)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -59,6 +59,15 @@ type Snapshot struct {
 	// in+out degree of the posting's nodes.
 	labelNodes    [][]NodeID
 	labelDegTotal []int64
+	// labelTail[l], when non-nil, is the length claimed so far in the
+	// backing array of labelNodes[l], shared by every snapshot whose
+	// posting lives in that array. A posting only grows at its end (an
+	// added node has the largest id yet), so Apply appends a child's new
+	// nodes in place whenever it can claim its parent's length: one
+	// child per length wins, any other copies. Each snapshot reads only
+	// up to its own length, and a flush pays O(added nodes), not
+	// O(label).
+	labelTail []*atomic.Int64
 
 	// (attr, value) -> nodes carrying that binding, ascending by id —
 	// the folded-in AttrIndex, interned: each distinct (attrID, value)
@@ -285,6 +294,11 @@ func (g *Graph) Freeze() *Snapshot {
 	for i := 0; i < n; i++ {
 		lid := nodeLabel[i]
 		s.labelNodes[lid] = append(s.labelNodes[lid], NodeID(i))
+	}
+	s.labelTail = make([]*atomic.Int64, len(s.labelNodes))
+	for lid, p := range s.labelNodes {
+		s.labelTail[lid] = new(atomic.Int64)
+		s.labelTail[lid].Store(int64(len(p)))
 	}
 
 	// Adjacency segments, label-grouped and sorted: edges are gathered
@@ -552,10 +566,10 @@ func (s *Snapshot) AttrTuple(id NodeID) ([]int32, []Value) {
 // Graph.NodesWithLabel.
 func (s *Snapshot) NodesWithLabel(label Label) []NodeID {
 	lid, ok := s.labelIDs[label]
-	if !ok || int(lid) >= len(s.labelNodes) {
+	if !ok {
 		return nil
 	}
-	return s.labelNodes[lid]
+	return s.CandidateNodesID(lid)
 }
 
 // CandidateNodes returns the nodes a pattern node labeled pat may map
@@ -856,19 +870,40 @@ func (s *Snapshot) ensurePostings() {
 // buildPostings folds the attribute segments into interned (attr,
 // value) postings.
 func (s *Snapshot) buildPostings() {
+	// Pass one interns the pairs, counting each posting and noting every
+	// row's id; pass two carves the postings out of one arena and fills
+	// them, so a graph of mostly distinct values does not pay an
+	// allocation per pair.
 	ids := make(map[postingKey]int32)
-	var lists [][]NodeID
+	var counts []int32
+	var rowPid []int32
 	for i := 0; i < s.numNodes; i++ {
 		seg := s.attrSeg(NodeID(i))
 		for k := range seg.key {
 			pk := postingKey{attr: seg.key[k], val: seg.val[k]}
 			pid, ok := ids[pk]
 			if !ok {
-				pid = int32(len(lists))
+				pid = int32(len(counts))
 				ids[pk] = pid
-				lists = append(lists, nil)
+				counts = append(counts, 0)
 			}
+			counts[pid]++
+			rowPid = append(rowPid, pid)
+		}
+	}
+	arena := make([]NodeID, len(rowPid))
+	lists := make([][]NodeID, len(counts))
+	off := int32(0)
+	for pid, c := range counts {
+		lists[pid] = arena[off : off : off+c]
+		off += c
+	}
+	row := 0
+	for i := 0; i < s.numNodes; i++ {
+		for range s.attrSeg(NodeID(i)).key {
+			pid := rowPid[row]
 			lists[pid] = append(lists[pid], NodeID(i))
+			row++
 		}
 	}
 	s.postings = &postingTables{
@@ -935,7 +970,8 @@ func (s *Snapshot) CandidateNodesID(lid int32) []NodeID {
 	if int(lid) >= len(s.labelNodes) {
 		return nil
 	}
-	return s.labelNodes[lid]
+	p := s.labelNodes[lid]
+	return p[:len(p):len(p)] // the spare capacity belongs to successors
 }
 
 // OutNeighborsID is OutNeighbors for a resolved concrete edge-label

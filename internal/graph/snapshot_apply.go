@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // pagedPatch mutates a paged per-node table copy-on-write: the outer
@@ -130,6 +131,7 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 		attr:          s.attr,
 		labelNodes:    s.labelNodes,
 		labelDegTotal: s.labelDegTotal,
+		labelTail:     s.labelTail,
 		numEdges:      s.numEdges,
 		version:       d.ToVersion,
 		lineage:       s.lineage,
@@ -177,18 +179,22 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 	}
 
 	// Label postings and degree totals: outer slices cloned on first
-	// touch, individual postings cloned per touched label-group only.
+	// touch; a posting gaining nodes grows at its end, in place when
+	// this snapshot claims its tail (see reservePosting).
 	ownPostings := false
-	ownedPosting := make(map[int32]bool)
 	ensureLabelTables := func(minLen int) {
 		if !ownPostings {
 			ns.labelNodes = append(make([][]NodeID, 0, max(minLen, len(ns.labelNodes))), ns.labelNodes...)
 			ns.labelDegTotal = append(make([]int64, 0, max(minLen, len(ns.labelDegTotal))), ns.labelDegTotal...)
+			ns.labelTail = append(make([]*atomic.Int64, 0, max(minLen, len(ns.labelNodes))), ns.labelTail...)
 			ownPostings = true
 		}
 		for len(ns.labelNodes) < minLen {
 			ns.labelNodes = append(ns.labelNodes, nil)
 			ns.labelDegTotal = append(ns.labelDegTotal, 0)
+		}
+		for len(ns.labelTail) < len(ns.labelNodes) {
+			ns.labelTail = append(ns.labelTail, nil)
 		}
 	}
 
@@ -215,12 +221,16 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 		inPP.extend(oldN, make([]adjSeg, len(d.Nodes)))
 		attrPP.extend(oldN, make([]attrSeg, len(d.Nodes)))
 		ensureLabelTables(int(maxLid) + 1)
-		for i, lid := range newLids {
-			if !ownedPosting[lid] {
-				old := ns.labelNodes[lid]
-				ns.labelNodes[lid] = append(make([]NodeID, 0, len(old)+1), old...)
-				ownedPosting[lid] = true
+		added := make([]int, maxLid+1)
+		for _, lid := range newLids {
+			added[lid]++
+		}
+		for lid, k := range added {
+			if k > 0 {
+				ns.reservePosting(int32(lid), k)
 			}
+		}
+		for i, lid := range newLids {
 			ns.labelNodes[lid] = append(ns.labelNodes[lid], NodeID(oldN+i))
 		}
 	}
@@ -282,18 +292,33 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 		// Stable by node: application order within a node is preserved,
 		// so a later write to the same attribute wins, as in SetAttr.
 		sort.SliceStable(writes, func(i, j int) bool { return writes[i].Node < writes[j].Node })
+		// Every touched node's new tuple is carved out of one key and one
+		// value arena, sized for its old tuple plus its writes, so a
+		// delta writing k nodes costs two allocations, not 2k.
+		room := 0
+		for lo := 0; lo < len(writes); {
+			hi := lo
+			for hi < len(writes) && writes[hi].Node == writes[lo].Node {
+				hi++
+			}
+			if id := writes[lo].Node; id < 0 || int(id) >= n {
+				panic(fmt.Sprintf("graph: delta attribute write names node %d outside [0,%d)", id, n))
+			}
+			room += len(attrPP.at(writes[lo].Node).key) + hi - lo
+			lo = hi
+		}
+		keyArena, valArena := make([]int32, room), make([]Value, room)
 		for lo := 0; lo < len(writes); {
 			hi := lo
 			for hi < len(writes) && writes[hi].Node == writes[lo].Node {
 				hi++
 			}
 			id := writes[lo].Node
-			if id < 0 || int(id) >= n {
-				panic(fmt.Sprintf("graph: delta attribute write names node %d outside [0,%d)", id, n))
-			}
 			seg := attrPP.at(id)
-			key := append(make([]int32, 0, len(seg.key)+hi-lo), seg.key...)
-			val := append(make([]Value, 0, len(seg.val)+hi-lo), seg.val...)
+			c := len(seg.key) + hi - lo
+			key := append(keyArena[:0:c], seg.key...)
+			val := append(valArena[:0:c], seg.val...)
+			keyArena, valArena = keyArena[c:], valArena[c:]
 			for _, w := range writes[lo:hi] {
 				aid := internAttr(w.Attr)
 				pos := sort.Search(len(key), func(k int) bool { return key[k] >= aid })
@@ -315,7 +340,7 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 					val[pos] = w.Value
 				}
 			}
-			attrPP.set(id, attrSeg{key: key, val: val})
+			attrPP.set(id, attrSeg{key: key[:len(key):len(key)], val: val[:len(val):len(val)]})
 			lo = hi
 		}
 	}
@@ -344,6 +369,23 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 	ns.in = inPP.pgs
 	ns.attr = attrPP.pgs
 	return ns
+}
+
+// reservePosting makes room for k more nodes at the end of label lid's
+// posting, in a backing array this snapshot alone may write past its
+// current length: the shared one when it can claim that length (see
+// labelTail), else a copy with room to grow.
+func (ns *Snapshot) reservePosting(lid int32, k int) {
+	old := ns.labelNodes[lid]
+	if t := ns.labelTail[lid]; t != nil && cap(old)-len(old) >= k &&
+		t.CompareAndSwap(int64(len(old)), int64(len(old)+k)) {
+		return
+	}
+	grown := make([]NodeID, len(old), 2*(len(old)+k))
+	copy(grown, old)
+	t := new(atomic.Int64)
+	t.Store(int64(len(old) + k))
+	ns.labelNodes[lid], ns.labelTail[lid] = grown, t
 }
 
 // postingChainMax bounds the pending-batch chain: a chain past this

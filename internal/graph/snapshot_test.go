@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // buildDemo constructs a small graph exercising every snapshot feature:
@@ -339,6 +340,71 @@ func TestSnapshotQuotientEquivalence(t *testing.T) {
 		}
 		if got.Lineage() == s.Lineage() || s.NumNodes() != n || s.NumEdges() != g.NumEdges() {
 			t.Fatalf("trial %d: the quotient disturbed its base", trial)
+		}
+	}
+}
+
+// TestSnapshotApplyAttrAllocsFlat: the attribute tuples a delta rewrites
+// share two backing arrays, so writing k nodes' attributes costs the
+// same allocations for every k, whether a write overwrites a value or
+// inserts one (the nodes sit on one page, so page clones do not grow
+// with k either).
+func TestSnapshotApplyAttrAllocsFlat(t *testing.T) {
+	allocs := func(k int) float64 {
+		g := New()
+		for i := 0; i < pageSize; i++ {
+			g.AddNodeAttrs("person", map[Attr]Value{"name": Int(i), "age": Int(i)})
+		}
+		g.SetAttr(pageSize-1, "type", String("old"))
+		snap := g.Freeze()
+		for i := 0; i < k; i++ {
+			g.SetAttr(NodeID(i), "age", Int(1000+i))    // overwritten in place
+			g.SetAttr(NodeID(i), "type", String("new")) // inserted
+		}
+		d := g.DeltaSince(snap.SourceVersion())
+		return testing.AllocsPerRun(20, func() { snap.Apply(d) })
+	}
+	few, many := allocs(4), allocs(60)
+	if many > few {
+		t.Fatalf("Snapshot.Apply allocates %.0f times writing 4 nodes' attributes but %.0f writing 60", few, many)
+	}
+	t.Logf("allocs: %.0f writing 4 nodes, %.0f writing 60", few, many)
+}
+
+// TestSnapshotPostingGrowsInPlace: a label posting gaining nodes grows
+// in the backing array its lineage shares, so a chain of Applies copies
+// it only when it runs out of room; a second child of the same parent
+// cannot claim the same slots and copies instead, and every snapshot
+// keeps reading exactly its own nodes.
+func TestSnapshotPostingGrowsInPlace(t *testing.T) {
+	g := New()
+	for i := 0; i < 100; i++ {
+		g.AddNode("person")
+	}
+	addPerson := func(s *Snapshot) *Snapshot {
+		n := s.NumNodes()
+		return s.Apply(&Delta{FromVersion: s.SourceVersion(), ToVersion: s.SourceVersion() + 1,
+			Nodes: []NodeAdd{{ID: NodeID(n), Label: "person"}}})
+	}
+	first := addPerson(g.Freeze())
+	second := addPerson(first)
+	sibling := addPerson(first)
+	ids := func(s *Snapshot) []NodeID { return s.labelNodes[s.labelIDs["person"]] }
+	if unsafe.SliceData(ids(second)) != unsafe.SliceData(ids(first)) {
+		t.Fatal("the first child of a snapshot copied the posting instead of appending in place")
+	}
+	if unsafe.SliceData(ids(sibling)) == unsafe.SliceData(ids(first)) {
+		t.Fatal("a second child of the same snapshot appended into the slots its sibling claimed")
+	}
+	for _, s := range []*Snapshot{first, second, sibling} {
+		got := s.NodesWithLabel("person")
+		if len(got) != s.NumNodes() || cap(got) != len(got) {
+			t.Fatalf("posting of a %d-node snapshot has len %d cap %d", s.NumNodes(), len(got), cap(got))
+		}
+		for i, id := range got {
+			if id != NodeID(i) {
+				t.Fatalf("posting of a %d-node snapshot holds %v at %d", s.NumNodes(), id, i)
+			}
 		}
 	}
 }

@@ -22,6 +22,9 @@ type SpanData struct {
 	Dur    time.Duration `json:"duration_ns"`
 	Err    string        `json:"error,omitempty"`
 	Stages []Stage       `json:"stages,omitempty"`
+	// Version is the graph version the operation captured, when it
+	// names one (a checkpoint's cut).
+	Version uint64 `json:"version,omitempty"`
 }
 
 // DefaultTraceRing is the span ring size a fresh Observer uses.
@@ -119,6 +122,13 @@ func (s *Span) StageDur(name string, d time.Duration) {
 		return
 	}
 	s.d.Stages = append(s.d.Stages, Stage{Name: name, Dur: d})
+}
+
+// SetVersion records the graph version the operation captured.
+func (s *Span) SetVersion(v uint64) {
+	if s != nil {
+		s.d.Version = v
+	}
 }
 
 // Fail records the error the operation ended with.

@@ -55,25 +55,6 @@ const (
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// u32bytes views a []uint32 as raw little-endian bytes for writing.
-// (The in-memory representation is LE on every supported platform; the
-// explicit encoder below is the portable fallback.)
-func u32bytes(xs []uint32) []byte {
-	out := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(out[i*4:], x)
-	}
-	return out
-}
-
-func u64bytes(xs []uint64) []byte {
-	out := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[i*8:], x)
-	}
-	return out
-}
-
 // u32view aliases 8-aligned mapped bytes as []uint32 without copying;
 // misaligned input (read fallback path) decodes portably instead.
 func u32view(b []byte) []uint32 {
@@ -104,25 +85,8 @@ func u64view(b []byte) []uint64 {
 	return out
 }
 
-// encodeStringTable lays out a string table: u64 count, u64 end-offsets
-// (relative to the data area), then the concatenated bytes.
-func encodeStringTable(ss []string) []byte {
-	total := 0
-	for _, s := range ss {
-		total += len(s)
-	}
-	out := make([]byte, 8*(len(ss)+1)+total)
-	binary.LittleEndian.PutUint64(out, uint64(len(ss)))
-	off := 0
-	data := out[8*(len(ss)+1):]
-	for i, s := range ss {
-		off += copy(data[off:], s)
-		binary.LittleEndian.PutUint64(out[8*(i+1):], uint64(off))
-	}
-	return out
-}
-
-// decodeStringTable parses an encodeStringTable section. The returned
+// decodeStringTable parses a string table section (see
+// emitStringTable). The returned
 // strings are copies — safe to keep after the mapping is gone.
 func decodeStringTable(b []byte) ([]string, error) {
 	if len(b) < 8 {
@@ -150,92 +114,239 @@ func decodeStringTable(b []byte) ([]string, error) {
 	return out, nil
 }
 
-// writeCheckpoint writes st as ckpt-<version>.ged in dir via a temp
-// file + rename, returning the version captured. With sync, the file
-// and directory are fsynced before and after the rename, so a crash at
-// any point leaves either the old or the new checkpoint fully intact.
-// A write that fails partway (disk full, I/O error) is cleaned up the
-// same way: the temp file is removed and the previous checkpoint is
-// untouched and loadable. epoch is the leadership epoch of the writer;
-// recovery uses it to disqualify a checkpoint a deposed leader managed
-// to publish past its fence bound.
-func (s *Store) writeCheckpoint(dir string, st State, epoch uint64, sync bool) (uint64, error) {
-	img := gedlib.ExportImage(st.Graph)
-
-	type section struct {
-		id   uint32
-		data []byte
+// writeCheckpoint writes c as ckpt-<version>.ged in dir via a temp
+// file + rename (writeTemp, then installCheckpoint), returning the
+// version captured. With sync, the file and directory are fsynced
+// before and after the rename, so a crash at any point leaves either the
+// old or the new checkpoint fully intact. A write that fails partway
+// (disk full, I/O error) is cleaned up the same way: the temp file is
+// removed and the previous checkpoint is untouched and loadable. epoch
+// is the leadership epoch of the writer; recovery uses it to disqualify
+// a checkpoint a deposed leader managed to publish past its fence bound.
+func (s *Store) writeCheckpoint(dir string, c Cut, epoch uint64, sync bool) (uint64, error) {
+	tmp, v, err := s.writeTemp(dir, c, epoch, sync)
+	if err != nil {
+		return 0, err
 	}
+	return v, s.installCheckpoint(dir, tmp, v, sync)
+}
+
+// writeTemp writes c's checkpoint to a fresh temp file in dir, fsynced
+// with sync, and returns the file's name and the version it captures;
+// on error no temp file is left. The image's columns are the one buffer
+// the size of the graph: the sections stream out of them through a
+// bounded scratch buffer twice, once into the CRC the header carries
+// and once into the file.
+func (s *Store) writeTemp(dir string, c Cut, epoch uint64, sync bool) (string, uint64, error) {
+	img := c.Snap.Image(c.Yield)
 	sections := []section{
-		{secNodeLabel, u32bytes(img.NodeLabel)},
-		{secEdgeSrc, u32bytes(img.EdgeSrc)},
-		{secEdgeLabel, u32bytes(img.EdgeLabel)},
-		{secEdgeDst, u32bytes(img.EdgeDst)},
-		{secAttrNode, u32bytes(img.AttrNode)},
-		{secAttrName, u32bytes(img.AttrName)},
-		{secAttrKind, img.AttrKind},
-		{secAttrVal, u64bytes(img.AttrVal)},
-		{secLabels, encodeStringTable(img.Labels)},
-		{secAttrNames, encodeStringTable(img.AttrNames)},
-		{secStrings, encodeStringTable(img.Strings)},
-		{secNames, encodeStringTable(st.Names)},
-		{secRules, []byte(st.Rules)},
+		u32Section(secNodeLabel, img.NodeLabel),
+		u32Section(secEdgeSrc, img.EdgeSrc),
+		u32Section(secEdgeLabel, img.EdgeLabel),
+		u32Section(secEdgeDst, img.EdgeDst),
+		u32Section(secAttrNode, img.AttrNode),
+		u32Section(secAttrName, img.AttrName),
+		{secAttrKind, len(img.AttrKind), func(w *chunkWriter) { w.write(img.AttrKind) }},
+		u64Section(secAttrVal, img.AttrVal),
+		stringTableSection(secLabels, img.Labels),
+		stringTableSection(secAttrNames, img.AttrNames),
+		stringTableSection(secStrings, img.Strings),
+		stringTableSection(secNames, c.Names),
+		{secRules, len(c.Rules), func(w *chunkWriter) { w.write(stringBytes(c.Rules)) }},
 	}
 
 	payloadStart := align8(ckptHeaderBytes + ckptEntryBytes*len(sections))
-	payloadLen := 0
-	for _, s := range sections {
-		payloadLen += align8(len(s.data))
-	}
-	buf := make([]byte, payloadStart+payloadLen)
-	copy(buf, ckptMagic)
-	binary.LittleEndian.PutUint32(buf[8:], ckptFormatVersion)
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(sections)))
-	binary.LittleEndian.PutUint64(buf[16:], img.Version)
-	binary.LittleEndian.PutUint32(buf[28:], uint32(payloadStart))
-	binary.LittleEndian.PutUint64(buf[32:], epoch)
+	header := make([]byte, payloadStart)
+	copy(header, ckptMagic)
+	binary.LittleEndian.PutUint32(header[8:], ckptFormatVersion)
+	binary.LittleEndian.PutUint32(header[12:], uint32(len(sections)))
+	binary.LittleEndian.PutUint64(header[16:], img.Version)
+	binary.LittleEndian.PutUint32(header[28:], uint32(payloadStart))
+	binary.LittleEndian.PutUint64(header[32:], epoch)
 	off := payloadStart
-	for i, s := range sections {
+	for i, sec := range sections {
 		e := ckptHeaderBytes + ckptEntryBytes*i
-		binary.LittleEndian.PutUint32(buf[e:], s.id)
-		binary.LittleEndian.PutUint64(buf[e+8:], uint64(off))
-		binary.LittleEndian.PutUint64(buf[e+16:], uint64(len(s.data)))
-		copy(buf[off:], s.data)
-		off += align8(len(s.data))
+		binary.LittleEndian.PutUint32(header[e:], sec.id)
+		binary.LittleEndian.PutUint64(header[e+8:], uint64(off))
+		binary.LittleEndian.PutUint64(header[e+16:], uint64(sec.size))
+		off += align8(sec.size)
 	}
-	binary.LittleEndian.PutUint32(buf[24:], crc32.ChecksumIEEE(buf[payloadStart:]))
+	payload := func(w *chunkWriter) {
+		var zeros [8]byte
+		for _, sec := range sections {
+			sec.emit(w)
+			w.write(zeros[:align8(sec.size)-sec.size])
+		}
+	}
+	scratch := make([]byte, 0, min(checkpointChunk, off))
+	var crc uint32
+	sum := &chunkWriter{buf: scratch, sink: func(p []byte) error {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		return nil
+	}}
+	payload(sum)
+	sum.flush()
+	binary.LittleEndian.PutUint32(header[24:], crc)
 
 	tmp, err := s.fs.CreateTemp(dir, ".tmp-ckpt-*")
 	if err != nil {
-		return 0, fmt.Errorf("persist: write checkpoint: %w", err)
+		return "", 0, fmt.Errorf("persist: write checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
-	cleanup := func() { _ = s.fs.Remove(tmpName) }
-	if _, err := tmp.Write(buf); err != nil {
+	fail := func(what string, err error) (string, uint64, error) {
 		_ = tmp.Close()
-		cleanup()
-		return 0, fmt.Errorf("persist: write checkpoint: %w", err)
+		_ = s.fs.Remove(tmpName)
+		return "", 0, fmt.Errorf("persist: %s checkpoint: %w", what, err)
+	}
+	out := &chunkWriter{buf: scratch[:0], sink: func(p []byte) error {
+		_, err := tmp.Write(p)
+		if c.Yield != nil {
+			c.Yield()
+		}
+		return err
+	}}
+	out.write(header)
+	payload(out)
+	if err := out.flush(); err != nil {
+		return fail("write", err)
 	}
 	if sync {
 		if err := tmp.Sync(); err != nil {
-			_ = tmp.Close()
-			cleanup()
-			return 0, fmt.Errorf("persist: sync checkpoint: %w", err)
+			return fail("sync", err)
 		}
 	}
 	if err := tmp.Close(); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("persist: close checkpoint: %w", err)
+		_ = s.fs.Remove(tmpName)
+		return "", 0, fmt.Errorf("persist: close checkpoint: %w", err)
 	}
-	if err := s.fs.Rename(tmpName, filepath.Join(dir, ckptName(img.Version))); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("persist: publish checkpoint: %w", err)
+	return tmpName, img.Version, nil
+}
+
+// installCheckpoint renames the written temp file into place as the
+// checkpoint at version v and, with sync, fsyncs the directory. On error
+// the temp file is removed.
+func (s *Store) installCheckpoint(dir, tmpName string, v uint64, sync bool) error {
+	if err := s.fs.Rename(tmpName, filepath.Join(dir, ckptName(v))); err != nil {
+		_ = s.fs.Remove(tmpName)
+		return fmt.Errorf("persist: publish checkpoint: %w", err)
 	}
 	if sync {
 		_ = s.fs.SyncDir(dir)
 	}
-	return img.Version, nil
+	return nil
 }
+
+// checkpointChunk bounds the scratch buffer a checkpoint streams
+// through; sections at least this long go to the sink whole.
+const checkpointChunk = 256 << 10
+
+// section is one checkpoint section: its id, its length in bytes, and
+// how to produce those bytes in order.
+type section struct {
+	id   uint32
+	size int
+	emit func(w *chunkWriter)
+}
+
+// chunkWriter batches a checkpoint's bytes into its scratch buffer and
+// hands them to sink a buffer at a time; a slice at least as long as
+// the buffer goes to sink directly. The first sink error sticks.
+type chunkWriter struct {
+	buf  []byte
+	sink func([]byte) error
+	err  error
+}
+
+func (w *chunkWriter) write(p []byte) {
+	if len(p) <= cap(w.buf)-len(w.buf) {
+		w.buf = append(w.buf, p...)
+		return
+	}
+	w.spill(p)
+}
+
+// spill is write for a p that does not fit in what is left of the
+// buffer.
+func (w *chunkWriter) spill(p []byte) {
+	w.flush()
+	if len(p) >= cap(w.buf) {
+		if w.err == nil {
+			w.err = w.sink(p)
+		}
+		return
+	}
+	w.buf = append(w.buf, p...)
+}
+
+// u64 writes v as 8 little-endian bytes.
+func (w *chunkWriter) u64(v uint64) {
+	if cap(w.buf)-len(w.buf) < 8 {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
+
+func (w *chunkWriter) flush() error {
+	if len(w.buf) > 0 && w.err == nil {
+		w.err = w.sink(w.buf)
+	}
+	w.buf = w.buf[:0]
+	return w.err
+}
+
+// nativeLE reports a little-endian host, where a numeric column's
+// memory already is its on-disk bytes.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+func u32Section(id uint32, xs []uint32) section {
+	return section{id, 4 * len(xs), func(w *chunkWriter) {
+		if nativeLE {
+			w.write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 4*len(xs)))
+			return
+		}
+		var b [4]byte
+		for _, x := range xs {
+			binary.LittleEndian.PutUint32(b[:], x)
+			w.write(b[:])
+		}
+	}}
+}
+
+func u64Section(id uint32, xs []uint64) section {
+	return section{id, 8 * len(xs), func(w *chunkWriter) {
+		if nativeLE {
+			w.write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs)))
+			return
+		}
+		for _, x := range xs {
+			w.u64(x)
+		}
+	}}
+}
+
+// stringTableSection lays out a string table: u64 count, u64
+// end-offsets (relative to the data area), then the concatenated bytes.
+func stringTableSection(id uint32, ss []string) section {
+	size := 8 * (len(ss) + 1)
+	for _, s := range ss {
+		size += len(s)
+	}
+	return section{id, size, func(w *chunkWriter) {
+		w.u64(uint64(len(ss)))
+		end := 0
+		for _, s := range ss {
+			end += len(s)
+			w.u64(uint64(end))
+		}
+		for _, s := range ss {
+			w.write(stringBytes(s))
+		}
+	}}
+}
+
+// stringBytes views s's bytes without copying; the writer only reads
+// them.
+func stringBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // loadCheckpoint maps (or reads — see FS.Map) a checkpoint file and
 // rebuilds its State, returning the captured graph version and the

@@ -96,7 +96,7 @@ func TestPromoteFencesOldLeader(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(21))
 	mutate(g, &names, rng, 40)
-	old, err := s.Create("kb", State{Graph: g, Names: names})
+	old, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPromoteFencesOldLeader(t *testing.T) {
 	if err := old.AppendDelta(d2, dn2); !errors.Is(err, ErrFenced) {
 		t.Fatalf("deposed append: %v, want ErrFenced", err)
 	}
-	if err := old.Checkpoint(State{Graph: g, Names: names}); !errors.Is(err, ErrFenced) {
+	if err := old.Checkpoint(Cut{Snap: g.Freeze(), Names: names}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("deposed checkpoint: %v, want ErrFenced", err)
 	}
 	if err := old.AppendRules(g.Version(), "r"); !errors.Is(err, ErrFenced) {
@@ -170,7 +170,7 @@ func TestPromoteAdoptsUnsyncedRecords(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(22))
 	mutate(g, &names, rng, 30)
-	old, err := s.Create("kb", State{Graph: g, Names: names})
+	old, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPostFenceRecordsSkipped(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(23))
 	mutate(g, &names, rng, 30)
-	old, err := s.Create("kb", State{Graph: g, Names: names})
+	old, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestStaleCheckpointDisqualified(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(24))
 	mutate(g, &names, rng, 30)
-	old, err := s.Create("kb", State{Graph: g, Names: names})
+	old, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestStaleCheckpointDisqualified(t *testing.T) {
 	gNames := append([]string(nil), names...)
 	mutate(ghost, &gNames, rng, 12)
 	dir, _ := s.graphDir("kb")
-	if _, err := s.writeCheckpoint(dir, State{Graph: ghost, Names: gNames}, 0, false); err != nil {
+	if _, err := s.writeCheckpoint(dir, Cut{Snap: ghost.Freeze(), Names: gNames}, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if ghost.Version() <= bound {
@@ -321,7 +321,7 @@ func TestTailSurfacesEpochBump(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(25))
 	mutate(g, &names, rng, 30)
-	old, err := s.Create("kb", State{Graph: g, Names: names})
+	old, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestTailRotationLandsMidRead(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(26))
 	mutate(g, &names, rng, 20)
-	gs, err := s.Create("kb", State{Graph: g, Names: names})
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestTailRotationLandsMidRead(t *testing.T) {
 	<-entered
 	// Two rotations land while the tailer is blocked mid-read.
 	for i := 0; i < 2; i++ {
-		if err := gs.Checkpoint(State{Graph: g, Names: names}); err != nil {
+		if err := gs.Checkpoint(Cut{Snap: g.Freeze(), Names: names}); err != nil {
 			t.Fatal(err)
 		}
 		d, dn = step(g, &names, rng, 8)
@@ -492,7 +492,7 @@ func TestTailEpochBumpThenTornTail(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(27))
 	mutate(g, &names, rng, 20)
-	gs, err := s.Create("kb", State{Graph: g, Names: names})
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func TestEnospcMidCheckpoint(t *testing.T) {
 	g := gedlib.NewGraph()
 	var names []string
 	grow(g, &names, 50)
-	gs, err := s.Create("kb", persist.State{Graph: g, Names: names})
+	gs, err := s.Create("kb", persist.Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestEnospcMidCheckpoint(t *testing.T) {
 	// Disk fills up 1KiB into the checkpoint image.
 	fs.Inject(Rule{Kind: "enospc", Op: OpWrite, Path: ".tmp-ckpt-", Err: syscall.ENOSPC, AfterBytes: 1024})
 	grow(g, &names, 5)
-	if err := gs.Checkpoint(persist.State{Graph: g, Names: names}); !errors.Is(err, syscall.ENOSPC) {
+	if err := gs.Checkpoint(persist.Cut{Snap: g.Freeze(), Names: names}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("checkpoint under disk-full: %v, want ENOSPC", err)
 	}
 
@@ -276,7 +276,7 @@ func TestEnospcMidCheckpoint(t *testing.T) {
 
 	// Heal; the next checkpoint publishes and recovery follows it.
 	fs.Heal()
-	if err := gs.Checkpoint(persist.State{Graph: g, Names: names}); err != nil {
+	if err := gs.Checkpoint(persist.Cut{Snap: g.Freeze(), Names: names}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err = s.Recover("kb")
@@ -305,7 +305,7 @@ func TestTornWALAppendRepair(t *testing.T) {
 	g := gedlib.NewGraph()
 	var names []string
 	grow(g, &names, 10)
-	gs, err := s.Create("kb", persist.State{Graph: g, Names: names})
+	gs, err := s.Create("kb", persist.Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}

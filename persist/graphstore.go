@@ -13,10 +13,11 @@ import (
 
 // GraphStore is the single-writer durability handle for one graph: the
 // serve batcher appends a delta record per coalesced flush, syncs per
-// the fsync mode, and writes a checkpoint (rotating the WAL) when
-// enough ops have accumulated. Methods are safe for concurrent use,
-// but there must be only one GraphStore per graph directory per
-// process fleet — the WAL is an append-only single-writer log.
+// the fsync mode, and when enough ops have accumulated rotates the WAL
+// for a checkpoint written in the background. Methods are safe for
+// concurrent use, but there must be only one GraphStore per graph
+// directory per process fleet — the WAL is an append-only single-writer
+// log.
 type GraphStore struct {
 	store *Store
 	name  string
@@ -33,12 +34,19 @@ type GraphStore struct {
 	dirtyTail bool
 
 	version     uint64 // graph version after the last appended record
-	ckptVersion uint64 // version of the newest checkpoint
-	opsSince    int    // logical ops appended since that checkpoint
-	segBytes    int64  // bytes in the current segment
-	records     uint64 // records appended by this handle
-	lastSync    time.Duration
-	pendingSync bool
+	ckptVersion uint64 // version of the newest durable checkpoint
+	// ops counts the logical ops in the log (appended by this handle,
+	// plus the tail it recovered); cutOps and durableOps are its value
+	// at the last rotation and at the newest durable checkpoint, so
+	// ops-cutOps decides when a checkpoint is due and ops-durableOps is
+	// the replay a crash would cost. cutVersion is the version of the
+	// last rotation.
+	ops, cutOps, durableOps int
+	cutVersion              uint64
+	segBytes                int64  // bytes in the current segment
+	records                 uint64 // records appended by this handle
+	lastSync                time.Duration
+	pendingSync             bool
 
 	// epoch is the leadership epoch stamped onto every record this
 	// handle appends. fenced latches once a later epoch's bound is
@@ -70,7 +78,11 @@ func (gs *GraphStore) initMetrics() {
 
 // GraphStoreStats is a point-in-time snapshot of durability counters.
 type GraphStoreStats struct {
-	Version            uint64
+	Version uint64
+	// CheckpointVersion is the version of the newest durable checkpoint,
+	// and OpsSinceCheckpoint the logical ops logged past it: what a
+	// crash now would replay. A checkpoint still being written in the
+	// background counts from its rename on.
 	CheckpointVersion  uint64
 	OpsSinceCheckpoint int
 	WALBytes           int64 // bytes in the current segment
@@ -81,10 +93,10 @@ type GraphStoreStats struct {
 	Fenced             bool   // a later epoch took over; appends fail with ErrFenced
 }
 
-// Create initializes a graph's directory: an initial checkpoint of st
+// Create initializes a graph's directory: an initial checkpoint of c
 // and an empty WAL segment rotated at it. It fails with ErrExists if
 // the directory is already there.
-func (s *Store) Create(name string, st State) (*GraphStore, error) {
+func (s *Store) Create(name string, c Cut) (*GraphStore, error) {
 	dir, err := s.graphDir(name)
 	if err != nil {
 		return nil, err
@@ -95,9 +107,9 @@ func (s *Store) Create(name string, st State) (*GraphStore, error) {
 		}
 		return nil, fmt.Errorf("persist: create graph: %w", err)
 	}
-	gs := &GraphStore{store: s, name: name, dir: dir, version: st.Graph.Version()}
+	gs := &GraphStore{store: s, name: name, dir: dir, version: c.Snap.SourceVersion()}
 	gs.initMetrics()
-	if err := gs.Checkpoint(st); err != nil {
+	if err := gs.Checkpoint(c); err != nil {
 		return nil, err
 	}
 	return gs, nil
@@ -122,7 +134,7 @@ func (gs *GraphStore) AppendDelta(d *gedlib.Delta, names []string) error {
 		return err
 	}
 	gs.version = d.ToVersion
-	gs.opsSince += d.Size()
+	gs.ops += d.Size()
 	if gs.store.opts.Fsync == FsyncAlways {
 		return gs.syncLocked()
 	}
@@ -283,27 +295,41 @@ func (gs *GraphStore) appendLocked(payload []byte) error {
 }
 
 // CheckpointDue reports whether enough ops accumulated since the last
-// checkpoint to warrant a new one.
+// rotation to warrant a new checkpoint.
 func (gs *GraphStore) CheckpointDue() bool {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	return gs.opsSince >= gs.store.opts.CheckpointEvery
+	return gs.ops-gs.cutOps >= gs.store.opts.CheckpointEvery
 }
 
-// Checkpoint writes st as a new checkpoint, rotates the WAL onto a
-// fresh segment starting at st's version, and compacts: checkpoints
-// beyond the retention and the segments older than the oldest retained
-// checkpoint are deleted. A checkpoint at the current checkpoint
-// version is a no-op. The caller must pass the same graph whose deltas
-// it has been appending, quiesced (serve calls this under the entry
-// lock).
-func (gs *GraphStore) Checkpoint(st State) error {
+// A checkpoint is written either at once or in the background. At once,
+// Checkpoint writes the image, then rotates the WAL onto a segment named
+// after its version and compacts, all under the handle's lock. In the
+// background, Rotate cuts the WAL at its current end first, on the
+// writer's path; WriteCheckpoint then writes the image of the state at
+// that cut to a temp file without the lock, so appends and syncs go on
+// meanwhile; and Publish, back on the writer's path, renames it into
+// place and compacts. Until the rename, recovery starts from the
+// previous checkpoint and replays across the rotation: the old segments
+// end at the cut and the new one starts there, and nothing is compacted
+// before the new checkpoint is durable. One checkpoint is written at a
+// time; the caller serializes them.
+
+// Checkpoint writes c as a new checkpoint, rotates the WAL onto a fresh
+// segment starting at c's version, and compacts: checkpoints beyond the
+// retention and the segments older than the oldest retained checkpoint
+// are deleted. A checkpoint at the current checkpoint version is a
+// no-op. c must be the state of the graph whose deltas the caller has
+// been appending, and nothing may be appended while it runs (serve
+// holds the entry lock): the image covers every op, whether or not the
+// WAL saw it, so it also re-anchors a log that missed some.
+func (gs *GraphStore) Checkpoint(c Cut) error {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	if gs.closed {
 		return ErrClosed
 	}
-	v := st.Graph.Version()
+	v := c.Snap.SourceVersion()
 	if v == gs.ckptVersion && gs.seg != nil {
 		return nil
 	}
@@ -327,28 +353,150 @@ func (gs *GraphStore) Checkpoint(st State) error {
 			return gs.fenceErrLocked()
 		}
 	}
-	if _, err := gs.store.writeCheckpoint(gs.dir, st, gs.epoch, gs.store.opts.Fsync != FsyncOff); err != nil {
+	if _, err := gs.store.writeCheckpoint(gs.dir, c, gs.epoch, gs.store.opts.Fsync != FsyncOff); err != nil {
 		return err
 	}
 	// Rotate: further records land in a fresh segment named after v.
-	if gs.seg != nil {
-		_ = gs.seg.Close()
+	if gs.seg == nil || gs.segStart != v {
+		if err := gs.rotateLocked(v); err != nil {
+			return err
+		}
 	}
-	seg, err := gs.store.fs.OpenFile(filepath.Join(gs.dir, segName(v)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: rotate WAL: %w", err)
-	}
-	gs.seg, gs.segStart, gs.segBytes, gs.dirtyTail = seg, v, 0, false
-	if st, err := seg.Stat(); err == nil {
-		gs.segBytes = st.Size() // crash between rotate and compact can leave a nonempty reopened segment
-	}
-	gs.version, gs.ckptVersion, gs.opsSince, gs.pendingSync = v, v, 0, false
-	gs.compactLocked()
+	gs.version, gs.pendingSync = v, false
+	gs.cutOps, gs.cutVersion = gs.ops, v
+	gs.durableLocked(v)
 	if gs.store.opts.Fsync != FsyncOff {
 		_ = gs.store.fs.SyncDir(gs.dir)
 	}
 	gs.mCkpt.Observe(time.Since(ckptStart))
 	gs.mCkptN.Inc()
+	return nil
+}
+
+// Rotate cuts the WAL for a background checkpoint: the records appended
+// so far are synced (unless fsync is off), further records go to a
+// fresh segment named after the current version, and that version is
+// returned; it must be the version of the state the caller then hands
+// to WriteCheckpoint. The new segment's directory entry is synced
+// before Rotate returns, so no record acknowledged after the cut can
+// land in a file a crash would lose. A deposed leader is refused
+// (ErrFenced): its segment would split the new leader's.
+func (gs *GraphStore) Rotate() (uint64, error) {
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	if gs.closed {
+		return 0, ErrClosed
+	}
+	if err := gs.checkFenceLocked(false); err != nil {
+		return 0, err
+	}
+	if gs.store.opts.Fsync != FsyncOff && gs.pendingSync {
+		if err := gs.syncLocked(); err != nil {
+			return 0, err
+		}
+	}
+	v := gs.version
+	if gs.segStart != v {
+		if err := gs.rotateLocked(v); err != nil {
+			return 0, err
+		}
+		if gs.store.opts.Fsync != FsyncOff {
+			if err := gs.store.fs.SyncDir(gs.dir); err != nil {
+				return 0, fmt.Errorf("persist: rotate WAL: %w", err)
+			}
+		}
+	}
+	gs.cutOps, gs.cutVersion = gs.ops, v
+	return v, nil
+}
+
+// WriteCheckpoint writes c, the state at the version Rotate last
+// returned, to a temp file and fsyncs it, without the handle's lock, so
+// appends and syncs go on meanwhile. The checkpoint is not in place yet:
+// Publish puts it there, Discard drops it.
+func (gs *GraphStore) WriteCheckpoint(c Cut) (*PendingCheckpoint, error) {
+	v := c.Snap.SourceVersion()
+	gs.mu.Lock()
+	if gs.closed {
+		gs.mu.Unlock()
+		return nil, ErrClosed
+	}
+	if v != gs.cutVersion {
+		gs.mu.Unlock()
+		return nil, fmt.Errorf("persist: checkpoint at version %d, but the WAL was cut at %d", v, gs.cutVersion)
+	}
+	epoch := gs.epoch
+	gs.mu.Unlock()
+	start := time.Now()
+	tmp, _, err := gs.store.writeTemp(gs.dir, c, epoch, gs.store.opts.Fsync != FsyncOff)
+	if err != nil {
+		return nil, err
+	}
+	return &PendingCheckpoint{gs: gs, tmp: tmp, version: v, took: time.Since(start)}, nil
+}
+
+// PendingCheckpoint is a checkpoint WriteCheckpoint wrote but did not put
+// in place: until Publish renames it, the directory holds only a temp
+// file that recovery ignores.
+type PendingCheckpoint struct {
+	gs      *GraphStore
+	tmp     string
+	version uint64
+	took    time.Duration
+}
+
+// Publish puts the checkpoint in place and compacts behind it: a fence
+// check (a deposed leader's image never enters the directory), the
+// rename, a directory sync, then the deletion of checkpoints beyond the
+// retention and of the segments no retained checkpoint needs. On error
+// the temp file is removed.
+func (p *PendingCheckpoint) Publish() error {
+	gs := p.gs
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	err := ErrClosed
+	if !gs.closed {
+		err = gs.checkFenceLocked(false)
+	}
+	if err != nil {
+		_ = gs.store.fs.Remove(p.tmp)
+		return err
+	}
+	start := time.Now()
+	if err := gs.store.installCheckpoint(gs.dir, p.tmp, p.version, gs.store.opts.Fsync != FsyncOff); err != nil {
+		return err
+	}
+	if p.version > gs.ckptVersion {
+		gs.durableLocked(p.version)
+	}
+	gs.mCkpt.Observe(p.took + time.Since(start))
+	gs.mCkptN.Inc()
+	return nil
+}
+
+// Discard drops the checkpoint: its temp file is removed.
+func (p *PendingCheckpoint) Discard() { _ = p.gs.store.fs.Remove(p.tmp) }
+
+// durableLocked records the checkpoint at v, the last cut, as durable
+// and compacts behind it.
+func (gs *GraphStore) durableLocked(v uint64) {
+	gs.ckptVersion, gs.durableOps = v, gs.cutOps
+	gs.compactLocked()
+}
+
+// rotateLocked moves appends onto the segment starting at v.
+func (gs *GraphStore) rotateLocked(v uint64) error {
+	seg, err := gs.store.fs.OpenFile(filepath.Join(gs.dir, segName(v)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("persist: rotate WAL: %w", err)
+	}
+	if gs.seg != nil {
+		_ = gs.seg.Close()
+	}
+	gs.seg, gs.segStart, gs.segBytes, gs.dirtyTail = seg, v, 0, false
+	if st, err := seg.Stat(); err == nil {
+		gs.segBytes = st.Size() // crash between rotate and compact can leave a nonempty reopened segment
+	}
 	return nil
 }
 
@@ -393,7 +541,7 @@ func (gs *GraphStore) Stats() GraphStoreStats {
 	return GraphStoreStats{
 		Version:            gs.version,
 		CheckpointVersion:  gs.ckptVersion,
-		OpsSinceCheckpoint: gs.opsSince,
+		OpsSinceCheckpoint: gs.ops - gs.durableOps,
 		WALBytes:           gs.segBytes,
 		WALRecords:         gs.records,
 		LastSync:           gs.lastSync,

@@ -37,10 +37,14 @@
 // behind a versioned header with a whole-payload CRC, 8-byte aligned so
 // a loader can mmap the file and alias the numeric columns in place.
 // Checkpoints are written to a temp file, fsynced, and renamed, so a
-// crash mid-checkpoint leaves the previous one intact. Writing a
-// checkpoint at version V rotates the WAL onto a fresh segment
-// wal-<V>.log; segments older than the retained checkpoints are
-// deleted. Recovery is therefore "load newest valid checkpoint, replay
+// crash mid-checkpoint leaves the previous one intact. A checkpoint at
+// version V goes with a WAL rotation onto a fresh segment wal-<V>.log:
+// Checkpoint writes the image first and rotates after, while a
+// background checkpoint rotates first (GraphStore.Rotate, on the write
+// path) and writes the image of the state at V afterwards, off it
+// (GraphStore.WriteCheckpoint). Either way segments older than the
+// retained checkpoints are deleted only once the new checkpoint is
+// durable. Recovery is therefore "load newest valid checkpoint, replay
 // the log tail": O(|G|) for the map plus O(|Δ since checkpoint|) for
 // the replay, never a full-history rebuild.
 //
@@ -182,6 +186,21 @@ type State struct {
 	Graph *gedlib.Graph
 	Names []string
 	Rules string
+}
+
+// Cut is what a checkpoint captures of one graph: an immutable snapshot
+// of it, the wire names of its nodes (dense, indexed by NodeID, "" for
+// unnamed; it may stop short of the last nodes, which are then unnamed)
+// and the DSL source of its rules. Every part is immutable, so a
+// checkpoint can be written from a Cut while the graph moves on.
+type Cut struct {
+	Snap  *gedlib.Snapshot
+	Names []string
+	Rules string
+	// Yield, when non-nil, runs between slices of the export and of the
+	// file write: where a background writer gives way to foreground
+	// work.
+	Yield func()
 }
 
 // Store is a directory of per-graph WALs and checkpoints. A Store

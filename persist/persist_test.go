@@ -183,7 +183,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := cs.writeCheckpoint(dir, st, 7, true)
+	v, err := cs.writeCheckpoint(dir, Cut{Snap: g.Freeze(), Names: st.Names, Rules: st.Rules}, 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCheckpointCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := cs.writeCheckpoint(dir, State{Graph: g, Names: names}, 0, false)
+	v, err := cs.writeCheckpoint(dir, Cut{Snap: g.Freeze(), Names: names}, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,11 @@ func TestStoreRecoverRoundTrip(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(7))
 	mutate(g, &names, rng, 50)
-	gs, err := s.Create("kb", State{Graph: g, Names: names})
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create("kb", State{Graph: g, Names: names}); err != ErrExists {
+	if _, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names}); err != ErrExists {
 		t.Fatalf("duplicate Create: %v", err)
 	}
 
@@ -280,7 +280,7 @@ func TestStoreRecoverRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gs.CheckpointDue() {
-			if err := gs.Checkpoint(State{Graph: g, Names: names, Rules: rules}); err != nil {
+			if err := gs.Checkpoint(Cut{Snap: g.Freeze(), Names: names, Rules: rules}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -327,7 +327,7 @@ func TestCrashRecoveryOracle(t *testing.T) {
 	if err := oracle.ApplyDelta(g.DeltaSince(0)); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := s.Create("kb", State{Graph: g, Names: names})
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestTailFollowsRotation(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(13))
 	mutate(g, &names, rng, 30)
-	gs, err := s.Create("kb", State{Graph: g, Names: names})
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestTailFollowsRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gs.CheckpointDue() {
-			if err := gs.Checkpoint(State{Graph: g, Names: names}); err != nil {
+			if err := gs.Checkpoint(Cut{Snap: g.Freeze(), Names: names}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -487,7 +487,7 @@ func TestTailLagResync(t *testing.T) {
 	var names []string
 	rng := rand.New(rand.NewSource(17))
 	mutate(g, &names, rng, 20)
-	gs, err := s.Create("kb", State{Graph: g, Names: names})
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestTailLagResync(t *testing.T) {
 		if err := gs.AppendDelta(g.DeltaSince(from), make([]string, 64)); err != nil {
 			t.Fatal(err)
 		}
-		if err := gs.Checkpoint(State{Graph: g, Names: names}); err != nil {
+		if err := gs.Checkpoint(Cut{Snap: g.Freeze(), Names: names}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -531,7 +531,7 @@ func TestTailReportsDeletedGraph(t *testing.T) {
 	g := gedlib.NewGraph()
 	var names []string
 	rng := rand.New(rand.NewSource(5))
-	gs, err := s.Create("kb", State{Graph: g})
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze()})
 	if err != nil {
 		t.Fatal(err)
 	}

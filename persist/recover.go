@@ -110,7 +110,7 @@ func (s *Store) openRecovered(name, dir string, rec *Recovery, fix *tailFix, epo
 		segStart:    segStart,
 		version:     rec.State.Graph.Version(),
 		ckptVersion: rec.CheckpointVersion,
-		opsSince:    rec.ReplayedOps,
+		ops:         rec.ReplayedOps,
 		segBytes:    rec.tailOff,
 		epoch:       epoch,
 	}

@@ -199,7 +199,8 @@ func (b *batcher) run() {
 		for _, r := range reqs {
 			ops += len(r.ops)
 		}
-		b.ent.flushBatch(reqs)
+		// Counted before the flush completes its requests, so a writer
+		// that reads the stats after its ack finds its flush there.
 		b.flushes.Inc()
 		b.flushedReqs.Add(uint64(len(reqs)))
 		b.flushedOps.Add(uint64(ops))
@@ -209,6 +210,7 @@ func (b *batcher) run() {
 				break
 			}
 		}
+		b.ent.flushBatch(reqs)
 	}
 }
 

@@ -45,6 +45,10 @@ type Catalog struct {
 	mPromotions *obs.Counter
 	hPromotion  *obs.Histogram
 
+	// flushing counts the flushes running across the catalog; background
+	// checkpoint writers give way while it is nonzero (checkpoint.go).
+	flushing atomic.Int64
+
 	mu      sync.RWMutex
 	entries map[string]*GraphEntry
 	// creating reserves names while their entry is still being loaded
@@ -183,6 +187,11 @@ type GraphEntry struct {
 	// b: promotion swaps a writable handle onto a live replica entry.
 	// The GraphStore's own methods are internally synchronized.
 	ps atomic.Pointer[persist.GraphStore]
+	// ckpt delivers the outcome of the background checkpoint in flight
+	// (nil when none is); guarded by mu. ckptBusy mirrors it for the
+	// ged_checkpoint_inflight gauge. See checkpoint.go.
+	ckpt     chan ckptResult
+	ckptBusy atomic.Bool
 	// rulesSrc is the DSL source sigma was parsed from (checkpoints
 	// persist the source, not the parsed set). Guarded by mu.
 	rulesSrc string
@@ -259,7 +268,7 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 		return nil, err
 	}
 	if c.store != nil {
-		gs, err := c.store.Create(name, ent.persistState())
+		gs, err := c.store.Create(name, ent.cutLocked())
 		if err != nil {
 			if errors.Is(err, persist.ErrExists) {
 				// On-disk leftovers under a name the catalog does not
@@ -392,7 +401,8 @@ func (c *Catalog) takeAll() []*GraphEntry {
 // before any per-graph resource goes away — closing the GraphStore (or
 // moving the entry to closing) ahead of the drain would fail or drop
 // the final flush. drop skips the parting checkpoint (the caller is
-// about to delete the directory anyway).
+// about to delete the directory anyway); a background checkpoint in
+// flight is waited out either way, so no writer outlives the entry.
 func (ent *GraphEntry) close(drop bool) {
 	if b := ent.b.Load(); b != nil {
 		b.close()
@@ -401,25 +411,22 @@ func (ent *GraphEntry) close(drop bool) {
 	// RegisterRules either finished before or observes closing.
 	ent.mu.Lock()
 	if ps := ent.ps.Load(); ps != nil {
+		ent.awaitCheckpointLocked()
 		if !drop {
-			// A clean shutdown checkpoints, so the next boot recovers
-			// from the image alone instead of replaying the whole tail.
-			// (A fenced handle refuses this inside persist — harmless;
-			// the new leader owns the log now.)
-			_ = ps.Checkpoint(ent.persistState())
+			// A clean shutdown checkpoints the head, so the next boot
+			// recovers from the image alone instead of replaying the
+			// whole tail. The session catches up first, so the image
+			// holds what the graph holds, as Probe's heal does. (A
+			// fenced handle refuses this inside persist — harmless; the
+			// new leader owns the log now.)
+			if _, err := ent.sess.CatchUp(context.Background(), ent.graph, nil); err == nil {
+				_ = ps.Checkpoint(ent.cutLocked())
+			}
 		}
 		_ = ps.Close()
 	}
 	ent.on(evClose, nil)
 	ent.mu.Unlock()
-}
-
-// persistState assembles the durable state of the entry. Callers hold
-// ent.mu (or have sole access during Create). Names is the index's own
-// capacity-clamped column, not a copy: persist only reads it, and
-// nothing writes it while ent.mu is held.
-func (ent *GraphEntry) persistState() persist.State {
-	return persist.State{Graph: ent.graph, Names: ent.names.dense(), Rules: ent.rulesSrc}
 }
 
 // Name returns the entry's catalog name.
@@ -522,21 +529,6 @@ func (ent *GraphEntry) openLocked(ctx context.Context) error {
 	return nil
 }
 
-// advanceLocked catches the session up to the graph (Session.CatchUp: by
-// d, the graph's delta since the session snapshot when the caller has
-// it, or by a re-freeze) and publishes the result, reporting the time of
-// each stage.
-func (ent *GraphEntry) advanceLocked(ctx context.Context, d *gedlib.Delta) (apply, publish time.Duration, err error) {
-	start := time.Now()
-	vs, err := ent.sess.CatchUp(ctx, ent.graph, d)
-	if err != nil {
-		return 0, 0, err
-	}
-	apply = time.Since(start)
-	ent.publishLocked(vs)
-	return apply, time.Since(start) - apply, nil
-}
-
 // setRulesLocked installs sigma (parsed from src) in the session,
 // re-seeding the maintained set, and publishes it. On error the old
 // rules and view stay: later flushes must not maintain a set the caller
@@ -564,8 +556,8 @@ func (ent *GraphEntry) useRulesLocked(sigma gedlib.RuleSet, src string) {
 // publishLocked hands a new view of the session — its snapshot and the
 // validator its store maintains, so publication compiles nothing — to
 // the read path: epoch bump, atomic pointer swap, bounded retention of
-// the predecessors.
-func (ent *GraphEntry) publishLocked(vs []gedlib.Violation) {
+// the predecessors. It returns the view it published.
+func (ent *GraphEntry) publishLocked(vs []gedlib.Violation) *View {
 	snap, val := ent.sess.Snapshot(), ent.sess.Validator()
 	v := &View{
 		Epoch:      ent.epoch.Add(1),
@@ -585,6 +577,7 @@ func (ent *GraphEntry) publishLocked(vs []gedlib.Violation) {
 		ent.retained = append(ent.retained[:0:0], ent.retained[len(ent.retained)-n:]...)
 	}
 	ent.retainMu.Unlock()
+	return v
 }
 
 // validName accepts names every /graphs/{name}/... route can address:
@@ -618,7 +611,9 @@ var (
 // requests after the view lands, so a returned write is visible to
 // subsequent reads.
 func (ent *GraphEntry) flushBatch(reqs []*writeReq) {
+	ent.cat.flushing.Add(1)
 	view, err := ent.applyBatch(reqs)
+	ent.cat.flushing.Add(-1)
 	for _, req := range reqs {
 		if err != nil {
 			req.res.Err = err
@@ -700,24 +695,53 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 	// mode, one group-commit fsync covering every write it coalesced)
 	// before the view is published and the requests complete — a
 	// returned write is durable, not just visible.
-	if lerr := ent.logBatchLocked(d, sp); lerr != nil {
-		if errors.Is(lerr, persist.ErrFenced) {
-			// Not a server fault: a newer epoch owns the log. The batch
-			// was applied in memory but never acked durable; the fenced
-			// entry serves its pre-batch view read-only.
-			return nil, fmt.Errorf("%w: %v", ErrFenced, lerr)
-		}
-		return nil, fmt.Errorf("%w: %v", ErrFlush, lerr)
+	ps := ent.ps.Load()
+	if lerr := ent.logBatchLocked(ps, d, sp); lerr != nil {
+		return nil, flushErr(lerr)
 	}
-	applyDur, pubDur, aerr := ent.advanceLocked(context.Background(), d)
+	// The session catches up by d, or by a re-freeze when d is nil.
+	start := time.Now()
+	vs, aerr := ent.sess.CatchUp(context.Background(), ent.graph, d)
 	if aerr != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFlush, aerr)
 	}
+	applyDur := time.Since(start)
 	ent.stApply.Observe(applyDur)
 	sp.StageDur(stageApply, applyDur)
+	if d == nil && ps != nil {
+		// The ops since the session snapshot outran the journal, which
+		// keeps at least 4096 + |G|/4 graph ops (graph.CatchUpBound); an
+		// add_node with k attributes is k+1 of them, so on a small graph
+		// a bulk batch of a few thousand add_node ops gets here. With no
+		// delta to log, a checkpoint of the caught-up snapshot
+		// re-anchors the log losslessly before anything is published.
+		ckptStart := time.Now()
+		if err := ent.checkpointNowLocked(ps); err != nil {
+			ent.persistFault(err)
+			return nil, flushErr(err)
+		}
+		sp.StageDur("checkpoint", time.Since(ckptStart))
+	}
+	pubStart := time.Now()
+	v := ent.publishLocked(vs)
+	pubDur := time.Since(pubStart)
 	ent.stPublish.Observe(pubDur)
 	sp.StageDur(stagePublish, pubDur)
+	if ps != nil {
+		ent.checkpointDueLocked(ps, v, sp)
+	}
 	return nil, nil
+}
+
+// flushErr classifies a persist failure of a flush for its requests. A
+// fence is not a server fault: a newer epoch owns the log, and the
+// batch, applied in memory but never acked durable, leaves the fenced
+// entry serving its pre-batch view read-only.
+func flushErr(err error) error {
+	if errors.Is(err, persist.ErrFenced) {
+		return fmt.Errorf("%w: %v", ErrFenced, err)
+	}
+	return fmt.Errorf("%w: %v", ErrFlush, err)
 }
 
 // Flush-path retry tuning: transient append errors back off 2→4→8ms
@@ -728,12 +752,12 @@ const (
 	flushRetryMaxDelay = 10 * time.Millisecond
 )
 
-// logBatchLocked persists the ops a flush just applied, as their delta d
-// (nil when the journal no longer reaches back to the batch's start):
-// one delta record, one group-commit sync, and — when enough ops
-// accumulated — a checkpoint that rotates the WAL. Holding ent.mu keeps
-// the graph quiesced for the checkpoint image. No-op for non-durable
-// entries.
+// logBatchLocked persists the ops a flush just applied, as their delta d:
+// one delta record and one group-commit sync. Holding ent.mu orders the
+// records as the flushes apply them. No-op for non-durable entries, for
+// an empty d, and for a nil d (the journal no longer reaches back to the
+// batch's start), which applyBatch logs as a checkpoint once the
+// session has caught up.
 //
 // Error policy: transient append errors (EIO, EINTR, ...) retry in
 // place with capped backoff — the WAL repairs its own torn tail before
@@ -743,25 +767,9 @@ const (
 // have dropped the dirty pages, so a passing retry would ack a write
 // that is not on disk. Recovery from degraded is always a full
 // checkpoint rewrite (see Probe).
-func (ent *GraphEntry) logBatchLocked(d *gedlib.Delta, sp *obs.Span) error {
-	ps := ent.ps.Load()
-	if ps == nil {
+func (ent *GraphEntry) logBatchLocked(ps *persist.GraphStore, d *gedlib.Delta, sp *obs.Span) error {
+	if ps == nil || d == nil || d.Empty() { // Empty: every op was rejected
 		return nil
-	}
-	switch {
-	case d == nil:
-		// The ops since the session snapshot outran the journal, which
-		// keeps at least 4096 + |G|/4 graph ops (graph.CatchUpBound); an
-		// add_node with k attributes is k+1 of them. On a small graph a
-		// bulk batch of a few thousand add_node ops gets here. A
-		// checkpoint of the current state re-anchors the log losslessly.
-		if err := ps.Checkpoint(ent.persistState()); err != nil {
-			ent.persistFault(err)
-			return err
-		}
-		return nil
-	case d.Empty():
-		return nil // every op of the batch was rejected
 	}
 	names := make([]string, len(d.Nodes))
 	for i, n := range d.Nodes {
@@ -798,22 +806,6 @@ func (ent *GraphEntry) logBatchLocked(d *gedlib.Delta, sp *obs.Span) error {
 	syncDur := time.Since(syncStart)
 	ent.stFsync.Observe(syncDur)
 	sp.StageDur(stageFsync, syncDur)
-	if ps.CheckpointDue() {
-		ckptStart := time.Now()
-		if err := ps.Checkpoint(ent.persistState()); err != nil {
-			// The batch is already durable in the WAL; a failed rotation
-			// only defers compaction. Still degrade on a permanent error
-			// — the disk is refusing writes and the log would otherwise
-			// grow without bound — but ack the batch either way. (A
-			// fence here cannot un-ack the batch: the sync above passed
-			// its fence check, so the batch predates the takeover bound
-			// and the new leader adopted it.)
-			if !persist.IsTransient(err) {
-				ent.persistFault(err)
-			}
-		}
-		sp.StageDur("checkpoint", time.Since(ckptStart))
-	}
 	return nil
 }
 

@@ -235,18 +235,20 @@ func (ent *GraphEntry) Probe(ctx context.Context) error {
 		return row.probeErr
 	}
 	ent.mProbes.Inc()
+	// The session catches up with the graph first, so the checkpoint
+	// holds any never-published applied suffix; the view follows only
+	// once the checkpoint (or, in-memory, nothing) agrees with it.
+	vs, err := ent.sess.CatchUp(ctx, ent.graph, nil)
+	if err != nil {
+		return err
+	}
 	if ps := ent.ps.Load(); ps != nil {
-		if err := ps.Checkpoint(ent.persistState()); err != nil {
+		if err := ent.checkpointNowLocked(ps); err != nil {
 			ent.on(evFault, err)
 			return fmt.Errorf("%w: probe: %v", ErrDegraded, err)
 		}
 	}
-	// The checkpoint (or, in-memory, nothing) now agrees with the graph;
-	// catch the session up and publish, so reads see any never-published
-	// applied suffix.
-	if _, _, err := ent.advanceLocked(ctx, nil); err != nil {
-		return err
-	}
+	ent.publishLocked(vs)
 	ent.on(evHeal, nil)
 	return nil
 }

@@ -28,6 +28,11 @@ const (
 	stageFsync     = "fsync"
 	stageApply     = "apply"
 	stagePublish   = "publish"
+	// stageRotate and stageInstall, span only, are the WAL cut a flush
+	// makes when a checkpoint is due and the rename that puts a finished
+	// background checkpoint in place (see checkpoint.go).
+	stageRotate  = "rotate"
+	stageInstall = "install_checkpoint"
 )
 
 // initMetrics resolves the entry's serving counters and per-stage flush
@@ -59,6 +64,22 @@ func (ent *GraphEntry) initMetrics() {
 	reg.GaugeFunc("ged_leader_epoch",
 		"leadership epoch the graph's WAL handle writes under",
 		func() float64 { return float64(ent.writeEpoch()) }, "graph", n)
+	reg.GaugeFunc("ged_checkpoint_inflight",
+		"1 while a background checkpoint write is in flight",
+		func() float64 {
+			if ent.ckptBusy.Load() {
+				return 1
+			}
+			return 0
+		}, "graph", n)
+	reg.GaugeFunc("ged_checkpoint_lag_ops",
+		"logical ops logged since the newest durable checkpoint: what a crash now would replay",
+		func() float64 {
+			if ps := ent.ps.Load(); ps != nil {
+				return float64(ps.Stats().OpsSinceCheckpoint)
+			}
+			return 0
+		}, "graph", n)
 
 	const name, help = "ged_serve_flush_stage_seconds", "per-stage duration of the write flush pipeline"
 	ent.stQueue = reg.Histogram(name, help, "graph", n, "stage", stageQueueWait)

@@ -3,7 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
+	"hash/maphash"
+	"sync/atomic"
 
 	"gedlib"
 )
@@ -58,20 +59,61 @@ type WriteResult struct {
 // each view bounds what it sees by the column's length when it was
 // published (see nameTable). Writers hold the entry lock. Readers take
 // no lock: the names the graph was loaded or recovered with sit in a map
-// that is never written again, later ones in a sync.Map, whose Load
-// never locks, and a view reads byID only below its bound, which no
-// later write touches. (A sync.Map store costs several times a map's,
-// in time and memory, so a restore or promotion fills the plain map.)
+// that is never written again, and later ones in added, a hash table of
+// node ids probed by name and compared against the dense column, which
+// a view reads only below its bound, where no later write lands.
 type nameIndex struct {
 	loaded map[string]gedlib.NodeID
-	added  sync.Map // string → gedlib.NodeID
+	added  atomic.Pointer[nameSlots]
+	nAdded int      // names in added; written under the entry lock
 	byID   []string // dense, indexed by NodeID; "" for an unnamed node
+}
+
+// nameSlots is an open-addressing table of node ids (a slot holds id+1,
+// 0 when empty), found by hashing the node's name: 4 bytes a name and
+// nothing for the collector to trace, where a sync.Map entry cost
+// about a hundred. The writer fills empty slots with atomic stores and,
+// when half the slots are full, publishes a table twice the size; a
+// reader still probing the old one finds every name it held.
+type nameSlots struct {
+	seed  maphash.Seed
+	slots []atomic.Uint32
+}
+
+func newNameSlots(n int) *nameSlots {
+	return &nameSlots{seed: maphash.MakeSeed(), slots: make([]atomic.Uint32, n)}
+}
+
+// find probes for name, comparing the ids it meets against byID; ids at
+// or past len(byID) are names the caller's bound does not reach.
+func (t *nameSlots) find(name string, byID []string) (gedlib.NodeID, bool) {
+	mask := uint64(len(t.slots) - 1)
+	for i := maphash.String(t.seed, name) & mask; ; i = (i + 1) & mask {
+		slot := t.slots[i].Load()
+		if slot == 0 {
+			return 0, false
+		}
+		if id := int(slot - 1); id < len(byID) && byID[id] == name {
+			return gedlib.NodeID(id), true
+		}
+	}
+}
+
+// insert stores id under name, which must not be in the table yet.
+func (t *nameSlots) insert(name string, id gedlib.NodeID) {
+	mask := uint64(len(t.slots) - 1)
+	i := maphash.String(t.seed, name) & mask
+	for t.slots[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i].Store(uint32(id) + 1)
 }
 
 // newNameIndex builds an index over a graph load's name map, which it
 // takes over.
 func newNameIndex(byName map[string]gedlib.NodeID) *nameIndex {
 	ix := &nameIndex{loaded: byName, byID: make([]string, 0, len(byName))}
+	ix.added.Store(newNameSlots(64))
 	for name, id := range byName {
 		ix.setID(name, id)
 	}
@@ -84,6 +126,7 @@ func nameIndexFromDense(names []string) *nameIndex {
 		loaded: make(map[string]gedlib.NodeID, len(names)),
 		byID:   append([]string(nil), names...),
 	}
+	ix.added.Store(newNameSlots(64))
 	for i, n := range names {
 		if n != "" {
 			ix.loaded[n] = gedlib.NodeID(i)
@@ -94,8 +137,20 @@ func nameIndexFromDense(names []string) *nameIndex {
 
 // add names node id. Callers hold the entry lock.
 func (ix *nameIndex) add(name string, id gedlib.NodeID) {
-	ix.added.Store(name, id)
 	ix.setID(name, id)
+	t := ix.added.Load()
+	if 2*(ix.nAdded+1) > len(t.slots) {
+		grown := newNameSlots(2 * len(t.slots))
+		for i := range t.slots {
+			if slot := t.slots[i].Load(); slot != 0 {
+				grown.insert(ix.byID[slot-1], gedlib.NodeID(slot-1))
+			}
+		}
+		ix.added.Store(grown)
+		t = grown
+	}
+	t.insert(name, id)
+	ix.nAdded++
 }
 
 // setID writes the dense column's entry for id.
@@ -107,16 +162,17 @@ func (ix *nameIndex) setID(name string, id gedlib.NodeID) {
 }
 
 // resolve maps a wire id to a NodeID on the write path, which sees
-// every name added so far.
+// every name added so far. Callers hold the entry lock.
 func (ix *nameIndex) resolve(name string) (gedlib.NodeID, bool) {
+	return ix.resolveIn(name, ix.byID)
+}
+
+// resolveIn maps a wire id to a NodeID among the nodes byID covers.
+func (ix *nameIndex) resolveIn(name string, byID []string) (gedlib.NodeID, bool) {
 	if id, ok := ix.loaded[name]; ok {
-		return id, true
+		return id, int(id) < len(byID)
 	}
-	id, ok := ix.added.Load(name)
-	if !ok {
-		return 0, false
-	}
-	return id.(gedlib.NodeID), true
+	return ix.added.Load().find(name, byID)
 }
 
 // raw returns the wire id of a node, "" when it has none (the WAL and
@@ -128,17 +184,18 @@ func (ix *nameIndex) raw(id gedlib.NodeID) string {
 	return ""
 }
 
-// dense returns the dense id→name column (what persist.State holds),
-// capacity-clamped so the caller cannot write past it into the index.
-func (ix *nameIndex) dense() []string {
-	return ix.byID[:len(ix.byID):len(ix.byID)]
+// dense returns the dense id→name column of the first n nodes (what a
+// checkpoint stores), capacity-clamped so the caller cannot write past
+// it into the index.
+func (ix *nameIndex) dense(n int) []string {
+	n = min(n, len(ix.byID))
+	return ix.byID[:n:n]
 }
 
 // table returns the index bounded to the first n nodes: what a view of
 // a snapshot holding n nodes publishes.
 func (ix *nameIndex) table(n int) *nameTable {
-	n = min(n, len(ix.byID))
-	return &nameTable{idx: ix, byID: ix.byID[:n:n]}
+	return &nameTable{idx: ix, byID: ix.dense(n)}
 }
 
 // nameTable is the wire-id mapping of one view: the entry's shared
@@ -153,11 +210,7 @@ type nameTable struct {
 // Resolve maps a wire id to a NodeID, answering only for nodes named
 // by the time the view was published.
 func (t *nameTable) Resolve(name string) (gedlib.NodeID, bool) {
-	id, ok := t.idx.resolve(name)
-	if !ok || int(id) >= len(t.byID) {
-		return 0, false
-	}
-	return id, true
+	return t.idx.resolveIn(name, t.byID)
 }
 
 // applyOp applies one op to the mutable graph, naming added nodes in

@@ -130,8 +130,9 @@ type Config struct {
 	// coalesced flush), "always", or "off".
 	Fsync string
 	// CheckpointEvery is how many logical ops accumulate in a graph's
-	// WAL before the next flush writes a checkpoint and rotates the log.
-	// 0 selects the persist default (4096).
+	// WAL before the next flush cuts the log for a checkpoint, which a
+	// background writer then writes off the write path. 0 selects the
+	// persist default (4096).
 	CheckpointEvery int
 	// RetainCheckpoints is how many checkpoints (and their WAL segments)
 	// survive compaction; more retention gives lagging followers more

@@ -70,7 +70,10 @@ func (e *Engine) compile(snap *Snapshot, sigma RuleSet) *reason.Validator {
 // Apply advances the session by d — the changes after the session
 // snapshot's SourceVersion, from Graph.DeltaSince or a decoded WAL
 // record — and returns the complete violation set of the session's
-// rules in canonical order, truncated to WithViolationLimit.
+// rules in canonical order, truncated to WithViolationLimit. The slice
+// is the session's own and read-only, as the Match maps in it already
+// are: it is never rewritten (the next change makes a new one), and
+// the caller must not write to it or sort it in place.
 //
 // The first Apply seeds the maintained set with one full validation.
 // Every later one costs O(|Δ| + touched neighborhoods): the snapshot

@@ -461,3 +461,53 @@ func TestShimSessionsCollected(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestSessionApplySharesViolations: an empty-delta Apply hands back the
+// maintained set without copying it, so its allocation does not grow
+// with the graph (and with it the set); with a limit it returns a prefix
+// whose capacity is clamped, so an append cannot write into the set.
+func TestSessionApplySharesViolations(t *testing.T) {
+	ctx := context.Background()
+	sigma, err := gedlib.ParseRules(`ged r on (x:person) { then x.ok = 1 }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesPerApply := func(n int, opts ...gedlib.Option) (float64, []gedlib.Violation) {
+		g := gedlib.NewGraph()
+		for i := 0; i < n; i++ {
+			g.AddNode("person") // every node violates r
+		}
+		s, err := gedlib.New(opts...).Open(ctx, g, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := s.Apply(ctx, g.DeltaSince(g.Version()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := s.Apply(ctx, g.DeltaSince(g.Version())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, vs
+	}
+	small, vs := bytesPerApply(1_000)
+	large, _ := bytesPerApply(20_000)
+	if len(vs) != 1_000 {
+		t.Fatalf("%d violations, want 1000", len(vs))
+	}
+	if large > small+1024 {
+		t.Fatalf("an empty-delta Apply allocates %.0f B at 1k nodes but %.0f B at 20k", small, large)
+	}
+	t.Logf("bytes per empty-delta Apply: %.0f at 1k nodes, %.0f at 20k", small, large)
+
+	_, limited := bytesPerApply(1_000, gedlib.WithViolationLimit(10))
+	if len(limited) != 10 || cap(limited) != 10 {
+		t.Fatalf("limited set has len %d cap %d, want 10 and 10", len(limited), cap(limited))
+	}
+}

@@ -74,7 +74,9 @@ const Wildcard = graph.Wildcard
 func NewGraph() *Graph { return graph.New() }
 
 // ExportImage flattens g into a GraphImage (deterministic: identical
-// graphs export identical images).
+// graphs export identical images). A Snapshot exports the same image of
+// the graph it reflects with its Image method, reading its own immutable
+// columns, so it may run beside the writers that move the graph on.
 func ExportImage(g *Graph) *GraphImage { return graph.ImageOf(g) }
 
 // ImportImage rebuilds the exported graph. Every index is bounds
