@@ -103,17 +103,18 @@
 // probed per candidate. Constant antecedent literals (x.A = c) are
 // pushed down into compiled plans: they resolve to the snapshot's
 // (attr, value) posting lists, join the candidate intersection, and
-// their postings stay valid across Snapshot.Apply, maintained lazily
-// per posting actually read. Variable literals, id literals and
-// consequent literals are not pushable; full scans prune on them
-// instead: each is evaluated once, at the search depth where its last
-// variable is bound, and the partial binding is abandoned if an
-// antecedent literal is false or the whole consequent holds — only
-// violations reach the leaf. The touched-neighbourhood search of Apply
-// runs unpruned (measured: judging its label-scan candidates costs more
-// than it saves). Plan costing counts literal postings toward a
-// variable's candidate estimate and orders the search toward
-// intersection-tight variables, then toward ones that close a literal.
+// their postings stay valid across Snapshot.Apply, which maintains
+// the pairs compiled plans declared eagerly, in O(batch). Variable
+// literals, id literals and consequent literals are not pushable; full
+// scans prune on them instead: each is evaluated once, at the search
+// depth where its last variable is bound, and the partial binding is
+// abandoned if an antecedent literal is false or the whole consequent
+// holds — only violations reach the leaf. The touched-neighbourhood
+// search of Apply runs unpruned (measured: judging its label-scan
+// candidates costs more than it saves). Plan costing counts literal
+// postings toward a variable's candidate estimate and orders the
+// search toward intersection-tight variables, then toward ones that
+// close a literal.
 // The differential tests compare the matcher with a brute-force
 // homomorphism enumerator that shares none of its code.
 //

@@ -222,6 +222,34 @@ func TestJournalTrim(t *testing.T) {
 	}
 }
 
+// TestJournalTrimKeepsArray: a trim keeps the journal's array, so the
+// appends between two trims never reallocate it — and the ops the trim
+// kept are the newest ones, in order.
+func TestJournalTrimKeepsArray(t *testing.T) {
+	g := New()
+	id := g.AddNode("a")
+	var arr *op
+	trims, base := 0, g.journalBase
+	for i := 0; trims < 4; i++ {
+		g.SetAttr(id, "p", Int(i))
+		if g.journalBase != base {
+			trims, base = trims+1, g.journalBase
+			if last := g.journal[len(g.journal)-1]; last.val != Int(i) {
+				t.Fatalf("trim %d: newest op sets %v, want %d", trims, last.val, i)
+			}
+			if first := g.journal[0]; first.val != Int(i-len(g.journal)+1) {
+				t.Fatalf("trim %d: oldest kept op sets %v, want %d", trims, first.val, i-len(g.journal)+1)
+			}
+			if trims == 1 {
+				arr = &g.journal[0]
+			}
+		}
+		if arr != nil && &g.journal[0] != arr {
+			t.Fatalf("op %d after trim %d reallocated the journal", i, trims)
+		}
+	}
+}
+
 // TestJournalKeepsCatchUpBound: under a long random op stream that
 // trims the journal again and again, every lag within CatchUpBound
 // still replays, and replays exactly — an image cut at the older version

@@ -141,9 +141,13 @@ func (g *Graph) noteOp(o op) {
 	if limit := 2 * (journalSlack + CatchUpBound(g.Size())); len(g.journal) > limit {
 		drop := len(g.journal) - limit/2
 		g.journalBase += uint64(drop)
-		trimmed := make([]op, len(g.journal)-drop)
-		copy(trimmed, g.journal[drop:])
-		g.journal = trimmed
+		// Keep the array: the appends up to the next trim then never
+		// regrow it. DeltaSince copies ops out, so no reader aliases the
+		// slots being overwritten; the vacated tail is cleared so it pins
+		// no label or value strings.
+		kept := copy(g.journal, g.journal[drop:])
+		clear(g.journal[kept:])
+		g.journal = g.journal[:kept]
 	}
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,10 +12,10 @@ import (
 // attribute values are interned into dense ints; each node's in/out
 // adjacency is one segment grouped and sorted by (edge label, endpoint),
 // so "neighbors of v via label ι" is one contiguous slice and HasEdge is
-// a binary search; per-label node postings replace the byLabel map; the
-// attribute-value index of BuildAttrIndex is folded in as first-class
-// postings; and per-label degree statistics feed the matcher's planning
-// heuristics.
+// a binary search; per-label node postings replace the byLabel map;
+// value postings serve the (attribute, value) pairs readers declare by
+// looking them up; and per-label degree statistics feed the matcher's
+// planning heuristics.
 //
 // Storage is page-chunked: the per-node tables (label symbols, adjacency
 // segments, attribute tuples) are arrays of fixed-size pages, and every
@@ -69,30 +70,17 @@ type Snapshot struct {
 	// O(label).
 	labelTail []*atomic.Int64
 
-	// (attr, value) -> nodes carrying that binding, ascending by id —
-	// the folded-in AttrIndex, interned: each distinct (attrID, value)
-	// pair gets a dense posting id, resolved through postingTables.
-	// Built lazily on first Lookup/Selectivity/PostingID (postingsReady
-	// + postingsMu keep concurrent readers safe): plain validation
-	// never touches value postings, so Freeze does not pay for them.
-	//
-	// Apply keeps materialized postings valid across deltas *lazily*:
-	// the child references the nearest materialized ancestor's tables
-	// (postingBase) plus the pending attribute-edit batches since
-	// (postingPending, oldest first), and a lookup serves a pair the
-	// pending batches never touch straight from the base — zero
-	// maintenance for postings nobody reads — while a dirty pair is
-	// rebuilt from base + replayed edits once and memoized in
-	// postingPatch. A deep pending chain is compacted into a fresh
-	// materialized table at the next Apply, bounding both replay cost
-	// and retention. An unmaterialized parent hands the child nothing
-	// and the child builds from its own attribute segments as before.
-	postingsMu     sync.Mutex
-	postingsReady  atomic.Bool
-	postings       *postingTables
-	postingBase    *postingTables
-	postingPending []postingBatch
-	postingPatch   map[postingKey][]NodeID
+	// (attr, value) -> nodes carrying that binding, ascending by id, for
+	// the declared pairs only: a pair is declared by its first lookup on
+	// a snapshot (in practice a plan compiling a constant literal x.A = c
+	// of Σ), which builds its posting with one column scan. Apply carries
+	// the declared set forward and updates it eagerly, in O(batch): a
+	// delta touches a posting only when it moves a node into or out of
+	// that pair.
+	// Freeze and Quotient declare nothing. postingsMu serializes
+	// declarations; readers load the published set without it.
+	postingsMu sync.Mutex
+	postings   atomic.Pointer[postingSet]
 
 	numEdges int
 	version  uint64
@@ -148,70 +136,28 @@ type postingKey struct {
 	val  Value
 }
 
-// postingTables is a materialized posting index: the pid-resolution
-// maps as a newest-first overlay chain (Apply-time compaction gives
-// each generation a small private overlay instead of cloning the whole
-// map) and the paged pid -> sorted node-list table. Tables are
-// immutable once published.
-type postingTables struct {
-	maps  []map[postingKey]int32
-	pages [][][]NodeID
-	num   int
+// valuePosting is one declared (attr, value) pair's nodes, ascending by
+// id. Like a label posting it only grows at its end when nodes are
+// added, so its backing array and tail counter are shared along the
+// lineage in the same way (see labelTail and growPosting).
+type valuePosting struct {
+	ids  []NodeID
+	tail *atomic.Int64
 }
 
-// pid resolves a posting key through the overlay chain, newest first.
-// Keys appear in at most one chain member, so first hit wins.
-func (pt *postingTables) pid(pk postingKey) (int32, bool) {
-	for _, m := range pt.maps {
-		if pid, ok := m[pk]; ok {
-			return pid, true
-		}
+// postingSet maps each declared pair to its posting. A published set is
+// never written again: declaring a pair or applying a delta that moves
+// one publishes a copy.
+type postingSet map[postingKey]valuePosting
+
+// get returns pair pk's nodes and whether pk is declared in ps, which
+// may be nil.
+func (ps *postingSet) get(pk postingKey) ([]NodeID, bool) {
+	if ps == nil {
+		return nil, false
 	}
-	return 0, false
-}
-
-func (pt *postingTables) at(pid int32) []NodeID {
-	return pt.pages[pid>>pageShift][pid&pageMask]
-}
-
-func (pt *postingTables) lookup(pk postingKey) []NodeID {
-	pid, ok := pt.pid(pk)
-	if !ok {
-		return nil
-	}
-	return pt.at(pid)
-}
-
-// postingEdit is one membership change of a posting: id joined (or,
-// when del, left) the (attr, value) pair's node set.
-type postingEdit struct {
-	id  NodeID
-	del bool
-}
-
-// postingBatch is one delta's worth of posting edits, keyed by pair;
-// per-pair edits are in write order, so the last edit per id wins.
-type postingBatch map[postingKey][]postingEdit
-
-// replayPosting applies batches' edits for pk, in order, to the sorted
-// base list, returning a fresh slice (never aliasing base).
-func replayPosting(base []NodeID, batches []postingBatch, pk postingKey) []NodeID {
-	out := append(make([]NodeID, 0, len(base)+4), base...)
-	for _, b := range batches {
-		for _, e := range b[pk] {
-			pos := sort.Search(len(out), func(k int) bool { return out[k] >= e.id })
-			present := pos < len(out) && out[pos] == e.id
-			switch {
-			case e.del && present:
-				out = append(out[:pos], out[pos+1:]...)
-			case !e.del && !present:
-				out = append(out, 0)
-				copy(out[pos+1:], out[pos:])
-				out[pos] = e.id
-			}
-		}
-	}
-	return out
+	p, ok := (*ps)[pk]
+	return p.ids[:len(p.ids):len(p.ids)], ok // the spare capacity belongs to successors
 }
 
 // identity ids are shared process-wide: every snapshot's Nodes() is a
@@ -754,7 +700,8 @@ func (s *Snapshot) InDegree(id NodeID) int { return len(s.inSeg(id).ids) }
 
 // Lookup returns the nodes with attribute a equal to v, ascending by
 // id — the access path that turns constant antecedent literals into
-// index probes. The postings are materialized on first use.
+// index probes. The first lookup of a pair declares it (see
+// LookupAttrID).
 func (s *Snapshot) Lookup(a Attr, v Value) []NodeID {
 	aid, ok := s.attrIDs[a]
 	if !ok {
@@ -764,153 +711,37 @@ func (s *Snapshot) Lookup(a Attr, v Value) []NodeID {
 }
 
 // LookupAttrID is Lookup for a resolved attribute symbol — the form
-// compiled matcher plans re-resolve their pushed-down literal postings
-// through on every rebind, since attr symbols are append-only within a
-// snapshot lineage while the posting contents move with each Apply.
+// compiled matcher plans fetch their pushed-down literal postings
+// through, at Compile and on every rebind. The first lookup of a pair
+// on a snapshot declares it: one scan of the attribute column builds
+// its posting, and every snapshot Apply derives from this one keeps it
+// up to date, so a later lookup there is one map read.
 func (s *Snapshot) LookupAttrID(aid int32, v Value) []NodeID {
 	pk := postingKey{attr: aid, val: v}
-	if s.postingsReady.Load() {
-		return s.postings.lookup(pk)
-	}
-	if s.postingBase != nil {
-		return s.lookupViaBase(pk)
-	}
-	s.ensurePostings()
-	return s.postings.lookup(pk)
-}
-
-// lookupViaBase serves a posting of a delta-maintained, not yet
-// materialized snapshot: a pair the pending batches never touched
-// comes straight from the materialized ancestor's table; a dirty pair
-// is rebuilt once (base + replayed edits) and memoized.
-func (s *Snapshot) lookupViaBase(pk postingKey) []NodeID {
-	s.postingsMu.Lock()
-	defer s.postingsMu.Unlock()
-	if s.postingsReady.Load() {
-		// Materialized while we waited for the lock.
-		return s.postings.lookup(pk)
-	}
-	if l, ok := s.postingPatch[pk]; ok {
-		return l
-	}
-	dirty := false
-	for _, b := range s.postingPending {
-		if _, ok := b[pk]; ok {
-			dirty = true
-			break
-		}
-	}
-	base := s.postingBase.lookup(pk)
-	if !dirty {
-		return base
-	}
-	l := replayPosting(base, s.postingPending, pk)
-	if s.postingPatch == nil {
-		s.postingPatch = make(map[postingKey][]NodeID)
-	}
-	s.postingPatch[pk] = l
-	return l
-}
-
-// PostingID returns the interned id of the (a, v) posting and whether
-// any node carries that binding, materializing the postings if needed.
-// Posting ids are dense and stable for the life of one snapshot;
-// across Apply they stay aligned while the lineage compacts its
-// pending batches in sequence, but a lazily rebuilt child may assign
-// them afresh — resolve by (attr symbol, value) when crossing
-// snapshots, as Plan.Rebind does.
-func (s *Snapshot) PostingID(a Attr, v Value) (int32, bool) {
-	aid, ok := s.attrIDs[a]
-	if !ok {
-		return 0, false
-	}
-	s.ensurePostings()
-	return s.postings.pid(postingKey{attr: aid, val: v})
-}
-
-// PostingByID returns the sorted node list of an interned posting id.
-func (s *Snapshot) PostingByID(pid int32) []NodeID {
-	s.ensurePostings()
-	if pid < 0 || int(pid) >= s.postings.num {
-		return nil
-	}
-	return s.postings.at(pid)
-}
-
-// NumPostings returns the number of distinct (attr, value) pairs,
-// materializing the postings if needed.
-func (s *Snapshot) NumPostings() int {
-	s.ensurePostings()
-	return s.postings.num
-}
-
-// ensurePostings materializes the value postings once; concurrent
-// readers either see the ready flag (acquire) or serialize on the
-// build lock. A snapshot holding a materialized base compacts base +
-// pending batches — cost proportional to the edits and the postings
-// they touch; only a snapshot with no materialized ancestor scans its
-// attribute segments.
-func (s *Snapshot) ensurePostings() {
-	if s.postingsReady.Load() {
-		return
+	if ids, ok := s.postings.Load().get(pk); ok {
+		return ids
 	}
 	s.postingsMu.Lock()
 	defer s.postingsMu.Unlock()
-	if s.postingsReady.Load() {
-		return
+	old := s.postings.Load()
+	if ids, ok := old.get(pk); ok {
+		return ids
 	}
-	if s.postingBase != nil {
-		s.postings = compactPostings(s.postingBase, s.postingPending)
-	} else {
-		s.buildPostings()
-	}
-	s.postingsReady.Store(true)
-}
-
-// buildPostings folds the attribute segments into interned (attr,
-// value) postings.
-func (s *Snapshot) buildPostings() {
-	// Pass one interns the pairs, counting each posting and noting every
-	// row's id; pass two carves the postings out of one arena and fills
-	// them, so a graph of mostly distinct values does not pay an
-	// allocation per pair.
-	ids := make(map[postingKey]int32)
-	var counts []int32
-	var rowPid []int32
+	var ids []NodeID
 	for i := 0; i < s.numNodes; i++ {
-		seg := s.attrSeg(NodeID(i))
-		for k := range seg.key {
-			pk := postingKey{attr: seg.key[k], val: seg.val[k]}
-			pid, ok := ids[pk]
-			if !ok {
-				pid = int32(len(counts))
-				ids[pk] = pid
-				counts = append(counts, 0)
-			}
-			counts[pid]++
-			rowPid = append(rowPid, pid)
+		if val, ok := s.AttrValueID(NodeID(i), aid); ok && val == v {
+			ids = append(ids, NodeID(i))
 		}
 	}
-	arena := make([]NodeID, len(rowPid))
-	lists := make([][]NodeID, len(counts))
-	off := int32(0)
-	for pid, c := range counts {
-		lists[pid] = arena[off : off : off+c]
-		off += c
+	tail := new(atomic.Int64)
+	tail.Store(int64(len(ids)))
+	next := postingSet{}
+	if old != nil {
+		next = maps.Clone(*old)
 	}
-	row := 0
-	for i := 0; i < s.numNodes; i++ {
-		for range s.attrSeg(NodeID(i)).key {
-			pid := rowPid[row]
-			lists[pid] = append(lists[pid], NodeID(i))
-			row++
-		}
-	}
-	s.postings = &postingTables{
-		maps:  []map[postingKey]int32{ids},
-		pages: pagesOf(lists),
-		num:   len(lists),
-	}
+	next[pk] = valuePosting{ids: ids, tail: tail}
+	s.postings.Store(&next)
+	return ids[:len(ids):len(ids)]
 }
 
 // HasAttr reports whether any node carries attribute a.

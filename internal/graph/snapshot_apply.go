@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -83,15 +86,16 @@ type epatch struct {
 }
 
 // Apply produces the snapshot of the graph after delta d, in time
-// proportional to |Δ| plus the adjacency, attribute tuples and touched
-// value postings of the touched nodes — not the graph. The result
-// shares every untouched page, label posting and symbol table with s;
-// both snapshots remain fully usable and immutable. Materialized value
-// postings (Lookup/PostingID) are carried forward copy-on-write at
-// posting granularity, so compiled plans with pushed-down constant
-// literals follow a delta-maintained snapshot without an O(|G|)
-// posting rebuild; postings a parent never materialized stay lazy in
-// the child.
+// proportional to |Δ| plus the adjacency and attribute tuples of the
+// touched nodes — not the graph. The result shares every untouched
+// page, label posting and symbol table with s; both snapshots remain
+// fully usable and immutable. The value postings s declared (see
+// LookupAttrID) are carried forward and updated eagerly: added nodes
+// are appended at a posting's end, in place when the child claims its
+// tail, and a node an overwrite moves into or out of a declared pair
+// costs one copy of that posting per Apply. A delta that writes no
+// declared pair leaves the set shared with s, so compiled plans with
+// pushed-down constant literals rebind at the cost of a map read.
 //
 // d.FromVersion must equal s.SourceVersion(): deltas compose in
 // sequence, exactly as Graph.DeltaSince hands them out. Apply panics on
@@ -180,7 +184,7 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 
 	// Label postings and degree totals: outer slices cloned on first
 	// touch; a posting gaining nodes grows at its end, in place when
-	// this snapshot claims its tail (see reservePosting).
+	// this snapshot claims its tail (see growPosting).
 	ownPostings := false
 	ensureLabelTables := func(minLen int) {
 		if !ownPostings {
@@ -227,7 +231,7 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 		}
 		for lid, k := range added {
 			if k > 0 {
-				ns.reservePosting(int32(lid), k)
+				ns.labelNodes[lid], ns.labelTail[lid] = growPosting(ns.labelNodes[lid], ns.labelTail[lid], k)
 			}
 		}
 		for i, lid := range newLids {
@@ -262,28 +266,10 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 		mergePatches(inPP, inAdd, nil)
 	}
 
-	// Posting maintenance is lazy: when the parent carries materialized
-	// postings (its own or an ancestor's base), the child inherits the
-	// base tables plus the pending edit batches, and this delta's
-	// attribute writes are recorded as one more batch. Reads then serve
-	// untouched pairs from the base for free and rebuild only the pairs
-	// someone actually asks for; a deep pending chain compacts here.
-	var postingBase *postingTables
-	var pending []postingBatch
-	if s.postingsReady.Load() {
-		postingBase = s.postings
-	} else if s.postingBase != nil {
-		postingBase = s.postingBase
-		pending = s.postingPending
-	}
-	var batch postingBatch
-	record := func(aid int32, v Value, id NodeID, del bool) {
-		if batch == nil {
-			batch = make(postingBatch)
-		}
-		pk := postingKey{attr: aid, val: v}
-		batch[pk] = append(batch[pk], postingEdit{id: id, del: del})
-	}
+	// Declared value postings: the attribute pass below notes every
+	// join and leave of a declared pair as a posting edit.
+	decl := s.postings.Load()
+	var edits []postingEdit
 
 	// --- attribute writes ---
 	if len(d.Attrs) > 0 {
@@ -323,15 +309,8 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 				aid := internAttr(w.Attr)
 				pos := sort.Search(len(key), func(k int) bool { return key[k] >= aid })
 				if pos < len(key) && key[pos] == aid {
-					if postingBase != nil && !val[pos].Equal(w.Value) {
-						record(aid, val[pos], id, true)
-						record(aid, w.Value, id, false)
-					}
 					val[pos] = w.Value
 				} else {
-					if postingBase != nil {
-						record(aid, w.Value, id, false)
-					}
 					key = append(key, 0)
 					copy(key[pos+1:], key[pos:])
 					key[pos] = aid
@@ -340,28 +319,19 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 					val[pos] = w.Value
 				}
 			}
+			if decl != nil {
+				edits = decl.edits(edits, id, seg, key, val)
+			}
 			attrPP.set(id, attrSeg{key: key[:len(key):len(key)], val: val[:len(val):len(val)]})
 			lo = hi
 		}
 	}
 
-	if postingBase != nil {
-		if batch != nil {
-			pending = append(append(make([]postingBatch, 0, len(pending)+1), pending...), batch)
-		}
-		switch {
-		case len(pending) == 0:
-			// Nothing moved a posting: the base describes the child
-			// verbatim (node and edge additions never touch one).
-			ns.postings = postingBase
-			ns.postingsReady.Store(true)
-		case len(pending) > postingChainMax:
-			ns.postings = compactPostings(postingBase, pending)
-			ns.postingsReady.Store(true)
-		default:
-			ns.postingBase = postingBase
-			ns.postingPending = pending
-		}
+	switch {
+	case len(edits) > 0:
+		ns.postings.Store(decl.apply(edits))
+	case decl != nil:
+		ns.postings.Store(decl)
 	}
 
 	ns.nodeLabel = nodeLabelPP.pgs
@@ -371,82 +341,119 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 	return ns
 }
 
-// reservePosting makes room for k more nodes at the end of label lid's
-// posting, in a backing array this snapshot alone may write past its
-// current length: the shared one when it can claim that length (see
-// labelTail), else a copy with room to grow.
-func (ns *Snapshot) reservePosting(lid int32, k int) {
-	old := ns.labelNodes[lid]
-	if t := ns.labelTail[lid]; t != nil && cap(old)-len(old) >= k &&
-		t.CompareAndSwap(int64(len(old)), int64(len(old)+k)) {
-		return
+// growPosting makes room for k more ids at the end of posting p, whose
+// backing array's claimed length is tail: the shared array when the
+// caller can claim p's length, else a copy with room to grow. One
+// snapshot per length wins the claim; every snapshot reads only up to
+// its own length, so the ids the winner appends are invisible to the
+// rest, and a posting that only grows costs O(added), not O(posting).
+func growPosting(p []NodeID, tail *atomic.Int64, k int) ([]NodeID, *atomic.Int64) {
+	if tail != nil && cap(p)-len(p) >= k && tail.CompareAndSwap(int64(len(p)), int64(len(p)+k)) {
+		return p, tail
 	}
-	grown := make([]NodeID, len(old), 2*(len(old)+k))
-	copy(grown, old)
-	t := new(atomic.Int64)
-	t.Store(int64(len(old) + k))
-	ns.labelNodes[lid], ns.labelTail[lid] = grown, t
+	grown := make([]NodeID, len(p), 2*(len(p)+k))
+	copy(grown, p)
+	tail = new(atomic.Int64)
+	tail.Store(int64(len(p) + k))
+	return grown, tail
 }
 
-// postingChainMax bounds the pending-batch chain: a chain past this
-// depth is compacted into a fresh materialized table at Apply time, so
-// both per-lookup replay cost and ancestor-table retention stay
-// bounded. Compaction reuses the overlay-map scheme: the new
-// generation gets a small private pid map in front of the base's, and
-// the base's accumulated overlays merge once they pile up — the large
-// root map built at materialization is never copied.
-const postingChainMax = 8
+// postingEdit is one declared posting's membership change: id joins (or,
+// when leave, leaves) pair key's nodes.
+type postingEdit struct {
+	key   postingKey
+	id    NodeID
+	leave bool
+}
 
-// compactPostings folds pending edit batches into base, producing a
-// fresh materialized table. Cost is proportional to the batches and
-// the size of the postings they touch; untouched pages and postings
-// are shared with base copy-on-write.
-func compactPostings(base *postingTables, pending []postingBatch) *postingTables {
-	over := make(map[postingKey]int32)
-	var maps []map[postingKey]int32
-	if len(base.maps) >= postingChainMax {
-		// Merge the base's overlays (all small), keep its root as is.
-		// Keys appear in at most one chain member, so fold order is
-		// free.
-		overlays := base.maps[:len(base.maps)-1]
-		total := 0
-		for _, m := range overlays {
-			total += len(m)
-		}
-		merged := make(map[postingKey]int32, total+8)
-		for _, m := range overlays {
-			for k, v := range m {
-				merged[k] = v
-			}
-		}
-		maps = []map[postingKey]int32{over, merged, base.maps[len(base.maps)-1]}
-	} else {
-		maps = append(append(make([]map[postingKey]int32, 0, len(base.maps)+1), over), base.maps...)
-	}
-	pt := &postingTables{maps: maps, num: base.num}
-	pp := newPagedPatch(base.pages)
-	done := make(map[postingKey]bool)
-	for _, b := range pending {
-		for pk := range b {
-			if done[pk] {
+// edits appends the edits of node id's tuple going from old to (key,
+// val), both ascending by attribute symbol: a leave of each declared
+// pair the node no longer carries and a join of each it newly does.
+// Attributes are never unset, so every key of old is in key.
+func (ps *postingSet) edits(buf []postingEdit, id NodeID, old attrSeg, key []int32, val []Value) []postingEdit {
+	i := 0
+	for k, aid := range key {
+		if i < len(old.key) && old.key[i] == aid {
+			prev := old.val[i]
+			i++
+			if prev == val[k] {
 				continue
 			}
-			done[pk] = true
-			var old []NodeID
-			pid, ok := pt.pid(pk)
-			if ok {
-				old = pp.at(NodeID(pid))
-			} else {
-				pid = int32(pt.num)
-				pt.num++
-				over[pk] = pid
-				pp.extend(int(pid), [][]NodeID{nil})
+			if pk := (postingKey{aid, prev}); ps.declared(pk) {
+				buf = append(buf, postingEdit{key: pk, id: id, leave: true})
 			}
-			pp.set(NodeID(pid), replayPosting(old, pending, pk))
+		}
+		if pk := (postingKey{aid, val[k]}); ps.declared(pk) {
+			buf = append(buf, postingEdit{key: pk, id: id})
 		}
 	}
-	pt.pages = pp.pgs
-	return pt
+	return buf
+}
+
+func (ps *postingSet) declared(pk postingKey) bool {
+	_, ok := ps.get(pk)
+	return ok
+}
+
+// apply returns the set after edits, collected in ascending node order:
+// a copy sharing every posting the edits leave alone. A posting that
+// only gains ids past its end grows in place (growPosting); any other
+// edited posting is merged into a fresh array once.
+func (ps *postingSet) apply(edits []postingEdit) *postingSet {
+	slices.SortStableFunc(edits, func(a, b postingEdit) int {
+		if a.key.attr != b.key.attr {
+			return cmp.Compare(a.key.attr, b.key.attr)
+		}
+		return a.key.val.Compare(b.key.val)
+	})
+	next := maps.Clone(*ps)
+	for lo := 0; lo < len(edits); {
+		hi := lo + 1
+		for hi < len(edits) && edits[hi].key == edits[lo].key {
+			hi++
+		}
+		pk := edits[lo].key
+		next[pk] = next[pk].apply(edits[lo:hi])
+		lo = hi
+	}
+	return &next
+}
+
+// apply returns p after es, its edits in ascending id order.
+func (p valuePosting) apply(es []postingEdit) valuePosting {
+	appendOnly := len(p.ids) == 0 || es[0].id > p.ids[len(p.ids)-1]
+	joins := 0
+	for _, e := range es {
+		if e.leave {
+			appendOnly = false
+		} else {
+			joins++
+		}
+	}
+	if appendOnly {
+		ids, tail := growPosting(p.ids, p.tail, len(es))
+		for _, e := range es {
+			ids = append(ids, e.id)
+		}
+		return valuePosting{ids: ids, tail: tail}
+	}
+	ids := make([]NodeID, 0, len(p.ids)+joins)
+	i := 0
+	for _, e := range es {
+		for i < len(p.ids) && p.ids[i] < e.id {
+			ids = append(ids, p.ids[i])
+			i++
+		}
+		if e.leave {
+			i++ // p.ids[i] == e.id: a leaving node carried the pair
+		} else {
+			ids = append(ids, e.id)
+		}
+	}
+	ids = append(ids, p.ids[i:]...)
+	tail := new(atomic.Int64)
+	tail.Store(int64(len(ids)))
+	return valuePosting{ids: ids, tail: tail}
 }
 
 // sortPatches orders edge patches by (owner, label, endpoint) and drops

@@ -116,7 +116,6 @@ func TestSnapshotEdgesAndNeighbors(t *testing.T) {
 func TestSnapshotFoldedAttrIndex(t *testing.T) {
 	g := buildDemo()
 	s := g.Freeze()
-	idx := BuildAttrIndex(g)
 	cases := []struct {
 		a Attr
 		v Value
@@ -125,7 +124,7 @@ func TestSnapshotFoldedAttrIndex(t *testing.T) {
 		{"name", String("nobody")}, {"zz", Int(1)},
 	}
 	for _, c := range cases {
-		want := idx.Lookup(c.a, c.v)
+		want := attrFilter(g, c.a, c.v)
 		got := s.Lookup(c.a, c.v)
 		if !sameIDSet(got, want) {
 			t.Errorf("Lookup(%s,%v) = %v, want %v", c.a, c.v, got, want)
@@ -241,10 +240,9 @@ func TestSnapshotRandomEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: candidates differ for %s", trial, l)
 			}
 		}
-		idx := BuildAttrIndex(g)
 		for _, a := range attrs {
 			for v := 0; v < 3; v++ {
-				if !sameIDSet(s.Lookup(a, Int(v)), idx.Lookup(a, Int(v))) {
+				if !sameIDSet(s.Lookup(a, Int(v)), attrFilter(g, a, Int(v))) {
 					t.Fatalf("trial %d: postings differ for %s=%d", trial, a, v)
 				}
 			}

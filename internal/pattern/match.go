@@ -281,8 +281,8 @@ func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 	// Pushed-down postings are per-snapshot: attr symbols carry over
 	// (append-only within a lineage, re-resolved if they appeared since
 	// Compile) but the posting contents move with every Apply, so they
-	// are re-fetched here — at pattern cost, through the posting index
-	// the snapshot maintains across deltas.
+	// are re-fetched here. Compile declared each pair on the lineage and
+	// Apply keeps it current, so a re-fetch is one map read.
 	if len(pl.filters) > 0 {
 		nf := make([][]cfilter, len(pl.varFilt))
 		for i, fs := range pl.varFilt {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -201,6 +202,62 @@ func TestThreeFormDifferential(t *testing.T) {
 	}
 	if forms["GED"] == 0 || forms["GDC"] == 0 || forms["GED∨"] == 0 || violations == 0 {
 		t.Fatalf("differential is vacuous: forms %v, %d violations", forms, violations)
+	}
+}
+
+// TestPostingsThreeForms: the value postings a session's rules declare
+// — the constant antecedent literals x.A = c of GEDs, GDCs and GED∨s,
+// which Open pushes down — equal a brute-force filter of the attribute
+// column in every snapshot of the session's lineage, the older ones
+// included, as deltas advance it.
+func TestPostingsThreeForms(t *testing.T) {
+	ctx := context.Background()
+	type pair struct {
+		a gedlib.Attr
+		v gedlib.Value
+	}
+	pairs := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		sigma := threeFormSigma(seed)
+		var declared []pair
+		for _, d := range sigma {
+			for _, l := range d.X {
+				if k, ok := l.Kind(); ok && k == gedlib.ConstLiteral {
+					declared = append(declared, pair{l.Left.Attr, l.Right.Const})
+				}
+			}
+		}
+		pairs += len(declared)
+		rng := rand.New(rand.NewSource(seed))
+		g := randomFormGraph(rng, 12)
+		s, err := gedlib.New().Open(ctx, g, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lineage := []*gedlib.Snapshot{s.Snapshot()}
+		for step := 0; step < 8; step++ {
+			mutateFormGraph(rng, g)
+			if _, err := s.Apply(ctx, g.DeltaSince(s.Snapshot().SourceVersion())); err != nil {
+				t.Fatal(err)
+			}
+			lineage = append(lineage, s.Snapshot())
+			for i, snap := range lineage {
+				for _, p := range declared {
+					var want []gedlib.NodeID
+					for _, id := range snap.Nodes() {
+						if v, ok := snap.Attr(id, p.a); ok && v == p.v {
+							want = append(want, id)
+						}
+					}
+					if got := snap.Lookup(p.a, p.v); !slices.Equal(got, want) {
+						t.Fatalf("seed %d step %d snapshot %d: Lookup(%s,%v) = %v, want %v", seed, step, i, p.a, p.v, got, want)
+					}
+				}
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("differential is vacuous: no rule pushes a constant literal down")
 	}
 }
 

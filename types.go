@@ -41,10 +41,10 @@ type GraphEdge = graph.Edge
 // Snapshot is a frozen, read-optimized view of a Graph, built with
 // Graph.Freeze(): labels, attribute names and values interned into
 // dense ints, CSR adjacency grouped and sorted by edge label, per-label
-// node postings, degree statistics, and the attribute-value index
-// folded in. Snapshots are immutable and safe for concurrent readers;
-// a Session holds one per graph and advances it by deltas, so most
-// callers never build one explicitly.
+// node postings, degree statistics, and value postings for the
+// (attribute, value) pairs looked up on it. Snapshots are immutable and
+// safe for concurrent readers; a Session holds one per graph and
+// advances it by deltas, so most callers never build one explicitly.
 type Snapshot = graph.Snapshot
 
 // Delta is an add-only batch of graph changes between two values of
