@@ -20,7 +20,7 @@ import (
 var updateAPI = flag.Bool("update", false, "rewrite testdata/api/*.txt from the current exported API")
 
 // publicPackages are the module's importable packages, by directory.
-var publicPackages = []string{".", "gdc", "gedor", "workload", "serve", "persist", "persist/fault"}
+var publicPackages = []string{".", "workload", "serve", "persist", "persist/fault"}
 
 // TestPublicAPI renders each public package's exported API with go/doc,
 // one declaration a line, and diffs it against testdata/api/<pkg>.txt,
@@ -30,6 +30,7 @@ var publicPackages = []string{".", "gdc", "gedor", "workload", "serve", "persist
 // -update to rewrite the goldens.
 func TestPublicAPI(t *testing.T) {
 	r := apiRenderer{fset: token.NewFileSet(), pkgs: map[string]*apiPackage{}}
+	goldens, _ := filepath.Glob(filepath.Join("testdata", "api", "*.txt"))
 	for _, dir := range publicPackages {
 		got := r.render(dir)
 		name := "gedlib"
@@ -37,6 +38,7 @@ func TestPublicAPI(t *testing.T) {
 			name = strings.ReplaceAll(dir, "/", "_")
 		}
 		path := filepath.Join("testdata", "api", name+".txt")
+		goldens = slices.DeleteFunc(goldens, func(g string) bool { return g == path })
 		if *updateAPI {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
@@ -54,6 +56,9 @@ func TestPublicAPI(t *testing.T) {
 			t.Errorf("exported API of %s changed; diff against %s:\n%s\n(run go test -run TestPublicAPI -update . if the change is intended, and name it in CHANGES.md)",
 				dir, path, lineDiff(string(want), got))
 		}
+	}
+	for _, g := range goldens {
+		t.Errorf("%s belongs to no public package; delete it with the package", g)
 	}
 }
 

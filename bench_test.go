@@ -19,8 +19,6 @@ import (
 	"testing"
 
 	"gedlib"
-	"gedlib/gdc"
-	"gedlib/gedor"
 	"gedlib/workload"
 )
 
@@ -109,20 +107,20 @@ func BenchmarkSatGFDxConstant(b *testing.B) {
 }
 
 func BenchmarkSatGDCDomain(b *testing.B) {
-	dom := gdc.DomainConstraint("tau", "A", gedlib.Int(0), gedlib.Int(1))
+	dom := workload.DomainGDCs("tau", "A", gedlib.Int(0), gedlib.Int(1))
 	for i := 0; i < b.N; i++ {
-		if gdc.CheckSat(dom).Satisfiable != gdc.True {
+		if r, err := benchEng.CheckSat(benchCtx, dom); err != nil || !r.Satisfiable {
 			b.Fatal("domain must be satisfiable")
 		}
 	}
 }
 
 func BenchmarkSatGEDorDomain(b *testing.B) {
-	psi := gedor.DomainConstraint("tau", "A", gedlib.Int(0), gedlib.Int(1))
-	psi2 := gedor.DomainConstraint("tau", "B", gedlib.Int(3), gedlib.Int(4), gedlib.Int(5))
+	psi := workload.DomainGEDor("tau", "A", gedlib.Int(0), gedlib.Int(1))
+	psi2 := workload.DomainGEDor("tau", "B", gedlib.Int(3), gedlib.Int(4), gedlib.Int(5))
 	sigma := gedlib.RuleSet{psi, psi2}
 	for i := 0; i < b.N; i++ {
-		if gedor.CheckSat(sigma).Satisfiable != gedor.True {
+		if r, err := benchEng.CheckSat(benchCtx, sigma); err != nil || !r.Satisfiable {
 			b.Fatal("domains must be satisfiable")
 		}
 	}
@@ -173,12 +171,12 @@ func BenchmarkImplGEDKeyWeakening(b *testing.B) {
 func BenchmarkImplGDCOrder(b *testing.B) {
 	q := gedlib.NewPattern()
 	q.AddVar("x", "p")
-	lt5 := gedlib.RuleSet{gdc.New("lt5", q, nil, []gedlib.Literal{gedlib.Cmp("x", "a", gedlib.OpLt, gedlib.Int(5))})}
+	lt5 := gedlib.RuleSet{gedlib.NewRule("lt5", q, nil, []gedlib.Literal{gedlib.Cmp("x", "a", gedlib.OpLt, gedlib.Int(5))})}
 	q2 := gedlib.NewPattern()
 	q2.AddVar("x", "p")
-	lt10 := gdc.New("lt10", q2, nil, []gedlib.Literal{gedlib.Cmp("x", "a", gedlib.OpLt, gedlib.Int(10))})
+	lt10 := gedlib.NewRule("lt10", q2, nil, []gedlib.Literal{gedlib.Cmp("x", "a", gedlib.OpLt, gedlib.Int(10))})
 	for i := 0; i < b.N; i++ {
-		gdc.Implies(lt5, lt10)
+		benchEng.Implies(benchCtx, lt5, lt10)
 	}
 }
 
@@ -188,15 +186,20 @@ func BenchmarkImplGEDorCaseSplit(b *testing.B) {
 		p.AddVar("x", "tau")
 		return p
 	}
-	dom := gedor.DomainConstraint("tau", "A", gedlib.Int(0), gedlib.Int(1))
-	c0 := gedor.New("c0", q(), []gedlib.Literal{gedlib.ConstLit("x", "A", gedlib.Int(0))},
+	or := func(name string, x, y []gedlib.Literal) *gedlib.Rule {
+		r := gedlib.NewRule(name, q(), x, y)
+		r.Disjunctive = true
+		return r
+	}
+	dom := workload.DomainGEDor("tau", "A", gedlib.Int(0), gedlib.Int(1))
+	c0 := or("c0", []gedlib.Literal{gedlib.ConstLit("x", "A", gedlib.Int(0))},
 		[]gedlib.Literal{gedlib.ConstLit("x", "B", gedlib.Int(5))})
-	c1 := gedor.New("c1", q(), []gedlib.Literal{gedlib.ConstLit("x", "A", gedlib.Int(1))},
+	c1 := or("c1", []gedlib.Literal{gedlib.ConstLit("x", "A", gedlib.Int(1))},
 		[]gedlib.Literal{gedlib.ConstLit("x", "B", gedlib.Int(5))})
-	phi := gedor.New("phi", q(), nil, []gedlib.Literal{gedlib.ConstLit("x", "B", gedlib.Int(5))})
+	phi := or("phi", nil, []gedlib.Literal{gedlib.ConstLit("x", "B", gedlib.Int(5))})
 	sigma := gedlib.RuleSet{dom, c0, c1}
 	for i := 0; i < b.N; i++ {
-		if gedor.Implies(sigma, phi).Implied != gedor.True {
+		if r, err := benchEng.Implies(benchCtx, sigma, phi); err != nil || !r.Implied {
 			b.Fatal("case split must be implied")
 		}
 	}
@@ -263,7 +266,7 @@ func BenchmarkValidGDCDenial(b *testing.B) {
 	q := gedlib.NewPattern()
 	q.AddVar("e", "emp").AddVar("m", "emp")
 	q.AddEdge("e", "reports_to", "m")
-	dc := gdc.New("salary", q,
+	dc := gedlib.NewRule("salary", q,
 		[]gedlib.Literal{gedlib.CmpVars("e", "salary", gedlib.OpGt, "m", "salary")}, gedlib.False("e"))
 	g := gedlib.NewGraph()
 	var prev gedlib.NodeID = -1
@@ -280,7 +283,7 @@ func BenchmarkValidGDCDenial(b *testing.B) {
 }
 
 func BenchmarkValidGEDorDomain(b *testing.B) {
-	psi := gedor.DomainConstraint("account", "flag", gedlib.Int(0), gedlib.Int(1))
+	psi := workload.DomainGEDor("account", "flag", gedlib.Int(0), gedlib.Int(1))
 	g := gedlib.NewGraph()
 	for i := 0; i < 500; i++ {
 		g.AddNodeAttrs("account", map[gedlib.Attr]gedlib.Value{"flag": gedlib.Int(i % 3)})

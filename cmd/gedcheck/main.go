@@ -1,14 +1,17 @@
 // Command gedcheck runs the GED analyses from the command line:
 //
 //	gedcheck validate -graph g.json -rules deps.ged     # find violations
-//	gedcheck sat      -rules deps.ged                   # satisfiability + witness
-//	gedcheck implies  -rules deps.ged -target name      # Σ\{φ} ⊨ φ?
+//	gedcheck sat      -rules deps.ged                   # satisfiability + witness or conflict
+//	gedcheck implies  -rules deps.ged -target name      # Σ\{φ} ⊨ φ? + counterexample
 //	gedcheck prove    -rules deps.ged -target name      # A_GED proof of the implication
 //	gedcheck chase    -graph g.json -rules deps.ged     # chase a graph, print the quotient
 //	gedcheck discover -graph g.json                     # mine GFDs from a graph
 //
-// Every analysis honors -deadline (cancel the run after a duration) and
-// validate honors -workers (data-parallel validation). Graphs are JSON
+// validate, sat and implies take GEDs, GDCs and GED∨s alike; prove and
+// chase take GEDs only. sat and implies print the search's statistics
+// (chases, case-split branches, deepest split). Every analysis honors
+// -deadline (cancel the run after a duration) and validate honors
+// -workers (data-parallel validation). Graphs are JSON
 // (see gedlib.LoadGraph); rules use the DSL:
 //
 //	ged phi1 on (x:person)-[create]->(y:product) {
@@ -75,8 +78,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		printStats(r.Stats.Chases, r.Stats.Branches, r.Stats.Depth)
 		if !r.Satisfiable {
-			fmt.Println("unsatisfiable:", r.Chase.Eq.Conflict())
+			if r.Conflict != nil {
+				fmt.Println("unsatisfiable:", r.Conflict)
+			} else {
+				fmt.Println("unsatisfiable: every case split fails")
+			}
 			os.Exit(1)
 		}
 		fmt.Println("satisfiable; witness model:")
@@ -87,6 +95,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		printStats(r.Stats.Chases, r.Stats.Branches, r.Stats.Depth)
 		if r.Implied {
 			how := "by deduction"
 			if r.ByInconsistency {
@@ -95,7 +104,12 @@ func main() {
 			fmt.Printf("%s is implied %s\n", phi.Name, how)
 			return
 		}
-		fmt.Printf("%s is NOT implied; missing literal: %s\n", phi.Name, *r.Missing)
+		if r.Missing != nil {
+			fmt.Printf("%s is NOT implied; missing literal: %s\n", phi.Name, *r.Missing)
+		} else {
+			fmt.Printf("%s is NOT implied\n", phi.Name)
+		}
+		fmt.Print("counterexample:\n", r.Counterexample())
 		os.Exit(1)
 	case "prove":
 		sigma, phi := splitTarget(loadRules(*rulesPath), *target)
@@ -147,8 +161,26 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gedcheck validate|sat|implies|prove|chase|discover [flags]")
+	fmt.Fprint(os.Stderr, `usage: gedcheck validate|sat|implies|prove|chase|discover [flags]
+
+  validate -graph g.json -rules deps.ged    violations of the rules
+  sat      -rules deps.ged                  a witness model, or why there is none
+  implies  -rules deps.ged -target name     does the rest imply the target? else a counterexample
+  prove    -rules deps.ged -target name     an A_GED proof of the implication (GEDs only)
+  chase    -graph g.json -rules deps.ged    chase the graph (GEDs only)
+  discover -graph g.json                    mine GFDs from the graph
+
+Rules may be GEDs, GDCs and GED∨s except where noted. sat and implies
+fail with "no witness value fits between two adjacent strings" on the
+one case they cannot decide: a value bounded by two strings with no
+string between them.
+`)
 	os.Exit(2)
+}
+
+// printStats reports the work of a satisfiability or implication search.
+func printStats(chases, branches, depth int) {
+	fmt.Printf("search: %d chases, %d case-split branches, depth %d\n", chases, branches, depth)
 }
 
 func fatal(err error) {

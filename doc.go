@@ -17,13 +17,11 @@
 // programmatically (NewPattern, NewRule, NewKey, the literal
 // constructors); graphs load from JSON (LoadGraph) or are built with
 // NewGraph. A Rule is a GED, a GDC (ordered comparisons) or a GED∨
-// (disjunctive consequent), told apart by Rule.Form; validation takes
-// all three, the chase-based analyses GEDs only (ErrNotGED). The
-// workload subpackage exposes the paper's generators, and gdc and gedor
-// the extensions' satisfiability and implication. The machinery lives
-// under internal/; see README.md for the package map, the quickstart
-// and the DSL grammar. The benchmarks in bench_test.go regenerate
-// Table 1's shapes; run them with
+// (disjunctive consequent), told apart by Rule.Form; validation,
+// CheckSat and Implies take all three, the chase GEDs only (ErrNotGED).
+// The workload subpackage exposes the paper's generators, internal/ the
+// machinery; README.md has the package map, quickstart and DSL grammar.
+// The benchmarks in bench_test.go regenerate Table 1's shapes:
 //
 //	go test -bench=. -benchmem
 //

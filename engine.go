@@ -12,10 +12,10 @@ import (
 	"gedlib/internal/axiom"
 	"gedlib/internal/chase"
 	"gedlib/internal/discover"
+	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
 	"gedlib/internal/obs"
 	"gedlib/internal/optimize"
-	"gedlib/internal/reason"
 	"gedlib/internal/repair"
 )
 
@@ -23,10 +23,13 @@ import (
 // not converge within the bound set by WithChaseDepth.
 var ErrChaseDepthExceeded = chase.ErrDepthExceeded
 
-// ErrNotGED is wrapped by the errors of the Engine methods defined for
-// GEDs only — Chase, Repair, CheckSat, Implies, Prove, CheckProof and
-// OptimizeQuery — when a rule they are handed is a GDC or a GED∨.
+// ErrNotGED is wrapped by the errors of Chase, Repair, Prove, CheckProof
+// and OptimizeQuery, defined for GEDs only, when handed a GDC or a GED∨.
 var ErrNotGED = ged.ErrNotGED
+
+// ErrNoWitness is CheckSat's and Implies's one undecided case: a value
+// bounded by two strings with no string between them (see README).
+var ErrNoWitness = gdc.ErrNoWitness
 
 // Engine is the entry point of the library: one configured instance of
 // the paper's analyses. Every method takes a context.Context first and
@@ -254,19 +257,18 @@ func (e *Engine) Repair(ctx context.Context, g *Graph, sigma RuleSet) (*RepairRe
 	return repair.RunCtx(ctx, g, sigma, e.chaseDepth)
 }
 
-// CheckSat decides whether Σ is satisfiable in the strong sense of
-// Section 5.1 — has a model in which every pattern matches — by chasing
-// the canonical graph G_Σ (Theorem 2). The result carries a certified
-// witness model when satisfiable.
+// CheckSat decides whether Σ (GEDs, GDCs and GED∨s mixed) has a model in
+// which every pattern matches (Section 5.1), by the chase of G_Σ
+// (Theorem 2) branching on GDCs and GED∨s (Theorems 8 and 9). Beyond
+// ctx's error and ErrChaseDepthExceeded it fails only with ErrNoWitness.
 func (e *Engine) CheckSat(ctx context.Context, sigma RuleSet) (*SatResult, error) {
-	return reason.CheckSatCtx(ctx, sigma, e.chaseDepth)
+	return gdc.CheckSat(ctx, sigma, e.chaseDepth)
 }
 
-// Implies decides Σ ⊨ φ by chasing φ's canonical graph from Eq_X
-// (Theorem 4). When not implied, the result names the first consequent
-// literal that could not be deduced.
+// Implies decides Σ ⊨ φ for rules of any form by the chase of φ's pattern
+// from its antecedent (Theorem 4), branching as CheckSat's does.
 func (e *Engine) Implies(ctx context.Context, sigma RuleSet, phi *Rule) (*ImplResult, error) {
-	return reason.ImpliesCtx(ctx, sigma, phi, e.chaseDepth)
+	return gdc.Implies(ctx, sigma, phi, e.chaseDepth)
 }
 
 // Prove constructs a machine-checkable A_GED derivation of Σ ⊢ φ

@@ -8,16 +8,16 @@ import (
 	"strings"
 	"testing"
 
+	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
-	"gedlib/internal/reason"
 )
 
 // chaseImplies is the chase-based decision of Theorem 4, the reference
 // every proof verdict is checked against.
 func chaseImplies(sigma ged.Set, phi *ged.GED) bool {
-	r, err := reason.ImpliesCtx(context.Background(), sigma, phi, 0)
+	r, err := gdc.Implies(context.Background(), sigma, phi, 0)
 	return err == nil && r.Implied
 }
 

@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"gedlib/internal/chase"
+	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
@@ -103,7 +104,7 @@ func GFDsOnCtx(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, opt Op
 				kept = append(kept, k.GED)
 			}
 			if len(kept) > 0 {
-				impl, err := reason.ImpliesCtx(ctx, kept, d.GED, maxRounds)
+				impl, err := gdc.Implies(ctx, kept, d.GED, maxRounds)
 				switch {
 				case errors.Is(err, chase.ErrDepthExceeded):
 					// Implication unknown within the bound: keep the

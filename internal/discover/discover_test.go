@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
 	"gedlib/internal/gen"
 	"gedlib/internal/graph"
@@ -128,7 +129,7 @@ func TestDiscoverPrunesImplied(t *testing.T) {
 		kept = append(kept, d.GED)
 	}
 	for _, d := range unpruned {
-		if r, _ := reason.ImpliesCtx(context.Background(), kept, d.GED, 0); !r.Implied {
+		if r, _ := gdc.Implies(context.Background(), kept, d.GED, 0); !r.Implied {
 			t.Errorf("pruned set lost information: %s", d.GED)
 		}
 	}

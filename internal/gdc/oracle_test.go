@@ -29,61 +29,36 @@ import (
 	"gedlib/internal/reason"
 )
 
-// oracleUnknownBound is the number of Unknown answers the solver gives
-// over every question of TestSmallModelOracle, which a change may lower
-// but not raise. No instance here comes near the search budget.
-const oracleUnknownBound = 0
-
-// TestSmallModelOracle cross-examines reason's chase decisions and the
-// solver against the brute-force oracle on random GED, GDC, GED∨ and
-// mixed instances: definite verdicts must agree with it, and every
-// model or counterexample must pass the validator.
+// TestSmallModelOracle cross-examines the solver against the
+// brute-force oracle on random GED, GDC, GED∨ and mixed instances: every
+// question gets an answer, it agrees with the oracle, and every model
+// and counterexample passes the validator.
 func TestSmallModelOracle(t *testing.T) {
-	unknown, total := 0, 0
+	ctx := context.Background()
 	for _, kind := range []instanceKind{kindGED, kindGDC, kindGEDor, kindMixed} {
 		rng := rand.New(rand.NewSource(int64(17 + kind)))
 		for trial := 0; trial < 120; trial++ {
 			sigma, phi := randomInstance(rng, kind)
-			total++
 			wantSat := oracleSat(sigma)
 			wantImpl := oracleImplies(sigma, phi)
 			where := func() string { return fmt.Sprintf("%s trial %d\nΣ = %v\nφ = %v", kind, trial, sigma, phi) }
-			if kind == kindGED {
-				r, err := reason.CheckSatCtx(context.Background(), sigma, 0)
-				if err != nil || r.Satisfiable != wantSat {
-					t.Fatalf("reason.CheckSat = %v (%v), oracle %v: %s", r.Satisfiable, err, wantSat, where())
-				}
-				if r.Satisfiable && !reason.IsModel(r.Model, sigma) {
-					t.Fatalf("reason.CheckSat's model is not a model: %s", where())
-				}
-				ri, err := reason.ImpliesCtx(context.Background(), sigma, phi, 0)
-				if err != nil || ri.Implied != wantImpl {
-					t.Fatalf("reason.Implies = %v (%v), oracle %v: %s", ri.Implied, err, wantImpl, where())
-				}
-			}
-			switch r := gdc.CheckSat(sigma); {
-			case r.Satisfiable == gdc.Unknown:
-				unknown++
-				t.Logf("CheckSat unknown: %s", where())
-			case (r.Satisfiable == gdc.True) != wantSat:
+			switch r, err := gdc.CheckSat(ctx, sigma, 0); {
+			case err != nil:
+				t.Fatalf("CheckSat: %v: %s", err, where())
+			case r.Satisfiable != wantSat:
 				t.Fatalf("CheckSat = %v, oracle %v: %s", r.Satisfiable, wantSat, where())
-			case r.Satisfiable == gdc.True && !reason.IsModel(r.Model, sigma):
+			case r.Satisfiable && !reason.IsModel(r.Model, sigma):
 				t.Fatalf("CheckSat's model is not a model:\n%s\n%s", r.Model, where())
 			}
-			switch r := gdc.Implies(sigma, phi); {
-			case r.Implied == gdc.Unknown:
-				unknown++
-				t.Logf("Implies unknown: %s", where())
-			case (r.Implied == gdc.True) != wantImpl:
+			switch r, err := gdc.Implies(ctx, sigma, phi, 0); {
+			case err != nil:
+				t.Fatalf("Implies: %v: %s", err, where())
+			case r.Implied != wantImpl:
 				t.Fatalf("Implies = %v, oracle %v: %s", r.Implied, wantImpl, where())
-			case r.Implied == gdc.False && (!reason.Satisfies(r.Counterexample, sigma) || reason.Satisfies(r.Counterexample, ged.Set{phi})):
-				t.Fatalf("Implies's counterexample is not one:\n%s\n%s", r.Counterexample, where())
+			case !r.Implied && (!reason.Satisfies(r.Counterexample(), sigma) || reason.Satisfies(r.Counterexample(), ged.Set{phi})):
+				t.Fatalf("Implies's counterexample is not one:\n%s\n%s", r.Counterexample(), where())
 			}
 		}
-	}
-	t.Logf("%d unknown of %d questions", unknown, 2*total)
-	if unknown > oracleUnknownBound {
-		t.Errorf("%d unknown answers, bound %d", unknown, oracleUnknownBound)
 	}
 }
 

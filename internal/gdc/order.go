@@ -229,6 +229,8 @@ func (o *order) cmp(a value, op ged.Op, b value) status {
 	return undecided
 }
 
+func (v status) String() string { return [...]string{"undecided", "entailed", "refuted"}[v] }
+
 func truth(b bool) status {
 	if b {
 		return entailed
@@ -239,10 +241,11 @@ func truth(b bool) status {
 // assign picks a value for every class vertex of a closed, feasible
 // layer that forces no equality: each lies strictly between its bounds,
 // and no two vertices, nor a vertex and a constant, share a value, so
-// every comparison the layer leaves open comes out false for =. The
-// caller certifies the model, so a string gap too narrow to split costs
-// an Unknown, never a wrong answer.
-func (o *order) assign() map[chase.Term]graph.Value {
+// every comparison the layer leaves open comes out false for =. It
+// reports false when some class's bounds are two strings with no
+// untaken string between them: the one place the layer's density
+// assumption fails.
+func (o *order) assign() (map[chase.Term]graph.Value, bool) {
 	got := make([]*graph.Value, len(o.vals)) // the constants, then each class as it is assigned
 	taken := make(map[graph.Value]bool, len(o.vals))
 	var vs []int
@@ -275,21 +278,31 @@ func (o *order) assign() map[chase.Term]graph.Value {
 				hi = w
 			}
 		}
-		v := between(lo, hi, taken)
+		v, ok := between(lo, hi, taken)
+		if !ok {
+			return nil, false
+		}
 		taken[v], got[j], out[o.vals[j].term] = true, &v, v
 	}
-	return out
+	return out, true
 }
 
 // between returns an untaken value strictly between lo and hi (either
-// may be nil), preferring numbers.
-func between(lo, hi *graph.Value, taken map[graph.Value]bool) graph.Value {
+// may be nil), preferring numbers, and reports whether it found one.
+// Above a string lo it tries lo+"~", lo+"~~", …, and, when hi cuts that
+// chain off, the least strings above lo: lo+"\x00", lo+"\x00\x00", ….
+func between(lo, hi *graph.Value, taken map[graph.Value]bool) (graph.Value, bool) {
 	v := graph.Number(0)
 	next := func() graph.Value { return graph.Number(v.Num() + 1) }
+	in := func() bool { return (lo == nil || lo.Less(v)) && (hi == nil || v.Less(*hi)) }
 	switch {
 	case lo != nil && !lo.IsNumber():
-		v = graph.String(lo.Str() + "~")
-		next = func() graph.Value { return graph.String(v.Str() + "~") }
+		suffix := "~"
+		if v = graph.String(lo.Str() + suffix); !in() {
+			suffix = "\x00"
+			v = graph.String(lo.Str() + suffix)
+		}
+		next = func() graph.Value { return graph.String(v.Str() + suffix) }
 	case lo != nil && hi != nil && hi.IsNumber():
 		v = graph.Number((lo.Num() + hi.Num()) / 2)
 		next = func() graph.Value { return graph.Number((lo.Num() + v.Num()) / 2) }
@@ -299,8 +312,8 @@ func between(lo, hi *graph.Value, taken map[graph.Value]bool) graph.Value {
 		v = graph.Number(hi.Num() - 1)
 		next = func() graph.Value { return graph.Number(v.Num() - 1) }
 	}
-	for taken[v] {
+	for taken[v] && in() {
 		v = next()
 	}
-	return v
+	return v, in() && !taken[v]
 }

@@ -1,6 +1,8 @@
 package gdc
 
 import (
+	"context"
+	"fmt"
 	"maps"
 	"slices"
 
@@ -11,51 +13,51 @@ import (
 	"gedlib/internal/reason"
 )
 
-// budget bounds the chases one analysis runs, and maxDepth its nested
-// case splits.
-const (
-	budget   = 100000
-	maxDepth = 200
-)
-
 // search is the branching chase of one analysis. A branch is the list
 // of facts committed on the way to it, kept as two stacks that the
 // depth-first search pushes and truncates: equalities, which are the
 // chase's seeds, and comparisons, which are the order layer's facts
 // (each with trivial seeds x.A = x.A that generate its slots).
 type search struct {
-	base   *graph.Graph
-	geds   ged.Set // Σ's rules the chase enforces
-	others ged.Set // Σ's GDCs and GED∨s, judged on every chased branch
-	sigma  ged.Set
-	consts []graph.Value // every constant of Σ and φ, in the order of U
-	phi    *ged.GED      // the implication target; nil for satisfiability
-	vm     map[pattern.Var]graph.NodeID
-	m      map[pattern.Var]graph.NodeID // scan's match, resolved to base nodes
-	eqs    []chase.Seed
-	cmps   []chase.Seed
-	budget int
+	ctx       context.Context
+	maxRounds int
+	base      *graph.Graph
+	geds      ged.Set // Σ's rules the chase enforces
+	others    ged.Set // Σ's GDCs and GED∨s, judged on every chased branch
+	sigma     ged.Set
+	consts    []graph.Value // every constant of Σ and φ, in the order of U
+	phi       *ged.GED      // the implication target; nil for satisfiability
+	vm        map[pattern.Var]graph.NodeID
+	m         map[pattern.Var]graph.NodeID // scan's match, resolved to base nodes
+	eqs       []chase.Seed
+	cmps      []chase.Seed
+
+	stats    Stats
+	conflict *chase.Conflict // the failed chase's clash, while no split has happened
+	goalMet  bool            // some branch closed because it entails φ's consequent
+	gap      bool            // some terminal branch had no witness (ErrNoWitness)
 }
 
-func newSearch(base *graph.Graph, sigma ged.Set, phi *ged.GED) *search {
-	s := &search{base: base, sigma: sigma, phi: phi, m: make(map[pattern.Var]graph.NodeID), budget: budget}
-	rules := sigma
-	if phi != nil {
-		rules = append(ged.Set{phi}, sigma...)
-	}
-	for _, d := range sigma {
-		if d.Form() == ged.FormGED {
-			s.geds = append(s.geds, d)
-		} else {
-			s.others = append(s.others, d)
+func newSearch(ctx context.Context, base *graph.Graph, sigma ged.Set, phi *ged.GED, maxRounds int) search {
+	s := search{ctx: ctx, maxRounds: maxRounds, base: base, sigma: sigma, phi: phi, geds: sigma}
+	if slices.ContainsFunc(sigma, notGED) {
+		s.geds = nil
+		for _, d := range sigma {
+			if notGED(d) {
+				s.others = append(s.others, d)
+			} else {
+				s.geds = append(s.geds, d)
+			}
 		}
+		s.m = make(map[pattern.Var]graph.NodeID)
 	}
 	// Only a comparison ever becomes an order fact, and only then do
 	// constants need their places in the order.
-	if !slices.ContainsFunc(rules, func(d *ged.GED) bool { return d.Form() == ged.FormGDC }) {
+	isGDC := func(d *ged.GED) bool { return d.Form() == ged.FormGDC }
+	if !slices.ContainsFunc(sigma, isGDC) && (phi == nil || !isGDC(phi)) {
 		return s
 	}
-	for _, d := range rules {
+	addConsts := func(d *ged.GED) {
 		for _, ls := range [][]ged.Literal{d.X, d.Y} {
 			for _, l := range ls {
 				if l.Right.Kind == ged.OperandConst {
@@ -64,10 +66,18 @@ func newSearch(base *graph.Graph, sigma ged.Set, phi *ged.GED) *search {
 			}
 		}
 	}
+	if phi != nil {
+		addConsts(phi)
+	}
+	for _, d := range sigma {
+		addConsts(d)
+	}
 	slices.SortFunc(s.consts, graph.Value.Compare)
 	s.consts = slices.CompactFunc(s.consts, graph.Value.Equal)
 	return s
 }
+
+func notGED(d *ged.GED) bool { return d.Form() != ged.FormGED }
 
 // push commits a fact to the branch.
 func (s *search) push(f chase.Seed) {
@@ -84,78 +94,123 @@ func (s *search) push(f chase.Seed) {
 	}
 }
 
-// state is a chased branch: Eq and the order layer over it.
+// state is a chased branch: Eq and the order layer over it, and the
+// certified witness once a terminal branch has built one. The zero
+// state, with no chase, stands for no branch: an inconsistent one, or
+// no witness. States travel by value, so a search allocates none.
 type state struct {
-	res *chase.Result
-	ord order
+	res   *chase.Result
+	ord   order
+	model *graph.Graph
 }
 
-// run explores the branch the stacks hold. It chases and enforces
-// forced consequents until a fixpoint, then splits on the first
-// undecided obligation, or judges the terminal branch: True with a
-// certified witness, False when every branch dies.
-func (s *search) run(depth int) (Verdict, *graph.Graph) {
-	if depth > maxDepth {
-		return Unknown, nil
+// result runs the search from the root: the terminal state of a witness
+// branch, or the zero state when every branch dies.
+func (s *search) result() (state, error) {
+	st, err := s.run(0, nil)
+	if st.res == nil && err == nil && s.gap {
+		err = ErrNoWitness
 	}
+	return st, err
+}
+
+// run explores the branch the stacks hold; pushed are the facts pushed
+// onto it since its parent was chased. It chases and enforces forced
+// consequents until a fixpoint, then splits on the first undecided
+// obligation, or judges the terminal branch. It returns the terminal
+// state of a witness branch, or the zero state when every branch below
+// dies.
+func (s *search) run(depth int, pushed []chase.Seed) (state, error) {
+	s.stats.Depth = max(s.stats.Depth, depth)
 	for {
-		if s.budget--; s.budget < 0 {
-			return Unknown, nil
+		st, err := s.chase()
+		if st.res == nil {
+			return state{}, err
 		}
-		st, ok := s.chase()
-		if !ok {
-			return False, nil
+		if err := expect(&st, pushed, entailed); err != nil {
+			return state{}, err
 		}
-		ob := s.scan(st)
+		ob := s.scan(&st)
 		if ob.dead {
-			return False, nil
+			return state{}, nil
 		}
 		if len(ob.forced) > 0 {
+			if err := expect(&st, ob.forced, undecided); err != nil {
+				return state{}, err
+			}
 			for _, f := range ob.forced {
 				s.push(f)
 			}
+			pushed = ob.forced
 			continue
 		}
 		split := ob.split
 		if split == nil {
-			var v Verdict
-			var m *graph.Graph
-			if v, m, split = s.terminal(st); split == nil {
-				return v, m
+			var done bool
+			if done, split, err = s.terminal(&st); split == nil {
+				if done {
+					return st, err
+				}
+				return state{}, err
 			}
 		}
-		sawUnknown := false
-		for _, f := range split {
+		if err := expect(&st, split, undecided); err != nil {
+			return state{}, err
+		}
+		for i, f := range split {
 			ne, nc := len(s.eqs), len(s.cmps)
 			s.push(f)
-			v, m := s.run(depth + 1)
+			s.stats.Branches++
+			w, err := s.run(depth+1, split[i:i+1])
 			s.eqs, s.cmps = s.eqs[:ne], s.cmps[:nc]
-			if v == True {
-				return True, m
+			if w.res != nil || err != nil {
+				return w, err
 			}
-			sawUnknown = sawUnknown || v == Unknown
 		}
-		if sawUnknown {
-			return Unknown, nil
-		}
-		return False, nil
+		return state{}, nil
 	}
 }
 
-// chase chases the branch and closes its order layer, chasing again
-// with the equalities the layer forces. It reports false when the
-// branch is inconsistent: a label or constant clash in Eq, or an order
-// layer no assignment satisfies.
-func (s *search) chase() (*state, bool) {
-	for {
-		res := chase.RunSeeded(s.base, s.geds, s.eqs)
-		if !res.Consistent() {
-			return nil, false
+// expect asserts the invariant the search's termination rests on: every
+// fact is undecided on the branch it is pushed onto, and entailed once
+// that branch is chased again.
+func expect(st *state, facts []chase.Seed, want status) error {
+	for _, f := range facts {
+		if got := st.judge(f.Literal, f.Nodes, false); got != want {
+			return fmt.Errorf("%w: pushed fact %s is %s, want %s", errInvariant, f.Literal, got, want)
 		}
-		st := &state{res: res, ord: newOrder(res.Eq, s.consts, s.cmps)}
+	}
+	return nil
+}
+
+// chase chases the branch and closes its order layer, chasing again
+// with the equalities the layer forces. It returns the zero state when
+// the branch is inconsistent: a label or constant clash in Eq, or an
+// order layer no assignment satisfies; the error is ctx's or the chase
+// bound's.
+func (s *search) chase() (state, error) {
+	for {
+		if err := s.ctx.Err(); err != nil {
+			return state{}, err
+		}
+		s.stats.Chases++
+		res, err := chase.RunCtx(s.ctx, s.base, s.geds, s.eqs, s.maxRounds)
+		if err != nil {
+			return state{}, err
+		}
+		if !res.Consistent() {
+			if s.stats.Branches == 0 {
+				s.conflict = res.Eq.Conflict()
+			}
+			return state{}, nil
+		}
+		st := state{res: res, ord: newOrder(res.Eq, s.consts, s.cmps)}
 		forced, ok := st.ord.close()
-		if !ok || len(forced) == 0 {
-			return st, ok
+		if !ok {
+			return state{}, nil
+		}
+		if len(forced) == 0 {
+			return st, nil
 		}
 		s.eqs = append(s.eqs, forced...)
 	}
@@ -175,10 +230,21 @@ type obligations struct {
 // first one unless a forced consequent came first, and then collects
 // only forced ones. The implication target is dead once its consequent
 // is entailed.
-func (s *search) scan(st *state) (ob obligations) {
+func (s *search) scan(st *state) obligations {
 	if s.phi != nil && s.goal(st, false) == entailed {
+		s.goalMet = true
 		return obligations{dead: true}
 	}
+	if len(s.others) == 0 {
+		return obligations{}
+	}
+	return s.scanOthers(*st)
+}
+
+// scanOthers is scan's pass over the matches of Σ's GDCs and GED∨s. It
+// takes the branch by value: the match callback captures it, and a
+// pointer would move every branch of a search to the heap.
+func (s *search) scanOthers(st state) (ob obligations) {
 	snap, repOf := st.res.Quotient()
 	m := s.m
 	for _, d := range s.others {
@@ -295,72 +361,63 @@ func (s *search) goal(st *state, final bool) status {
 	return out
 }
 
-// terminal judges a branch with no obligation left: it materializes the
-// witness and certifies it with the validator. For implication the
-// witness is a counterexample only if φ's consequent fails on it; while
-// a literal of that consequent is undecided, terminal returns the split
-// on it instead.
-func (s *search) terminal(st *state) (Verdict, *graph.Graph, []chase.Seed) {
+// terminal judges a branch with no obligation left. For implication
+// the branch is a counterexample only if φ's consequent fails on it;
+// while a literal of that consequent is undecided, terminal returns the
+// split on it instead. A witness branch reports done. Without GDCs and
+// GED∨s in Σ and without order facts the chase is exact (Theorems 2
+// and 4), and its witness is built on request; otherwise terminal
+// builds it and certifies it with the validator. A branch that yields
+// no witness value (ErrNoWitness) is set aside as a gap.
+func (s *search) terminal(st *state) (done bool, split []chase.Seed, err error) {
 	if s.phi != nil {
 		switch s.goal(st, true) {
 		case entailed:
-			return False, nil, nil
+			s.goalMet = true
+			return false, nil, nil
 		case undecided:
 			for _, l := range s.phi.Y {
 				if st.judge(l, s.vm, true) == undecided {
-					return 0, nil, []chase.Seed{{Literal: l.Negate(), Nodes: s.vm}, {Literal: l, Nodes: s.vm}}
+					return false, []chase.Seed{{Literal: l.Negate(), Nodes: s.vm}, {Literal: l, Nodes: s.vm}}, nil
 				}
 			}
 		}
 	}
-	model := st.res.Materialize()
-	if len(st.ord.vals) > 0 {
-		vals := st.ord.assign()
-		eq := st.res.Eq
-		_, repOf := st.res.Quotient()
-		for cn, rep := range repOf {
-			for _, a := range eq.ClassAttrs(rep) {
-				t, _ := eq.SlotTerm(rep, a)
-				if v, ok := vals[t]; ok {
-					model.SetAttr(graph.NodeID(cn), a, v)
-				}
-			}
-		}
+	if len(s.others) == 0 && len(st.ord.vals) == 0 {
+		return true, nil, nil
+	}
+	model, err := st.materialize()
+	if err != nil {
+		s.gap = true
+		return false, nil, nil
 	}
 	if !reason.Satisfies(model, s.sigma) || s.phi != nil && reason.Satisfies(model, ged.Set{s.phi}) {
-		return Unknown, nil, nil
+		return false, nil, fmt.Errorf("%w: the witness of a terminal branch fails certification", errInvariant)
 	}
-	return True, model, nil
+	st.model = model
+	return true, nil, nil
 }
 
-// CheckSat decides (three-valued) whether Σ has a model: a graph
-// satisfying Σ in which every pattern of Σ has a match. It searches the
-// branching chase of the canonical graph G_Σ — the Σᵖ₂ structure of
-// Theorems 8 and 9, with the inner ∀ discharged by the validator — and a
-// consistent terminal branch materializes into a certified model.
-func CheckSat(sigma ged.Set) *SatResult {
-	gs, _ := sigma.CanonicalGraph()
-	v, m := newSearch(gs, sigma, nil).run(0)
-	return &SatResult{Satisfiable: v, Model: m}
-}
-
-// Implies decides (three-valued) whether Σ ⊨ φ: the branching chase of
-// φ's canonical graph from φ's antecedent must, on every consistent
-// terminal branch, satisfy φ's consequent on the identity embedding. A
-// terminal branch that does not yields a certified counterexample.
-func Implies(sigma ged.Set, phi *ged.GED) *ImplResult {
-	gq, vm := phi.Pattern.ToGraph()
-	s := newSearch(gq, sigma, phi)
-	s.vm = vm
-	for _, l := range phi.X {
-		s.push(chase.Seed{Literal: l, Nodes: vm})
+// materialize builds the branch's witness: the chase's model with the
+// order layer's values assigned to the classes it orders.
+func (st *state) materialize() (*graph.Graph, error) {
+	model := st.res.Materialize()
+	if len(st.ord.vals) == 0 {
+		return model, nil
 	}
-	switch v, m := s.run(0); v {
-	case True:
-		return &ImplResult{Implied: False, Counterexample: m}
-	case False:
-		return &ImplResult{Implied: True}
-	default:
-		return &ImplResult{Implied: Unknown}
+	vals, ok := st.ord.assign()
+	if !ok {
+		return nil, ErrNoWitness
 	}
+	eq := st.res.Eq
+	_, repOf := st.res.Quotient()
+	for cn, rep := range repOf {
+		for _, a := range eq.ClassAttrs(rep) {
+			t, _ := eq.SlotTerm(rep, a)
+			if v, ok := vals[t]; ok {
+				model.SetAttr(graph.NodeID(cn), a, v)
+			}
+		}
+	}
+	return model, nil
 }

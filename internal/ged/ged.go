@@ -34,6 +34,12 @@ func New(name string, q *pattern.Pattern, x, y []Literal) *GED {
 	return &GED{Name: name, Pattern: q, X: x, Y: y}
 }
 
+// NewOr returns the GED∨ Q[x̄](X → l₁ ∨ … ∨ l_k) of Section 7.2. An
+// empty Y is the constant false, making it a forbidding constraint.
+func NewOr(name string, q *pattern.Pattern, x, y []Literal) *GED {
+	return &GED{Name: name, Pattern: q, X: x, Y: y, Disjunctive: true}
+}
+
 // Validate checks that the rule is well-formed per Sections 3 and 7:
 // every literal is x.A ⊕ c, x.A ⊕ y.B or x.id = y.id over the
 // pattern's variables, no attribute literal uses the reserved id, and a

@@ -1,3 +1,8 @@
+// Package gedor holds the tests of the GED∨s of Section 7.2: GEDs whose
+// consequent is a disjunction. The rules are ged.GEDs with the
+// Disjunctive bit (ged.NewOr), gen.SplitOr splits a GED into them, the
+// domain constraint of Example 10 is gen.DomainGEDor, and the analyses
+// are package gdc's.
 package gedor
 
 import (
@@ -9,10 +14,29 @@ import (
 
 	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
+	"gedlib/internal/gen"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
 	"gedlib/internal/reason"
 )
+
+func checkSat(t *testing.T, sigma ged.Set) *gdc.SatResult {
+	t.Helper()
+	r, err := gdc.CheckSat(context.Background(), sigma, 0)
+	if err != nil {
+		t.Fatalf("CheckSat: %v", err)
+	}
+	return r
+}
+
+func implies(t *testing.T, sigma ged.Set, phi *ged.GED) *gdc.ImplResult {
+	t.Helper()
+	r, err := gdc.Implies(context.Background(), sigma, phi, 0)
+	if err != nil {
+		t.Fatalf("Implies: %v", err)
+	}
+	return r
+}
 
 func nodeQ(label graph.Label) *pattern.Pattern {
 	q := pattern.New()
@@ -22,7 +46,7 @@ func nodeQ(label graph.Label) *pattern.Pattern {
 
 func TestExample10DomainConstraint(t *testing.T) {
 	// ψ: Qe[x](∅ → x.A = 0 ∨ x.A = 1).
-	psi := DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
+	psi := gen.DomainGEDor("tau", "A", graph.Int(0), graph.Int(1))
 
 	g := graph.New()
 	n := g.AddNodeAttrs("tau", map[graph.Attr]graph.Value{"A": graph.Int(1)})
@@ -41,8 +65,8 @@ func TestExample10DomainConstraint(t *testing.T) {
 		t.Error("missing A must violate the disjunction")
 	}
 
-	r := gdc.CheckSat(ged.Set{psi})
-	if r.Satisfiable != gdc.True {
+	r := checkSat(t, ged.Set{psi})
+	if !r.Satisfiable {
 		t.Fatalf("domain constraint must be satisfiable, got %v", r.Satisfiable)
 	}
 	if !reason.Satisfies(r.Model, ged.Set{psi}) {
@@ -56,8 +80,8 @@ func TestExample10DomainConstraint(t *testing.T) {
 func TestCheckSatForbidding(t *testing.T) {
 	// An empty disjunction forbids the pattern outright; a Σ whose
 	// pattern must match (strong satisfiability) is then unsatisfiable.
-	forbid := New("forbid", nodeQ("tau"), nil, nil)
-	if r := gdc.CheckSat(ged.Set{forbid}); r.Satisfiable != gdc.False {
+	forbid := ged.NewOr("forbid", nodeQ("tau"), nil, nil)
+	if r := checkSat(t, ged.Set{forbid}); r.Satisfiable {
 		t.Errorf("forbidding constraint alone must be unsatisfiable, got %v", r.Satisfiable)
 	}
 }
@@ -66,12 +90,12 @@ func TestCheckSatBranchingNeeded(t *testing.T) {
 	// ψ1: x.A = 0 ∨ x.A = 1; ψ2: x.A = 1 ∨ x.A = 2. Only A = 1 satisfies
 	// both, so the search must discard the first branch of ψ1 or commit
 	// to the shared disjunct.
-	psi1 := New("p1", nodeQ("tau"), nil, []ged.Literal{
+	psi1 := ged.NewOr("p1", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(0)), ged.ConstLit("x", "A", graph.Int(1))})
-	psi2 := New("p2", nodeQ("tau"), nil, []ged.Literal{
+	psi2 := ged.NewOr("p2", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(1)), ged.ConstLit("x", "A", graph.Int(2))})
-	r := gdc.CheckSat(ged.Set{psi1, psi2})
-	if r.Satisfiable != gdc.True {
+	r := checkSat(t, ged.Set{psi1, psi2})
+	if !r.Satisfiable {
 		t.Fatalf("ψ1 ∧ ψ2 must be satisfiable (A = 1), got %v", r.Satisfiable)
 	}
 	if !reason.Satisfies(r.Model, ged.Set{psi1, psi2}) {
@@ -79,36 +103,36 @@ func TestCheckSatBranchingNeeded(t *testing.T) {
 	}
 
 	// Disjoint domains are unsatisfiable.
-	psi3 := New("p3", nodeQ("tau"), nil, []ged.Literal{
+	psi3 := ged.NewOr("p3", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(7)), ged.ConstLit("x", "A", graph.Int(8))})
-	if r := gdc.CheckSat(ged.Set{psi1, psi3}); r.Satisfiable != gdc.False {
+	if r := checkSat(t, ged.Set{psi1, psi3}); r.Satisfiable {
 		t.Errorf("disjoint domains must be unsatisfiable, got %v", r.Satisfiable)
 	}
 }
 
 func TestImpliesDomainWeakening(t *testing.T) {
 	// A ∈ {0} implies A ∈ {0, 1} but not vice versa.
-	narrow := New("n", nodeQ("tau"), nil, []ged.Literal{ged.ConstLit("x", "A", graph.Int(0))})
-	wide := New("w", nodeQ("tau"), nil, []ged.Literal{
+	narrow := ged.NewOr("n", nodeQ("tau"), nil, []ged.Literal{ged.ConstLit("x", "A", graph.Int(0))})
+	wide := ged.NewOr("w", nodeQ("tau"), nil, []ged.Literal{
 		ged.ConstLit("x", "A", graph.Int(0)), ged.ConstLit("x", "A", graph.Int(1))})
-	if r := gdc.Implies(ged.Set{narrow}, wide); r.Implied != gdc.True {
+	if r := implies(t, ged.Set{narrow}, wide); !r.Implied {
 		t.Errorf("narrow must imply wide, got %v", r.Implied)
 	}
-	r := gdc.Implies(ged.Set{wide}, narrow)
-	if r.Implied != gdc.False {
+	r := implies(t, ged.Set{wide}, narrow)
+	if r.Implied {
 		t.Fatalf("wide must not imply narrow, got %v", r.Implied)
 	}
-	if r.Counterexample == nil || !reason.Satisfies(r.Counterexample, ged.Set{wide}) {
+	if r.Counterexample() == nil || !reason.Satisfies(r.Counterexample(), ged.Set{wide}) {
 		t.Error("countermodel missing or violates Σ")
 	}
-	if len(validate(r.Counterexample, ged.Set{narrow}, 1)) == 0 {
+	if len(validate(r.Counterexample(), ged.Set{narrow}, 1)) == 0 {
 		t.Error("countermodel does not violate φ")
 	}
 }
 
 func TestImpliesReflexive(t *testing.T) {
-	psi := DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
-	if r := gdc.Implies(ged.Set{psi}, psi); r.Implied != gdc.True {
+	psi := gen.DomainGEDor("tau", "A", graph.Int(0), graph.Int(1))
+	if r := implies(t, ged.Set{psi}, psi); !r.Implied {
 		t.Errorf("Σ must imply its own member, got %v", r.Implied)
 	}
 }
@@ -116,20 +140,20 @@ func TestImpliesReflexive(t *testing.T) {
 func TestImpliesThroughCaseSplit(t *testing.T) {
 	// Σ: A ∈ {0, 1}; in either case B = 5 (two conditional GED∨s).
 	// Then Σ implies B = 5.
-	dom := DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
-	c0 := New("c0", nodeQ("tau"),
+	dom := gen.DomainGEDor("tau", "A", graph.Int(0), graph.Int(1))
+	c0 := ged.NewOr("c0", nodeQ("tau"),
 		[]ged.Literal{ged.ConstLit("x", "A", graph.Int(0))},
 		[]ged.Literal{ged.ConstLit("x", "B", graph.Int(5))})
-	c1 := New("c1", nodeQ("tau"),
+	c1 := ged.NewOr("c1", nodeQ("tau"),
 		[]ged.Literal{ged.ConstLit("x", "A", graph.Int(1))},
 		[]ged.Literal{ged.ConstLit("x", "B", graph.Int(5))})
-	phi := New("phi", nodeQ("tau"), nil, []ged.Literal{ged.ConstLit("x", "B", graph.Int(5))})
-	if r := gdc.Implies(ged.Set{dom, c0, c1}, phi); r.Implied != gdc.True {
+	phi := ged.NewOr("phi", nodeQ("tau"), nil, []ged.Literal{ged.ConstLit("x", "B", graph.Int(5))})
+	if r := implies(t, ged.Set{dom, c0, c1}, phi); !r.Implied {
 		t.Errorf("case split must yield B = 5 on every branch, got %v", r.Implied)
 	}
 	// Dropping one case loses the implication.
-	r := gdc.Implies(ged.Set{dom, c0}, phi)
-	if r.Implied != gdc.False {
+	r := implies(t, ged.Set{dom, c0}, phi)
+	if r.Implied {
 		t.Errorf("missing case must break the implication, got %v", r.Implied)
 	}
 }
@@ -139,7 +163,7 @@ func TestFromGED(t *testing.T) {
 	g := ged.New("g", q,
 		[]ged.Literal{ged.ConstLit("x", "a", graph.Int(1))},
 		[]ged.Literal{ged.ConstLit("x", "b", graph.Int(2)), ged.ConstLit("x", "c", graph.Int(3))})
-	split := FromGED(g)
+	split := gen.SplitOr(g)
 	if len(split) != 2 {
 		t.Fatalf("split into %d, want 2", len(split))
 	}
@@ -150,7 +174,7 @@ func TestFromGED(t *testing.T) {
 	}
 	// Empty-consequent GED becomes a trivially-true GED∨.
 	empty := ged.New("e", q, nil, nil)
-	sp := FromGED(empty)
+	sp := gen.SplitOr(empty)
 	if len(sp) != 1 || len(sp[0].Y) != 1 {
 		t.Fatal("empty consequent must become one trivial disjunct")
 	}
@@ -168,7 +192,7 @@ func TestFromGEDNamesPastNine(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		ys = append(ys, ged.ConstLit("x", graph.Attr(fmt.Sprintf("a%d", i)), graph.Int(i)))
 	}
-	split := FromGED(ged.New("g", nodeQ("p"), nil, ys))
+	split := gen.SplitOr(ged.New("g", nodeQ("p"), nil, ys))
 	if len(split) != 12 {
 		t.Fatalf("split into %d, want 12", len(split))
 	}
@@ -180,22 +204,19 @@ func TestFromGEDNamesPastNine(t *testing.T) {
 }
 
 // TestGEDorSatAgreesWithGEDSat: on singleton-consequent GED∨s (i.e.
-// plain GEDs), the branching chase must agree with the exact chase.
+// plain GEDs), the branching chase must agree with the exact chase that
+// the unsplit GEDs get.
 func TestGEDorSatAgreesWithGEDSat(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 100; trial++ {
 		sigma := randomGEDSigma(rng)
-		exact, _ := reason.CheckSatCtx(context.Background(), sigma, 0)
-		want := exact.Satisfiable
+		want := checkSat(t, sigma).Satisfiable
 		var ds ged.Set
 		for _, d := range sigma {
-			ds = append(ds, FromGED(d)...)
+			ds = append(ds, gen.SplitOr(d)...)
 		}
-		r := gdc.CheckSat(ds)
-		if r.Satisfiable == gdc.Unknown {
-			t.Fatalf("trial %d: unexpected Unknown", trial)
-		}
-		if (r.Satisfiable == gdc.True) != want {
+		r := checkSat(t, ds)
+		if r.Satisfiable != want {
 			t.Fatalf("trial %d: disagreement: got %v want %v\nΣ=%v", trial, r.Satisfiable, want, sigma)
 		}
 	}
@@ -211,30 +232,26 @@ func TestGEDorImplAgreesWithGEDImpl(t *testing.T) {
 		if len(phiGED.Y) != 1 {
 			continue // the split-GED equivalence needs a single literal
 		}
-		exact, _ := reason.ImpliesCtx(context.Background(), sigma, phiGED, 0)
-		want := exact.Implied
+		want := implies(t, sigma, phiGED).Implied
 		var ds ged.Set
 		for _, d := range sigma {
-			ds = append(ds, FromGED(d)...)
+			ds = append(ds, gen.SplitOr(d)...)
 		}
-		phi := New(phiGED.Name, phiGED.Pattern, phiGED.X, phiGED.Y)
-		r := gdc.Implies(ds, phi)
-		if r.Implied == gdc.Unknown {
-			t.Fatalf("trial %d: unexpected Unknown", trial)
-		}
-		if (r.Implied == gdc.True) != want {
+		phi := ged.NewOr(phiGED.Name, phiGED.Pattern, phiGED.X, phiGED.Y)
+		r := implies(t, ds, phi)
+		if r.Implied != want {
 			t.Fatalf("trial %d: disagreement: got %v want %v\nΣ=%v\nφ=%v", trial, r.Implied, want, sigma, phiGED)
 		}
 	}
 }
 
 func TestGEDorString(t *testing.T) {
-	psi := DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
+	psi := gen.DomainGEDor("tau", "A", graph.Int(0), graph.Int(1))
 	s := psi.String()
 	if !strings.Contains(s, "||") {
 		t.Errorf("rendered GED∨ must show the disjunction: %s", s)
 	}
-	forbid := New("f", nodeQ("t"), nil, nil)
+	forbid := ged.NewOr("f", nodeQ("t"), nil, nil)
 	if !strings.Contains(forbid.String(), "false") {
 		t.Errorf("empty disjunction must render as false: %s", forbid.String())
 	}
@@ -281,7 +298,7 @@ func validate(g *graph.Graph, sigma ged.Set, limit int) []reason.Violation {
 	return vs
 }
 
-// TestFromGEDKeepsVerdicts: splitting every GED of Σ by FromGED changes
+// TestFromGEDKeepsVerdicts: splitting every GED of Σ by gen.SplitOr changes
 // neither satisfiability nor implication (Section 7.2), on random sets
 // mixing GEDs with a GDC and a GED∨.
 func TestFromGEDKeepsVerdicts(t *testing.T) {
@@ -293,20 +310,20 @@ func TestFromGEDKeepsVerdicts(t *testing.T) {
 			sigma = append(sigma, ged.New("lt", nodeQ(label), nil, []ged.Literal{ged.Cmp("x", "p", ged.OpLt, graph.Int(rng.Intn(2)))}))
 		}
 		if rng.Intn(2) == 0 {
-			sigma = append(sigma, DomainConstraint(label, "q", graph.Int(0), graph.Int(1)))
+			sigma = append(sigma, gen.DomainGEDor(label, "q", graph.Int(0), graph.Int(1)))
 		}
 		var split ged.Set
 		for _, d := range sigma {
 			if d.Form() == ged.FormGED {
-				split = append(split, FromGED(d)...)
+				split = append(split, gen.SplitOr(d)...)
 			} else {
 				split = append(split, d)
 			}
 		}
 		phi := randomGEDSigma(rng)[0]
-		sat, satSplit := gdc.CheckSat(sigma).Satisfiable, gdc.CheckSat(split).Satisfiable
-		impl, implSplit := gdc.Implies(sigma, phi).Implied, gdc.Implies(split, phi).Implied
-		if sat == gdc.Unknown || sat != satSplit || impl == gdc.Unknown || impl != implSplit {
+		sat, satSplit := checkSat(t, sigma).Satisfiable, checkSat(t, split).Satisfiable
+		impl, implSplit := implies(t, sigma, phi).Implied, implies(t, split, phi).Implied
+		if sat != satSplit || impl != implSplit {
 			t.Fatalf("trial %d: sat %v vs split %v, implies %v vs split %v\nΣ=%v\nφ=%v", trial, sat, satSplit, impl, implSplit, sigma, phi)
 		}
 	}

@@ -8,24 +8,24 @@ import (
 
 	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
-	"gedlib/internal/gedor"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
 	"gedlib/internal/reason"
 )
 
 // checkSat, implies and validate are the ctx-free shorthands of the
-// chase-based decisions (Theorems 2 and 4) and of snapshot validation.
-func checkSat(sigma ged.Set) *reason.SatResult {
-	r, err := reason.CheckSatCtx(context.Background(), sigma, 0)
+// static analyses and of snapshot validation; an analysis that errs
+// panics.
+func checkSat(sigma ged.Set) *gdc.SatResult {
+	r, err := gdc.CheckSat(context.Background(), sigma, 0)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
-func implies(sigma ged.Set, phi *ged.GED) *reason.ImplResult {
-	r, err := reason.ImpliesCtx(context.Background(), sigma, phi, 0)
+func implies(sigma ged.Set, phi *ged.GED) *gdc.ImplResult {
+	r, err := gdc.Implies(context.Background(), sigma, phi, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -333,14 +333,6 @@ func TestTable1(t *testing.T) {
 		want                     bool
 		decide                   func() bool
 	}
-	// certain maps the GDC/GED∨ solvers' three-valued verdicts onto a
-	// decision; Unknown is never an acceptable answer here.
-	certain := func(v fmt.Stringer) bool {
-		if v.String() == "unknown" {
-			t.Errorf("solver answered unknown")
-		}
-		return v.String() == "true"
-	}
 	var rows []row
 	add := func(class, problem, instance string, want bool, decide func() bool) {
 		rows = append(rows, row{class, problem, instance, want, decide})
@@ -418,35 +410,35 @@ func TestTable1(t *testing.T) {
 		return q
 	}
 	// GDC row (Theorem 8).
-	dom := gdc.DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
+	dom := DomainGDCs("tau", "A", graph.Int(0), graph.Int(1))
 	add("GDC", "satisfiability", "domain{0,1}", true, func() bool {
-		return certain(gdc.CheckSat(dom).Satisfiable)
+		return checkSat(dom).Satisfiable
 	})
 	add("GDC", "satisfiability", "domain-conflict", false, func() bool {
 		conflict := append(ged.Set{}, dom...)
-		conflict = append(conflict, gdc.New("ne", dom[0].Pattern, nil, []ged.Literal{
+		conflict = append(conflict, ged.New("ne", dom[0].Pattern, nil, []ged.Literal{
 			ged.Cmp("x", "A", ged.OpNe, graph.Int(0)),
 			ged.Cmp("x", "A", ged.OpNe, graph.Int(1)),
 		}))
-		return certain(gdc.CheckSat(conflict).Satisfiable)
+		return checkSat(conflict).Satisfiable
 	})
-	lt5 := gdc.New("lt5", node("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
-	lt10 := gdc.New("lt10", node("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(10))})
+	lt5 := ged.New("lt5", node("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(5))})
+	lt10 := ged.New("lt10", node("p"), nil, []ged.Literal{ged.Cmp("x", "a", ged.OpLt, graph.Int(10))})
 	add("GDC", "implication", "a<5 ⊨ a<10", true, func() bool {
-		return certain(gdc.Implies(ged.Set{lt5}, lt10).Implied)
+		return implies(ged.Set{lt5}, lt10).Implied
 	})
 	add("GDC", "implication", "a<10 ⊭ a<5", false, func() bool {
-		return certain(gdc.Implies(ged.Set{lt10}, lt5).Implied)
+		return implies(ged.Set{lt10}, lt5).Implied
 	})
 	// A case split on an order literal: a > 3 and a ≤ 3 both give b = 1.
 	add("GDC", "implication", "a>3∨a≤3 ⊨ b=1", true, func() bool {
 		b1 := []ged.Literal{ged.ConstLit("x", "b", graph.Int(1))}
 		sigma := ged.Set{
-			gdc.New("gt3", node("p"), []ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(3))}, b1),
-			gdc.New("le3", node("p"), []ged.Literal{ged.Cmp("x", "a", ged.OpLe, graph.Int(3))}, b1),
-			gdc.New("has-a", node("p"), nil, []ged.Literal{ged.VarLit("x", "a", "x", "a")}),
+			ged.New("gt3", node("p"), []ged.Literal{ged.Cmp("x", "a", ged.OpGt, graph.Int(3))}, b1),
+			ged.New("le3", node("p"), []ged.Literal{ged.Cmp("x", "a", ged.OpLe, graph.Int(3))}, b1),
+			ged.New("has-a", node("p"), nil, []ged.Literal{ged.VarLit("x", "a", "x", "a")}),
 		}
-		return certain(gdc.Implies(sigma, gdc.New("b1", node("p"), nil, b1)).Implied)
+		return implies(sigma, ged.New("b1", node("p"), nil, b1)).Implied
 	})
 	add("GDC", "validation", "a=3 vs a<5", true, func() bool {
 		g := graph.New()
@@ -454,16 +446,16 @@ func TestTable1(t *testing.T) {
 		return reason.Satisfies(g, ged.Set{lt5})
 	})
 	// GED∨ row (Theorem 9).
-	psi := gedor.DomainConstraint("tau", "A", graph.Int(0), graph.Int(1))
-	narrow := gedor.New("n", node("tau"), nil, []ged.Literal{ged.ConstLit("x", "A", graph.Int(0))})
+	psi := DomainGEDor("tau", "A", graph.Int(0), graph.Int(1))
+	narrow := ged.NewOr("n", node("tau"), nil, []ged.Literal{ged.ConstLit("x", "A", graph.Int(0))})
 	add("GED∨", "satisfiability", "domain{0,1}", true, func() bool {
-		return certain(gdc.CheckSat(ged.Set{psi}).Satisfiable)
+		return checkSat(ged.Set{psi}).Satisfiable
 	})
 	add("GED∨", "implication", "A=0 ⊨ A∈{0,1}", true, func() bool {
-		return certain(gdc.Implies(ged.Set{narrow}, psi).Implied)
+		return implies(ged.Set{narrow}, psi).Implied
 	})
 	add("GED∨", "implication", "A∈{0,1} ⊭ A=0", false, func() bool {
-		return certain(gdc.Implies(ged.Set{psi}, narrow).Implied)
+		return implies(ged.Set{psi}, narrow).Implied
 	})
 	add("GED∨", "validation", "A=1 vs domain", true, func() bool {
 		g := graph.New()
@@ -473,19 +465,19 @@ func TestTable1(t *testing.T) {
 	// Mixed sets (Theorems 8 and 9 together): A ∈ {0, 1} and A > 0.5
 	// leave A = 1; A > 1 leaves nothing.
 	mixed := func(bound float64) ged.Set {
-		return ged.Set{psi, gdc.New("gt", node("tau"), nil, []ged.Literal{ged.Cmp("x", "A", ged.OpGt, graph.Number(bound))})}
+		return ged.Set{psi, ged.New("gt", node("tau"), nil, []ged.Literal{ged.Cmp("x", "A", ged.OpGt, graph.Number(bound))})}
 	}
 	add("GDC+GED∨", "satisfiability", "A∈{0,1}, A>0.5", true, func() bool {
-		r := gdc.CheckSat(mixed(0.5))
-		if r.Satisfiable == gdc.True {
+		r := checkSat(mixed(0.5))
+		if r.Satisfiable {
 			if v, ok := r.Model.Attr(0, "A"); !ok || !v.Equal(graph.Int(1)) {
 				t.Errorf("mixed model has A = %v, want 1", v)
 			}
 		}
-		return certain(r.Satisfiable)
+		return r.Satisfiable
 	})
 	add("GDC+GED∨", "satisfiability", "A∈{0,1}, A>1", false, func() bool {
-		return certain(gdc.CheckSat(mixed(1)).Satisfiable)
+		return checkSat(mixed(1)).Satisfiable
 	})
 
 	classes, problems := map[string]bool{}, map[string]bool{}
@@ -653,7 +645,7 @@ func TestRelationalDependencies(t *testing.T) {
 		{
 			name: "DenialConstraintEncoding", rel: "emp",
 			// ¬∃ s, t: s.salary > t.salary ∧ s.dept = t.dept ∧ s.rank < t.rank
-			gdcs: ged.Set{gdc.New("dc", pair("emp"), []ged.Literal{
+			gdcs: ged.Set{ged.New("dc", pair("emp"), []ged.Literal{
 				ged.CmpVars("s", "salary", ged.OpGt, "t", "salary"),
 				ged.CmpVars("s", "dept", ged.OpEq, "t", "dept"),
 				ged.CmpVars("s", "rank", ged.OpLt, "t", "rank"),
@@ -677,7 +669,7 @@ func TestRelationalDependencies(t *testing.T) {
 		{
 			name: "ConstantDCAtom", rel: "emp",
 			// ¬∃ t: t.salary < 0
-			gdcs: ged.Set{gdc.New("dc", pair("emp"),
+			gdcs: ged.Set{ged.New("dc", pair("emp"),
 				[]ged.Literal{ged.Cmp("s", "salary", ged.OpLt, graph.Int(0))}, ged.False("s"))},
 			direct: func(ts []tuple) bool {
 				return allPairs(ts, func(s, _ tuple) bool { return !s["salary"].Less(graph.Int(0)) })

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"fmt"
+
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/pattern"
@@ -150,4 +152,55 @@ func PaperKeys() ged.Set {
 // PaperGEDs returns {φ₁..φ₅} with k = 2 liked blogs in φ₅.
 func PaperGEDs() ged.Set {
 	return ged.Set{PaperPhi1(), PaperPhi2(), PaperPhi3(), PaperPhi4(), PaperPhi5(2)}
+}
+
+// DomainGDCs returns the two GDCs of Example 9 that keep attribute a of
+// every tau-labeled node within the given constants: the first
+// generates the attribute, the second forbids every other value.
+func DomainGDCs(tau graph.Label, a graph.Attr, domain ...graph.Value) ged.Set {
+	q1 := pattern.New()
+	q1.AddVar("x", tau)
+	q2 := pattern.New()
+	q2.AddVar("x", tau)
+	var xs []ged.Literal
+	for _, v := range domain {
+		xs = append(xs, ged.Cmp("x", a, ged.OpNe, v))
+	}
+	return ged.Set{
+		ged.New("dom-exists", q1, nil, []ged.Literal{ged.VarLit("x", a, "x", a)}),
+		ged.New("dom-forbid", q2, xs, ged.False("x")),
+	}
+}
+
+// DomainGEDor returns the GED∨ of Example 10, Q[x](∅ → x.A = c₁ ∨ … ∨
+// x.A = c_k): every tau-labeled node has attribute a with a value among
+// the given constants.
+func DomainGEDor(tau graph.Label, a graph.Attr, domain ...graph.Value) *ged.GED {
+	q := pattern.New()
+	q.AddVar("x", tau)
+	var ys []ged.Literal
+	for _, v := range domain {
+		ys = append(ys, ged.ConstLit("x", a, v))
+	}
+	return ged.NewOr("domain", q, nil, ys)
+}
+
+// SplitOr returns the GED∨s equivalent to the conjunctive rule g, one
+// per consequent literal, named g#0, g#1, … when there are several
+// (Section 7.2: GED∨s subsume GEDs). An empty consequent becomes the
+// always-true disjunct x.id = x.id on the pattern's first variable.
+func SplitOr(g *ged.GED) ged.Set {
+	if len(g.Y) == 0 {
+		x := g.Pattern.Vars()[0]
+		return ged.Set{ged.NewOr(g.Name, g.Pattern, g.X, []ged.Literal{ged.IDLit(x, x)})}
+	}
+	out := make(ged.Set, 0, len(g.Y))
+	for i, l := range g.Y {
+		name := g.Name
+		if len(g.Y) > 1 {
+			name = fmt.Sprintf("%s#%d", g.Name, i)
+		}
+		out = append(out, ged.NewOr(name, g.Pattern, g.X, []ged.Literal{l}))
+	}
+	return out
 }

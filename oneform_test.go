@@ -11,8 +11,6 @@ import (
 	"testing"
 
 	"gedlib"
-	"gedlib/gdc"
-	"gedlib/gedor"
 	"gedlib/workload"
 )
 
@@ -352,9 +350,10 @@ ged plain on (x:account) {
 `
 
 // TestGEDOnlyMethodsRejectOtherForms: ParseRules reads all three forms;
-// every Engine method defined for GEDs only answers a GDC or a GED∨
-// with an error wrapping ErrNotGED, and the solvers of the gdc and
-// gedor packages name the form they cannot decide. Nothing panics.
+// every Engine method defined for GEDs only (Chase, Repair, Prove,
+// CheckProof, OptimizeQuery) answers a GDC or a GED∨ with an error
+// wrapping ErrNotGED, while CheckSat and Implies decide every form, with
+// witnesses the validator confirms. Nothing panics.
 func TestGEDOnlyMethodsRejectOtherForms(t *testing.T) {
 	ctx := context.Background()
 	sigma, err := gedlib.ParseRules(threeFormRules)
@@ -380,9 +379,6 @@ func TestGEDOnlyMethodsRejectOtherForms(t *testing.T) {
 		calls := map[string]func() error{
 			"Chase":         func() error { _, err := eng.Chase(ctx, g, with); return err },
 			"Repair":        func() error { _, err := eng.Repair(ctx, g, with); return err },
-			"CheckSat":      func() error { _, err := eng.CheckSat(ctx, with); return err },
-			"Implies(Σ)":    func() error { _, err := eng.Implies(ctx, with, plain); return err },
-			"Implies(φ)":    func() error { _, err := eng.Implies(ctx, gedlib.RuleSet{plain}, other); return err },
 			"Prove(Σ)":      func() error { _, err := eng.Prove(ctx, with, plain); return err },
 			"Prove(φ)":      func() error { _, err := eng.Prove(ctx, gedlib.RuleSet{plain}, other); return err },
 			"CheckProof(Σ)": func() error { return eng.CheckProof(ctx, with, proof) },
@@ -404,12 +400,25 @@ func TestGEDOnlyMethodsRejectOtherForms(t *testing.T) {
 		if err != nil || len(vs) != len(oracleViolations(g, with)) {
 			t.Errorf("Validate with a %s: %d violations, %v", other.Form(), len(vs), err)
 		}
+		if r, err := eng.CheckSat(ctx, with); err != nil || !r.Satisfiable || !gedlib.IsModel(r.Model, with) {
+			t.Errorf("CheckSat with a %s: %+v, %v", other.Form(), r, err)
+		}
+		if r, err := eng.Implies(ctx, with, plain); err != nil || !r.Implied {
+			t.Errorf("Implies of a member of Σ with a %s: %+v, %v", other.Form(), r, err)
+		}
+		r, err := eng.Implies(ctx, gedlib.RuleSet{plain}, other)
+		if err != nil || r.Implied {
+			t.Fatalf("Implies of a %s by a GED it does not follow from: %+v, %v", other.Form(), r, err)
+		}
+		if ce := r.Counterexample(); !gedlib.Satisfies(ce, gedlib.RuleSet{plain}) || gedlib.Satisfies(ce, gedlib.RuleSet{other}) {
+			t.Errorf("Implies of a %s: the counterexample is not one:\n%s", other.Form(), ce)
+		}
 	}
-	// The solvers take every form, mixed: Σ implies its own GED∨.
-	if r := gdc.CheckSat(sigma); r.Satisfiable != gdc.True || !gedlib.IsModel(r.Model, sigma) {
-		t.Errorf("gdc.CheckSat of all three forms: %v", r.Satisfiable)
+	// Every form mixed in one Σ: satisfiable, and Σ implies its own GED∨.
+	if r, err := eng.CheckSat(ctx, sigma); err != nil || !r.Satisfiable || !gedlib.IsModel(r.Model, sigma) {
+		t.Errorf("CheckSat of all three forms: %+v, %v", r, err)
 	}
-	if r := gedor.Implies(sigma, sigma[1]); r.Implied != gedor.True {
-		t.Errorf("gedor.Implies with a GDC: %v", r.Implied)
+	if r, err := eng.Implies(ctx, sigma, sigma[1]); err != nil || !r.Implied {
+		t.Errorf("Implies with a GDC: %+v, %v", r, err)
 	}
 }

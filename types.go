@@ -9,6 +9,7 @@ import (
 	"gedlib/internal/axiom"
 	"gedlib/internal/chase"
 	"gedlib/internal/discover"
+	"gedlib/internal/gdc"
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/optimize"
@@ -120,8 +121,8 @@ func NewPattern() *Pattern { return pattern.New() }
 // pattern matches and the antecedent X holds, the consequent Y must
 // hold. The same type carries the extensions of Section 7: a GDC's
 // literals compare with any Op, and a GED∨'s consequent is Disjunctive
-// (some literal of Y must hold). Validation and Session.Apply judge all
-// three forms; the chase and the analyses built on it take GEDs only.
+// (some literal of Y must hold). The chase, Repair, Prove and
+// OptimizeQuery take GEDs only; every other method takes all three.
 type Rule = ged.GED
 
 // RuleSet is a set Σ of rules.
@@ -199,12 +200,11 @@ func False(y Var) []Literal { return ged.False(y) }
 // the first consequent literal it fails.
 type Violation = reason.Violation
 
-// SatResult reports a satisfiability analysis; Model is a certified
-// witness graph when Satisfiable.
-type SatResult = reason.SatResult
+// SatResult reports a satisfiability analysis; Model is its witness.
+type SatResult = gdc.SatResult
 
 // ImplResult reports an implication analysis Σ ⊨ φ.
-type ImplResult = reason.ImplResult
+type ImplResult = gdc.ImplResult
 
 // ChaseResult is the outcome of chasing a graph with a rule set
 // (Theorem 1: it is order-independent): the relation Eq and the steps

@@ -1,5 +1,6 @@
 // Package workload exposes the library's synthetic workloads: the
-// paper's running-example rules (φ₁–φ₅, ψ₁–ψ₃), generators for the
+// paper's running-example rules (φ₁–φ₅, ψ₁–ψ₃, and the domain
+// constraints of Examples 9 and 10), generators for the
 // knowledge-base / social-network / music-catalog scenarios of
 // Example 1, and the 3-colorability hardness families behind the
 // Table 1 reductions. Everything is deterministic in its seed.
@@ -44,6 +45,18 @@ func PaperKeys() gedlib.RuleSet { return gen.PaperKeys() }
 
 // PaperGEDs is the full running-example rule set.
 func PaperGEDs() gedlib.RuleSet { return gen.PaperGEDs() }
+
+// DomainGDCs is Example 9: two GDCs keeping attribute a of every
+// tau-labeled node within the given values.
+func DomainGDCs(tau gedlib.Label, a gedlib.Attr, domain ...gedlib.Value) gedlib.RuleSet {
+	return gen.DomainGDCs(tau, a, domain...)
+}
+
+// DomainGEDor is Example 10: one GED∨ keeping attribute a of every
+// tau-labeled node within the given values.
+func DomainGEDor(tau gedlib.Label, a gedlib.Attr, domain ...gedlib.Value) *gedlib.Rule {
+	return gen.DomainGEDor(tau, a, domain...)
+}
 
 // ---- scenario generators ----
 
