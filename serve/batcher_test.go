@@ -309,7 +309,11 @@ func BenchmarkFlushIngest(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	seq := 0
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	// A b.N loop, not b.Loop: under Go 1.24.0 b.Loop's ramp-up, which
+	// reads the timer, never reaches the default -benchtime when most of
+	// each iteration runs with the timer stopped.
+	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ops := make([]Op, 0, 128)
 		for i := 0; i < 32; i++ {
@@ -342,7 +346,8 @@ func BenchmarkFlushBulkAddNode(b *testing.B) {
 		ops[i] = Op{Op: "add_node", ID: id, Label: "person", Attrs: map[string]any{"name": id, "type": "programmer"}}
 	}
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ { // b.N, not b.Loop: see BenchmarkFlushIngest
 		b.StopTimer()
 		cat, err := NewCatalog(Config{DataDir: b.TempDir()})
 		if err != nil {
