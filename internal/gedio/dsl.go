@@ -38,6 +38,9 @@ import (
 // consequent; literals are `x.attr OP value`, `x.attr OP y.attr` or
 // `x.id = y.id` with OP among = != < <= > >=; `false` desugars to the
 // paper's two-constant encoding; `or` makes the consequent disjunctive.
+// A disjunction of any length, empty or of one literal included, is also
+// written `then or(l₁, …, lₖ)`; `then or()` is the empty disjunction,
+// false as a GED∨.
 // String constants are Go-quoted: escapes decode as strconv.Unquote
 // reads them.
 
@@ -238,7 +241,15 @@ func (p *parser) rule() (*ged.GED, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		lits, disj, err := p.literalList(true)
+		var lits []ged.Literal
+		var disj bool
+		var err error
+		if p.tok.kind == tokIdent && p.tok.text == "or" && p.peek().text == "(" {
+			lits, err = p.disjunction()
+			disj = true
+		} else {
+			lits, disj, err = p.literalList(true)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -368,6 +379,40 @@ func (p *parser) literalList(allowOr bool) ([]ged.Literal, bool, error) {
 	}
 }
 
+// disjunction parses `or(l₁, …, lₖ)`, k ≥ 0.
+func (p *parser) disjunction() ([]ged.Literal, error) {
+	if err := p.expectIdent("or"); err != nil {
+		return nil, err
+	}
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	var lits []ged.Literal
+	for p.tok.kind != tokPunct || p.tok.text != ")" {
+		if len(lits) > 0 {
+			if err := p.expectPunct(","); err != nil {
+				return nil, err
+			}
+		}
+		if p.tok.kind == tokIdent && p.tok.text == "false" {
+			return nil, p.errf("`false` inside or(): the empty or() is false")
+		}
+		l, err := p.literal()
+		if err != nil {
+			return nil, err
+		}
+		lits = append(lits, l...)
+	}
+	return lits, p.advance()
+}
+
+// peek returns the token after the current one.
+func (p *parser) peek() token {
+	l := *p.lex
+	t, _ := l.next()
+	return t
+}
+
 // literal parses one literal (or `false`).
 func (p *parser) literal() ([]ged.Literal, error) {
 	if p.tok.kind == tokIdent && p.tok.text == "false" {
@@ -451,9 +496,9 @@ func fixFalseAnchors(r *ged.GED) {
 }
 
 // Format renders rules back into DSL text that Parse reads back as the
-// same rules. The DSL writes a disjunction of two or more literals; a
-// one-literal or empty disjunction is written as its conjunctive
-// equivalent (`then l`, `then false`).
+// same rules, Disjunctive bit included: a disjunction of two or more
+// literals as `then l₁ or l₂ …`, a shorter one as `then or(l)` or
+// `then or()`.
 func Format(rules ged.Set) string {
 	var b strings.Builder
 	for i, r := range rules {
@@ -467,8 +512,10 @@ func Format(rules ged.Set) string {
 			b.WriteString("\n")
 		}
 		switch {
-		case r.Disjunctive && len(r.Y) == 0:
-			b.WriteString("  then false\n")
+		case r.Disjunctive && len(r.Y) < 2:
+			b.WriteString("  then or(")
+			writeLits(&b, r.Y, ", ")
+			b.WriteString(")\n")
 		case len(r.Y) > 0:
 			sep := " and "
 			if r.Disjunctive {

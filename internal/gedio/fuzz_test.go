@@ -29,6 +29,10 @@ func FuzzParse(f *testing.F) {
 		`ged l on (x:a) { then x.s = "line\nbreak" }`,
 		`ged c on (x:a) { then x.s = "\x03" or x.s = "\u00e9\\" }`,
 		`ged big on (x:a) { when x.n > 100000000000000000000000 then x.m = 0.000001 }`,
+		`ged none on (x:a) { when x.f = 1 then or() }`,
+		`ged one on (x:a) { then or(x.f = 0) }`,
+		`ged two on (x:a)-[e]->(y:b) { then or(x.id = y.id, y.f = "s") }`,
+		`ged v on (or:a) { then or.f = 1 }`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -48,7 +52,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("rule count changed: %d -> %d", len(rules), len(again))
 		}
 		for i, r := range rules {
-			if again[i].String() != r.String() || again[i].Disjunctive != r.Disjunctive {
+			if again[i].String() != r.String() || again[i].Disjunctive != r.Disjunctive || again[i].Form() != r.Form() {
 				t.Fatalf("rule %d changed:\n%s (disjunctive %v)\n%s (disjunctive %v)\nprinted: %q",
 					i, r, r.Disjunctive, again[i], again[i].Disjunctive, text)
 			}

@@ -236,6 +236,42 @@ ged domain on (x:account) {
 	}
 }
 
+// TestParseShortDisjunctions: or() and or(l) are GED∨s, and Format
+// writes a short disjunction in that spelling, so the bit survives.
+func TestParseShortDisjunctions(t *testing.T) {
+	src := `
+ged none on (x:account) { when x.flag = 2 then or() }
+ged one on (x:account) { then or(x.flag = 0) }
+ged two on (x:account) { then or(x.flag = 0, x.flag = 1) }
+ged var on (or:account) { then or.flag = 0 }
+`
+	rules, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		form ged.Form
+		n    int
+	}{{ged.FormGEDor, 0}, {ged.FormGEDor, 1}, {ged.FormGEDor, 2}, {ged.FormGED, 1}} {
+		if r := rules[i]; r.Form() != want.form || len(r.Y) != want.n {
+			t.Errorf("rule %s: a %s with %d literals, want a %s with %d", r.Name, r.Form(), len(r.Y), want.form, want.n)
+		}
+	}
+	text := Format(rules)
+	again, err := Parse(text)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	for i, r := range rules {
+		if again[i].String() != r.String() || again[i].Form() != r.Form() {
+			t.Errorf("rule %s changed through Format:\n%s", r.Name, text)
+		}
+	}
+	if _, err := Parse(`ged r on (x:a) { then or(false) }`); err == nil {
+		t.Error("false inside or() accepted")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		`ged on (x:a) { }`,              // missing name

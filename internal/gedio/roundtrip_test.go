@@ -52,11 +52,11 @@ func randomRule(rng *rand.Rand, idx int) *ged.GED {
 	for i := 0; i < rng.Intn(3); i++ {
 		r.X = append(r.X, randLit(useOps))
 	}
-	k := 1 + rng.Intn(2)
+	k := rng.Intn(3)
 	for i := 0; i < k; i++ {
 		r.Y = append(r.Y, randLit(false))
 	}
-	if k > 1 && rng.Intn(2) == 0 {
+	if rng.Intn(2) == 0 { // of any length: or(), or(l) and l₁ or l₂
 		r.Disjunctive = true
 	}
 	return r
@@ -77,7 +77,7 @@ func TestFormatParseRoundTripRandom(t *testing.T) {
 			t.Fatalf("trial %d: %d rules from one", trial, len(parsed))
 		}
 		p := parsed[0]
-		if p.Name != r.Name || p.Disjunctive != r.Disjunctive {
+		if p.Name != r.Name || p.Disjunctive != r.Disjunctive || p.Form() != r.Form() {
 			t.Fatalf("trial %d: header changed\n%s", trial, text)
 		}
 		if len(p.X) != len(r.X) || len(p.Y) != len(r.Y) {
