@@ -21,11 +21,13 @@ type value struct {
 // order is the order layer of one branch: its comparison facts resolved
 // onto Eq's value classes. Its vertices are every constant of the
 // instance, chained in the order of U, and every class a fact mentions;
-// its edges are lo ≤ hi or lo < hi, plus disequalities. The domain is
-// totally ordered and dense on each kind, so x ≤ y ≤ x forces x = y, a
-// cycle through a strict edge is infeasible, and anything else is
-// realizable. The layer keeps no classes of its own: a forced equality
-// goes back to the chase as a seed.
+// its edges are lo ≤ hi or lo < hi, plus disequalities. The layer takes
+// the domain as totally ordered and dense on each kind, so x ≤ y ≤ x
+// forces x = y, a cycle through a strict edge is infeasible, and
+// anything else is realizable. Numbers are dense; strings are not, and
+// a class with no string left between its bounds surfaces when assign
+// builds the witness (ErrNoWitness). The layer keeps no classes of its
+// own: a forced equality goes back to the chase as a seed.
 type order struct {
 	eq     *chase.Eq
 	vertex map[value]int
