@@ -15,9 +15,9 @@
 // search never splits and is exactly the chase of the theorems.
 //
 // The search terminates by construction, with no cap on its work. A
-// fact is an atom over the terms of the canonical graph (a node, or an attribute
-// slot of a node) and the constants of Σ and φ, so there are finitely
-// many. Every fact a branch pushes, forced by a consequent or chosen by
+// fact is an atom over the terms of the canonical graph (a node, or an
+// attribute slot of a node) and the constants of Σ and φ, so there are
+// finitely many. Every fact a branch pushes, forced by a consequent or chosen by
 // a case split, is undecided before the push and entailed once the
 // branch is chased again, and entailment only grows along a branch. So
 // each push decides one more atom, and a branch is at most as deep as

@@ -40,12 +40,17 @@ type search struct {
 
 func newSearch(ctx context.Context, base *graph.Graph, sigma ged.Set, phi *ged.GED, maxRounds int) search {
 	s := search{ctx: ctx, maxRounds: maxRounds, base: base, sigma: sigma, phi: phi, geds: sigma}
-	if slices.ContainsFunc(sigma, notGED) {
+	hasGDC := phi != nil && phi.Form() == ged.FormGDC
+	for _, d := range sigma {
+		if f := d.Form(); f != ged.FormGED {
+			s.others = append(s.others, d)
+			hasGDC = hasGDC || f == ged.FormGDC
+		}
+	}
+	if len(s.others) > 0 {
 		s.geds = nil
 		for _, d := range sigma {
-			if notGED(d) {
-				s.others = append(s.others, d)
-			} else {
+			if d.Form() == ged.FormGED {
 				s.geds = append(s.geds, d)
 			}
 		}
@@ -53,8 +58,7 @@ func newSearch(ctx context.Context, base *graph.Graph, sigma ged.Set, phi *ged.G
 	}
 	// Only a comparison ever becomes an order fact, and only then do
 	// constants need their places in the order.
-	isGDC := func(d *ged.GED) bool { return d.Form() == ged.FormGDC }
-	if !slices.ContainsFunc(sigma, isGDC) && (phi == nil || !isGDC(phi)) {
+	if !hasGDC {
 		return s
 	}
 	addConsts := func(d *ged.GED) {
@@ -76,8 +80,6 @@ func newSearch(ctx context.Context, base *graph.Graph, sigma ged.Set, phi *ged.G
 	s.consts = slices.CompactFunc(s.consts, graph.Value.Equal)
 	return s
 }
-
-func notGED(d *ged.GED) bool { return d.Form() != ged.FormGED }
 
 // push commits a fact to the branch.
 func (s *search) push(f chase.Seed) {
