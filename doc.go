@@ -72,11 +72,9 @@
 // delta touches and searching only the touched neighborhoods for new
 // ones), and returns the complete canonical violation set at O(|Δ|)
 // cost per update; it refuses a nil delta (history the journal no
-// longer holds) with ErrNoDelta. Session.CatchUp(ctx, g, delta) is the same for a
-// caller holding the graph, reading the delta off its journal when not
-// handed one and re-freezing instead when the backlog rivals the graph.
-// Engine.Apply(ctx, g, Σ) is that catch-up for a caller holding only the
-// graph, and it also serves Validate and ValidateIncremental after
+// longer holds) with ErrNoDelta. Engine.Apply(ctx, g, Σ) is that for a
+// caller holding only a mutable graph: the delta off g's journal, or a
+// re-freeze when the backlog rivals the graph. It also serves Validate and ValidateIncremental after
 // mutations, so no graph-bound method re-freezes an already-seen
 // graph; the chase freezes its input once, matches its first round on
 // that snapshot and every round after a node merge on the snapshot's
@@ -132,8 +130,9 @@
 // publishes an immutable view (snapshot, rebased validator, maintained
 // violation set, id mapping) through an atomic pointer, so concurrent
 // readers never block writers — and its write path coalesces: mutations
-// enqueue onto a per-graph bounded batcher flushed by size or deadline,
-// one Session.CatchUp by the batch's delta per merged batch. One Engine
+// enqueue onto a per-graph bounded batcher flushed by size or deadline;
+// a flush resolves its batch into one delta, logs it, then applies it
+// by one Session.Apply. One Engine
 // serves the whole catalog and each graph entry owns one Session, whose
 // Snapshot and Validator are exactly what a view publishes; a deleted
 // graph's session goes with its entry. A custom serving layer builds the

@@ -43,17 +43,16 @@ var ErrNoWitness = gdc.ErrNoWitness
 // caller owns (a serving catalog keeps one per graph):
 //
 //	s, err := eng.Open(ctx, g, sigma) // one freeze
-//	... mutate g ...
-//	vs, err := s.CatchUp(ctx, g, nil) // by g's journal, or a re-freeze
+//	vs, err := s.Apply(ctx, d)        // each later change, as a delta
 //
-// A caller that ships deltas instead of the graph — a WAL follower —
-// hands them to s.Apply.
+// The session's snapshot is then the graph's state; a caller that
+// still mutates g passes g.DeltaSince(s.Snapshot().SourceVersion()).
 //
 // The graph-keyed methods (Validate, ValidateIncremental, Apply,
 // Satisfies, Discover) are a thin shim for callers holding only a
 // *Graph: one session per graph, keyed weakly so that a collected graph
 // takes its session with it, and caught up before each call by the
-// graph's change journal (Session.CatchUp). Only Apply switches the
+// graph's change journal (or a re-freeze). Only Apply switches the
 // session to the call's rules (Session.SetRules); the read-only methods
 // validate the call's own rules and leave the maintained set alone, so
 // concurrent calls with different rule sets never see each other's.
@@ -119,7 +118,7 @@ func New(opts ...Option) *Engine {
 }
 
 // lockSession returns the shim's session for g, locked and caught up to
-// g's version (Session.CatchUp's rule; first contact freezes g); the
+// g's version (Session.syncLocked; first contact freezes g); the
 // caller unlocks it. Resolving the call's rules and reading the state
 // under this one hold keeps concurrent calls with different rule sets
 // on one graph apart.
@@ -134,7 +133,7 @@ func (e *Engine) lockSession(ctx context.Context, g *Graph) (*Session, error) {
 	}
 	e.mu.Unlock()
 	s.mu.Lock()
-	if err := s.syncLocked(ctx, g, nil); err != nil {
+	if err := s.syncLocked(ctx, g); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -188,7 +187,7 @@ func (e *Engine) ValidateIncremental(ctx context.Context, g *Graph, sigma RuleSe
 	return val.TouchingCtx(ctx, touched, e.violationLimit)
 }
 
-// Apply is Session.CatchUp for a caller holding only the graph: it feeds
+// Apply is Session.Apply for a caller holding only the graph: it feeds
 // g's mutations since the previous graph-bound call to g's session and
 // returns the complete current violation set of Σ. Rules are compared
 // *by identity* (same rules, same order, same pointers): a call with
@@ -214,7 +213,7 @@ func (e *Engine) Apply(ctx context.Context, g *Graph, sigma RuleSet) ([]Violatio
 // limited applies the engine's violation limit to the maintained set
 // without copying it. ViolationStore.Violations hands out a view it
 // never writes again (a change builds the next one afresh), so the
-// callers of Session.Apply, CatchUp and Violations share it read-only; a
+// callers of Session.Apply and Violations share it read-only; a
 // limit reslices it with the capacity clamped, so an append by the
 // caller copies instead of writing into it.
 func (e *Engine) limited(vs []Violation) []Violation {

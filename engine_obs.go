@@ -29,7 +29,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	return &engineMetrics{
 		validate:    reg.Histogram("ged_engine_validate_seconds", "full Validate duration"),
 		validateInc: reg.Histogram("ged_engine_validate_incremental_seconds", "ValidateIncremental duration"),
-		apply:       reg.Histogram("ged_engine_apply_seconds", "Apply and CatchUp duration, catch-up and seeding included"),
+		apply:       reg.Histogram("ged_engine_apply_seconds", "Apply and Violations duration, catch-up and seeding included"),
 		chase:       reg.Histogram("ged_engine_chase_seconds", "Engine.Chase duration"),
 
 		snapHit:     reg.Counter("ged_engine_snapshot_cache_total", "session snapshot outcomes", "outcome", "hit"),

@@ -348,13 +348,24 @@ func (p *parser) node(r *ged.GED) (pattern.Var, error) {
 	return v, nil
 }
 
+// falseInOr rejects `false` as a disjunct: it desugars to two literals
+// (x._F = 0 and x._F = 1), which a disjunction would no longer forbid
+// together.
+const falseInOr = "`false` inside or(): the empty or() is false"
+
 // literalList parses literals separated by `and` (or `or` when allowOr);
-// mixing the two in one list is rejected.
+// mixing the two in one list is rejected, and so is `false` between
+// `or`s.
 func (p *parser) literalList(allowOr bool) ([]ged.Literal, bool, error) {
 	var lits []ged.Literal
-	disj := false
+	disj, sawFalse := false, false
 	first := true
 	for {
+		isFalse := p.tok.kind == tokIdent && p.tok.text == "false"
+		if isFalse && disj {
+			return nil, false, p.errf(falseInOr)
+		}
+		sawFalse = sawFalse || isFalse
 		ls, err := p.literal()
 		if err != nil {
 			return nil, false, err
@@ -370,6 +381,9 @@ func (p *parser) literalList(allowOr bool) ([]ged.Literal, bool, error) {
 		}
 		if !first && isOr != disj {
 			return nil, false, p.errf("cannot mix `and` and `or` in one clause")
+		}
+		if isOr && sawFalse {
+			return nil, false, p.errf(falseInOr)
 		}
 		disj = isOr
 		first = false
@@ -395,7 +409,7 @@ func (p *parser) disjunction() ([]ged.Literal, error) {
 			}
 		}
 		if p.tok.kind == tokIdent && p.tok.text == "false" {
-			return nil, p.errf("`false` inside or(): the empty or() is false")
+			return nil, p.errf(falseInOr)
 		}
 		l, err := p.literal()
 		if err != nil {

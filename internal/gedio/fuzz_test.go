@@ -33,6 +33,7 @@ func FuzzParse(f *testing.F) {
 		`ged one on (x:a) { then or(x.f = 0) }`,
 		`ged two on (x:a)-[e]->(y:b) { then or(x.id = y.id, y.f = "s") }`,
 		`ged v on (or:a) { then or.f = 1 }`,
+		`ged f on (x:a) { then false or x.a = 1 }`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,6 +1,7 @@
 package gedio
 
 import (
+	"strings"
 	"testing"
 
 	"gedlib/internal/ged"
@@ -269,6 +270,23 @@ ged var on (or:account) { then or.flag = 0 }
 	}
 	if _, err := Parse(`ged r on (x:a) { then or(false) }`); err == nil {
 		t.Error("false inside or() accepted")
+	}
+	for _, src := range []string{
+		`ged r on (x:a) { then false or x.a = 1 }`,
+		`ged r on (x:a) { then x.a = 1 or false }`,
+		`ged r on (x:a) { then x.a = 1 or x.b = 2 or false }`,
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "`false` inside or()") {
+			t.Errorf("%s: err %v, want false rejected as a disjunct", src, err)
+		}
+	}
+	for _, src := range []string{
+		`ged r on (x:a) { then false and x.a = 1 }`,
+		`ged r on (x:a) { then x.a = 1 and false }`,
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("%s: %v, want false accepted in a conjunction", src, err)
+		}
 	}
 }
 

@@ -27,10 +27,10 @@ type GraphStore struct {
 	seg      File   // current WAL segment, opened for append
 	segStart uint64 // graph version the segment starts at
 	closed   bool
-	// dirtyTail is set after a failed append: the segment may end in a
-	// torn frame, and the next append must truncate back to segBytes
-	// (the last known-good offset) before writing, or a retried record
-	// would land after garbage and recovery would truncate it away.
+	// dirtyTail is set after a failed append or sync: the segment may
+	// end in a torn frame or in records no sync covered, which the next
+	// append or checkpoint truncates (back to segBytes, the last
+	// known-good offset) before a later record lands after them.
 	dirtyTail bool
 
 	version     uint64 // graph version after the last appended record
@@ -47,6 +47,10 @@ type GraphStore struct {
 	records                 uint64 // records appended by this handle
 	lastSync                time.Duration
 	pendingSync             bool
+	// syncedVersion and syncedBytes are version and segBytes at the last
+	// good sync or checkpoint, which a failed sync falls back to.
+	syncedVersion uint64
+	syncedBytes   int64
 
 	// epoch is the leadership epoch stamped onto every record this
 	// handle appends. fenced latches once a later epoch's bound is
@@ -182,8 +186,13 @@ func (gs *GraphStore) Sync() error {
 func (gs *GraphStore) syncLocked() error {
 	start := time.Now()
 	if err := gs.seg.Sync(); err != nil {
+		// Drop the records since the last good sync: never acknowledged,
+		// and maybe lost whatever the page cache still holds.
+		gs.version, gs.segBytes = gs.syncedVersion, gs.syncedBytes
+		gs.dirtyTail, gs.pendingSync = true, false
 		return fmt.Errorf("persist: fsync WAL: %w", err)
 	}
+	gs.syncedVersion, gs.syncedBytes = gs.version, gs.segBytes
 	gs.lastSync = time.Since(start)
 	gs.mFsync.Observe(gs.lastSync)
 	gs.pendingSync = false
@@ -272,12 +281,22 @@ func (gs *GraphStore) appendEpochBump() error {
 	return gs.syncLocked()
 }
 
+// repairTailLocked truncates the segment back to segBytes when a failed
+// append or sync left bytes past it.
+func (gs *GraphStore) repairTailLocked() error {
+	if !gs.dirtyTail {
+		return nil
+	}
+	if err := gs.seg.Truncate(gs.segBytes); err != nil {
+		return fmt.Errorf("persist: repair torn WAL tail: %w", err)
+	}
+	gs.dirtyTail = false
+	return nil
+}
+
 func (gs *GraphStore) appendLocked(payload []byte) error {
-	if gs.dirtyTail {
-		if err := gs.seg.Truncate(gs.segBytes); err != nil {
-			return fmt.Errorf("persist: repair torn WAL tail: %w", err)
-		}
-		gs.dirtyTail = false
+	if err := gs.repairTailLocked(); err != nil {
+		return err
 	}
 	b := frame(payload)
 	if _, err := gs.seg.Write(b); err != nil {
@@ -318,16 +337,18 @@ func (gs *GraphStore) CheckpointDue() bool {
 // Checkpoint writes c as a new checkpoint, rotates the WAL onto a fresh
 // segment starting at c's version, and compacts: checkpoints beyond the
 // retention and the segments older than the oldest retained checkpoint
-// are deleted. A checkpoint at the current checkpoint version is a
-// no-op. c must be the state of the graph whose deltas the caller has
-// been appending, and nothing may be appended while it runs (serve
-// holds the entry lock): the image covers every op, whether or not the
-// WAL saw it, so it also re-anchors a log that missed some.
+// are deleted; one at the current checkpoint version only truncates a
+// dirty tail. c must be the state of the graph whose deltas the caller
+// has been appending, and nothing may be appended while it runs (serve
+// holds the entry lock): the image covers every op the log holds.
 func (gs *GraphStore) Checkpoint(c Cut) error {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	if gs.closed {
 		return ErrClosed
+	}
+	if err := gs.repairTailLocked(); err != nil {
+		return err
 	}
 	v := c.Snap.SourceVersion()
 	if v == gs.ckptVersion && gs.seg != nil {
@@ -341,18 +362,6 @@ func (gs *GraphStore) Checkpoint(c Cut) error {
 		return err
 	}
 	ckptStart := time.Now()
-	// Flush pending records first so the rotate boundary is clean. A
-	// failed sync here does NOT abort the checkpoint: the image below
-	// captures every record's effect directly, so a full checkpoint is
-	// exactly the recovery path from an untrustworthy WAL tail (a failed
-	// fsync may have dropped dirty pages — re-syncing proves nothing,
-	// rewriting the state does).
-	if gs.seg != nil && gs.store.opts.Fsync != FsyncOff && gs.pendingSync {
-		_ = gs.syncLocked()
-		if gs.fenced { // the sync's own fence check may have latched
-			return gs.fenceErrLocked()
-		}
-	}
 	if _, err := gs.store.writeCheckpoint(gs.dir, c, gs.epoch, gs.store.opts.Fsync != FsyncOff); err != nil {
 		return err
 	}
@@ -364,6 +373,7 @@ func (gs *GraphStore) Checkpoint(c Cut) error {
 	}
 	gs.version, gs.pendingSync = v, false
 	gs.cutOps, gs.cutVersion = gs.ops, v
+	gs.syncedVersion, gs.syncedBytes = v, gs.segBytes
 	gs.durableLocked(v)
 	if gs.store.opts.Fsync != FsyncOff {
 		_ = gs.store.fs.SyncDir(gs.dir)
@@ -407,6 +417,7 @@ func (gs *GraphStore) Rotate() (uint64, error) {
 		}
 	}
 	gs.cutOps, gs.cutVersion = gs.ops, v
+	gs.syncedVersion, gs.syncedBytes = v, gs.segBytes
 	return v, nil
 }
 

@@ -17,8 +17,8 @@
 //	u32 payload length | u32 IEEE CRC32 of payload | payload
 //
 // (little endian). The payload's first byte is the record kind — a
-// serialized Delta (the logical ops Graph.DeltaSince captures, plus the
-// wire names of added nodes), or a rules registration (the DSL source).
+// serialized Delta (one flush's changes, plus the wire names of added
+// nodes), a rules registration (the DSL source), or an epoch bump.
 // Every record carries its append wall-clock time, which is what
 // follower staleness is measured against. A torn or corrupted tail
 // frame is detected by the CRC, reported by recovery, and truncated —

@@ -14,7 +14,7 @@ import (
 // onto a bounded queue, and a single flusher goroutine drains it in
 // merged batches — when FlushOps operations are pending, when MaxDelay
 // has elapsed since the flusher saw work, or at close. Each flush costs
-// one graph lock acquisition and one Session.CatchUp regardless of how
+// one graph lock acquisition and one Session.Apply regardless of how
 // many requests it merged, which is what keeps a write-heavy burst from
 // paying the maintenance pipeline per request. While a flush is
 // running, newly arriving requests pile up and form the next batch —

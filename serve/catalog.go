@@ -16,8 +16,8 @@ import (
 )
 
 // Catalog owns the tenant graphs of a serving process: each entry is a
-// mutable graph, its registered rule set, its coalescing write batcher,
-// and the lineage of immutable views published to readers. All methods
+// graph's session, its registered rule set, its coalescing write
+// batcher, and the immutable views published to readers. All methods
 // are safe for concurrent use.
 type Catalog struct {
 	cfg Config
@@ -124,7 +124,7 @@ func (c *Catalog) Role() string {
 type View struct {
 	// Epoch increments once per publication (flush, rules change, load).
 	Epoch uint64
-	// Version is the graph's mutation-journal version the view reflects.
+	// Version is the graph version the view reflects.
 	Version uint64
 	// Snap is the immutable snapshot reads run against.
 	Snap *gedlib.Snapshot
@@ -148,17 +148,18 @@ type GraphEntry struct {
 	name string
 	cat  *Catalog
 
-	// mu guards the mutable graph, its session, writes to the name index
-	// and the rule set, and the move into closing happens under it. The
-	// flusher holds it exclusively for the whole mutate+Apply+publish
-	// sequence; chase requests hold it shared just long enough to clone
-	// the graph. The read path never takes it.
+	// mu guards the session, writes to the name index and the rule set,
+	// and the move into closing happens under it. A flush holds it
+	// throughout; the read path never takes it.
 	mu    sync.RWMutex
-	graph *gedlib.Graph
 	sess  *gedlib.Session
 	names *nameIndex
 	sigma gedlib.RuleSet
 	text  *ruleText // sigma's wire text
+	// reload marks the session behind the log: from a flush's sync until
+	// its Apply returns, and after a panic between them until a probe
+	// reloads the entry from the log. Guarded by mu.
+	reload bool
 
 	epoch atomic.Uint64
 	view  atomic.Pointer[View]
@@ -263,8 +264,7 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 		names = newNameIndex(byName)
 	}
 	ent := c.newEntry(name, stLeaderOK)
-	ent.graph, ent.names, ent.sigma = g, names, gedlib.RuleSet{}
-	if err := ent.openLocked(context.Background()); err != nil {
+	if err := ent.openLocked(context.Background(), g, names, gedlib.RuleSet{}, ""); err != nil {
 		return nil, err
 	}
 	if c.store != nil {
@@ -397,7 +397,7 @@ func (c *Catalog) takeAll() []*GraphEntry {
 }
 
 // close shuts one entry down. Ordering is load-bearing: the batcher is
-// drained FIRST, so every accepted write reaches the graph and the WAL
+// drained FIRST, so every accepted write reaches the WAL and the session
 // before any per-graph resource goes away — closing the GraphStore (or
 // moving the entry to closing) ahead of the drain would fail or drop
 // the final flush. drop skips the parting checkpoint (the caller is
@@ -412,16 +412,13 @@ func (ent *GraphEntry) close(drop bool) {
 	ent.mu.Lock()
 	if ps := ent.ps.Load(); ps != nil {
 		ent.awaitCheckpointLocked()
-		if !drop {
+		if !drop && !ent.reload {
 			// A clean shutdown checkpoints the head, so the next boot
 			// recovers from the image alone instead of replaying the
-			// whole tail. The session catches up first, so the image
-			// holds what the graph holds, as Probe's heal does. (A
+			// whole tail; one a panic left behind the log is not. (A
 			// fenced handle refuses this inside persist — harmless; the
 			// new leader owns the log now.)
-			if _, err := ent.sess.CatchUp(context.Background(), ent.graph, nil); err == nil {
-				_ = ps.Checkpoint(ent.cutLocked())
-			}
+			_ = ps.Checkpoint(ent.cutLocked())
 		}
 		_ = ps.Close()
 	}
@@ -463,7 +460,7 @@ func (ent *GraphEntry) RegisterRules(ctx context.Context, src string) (*View, er
 		return nil, err
 	}
 	if ps := ent.ps.Load(); ps != nil {
-		if err := ps.AppendRules(ent.graph.Version(), src); err != nil {
+		if err := ps.AppendRules(ent.sess.Snapshot().SourceVersion(), src); err != nil {
 			if errors.Is(err, persist.ErrFenced) {
 				// A newer epoch owns the log: the registration was never
 				// durable and must not be vouched for. Fence the entry
@@ -499,24 +496,24 @@ func (ent *GraphEntry) Mutate(ctx context.Context, ops []Op) (WriteResult, error
 // nil when it may proceed.
 func (ent *GraphEntry) writeErr() error { return ent.life.Load().row().writeErr }
 
-// Chase runs the engine's chase over a point-in-time copy of the graph
-// under the entry's current rules. The copy is taken under a shared
-// lock (the one read that briefly coordinates with flushes — the chase
-// inspects the build-time graph, not the published snapshot).
+// Chase runs the engine's chase under the current view's rules over a
+// graph rebuilt from the view's snapshot; it takes no lock.
 func (ent *GraphEntry) Chase(ctx context.Context) (*gedlib.ChaseResult, error) {
-	ent.mu.RLock()
-	clone := ent.graph.Clone()
-	sigma := ent.sigma
-	ent.mu.RUnlock()
-	return ent.cat.eng.Chase(ctx, clone, sigma)
+	view := ent.view.Load()
+	g, err := gedlib.ImportImage(view.Snap.Image(nil))
+	if err != nil {
+		return nil, err
+	}
+	return ent.cat.eng.Chase(ctx, g, view.Rules)
 }
 
-// openLocked opens a session on the entry's graph under its rules — one
-// freeze, one seeding validation — and publishes its first view.
+// openLocked puts the entry on g (named by names) under sigma, parsed
+// from src: one freeze into a new session, one seeding validation, its
+// first view published; g is not kept, and on error nothing changes.
 // Callers hold ent.mu exclusively (or have sole access while creating
 // the entry).
-func (ent *GraphEntry) openLocked(ctx context.Context) error {
-	sess, err := ent.cat.eng.Open(ctx, ent.graph, ent.sigma)
+func (ent *GraphEntry) openLocked(ctx context.Context, g *gedlib.Graph, names *nameIndex, sigma gedlib.RuleSet, src string) error {
+	sess, err := ent.cat.eng.Open(ctx, g, sigma)
 	if err != nil {
 		return err
 	}
@@ -524,7 +521,8 @@ func (ent *GraphEntry) openLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ent.sess = sess
+	ent.sess, ent.names, ent.reload = sess, names, false
+	ent.useRulesLocked(sigma, src)
 	ent.publishLocked(vs)
 	return nil
 }
@@ -599,12 +597,13 @@ func validName(name string) bool {
 	return true
 }
 
-// flushTestHook, when non-nil, runs at the top of every applyBatch, and
-// opTestHook after each op a flush applies (tests inject panics and
-// fault windows through them).
+// flushTestHook, when non-nil, runs at the top of every applyBatch,
+// opTestHook after each op it resolves, and applyTestHook between its
+// log and its Apply (tests inject panics and fault windows with them).
 var (
 	flushTestHook func(*GraphEntry)
 	opTestHook    func(Op)
+	applyTestHook func(*GraphEntry)
 )
 
 // flushBatch runs one merged batch through applyBatch and completes the
@@ -625,19 +624,19 @@ func (ent *GraphEntry) flushBatch(reqs []*writeReq) {
 	}
 }
 
-// applyBatch applies one merged batch: every op of every request is
-// applied to the mutable graph, then a single Session.CatchUp by the
-// batch's delta advances the snapshot and the maintained violation set
-// in O(|Δ|), and one view is published covering the whole batch. It
-// returns the view the requests complete against (the latest, whether
-// or not this batch advanced it).
+// applyBatch applies one merged batch, delta first: every op of every
+// request is resolved into one delta, which is logged (one WAL record,
+// one group-commit sync) before a single Session.Apply advances the
+// snapshot and the maintained violation set by it in O(|Δ|) and one
+// view is published covering the whole batch; a batch whose append or
+// sync fails changes nothing in memory. It returns the view the
+// requests complete against (the latest, whether or not this batch
+// advanced it).
 //
-// The batch is panic-contained: a panicking op application or rule plan
-// fails the batch instead of killing the flusher goroutine and hanging
-// every queued writer. The LIFO defers release the entry lock even
-// then. A durable entry additionally degrades on panic — the graph may
-// hold ops the WAL never saw, and only a heal checkpoint re-anchors
-// them.
+// The batch is panic-contained: a panicking op or rule plan fails the
+// batch instead of killing the flusher goroutine and hanging every
+// queued writer. The LIFO defers release the entry lock even then. A
+// durable entry additionally degrades on panic (see reload).
 func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 	sp := ent.cat.tracer().Start(ent.name, "flush")
 	ent.mu.Lock()
@@ -673,13 +672,13 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 	if hook := flushTestHook; hook != nil {
 		hook(ent)
 	}
-	// The session's version, not the graph's: the delta then also carries
-	// any ops a flush that panicked mid-way left unseen by the session.
-	from := ent.sess.Snapshot().SourceVersion()
+	snap := ent.sess.Snapshot()
+	b := &batchDelta{snap: snap, names: ent.names, d: gedlib.Delta{FromVersion: snap.SourceVersion()},
+		added: map[string]gedlib.NodeID{}, edges: map[gedlib.GraphEdge]struct{}{}}
 	for _, req := range reqs {
 		req.res.Applied = 0
 		for i := range req.ops {
-			if err := applyOp(ent.graph, ent.names, req.ops[i]); err != nil {
+			if err := b.add(req.ops[i]); err != nil {
 				req.res.OpErrors = append(req.res.OpErrors, OpError{Index: i, Message: err.Error()})
 				continue
 			}
@@ -690,38 +689,31 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 		}
 	}
 	sp.Stage("mutate")
-	d := ent.graph.DeltaSince(from)
 	// Write-ahead: the batch's delta reaches the WAL (and, in batch
 	// mode, one group-commit fsync covering every write it coalesced)
-	// before the view is published and the requests complete — a
-	// returned write is durable, not just visible.
-	ps := ent.ps.Load()
-	if lerr := ent.logBatchLocked(ps, d, sp); lerr != nil {
+	// before the session sees it and the requests complete — a returned
+	// write is durable, not just visible.
+	d, ps := &b.d, ent.ps.Load()
+	d.ToVersion = d.FromVersion + uint64(d.Size()) // a tick per node, edge and attribute write
+	if lerr := ent.logBatchLocked(ps, d, b.wire, sp); lerr != nil {
 		return nil, flushErr(lerr)
 	}
-	// The session catches up by d, or by a re-freeze when d is nil.
+	ent.reload = ps != nil // until the session holds what the log does
+	if hook := applyTestHook; hook != nil {
+		hook(ent)
+	}
 	start := time.Now()
-	vs, aerr := ent.sess.CatchUp(context.Background(), ent.graph, d)
+	vs, aerr := ent.sess.Apply(context.Background(), d)
+	// Apply advances the snapshot even when it fails, so the new nodes
+	// are named either way; their names enter the index only now.
+	ent.nameNodesLocked(d.Nodes, b.wire)
+	ent.reload = false
 	if aerr != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFlush, aerr)
 	}
 	applyDur := time.Since(start)
 	ent.stApply.Observe(applyDur)
 	sp.StageDur(stageApply, applyDur)
-	if d == nil && ps != nil {
-		// The ops since the session snapshot outran the journal, which
-		// keeps at least 4096 + |G|/4 graph ops (graph.CatchUpBound); an
-		// add_node with k attributes is k+1 of them, so on a small graph
-		// a bulk batch of a few thousand add_node ops gets here. With no
-		// delta to log, a checkpoint of the caught-up snapshot
-		// re-anchors the log losslessly before anything is published.
-		ckptStart := time.Now()
-		if err := ent.checkpointNowLocked(ps); err != nil {
-			ent.persistFault(err)
-			return nil, flushErr(err)
-		}
-		sp.StageDur("checkpoint", time.Since(ckptStart))
-	}
 	pubStart := time.Now()
 	v := ent.publishLocked(vs)
 	pubDur := time.Since(pubStart)
@@ -733,10 +725,19 @@ func (ent *GraphEntry) applyBatch(reqs []*writeReq) (view *View, err error) {
 	return nil, nil
 }
 
+// nameNodesLocked names the new nodes the session holds ("": unnamed).
+func (ent *GraphEntry) nameNodesLocked(nodes []gedlib.NodeAdd, names []string) {
+	for i, n := range nodes {
+		if names[i] != "" {
+			ent.names.add(names[i], n.ID)
+		}
+	}
+}
+
 // flushErr classifies a persist failure of a flush for its requests. A
 // fence is not a server fault: a newer epoch owns the log, and the
-// batch, applied in memory but never acked durable, leaves the fenced
-// entry serving its pre-batch view read-only.
+// batch, never acked durable nor applied, leaves the fenced entry
+// serving its pre-batch view read-only.
 func flushErr(err error) error {
 	if errors.Is(err, persist.ErrFenced) {
 		return fmt.Errorf("%w: %v", ErrFenced, err)
@@ -752,12 +753,9 @@ const (
 	flushRetryMaxDelay = 10 * time.Millisecond
 )
 
-// logBatchLocked persists the ops a flush just applied, as their delta d:
-// one delta record and one group-commit sync. Holding ent.mu orders the
-// records as the flushes apply them. No-op for non-durable entries, for
-// an empty d, and for a nil d (the journal no longer reaches back to the
-// batch's start), which applyBatch logs as a checkpoint once the
-// session has caught up.
+// logBatchLocked persists a flush's delta d (names: its new nodes' wire
+// ids) as one delta record and one group-commit sync, in flush order
+// under ent.mu. No-op for non-durable entries and for an empty d.
 //
 // Error policy: transient append errors (EIO, EINTR, ...) retry in
 // place with capped backoff — the WAL repairs its own torn tail before
@@ -765,15 +763,11 @@ const (
 // (ENOSPC, EROFS) degrade the graph. A failed group-commit fsync
 // degrades immediately and is never retried: the kernel may already
 // have dropped the dirty pages, so a passing retry would ack a write
-// that is not on disk. Recovery from degraded is always a full
-// checkpoint rewrite (see Probe).
-func (ent *GraphEntry) logBatchLocked(ps *persist.GraphStore, d *gedlib.Delta, sp *obs.Span) error {
-	if ps == nil || d == nil || d.Empty() { // Empty: every op was rejected
+// that is not on disk; persist drops the record instead. Recovery from
+// degraded is a probe's checkpoint (see Probe).
+func (ent *GraphEntry) logBatchLocked(ps *persist.GraphStore, d *gedlib.Delta, names []string, sp *obs.Span) error {
+	if ps == nil || d.Empty() { // Empty: every op was rejected
 		return nil
-	}
-	names := make([]string, len(d.Nodes))
-	for i, n := range d.Nodes {
-		names[i] = ent.names.raw(n.ID)
 	}
 	appendStart := time.Now()
 	delay := flushRetryDelay
@@ -921,9 +915,7 @@ func (ent *GraphEntry) loadLocked(ctx context.Context, st persist.State) error {
 			return fmt.Errorf("persisted rules: %w", err)
 		}
 	}
-	ent.graph, ent.names = st.Graph, nameIndexFromDense(st.Names)
-	ent.useRulesLocked(sigma, st.Rules)
-	return ent.openLocked(ctx)
+	return ent.openLocked(ctx, st.Graph, nameIndexFromDense(st.Names), sigma, st.Rules)
 }
 
 // parseStoredRules re-reads a rule source from the data directory.
@@ -1065,7 +1057,9 @@ func (c *Catalog) rescanLoop() {
 }
 
 // applyTailRecord applies one streamed WAL record to a replica entry
-// and publishes the advanced view.
+// and publishes the advanced view: a delta through Session.Apply, any
+// other record (a rules registration, an epoch bump) by republishing
+// Session.Violations.
 func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
@@ -1083,17 +1077,14 @@ func (ent *GraphEntry) applyTailRecord(tr persist.TailRecord) error {
 		}
 		ent.useRulesLocked(sigma, *tr.Rules)
 	}
+	var vs []gedlib.Violation
+	var err error
 	if tr.Delta != nil {
-		if err := ent.graph.ApplyDelta(tr.Delta); err != nil {
-			return err
-		}
-		for i, n := range tr.Delta.Nodes {
-			if tr.Names[i] != "" {
-				ent.names.add(tr.Names[i], n.ID)
-			}
-		}
+		vs, err = ent.sess.Apply(ctx, tr.Delta)
+		ent.nameNodesLocked(tr.Delta.Nodes, tr.Names)
+	} else {
+		vs, err = ent.sess.Violations(ctx)
 	}
-	vs, err := ent.sess.Apply(ctx, tr.Delta)
 	if err != nil {
 		return err
 	}

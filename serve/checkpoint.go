@@ -32,9 +32,8 @@ import (
 // write's error comes back to the next flush, which applies the flush
 // path's policy: a transient error retries at the next due point, any
 // other goes to persistFault. The paths that need a checkpoint before
-// they may go on (Create, close, a batch that outran the journal, a
-// probe's heal) write it at once, after waiting out the write in flight
-// and dropping what it wrote.
+// they may go on (Create, close, a probe's heal) write it at once, after
+// waiting out the write in flight and dropping what it wrote.
 
 // ckptTestHook, when non-nil, runs on the background writer before it
 // writes the cut at version v (tests hold the writer there).
@@ -138,14 +137,6 @@ func (ent *GraphEntry) installCheckpointLocked(sp *obs.Span) error {
 	default:
 		return nil
 	}
-}
-
-// checkpointNowLocked writes the session state as a checkpoint at once,
-// after waiting out a background write, which the new checkpoint
-// supersedes. Callers hold ent.mu.
-func (ent *GraphEntry) checkpointNowLocked(ps *persist.GraphStore) error {
-	ent.awaitCheckpointLocked()
-	return ps.Checkpoint(ent.cutLocked())
 }
 
 // awaitCheckpointLocked waits out the background write in flight, if

@@ -164,8 +164,8 @@ func newCkptLeader(t *testing.T, dir string, every int) (*Catalog, *GraphEntry) 
 
 // restoreMatchesFresh restores dir into a fresh catalog and checks that
 // the restored view is at version want, holds the first upTo acked nodes,
-// and carries exactly the violations a fresh validation of the restored
-// graph finds.
+// and carries exactly the violations a fresh validation of the graph
+// persist recovers from dir finds.
 func restoreMatchesFresh(t *testing.T, dir string, w *ckptWriter, upTo int, want uint64) {
 	t.Helper()
 	cat, err := NewCatalog(Config{DataDir: dir})
@@ -185,9 +185,11 @@ func restoreMatchesFresh(t *testing.T, dir string, w *ckptWriter, upTo int, want
 		t.Fatalf("restored at version %d, want %d", v.Version, want)
 	}
 	w.checkAcked(t, v, upTo)
-	ent.mu.RLock()
-	fresh, err := gedlib.New().Validate(context.Background(), ent.graph, ent.sigma)
-	ent.mu.RUnlock()
+	rec, err := cat.store.Recover("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := gedlib.New().Validate(context.Background(), rec.State.Graph, v.Rules)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,10 +49,9 @@ func TestFlushPanicContained(t *testing.T) {
 	}
 }
 
-// TestFlushPanicDegradesDurable: on a durable entry the panic may have
-// left ops in the graph that never reached the WAL, so the entry must
-// degrade — and a Probe (the operator enable path) must heal it via a
-// full checkpoint rewrite.
+// TestFlushPanicDegradesDurable: on a durable entry a panicking flush
+// degrades the entry — whatever it broke, writes stop until a probe —
+// and a Probe (the operator enable path) heals it with a checkpoint.
 func TestFlushPanicDegradesDurable(t *testing.T) {
 	c, err := NewCatalog(Config{DataDir: t.TempDir(), ProbeInterval: time.Hour})
 	if err != nil {
@@ -99,11 +98,12 @@ func TestFlushPanicDegradesDurable(t *testing.T) {
 	}
 }
 
-// TestFlushPanicKeepsNames: a panic in the op loop after an add_node
-// applied leaves that node in the graph, so its wire id must stay named
-// with it. The heal checkpoint persists the name, the node resolves by
-// it, and a re-sent add_node of the same id is a duplicate — on the
-// healed entry and after a restore from the checkpoint.
+// TestFlushPanicKeepsNames: a panic after the flush logged its batch,
+// before the session applied it, leaves memory behind the log. The
+// entry degrades, and the probe reloads it from the log before its
+// checkpoint, so the logged batch becomes visible with its names: the
+// node resolves by its wire id and a re-sent add_node of the same id is
+// a duplicate — on the healed entry and after a restore.
 func TestFlushPanicKeepsNames(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCatalog(Config{DataDir: dir, ProbeInterval: time.Hour})
@@ -115,17 +115,19 @@ func TestFlushPanicKeepsNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opTestHook = func(op Op) {
-		if op.Op == "add_node" {
-			panic("poisoned op loop")
-		}
-	}
-	defer func() { opTestHook = nil }()
-	ops := []Op{{Op: "add_node", ID: "a", Label: "person"}, {Op: "add_node", ID: "b", Label: "person"}}
+	applyTestHook = func(*GraphEntry) { panic("poisoned rule plan") }
+	defer func() { applyTestHook = nil }()
+	ops := []Op{{Op: "add_node", ID: "a", Label: "person"}}
 	if _, err := ent.Mutate(context.Background(), ops); !errors.Is(err, ErrFlush) {
 		t.Fatalf("poisoned flush: err=%v, want ErrFlush", err)
 	}
-	opTestHook = nil
+	applyTestHook = nil
+	if h, _ := ent.Health(); h != "degraded" {
+		t.Fatalf("health %q after a panic past the log, want degraded", h)
+	}
+	if n := ent.CurrentView().Snap.NumNodes(); n != 0 {
+		t.Fatalf("%d nodes before the heal, want 0: the session never applied the batch", n)
+	}
 	if err := ent.Probe(context.Background()); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
@@ -133,12 +135,12 @@ func TestFlushPanicKeepsNames(t *testing.T) {
 		t.Helper()
 		view := ent.CurrentView()
 		if id, ok := view.Names.Resolve("a"); !ok || view.Snap.Label(id) != "person" {
-			t.Fatalf("%s: %q resolves to %d/%v, want the node the panicked flush added", when, "a", id, ok)
+			t.Fatalf("%s: %q resolves to %d/%v, want the node the logged batch added", when, "a", id, ok)
 		}
 		if n := view.Snap.NumNodes(); n != 1 {
 			t.Fatalf("%s: %d nodes, want 1", when, n)
 		}
-		res, err := ent.Mutate(context.Background(), ops[:1])
+		res, err := ent.Mutate(context.Background(), ops)
 		if err != nil || res.Applied != 0 || len(res.OpErrors) != 1 || !strings.Contains(res.OpErrors[0].Message, "already exists") {
 			t.Fatalf("%s: re-sent add_node: applied %d, errors %v, err %v; want a duplicate", when, res.Applied, res.OpErrors, err)
 		}
@@ -160,11 +162,11 @@ func TestFlushPanicKeepsNames(t *testing.T) {
 	check(rent, "after restore")
 }
 
-// TestViewNamesBoundedBySnapshot: after an in-memory flush panics past an
-// add_node, the graph holds a node the session has not seen. A rules
-// registration then publishes the session's snapshot, and that view must
-// not resolve the unseen node's wire id to an id its snapshot lacks; the
-// next flush catches the session up and the id resolves.
+// TestViewNamesBoundedBySnapshot: names enter the index only once the
+// session holds their nodes. An in-memory flush that panics after its
+// (empty) log step, before the session applies the batch, leaves no
+// name behind: no view resolves the lost node's wire id, the id can be
+// added again, and the next flush's nodes resolve within their view.
 func TestViewNamesBoundedBySnapshot(t *testing.T) {
 	c, err := NewCatalog(Config{})
 	if err != nil {
@@ -175,30 +177,31 @@ func TestViewNamesBoundedBySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opTestHook = func(Op) { panic("poisoned op loop") }
-	defer func() { opTestHook = nil }()
+	applyTestHook = func(*GraphEntry) { panic("poisoned rule plan") }
+	defer func() { applyTestHook = nil }()
 	ctx := context.Background()
 	if _, err := ent.Mutate(ctx, []Op{{Op: "add_node", ID: "a", Label: "person"}}); !errors.Is(err, ErrFlush) {
 		t.Fatalf("poisoned flush: err=%v, want ErrFlush", err)
 	}
-	opTestHook = nil
+	applyTestHook = nil
 	view, err := ent.RegisterRules(ctx, `ged r on (x:person) { then x.ok = 1 }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := view.Names.Resolve("a"); ok && int(id) >= view.Snap.NumNodes() {
-		t.Fatalf("view of %d nodes resolves %q to node %d", view.Snap.NumNodes(), "a", id)
+	if id, ok := view.Names.Resolve("a"); ok {
+		t.Fatalf("view of %d nodes resolves %q, which the panicked flush never applied, to node %d", view.Snap.NumNodes(), "a", id)
 	}
-	if _, err := ent.Mutate(ctx, []Op{{Op: "add_node", ID: "b", Label: "person"}}); err != nil {
-		t.Fatal(err)
+	res, err := ent.Mutate(ctx, []Op{{Op: "add_node", ID: "a", Label: "person"}, {Op: "add_node", ID: "b", Label: "person"}})
+	if err != nil || res.Applied != 2 {
+		t.Fatalf("re-adding a and b: applied %d, errors %v, err %v", res.Applied, res.OpErrors, err)
 	}
 	view = ent.CurrentView()
 	for _, name := range []string{"a", "b"} {
 		if id, ok := view.Names.Resolve(name); !ok || int(id) >= view.Snap.NumNodes() {
-			t.Fatalf("after catch-up %q resolves to %d/%v of %d nodes", name, id, ok, view.Snap.NumNodes())
+			t.Fatalf("%q resolves to %d/%v of %d nodes", name, id, ok, view.Snap.NumNodes())
 		}
 	}
 	if n := len(view.Violations); n != 2 {
-		t.Fatalf("%d violations after catch-up, want 2 (both persons lack ok)", n)
+		t.Fatalf("%d violations, want 2 (both persons lack ok)", n)
 	}
 }

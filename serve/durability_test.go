@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"gedlib"
+	"gedlib/persist"
 	"gedlib/workload"
 )
 
@@ -75,6 +76,7 @@ func TestServeCrashRecoveryOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin := followWrites(t, data)
 	sigma := gedlib.RuleSet{
 		workload.PaperPhi1(), workload.PaperPhi2(),
 		workload.PaperPhi3(), workload.PaperPhi4(),
@@ -156,12 +158,10 @@ func TestServeCrashRecoveryOracle(t *testing.T) {
 	}
 	rview := rent.CurrentView()
 
-	// Serial oracle: a completely fresh engine over the live leader
-	// graph — no shared caches, no recovered state.
-	ent.mu.RLock()
-	oracle, err := gedlib.New().Validate(ctx, ent.graph, sigma)
-	version := ent.graph.Version()
-	ent.mu.RUnlock()
+	// Serial oracle: a completely fresh engine over the twin of the
+	// leader's graph — no shared caches, no recovered state.
+	oracle, err := gedlib.New().Validate(ctx, twin.g, sigma)
+	version := twin.g.Version()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +277,75 @@ func TestFollowerPropagation(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// TestFollowerAppliesRecordsInPlace: a follower applies the records
+// that carry no delta — a rules registration, a promotion's epoch bump
+// — in place and counts each, instead of failing its tail and
+// re-recovering the whole graph (which would swap its session).
+func TestFollowerAppliesRecordsInPlace(t *testing.T) {
+	dir := t.TempDir()
+	_, lent := newTestEntry(t, Config{MaxDelay: time.Millisecond, DataDir: dir})
+	fol, err := NewCatalog(Config{DataDir: dir, FollowPoll: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fol.Close)
+	if err := fol.Follow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fent, err := fol.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func() *gedlib.Session {
+		fent.mu.RLock()
+		defer fent.mu.RUnlock()
+		return fent.sess
+	}
+	sess, records := session(), fent.Stats().FollowerRecords
+	await := func(what string, want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for fent.Stats().FollowerRecords < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: follower applied %d records, want %d", what, fent.Stats().FollowerRecords, want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if got := fent.Stats().FollowerRecords; got != want {
+			t.Fatalf("%s: follower applied %d records, want %d", what, got, want)
+		}
+		if session() != sess {
+			t.Fatalf("%s: the follower re-recovered the graph", what)
+		}
+		if h, cause := fent.Health(); h != "readonly" {
+			t.Fatalf("%s: follower health %q (%v), want readonly", what, h, cause)
+		}
+	}
+
+	rules := `ged r on (x:person) { then x.ok = 1 }`
+	if _, err := lent.RegisterRules(context.Background(), rules); err != nil {
+		t.Fatal(err)
+	}
+	await("rules registration", records+1)
+	view := fent.CurrentView()
+	if len(view.Rules) != 1 || view.Rules[0].Name != "r" || len(view.Violations) != 1 {
+		t.Fatalf("follower serves %d rules and %d violations, want the registered rule and 1 violation", len(view.Rules), len(view.Violations))
+	}
+
+	store, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, _, err := store.Promote("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	await("epoch bump", records+2)
 }
 
 // TestStatszDurabilityShape pins the JSON wire shape of the durability

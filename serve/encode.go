@@ -55,8 +55,7 @@ func newRuleText(sigma gedlib.RuleSet) *ruleText {
 	t := &ruleText{rules: make([]ruleWire, len(sigma))}
 	for i, r := range sigma {
 		rw := ruleWire{rule: r, name: string(appendJSONString(nil, r.Name))}
-		vars := slices.Clone(r.Pattern.Vars())
-		slices.Sort(vars)
+		vars := slices.Sorted(slices.Values(r.Pattern.Vars()))
 		size := len(`{"rule":,"match":{},"literal":},`) + len(rw.name)
 		for _, x := range vars {
 			key := string(append(appendJSONString(nil, string(x)), ':'))

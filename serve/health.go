@@ -217,14 +217,16 @@ func (ent *GraphEntry) probeLoop() {
 	}
 }
 
-// Probe attempts to recover a degraded entry right now: a full
-// checkpoint rewrite re-anchors durability at the current in-memory
-// state. That is deliberately NOT a retry of whatever failed — a failed
-// fsync is never retried (the kernel may already have dropped the dirty
-// pages, so a passing retry proves nothing), and any ops a failed flush
-// applied in memory but never logged are rolled forward into the image.
-// On success the entry publishes its current state and accepts writes
-// again. Only a leader-degraded entry probes; in any other state Probe
+// Probe attempts to recover a degraded entry right now: a checkpoint of
+// the session's snapshot re-anchors durability at the in-memory state.
+// That is deliberately NOT a retry of whatever failed — a failed fsync
+// is never retried (the kernel may already have dropped the dirty
+// pages, so a passing retry proves nothing) — and a failed write left
+// nothing to roll forward. Only a flush that panicked after logging its
+// batch leaves the session behind the log; the entry is then reloaded
+// from what persist recovers first. On success the entry publishes its
+// current state and accepts writes again. Only a leader-degraded entry
+// probes; in any other state Probe
 // returns the state's probeErr (nil for a healthy or fenced leader — no
 // probe may resurrect a fenced one; ErrReadOnly for a follower, which
 // heals through its tail loop).
@@ -235,15 +237,23 @@ func (ent *GraphEntry) Probe(ctx context.Context) error {
 		return row.probeErr
 	}
 	ent.mProbes.Inc()
-	// The session catches up with the graph first, so the checkpoint
-	// holds any never-published applied suffix; the view follows only
-	// once the checkpoint (or, in-memory, nothing) agrees with it.
-	vs, err := ent.sess.CatchUp(ctx, ent.graph, nil)
+	ps := ent.ps.Load()
+	if ent.reload {
+		rec, err := ent.cat.store.Recover(ent.name)
+		if err == nil {
+			err = ent.loadLocked(ctx, rec.State)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: probe: reload: %v", ErrDegraded, err)
+		}
+	}
+	vs, err := ent.sess.Violations(ctx)
 	if err != nil {
 		return err
 	}
-	if ps := ent.ps.Load(); ps != nil {
-		if err := ent.checkpointNowLocked(ps); err != nil {
+	if ps != nil {
+		ent.awaitCheckpointLocked()
+		if err := ps.Checkpoint(ent.cutLocked()); err != nil {
 			ent.on(evFault, err)
 			return fmt.Errorf("%w: probe: %v", ErrDegraded, err)
 		}

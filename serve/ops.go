@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"gedlib"
@@ -54,7 +56,8 @@ type WriteResult struct {
 
 // nameIndex is a graph's one two-way mapping between wire-format string
 // node ids and NodeIDs, shared by every view of the entry. It only
-// grows: a flush that adds named nodes stores their names and appends
+// grows: a flush whose new nodes the session has applied stores their
+// names and appends
 // them to the dense column in place, so no flush copies the table, and
 // each view bounds what it sees by the column's length when it was
 // published (see nameTable). Writers hold the entry lock. Readers take
@@ -161,27 +164,12 @@ func (ix *nameIndex) setID(name string, id gedlib.NodeID) {
 	ix.byID[id] = name
 }
 
-// resolve maps a wire id to a NodeID on the write path, which sees
-// every name added so far. Callers hold the entry lock.
-func (ix *nameIndex) resolve(name string) (gedlib.NodeID, bool) {
-	return ix.resolveIn(name, ix.byID)
-}
-
 // resolveIn maps a wire id to a NodeID among the nodes byID covers.
 func (ix *nameIndex) resolveIn(name string, byID []string) (gedlib.NodeID, bool) {
 	if id, ok := ix.loaded[name]; ok {
 		return id, int(id) < len(byID)
 	}
 	return ix.added.Load().find(name, byID)
-}
-
-// raw returns the wire id of a node, "" when it has none (the WAL and
-// checkpoints persist the raw column; unnamed nodes stay unnamed).
-func (ix *nameIndex) raw(id gedlib.NodeID) string {
-	if int(id) < len(ix.byID) {
-		return ix.byID[id]
-	}
-	return ""
 }
 
 // dense returns the dense id→name column of the first n nodes (what a
@@ -213,49 +201,77 @@ func (t *nameTable) Resolve(name string) (gedlib.NodeID, bool) {
 	return t.idx.resolveIn(name, t.byID)
 }
 
-// applyOp applies one op to the mutable graph, naming added nodes in
-// the entry's index as they are added, so the names stay in step with
-// the graph however the flush ends. Called with the entry lock held by
-// the flusher.
-func applyOp(g *gedlib.Graph, names *nameIndex, op Op) error {
+// batchDelta resolves a flush's ops against the session's snapshot,
+// the name index and its own additions into the one delta the flush
+// logs, then applies. wire holds the wire ids of d.Nodes, added their
+// NodeIDs, and edges the edges d adds (an edge the snapshot or d has
+// already is no change).
+type batchDelta struct {
+	snap  *gedlib.Snapshot
+	names *nameIndex
+	d     gedlib.Delta
+	wire  []string
+	added map[string]gedlib.NodeID
+	edges map[gedlib.GraphEdge]struct{}
+}
+
+// resolve maps a wire id to a NodeID, the batch's new nodes included.
+func (b *batchDelta) resolve(name string) (gedlib.NodeID, bool) {
+	if id, ok := b.added[name]; ok {
+		return id, true
+	}
+	return b.names.resolveIn(name, b.names.byID)
+}
+
+// add resolves one op into the delta, or rejects it.
+func (b *batchDelta) add(op Op) error {
 	switch op.Op {
 	case "add_node":
 		if op.ID == "" {
 			return fmt.Errorf("add_node: missing id")
 		}
-		if _, dup := names.resolve(op.ID); dup {
+		if _, dup := b.resolve(op.ID); dup {
 			return fmt.Errorf("add_node: id %q already exists", op.ID)
 		}
 		if op.Label == "" {
 			return fmt.Errorf("add_node: missing label")
 		}
-		attrs := make(map[gedlib.Attr]gedlib.Value, len(op.Attrs))
-		for a, raw := range op.Attrs {
-			v, err := jsonValue(raw)
+		id := gedlib.NodeID(b.snap.NumNodes() + len(b.d.Nodes))
+		mark := len(b.d.Attrs)
+		for _, a := range slices.Sorted(maps.Keys(op.Attrs)) {
+			v, err := jsonValue(op.Attrs[a])
 			if err != nil {
+				b.d.Attrs = b.d.Attrs[:mark]
 				return fmt.Errorf("add_node: attr %q: %w", a, err)
 			}
-			attrs[gedlib.Attr(a)] = v
+			b.d.Attrs = append(b.d.Attrs, gedlib.AttrWrite{Node: id, Attr: gedlib.Attr(a), Value: v})
 		}
-		id := g.AddNodeAttrs(gedlib.Label(op.Label), attrs)
-		names.add(op.ID, id)
+		b.d.Nodes = append(b.d.Nodes, gedlib.NodeAdd{ID: id, Label: gedlib.Label(op.Label)})
+		b.wire = append(b.wire, op.ID)
+		b.added[op.ID] = id
 		return nil
 	case "add_edge":
-		src, ok := names.resolve(op.Src)
+		src, ok := b.resolve(op.Src)
 		if !ok {
 			return fmt.Errorf("add_edge: unknown src %q", op.Src)
 		}
-		dst, ok := names.resolve(op.Dst)
+		dst, ok := b.resolve(op.Dst)
 		if !ok {
 			return fmt.Errorf("add_edge: unknown dst %q", op.Dst)
 		}
 		if op.Label == "" {
 			return fmt.Errorf("add_edge: missing label")
 		}
-		g.AddEdge(src, gedlib.Label(op.Label), dst)
+		e := gedlib.GraphEdge{Src: src, Label: gedlib.Label(op.Label), Dst: dst}
+		n := gedlib.NodeID(b.snap.NumNodes())
+		if _, dup := b.edges[e]; dup || src < n && dst < n && b.snap.HasEdge(src, e.Label, dst) {
+			return nil
+		}
+		b.edges[e] = struct{}{}
+		b.d.Edges = append(b.d.Edges, e)
 		return nil
 	case "set_attr":
-		id, ok := names.resolve(op.ID)
+		id, ok := b.resolve(op.ID)
 		if !ok {
 			return fmt.Errorf("set_attr: unknown id %q", op.ID)
 		}
@@ -266,7 +282,7 @@ func applyOp(g *gedlib.Graph, names *nameIndex, op Op) error {
 		if err != nil {
 			return fmt.Errorf("set_attr: %w", err)
 		}
-		g.SetAttr(id, gedlib.Attr(op.Attr), v)
+		b.d.Attrs = append(b.d.Attrs, gedlib.AttrWrite{Node: id, Attr: gedlib.Attr(op.Attr), Value: v})
 		return nil
 	default:
 		return fmt.Errorf("unknown op %q", op.Op)

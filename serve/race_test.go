@@ -33,6 +33,51 @@ func canonViolations(vs []gedlib.Violation) []string {
 	return out
 }
 
+// twinGraph is an oracle for the write path that shares none of its
+// state: a mutable graph, loaded from the same JSON as the entry, that
+// applies every op a flush accepts, in the order the flush resolves
+// them (through opTestHook).
+type twinGraph struct {
+	g   *gedlib.Graph
+	ids map[string]gedlib.NodeID
+}
+
+// followWrites loads data into a twin that follows the entry's flushes
+// until the test ends.
+func followWrites(t *testing.T, data []byte) *twinGraph {
+	t.Helper()
+	g, ids, err := gedlib.LoadGraph(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := &twinGraph{g: g, ids: ids}
+	opTestHook = tw.apply
+	t.Cleanup(func() { opTestHook = nil })
+	return tw
+}
+
+func (tw *twinGraph) apply(op Op) {
+	value := func(raw any) gedlib.Value {
+		v, err := jsonValue(raw)
+		if err != nil {
+			panic(err) // the flush accepted the op
+		}
+		return v
+	}
+	switch op.Op {
+	case "add_node":
+		attrs := make(map[gedlib.Attr]gedlib.Value, len(op.Attrs))
+		for a, raw := range op.Attrs {
+			attrs[gedlib.Attr(a)] = value(raw)
+		}
+		tw.ids[op.ID] = tw.g.AddNodeAttrs(gedlib.Label(op.Label), attrs)
+	case "add_edge":
+		tw.g.AddEdge(tw.ids[op.Src], gedlib.Label(op.Label), tw.ids[op.Dst])
+	case "set_attr":
+		tw.g.SetAttr(tw.ids[op.ID], gedlib.Attr(op.Attr), value(op.Value))
+	}
+}
+
 // TestConcurrentReadWriteOracle hammers one catalog entry with parallel
 // mutators and parallel validators (run under -race in CI) and checks
 // two equivalences:
@@ -58,6 +103,7 @@ func TestConcurrentReadWriteOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin := followWrites(t, data)
 	sigma := gedlib.RuleSet{
 		workload.PaperPhi1(), workload.PaperPhi2(),
 		workload.PaperPhi3(), workload.PaperPhi4(),
@@ -157,21 +203,18 @@ func TestConcurrentReadWriteOracle(t *testing.T) {
 	}
 
 	// Quiesce: drain any pending window, then compare the published set
-	// against a completely fresh engine over the final graph (the
-	// serial oracle — no shared caches, no incremental state).
+	// against a completely fresh engine over the twin graph (the serial
+	// oracle — no shared caches, no incremental state).
 	if _, err := ent.Mutate(ctx, []Op{{Op: "set_attr", ID: "n0", Attr: "name", Value: "quiesce"}}); err != nil {
 		t.Fatal(err)
 	}
 	view := ent.CurrentView()
-	ent.mu.RLock()
-	oracle, err := gedlib.New().Validate(ctx, ent.graph, sigma)
-	version := ent.graph.Version()
-	ent.mu.RUnlock()
+	oracle, err := gedlib.New().Validate(ctx, twin.g, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.Version != version {
-		t.Fatalf("final view at version %d, graph at %d", view.Version, version)
+	if version := twin.g.Version(); view.Version != version {
+		t.Fatalf("final view at version %d, twin graph at %d", view.Version, version)
 	}
 	a, b := canonViolations(view.Violations), canonViolations(oracle)
 	if len(a) != len(b) {
@@ -301,7 +344,10 @@ func TestRegisterRulesCancelKeepsRules(t *testing.T) {
 			}
 			if !seeded {
 				ent.mu.Lock()
-				ent.sess, err = cat.eng.Open(ctx, ent.graph, ent.sigma)
+				var g *gedlib.Graph
+				if g, err = gedlib.ImportImage(ent.sess.Snapshot().Image(nil)); err == nil {
+					ent.sess, err = cat.eng.Open(ctx, g, ent.sigma)
+				}
 				ent.mu.Unlock()
 				if err != nil {
 					t.Fatal(err)

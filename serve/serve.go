@@ -19,19 +19,20 @@
 //     not full copies.
 //   - Writes enqueue onto a per-graph coalescing batcher: a bounded
 //     queue flushed when it reaches FlushOps operations or when
-//     MaxDelay elapses, whichever is first. One flush applies the
-//     merged batch to the mutable graph and hands its delta to the
-//     graph's Session in a single CatchUp, so the snapshot and the
-//     maintained violation set advance in O(|Δ|) once per batch rather
-//     than once per request. A full queue
+//     MaxDelay elapses, whichever is first. One flush resolves the
+//     merged batch against the published snapshot into one delta, logs
+//     it, and hands it to the graph's Session in a single Apply, so the
+//     snapshot and the maintained violation set advance in O(|Δ|) once
+//     per batch rather than once per request. A full queue
 //     pushes back (ErrQueueFull → HTTP 429) instead of buffering
 //     unboundedly.
 //
 // Consistency model: a write is durable and visible to every subsequent
 // read once its request returns — the mutation call waits for the flush
 // that contains it. Reads see the state as of the last flushed batch;
-// they are never dirty (a view is only published after Session.CatchUp
-// committed the whole batch) and never torn (views are immutable).
+// they are never dirty (a view is only published after Session.Apply
+// committed the whole, logged batch) and never torn (views are
+// immutable). A write whose flush fails is never visible.
 //
 // Lifecycle: each graph is in one state — leader-ok, leader-degraded
 // (its persist layer failed; a heal probe re-anchors it), follower-ok

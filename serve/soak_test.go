@@ -99,13 +99,16 @@ func (c *opClock) at(target uint64) <-chan struct{} {
 
 // soakWriter tracks one writer's acknowledged chain: a unique node per
 // attempt, an edge to it from the writer's anchor, and the attempt
-// number as a monotone attribute on the anchor. Only acked attempts are
-// recorded — exactly the writes checkCrashCopy demands back.
+// number as a monotone attribute on the anchor. Acked attempts are
+// recorded — exactly the writes checkCrashCopy demands back — and so
+// are refused ones, answered with an error (a non-2xx status over
+// HTTP), whose nodes must never become visible.
 type soakWriter struct {
-	id     int
-	graph  string
-	anchor string
-	acked  []int
+	id      int
+	graph   string
+	anchor  string
+	acked   []int
+	refused []int
 }
 
 func (w *soakWriter) node(attempt int) string { return fmt.Sprintf("w%d_n%d", w.id, attempt) }
@@ -229,8 +232,8 @@ func (s *soak) stopWriters() {
 
 // write is one writer's loop. An attempt that races a fault, a crash or
 // a fence is simply unacked and the next one goes to whichever catalog
-// leads by then; node ids are never reused, because a refused batch may
-// still have been applied in the refusing catalog's memory. Every
+// leads by then; node ids are never reused, so a refused attempt's node
+// names exactly that attempt. Every
 // attempt is followed by a read, which must be served whatever the
 // graph's health.
 func (s *soak) write(w *soakWriter) {
@@ -258,6 +261,9 @@ func (s *soak) write(w *soakWriter) {
 			return
 		}
 		res, err := ent.Mutate(s.ctx, ops)
+		if err != nil {
+			w.refused = append(w.refused, attempt)
+		}
 		switch {
 		case !soakAcked(res, err, ops):
 			time.Sleep(soakBackoff)
@@ -290,7 +296,7 @@ func (s *soak) await(n uint64) {
 // and requires of the copy: persist recovers every tenant at exactly
 // the leader's version; every acked link of every writer's chain is
 // there, with the anchor's attribute at least the last ack; none of the
-// forbidden nodes (writes a fenced leader refused) are; and a catalog
+// forbidden nodes (writes refused with an error) are; and a catalog
 // restored from it serves exactly the violations a fresh engine finds
 // on the recovered graph.
 func (s *soak) checkCrashCopy(leader *Catalog, forbidden []string) {
@@ -318,7 +324,7 @@ func (s *soak) checkCrashCopy(leader *Catalog, forbidden []string) {
 		names := nameIndexFromDense(st.Names).table(st.Graph.NumNodes())
 		for _, node := range forbidden {
 			if _, ok := names.Resolve(node); ok {
-				t.Errorf("seed %d: %s: fenced write %s leaked into the recovered state", s.seed, name, node)
+				t.Errorf("seed %d: %s: refused write %s leaked into the recovered state", s.seed, name, node)
 			}
 		}
 		for _, w := range s.writers {
@@ -428,7 +434,26 @@ func TestChaosSoak(t *testing.T) {
 		}
 		t.Logf("seed %d: %d attempted, %d acked, faults fired %v, %d recoveries",
 			seed, s.clock.now(), s.acked.Load(), fired, recoveries)
-		s.checkCrashCopy(cat, nil)
+		// A refused write is never visible: not in the leader's views,
+		// not after a crash.
+		var refused []string
+		for _, w := range s.writers {
+			ent, err := cat.Get(w.graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view := ent.CurrentView()
+			for _, a := range w.refused {
+				refused = append(refused, w.node(a))
+				if _, ok := view.Names.Resolve(w.node(a)); ok {
+					t.Errorf("seed %d: %s: refused write %s is visible", seed, w.graph, w.node(a))
+				}
+			}
+		}
+		if len(refused) == 0 {
+			t.Errorf("seed %d: vacuous soak: no write was refused", seed)
+		}
+		s.checkCrashCopy(cat, refused)
 	})
 }
 

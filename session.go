@@ -18,8 +18,7 @@ import (
 // Session owns no goroutine or file, so dropping the last reference
 // frees it.
 //
-// Sessions are safe for concurrent use; Apply, CatchUp and SetRules
-// serialize.
+// Sessions are safe for concurrent use; Apply and SetRules serialize.
 type Session struct {
 	eng *Engine
 
@@ -39,7 +38,7 @@ type Session struct {
 }
 
 // Open freezes g once into a Session holding g's validation state under
-// Σ. Later changes of g reach the session only through Apply or CatchUp.
+// Σ. Later changes of g reach the session only through Apply.
 func (e *Engine) Open(ctx context.Context, g *Graph, sigma RuleSet) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -84,8 +83,8 @@ func (e *Engine) compile(snap *Snapshot, sigma RuleSet) *reason.Validator {
 //
 // A nil d fails with ErrNoDelta and leaves the session as it was: nil is
 // what DeltaSince answers once the graph's journal no longer reaches
-// back to the session snapshot, so the changes are unknown. CatchUp,
-// handed the graph, re-freezes it instead.
+// back to the session snapshot, so the changes are unknown; open a new
+// session on the graph instead.
 //
 // On error (cancellation mid-seed or mid-update) the snapshot has still
 // advanced by d, but the maintained set is discarded and the next Apply
@@ -104,12 +103,12 @@ func (s *Session) Apply(ctx context.Context, d *Delta) ([]Violation, error) {
 }
 
 // ErrNoDelta is Session.Apply's error for a nil delta.
-var ErrNoDelta = errors.New("gedlib: no delta to apply: the graph's journal no longer reaches the session snapshot; use Session.CatchUp")
+var ErrNoDelta = errors.New("gedlib: no delta to apply: the graph's journal no longer reaches the session snapshot")
 
 // Violations returns the maintained violation set as Apply does, for
 // the session's current snapshot, without advancing it: the set Apply
-// or CatchUp last returned, or one full validation seeding it when
-// none has run yet (or a failed one dropped it).
+// last returned, or one full validation seeding it when none has run
+// yet (or a failed one dropped it).
 func (s *Session) Violations(ctx context.Context) ([]Violation, error) {
 	defer s.eng.em.observe(s.eng.em.apply, time.Now())
 	s.mu.Lock()
@@ -117,28 +116,11 @@ func (s *Session) Violations(ctx context.Context) ([]Violation, error) {
 	return s.violationsLocked(ctx)
 }
 
-// CatchUp is Apply for a caller that holds the session's graph g (or a
-// replica kept in step with it): it brings the session to g's current
-// version and returns the violation set as Apply does. d is g's delta
-// since the session snapshot when the caller already has it — a
-// write-ahead log needed it first — and nil otherwise. A backlog over a
-// quarter of g, or one g's journal no longer reaches back to, re-freezes
-// g in place instead: no dearer than applying the delta, and the freeze
-// re-compacts the snapshot pages. The maintained set is then re-seeded.
-func (s *Session) CatchUp(ctx context.Context, g *Graph, d *Delta) ([]Violation, error) {
-	defer s.eng.em.observe(s.eng.em.apply, time.Now())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.syncLocked(ctx, g, d); err != nil {
-		return nil, err
-	}
-	return s.violationsLocked(ctx)
-}
-
-// syncLocked is CatchUp's catch-up: by d (computed from g's journal when
-// nil), or by a fresh freeze when that delta is missing or rivals g — or
-// the session, a shim's new one, has no snapshot yet.
-func (s *Session) syncLocked(ctx context.Context, g *Graph, d *Delta) error {
+// syncLocked brings the shim's session to g's version: by g's delta
+// since the session snapshot, or by a fresh freeze when the session has
+// no snapshot yet or that delta is missing or rivals g (no dearer, and
+// the freeze re-compacts the snapshot pages).
+func (s *Session) syncLocked(ctx context.Context, g *Graph) error {
 	if s.snap == nil {
 		s.freezeLocked(g)
 		return nil
@@ -148,10 +130,7 @@ func (s *Session) syncLocked(ctx context.Context, g *Graph, d *Delta) error {
 		s.eng.em.snapHit.Inc()
 		return nil
 	}
-	if d == nil {
-		d = g.DeltaSince(from)
-	}
-	if d != nil && d.Size() <= graph.CatchUpBound(g.Size()) {
+	if d := g.DeltaSince(from); d != nil && d.Size() <= graph.CatchUpBound(g.Size()) {
 		return s.advanceLocked(ctx, d)
 	}
 	s.freezeLocked(g)

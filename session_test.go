@@ -210,9 +210,10 @@ func sessionShimMixedRules(t *testing.T) {
 	}
 }
 
-// TestSessionCatchUp: CatchUp advances by a small backlog within the
-// snapshot lineage and re-freezes on one over a quarter of the graph;
-// either way it maintains the set a fresh validation finds.
+// TestSessionCatchUp: the graph-keyed shim catches its session up by a
+// small backlog within the snapshot lineage and re-freezes on one over a
+// quarter of the graph; either way Engine.Apply maintains the set a
+// fresh validation finds.
 func TestSessionCatchUp(t *testing.T) {
 	t.Run("shards=1", sessionCatchUp)
 }
@@ -221,17 +222,18 @@ func sessionCatchUp(t *testing.T) {
 	ctx := context.Background()
 	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi2(), workload.PaperPhi4()}
 	g, _ := workload.KnowledgeBase(13, 30, 0.2)
-	s, err := gedlib.New().Open(ctx, g, sigma)
-	if err != nil {
-		t.Fatal(err)
+	o := gedlib.NewObserver(nil)
+	eng := gedlib.New(gedlib.WithObserver(o))
+	freezes := func() uint64 {
+		return o.Registry().Counter("ged_engine_snapshot_cache_total", "", "outcome", "freeze").Value()
 	}
-	if _, err := s.Violations(ctx); err != nil {
+	if _, err := eng.Apply(ctx, g, sigma); err != nil {
 		t.Fatal(err)
 	}
 	check := func(step string, sameLineage bool) {
 		t.Helper()
-		lineage := s.Snapshot().Lineage()
-		got, err := s.CatchUp(ctx, g, nil)
+		before := freezes()
+		got, err := eng.Apply(ctx, g, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,10 +244,7 @@ func sessionCatchUp(t *testing.T) {
 		if orderedCanon(got) != orderedCanon(want) {
 			t.Fatalf("%s: session diverged\n got:\n%s\nwant:\n%s", step, orderedCanon(got), orderedCanon(want))
 		}
-		if s.Snapshot().SourceVersion() != g.Version() {
-			t.Fatalf("%s: session at version %d, graph at %d", step, s.Snapshot().SourceVersion(), g.Version())
-		}
-		if (s.Snapshot().Lineage() == lineage) != sameLineage {
+		if (freezes() == before) != sameLineage {
 			t.Fatalf("%s: lineage kept = %v, want %v", step, !sameLineage, sameLineage)
 		}
 	}
@@ -344,14 +343,15 @@ func TestSessionSnapshot(t *testing.T) {
 // TestSessionApplyPastJournal: a burst of writes longer than the graph's
 // journal keeps leaves DeltaSince nil for the session snapshot. Apply
 // refuses that nil with ErrNoDelta instead of returning the pre-burst
-// set as current, and CatchUp, handed the graph, re-freezes to the
-// post-burst set. The burst is shorter than |G| + 2048 ops, the
+// set as current, and the graph-keyed Engine.Apply, handed the graph,
+// re-freezes to the post-burst set. The burst is shorter than |G| + 2048 ops, the
 // journal's floor before it was tied to the session's catch-up bound.
 func TestSessionApplyPastJournal(t *testing.T) {
 	ctx := context.Background()
 	sigma := gedlib.RuleSet{workload.PaperPhi1(), workload.PaperPhi2(), workload.PaperPhi4()}
 	g, _ := workload.KnowledgeBase(13, 2000, 0.2)
-	s, err := gedlib.New().Open(ctx, g, sigma)
+	eng := gedlib.New()
+	s, err := eng.Open(ctx, g, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,12 +383,12 @@ func TestSessionApplyPastJournal(t *testing.T) {
 	if fmt.Sprint(want) == fmt.Sprint(pre) {
 		t.Fatal("the burst left the violation set as it was; it cannot tell a stale set from a current one")
 	}
-	got, err := s.CatchUp(ctx, g, nil)
+	got, err := eng.Apply(ctx, g, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("CatchUp after the burst: %d violations, want %d", len(got), len(want))
+		t.Fatalf("Engine.Apply after the burst: %d violations, want %d", len(got), len(want))
 	}
 }
 
