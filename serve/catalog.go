@@ -252,19 +252,15 @@ func (c *Catalog) Create(name string, graphJSON []byte) (*GraphEntry, error) {
 		delete(c.creating, name)
 		c.mu.Unlock()
 	}()
-	g := gedlib.NewGraph()
-	names := newNameIndex(nil)
+	g, byName := gedlib.NewGraph(), map[string]gedlib.NodeID(nil)
 	if graphJSON != nil {
-		var byName map[string]gedlib.NodeID
 		var err error
-		g, byName, err = gedlib.LoadGraph(graphJSON)
-		if err != nil {
+		if g, byName, err = gedlib.LoadGraph(graphJSON); err != nil {
 			return nil, fmt.Errorf("serve: load graph %q: %w", name, err)
 		}
-		names = newNameIndex(byName)
 	}
 	ent := c.newEntry(name, stLeaderOK)
-	if err := ent.openLocked(context.Background(), g, names, gedlib.RuleSet{}, ""); err != nil {
+	if err := ent.openLocked(context.Background(), g, newNameIndex(byName), gedlib.RuleSet{}, ""); err != nil {
 		return nil, err
 	}
 	if c.store != nil {

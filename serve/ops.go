@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
-	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -237,8 +236,14 @@ func (b *batchDelta) add(op Op) error {
 			return fmt.Errorf("add_node: missing label")
 		}
 		id := gedlib.NodeID(b.snap.NumNodes() + len(b.d.Nodes))
+		var buf [8]string // the attribute names, sorted, on the stack
+		keys := buf[:0]
+		for a := range op.Attrs {
+			keys = append(keys, a)
+		}
+		slices.Sort(keys)
 		mark := len(b.d.Attrs)
-		for _, a := range slices.Sorted(maps.Keys(op.Attrs)) {
+		for _, a := range keys {
 			v, err := jsonValue(op.Attrs[a])
 			if err != nil {
 				b.d.Attrs = b.d.Attrs[:mark]
