@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -242,8 +243,11 @@ func (s *Store) drainTail(dir string, rec *Recovery, bounds []EpochBound, cur *u
 			}
 			return grew, fmt.Errorf("persist: drain WAL: %w", err)
 		}
+		if int64(len(data)) < rec.tailOff || !rec.tailMark.intact(bytes.NewReader(data)) {
+			return grew, fmt.Errorf("persist: drain WAL: %s lost a record the drain applied; retry", filepath.Base(segPath))
+		}
 		if int64(len(data)) > rec.tailOff {
-			valid, corrupt, aerr := scanFrames(data[rec.tailOff:], func(payload []byte) error {
+			valid, corrupt, aerr := scanMarked(data[rec.tailOff:], rec.tailOff, &rec.tailMark, func(payload []byte) error {
 				return s.applyRecord(rec, bounds, cur, payload)
 			})
 			if aerr != nil {
@@ -263,7 +267,7 @@ func (s *Store) drainTail(dir string, rec *Recovery, bounds []EpochBound, cur *u
 		if err != nil || next == "" {
 			return grew, err
 		}
-		rec.tailSeg, rec.tailOff = next, 0
+		rec.tailSeg, rec.tailOff, rec.tailMark = next, 0, frameMark{}
 		grew = true
 	}
 }

@@ -28,9 +28,13 @@ const tailStallPolls = 200
 // call again with the fresh Recovery), a wrapped ErrNotFound once the
 // graph's directory is gone (the leader deleted it; an open segment
 // would otherwise keep answering "no growth" forever), or a corruption
-// diagnosis. rec
-// must come from Recover/OpenGraph of the same graph and must not be
-// reused across Tail calls.
+// diagnosis. Tail reads records the leader has not synced yet, so it
+// may deliver one whose sync then fails; the leader drops that record
+// and logs its successors from the same version. Tail notices the cut
+// behind its position (see frameMark) and fails, so the caller
+// re-recovers the log as it now is instead of reading on past the
+// dropped record. rec must come from Recover/OpenGraph of the same
+// graph and must not be reused across Tail calls.
 func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.Duration, fn func(TailRecord) error) error {
 	dir, err := s.graphDir(name)
 	if err != nil {
@@ -43,7 +47,7 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 	if segPath == "" {
 		segPath = filepath.Join(dir, segName(rec.CheckpointVersion))
 	}
-	off := rec.tailOff
+	off, mark := rec.tailOff, rec.tailMark
 	version := rec.State.Graph.Version()
 	bounds, _ := s.readEpochs(dir)
 
@@ -53,6 +57,12 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 			_ = f.Close()
 		}
 	}()
+	// Each poll checks the mark after the read or the listing it vouches
+	// for, so a cut the leader made before either shows.
+	cut := func() error {
+		return fmt.Errorf("persist: tail of %s: the leader dropped a record the tail read at offset %d; re-recover",
+			filepath.Base(segPath), mark.at)
+	}
 	stalled := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -71,7 +81,7 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 						return err
 					}
 					if next != "" {
-						segPath, off = next, 0
+						segPath, off, mark = next, 0, frameMark{}
 						continue
 					}
 					return fmt.Errorf("%w (graph %q, segment %s)", ErrLagBehind, name, filepath.Base(segPath))
@@ -88,6 +98,9 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 			if _, err := io.ReadFull(io.NewSectionReader(f, off, int64(len(buf))), buf); err != nil {
 				return fmt.Errorf("persist: tail read: %w", err)
 			}
+			if !mark.intact(f) {
+				return cut()
+			}
 			// New data may include a promotion's aftermath: refresh the
 			// fence table so a deposed leader's post-fence records are
 			// skipped even before their epoch-bump record streams by.
@@ -95,7 +108,7 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 				bounds = nb
 			}
 			var fnErr error
-			valid, corrupt, err := scanFrames(buf, func(payload []byte) error {
+			valid, corrupt, err := scanMarked(buf, off, &mark, func(payload []byte) error {
 				tr, derr := decodeRecord(payload)
 				if derr != nil {
 					return derr
@@ -150,10 +163,13 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 			if err != nil {
 				return err
 			}
+			if !mark.intact(f) {
+				return cut()
+			}
 			if next != "" {
 				_ = f.Close()
 				f = nil
-				segPath, off, stalled = next, 0, 0
+				segPath, off, mark, stalled = next, 0, frameMark{}, 0
 				continue
 			}
 		}

@@ -347,19 +347,23 @@ func (gs *GraphStore) Checkpoint(c Cut) error {
 	if gs.closed {
 		return ErrClosed
 	}
-	if err := gs.repairTailLocked(); err != nil {
-		return err
-	}
 	v := c.Snap.SourceVersion()
-	if v == gs.ckptVersion && gs.seg != nil {
+	if v == gs.ckptVersion && gs.seg != nil && !gs.dirtyTail {
 		return nil
 	}
 	// A deposed leader must not publish a checkpoint: it would become
 	// the newest (and preferred) recovery root while containing fenced
 	// state. Recovery also disqualifies stale checkpoints by the epoch
-	// in their header, but refusing here keeps the directory clean.
+	// in their header, but refusing here keeps the directory clean. Nor
+	// may it cut a dirty tail: its successor appends to that segment.
 	if err := gs.checkFenceLocked(false); err != nil {
 		return err
+	}
+	if err := gs.repairTailLocked(); err != nil {
+		return err
+	}
+	if v == gs.ckptVersion && gs.seg != nil {
+		return nil
 	}
 	ckptStart := time.Now()
 	if _, err := gs.store.writeCheckpoint(gs.dir, c, gs.epoch, gs.store.opts.Fsync != FsyncOff); err != nil {

@@ -55,7 +55,9 @@
 // read replica needs: recover once, tail forever, apply each delta to
 // its own graph. ErrLagBehind reports a tail position whose segment was
 // compacted away (the follower fell more than the checkpoint retention
-// behind); the caller re-recovers and resumes.
+// behind); the caller re-recovers and resumes. It does the same when
+// the writer cut a segment behind the tail's position: a sync failed,
+// and the writer dropped a record the tail had already read.
 //
 // # Leadership epochs and fencing
 //

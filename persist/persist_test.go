@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -560,5 +563,115 @@ func TestTailReportsDeletedGraph(t *testing.T) {
 	}
 	if err := <-tailErr; !errors.Is(err, ErrNotFound) {
 		t.Fatalf("tail of a deleted graph: got %v, want ErrNotFound", err)
+	}
+}
+
+// failSyncFS fails every File.Sync while fail is set.
+type failSyncFS struct {
+	FS
+	fail *atomic.Bool
+}
+
+type failSyncFile struct {
+	File
+	fail *atomic.Bool
+}
+
+func (fs failSyncFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return failSyncFile{f, fs.fail}, nil
+}
+
+func (f failSyncFile) Sync() error {
+	if f.fail.Load() {
+		return errors.New("injected sync failure")
+	}
+	return f.File.Sync()
+}
+
+// TestTailNoticesDroppedRecord: a tailer reads a record before the
+// leader syncs it; the sync fails, so the leader drops the record and
+// logs a shorter one from the same version in its place. The tail must
+// fail, not skip the new record as one it already has, and a
+// re-recovery gives the leader's state.
+func TestTailNoticesDroppedRecord(t *testing.T) {
+	var fail atomic.Bool
+	s := openStore(t, Options{Fsync: FsyncBatch, FS: failSyncFS{OSFS(), &fail}})
+	g := gedlib.NewGraph()
+	var names []string
+	rng := rand.New(rand.NewSource(9))
+	mutate(g, &names, rng, 30)
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	rec, err := s.Recover("kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	applied := make(chan uint64, 16)
+	tailErr := make(chan error, 1)
+	go func() {
+		tailErr <- s.Tail(ctx, "kb", rec, time.Millisecond, func(tr TailRecord) error {
+			applied <- tr.Delta.ToVersion
+			return nil
+		})
+	}()
+	await := func(v uint64) {
+		t.Helper()
+		for got := uint64(0); got != v; {
+			select {
+			case got = <-applied:
+			case err := <-tailErr:
+				t.Fatalf("tail ended awaiting version %d: %v", v, err)
+			}
+		}
+	}
+
+	d, dn := step(g, &names, rng, 5)
+	if err := gs.AppendDelta(d, dn); err != nil {
+		t.Fatal(err)
+	}
+	if err := gs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	lost, err := gedlib.ImportImage(g.Freeze().Image(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lostNames := slices.Clone(names)
+	d, dn = step(lost, &lostNames, rng, 10)
+	if err := gs.AppendDelta(d, dn); err != nil {
+		t.Fatal(err)
+	}
+	await(d.ToVersion)
+	fail.Store(true)
+	if err := gs.Sync(); err == nil {
+		t.Fatal("sync succeeded with syncs failing")
+	}
+	fail.Store(false)
+
+	d, dn = step(g, &names, rng, 3)
+	if err := gs.AppendDelta(d, dn); err != nil {
+		t.Fatal(err)
+	}
+	if err := gs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-tailErr; err == nil || !strings.Contains(err.Error(), "dropped a record") {
+		t.Fatalf("tail over a dropped record: got %v, want the cut reported", err)
+	}
+	rec, err = s.Recover("kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.TruncatedTail || rec.State.Graph.String() != g.String() {
+		t.Fatalf("re-recovered state (truncated tail %v) diverges from the leader's", rec.TruncatedTail)
 	}
 }

@@ -36,8 +36,9 @@ type Recovery struct {
 	FencedRecords int
 
 	// tail position for Store.Tail.
-	tailSeg string // absolute path of the segment the replay ended in
-	tailOff int64  // byte offset of the first unconsumed frame
+	tailSeg  string    // absolute path of the segment the replay ended in
+	tailOff  int64     // byte offset of the first unconsumed frame
+	tailMark frameMark // the last frame consumed in tailSeg
 }
 
 // tailFix records where OpenGraph must truncate a corrupt tail.
@@ -199,7 +200,8 @@ func (s *Store) recover(name string) (*Recovery, *tailFix, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("persist: read WAL: %w", err)
 		}
-		valid, corrupt, err := scanFrames(data, func(payload []byte) error {
+		rec.tailMark = frameMark{}
+		valid, corrupt, err := scanMarked(data, 0, &rec.tailMark, func(payload []byte) error {
 			return s.applyRecord(rec, bounds, &cur, payload)
 		})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"time"
 
@@ -82,6 +83,43 @@ func scanFrames(b []byte, fn func(payload []byte) error) (valid int, corrupt boo
 		}
 		off += 8 + int(n)
 	}
+}
+
+// frameMark is where the last frame a reader consumed in a segment
+// starts, and its header (payload length and CRC); hdr 0 is none, as no
+// payload is empty. A writer cuts a segment only back to a frame
+// boundary, so while the header is in place every byte the reader
+// consumed is still the log's. It cuts behind a reader when it drops the
+// records a failed sync did not cover, which the reader may have read.
+type frameMark struct {
+	at  int64
+	hdr uint64
+}
+
+// intact reports whether the marked frame is still in the segment r.
+func (m frameMark) intact(r io.ReaderAt) bool {
+	if m.hdr == 0 {
+		return true
+	}
+	var b [8]byte
+	if _, err := r.ReadAt(b[:], m.at); err != nil {
+		return false
+	}
+	return binary.LittleEndian.Uint64(b[:]) == m.hdr
+}
+
+// scanMarked is scanFrames over a segment's bytes from offset base on,
+// moving m to each frame fn consumes.
+func scanMarked(b []byte, base int64, m *frameMark, fn func(payload []byte) error) (valid int, corrupt bool, err error) {
+	pos := 0
+	return scanFrames(b, func(payload []byte) error {
+		if err := fn(payload); err != nil {
+			return err
+		}
+		*m = frameMark{at: base + int64(pos), hdr: binary.LittleEndian.Uint64(b[pos:])}
+		pos += 8 + len(payload)
+		return nil
+	})
 }
 
 // ---- payload encoding ----

@@ -963,7 +963,8 @@ func (ent *GraphEntry) tailAdvanced() {
 
 // followLoop tails one graph's WAL forever, applying each record to the
 // replica entry. A tail failure that is not a cancellation (lag beyond
-// the leader's compaction, a corrupt segment) re-recovers from the
+// the leader's compaction, a corrupt segment, a record the tail read
+// that the leader then dropped as unsynced) re-recovers from the
 // newest checkpoint and resumes — the replica jumps forward, it never
 // serves stale state silently. Repeated failures back off with jitter
 // (reset on success) and, past a streak, make the replica lagging. A

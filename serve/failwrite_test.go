@@ -21,7 +21,9 @@ import (
 // node, edges, attribute writes and name never show — not in the view,
 // its violations or name resolution — and its id can be added again.
 // Later writes are acked, and a crash copy recovers every acked write
-// and no failed one, with no torn tail. Each fault runs twice: once in
+// and no failed one, with no torn tail. A follower, which reads the
+// log before the leader syncs it and so may apply the record whose
+// sync fails, ends on the leader's state. Each fault runs twice: once in
 // mid-segment and once as the first record of a segment a checkpoint
 // rotation just opened, where the heal's checkpoint at the pre-batch
 // version finds the failed record ahead of every later one.
@@ -65,6 +67,18 @@ func failedWriteNeverVisible(t *testing.T, rule fault.Rule, segStart bool) {
 		t.Fatal(err)
 	}
 	if _, err := ent.RegisterRules(ctx, `ged r on (x:person) { then x.ok = 1 }`); err != nil {
+		t.Fatal(err)
+	}
+	fol, err := NewCatalog(Config{DataDir: dir, FollowPoll: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	if err := fol.Follow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fent, err := fol.Get("g")
+	if err != nil {
 		t.Fatal(err)
 	}
 	write := func(ops ...Op) WriteResult {
@@ -119,6 +133,17 @@ func failedWriteNeverVisible(t *testing.T, rule fault.Rule, segStart bool) {
 		}
 	}
 	unchanged("degraded")
+	if rule.Op == fault.OpSync {
+		// The record is in the segment, only not synced: the follower
+		// reads it and applies its five ops.
+		deadline := time.Now().Add(5 * time.Second)
+		for fent.CurrentView().Version != before.Version+5 {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower at version %d never applied the unsynced record to %d", fent.CurrentView().Version, before.Version+5)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	ffs.Heal()
 	if err := ent.Probe(ctx); err != nil {
@@ -133,6 +158,7 @@ func failedWriteNeverVisible(t *testing.T, rule fault.Rule, segStart bool) {
 		t.Fatalf("re-added b at version %d, want %d", res.Version, before.Version+3)
 	}
 	last := write(Op{Op: "set_attr", ID: "b", Attr: "ok", Value: 1.0}).Version
+	awaitSameState(t, ent, fent)
 
 	crash := t.TempDir()
 	copyTree(t, dir, crash)
@@ -162,4 +188,32 @@ func failedWriteNeverVisible(t *testing.T, rule fault.Rule, segStart bool) {
 		t.Fatalf("crash copy: a.phase %s, b.phase %s, b.ok %s, %d edges; want acked, retry, 1 and only a-knows->b",
 			attr(a, "phase"), attr(b, "phase"), attr(b, "ok"), g.NumEdges())
 	}
+}
+
+// awaitSameState waits for a follower's view to equal its leader's: the
+// same version, graph, names and violations.
+func awaitSameState(t *testing.T, leader, follower *GraphEntry) {
+	t.Helper()
+	want := viewState(t, leader.CurrentView())
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := viewState(t, follower.CurrentView())
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never reached the leader's state:\ngot  %s\nwant %s", got, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// viewState renders a view's version, graph, node names and violations.
+func viewState(t *testing.T, v *View) string {
+	t.Helper()
+	g, err := gedlib.ImportImage(v.Snap.Image(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("version %d: %s names %q violations %v", v.Version, g, nameDump(t, v), renderViolations(v, v.Violations))
 }
