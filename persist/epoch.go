@@ -247,7 +247,7 @@ func (s *Store) drainTail(dir string, rec *Recovery, bounds []EpochBound, cur *u
 			return grew, fmt.Errorf("persist: drain WAL: %s lost a record the drain applied; retry", filepath.Base(segPath))
 		}
 		if int64(len(data)) > rec.tailOff {
-			valid, corrupt, aerr := scanMarked(data[rec.tailOff:], rec.tailOff, &rec.tailMark, func(payload []byte) error {
+			valid, corrupt, aerr := scanFrames(data[rec.tailOff:], rec.tailOff, &rec.tailMark, func(payload []byte) error {
 				return s.applyRecord(rec, bounds, cur, payload)
 			})
 			if aerr != nil {

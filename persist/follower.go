@@ -28,13 +28,10 @@ const tailStallPolls = 200
 // call again with the fresh Recovery), a wrapped ErrNotFound once the
 // graph's directory is gone (the leader deleted it; an open segment
 // would otherwise keep answering "no growth" forever), or a corruption
-// diagnosis. Tail reads records the leader has not synced yet, so it
-// may deliver one whose sync then fails; the leader drops that record
-// and logs its successors from the same version. Tail notices the cut
-// behind its position (see frameMark) and fails, so the caller
-// re-recovers the log as it now is instead of reading on past the
-// dropped record. rec must come from Recover/OpenGraph of the same
-// graph and must not be reused across Tail calls.
+// diagnosis, or a cut: the leader dropped a record Tail read before its
+// sync failed (see frameMark), so the caller must re-recover. rec must
+// come from Recover/OpenGraph of the same graph and must not be reused
+// across Tail calls.
 func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.Duration, fn func(TailRecord) error) error {
 	dir, err := s.graphDir(name)
 	if err != nil {
@@ -108,7 +105,7 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 				bounds = nb
 			}
 			var fnErr error
-			valid, corrupt, err := scanMarked(buf, off, &mark, func(payload []byte) error {
+			valid, corrupt, err := scanFrames(buf, off, &mark, func(payload []byte) error {
 				tr, derr := decodeRecord(payload)
 				if derr != nil {
 					return derr

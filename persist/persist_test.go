@@ -141,7 +141,7 @@ func TestScanFramesCorruptTail(t *testing.T) {
 	whole := append(append([]byte{}, a...), b...)
 
 	count := func(b []byte) (n, valid int, corrupt bool) {
-		valid, corrupt, err := scanFrames(b, func([]byte) error { n++; return nil })
+		valid, corrupt, err := scanFrames(b, 0, new(frameMark), func([]byte) error { n++; return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,7 +201,7 @@ func (s *Store) recover(name string) (*Recovery, *tailFix, error) {
 			return nil, nil, fmt.Errorf("persist: read WAL: %w", err)
 		}
 		rec.tailMark = frameMark{}
-		valid, corrupt, err := scanMarked(data, 0, &rec.tailMark, func(payload []byte) error {
+		valid, corrupt, err := scanFrames(data, 0, &rec.tailMark, func(payload []byte) error {
 			return s.applyRecord(rec, bounds, &cur, payload)
 		})
 		if err != nil {

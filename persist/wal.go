@@ -59,11 +59,13 @@ func frame(payload []byte) []byte {
 	return out
 }
 
-// scanFrames walks the framed records in b, calling fn with each valid
-// payload. It returns how many bytes of b form whole valid frames and
-// whether the walk stopped early on a torn or corrupted frame (partial
-// header, short payload, or CRC mismatch). fn errors abort the scan.
-func scanFrames(b []byte, fn func(payload []byte) error) (valid int, corrupt bool, err error) {
+// scanFrames walks the framed records in b, a segment's bytes from
+// offset base on, calling fn with each valid payload and moving m to
+// each frame fn accepts. It returns how many bytes of b form whole
+// valid frames and whether the walk stopped early on a torn or
+// corrupted frame (partial header, short payload, or CRC mismatch). fn
+// errors abort the scan.
+func scanFrames(b []byte, base int64, m *frameMark, fn func(payload []byte) error) (valid int, corrupt bool, err error) {
 	off := 0
 	for {
 		if len(b)-off < 8 {
@@ -81,6 +83,7 @@ func scanFrames(b []byte, fn func(payload []byte) error) (valid int, corrupt boo
 		if err := fn(payload); err != nil {
 			return off, false, err
 		}
+		*m = frameMark{at: base + int64(off), hdr: binary.LittleEndian.Uint64(b[off:])}
 		off += 8 + int(n)
 	}
 }
@@ -106,20 +109,6 @@ func (m frameMark) intact(r io.ReaderAt) bool {
 		return false
 	}
 	return binary.LittleEndian.Uint64(b[:]) == m.hdr
-}
-
-// scanMarked is scanFrames over a segment's bytes from offset base on,
-// moving m to each frame fn consumes.
-func scanMarked(b []byte, base int64, m *frameMark, fn func(payload []byte) error) (valid int, corrupt bool, err error) {
-	pos := 0
-	return scanFrames(b, func(payload []byte) error {
-		if err := fn(payload); err != nil {
-			return err
-		}
-		*m = frameMark{at: base + int64(pos), hdr: binary.LittleEndian.Uint64(b[pos:])}
-		pos += 8 + len(payload)
-		return nil
-	})
 }
 
 // ---- payload encoding ----
