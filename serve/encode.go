@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"gedlib"
@@ -104,37 +105,50 @@ func (t *ruleText) bufSize(n int) int {
 // writeViolationPage writes the body of GET /violations:
 // {"epoch":…,"total":…,"version":…,"violations":[…]}.
 func writeViolationPage(w http.ResponseWriter, view *View, total int, vs []gedlib.Violation) {
-	buf := make([]byte, 0, view.text.bufSize(len(vs)))
+	bp := bodyBufs.Get().(*[]byte)
+	buf := slices.Grow((*bp)[:0], view.text.bufSize(len(vs)))
 	buf = append(buf, `{"epoch":`...)
 	buf = strconv.AppendUint(buf, view.Epoch, 10)
 	buf = append(buf, `,"total":`...)
 	buf = strconv.AppendInt(buf, int64(total), 10)
 	buf = append(buf, `,"version":`...)
 	buf = strconv.AppendUint(buf, view.Version, 10)
-	writeViolations(w, buf, view, vs)
+	writeViolations(w, bp, buf, view, vs)
 }
 
 // writeTouching writes the body of POST /validate for requested nodes:
 // {"count":…,"epoch":…,"violations":[…]}.
 func writeTouching(w http.ResponseWriter, view *View, vs []gedlib.Violation) {
-	buf := make([]byte, 0, view.text.bufSize(len(vs)))
+	bp := bodyBufs.Get().(*[]byte)
+	buf := slices.Grow((*bp)[:0], view.text.bufSize(len(vs)))
 	buf = append(buf, `{"count":`...)
 	buf = strconv.AppendInt(buf, int64(len(vs)), 10)
 	buf = append(buf, `,"epoch":`...)
 	buf = strconv.AppendUint(buf, view.Epoch, 10)
-	writeViolations(w, buf, view, vs)
+	writeViolations(w, bp, buf, view, vs)
 }
+
+// bodyBufs recycles the bodies writeViolations writes, up to
+// maxPooledBody bytes each: a page of 50 violations is about 8 KB, the
+// larger part of what serving it allocates.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
 
 // writeViolations completes a body whose earlier envelope fields are in
 // buf with ,"violations":[…]} and the newline json.Encoder ends a value
-// with, and writes it in one Write.
-func writeViolations(w http.ResponseWriter, buf []byte, view *View, vs []gedlib.Violation) {
+// with, writes it in one Write, and returns buf to bodyBufs through bp.
+func writeViolations(w http.ResponseWriter, bp *[]byte, buf []byte, view *View, vs []gedlib.Violation) {
 	buf = append(buf, `,"violations":`...)
 	buf = appendViolations(buf, view, vs)
 	buf = append(buf, "}\n"...)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
+	if cap(buf) <= maxPooledBody {
+		*bp = buf
+		bodyBufs.Put(bp)
+	}
 }
 
 // appendViolations appends vs as a JSON array of
