@@ -243,7 +243,7 @@ func (s *Store) drainTail(dir string, rec *Recovery, bounds []EpochBound, cur *u
 			}
 			return grew, fmt.Errorf("persist: drain WAL: %w", err)
 		}
-		if int64(len(data)) < rec.tailOff || !rec.tailMark.intact(bytes.NewReader(data)) {
+		if gone, _ := rec.tailMark.gone(bytes.NewReader(data)); gone || int64(len(data)) < rec.tailOff {
 			return grew, fmt.Errorf("persist: drain WAL: %s lost a record the drain applied; retry", filepath.Base(segPath))
 		}
 		if int64(len(data)) > rec.tailOff {

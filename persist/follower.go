@@ -56,9 +56,16 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 	}()
 	// Each poll checks the mark after the read or the listing it vouches
 	// for, so a cut the leader made before either shows.
-	cut := func() error {
-		return fmt.Errorf("persist: tail of %s: the leader dropped a record the tail read at offset %d; re-recover",
-			filepath.Base(segPath), mark.at)
+	checkMark := func() error {
+		gone, err := mark.gone(f)
+		if err != nil {
+			return fmt.Errorf("persist: tail read: %w", err)
+		}
+		if gone {
+			return fmt.Errorf("persist: tail of %s: the leader dropped a record the tail read at offset %d; re-recover",
+				filepath.Base(segPath), mark.at)
+		}
+		return nil
 	}
 	stalled := 0
 	for {
@@ -95,8 +102,8 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 			if _, err := io.ReadFull(io.NewSectionReader(f, off, int64(len(buf))), buf); err != nil {
 				return fmt.Errorf("persist: tail read: %w", err)
 			}
-			if !mark.intact(f) {
-				return cut()
+			if err := checkMark(); err != nil {
+				return err
 			}
 			// New data may include a promotion's aftermath: refresh the
 			// fence table so a deposed leader's post-fence records are
@@ -160,8 +167,8 @@ func (s *Store) Tail(ctx context.Context, name string, rec *Recovery, poll time.
 			if err != nil {
 				return err
 			}
-			if !mark.intact(f) {
-				return cut()
+			if err := checkMark(); err != nil {
+				return err
 			}
 			if next != "" {
 				_ = f.Close()

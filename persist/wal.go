@@ -99,16 +99,20 @@ type frameMark struct {
 	hdr uint64
 }
 
-// intact reports whether the marked frame is still in the segment r.
-func (m frameMark) intact(r io.ReaderAt) bool {
+// gone reports whether the marked frame has left the segment r: cut
+// off, or replaced by another record. A failed read is an error, not a
+// verdict.
+func (m frameMark) gone(r io.ReaderAt) (bool, error) {
 	if m.hdr == 0 {
-		return true
+		return false, nil
 	}
 	var b [8]byte
-	if _, err := r.ReadAt(b[:], m.at); err != nil {
-		return false
+	if _, err := r.ReadAt(b[:], m.at); err == io.EOF {
+		return true, nil
+	} else if err != nil {
+		return false, err
 	}
-	return binary.LittleEndian.Uint64(b[:]) == m.hdr
+	return binary.LittleEndian.Uint64(b[:]) != m.hdr, nil
 }
 
 // ---- payload encoding ----
