@@ -44,13 +44,12 @@ type GraphStore struct {
 	ops, cutOps, durableOps int
 	cutVersion              uint64
 	segBytes                int64  // bytes in the current segment
-	records                 uint64 // records appended by this handle
+	records                 uint64 // records appended by this handle and still logged
 	lastSync                time.Duration
 	pendingSync             bool
-	// syncedVersion and syncedBytes are version and segBytes at the last
-	// good sync or checkpoint, which a failed sync falls back to.
-	syncedVersion uint64
-	syncedBytes   int64
+	// synced is the log's end at the last good sync or checkpoint,
+	// which a failed sync falls back to.
+	synced logEnd
 
 	// epoch is the leadership epoch stamped onto every record this
 	// handle appends. fenced latches once a later epoch's bound is
@@ -67,6 +66,19 @@ type GraphStore struct {
 	mFsync   *obs.Histogram
 	mCkpt    *obs.Histogram
 	mCkptN   *obs.Counter
+}
+
+// logEnd is where the log ends: the counters a failed sync rolls back,
+// so that none of them counts the records it dropped.
+type logEnd struct {
+	version uint64
+	bytes   int64
+	ops     int
+	records uint64
+}
+
+func (gs *GraphStore) endLocked() logEnd {
+	return logEnd{version: gs.version, bytes: gs.segBytes, ops: gs.ops, records: gs.records}
 }
 
 // initMetrics resolves the handle's per-graph metric handles; a nil
@@ -89,8 +101,8 @@ type GraphStoreStats struct {
 	// background counts from its rename on.
 	CheckpointVersion  uint64
 	OpsSinceCheckpoint int
-	WALBytes           int64 // bytes in the current segment
-	WALRecords         uint64
+	WALBytes           int64  // bytes in the current segment
+	WALRecords         uint64 // records this handle appended that the log holds
 	LastSync           time.Duration
 	Fsync              FsyncMode
 	Epoch              uint64 // leadership epoch this handle writes under
@@ -188,11 +200,12 @@ func (gs *GraphStore) syncLocked() error {
 	if err := gs.seg.Sync(); err != nil {
 		// Drop the records since the last good sync: never acknowledged,
 		// and maybe lost whatever the page cache still holds.
-		gs.version, gs.segBytes = gs.syncedVersion, gs.syncedBytes
+		e := gs.synced
+		gs.version, gs.segBytes, gs.ops, gs.records = e.version, e.bytes, e.ops, e.records
 		gs.dirtyTail, gs.pendingSync = true, false
 		return fmt.Errorf("persist: fsync WAL: %w", err)
 	}
-	gs.syncedVersion, gs.syncedBytes = gs.version, gs.segBytes
+	gs.synced = gs.endLocked()
 	gs.lastSync = time.Since(start)
 	gs.mFsync.Observe(gs.lastSync)
 	gs.pendingSync = false
@@ -377,7 +390,7 @@ func (gs *GraphStore) Checkpoint(c Cut) error {
 	}
 	gs.version, gs.pendingSync = v, false
 	gs.cutOps, gs.cutVersion = gs.ops, v
-	gs.syncedVersion, gs.syncedBytes = v, gs.segBytes
+	gs.synced = gs.endLocked()
 	gs.durableLocked(v)
 	if gs.store.opts.Fsync != FsyncOff {
 		_ = gs.store.fs.SyncDir(gs.dir)
@@ -421,7 +434,7 @@ func (gs *GraphStore) Rotate() (uint64, error) {
 		}
 	}
 	gs.cutOps, gs.cutVersion = gs.ops, v
-	gs.syncedVersion, gs.syncedBytes = v, gs.segBytes
+	gs.synced = gs.endLocked()
 	return v, nil
 }
 

@@ -675,3 +675,66 @@ func TestTailNoticesDroppedRecord(t *testing.T) {
 		t.Fatalf("re-recovered state (truncated tail %v) diverges from the leader's", rec.TruncatedTail)
 	}
 }
+
+// TestFailedSyncRestoresStats: a failed sync drops the records it did
+// not cover, so the durability counters read what the last good sync
+// left, and the ops a crash would replay are the ops recovery replays.
+func TestFailedSyncRestoresStats(t *testing.T) {
+	var fail atomic.Bool
+	s := openStore(t, Options{Fsync: FsyncBatch, FS: failSyncFS{OSFS(), &fail}})
+	g := gedlib.NewGraph()
+	var names []string
+	rng := rand.New(rand.NewSource(4))
+	mutate(g, &names, rng, 20)
+	gs, err := s.Create("kb", Cut{Snap: g.Freeze(), Names: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	appendSync := func(g *gedlib.Graph, names *[]string, n int) (int, error) {
+		t.Helper()
+		d, dn := step(g, names, rng, n)
+		if err := gs.AppendDelta(d, dn); err != nil {
+			t.Fatal(err)
+		}
+		return d.Size(), gs.Sync()
+	}
+	first, err := appendSync(g, &names, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := gs.Stats()
+	if good.OpsSinceCheckpoint != first || good.WALRecords != 1 {
+		t.Fatalf("after one %d-op record: %+v", first, good)
+	}
+
+	lost, err := gedlib.ImportImage(g.Freeze().Image(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lostNames := slices.Clone(names)
+	fail.Store(true)
+	if _, err := appendSync(lost, &lostNames, 10); err == nil {
+		t.Fatal("sync succeeded with syncs failing")
+	}
+	fail.Store(false)
+	if got := gs.Stats(); got != good {
+		t.Fatalf("after a failed sync the stats read\n%+v\nwant the last good sync's\n%+v", got, good)
+	}
+
+	second, err := appendSync(g, &names, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := gs.Stats()
+	if st.OpsSinceCheckpoint != first+second || st.WALRecords != 2 {
+		t.Fatalf("after the dropped record and a %d-op one: %+v", second, st)
+	}
+	rec, err := s.Recover("kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ReplayedOps != st.OpsSinceCheckpoint {
+		t.Fatalf("recovery replays %d ops, OpsSinceCheckpoint reads %d", rec.ReplayedOps, st.OpsSinceCheckpoint)
+	}
+}

@@ -115,7 +115,7 @@ func (s *Store) openRecovered(name, dir string, rec *Recovery, fix *tailFix, epo
 		segBytes:    rec.tailOff,
 		epoch:       epoch,
 	}
-	gs.syncedVersion, gs.syncedBytes = gs.version, gs.segBytes
+	gs.synced = gs.endLocked()
 	gs.initMetrics()
 	return gs, nil
 }
