@@ -293,6 +293,7 @@ func newImageBuilder(version uint64, nodes, edges, attrs, strs int) *imageBuilde
 			AttrName:  make([]uint32, 0, attrs),
 			AttrKind:  make([]uint8, 0, attrs),
 			AttrVal:   make([]uint64, 0, attrs),
+			Strings:   make([]string, 0, strs),
 		},
 		labelIdx: make(map[Label]uint32),
 		attrIdx:  make(map[Attr]uint32),

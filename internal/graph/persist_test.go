@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -296,4 +297,35 @@ func TestImageOfAllocsFlat(t *testing.T) {
 		t.Fatalf("ImageOf allocates %.0f times at 1k nodes but %.0f at 10k", a1, a10)
 	}
 	t.Logf("allocs: %.0f at 1k nodes, %.0f at 10k", a1, a10)
+}
+
+// TestImageAllocsFlatInStrings: the string table is sized once from the
+// string-valued rows, so exporting a graph whose every row holds a new
+// string costs what exporting one with ten distinct strings does.
+func TestImageAllocsFlatInStrings(t *testing.T) {
+	build := func(distinct int) *Graph {
+		g := New()
+		for i := 0; i < 10000; i++ {
+			id := g.AddNode("person")
+			g.SetAttr(id, "name", String("n"+strconv.Itoa(i%distinct)))
+		}
+		return g
+	}
+	few, many := build(10), build(10000)
+	for _, c := range []struct {
+		name   string
+		export func(*Graph) func()
+	}{
+		{"ImageOf", func(g *Graph) func() { return func() { ImageOf(g) } }},
+		{"Snapshot.Image", func(g *Graph) func() {
+			s := g.Freeze()
+			return func() { s.Image(nil) }
+		}},
+	} {
+		a := testing.AllocsPerRun(5, c.export(few))
+		b := testing.AllocsPerRun(5, c.export(many))
+		if b > a {
+			t.Errorf("%s allocates %.0f times over 10 distinct strings but %.0f over 10,000", c.name, a, b)
+		}
+	}
 }

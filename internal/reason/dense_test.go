@@ -106,7 +106,7 @@ func oracleScan(val *Validator, limit int) []Violation {
 		pl.ForEachDenseCancel(nil, nil, func(bind []graph.NodeID) bool {
 			m := d.Pattern.MatchOf(bind)
 			if l := failingOn(val.snap, d, m); l != nil {
-				out = append(out, Violation{GED: d, Match: m, Literal: *l})
+				out = append(out, Violation{GED: d, Match: m, Literal: l})
 			}
 			return limit <= 0 || len(out) < limit
 		})
@@ -329,7 +329,7 @@ func TestDenseStoreMatchesOracle(t *testing.T) {
 				return false
 			}
 			for _, v := range st.Violations() {
-				if l, ok := failingLiteral(st.Snapshot(), v); !ok || l != v.Literal {
+				if l, ok := failingLiteral(st.Snapshot(), v); !ok || l != *v.Literal {
 					t.Logf("seed %d step %d: failingLiteral disagrees on %s", seed, step, violationBytes([]Violation{v}, sigma))
 					return false
 				}

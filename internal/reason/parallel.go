@@ -30,14 +30,18 @@ const morselsPerWorker = 8
 // finish turns one morsel's hits into the caller's results, one for
 // one, on the worker that found them: RunParallelCtx materializes its
 // violations there, which would otherwise be a serial tail of every
-// parallel scan (about a sixth of a one-worker validate_cyclic op).
+// parallel scan (about a sixth of a one-worker validate_cyclic op). The
+// hits are the worker's scratch, reused for its next morsel: finish
+// copies out what it keeps.
 func scanParallel[T any](ctx context.Context, v *Validator, limit, workers int, finish func([]hit) []T) ([]T, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		hs, err := v.scan(ctx, limit)
-		return finish(hs), err
+		hs := getHits()
+		defer hs.release()
+		err := v.scan(ctx, limit, hs)
+		return finish(hs.list), err
 	}
 	type morsel struct{ gi, lo, hi int }
 	var ms []morsel
@@ -64,13 +68,15 @@ func scanParallel[T any](ctx context.Context, v *Validator, limit, workers int, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			hs := getHits()
+			defer hs.release()
 			for !enough.Load() && ctx.Err() == nil {
 				k := int(next.Add(1) - 1)
 				if k >= len(ms) {
 					return
 				}
 				mo := ms[k]
-				var hs hits
+				hs.reset()
 				prune, _ := v.pruner(mo.gi)
 				v.plans[mo.gi].ForEachDenseRangeCancel(mo.lo, mo.hi, stop, prune, func(bind []graph.NodeID) bool {
 					if ctx.Err() != nil {

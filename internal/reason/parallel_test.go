@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -184,4 +185,58 @@ func TestPivotBlocksPartitionMatches(t *testing.T) {
 	if n := count("zzz", snap.Nodes()); n != 0 {
 		t.Error("unknown pivot variable must yield no matches")
 	}
+}
+
+// TestValidatorSharedScratch: searches that run at once on one validator
+// — full scans, parallel scans, touched searches and store seeding —
+// each draw their own hit scratch from the pool and copy out what they
+// keep, so every call reports what it reports alone. Run under -race.
+func TestValidatorSharedScratch(t *testing.T) {
+	ctx := context.Background()
+	g, sigma := pushdownWorkload(5)
+	val := NewValidatorOn(g.Freeze(), sigma)
+	touched := []graph.NodeID{0, 3, 7, 11, 19}
+	calls := []func() ([]Violation, error){
+		func() ([]Violation, error) { return val.RunCtx(ctx, 0) },
+		func() ([]Violation, error) { return val.RunParallelCtx(ctx, 0, 3) },
+		func() ([]Violation, error) { return val.TouchingCtx(ctx, touched, 0) },
+		func() ([]Violation, error) {
+			st, err := NewViolationStoreParallelCtx(ctx, val, 2)
+			if err != nil {
+				return nil, err
+			}
+			return st.Violations(), nil
+		},
+	}
+	want := make([]string, len(calls))
+	for i, call := range calls {
+		vs, err := call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) == 0 {
+			t.Fatalf("call %d finds no violation: the test is vacuous", i)
+		}
+		want[i] = violationBytes(vs, sigma)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				k := (w + i) % len(calls)
+				vs, err := calls[k]()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := violationBytes(vs, sigma); got != want[k] {
+					t.Errorf("worker %d call %d reports\n%swant\n%s", w, k, got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

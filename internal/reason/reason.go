@@ -16,16 +16,21 @@ import (
 
 // Violation is one witness that G ⊭ Σ: a match of a rule's pattern that
 // satisfies X but fails the given consequent literal (for forbidding
-// constraints the failed literal is part of the false desugaring).
+// constraints the failed literal is part of the false desugaring). It is
+// three pointers wide, so copying a violation set copies no literal, and
+// all three point at data shared with the rule and the validator:
+// read-only for every holder.
 type Violation struct {
 	// GED is the violated rule, of any Form.
 	GED *ged.GED
 	// Match is the violating match h(x̄).
 	Match pattern.Match
-	// Literal is the first consequent literal not satisfied. A
-	// disjunctive rule's match fails every disjunct and names the first;
-	// an empty disjunction names the false desugaring's first literal.
-	Literal ged.Literal
+	// Literal is the first consequent literal not satisfied, never nil.
+	// It points at the element of GED.Y itself; a disjunctive rule's
+	// match fails every disjunct and names the first. An empty
+	// disjunction names the first literal of its false desugaring, which
+	// the validator's compiled rule holds.
+	Literal *ged.Literal
 }
 
 // Satisfies reports G ⊨ Σ (Section 5.3), freezing g once.

@@ -48,7 +48,7 @@ func matchOracle(snap *graph.Snapshot, sigma ged.Set) []Violation {
 	for _, d := range sigma {
 		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			if l := failingOn(snap, d, m); l != nil {
-				out = append(out, Violation{GED: d, Match: m.Clone(), Literal: *l})
+				out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
 			}
 			return true
 		})

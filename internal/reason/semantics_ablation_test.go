@@ -17,7 +17,7 @@ func validateInjective(g *graph.Graph, sigma ged.Set, limit int) []Violation {
 	for _, d := range sigma {
 		pattern.ForEachMatchInjective(d.Pattern, snap, func(m pattern.Match) bool {
 			if l := failingOn(snap, d, m); l != nil {
-				out = append(out, Violation{GED: d, Match: m.Clone(), Literal: *l})
+				out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
 			}
 			return limit <= 0 || len(out) < limit
 		})

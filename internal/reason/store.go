@@ -82,34 +82,42 @@ func (e *storedViolation) less(o *storedViolation) bool {
 	return e.key < o.key
 }
 
-// admit stores the violating match (gi, bind), materialized as v. The
-// entry takes bind over; the caller has claimed its key in st.seen.
-func (st *ViolationStore) admit(gi int, bind []graph.NodeID, v Violation) *storedViolation {
-	e := &storedViolation{
+// newEntry materializes hit h of one of val's searches as an entry,
+// copying its binding vector out of the search's scratch. It reads only
+// val, so seeding builds entries on the workers that found them.
+func newEntry(val *Validator, h hit) *storedViolation {
+	v := val.violation(h)
+	return &storedViolation{
 		v:    v,
-		gi:   gi,
+		gi:   h.gi,
 		key:  string(appendViolationKey(nil, v)),
-		bind: bind,
+		bind: append([]graph.NodeID(nil), h.bind...),
 	}
-	for _, n := range distinctBind(bind) {
-		st.byNode[n] = append(st.byNode[n], e)
-	}
-	return e
 }
 
-// admitHits stores what one of the validator's own searches found, in
-// any order; each new entry's binding vector is copied straight from
-// the matcher's. Matches already stored are skipped; the newcomers are
-// merged into the canonically ordered set.
+// admitHits stores what one of the validator's touched searches found,
+// in any order. Matches already stored are skipped before they are
+// materialized.
 func (st *ViolationStore) admitHits(hs []hit) {
 	var add []*storedViolation
 	for _, h := range hs {
 		if st.seen.add(h.gi, h.bind) {
-			add = append(add, st.admit(h.gi, append([]graph.NodeID(nil), h.bind...), st.val.violation(h)))
+			add = append(add, newEntry(st.val, h))
 		}
 	}
+	st.admit(add)
+}
+
+// admit indexes new entries, in any order, and merges them into the
+// canonically ordered set; the caller has claimed their keys in st.seen.
+func (st *ViolationStore) admit(add []*storedViolation) {
 	if len(add) == 0 {
 		return
+	}
+	for _, e := range add {
+		for _, n := range distinctBind(e.bind) {
+			st.byNode[n] = append(st.byNode[n], e)
+		}
 	}
 	sort.Slice(add, func(i, j int) bool { return add[i].less(add[j]) })
 	st.ctrFresh.Add(uint64(len(add)))
@@ -169,12 +177,24 @@ func NewViolationStoreCtx(ctx context.Context, val *Validator) (*ViolationStore,
 // O(|G|) step of the store's life, so it deserves the same parallelism
 // a full Validate gets.
 func NewViolationStoreParallelCtx(ctx context.Context, val *Validator, workers int) (*ViolationStore, error) {
-	hs, err := scanParallel(ctx, val, 0, workers, func(hs []hit) []hit { return hs })
+	es, err := scanParallel(ctx, val, 0, workers, func(hs []hit) []*storedViolation {
+		es := make([]*storedViolation, len(hs))
+		for i, h := range hs {
+			es[i] = newEntry(val, h)
+		}
+		return es
+	})
 	if err != nil {
 		return nil, err
 	}
 	st := &ViolationStore{val: val, byNode: make(map[graph.NodeID][]*storedViolation)}
-	st.admitHits(hs)
+	fresh := es[:0]
+	for _, e := range es {
+		if st.seen.add(e.gi, e.bind) {
+			fresh = append(fresh, e)
+		}
+	}
+	st.admit(fresh)
 	return st, nil
 }
 
@@ -213,8 +233,10 @@ func (st *ViolationStore) Apply(ctx context.Context, snap *graph.Snapshot, touch
 	}
 	// Find the new violations around the touched nodes; matches already
 	// stored re-surface here and are dropped by the key set.
-	hs, err := st.val.touching(ctx, touched)
-	st.admitHits(hs)
+	hs := getHits()
+	defer hs.release()
+	err := st.val.touching(ctx, touched, hs)
+	st.admitHits(hs.list)
 	return err
 }
 
@@ -263,10 +285,12 @@ func (st *ViolationStore) recheck(ctx context.Context, snap *graph.Snapshot, tou
 				st.dross += distinctBindCount(e.bind) - 1
 				live = live[:len(live)-1]
 				droppedAny = true
-			case *l != e.v.Literal:
+			case *l != *e.v.Literal:
 				// The update fixed the recorded literal but broke
-				// another; keep the evidence current.
-				e.v.Literal = *l
+				// another; keep the evidence current. Values, not
+				// pointers, are compared: a rule recompiled by Rebind
+				// holds its false desugaring anew.
+				e.v.Literal = l
 				refreshed = true
 			}
 		}

@@ -3,7 +3,9 @@ package reason
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"gedlib/internal/ged"
 	"gedlib/internal/gen"
@@ -82,7 +84,7 @@ func TestViolationStoreRefreshesLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Violations(); len(got) != 1 || got[0].Literal != d.Y[1] {
+	if got := st.Violations(); len(got) != 1 || got[0].Literal != &d.Y[1] {
 		t.Fatalf("seed: want one violation failing %s, got %+v", d.Y[1], got)
 	}
 	// Fix q (the recorded literal) and break p in one delta.
@@ -97,7 +99,7 @@ func TestViolationStoreRefreshesLiteral(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("want one violation, got %d", len(got))
 	}
-	if got[0].Literal != d.Y[0] {
+	if got[0].Literal != &d.Y[0] {
 		t.Fatalf("stale literal: store reports %s, but %s is what fails now", got[0].Literal, d.Y[0])
 	}
 	want := validate(g, sigma, 0)
@@ -154,6 +156,42 @@ func TestViolationStoreOnWorkload(t *testing.T) {
 			if want[i] != got[i] {
 				t.Fatalf("step %d: sets differ at %d", step, i)
 			}
+		}
+	}
+}
+
+// TestViolationStoreViewBytes: after an Apply that changes the set, the
+// rebuilt view is one slice of |V| three-word violations and nothing
+// per violation beyond it.
+func TestViolationStoreViewBytes(t *testing.T) {
+	ctx := context.Background()
+	g := graph.New()
+	for i := 0; i < 2000; i++ {
+		g.AddNode("a") // every node violates d
+	}
+	d := ged.New("d", patternOf(t), nil, []ged.Literal{ged.ConstLit("x", "p", graph.Int(1))})
+	st, err := NewViolationStoreCtx(ctx, NewValidatorOn(g.Freeze(), ged.Set{d}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := 3 * int(unsafe.Sizeof(uintptr(0)))
+	for round := 0; round < 5; round++ {
+		from := st.Snapshot().SourceVersion()
+		g.AddNode("a")
+		dl := g.DeltaSince(from)
+		if err := st.Apply(ctx, st.Snapshot().Apply(dl), dl.TouchedNodes()); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		vs := st.Violations()
+		runtime.ReadMemStats(&after)
+		// A large allocation is rounded up to whole 8 KB pages.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(vs)*size+8192); got > bound {
+			t.Fatalf("round %d: the view of %d violations allocated %d B, want at most %d", round, len(vs), got, bound)
+		}
+		if len(vs) != 2001+round {
+			t.Fatalf("round %d: %d violations, want %d", round, len(vs), 2001+round)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package reason
 
 import (
 	"context"
+	"sync"
 
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
@@ -111,8 +112,10 @@ func (v *Validator) Snapshot() *graph.Snapshot { return v.snap }
 // exploration. The violations found so far are returned alongside
 // ctx's error.
 func (v *Validator) RunCtx(ctx context.Context, limit int) ([]Violation, error) {
-	hs, err := v.scan(ctx, limit)
-	return v.violations(hs), err
+	hs := getHits()
+	defer hs.release()
+	err := v.scan(ctx, limit, hs)
+	return v.violations(hs.list), err
 }
 
 // RunParallelCtx is RunCtx across workers, a first step toward the
@@ -155,8 +158,10 @@ func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]V
 // checked between candidate matches; the violations found before an
 // abort are returned alongside ctx's error.
 func (v *Validator) TouchingCtx(ctx context.Context, nodes []graph.NodeID, limit int) ([]Violation, error) {
-	hs, err := v.touching(ctx, nodes)
-	out := v.violations(hs)
+	hs := getHits()
+	defer hs.release()
+	err := v.touching(ctx, nodes, hs)
+	out := v.violations(hs.list)
 	sortViolations(out, v.sigma)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
@@ -174,10 +179,30 @@ type hit struct {
 
 // hits collects one search's violating matches. Each keeps a copy of
 // the matcher's scratch binding vector, carved from a shared slab: a
-// handful of allocations per search, not one per violation.
+// handful of allocations per search, not one per violation. A hits is
+// scratch, pooled across searches (getHits, release) and reused across
+// a parallel worker's morsels (reset): whoever reads its list copies
+// out what it keeps — the binding vectors included — before the reuse.
 type hits struct {
 	list []hit
 	slab []graph.NodeID
+}
+
+var hitsPool = sync.Pool{New: func() any { return new(hits) }}
+
+func getHits() *hits { return hitsPool.Get().(*hits) }
+
+// reset empties hs for another search. The newest slab is written over;
+// older ones, and the literals, are let go.
+func (hs *hits) reset() {
+	clear(hs.list)
+	hs.list = hs.list[:0]
+	hs.slab = hs.slab[:0]
+}
+
+func (hs *hits) release() {
+	hs.reset()
+	hitsPool.Put(hs)
 }
 
 func (hs *hits) add(gi int, bind []graph.NodeID, l *ged.Literal) {
@@ -206,7 +231,7 @@ func (v *Validator) pruner(gi int) (prune pattern.Pruner, skip bool) {
 // Match map.
 func (v *Validator) violation(h hit) Violation {
 	d := v.sigma[h.gi]
-	return Violation{GED: d, Match: d.Pattern.MatchOf(h.bind), Literal: *h.lit}
+	return Violation{GED: d, Match: d.Pattern.MatchOf(h.bind), Literal: h.lit}
 }
 
 func (v *Validator) violations(hs []hit) []Violation {
@@ -222,9 +247,8 @@ func (v *Validator) violations(hs []hit) []Violation {
 
 // scan enumerates rule after rule on the calling goroutine, each in its
 // plan's own order — which already seeds at the smallest of each
-// variable's label and pushed-literal postings.
-func (v *Validator) scan(ctx context.Context, limit int) ([]hit, error) {
-	var hs hits
+// variable's label and pushed-literal postings — adding the hits to hs.
+func (v *Validator) scan(ctx context.Context, limit int, hs *hits) error {
 	stop := func() bool { return ctx.Err() != nil }
 	for gi := range v.sigma {
 		prune, skip := v.pruner(gi)
@@ -242,11 +266,11 @@ func (v *Validator) scan(ctx context.Context, limit int) ([]hit, error) {
 		}
 		v.plans[gi].ForEachDenseCancel(stop, prune, visit)
 		if err := ctx.Err(); err != nil {
-			return hs.list, err
+			return err
 		}
 		if limit > 0 && len(hs.list) >= limit {
 			break
 		}
 	}
-	return hs.list, nil
+	return nil
 }

@@ -65,11 +65,11 @@ func oracleViolations(g *gedlib.Graph, sigma gedlib.RuleSet) []gedlib.Violation 
 			}
 			switch {
 			case !d.Disjunctive && failing >= 0:
-				out = append(out, gedlib.Violation{GED: d, Match: m, Literal: d.Y[failing]})
+				out = append(out, gedlib.Violation{GED: d, Match: m, Literal: &d.Y[failing]})
 			case d.Disjunctive && failing < 0 && len(d.Y) > 0:
-				out = append(out, gedlib.Violation{GED: d, Match: m, Literal: d.Y[0]})
+				out = append(out, gedlib.Violation{GED: d, Match: m, Literal: &d.Y[0]})
 			case d.Disjunctive && failing < 0:
-				out = append(out, gedlib.Violation{GED: d, Match: m, Literal: gedlib.False(d.Pattern.Vars()[0])[0]})
+				out = append(out, gedlib.Violation{GED: d, Match: m, Literal: &gedlib.False(d.Pattern.Vars()[0])[0]})
 			}
 		}
 	}
@@ -194,12 +194,45 @@ func TestThreeFormDifferential(t *testing.T) {
 			if got := litCanon(applied); got != want {
 				t.Fatalf("seed %d step %d: Session.Apply diverged from the oracle\n got:\n%s\nwant:\n%s", seed, step, got, want)
 			}
+			checkLiteralRefs(t, fmt.Sprintf("seed %d step %d: Engine.Validate", seed, step), validated)
+			checkLiteralRefs(t, fmt.Sprintf("seed %d step %d: Session.Apply", seed, step), applied)
 			violations += len(validated)
 			mutateFormGraph(rng, g)
 		}
 	}
 	if forms["GED"] == 0 || forms["GDC"] == 0 || forms["GED∨"] == 0 || violations == 0 {
 		t.Fatalf("differential is vacuous: forms %v, %d violations", forms, violations)
+	}
+}
+
+// checkLiteralRefs: every violation's literal is a pointer into its
+// rule, never a copy: an element of a conjunctive rule's Y, the first
+// disjunct of a disjunctive one, and for an empty disjunction a literal
+// of its false desugaring.
+func checkLiteralRefs(t *testing.T, what string, vs []gedlib.Violation) {
+	t.Helper()
+	for _, v := range vs {
+		d, l := v.GED, v.Literal
+		switch {
+		case l == nil:
+			t.Fatalf("%s: a violation of %s has no literal", what, d.Name)
+		case d.Disjunctive && len(d.Y) == 0:
+			if !slices.Contains(gedlib.False(d.Pattern.Vars()[0]), *l) {
+				t.Fatalf("%s: %s names %s, not a literal of its false desugaring", what, d.Name, l)
+			}
+		case d.Disjunctive:
+			if l != &d.Y[0] {
+				t.Fatalf("%s: %s names %s, not a pointer to its first disjunct", what, d.Name, l)
+			}
+		default:
+			into := false
+			for i := range d.Y {
+				into = into || l == &d.Y[i]
+			}
+			if !into {
+				t.Fatalf("%s: %s names %s, not a pointer into its Y", what, d.Name, l)
+			}
+		}
 	}
 }
 

@@ -45,8 +45,8 @@ type varWire struct {
 }
 
 type litWire struct {
-	lit  gedlib.Literal
-	text string // the JSON string of lit.String()
+	lit  *gedlib.Literal // an element of rule.Y
+	text string          // the JSON string of lit.String()
 }
 
 // nameGuess is the node-name length the buffer estimate assumes.
@@ -64,7 +64,8 @@ func newRuleText(sigma gedlib.RuleSet) *ruleText {
 			size += len(key) + nameGuess + len(`"",`)
 		}
 		longest := 0
-		for _, l := range r.Y {
+		for i := range r.Y {
+			l := &r.Y[i]
 			lw := litWire{lit: l, text: string(appendJSONString(nil, l.String()))}
 			rw.lits = append(rw.lits, lw)
 			longest = max(longest, len(lw.text))
@@ -171,7 +172,7 @@ func appendViolations(buf []byte, view *View, vs []gedlib.Violation) []byte {
 		buf = append(buf, `,"match":`...)
 		buf = appendMatch(buf, rw, view.Names, v.Match)
 		buf = append(buf, `,"literal":`...)
-		buf = appendLiteral(buf, rw, &v.Literal)
+		buf = appendLiteral(buf, rw, v.Literal)
 		buf = append(buf, '}')
 	}
 	return append(buf, ']')
@@ -220,11 +221,18 @@ func appendMatchSorted(buf []byte, names *nameTable, m gedlib.Match) []byte {
 }
 
 // appendLiteral appends the JSON string of l.String(), pre-rendered when
-// l is one of the rule's consequent literals.
+// l is one of the rule's consequent literals. A violation's literal
+// points into rule.Y, so the pointer finds it; a literal held elsewhere,
+// such as a copy, is found by value.
 func appendLiteral(buf []byte, rw *ruleWire, l *gedlib.Literal) []byte {
 	if rw != nil {
 		for i := range rw.lits {
-			if sameLiteral(&rw.lits[i].lit, l) {
+			if rw.lits[i].lit == l {
+				return append(buf, rw.lits[i].text...)
+			}
+		}
+		for i := range rw.lits {
+			if sameLiteral(rw.lits[i].lit, l) {
 				return append(buf, rw.lits[i].text...)
 			}
 		}

@@ -134,11 +134,17 @@ func differentialCase(seed int64) (*View, []gedlib.Violation) {
 				break
 			}
 		}
-		var lit gedlib.Literal
-		if len(r.Y) > 0 && rng.Intn(10) > 0 {
-			lit = r.Y[rng.Intn(len(r.Y))]
-		} else {
-			lit = gedlib.Cmp("x", "a", gedlib.Op(rng.Intn(8)), gedlib.String(hostile[rng.Intn(len(hostile))]))
+		var lit *gedlib.Literal
+		switch k := rng.Intn(10); {
+		case len(r.Y) > 0 && k > 1:
+			lit = &r.Y[rng.Intn(len(r.Y))]
+		case len(r.Y) > 0 && k == 1:
+			// A copy of a rule literal: found by value, not by pointer.
+			l := r.Y[rng.Intn(len(r.Y))]
+			lit = &l
+		default:
+			l := gedlib.Cmp("x", "a", gedlib.Op(rng.Intn(8)), gedlib.String(hostile[rng.Intn(len(hostile))]))
+			lit = &l
 		}
 		vs[i] = gedlib.Violation{GED: r, Match: m, Literal: lit}
 	}

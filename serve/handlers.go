@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -143,8 +144,23 @@ func (s *Server) entry(w http.ResponseWriter, r *http.Request) (*GraphEntry, boo
 	return ent, true
 }
 
+// presizeMax bounds the buffer readBody allocates on a declared length
+// alone, before the bytes arrive: past it, the buffer grows as they do.
+const presizeMax = 1 << 20
+
+// readBody reads the request body, failing past limit bytes. A body of
+// declared length within the limit (and presizeMax) is read into one
+// buffer of that size; the server ends the body there.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body := http.MaxBytesReader(w, r.Body, limit)
+	var data []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= min(limit, presizeMax) {
+		data = make([]byte, n)
+		_, err = io.ReadFull(body, data)
+	} else {
+		data, err = io.ReadAll(body)
+	}
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, err.Error())
 		return nil, false
@@ -160,8 +176,8 @@ func withTimeout(d time.Duration, h http.Handler) http.Handler {
 	})
 }
 
-func queryInt(r *http.Request, key string, def int) int {
-	if s := r.URL.Query().Get(key); s != "" {
+func queryInt(q url.Values, key string, def int) int {
+	if s := q.Get(key); s != "" {
 		if n, err := strconv.Atoi(s); err == nil {
 			return n
 		}
@@ -352,7 +368,8 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	view := ent.CurrentView()
 	vs := view.Violations
 	total := len(vs)
-	offset := queryInt(r, "offset", 0)
+	q := r.URL.Query()
+	offset := queryInt(q, "offset", 0)
 	if offset < 0 {
 		offset = 0
 	}
@@ -360,7 +377,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 		offset = total
 	}
 	vs = vs[offset:]
-	if limit := queryInt(r, "limit", 100); limit >= 0 && len(vs) > limit {
+	if limit := queryInt(q, "limit", 100); limit >= 0 && len(vs) > limit {
 		vs = vs[:limit]
 	}
 	writeViolationPage(w, view, total, vs)
@@ -468,7 +485,7 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 		}
 		min = d
 	}
-	limit := queryInt(r, "limit", 64)
+	limit := queryInt(q, "limit", 64)
 	spans := s.cat.tracer().Recent(limit, func(sd *gedlib.SpanData) bool {
 		if graph != "" && sd.Graph != graph {
 			return false

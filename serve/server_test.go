@@ -154,6 +154,63 @@ func TestHTTPBadInputs(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/graphs/g/validate", body, http.StatusBadRequest)
 }
 
+// TestReadBody: a body of declared length is read into one buffer of
+// that length, one of unknown length (or of a declared length past
+// presizeMax) is read whole, and either fails with 413 past the limit.
+func TestReadBody(t *testing.T) {
+	const limit = 64 << 10
+	for _, c := range []struct {
+		name    string
+		n       int
+		chunked bool
+		limit   int64
+		ok      bool
+	}{
+		{"empty", 0, false, limit, true},
+		{"declared", 40 << 10, false, limit, true},
+		{"declared at the limit", limit, false, limit, true},
+		{"declared past the limit", limit + 1, false, limit, false},
+		{"chunked", 40 << 10, true, limit, true},
+		{"chunked past the limit", limit + 1, true, limit, false},
+		{"declared past presizeMax", presizeMax + 1, false, 2 * presizeMax, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := bytes.Repeat([]byte("ab"), c.n/2+1)[:c.n]
+			r := httptest.NewRequest("POST", "/", bytes.NewReader(want))
+			if c.chunked {
+				r.ContentLength = -1
+			}
+			w := httptest.NewRecorder()
+			got, ok := readBody(w, r, c.limit)
+			if ok != c.ok {
+				t.Fatalf("ok = %v, want %v (status %d)", ok, c.ok, w.Code)
+			}
+			if !ok {
+				if w.Code != http.StatusRequestEntityTooLarge {
+					t.Fatalf("status %d, want 413", w.Code)
+				}
+				return
+			}
+			if !bytes.Equal(got, want) || got == nil {
+				t.Fatalf("read %d bytes, want the %d sent", len(got), len(want))
+			}
+		})
+	}
+	body := bytes.Repeat([]byte("x"), 40<<10)
+	r := httptest.NewRequest("POST", "/", nil)
+	r.ContentLength = int64(len(body))
+	w := httptest.NewRecorder()
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		readBody(w, r, limit)
+	})
+	// The body and its closer, the limiter and the buffer; a read that
+	// grew its buffer would add one allocation per doubling.
+	if allocs > 4 {
+		t.Fatalf("reading a 40 KB body of declared length allocates %.0f times, want 4", allocs)
+	}
+}
+
 // TestHTTPAdmissionControl: past MaxInFlight concurrent requests the
 // server sheds load with 503 instead of queueing, and /healthz and
 // /statsz keep answering.

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gedlib"
 	"gedlib/workload"
@@ -459,6 +460,15 @@ func TestShimSessionsCollected(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestViolationIsThreeWords: a violation holds its rule, match and
+// failing literal by reference, so a copy of a violation set copies
+// three words per violation and no literal.
+func TestViolationIsThreeWords(t *testing.T) {
+	if got, want := unsafe.Sizeof(gedlib.Violation{}), 3*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("Violation is %d bytes, want %d", got, want)
 	}
 }
 

@@ -197,7 +197,8 @@ func False(y Var) []Literal { return ged.False(y) }
 // ---- analysis results ----
 
 // Violation is one witness that a graph violates a rule: the match, and
-// the first consequent literal it fails.
+// the first consequent literal it fails, which points into the rule's Y.
+// Every field is shared and read-only.
 type Violation = reason.Violation
 
 // SatResult reports a satisfiability analysis; Model is its witness.
