@@ -112,10 +112,7 @@ func (v *Validator) Snapshot() *graph.Snapshot { return v.snap }
 // exploration. The violations found so far are returned alongside
 // ctx's error.
 func (v *Validator) RunCtx(ctx context.Context, limit int) ([]Violation, error) {
-	hs := getHits()
-	defer hs.release()
-	err := v.scan(ctx, limit, hs)
-	return v.violations(hs.list), err
+	return scanParallel(ctx, v, limit, 1, v.violations)
 }
 
 // RunParallelCtx is RunCtx across workers, a first step toward the

@@ -44,7 +44,7 @@ type GraphStore struct {
 	ops, cutOps, durableOps int
 	cutVersion              uint64
 	segBytes                int64  // bytes in the current segment
-	records                 uint64 // records appended by this handle and still logged
+	records                 uint64 // records appended by this handle, less those a failed sync dropped
 	lastSync                time.Duration
 	pendingSync             bool
 	// synced is the log's end at the last good sync or checkpoint,
@@ -102,7 +102,7 @@ type GraphStoreStats struct {
 	CheckpointVersion  uint64
 	OpsSinceCheckpoint int
 	WALBytes           int64  // bytes in the current segment
-	WALRecords         uint64 // records this handle appended that the log holds
+	WALRecords         uint64 // records this handle appended, less those a failed sync dropped
 	LastSync           time.Duration
 	Fsync              FsyncMode
 	Epoch              uint64 // leadership epoch this handle writes under

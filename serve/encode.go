@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -221,9 +220,8 @@ func appendMatchSorted(buf []byte, names *nameTable, m gedlib.Match) []byte {
 }
 
 // appendLiteral appends the JSON string of l.String(), pre-rendered when
-// l is one of the rule's consequent literals. A violation's literal
-// points into rule.Y, so the pointer finds it; a literal held elsewhere,
-// such as a copy, is found by value.
+// l is one of the rule's consequent literals: a violation's literal
+// points into rule.Y, so the pointer finds it.
 func appendLiteral(buf []byte, rw *ruleWire, l *gedlib.Literal) []byte {
 	if rw != nil {
 		for i := range rw.lits {
@@ -231,26 +229,8 @@ func appendLiteral(buf []byte, rw *ruleWire, l *gedlib.Literal) []byte {
 				return append(buf, rw.lits[i].text...)
 			}
 		}
-		for i := range rw.lits {
-			if sameLiteral(rw.lits[i].lit, l) {
-				return append(buf, rw.lits[i].text...)
-			}
-		}
 	}
 	return appendJSONString(buf, l.String())
-}
-
-// sameLiteral reports whether a and b render to the same text. It is ==
-// with numbers compared bit for bit, because 0 and -0 are == but render
-// as "0" and "-0".
-func sameLiteral(a, b *gedlib.Literal) bool {
-	return a.Op == b.Op && sameOperand(&a.Left, &b.Left) && sameOperand(&a.Right, &b.Right)
-}
-
-func sameOperand(a, b *gedlib.Operand) bool {
-	return a.Kind == b.Kind && a.Var == b.Var && a.Attr == b.Attr &&
-		a.Const.Kind() == b.Const.Kind() && a.Const.Str() == b.Const.Str() &&
-		math.Float64bits(a.Const.Num()) == math.Float64bits(b.Const.Num())
 }
 
 // appendName appends the JSON string of NameOf(id) without building it:

@@ -139,7 +139,7 @@ func differentialCase(seed int64) (*View, []gedlib.Violation) {
 		case len(r.Y) > 0 && k > 1:
 			lit = &r.Y[rng.Intn(len(r.Y))]
 		case len(r.Y) > 0 && k == 1:
-			// A copy of a rule literal: found by value, not by pointer.
+			// A copy of a rule literal: not found by pointer, so rendered.
 			l := r.Y[rng.Intn(len(r.Y))]
 			lit = &l
 		default:
