@@ -63,8 +63,8 @@
 // pages, label postings and symbol tables the delta touches are
 // cloned; everything else is shared with the parent, and both remain
 // immutable and concurrently readable. Symbol ids are append-only
-// within a snapshot lineage, which lets compiled matcher plans rebind
-// to an advanced snapshot instead of recompiling.
+// within a snapshot lineage, which lets compiled matcher plans, which
+// hold no snapshot, run on an advanced snapshot instead of recompiling.
 //
 // Session.Apply(ctx, delta) drives the whole incremental-validation
 // pipeline: it advances the session's snapshot by the delta, maintains
@@ -116,9 +116,12 @@
 //
 // Validation over a snapshot judges each match on the matcher's dense
 // binding vector: a rule's X and Y are compiled once per prepared
-// validator to vector positions and interned attribute ids, carried
-// across Rebase like the plans' label ids, and a Match map is built
-// only for the matches that are violations. Resolving variables and
+// validator to vector positions and interned attribute ids, and a Match
+// map is built only for the matches that are violations. Plans and
+// compiled rules hold no snapshot, so a rebased validator carries the
+// very ones it came from and allocates only itself; a plan or rule is
+// compiled again, with a fresh order, only when a label or attribute it
+// found absent appears. Resolving variables and
 // attributes by name per match (ged.Holds) is left to the small
 // solvers and the oracle the differential tests compare against.
 //

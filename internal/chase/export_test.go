@@ -28,7 +28,7 @@ func RunRefreeze(ctx context.Context, g *graph.Graph, sigma ged.Set, seeds []See
 		host := co.Graph.Freeze()
 		c.changed = false
 		for gi, d := range sigma {
-			pattern.Compile(d.Pattern, host).ForEachDenseCancel(stop, nil, func(bind []graph.NodeID) bool {
+			pattern.Compile(d.Pattern, host).ForEachDenseCancel(host, stop, nil, func(bind []graph.NodeID) bool {
 				if ctx.Err() != nil {
 					return false
 				}

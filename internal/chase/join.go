@@ -220,7 +220,7 @@ func (c *chaser) fullSweep(gi int, doPark bool) {
 	for k := 1; k < len(r.comps); k++ {
 		side := &js.sides[k]
 		side.tuples = side.tuples[:0]
-		c.host.plan(&r.comps[k]).ForEachDenseCancel(c.stop, nil, func(t []graph.NodeID) bool {
+		c.host.plan(&r.comps[k]).ForEachDenseCancel(c.host.snap, c.stop, nil, func(t []graph.NodeID) bool {
 			side.tuples = append(side.tuples, t...)
 			return true
 		})
@@ -233,7 +233,7 @@ func (c *chaser) fullSweep(gi int, doPark bool) {
 		for k := 1; k < len(r.comps); k++ {
 			js.sides[k].index(&r.comps[k], c.eq, c.host.repOf)
 		}
-		c.host.plan(&r.comps[0]).ForEachDenseCancel(c.stop, nil, func(t []graph.NodeID) bool {
+		c.host.plan(&r.comps[0]).ForEachDenseCancel(c.host.snap, c.stop, nil, func(t []graph.NodeID) bool {
 			for i, v := range r.comps[0].vars {
 				js.bind[v] = t[i]
 			}

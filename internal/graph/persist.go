@@ -175,7 +175,7 @@ func (s *Snapshot) Image(yield func()) *Image {
 		if yield != nil && id&1023 == 1023 {
 			yield()
 		}
-		b.img.NodeLabel[id] = labelOf(s.nodeLabel[id>>pageShift][id&pageMask])
+		b.img.NodeLabel[id] = labelOf(s.NodeLabelID(NodeID(id)))
 	}
 
 	labelRank, attrRank := nameRanks(s.labels), nameRanks(s.attrs)

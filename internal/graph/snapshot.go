@@ -43,16 +43,16 @@ type Snapshot struct {
 
 	// nodes
 	numNodes  int
-	ids       []NodeID  // identity prefix, shared process-wide
-	nodeLabel [][]int32 // paged: node -> label symbol
+	ids       []NodeID     // identity prefix, shared process-wide
+	nodeLabel pages[int32] // node -> label symbol
 
-	// per-node adjacency segments, paged; within a segment entries are
-	// sorted by (label symbol, other endpoint).
-	out [][]adjSeg
-	in  [][]adjSeg
+	// per-node adjacency segments; within a segment entries are sorted
+	// by (label symbol, other endpoint).
+	out pages[adjSeg]
+	in  pages[adjSeg]
 
-	// per-node attribute tuples, paged; sorted by attr symbol.
-	attr [][]attrSeg
+	// per-node attribute tuples, sorted by attr symbol.
+	attr pages[attrSeg]
 
 	// per-label postings and degree totals; indexed by label symbol,
 	// sized to the node-label symbols only (edge-only labels have no
@@ -105,31 +105,38 @@ type attrSeg struct {
 
 // Pages are 64 entries: small enough that Apply's per-dirty-page
 // copies (the dominant cost of a scattered small delta — each clone
-// zeroes and copies a full page of segment headers) stay proportional
-// to the touched neighborhood, big enough that the outer page tables —
-// which Apply clones whole — stay a small fraction of a percent of the
-// graph.
+// copies a full page of segment headers) stay proportional to the
+// touched neighborhood, big enough that the outer page tables — which
+// Apply clones whole, one pointer per page — stay a small fraction of a
+// percent of the graph.
 const (
 	pageShift = 6
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 )
 
-// pagesOf splits a flat arena into page views. Capacities are clamped
-// so a page can never grow into its neighbor's storage.
-func pagesOf[T any](flat []T) [][]T {
-	n := len(flat)
-	pgs := make([][]T, (n+pageSize-1)/pageSize)
+// pages is a per-node table cut into fixed-size pages: entry id lives
+// at [id>>pageShift][id&pageMask], so a read is one bounds check on the
+// outer table and none inside the page. A page is written only by the
+// snapshot that allocated or cloned it, before that snapshot is
+// published; snapshots of a lineage share the rest. Every entry at or
+// past a snapshot's node count is zero in each page it reads: pages
+// start zeroed, and an owner writes only its own nodes.
+type pages[T any] []*[pageSize]T
+
+// newPages returns a zeroed table for n entries, its pages views into
+// one arena padded to a whole page.
+func newPages[T any](n int) pages[T] {
+	arena := make([]T, (n+pageMask)&^pageMask)
+	pgs := make(pages[T], len(arena)>>pageShift)
 	for p := range pgs {
-		lo := p * pageSize
-		hi := lo + pageSize
-		if hi > n {
-			hi = n
-		}
-		pgs[p] = flat[lo:hi:hi]
+		pgs[p] = (*[pageSize]T)(arena[p<<pageShift:])
 	}
 	return pgs
 }
+
+// at returns entry id.
+func (pgs pages[T]) at(id NodeID) *T { return &pgs[id>>pageShift][id&pageMask] }
 
 type postingKey struct {
 	attr int32
@@ -231,14 +238,13 @@ func (g *Graph) Freeze() *Snapshot {
 	// Nodes, node-label symbols and per-label postings. Node labels are
 	// interned first so labelNodes/labelDegTotal cover exactly the
 	// symbols that can have postings.
-	nodeLabel := make([]int32, n)
+	s.nodeLabel = newPages[int32](n)
 	for i := range g.nodes {
-		nodeLabel[i] = s.internLabel(g.nodes[i].label)
+		*s.nodeLabel.at(NodeID(i)) = s.internLabel(g.nodes[i].label)
 	}
-	s.nodeLabel = pagesOf(nodeLabel)
 	s.labelNodes = make([][]NodeID, len(s.labels))
 	for i := 0; i < n; i++ {
-		lid := nodeLabel[i]
+		lid := *s.nodeLabel.at(NodeID(i))
 		s.labelNodes[lid] = append(s.labelNodes[lid], NodeID(i))
 	}
 	s.labelTail = make([]*atomic.Int64, len(s.labelNodes))
@@ -261,7 +267,7 @@ func (g *Graph) Freeze() *Snapshot {
 	}
 	keyArena := make([]int32, 0, total)
 	valArena := make([]Value, 0, total)
-	segs := make([]attrSeg, n)
+	s.attr = newPages[attrSeg](n)
 	type kv struct {
 		key int32
 		val Value
@@ -284,12 +290,11 @@ func (g *Graph) Freeze() *Snapshot {
 			keyArena = append(keyArena, p.key)
 			valArena = append(valArena, p.val)
 		}
-		segs[i] = attrSeg{
+		*s.attr.at(NodeID(i)) = attrSeg{
 			key: keyArena[base:len(keyArena):len(keyArena)],
 			val: valArena[base:len(valArena):len(valArena)],
 		}
 	}
-	s.attr = pagesOf(segs)
 	return s
 }
 
@@ -323,7 +328,7 @@ func (s *Snapshot) layoutAdjacency(n int, esrc []NodeID, elbl []int32, edst []No
 		perm[i] = int32(i)
 	}
 
-	layout := func(major, minor []NodeID) [][]adjSeg {
+	layout := func(major, minor []NodeID) pages[adjSeg] {
 		less := edgeOrder(major, elbl, minor)
 		sort.Slice(perm, func(x, y int) bool { return less(perm[x], perm[y]) })
 		off := make([]int32, n+1)
@@ -337,12 +342,12 @@ func (s *Snapshot) layoutAdjacency(n int, esrc []NodeID, elbl []int32, edst []No
 		for i := 0; i < n; i++ {
 			off[i+1] += off[i]
 		}
-		segs := make([]adjSeg, n)
+		segs := newPages[adjSeg](n)
 		for i := 0; i < n; i++ {
 			lo, hi := off[i], off[i+1]
-			segs[i] = adjSeg{lbl: lblArena[lo:hi:hi], ids: idArena[lo:hi:hi]}
+			*segs.at(NodeID(i)) = adjSeg{lbl: lblArena[lo:hi:hi], ids: idArena[lo:hi:hi]}
 		}
-		return pagesOf(segs)
+		return segs
 	}
 	s.out = layout(esrc, edst)
 	s.in = layout(edst, esrc)
@@ -395,17 +400,16 @@ func (s *Snapshot) Quotient(classOf []NodeID, labels []Label) *Snapshot {
 		version:  s.version,
 		lineage:  lineageCounter.Add(1),
 	}
-	nodeLabel := make([]int32, n)
+	q.nodeLabel = newPages[int32](n)
 	q.labelNodes = make([][]NodeID, len(s.labels))
 	for c, l := range labels {
 		lid, ok := s.labelIDs[l]
 		if !ok {
 			panic("graph: quotient class labeled outside the snapshot's labels")
 		}
-		nodeLabel[c] = lid
+		*q.nodeLabel.at(NodeID(c)) = lid
 		q.labelNodes[lid] = append(q.labelNodes[lid], NodeID(c))
 	}
-	q.nodeLabel = pagesOf(nodeLabel)
 
 	// Transport every edge, then sort the triples to drop the copies
 	// that merged endpoints made parallel.
@@ -441,17 +445,15 @@ func (s *Snapshot) Quotient(classOf []NodeID, labels []Label) *Snapshot {
 	q.numEdges = len(usrc)
 	q.layoutAdjacency(n, usrc, ulbl, udst)
 	q.sumLabelDegrees()
-	q.attr = pagesOf(make([]attrSeg, n))
+	q.attr = newPages[attrSeg](n)
 	return q
 }
 
 // ---- paged accessors ----
 
-func (s *Snapshot) outSeg(id NodeID) *adjSeg { return &s.out[id>>pageShift][id&pageMask] }
-func (s *Snapshot) inSeg(id NodeID) *adjSeg  { return &s.in[id>>pageShift][id&pageMask] }
-func (s *Snapshot) attrSeg(id NodeID) *attrSeg {
-	return &s.attr[id>>pageShift][id&pageMask]
-}
+func (s *Snapshot) outSeg(id NodeID) *adjSeg   { return s.out.at(id) }
+func (s *Snapshot) inSeg(id NodeID) *adjSeg    { return s.in.at(id) }
+func (s *Snapshot) attrSeg(id NodeID) *attrSeg { return s.attr.at(id) }
 
 // ---- node accessors ----
 
@@ -469,7 +471,7 @@ func (s *Snapshot) Nodes() []NodeID { return s.ids }
 
 // Label returns the label of node id.
 func (s *Snapshot) Label(id NodeID) Label {
-	return s.labels[s.nodeLabel[id>>pageShift][id&pageMask]]
+	return s.labels[*s.nodeLabel.at(id)]
 }
 
 // SourceVersion is the mutation counter of the source graph at Freeze
@@ -479,7 +481,7 @@ func (s *Snapshot) SourceVersion() uint64 { return s.version }
 // Lineage identifies the Freeze root this snapshot derives from: a
 // snapshot and any snapshot produced from it by Apply share a lineage,
 // and with it one append-only symbol universe. Compiled plans may be
-// rebound between snapshots of equal lineage.
+// enumerated over any snapshot of the lineage they were compiled on.
 func (s *Snapshot) Lineage() uint64 { return s.lineage }
 
 // Attr returns the value of attribute a at node id, and whether the
@@ -712,10 +714,10 @@ func (s *Snapshot) Lookup(a Attr, v Value) []NodeID {
 
 // LookupAttrID is Lookup for a resolved attribute symbol — the form
 // compiled matcher plans fetch their pushed-down literal postings
-// through, at Compile and on every rebind. The first lookup of a pair
-// on a snapshot declares it: one scan of the attribute column builds
-// its posting, and every snapshot Apply derives from this one keeps it
-// up to date, so a later lookup there is one map read.
+// through, at Compile and when an enumeration starts. The first lookup
+// of a pair on a snapshot declares it: one scan of the attribute column
+// builds its posting, and every snapshot Apply derives from this one
+// keeps it up to date, so a later lookup there is one map read.
 func (s *Snapshot) LookupAttrID(aid int32, v Value) []NodeID {
 	pk := postingKey{attr: aid, val: v}
 	if ids, ok := s.postings.Load().get(pk); ok {
@@ -765,13 +767,11 @@ func (s *Snapshot) LabelID(l Label) (int32, bool) {
 }
 
 // NodeLabelID returns the label symbol of node id.
-func (s *Snapshot) NodeLabelID(id NodeID) int32 {
-	return s.nodeLabel[id>>pageShift][id&pageMask]
-}
+func (s *Snapshot) NodeLabelID(id NodeID) int32 { return *s.nodeLabel.at(id) }
 
 // AttrID returns the dense symbol of attribute a and whether any node
 // carries it. Attr symbols, like label symbols, are append-only within
-// a snapshot lineage, so compiled plans may keep them across rebinds.
+// a snapshot lineage, so compiled plans keep them for the whole lineage.
 func (s *Snapshot) AttrID(a Attr) (int32, bool) {
 	id, ok := s.attrIDs[a]
 	return id, ok

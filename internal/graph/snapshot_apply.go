@@ -11,70 +11,53 @@ import (
 
 // pagedPatch mutates a paged per-node table copy-on-write: the outer
 // page table and each touched page are cloned at most once, everything
-// else stays shared with the parent snapshot.
+// else stays shared with the parent snapshot's table, base. A page is
+// the patch's own exactly when it is not base's: cloned, or past it.
 type pagedPatch[T any] struct {
-	pgs      [][]T
-	ownOuter bool
-	ownPage  map[int]bool
+	pgs, base pages[T]
+	ownOuter  bool
 }
 
-func newPagedPatch[T any](pgs [][]T) *pagedPatch[T] {
-	return &pagedPatch[T]{pgs: pgs, ownPage: make(map[int]bool)}
+func newPagedPatch[T any](pgs pages[T]) *pagedPatch[T] {
+	return &pagedPatch[T]{pgs: pgs, base: pgs}
 }
 
 func (pp *pagedPatch[T]) cloneOuter(extraPages int) {
 	if pp.ownOuter {
 		return
 	}
-	out := make([][]T, len(pp.pgs), len(pp.pgs)+extraPages)
+	out := make(pages[T], len(pp.pgs), len(pp.pgs)+extraPages)
 	copy(out, pp.pgs)
 	pp.pgs = out
 	pp.ownOuter = true
 }
 
-// clonePage copies page p to full-page capacity on first touch; the
-// caller must have cloned the outer table already.
-func (pp *pagedPatch[T]) clonePage(p int) {
-	if pp.ownPage[p] {
-		return
-	}
-	pg := pp.pgs[p]
-	np := make([]T, len(pg), pageSize)
-	copy(np, pg)
-	pp.pgs[p] = np
-	pp.ownPage[p] = true
-}
-
-func (pp *pagedPatch[T]) ownedPage(p int) []T {
-	pp.cloneOuter(0)
-	pp.clonePage(p)
-	return pp.pgs[p]
-}
-
 // at reads the current value of entry id.
-func (pp *pagedPatch[T]) at(id NodeID) T { return pp.pgs[id>>pageShift][id&pageMask] }
+func (pp *pagedPatch[T]) at(id NodeID) T { return *pp.pgs.at(id) }
 
 // set overwrites entry id, cloning its page on first touch.
 func (pp *pagedPatch[T]) set(id NodeID, v T) {
-	pp.ownedPage(int(id) >> pageShift)[int(id)&pageMask] = v
+	p := int(id) >> pageShift
+	if p < len(pp.base) && pp.pgs[p] == pp.base[p] {
+		pp.cloneOuter(0)
+		pg := *pp.pgs[p]
+		pp.pgs[p] = &pg
+	}
+	pp.pgs[p][id&pageMask] = v
 }
 
-// extend appends items for ids oldN, oldN+1, ...: the last partial page
-// is cloned to full-page capacity and new pages are allocated fresh.
-func (pp *pagedPatch[T]) extend(oldN int, items []T) {
-	if len(items) == 0 {
+// grow extends the table to n entries with zeroed pages of its own. The
+// entries past the parent's node count on its last page are zero
+// already (see pages), so they need no write until set gives them a
+// value.
+func (pp *pagedPatch[T]) grow(n int) {
+	np := (n + pageMask) >> pageShift
+	if np <= len(pp.pgs) {
 		return
 	}
-	pp.cloneOuter((len(items) + pageSize - 1) / pageSize)
-	for i, v := range items {
-		p := (oldN + i) >> pageShift
-		if p == len(pp.pgs) {
-			pp.pgs = append(pp.pgs, make([]T, 0, pageSize))
-			pp.ownPage[p] = true
-		} else {
-			pp.clonePage(p)
-		}
-		pp.pgs[p] = append(pp.pgs[p], v)
+	pp.cloneOuter(np - len(pp.pgs))
+	for len(pp.pgs) < np {
+		pp.pgs = append(pp.pgs, new([pageSize]T))
 	}
 }
 
@@ -94,8 +77,9 @@ type epatch struct {
 // are appended at a posting's end, in place when the child claims its
 // tail, and a node an overwrite moves into or out of a declared pair
 // costs one copy of that posting per Apply. A delta that writes no
-// declared pair leaves the set shared with s, so compiled plans with
-// pushed-down constant literals rebind at the cost of a map read.
+// declared pair leaves the set shared with s, and a compiled plan's
+// enumeration on the result fetches each pushed-down posting with one
+// map read.
 //
 // d.FromVersion must equal s.SourceVersion(): deltas compose in
 // sequence, exactly as Graph.DeltaSince hands them out. Apply panics on
@@ -220,10 +204,13 @@ func (s *Snapshot) Apply(d *Delta) *Snapshot {
 				maxLid = newLids[i]
 			}
 		}
-		nodeLabelPP.extend(oldN, newLids)
-		outPP.extend(oldN, make([]adjSeg, len(d.Nodes)))
-		inPP.extend(oldN, make([]adjSeg, len(d.Nodes)))
-		attrPP.extend(oldN, make([]attrSeg, len(d.Nodes)))
+		nodeLabelPP.grow(n)
+		for i, lid := range newLids {
+			nodeLabelPP.set(NodeID(oldN+i), lid)
+		}
+		outPP.grow(n)
+		inPP.grow(n)
+		attrPP.grow(n)
 		ensureLabelTables(int(maxLid) + 1)
 		added := make([]int, maxLid+1)
 		for _, lid := range newLids {

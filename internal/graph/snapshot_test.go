@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -404,5 +405,133 @@ func TestSnapshotPostingGrowsInPlace(t *testing.T) {
 				t.Fatalf("posting of a %d-node snapshot holds %v at %d", s.NumNodes(), id, i)
 			}
 		}
+	}
+}
+
+// pageGraph builds the same n-node graph on every call: person nodes
+// with a name, each linked to a few others, so every page of every
+// per-node table holds data.
+func pageGraph(n int) *Graph {
+	rng := rand.New(rand.NewSource(int64(n)))
+	g := New()
+	for i := 0; i < n; i++ {
+		g.AddNodeAttrs("person", map[Attr]Value{"name": Int(i)})
+	}
+	for i := 0; i < 2*n; i++ {
+		g.AddEdge(NodeID(rng.Intn(n)), "knows", NodeID(rng.Intn(n)))
+	}
+	return g
+}
+
+// TestSnapshotApplySharesUntouchedPages: Apply clones a page of a
+// per-node table only when the delta writes an entry on it, so every
+// other page of each table is the parent's own page, pointer for
+// pointer, and the parent reads back exactly as before.
+func TestSnapshotApplySharesUntouchedPages(t *testing.T) {
+	const n = 10*pageSize + 5
+	g, pre := pageGraph(n), pageGraph(n)
+	parent := g.Freeze()
+	from := g.Version()
+	g.AddEdge(2*pageSize+1, "knows", 5*pageSize+3) // out page 2, in page 5
+	g.SetAttr(7*pageSize, "name", String("renamed"))
+	fresh := g.AddNode("person") // the last, partial page
+	g.AddEdge(fresh, "likes", pageSize+9)
+	child := parent.Apply(g.DeltaSince(from))
+	assertSnapshotsEqual(t, g.Freeze(), child, g)
+	assertSnapshotsEqual(t, pre.Freeze(), parent, pre)
+
+	last := n / pageSize
+	for _, c := range []struct {
+		name          string
+		parent, child []unsafe.Pointer
+		touched       []int
+	}{
+		{"nodeLabel", pagePointers(parent.nodeLabel), pagePointers(child.nodeLabel), []int{last}},
+		{"out", pagePointers(parent.out), pagePointers(child.out), []int{2, last}},
+		{"in", pagePointers(parent.in), pagePointers(child.in), []int{5, 1}},
+		{"attr", pagePointers(parent.attr), pagePointers(child.attr), []int{7}},
+	} {
+		if len(c.child) != len(c.parent) {
+			t.Fatalf("%s: %d pages after Apply, %d before", c.name, len(c.child), len(c.parent))
+		}
+		for p := range c.parent {
+			shared := c.child[p] == c.parent[p]
+			if touched := slices.Contains(c.touched, p); shared == touched {
+				t.Errorf("%s page %d: shared %v, touched by the delta %v", c.name, p, shared, touched)
+			}
+		}
+	}
+}
+
+func pagePointers[T any](pgs pages[T]) []unsafe.Pointer {
+	out := make([]unsafe.Pointer, len(pgs))
+	for p, pg := range pgs {
+		out[p] = unsafe.Pointer(pg)
+	}
+	return out
+}
+
+// TestSnapshotApplySiblingPages: two children of one parent each add
+// nodes onto the parent's last, partial page. Each clones that page for
+// itself, so each reads back exactly its own nodes, labels, edges and
+// attributes, and the parent still ends where it did.
+func TestSnapshotApplySiblingPages(t *testing.T) {
+	const n = pageSize + 10
+	pre := pageGraph(n)
+	parent := pre.Freeze()
+	grow := func(label Label, k int) (*Graph, *Snapshot) {
+		g := pageGraph(n)
+		for i := 0; i < k; i++ {
+			id := g.AddNodeAttrs(label, map[Attr]Value{"name": String(string(label))})
+			g.AddEdge(id, "knows", NodeID(i))
+			g.AddEdge(NodeID(i), "knows", id)
+		}
+		return g, parent.Apply(g.DeltaSince(pre.Version()))
+	}
+	ga, a := grow("a", 3)
+	gb, b := grow("b", 40) // runs past the partial page onto a new one
+	assertSnapshotsEqual(t, ga.Freeze(), a, ga)
+	assertSnapshotsEqual(t, gb.Freeze(), b, gb)
+	assertSnapshotsEqual(t, pre.Freeze(), parent, pre)
+	if p := n / pageSize; a.nodeLabel[p] == parent.nodeLabel[p] || b.nodeLabel[p] == parent.nodeLabel[p] || a.nodeLabel[p] == b.nodeLabel[p] {
+		t.Fatal("siblings share a page that both of them wrote")
+	}
+}
+
+// TestSnapshotApplyOuterBytesPerPage: Apply copies the outer page table
+// of each per-node table it writes, one 8-byte pointer per page, so its
+// bytes grow with |V| by 8 bytes per page per table and by nothing else.
+// The slope is taken between two graph sizes, which cancels what Apply
+// allocates for the delta itself. The page counts make each copied
+// table, with the allocator's 8-byte header, fill its size class
+// exactly (383 pages: 3,072 B; 1,535 pages: 12,288 B), so the slope
+// reads the tables' own bytes.
+func TestSnapshotApplyOuterBytesPerPage(t *testing.T) {
+	const runs = 32
+	cost := func(pgs int) float64 {
+		n := pgs*pageSize - runs - 8 // every added node lands on the last page
+		g := pageGraph(n)
+		identityIDs(n + runs) // grow the shared id table outside the measurement
+		s := g.Freeze()
+		v := g.Version()
+		ds := make([]*Delta, runs)
+		for r := range ds {
+			// Each delta writes all four tables: a node label, an out
+			// segment, an in segment and an attribute tuple.
+			id := NodeID(n + r)
+			ds[r] = &Delta{FromVersion: v, ToVersion: v + 4,
+				Nodes: []NodeAdd{{ID: id, Label: "fresh"}},
+				Edges: []Edge{{Src: id, Label: "knows", Dst: NodeID(r * 13 % n)}},
+				Attrs: []AttrWrite{{Node: NodeID(r * 29 % n), Attr: "name", Value: Int(-r)}},
+			}
+			v += 4
+		}
+		_, bytes := applyCost(s, ds)
+		return bytes
+	}
+	small, large := cost(383), cost(1535)
+	if slope := (large - small) / (1535 - 383) / 4; slope > 8.25 {
+		t.Fatalf("Snapshot.Apply allocates %.0f B at 383 pages and %.0f B at 1,535: %.2f B per page per table, want 8",
+			small, large, slope)
 	}
 }

@@ -57,8 +57,8 @@ func (o *Observer) SetSlowOp(d time.Duration) {
 // per-candidate probe steps it took, how many complete bindings it
 // materialized and how many partial ones a full scan's pruner made it
 // abandon. Counters are shared obs handles (typically labeled by
-// rule), so the stats accumulate across enumerations and snapshot
-// rebinds; any field may be nil.
+// rule), so the stats accumulate across enumerations and the snapshots
+// of a lineage; any field may be nil.
 type MatchStats struct {
 	Candidates     *Counter
 	IntersectSteps *Counter

@@ -58,7 +58,7 @@ func TestSnapshotMatchingDifferential(t *testing.T) {
 				return true
 			})
 			onDense := denseMatches(p, func(yield func([]graph.NodeID) bool) {
-				pattern.Compile(p, snap).ForEachDenseCancel(nil, nil, yield)
+				pattern.Compile(p, snap).ForEachDenseCancel(snap, nil, nil, yield)
 			})
 			for _, got := range [][]pattern.Match{onMap, onDense} {
 				if got := canonMatches(p, got); !sameCanon(want, got) {
@@ -90,7 +90,7 @@ func TestSnapshotPivotDifferential(t *testing.T) {
 			cands := g.CandidateNodes(p.Label(pivot))
 			want := bruteForcePivot(p, g, nil, pivot, cands)
 			got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
-				pattern.Compile(p, snap).ForEachDensePivotCancel(pivot, cands, nil, nil, yield)
+				pattern.Compile(p, snap).ForEachDensePivotCancel(snap, pivot, cands, nil, nil, yield)
 			})
 			if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
 				t.Logf("seed %d: pattern %s pivot %s: oracle %d matches, snapshot %d",
@@ -124,7 +124,7 @@ func TestEmptyPatternYieldContract(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("empty pattern yielded %d times, want 1", calls)
 	}
-	pattern.Compile(pattern.New(), snap).ForEachDensePivotCancel("zzz", snap.Nodes(), nil, nil, func([]graph.NodeID) bool {
+	pattern.Compile(pattern.New(), snap).ForEachDensePivotCancel(snap, "zzz", snap.Nodes(), nil, nil, func([]graph.NodeID) bool {
 		t.Error("pivot on an unknown variable yielded a match on the empty pattern")
 		return true
 	})

@@ -54,7 +54,6 @@ const (
 // to its interned symbol so the search never hashes a label either.
 type cedge struct {
 	src, dst int
-	label    graph.Label
 	lid      int32 // resolved symbol; labelWild / labelAbsent sentinels
 }
 
@@ -65,7 +64,8 @@ type cedge struct {
 // enumeration dominates their cost.
 type matcher struct {
 	pl       *Plan
-	snap     *graph.Snapshot           // mirrors pl.snap
+	snap     *graph.Snapshot           // the snapshot this enumeration reads
+	post     [][]graph.NodeID          // cfilter.k -> its posting on snap
 	bind     []graph.NodeID            // dense partial assignment, unbound = -1
 	last     []graph.NodeID            // binding each out entry currently holds
 	out      Match                     // reused map handed to yield
@@ -114,13 +114,13 @@ type ConstFilter struct {
 }
 
 // cfilter is a compiled pushed-down filter: the attribute resolved to
-// its interned symbol and the posting list of nodes carrying (attr,
-// value).
+// its interned symbol. Its posting, the nodes carrying (attr, value),
+// belongs to the snapshot an enumeration reads: newMatcher fetches it
+// into the matcher's post[k].
 type cfilter struct {
-	attr graph.Attr
-	val  graph.Value
-	aid  int32          // resolved attr symbol; -1 = unresolved/absent
-	post []graph.NodeID // snapshot posting, ascending
+	val graph.Value
+	aid int32 // resolved attr symbol; -1 = absent
+	k   int   // index into matcher.post
 }
 
 // Pruner lets a full scan abandon partial bindings that cannot extend
@@ -136,14 +136,16 @@ type Pruner interface {
 	Prune(snap *graph.Snapshot, bind []graph.NodeID, mask uint64) bool
 }
 
-// Plan is a compiled matching plan for one (pattern, snapshot) pair:
-// the variable order, symbol-resolved adjacency, pushed-down literal
-// postings and binding layout are computed once and shared across any
-// number of (concurrent) enumerations. Plans are immutable after
-// Compile and safe for concurrent use.
+// Plan is a compiled matching plan for one pattern over one snapshot
+// lineage: the variable order, symbol-resolved adjacency, pushed-down
+// literals and binding layout are computed once and shared across any
+// number of (concurrent) enumerations. A plan holds no snapshot: every
+// enumeration takes the one it reads, which must be the snapshot the
+// plan was compiled or last rebound on, or a later one of its lineage
+// (see Rebind). Plans are immutable after Compile and safe for
+// concurrent use.
 type Plan struct {
 	p      *Pattern
-	snap   *graph.Snapshot
 	vars   []Var // variable index -> variable
 	varIdx map[Var]int
 	labels []graph.Label // variable index -> label
@@ -153,26 +155,23 @@ type Plan struct {
 
 	filters []ConstFilter // pushed-down constant literals, as given
 	varFilt [][]cfilter   // variable index -> compiled filters
+	nfilt   int           // len(matcher.post)
 	closes  [][]int       // variable indexes each Pruner condition reads
 
+	// openLabels and openAttrs are the labels and filter attributes that
+	// occurred nowhere in the compile snapshot; Rebind watches for them.
+	openLabels []graph.Label
+	openAttrs  []graph.Attr
+
 	// pool recycles matcher scratch across enumerations; see matcher.
-	// It is a pointer so Rebind-derived plans share one pool: the
-	// scratch is sized by the pattern (identical across a lineage of
-	// rebinds), and sharing keeps the pool warm on the per-delta path
-	// where validators rebase for every update.
+	// It is a pointer so a plan Rebind recompiles keeps the pool: the
+	// scratch is sized by the pattern, and sharing keeps it warm.
 	pool *sync.Pool
 
 	// prof, when attached via SetProfile, receives every enumeration's
 	// tallies; carried across Rebind so per-rule statistics accumulate
 	// over a validator's whole snapshot lineage.
 	prof *obs.MatchStats
-
-	// seeds are the first variable's candidates with nothing bound, built
-	// on the first range enumeration (seedList); seedCovered reports that
-	// they already satisfy that variable's pushed-down literals.
-	seedOnce    sync.Once
-	seeds       []graph.NodeID
-	seedCovered bool
 }
 
 // Compile prepares a matching plan for p over snap.
@@ -196,10 +195,10 @@ func CompileFiltered(p *Pattern, snap *graph.Snapshot, filters []ConstFilter, cl
 	n := len(p.vars)
 	pl := &Plan{
 		p:       p,
-		snap:    snap,
 		vars:    p.vars,
 		varIdx:  make(map[Var]int, n),
 		labels:  make([]graph.Label, n),
+		varLid:  make([]int32, n),
 		adj:     make([][]cedge, n),
 		varFilt: make([][]cfilter, n),
 		closes:  closes,
@@ -212,16 +211,16 @@ func CompileFiltered(p *Pattern, snap *graph.Snapshot, filters []ConstFilter, cl
 		if lid, ok := snap.LabelID(l); ok {
 			return lid
 		}
+		pl.openLabels = append(pl.openLabels, l)
 		return labelAbsent
 	}
-	pl.varLid = make([]int32, n)
 	for i, x := range p.vars {
 		pl.varIdx[x] = i
 		pl.labels[i] = p.labels[x]
 		pl.varLid[i] = resolve(p.labels[x])
 	}
 	for _, e := range p.edges {
-		ce := cedge{src: pl.varIdx[e.Src], dst: pl.varIdx[e.Dst], label: e.Label, lid: resolve(e.Label)}
+		ce := cedge{src: pl.varIdx[e.Src], dst: pl.varIdx[e.Dst], lid: resolve(e.Label)}
 		pl.adj[ce.src] = append(pl.adj[ce.src], ce)
 		if ce.dst != ce.src {
 			pl.adj[ce.dst] = append(pl.adj[ce.dst], ce)
@@ -234,122 +233,50 @@ func CompileFiltered(p *Pattern, snap *graph.Snapshot, filters []ConstFilter, cl
 			if !ok {
 				continue
 			}
-			cf := cfilter{attr: f.Attr, val: f.Value, aid: -1}
+			cf := cfilter{val: f.Value, aid: -1, k: pl.nfilt}
+			pl.nfilt++
 			if aid, ok := snap.AttrID(f.Attr); ok {
 				cf.aid = aid
-				cf.post = snap.LookupAttrID(aid, f.Value)
+			} else {
+				pl.openAttrs = append(pl.openAttrs, f.Attr)
 			}
 			pl.varFilt[i] = append(pl.varFilt[i], cf)
 		}
 	}
-	pl.order = planOrder(pl)
+	pl.order = planOrder(pl, snap)
 	return pl
 }
 
-// Rebind returns a plan equivalent to pl but bound to snap, an
-// immutable snapshot of the same lineage as the plan's own (i.e. one
-// produced from it by graph.Snapshot.Apply, in any number of steps).
-// Within a lineage symbol ids are append-only, so the compiled variable
-// order and adjacency carry over unchanged; only label symbols that
-// were absent at Compile time are re-resolved — a delta may have
-// interned them since. The cost is proportional to the pattern, never
-// the graph, which is what lets validators follow a delta-maintained
-// snapshot without recompiling.
+// Rebind returns a plan equivalent to pl for snap, a later snapshot of
+// the lineage pl was compiled on (one produced from it by
+// graph.Snapshot.Apply, in any number of steps). Within a lineage symbol
+// ids are append-only, so pl itself serves snap unless a node label,
+// edge label or filter attribute that was absent at compile time now
+// occurs; then the plan is compiled again, with a fresh variable order,
+// keeping its matcher pool and profile. The check costs a map read per
+// absent symbol, never the graph, which is what lets validators follow
+// a delta-maintained snapshot without recompiling.
 //
 // Rebinding onto an unrelated snapshot corrupts label resolution
 // silently; callers are expected to check Lineage, as
 // reason.Validator.Rebase does.
 func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
-	if snap == pl.snap {
-		return pl
-	}
-	np := &Plan{
-		p:       pl.p,
-		snap:    snap,
-		vars:    pl.vars,
-		varIdx:  pl.varIdx,
-		labels:  pl.labels,
-		varLid:  pl.varLid,
-		adj:     pl.adj,
-		order:   pl.order,
-		filters: pl.filters,
-		varFilt: pl.varFilt,
-		closes:  pl.closes,
-		pool:    pl.pool, // same pattern, same scratch shape: stay warm
-		prof:    pl.prof, // profile accumulates across the lineage
-	}
-	// Pushed-down postings are per-snapshot: attr symbols carry over
-	// (append-only within a lineage, re-resolved if they appeared since
-	// Compile) but the posting contents move with every Apply, so they
-	// are re-fetched here. Compile declared each pair on the lineage and
-	// Apply keeps it current, so a re-fetch is one map read.
-	if len(pl.filters) > 0 {
-		nf := make([][]cfilter, len(pl.varFilt))
-		for i, fs := range pl.varFilt {
-			if len(fs) == 0 {
-				continue
-			}
-			cs := make([]cfilter, len(fs))
-			copy(cs, fs)
-			for k := range cs {
-				if cs[k].aid < 0 {
-					if aid, ok := snap.AttrID(cs[k].attr); ok {
-						cs[k].aid = aid
-					}
-				}
-				if cs[k].aid >= 0 {
-					cs[k].post = snap.LookupAttrID(cs[k].aid, cs[k].val)
-				}
-			}
-			nf[i] = cs
-		}
-		np.varFilt = nf
-	}
-	resolve := func(l graph.Label) int32 {
-		if l == graph.Wildcard {
-			return labelWild
-		}
-		if lid, ok := snap.LabelID(l); ok {
-			return lid
-		}
-		return labelAbsent
-	}
-	for i, lid := range pl.varLid {
-		if lid != labelAbsent {
-			continue
-		}
-		if resolve(pl.labels[i]) == labelAbsent {
-			continue
-		}
-		// A previously-absent symbol exists now: re-resolve the whole
-		// (tiny) table once.
-		nv := make([]int32, len(pl.varLid))
-		for j := range nv {
-			nv[j] = resolve(pl.labels[j])
-		}
-		np.varLid = nv
-		break
-	}
-	for x := range pl.adj {
-		for _, e := range pl.adj[x] {
-			if e.lid != labelAbsent || resolve(e.label) == labelAbsent {
-				continue
-			}
-			// Same for edge labels: clone the adjacency with fresh
-			// resolutions.
-			nadj := make([][]cedge, len(pl.adj))
-			for y := range pl.adj {
-				es := make([]cedge, len(pl.adj[y]))
-				copy(es, pl.adj[y])
-				for k := range es {
-					es[k].lid = resolve(es[k].label)
-				}
-				nadj[y] = es
-			}
-			np.adj = nadj
-			return np
+	for _, l := range pl.openLabels {
+		if _, ok := snap.LabelID(l); ok {
+			return pl.recompile(snap)
 		}
 	}
+	for _, a := range pl.openAttrs {
+		if _, ok := snap.AttrID(a); ok {
+			return pl.recompile(snap)
+		}
+	}
+	return pl
+}
+
+func (pl *Plan) recompile(snap *graph.Snapshot) *Plan {
+	np := CompileFiltered(pl.p, snap, pl.filters, pl.closes)
+	np.pool, np.prof = pl.pool, pl.prof
 	return np
 }
 
@@ -357,7 +284,7 @@ func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 // the dense binding vector, dirty set, output map and candidate
 // buffers — and allocates it only on a cold pool. Callers must hand the
 // matcher back with putMatcher when the enumeration ends.
-func (pl *Plan) newMatcher(stop func() bool, yield func(Match) bool) *matcher {
+func (pl *Plan) newMatcher(snap *graph.Snapshot, stop func() bool, yield func(Match) bool) *matcher {
 	m, ok := pl.pool.Get().(*matcher)
 	if !ok {
 		m = &matcher{
@@ -365,11 +292,22 @@ func (pl *Plan) newMatcher(stop func() bool, yield func(Match) bool) *matcher {
 			last:    make([]graph.NodeID, len(pl.vars)),
 			covered: make([]bool, len(pl.vars)),
 			out:     make(Match, len(pl.vars)),
+			post:    make([][]graph.NodeID, pl.nfilt),
 		}
 	}
-	// The pool is shared across same-lineage rebinds, so a recycled
-	// matcher may carry a predecessor plan; re-point it every time.
-	m.pl, m.snap = pl, pl.snap
+	// The pool outlives a recompile by Rebind, so a recycled matcher may
+	// carry a predecessor plan; re-point it every time.
+	m.pl, m.snap = pl, snap
+	// The pushed-down postings of snap, nil for an absent attribute:
+	// Compile declared each pair on the lineage and Apply keeps it
+	// current, so a fetch is one map read.
+	for i := range pl.varFilt {
+		for fi := range pl.varFilt[i] {
+			if f := &pl.varFilt[i][fi]; f.aid >= 0 {
+				m.post[f.k] = snap.LookupAttrID(f.aid, f.val)
+			}
+		}
+	}
 	m.yield = yield
 	m.stop = stop
 	m.tick = 0
@@ -387,8 +325,8 @@ func (pl *Plan) newMatcher(stop func() bool, yield func(Match) bool) *matcher {
 }
 
 // putMatcher returns scratch to the plan's pool, dropping the caller's
-// closures — and the plan/snapshot references, which would otherwise
-// pin a superseded snapshot's COW pages across rebinds — so the pool
+// closures — and the plan, snapshot and posting references, which
+// would otherwise pin a superseded snapshot's COW pages — so the pool
 // never pins them. newMatcher re-points them on every Get.
 func (pl *Plan) putMatcher(m *matcher) {
 	pl.flushProfile(m)
@@ -398,6 +336,7 @@ func (pl *Plan) putMatcher(m *matcher) {
 	m.prune = nil
 	m.pl = nil
 	m.snap = nil
+	clear(m.post)
 	// The run-collection buffers hold views into snapshot CSR storage;
 	// nil them so a pooled matcher never pins a superseded snapshot's
 	// pages (the buffers themselves — a few slice headers per variable —
@@ -466,8 +405,8 @@ func (m *matcher) candFail(x int, runs [][]graph.NodeID) []graph.NodeID {
 // This is the entry point for high-volume consumers (the chase's
 // fixpoint loop) where the per-match map handling of the Match boundary
 // dominates.
-func (pl *Plan) ForEachDenseCancel(stop func() bool, prune Pruner, yield func([]graph.NodeID) bool) {
-	m := pl.newMatcher(stop, nil)
+func (pl *Plan) ForEachDenseCancel(snap *graph.Snapshot, stop func() bool, prune Pruner, yield func([]graph.NodeID) bool) {
+	m := pl.newMatcher(snap, stop, nil)
 	m.dense = yield
 	defer pl.putMatcher(m)
 	m.order = pl.order
@@ -493,12 +432,12 @@ func (pl *Plan) ForEachDenseCancel(stop func() bool, prune Pruner, yield func([]
 // label postings and attribute-value postings both arrive ascending);
 // unsorted candidate lists fall back to the per-candidate literal check
 // in consistent.
-func (pl *Plan) ForEachDensePivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, prune Pruner, yield func([]graph.NodeID) bool) {
+func (pl *Plan) ForEachDensePivotCancel(snap *graph.Snapshot, pivot Var, cands []graph.NodeID, stop func() bool, prune Pruner, yield func([]graph.NodeID) bool) {
 	pi, ok := pl.varIdx[pivot]
 	if !ok {
 		return
 	}
-	m := pl.newMatcher(stop, nil)
+	m := pl.newMatcher(snap, stop, nil)
 	m.dense = yield
 	defer pl.putMatcher(m)
 	cands = m.pivotCands(pi, cands)
@@ -568,8 +507,7 @@ func (m *matcher) pivotCands(pi int, cands []graph.NodeID) []graph.NodeID {
 		return cands
 	}
 	for fi := range m.pl.varFilt[pi] {
-		f := &m.pl.varFilt[pi][fi]
-		if f.aid < 0 || len(f.post) == 0 {
+		if len(m.post[m.pl.varFilt[pi][fi].k]) == 0 {
 			return nil
 		}
 	}
@@ -581,7 +519,7 @@ func (m *matcher) pivotCands(pi int, cands []graph.NodeID) []graph.NodeID {
 	runs := m.runsBuf(pi)
 	runs = append(runs, cands)
 	for fi := range m.pl.varFilt[pi] {
-		runs = append(runs, m.pl.varFilt[pi][fi].post)
+		runs = append(runs, m.post[m.pl.varFilt[pi][fi].k])
 	}
 	m.nIsect += uint64(len(runs))
 	out := intersectInto(m.isectBuf(pi), runs)
@@ -602,7 +540,7 @@ func ForEachMatch(p *Pattern, snap *graph.Snapshot, yield func(Match) bool) {
 // ForEachDenseCancel.
 func ForEachMatchCancel(p *Pattern, snap *graph.Snapshot, stop func() bool, yield func(Match) bool) {
 	pl := Compile(p, snap)
-	m := pl.newMatcher(stop, yield)
+	m := pl.newMatcher(snap, stop, yield)
 	defer pl.putMatcher(m)
 	m.order = pl.order
 	m.search(0)
@@ -620,26 +558,27 @@ func ForEachMatchCancel(p *Pattern, snap *graph.Snapshot, stop func() bool, yiel
 // sets. Disconnected components are started at their most selective
 // variable. Remaining ties go toward the label with the higher average
 // degree — a better-connected seed prunes its neighborhood harder.
-func planOrder(pl *Plan) []int {
+func planOrder(pl *Plan, snap *graph.Snapshot) []int {
 	n := len(pl.vars)
-	snap := pl.snap
-	candCount := func(i int) int {
-		c := 0
+	// cand[i] counts variable i's candidates with nothing bound. Looking
+	// a filter's posting up declares its pair on snap, so Apply keeps it
+	// current for the enumerations of the whole lineage. remaining
+	// shares its allocation.
+	buf := make([]int, 2*n)
+	cand, remaining := buf[:n], buf[n:]
+	for i := range cand {
 		if pl.labels[i] == graph.Wildcard {
-			c = snap.NumNodes()
+			cand[i] = snap.NumNodes()
 		} else {
-			c = len(snap.CandidateNodes(pl.labels[i]))
+			cand[i] = len(snap.CandidateNodes(pl.labels[i]))
 		}
 		for fi := range pl.varFilt[i] {
-			f := &pl.varFilt[i][fi]
-			if f.aid < 0 {
-				return 0
-			}
-			if len(f.post) < c {
-				c = len(f.post)
+			if f := &pl.varFilt[i][fi]; f.aid < 0 {
+				cand[i] = 0
+			} else {
+				cand[i] = min(cand[i], len(snap.LookupAttrID(f.aid, f.val)))
 			}
 		}
-		return c
 	}
 	avgDeg := func(i int) float64 {
 		return snap.LabelAvgDegree(pl.labels[i])
@@ -648,7 +587,7 @@ func planOrder(pl *Plan) []int {
 	// binding than b: fewer candidates, then higher average degree, then
 	// name for determinism.
 	better := func(a, b int) bool {
-		ca, cb := candCount(a), candCount(b)
+		ca, cb := cand[a], cand[b]
 		if ca != cb {
 			return ca < cb
 		}
@@ -671,7 +610,6 @@ func planOrder(pl *Plan) []int {
 		}
 	}
 
-	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
 	}
@@ -901,11 +839,11 @@ func (m *matcher) candidates(x int) []graph.NodeID {
 	// Pushed-down literal postings join the intersection; a filter whose
 	// attribute or value occurs nowhere in the snapshot admits nothing.
 	for fi := range pl.varFilt[x] {
-		f := &pl.varFilt[x][fi]
-		if f.aid < 0 || len(f.post) == 0 {
+		post := m.post[pl.varFilt[x][fi].k]
+		if len(post) == 0 {
 			return m.candFail(x, runs)
 		}
-		push(f.post)
+		push(post)
 	}
 	if nAdj == 0 && run0 != nil && wildEdge < 0 {
 		// Seed variable driven by its literal postings alone: fold the

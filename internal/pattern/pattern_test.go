@@ -517,9 +517,9 @@ func TestPlanOrderClosesLiteralsEarly(t *testing.T) {
 	} {
 		got := askedAt{}
 		if tc.pivot == "" {
-			pl.ForEachDenseCancel(nil, got, visit)
+			pl.ForEachDenseCancel(snap, nil, got, visit)
 		} else {
-			pl.ForEachDensePivotCancel(tc.pivot, all, nil, got, visit)
+			pl.ForEachDensePivotCancel(snap, tc.pivot, all, nil, got, visit)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("pivot %q: conditions asked at %v, want %v (mask: bound variables)", tc.pivot, got, tc.want)

@@ -12,6 +12,7 @@ package pattern_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -109,7 +110,7 @@ func TestIntersectionMatchesProbe(t *testing.T) {
 		for _, p := range cyclicPatterns(seed) {
 			want := bruteForce(p, g, nil)
 			got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
-				pattern.Compile(p, snap).ForEachDenseCancel(nil, nil, yield)
+				pattern.Compile(p, snap).ForEachDenseCancel(snap, nil, nil, yield)
 			})
 			if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
 				t.Logf("seed %d pattern %s: oracle %d matches, intersection %d",
@@ -155,7 +156,7 @@ func TestFilteredMatchesPostFilter(t *testing.T) {
 			filters := randomFilters(rng, p)
 			want := bruteForce(p, g, filters)
 			got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
-				pattern.CompileFiltered(p, snap, filters, nil).ForEachDenseCancel(nil, nil, yield)
+				pattern.CompileFiltered(p, snap, filters, nil).ForEachDenseCancel(snap, nil, nil, yield)
 			})
 			if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
 				t.Logf("seed %d pattern %s filters %v: oracle %d matches, got %d",
@@ -198,7 +199,7 @@ func TestPivotRoutesThroughIntersection(t *testing.T) {
 			for _, cands := range [][]graph.NodeID{sorted, unsorted} {
 				want := bruteForcePivot(p, g, filters, pivot, cands)
 				got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
-					pattern.CompileFiltered(p, snap, filters, nil).ForEachDensePivotCancel(pivot, cands, nil, nil, yield)
+					pattern.CompileFiltered(p, snap, filters, nil).ForEachDensePivotCancel(snap, pivot, cands, nil, nil, yield)
 				})
 				if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
 					t.Logf("seed %d pattern %s pivot %s: oracle %d matches, got %d",
@@ -246,19 +247,20 @@ func TestRangesConcatenateToFullScan(t *testing.T) {
 				return string(seq), [4]uint64{ms.Candidates.Value(), ms.IntersectSteps.Value(), ms.ProbeSteps.Value(), ms.Bindings.Value()}
 			}
 			want, wantTally := scan(func(pl *pattern.Plan, yield func([]graph.NodeID) bool) {
-				pl.ForEachDenseCancel(nil, nil, yield)
+				pl.ForEachDenseCancel(snap, nil, nil, yield)
 			})
 			got, gotTally := scan(func(pl *pattern.Plan, yield func([]graph.NodeID) bool) {
-				n := pl.SeedCount()
+				seeds := pl.Seeds(snap)
+				n := seeds.Len()
 				for lo := 0; lo < n; {
 					hi := lo + rng.Intn(4) // lo itself: an empty range
 					if hi >= n {
 						hi += rng.Intn(3) // past the seeds
 					}
-					pl.ForEachDenseRangeCancel(lo, hi, nil, nil, yield)
+					pl.ForEachDenseRangeCancel(snap, seeds, lo, hi, nil, nil, yield)
 					lo = hi
 				}
-				pl.ForEachDenseRangeCancel(n, n+2, nil, nil, yield)
+				pl.ForEachDenseRangeCancel(snap, seeds, n, n+2, nil, nil, yield)
 			})
 			if got != want || gotTally != wantTally {
 				t.Logf("seed %d pattern %s filters %v: ranges %q tally %v, full scan %q tally %v",
@@ -336,10 +338,11 @@ func BenchmarkExtensionStep(b *testing.B) {
 	tri := pattern.New()
 	tri.AddVar("x", "a").AddVar("y", "b").AddVar("z", "c")
 	tri.AddEdge("x", "e", "y").AddEdge("y", "e", "z").AddEdge("x", "e", "z")
-	pl := pattern.Compile(tri, g.Freeze())
+	snap := g.Freeze()
+	pl := pattern.Compile(tri, snap)
 	for i := 0; i < b.N; i++ {
 		n := 0
-		pl.ForEachDenseCancel(nil, nil, func([]graph.NodeID) bool { n++; return true })
+		pl.ForEachDenseCancel(snap, nil, nil, func([]graph.NodeID) bool { n++; return true })
 	}
 }
 
@@ -357,4 +360,88 @@ func BenchmarkMatcherTriangleIntoK3(b *testing.B) {
 		n := 0
 		pattern.ForEachMatch(q, snap, func(pattern.Match) bool { n++; return true })
 	}
+}
+
+// TestPlanLineageConcurrent: a plan holds no snapshot, so one plan with
+// pushed-down filters enumerates the snapshot it was compiled on and a
+// later one of that lineage at the same time, each enumeration reading
+// its own: full scans and pivot blocks on either find exactly the
+// oracle's filtered matches on the graph that snapshot was taken from.
+func TestPlanLineageConcurrent(t *testing.T) {
+	moved := 0 // patterns whose matches differ between the two snapshots
+	for seed := int64(1); seed <= 6; seed++ {
+		g := wcoHost(seed)
+		old := g.Freeze()
+		rng := rand.New(rand.NewSource(seed + 11))
+		ps := cyclicPatterns(seed)
+		plans := make([]*pattern.Plan, len(ps))
+		filters := make([][]pattern.ConstFilter, len(ps))
+		oldWant := make([][]string, len(ps))
+		for i, p := range ps {
+			if i%2 == 0 { // the rest run unfiltered, so more of them change
+				filters[i] = randomFilters(rng, p)
+			}
+			plans[i] = pattern.CompileFiltered(p, old, filters[i], nil)
+			oldWant[i] = canonMatches(p, bruteForce(p, g, filters[i]))
+		}
+		// Grow the graph and move nodes between the filters' pairs.
+		from := g.Version()
+		for k := 0; k < 300; k++ {
+			n := graph.NodeID(rng.Intn(g.NumNodes()))
+			switch rng.Intn(3) {
+			case 0:
+				id := g.AddNode(wcoLabels[rng.Intn(len(wcoLabels))])
+				g.SetAttr(id, wcoAttrs[rng.Intn(len(wcoAttrs))], graph.Int(rng.Intn(3)))
+				g.AddEdge(n, "e", id)
+			case 1: // a triangle and a self-loop, what the cyclic patterns close on
+				m, o := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
+				g.AddEdge(n, "e", m)
+				g.AddEdge(m, "e", o)
+				g.AddEdge(n, "e", o)
+				g.AddEdge(o, "e", o)
+			default:
+				g.SetAttr(n, wcoAttrs[rng.Intn(len(wcoAttrs))], graph.Int(rng.Intn(3)))
+			}
+		}
+		cur := old.Apply(g.DeltaSince(from))
+		curWant := make([][]string, len(ps))
+		for i, p := range ps {
+			curWant[i] = canonMatches(p, bruteForce(p, g, filters[i]))
+			if !sameCanon(oldWant[i], curWant[i]) {
+				moved++
+			}
+		}
+		var wg sync.WaitGroup
+		for _, side := range []struct {
+			name string
+			snap *graph.Snapshot
+			want [][]string
+		}{{"compile snapshot", old, oldWant}, {"successor", cur, curWant}} {
+			for _, pivoted := range []bool{false, true} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i, pl := range plans {
+						p := ps[i]
+						got := denseMatches(p, func(yield func([]graph.NodeID) bool) {
+							if pivoted {
+								pl.ForEachDensePivotCancel(side.snap, p.Vars()[0], side.snap.Nodes(), nil, nil, yield)
+							} else {
+								pl.ForEachDenseCancel(side.snap, nil, nil, yield)
+							}
+						})
+						if !sameCanon(side.want[i], canonMatches(p, got)) {
+							t.Errorf("seed %d pattern %s filters %v on the %s (pivoted %v): oracle %d matches, got %d",
+								seed, p, filters[i], side.name, pivoted, len(side.want[i]), len(got))
+						}
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	if moved == 0 {
+		t.Fatal("no pattern's matches changed across the lineage: the test shows nothing")
+	}
+	t.Logf("%d patterns' matches changed across the lineage", moved)
 }

@@ -103,7 +103,7 @@ func oracleScan(val *Validator, limit int) []Violation {
 	var out []Violation
 	for _, d := range val.sigma {
 		pl := pattern.CompileFiltered(d.Pattern, val.snap, PushdownFilters(d), CloseHints(d))
-		pl.ForEachDenseCancel(nil, nil, func(bind []graph.NodeID) bool {
+		pl.ForEachDenseCancel(val.snap, nil, nil, func(bind []graph.NodeID) bool {
 			m := d.Pattern.MatchOf(bind)
 			if l := failingOn(val.snap, d, m); l != nil {
 				out = append(out, Violation{GED: d, Match: m, Literal: l})

@@ -37,7 +37,7 @@ func (v *Validator) touching(ctx context.Context, nodes []graph.NodeID, hs *hits
 			return true
 		}
 		for _, pivot := range d.Pattern.Vars() {
-			v.plans[gi].ForEachDensePivotCancel(pivot, nodes, stop, nil, visit)
+			v.plans[gi].ForEachDensePivotCancel(v.snap, pivot, nodes, stop, nil, visit)
 			if err := ctx.Err(); err != nil {
 				return err
 			}

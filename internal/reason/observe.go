@@ -12,12 +12,15 @@ import (
 // matcher once per enumeration) accumulating
 // into rule-labeled counters, and an info-style gauge naming each
 // rule's current plan fingerprint. Profiles survive Rebase, which
-// rebinds plans and carries their sinks; the engine re-attaches only
-// on a full recompile. A nil registry leaves the validator unobserved.
+// shares the plans; a plan that Rebind compiles again keeps its sink,
+// and Rebase names the new plan in the gauge. The engine re-attaches
+// only on a full recompile. A nil registry leaves the validator
+// unobserved.
 func (v *Validator) Observe(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
+	v.reg = reg
 	for i, pl := range v.plans {
 		name := ruleName(v.sigma[i].Name, i)
 		pl.SetProfile(&obs.MatchStats{
@@ -27,12 +30,22 @@ func (v *Validator) Observe(reg *obs.Registry) {
 			Bindings:       reg.Counter("ged_match_bindings_total", "complete bindings materialized", "rule", name),
 			Pruned:         reg.Counter("ged_match_pruned_total", "partial bindings a full scan abandoned: X refuted or Y settled", "rule", name),
 		})
-		// A recompile may change the plan shape; retire the old
-		// fingerprint series so exactly one is live per rule.
-		reg.RemoveFamilyLabeled("ged_match_plan_info", "rule", name)
-		reg.Gauge("ged_match_plan_info", "compiled plan identity per rule (value is always 1)",
-			"rule", name, "plan", pl.Fingerprint()).Set(1)
+		v.observePlan(i)
 	}
+}
+
+// observePlan names rule i's current plan in the ged_match_plan_info
+// gauge, when the validator is observed.
+func (v *Validator) observePlan(i int) {
+	if v.reg == nil {
+		return
+	}
+	name := ruleName(v.sigma[i].Name, i)
+	// A recompile may change the plan shape; retire the old
+	// fingerprint series so exactly one is live per rule.
+	v.reg.RemoveFamilyLabeled("ged_match_plan_info", "rule", name)
+	v.reg.Gauge("ged_match_plan_info", "compiled plan identity per rule (value is always 1)",
+		"rule", name, "plan", v.plans[i].Fingerprint()).Set(1)
 }
 
 // ruleName labels a rule for metrics: its declared name, or a stable

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"gedlib/internal/graph"
+	"gedlib/internal/pattern"
 )
 
 // morselsPerWorker is how many morsels each rule's seeds are cut into
@@ -45,11 +46,12 @@ func scanParallel[T any](ctx context.Context, v *Validator, limit, workers int, 
 	}
 	type morsel struct{ gi, lo, hi int }
 	var ms []morsel
+	seeds := v.seedLists()
 	for gi := range v.sigma {
 		if _, skip := v.pruner(gi); skip {
 			continue
 		}
-		n := v.plans[gi].SeedCount()
+		n := seeds[gi].Len()
 		size := max(1, (n+workers*morselsPerWorker-1)/(workers*morselsPerWorker))
 		for lo := 0; lo < n; lo += size {
 			ms = append(ms, morsel{gi: gi, lo: lo, hi: min(lo+size, n)})
@@ -78,7 +80,7 @@ func scanParallel[T any](ctx context.Context, v *Validator, limit, workers int, 
 				mo := ms[k]
 				hs.reset()
 				prune, _ := v.pruner(mo.gi)
-				v.plans[mo.gi].ForEachDenseRangeCancel(mo.lo, mo.hi, stop, prune, func(bind []graph.NodeID) bool {
+				v.plans[mo.gi].ForEachDenseRangeCancel(v.snap, seeds[mo.gi], mo.lo, mo.hi, stop, prune, func(bind []graph.NodeID) bool {
 					if ctx.Err() != nil {
 						return false
 					}
@@ -121,4 +123,19 @@ func scanParallel[T any](ctx context.Context, v *Validator, limit, workers int, 
 		out = out[:limit]
 	}
 	return out, ctx.Err()
+}
+
+// seedLists returns each rule's full-scan seeds on the validator's
+// snapshot, built once: every parallel scan of one validator cuts the
+// same lists into morsels. A skipped rule has none.
+func (v *Validator) seedLists() []pattern.Seeds {
+	v.seedOnce.Do(func() {
+		v.seeds = make([]pattern.Seeds, len(v.plans))
+		for gi, pl := range v.plans {
+			if _, skip := v.pruner(gi); !skip {
+				v.seeds[gi] = pl.Seeds(v.snap)
+			}
+		}
+	})
+	return v.seeds
 }

@@ -161,7 +161,7 @@ func TestPivotBlocksPartitionMatches(t *testing.T) {
 	pl := pattern.Compile(q, snap)
 	count := func(pivot pattern.Var, cands []graph.NodeID) int {
 		n := 0
-		pl.ForEachDensePivotCancel(pivot, cands, nil, nil, func([]graph.NodeID) bool {
+		pl.ForEachDensePivotCancel(snap, pivot, cands, nil, nil, func([]graph.NodeID) bool {
 			n++
 			return true
 		})

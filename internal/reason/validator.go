@@ -2,10 +2,12 @@ package reason
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
+	"gedlib/internal/obs"
 	"gedlib/internal/pattern"
 )
 
@@ -23,13 +25,22 @@ import (
 // built only for the matches that turn out to be violations.
 //
 // The Validator reflects the snapshot it was built on; when the graph
-// moves, Rebase follows a delta-maintained snapshot at the cost of the
-// rule set, not the graph. It is immutable and safe for concurrent use.
+// moves, Rebase follows a delta-maintained snapshot, sharing the plans
+// and compiled rules, which hold no snapshot. It is immutable and safe
+// for concurrent use.
 type Validator struct {
 	snap  *graph.Snapshot
 	sigma ged.Set
 	plans []*pattern.Plan
 	rules []*CompiledRule
+	// reg, once Observe attached one, receives the plan of every rule
+	// Rebase recompiles.
+	reg *obs.Registry
+
+	// seeds are each rule's full-scan seeds on snap, built by the first
+	// parallel scan (seedLists).
+	seedOnce sync.Once
+	seeds    []pattern.Seeds
 }
 
 // NewValidatorOn prepares a validation context over a snapshot — freeze
@@ -74,12 +85,13 @@ func pushable(l ged.Literal) bool {
 	return ok && k == ged.ConstLiteral
 }
 
-// Rebase returns a validator over snap, reusing the receiver's compiled
+// Rebase returns a validator over snap, sharing the receiver's compiled
 // plans and literals when snap shares the receiver's snapshot lineage
-// (it was produced by graph.Snapshot.Apply) — symbol ids are append-only
-// within a lineage, so only what was absent at compile time is resolved
-// again and the per-delta cost is proportional to the rule set. An
-// unrelated snapshot falls back to a full recompile.
+// (it was produced by graph.Snapshot.Apply): symbol ids are append-only
+// within a lineage, so a plan or rule is compiled again only when a
+// symbol it found absent occurs in snap, and otherwise the per-delta
+// cost is one Validator. An unrelated snapshot falls back to a full
+// recompile.
 func (v *Validator) Rebase(snap *graph.Snapshot) *Validator {
 	if snap == v.snap {
 		return v
@@ -87,15 +99,23 @@ func (v *Validator) Rebase(snap *graph.Snapshot) *Validator {
 	if snap.Lineage() != v.snap.Lineage() {
 		return NewValidatorOn(snap, v.sigma)
 	}
-	nv := &Validator{
-		snap:  snap,
-		sigma: v.sigma,
-		plans: make([]*pattern.Plan, len(v.plans)),
-		rules: make([]*CompiledRule, len(v.rules)),
-	}
+	// Both slices stay the receiver's until a rule compiles again: the
+	// first such rule copies the slice it changes.
+	nv := &Validator{snap: snap, sigma: v.sigma, plans: v.plans, rules: v.rules, reg: v.reg}
 	for i := range v.plans {
-		nv.plans[i] = v.plans[i].Rebind(snap)
-		nv.rules[i] = v.rules[i].Rebind(snap)
+		if pl := v.plans[i].Rebind(snap); pl != v.plans[i] {
+			if &nv.plans[0] == &v.plans[0] {
+				nv.plans = slices.Clone(v.plans)
+			}
+			nv.plans[i] = pl
+			nv.observePlan(i)
+		}
+		if r := v.rules[i].Rebind(snap); r != v.rules[i] {
+			if &nv.rules[0] == &v.rules[0] {
+				nv.rules = slices.Clone(v.rules)
+			}
+			nv.rules[i] = r
+		}
 	}
 	return nv
 }
@@ -261,7 +281,7 @@ func (v *Validator) scan(ctx context.Context, limit int, hs *hits) error {
 			}
 			return limit <= 0 || len(hs.list) < limit
 		}
-		v.plans[gi].ForEachDenseCancel(stop, prune, visit)
+		v.plans[gi].ForEachDenseCancel(v.snap, stop, prune, visit)
 		if err := ctx.Err(); err != nil {
 			return err
 		}

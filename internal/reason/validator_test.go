@@ -44,7 +44,7 @@ func TestValidatorUsesIndexPivot(t *testing.T) {
 		t.Errorf("plan %s does not seed at y", fp)
 	}
 	posting := len(snap.Lookup("type", graph.String("video game")))
-	if n := v.plans[0].SeedCount(); n != posting || n >= snap.LabelCount("product") {
+	if n := v.plans[0].Seeds(snap).Len(); n != posting || n >= snap.LabelCount("product") {
 		t.Errorf("%d seeds, want the %d video games, fewer than the products", n, posting)
 	}
 	ctx := context.Background()
